@@ -38,7 +38,6 @@ from .config import (
 from .engine import (
     DemandProfile,
     SummaryMetrics,
-    SystemState,
     Trajectory,
     demand_at,
     run_closed_loop,
@@ -54,13 +53,10 @@ from .errors import (
 from .pricing import (
     IntegralTollController,
     SelfLearningController,
-    StepObservation,
     VotFeedbackController,
 )
 from .traffic import (
     Capacities,
-    QueueState,
-    TimingState,
     queuing_times,
     residual_capacity,
     step_point_queues,

@@ -81,28 +81,24 @@ def loop_gain_rate(scen: ConstantDemandScenario) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ApproxState:
-    """State of the reduced near-equilibrium model."""
-
-    lambda1: float
-    zeta: float
-    t: float
-
-
 def step_approximate(
-    state: ApproxState,
+    lambda1: float,
+    zeta: float,
+    t: float,
     queue_gain: float,
     residual_gain: float,
     gain_rate: float,
     dt: float,
-) -> ApproxState:
-    """One explicit Euler step of the reduced dynamics."""
-    lambda1 = max(state.lambda1 - state.zeta * dt, 0.0)
-    zeta = state.zeta + dt * gain_rate * state.t * (
-        queue_gain * state.lambda1 - residual_gain * state.zeta
+) -> tuple[float, float, float]:
+    """One explicit Euler step of the reduced dynamics from ``(lambda1, zeta)`` at ``t``.
+
+    Returns the next ``(lambda1, zeta, t)``.
+    """
+    return (
+        max(lambda1 - zeta * dt, 0.0),
+        zeta + dt * gain_rate * t * (queue_gain * lambda1 - residual_gain * zeta),
+        t + dt,
     )
-    return ApproxState(lambda1=lambda1, zeta=zeta, t=state.t + dt)
 
 
 def run_approximate(
@@ -121,14 +117,14 @@ def run_approximate(
     reduced dynamics are time-variant.
     """
     n = round(horizon / dt)
-    state = ApproxState(lambda1=initial_queue, zeta=initial_zeta, t=start_time)
-    lam = np.empty(n + 1)
-    zeta = np.empty(n + 1)
-    lam[0], zeta[0] = state.lambda1, state.zeta
-    for k in range(1, n + 1):
-        state = step_approximate(state, queue_gain, residual_gain, gain_rate, dt)
-        lam[k], zeta[k] = state.lambda1, state.zeta
-    return start_time + np.arange(n + 1) * dt, lam, zeta
+    lam, zeta, t = initial_queue, initial_zeta, start_time
+    lams, zetas = [lam], [zeta]
+    for _ in range(n):
+        lam, zeta, t = step_approximate(lam, zeta, t, queue_gain, residual_gain, gain_rate, dt)
+        lams.append(lam)
+        zetas.append(zeta)
+    times = start_time + np.arange(n + 1) * dt
+    return times, np.array(lams, dtype=float), np.array(zetas, dtype=float)
 
 
 def gaussian_tail(

@@ -37,6 +37,8 @@ from .errors import (
 )
 
 TRAJECTORY_COLUMNS = engine.STATE_FIELDS
+# '%.9g' writes the same text as format(x, '.9g'), nan included
+_TRAJECTORY_ROW = ",".join(["%.9g"] * len(TRAJECTORY_COLUMNS))
 
 
 def _fmt(value: float) -> str:
@@ -50,11 +52,9 @@ def _csv_lines(header: tuple, rows) -> str:
 
 
 def trajectory_csv(traj: engine.Trajectory) -> str:
-    rows = (
-        tuple(getattr(state, name) for name in TRAJECTORY_COLUMNS)
-        for state in traj
-    )
-    return _csv_lines(TRAJECTORY_COLUMNS, rows)
+    lines = [",".join(TRAJECTORY_COLUMNS)]
+    lines.extend(_TRAJECTORY_ROW % tuple(row) for row in traj.rows())
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(payload) -> str:

@@ -6,16 +6,16 @@ per-step sequence is fixed:
 
 1. queuing times from the current queues;
 2. demand rates from the profile;
-3. price quoted by the controller from its current state;
-4. choice disturbance drawn;
+3. choice disturbance drawn;
+4. price quoted by the controller from its current state;
 5. paying demand and residual capacity from the lane-choice model;
 6. throughputs recorded;
-7. queues advanced;
-8. controller updated with the same-step observation.
+7. controller updated with the same-step observation;
+8. queues advanced.
 
 The final state at ``t = horizon`` is computed and recorded without a
-further queue or controller update, so a run of ``horizon / dt`` steps
-yields ``horizon / dt + 1`` states.  Each run owns a single seeded random
+further controller or queue update, so a run of ``horizon / dt`` steps
+yields ``horizon / dt + 1`` rows.  Each run owns a single seeded random
 stream; the per-step draw order (HOV demand, SOV demand, disturbance) never
 varies, so runs with the same seed see identical demand realizations
 regardless of the controller.
@@ -27,14 +27,14 @@ import bisect
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import choice, traffic
 from .errors import ConfigError, HotSimError
-from .pricing import PricingController, StepObservation
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
@@ -66,11 +66,16 @@ class DemandProfile:
         else:
             if not self.samples:
                 raise ValueError("timeseries demand needs at least one sample")
-            times = [s[0] for s in self.samples]
+            times = self.sample_times
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError("timeseries sample times must be strictly increasing")
             if any(s[1] < 0 or s[2] < 0 for s in self.samples):
                 raise ValueError("demand rates cannot be negative")
+
+    @cached_property
+    def sample_times(self) -> tuple[float, ...]:
+        """Breakpoint times of a ``timeseries`` profile, in order."""
+        return tuple(s[0] for s in self.samples)
 
 
 def demand_at(
@@ -81,7 +86,7 @@ def demand_at(
         return profile.mean_hov, profile.mean_sov
     if profile.kind == "poisson":
         return float(rng.poisson(profile.mean_hov)), float(rng.poisson(profile.mean_sov))
-    times = [s[0] for s in profile.samples]
+    times = profile.sample_times
     idx = bisect.bisect_right(times, t) - 1
     if idx < 0:
         raise ConfigError(
@@ -92,52 +97,36 @@ def demand_at(
     return hov, sov
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """One recorded simulation step."""
-
-    t: float
-    lambda1: float
-    lambda2: float
-    zeta: float
-    w: float
-    pi: float  # controller's VOT estimate; nan when the strategy has none
-    u: float
-    g1: float
-    g2: float
-    q1: float
-    q2: float
-    q3: float
-    eta: float
-
-
 STATE_FIELDS = (
     "t", "lambda1", "lambda2", "zeta", "w", "pi", "u",
     "g1", "g2", "q1", "q2", "q3", "eta",
 )
 
 
-@dataclass
 class Trajectory:
-    """Ordered step records of one run plus a fingerprint of its inputs."""
+    """Recorded steps of one run as column arrays, plus a fingerprint of its inputs.
 
-    states: list[SystemState]
-    fingerprint: str
-    _columns: dict = field(default_factory=dict, repr=False)
+    Built from one row per step with a value for every ``STATE_FIELDS``
+    entry, in that order.  ``pi`` is the controller's VOT estimate and nan
+    when the strategy has none.
+    """
+
+    def __init__(self, rows, fingerprint: str) -> None:
+        # one row per field, so that each column is contiguous
+        self._table = np.array(list(zip(*rows)), dtype=float).reshape(len(STATE_FIELDS), -1)
+        self._columns = dict(zip(STATE_FIELDS, self._table))
+        self.fingerprint = fingerprint
 
     def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self) -> Iterator[SystemState]:
-        return iter(self.states)
+        return len(self._columns["t"])
 
     def column(self, name: str) -> np.ndarray:
-        """Cached column array (one entry per recorded step)."""
-        if name not in STATE_FIELDS:
-            raise KeyError(name)
-        if name not in self._columns:
-            self._columns[name] = np.array([getattr(s, name) for s in self.states])
+        """One entry per recorded step."""
         return self._columns[name]
+
+    def rows(self) -> list[list[float]]:
+        """One list of ``STATE_FIELDS`` values per recorded step."""
+        return self._table.T.tolist()
 
 
 @dataclass(frozen=True)
@@ -178,55 +167,49 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     caps = config.capacities
     dt = config.dt
     n_steps = config.n_steps
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    demand, noise, behavior = config.demand, config.noise, config.behavior
+    run_seed = config.seed if seed is None else seed
+    rng = np.random.default_rng(run_seed)
     controller = config.controller.build(caps)
-    queues = traffic.QueueState(config.initial_hot_queue, config.initial_gp_queue)
+    lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
+    if lambda1 < 0 or lambda2 < 0:
+        raise ValueError("queue sizes cannot be negative")
+    has_pi = controller.has_vot_estimate
 
-    states: list[SystemState] = []
+    rows = []
     for k in range(n_steps + 1):
         t = k * dt
-        timing = traffic.queuing_times(queues, caps)
-        q1, q2 = demand_at(config.demand, t, dt, rng)
-        eta = choice.sample_eta(config.noise, rng)
+        _, _, w = traffic.queuing_times(lambda1, lambda2, caps)
+        q1, q2 = demand_at(demand, t, dt, rng)
+        eta = choice.sample_eta(noise, rng)
         if q2 > 0.0:
             try:
-                u = controller.quote(t, timing.w, q1, q2)
+                u = controller.quote(w, q1, q2)
             except HotSimError as exc:
                 raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
-            q3 = choice.paying_demand(q2, u, timing.w, eta, config.behavior)
+            q3 = choice.paying_demand(q2, u, w, eta, behavior)
         else:
             # no SOVs to price this step
             u, q3 = 0.0, 0.0
         zeta = traffic.residual_capacity(caps.hot, q1, q3)
-        g1, g2 = traffic.throughputs(queues, zeta, q1, q2, caps, dt)
-        pi = controller.vot_estimate
-        states.append(
-            SystemState(
-                t=t, lambda1=queues.lambda1, lambda2=queues.lambda2,
-                zeta=zeta, w=timing.w, pi=math.nan if pi is None else pi,
-                u=u, g1=g1, g2=g2, q1=q1, q2=q2, q3=q3, eta=eta,
-            )
-        )
+        g1, g2 = traffic.throughputs(lambda1, lambda2, zeta, q1, q2, caps, dt)
+        pi = controller.vot_estimate if has_pi else math.nan
+        rows.append((t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta))
         if k == n_steps:
             break
-        obs = StepObservation(
-            dt=dt, lambda1=queues.lambda1, zeta=zeta, w=timing.w,
-            u=u, q1=q1, q2=q2, q3=q3,
-        )
-        queues = traffic.step_point_queues(queues, zeta, q1, q2, caps, dt)
         if q2 > 0.0:
             try:
-                controller.observe(obs)
+                controller.observe(dt, lambda1, zeta, w, u, q1, q2, q3)
             except HotSimError as exc:
                 raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
+        lambda1, lambda2 = traffic.step_point_queues(lambda1, lambda2, zeta, q1, q2, caps, dt)
 
-    fingerprint = config_fingerprint(config, config.seed if seed is None else seed)
-    return Trajectory(states=states, fingerprint=fingerprint)
+    return Trajectory(rows, config_fingerprint(config, run_seed))
 
 
 def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
     """Scalar metrics of one trajectory against the true average VOT."""
-    if not traj.states:
+    if not len(traj):
         raise ValueError("cannot summarize an empty trajectory")
     lambda1 = traj.column("lambda1")
     g1 = traj.column("g1")
@@ -236,10 +219,8 @@ def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
     # first time after which the HOT queue stays (numerically) empty
     time_to_zero: float | None = None
     if lambda1[-1] < ZERO_QUEUE_TOL:
-        idx = len(lambda1) - 1
-        while idx > 0 and lambda1[idx - 1] < ZERO_QUEUE_TOL:
-            idx -= 1
-        time_to_zero = float(t[idx])
+        above = np.flatnonzero(~(lambda1 < ZERO_QUEUE_TOL))  # nan counts as above
+        time_to_zero = float(t[above[-1] + 1 if above.size else 0])
 
     tail = slice(3 * len(traj) // 4, None)
     has_pi = not math.isnan(pi[-1])
@@ -247,7 +228,7 @@ def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
 
     return SummaryMetrics(
         avg_g1=float(g1.mean()),
-        final_u=float(traj.states[-1].u),
+        final_u=float(traj.column("u")[-1]),
         final_pi=float(pi[-1]) if has_pi else None,
         max_lambda1=float(lambda1.max()),
         final_lambda1=float(lambda1[-1]),

@@ -1,9 +1,10 @@
 """Pricing strategies for the HOT lanes.
 
-Three controllers share one interface: ``quote`` returns the toll for the
-current step from the current internal state, and ``observe`` feeds the
-realized step back into the controller.  The engine always calls them in
-that order, so a quote never sees same-step outcomes.
+Three controllers share one interface: ``quote(w, q1, q2)`` returns the toll
+for the current step from the current internal state, and
+``observe(dt, lambda1, zeta, w, u, q1, q2, q3)`` feeds the realized step
+back into the controller.  The engine always calls them in that order, so a
+quote never sees same-step outcomes.
 
 * ``VotFeedbackController`` integrates the HOT queue and residual capacity
   into an estimate of the average value of time, then inverts the logit
@@ -17,38 +18,29 @@ that order, so a quote never sees same-step outcomes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PriceUndefinedError, ScenarioAssumptionError
 
 ALPHA2_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class StepObservation:
-    """Realized quantities of one simulation step, fed back to a controller."""
-
-    dt: float
-    lambda1: float
-    zeta: float
-    w: float
-    u: float
-    q1: float
-    q2: float
-    q3: float
+_EYE3 = np.eye(3)
 
 
 class PricingController:
     """Behavioral contract shared by the pricing strategies."""
 
     name = "base"
+    # whether ``vot_estimate`` is a number; known without evaluating it
+    has_vot_estimate = False
 
-    def quote(self, t: float, w: float, q1: float, q2: float) -> float:
+    def quote(self, w: float, q1: float, q2: float) -> float:
         raise NotImplementedError
 
-    def observe(self, obs: StepObservation) -> None:
+    def observe(
+        self, dt: float, lambda1: float, zeta: float, w: float,
+        u: float, q1: float, q2: float, q3: float,
+    ) -> None:
         raise NotImplementedError
 
     @property
@@ -80,6 +72,7 @@ class VotFeedbackController(PricingController):
     """
 
     name = "vot"
+    has_vot_estimate = True
 
     def __init__(
         self,
@@ -108,11 +101,10 @@ class VotFeedbackController(PricingController):
         _check_congested(q1, q2, c1)
         return self.vot * w + math.log((q1 + q2 - c1) / (c1 - q1)) / self.scale_guess
 
-    def quote(self, t: float, w: float, q1: float, q2: float) -> float:
-        return self.price(w, q1, q2)
+    quote = price
 
-    def observe(self, obs: StepObservation) -> None:
-        self.update_estimate(obs.lambda1, obs.zeta, obs.dt)
+    def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
+        self.update_estimate(lambda1, zeta, dt)
 
     @property
     def vot_estimate(self) -> float:
@@ -134,12 +126,12 @@ class IntegralTollController(PricingController):
     def update(self, q_hot: float) -> None:
         self.u += self.gain * (q_hot - self.target_demand)
 
-    def quote(self, t: float, w: float, q1: float, q2: float) -> float:
+    def quote(self, w: float, q1: float, q2: float) -> float:
         return self.u
 
-    def observe(self, obs: StepObservation) -> None:
+    def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
         # HOT arrival demand is HOVs plus paying SOVs
-        self.update(obs.q1 + obs.q3)
+        self.update(q1 + q3)
 
 
 class SelfLearningController(PricingController):
@@ -153,6 +145,7 @@ class SelfLearningController(PricingController):
     """
 
     name = "selflearning"
+    has_vot_estimate = True
 
     def __init__(
         self,
@@ -176,7 +169,7 @@ class SelfLearningController(PricingController):
     def _as_matrix(value, name: str) -> np.ndarray:
         mat = np.asarray(value, dtype=float)
         if mat.ndim == 0:
-            mat = float(mat) * np.eye(3)
+            mat = float(mat) * _EYE3
         if mat.shape != (3, 3):
             raise ValueError(f"{name} must be a scalar or a 3x3 matrix")
         return mat.copy()
@@ -195,12 +188,12 @@ class SelfLearningController(PricingController):
         gain = (cov @ h) / s
         self.theta = self.theta + gain * (y - float(h @ self.theta))
         # Joseph form keeps the covariance symmetric PSD under roundoff
-        ikh = np.eye(3) - np.outer(gain, h)
-        cov = ikh @ cov @ ikh.T + self.measurement_var * np.outer(gain, gain)
+        ikh = _EYE3 - gain[:, None] * h
+        cov = ikh @ cov @ ikh.T + self.measurement_var * (gain[:, None] * gain)
         self.cov = 0.5 * (cov + cov.T)
 
     def price(self, w: float, q1: float, q2: float) -> float:
-        alpha1, alpha2, gamma = self.theta
+        alpha1, alpha2, gamma = self.theta.tolist()
         if abs(alpha2) < ALPHA2_FLOOR:
             raise PriceUndefinedError(
                 f"price-utility estimate alpha2={alpha2:g} is too close to zero"
@@ -213,11 +206,10 @@ class SelfLearningController(PricingController):
             )
         return (math.log((q2 - target) / target) + alpha1 * w - gamma) / alpha2
 
-    def quote(self, t: float, w: float, q1: float, q2: float) -> float:
-        return self.price(w, q1, q2)
+    quote = price
 
-    def observe(self, obs: StepObservation) -> None:
-        self.ingest(obs.q2, obs.q3, obs.w, obs.u)
+    def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
+        self.ingest(q2, q3, w, u)
 
     @property
     def vot_estimate(self) -> float:

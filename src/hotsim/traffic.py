@@ -2,7 +2,8 @@
 
 Two vertical queues, one per lane group, driven by the residual capacity of
 the HOT lanes (capacity minus HOT-bound demand).  All rates are vehicles per
-minute, queues are vehicles, and times are minutes.
+minute, queues are vehicles, and times are minutes.  The kernels take and
+return plain floats: ``lambda1`` and ``lambda2`` are the HOT and GP queues.
 """
 
 from __future__ import annotations
@@ -22,56 +23,35 @@ class Capacities:
             raise ValueError("capacities must be positive")
 
 
-@dataclass(frozen=True)
-class QueueState:
-    """Vehicles queued on the HOT and GP lanes."""
-
-    lambda1: float
-    lambda2: float
-
-    def __post_init__(self) -> None:
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("queue sizes cannot be negative")
-
-
-@dataclass(frozen=True)
-class TimingState:
-    """Queuing times per lane group and their difference (minutes).
-
-    ``w = w2 - w1`` may be negative when the HOT queue exceeds the GP queue.
-    """
-
-    w1: float
-    w2: float
-    w: float
-
-
 def residual_capacity(c1: float, q1: float, q3: float) -> float:
     """Spare HOT discharge rate after HOV and paying-SOV demand."""
     return c1 - q1 - q3
 
 
 def step_point_queues(
-    queues: QueueState,
+    lambda1: float,
+    lambda2: float,
     zeta: float,
     q1: float,
     q2: float,
     caps: Capacities,
     dt: float,
-) -> QueueState:
+) -> tuple[float, float]:
     """Advance both point queues one step of size ``dt``.
 
     The HOT queue drains at the residual capacity ``zeta`` and the GP queue
     absorbs whatever demand exceeds the total discharge rate; both are
     clipped at zero.
     """
-    lambda1 = max(-zeta * dt + queues.lambda1, 0.0)
-    lambda2 = max((q1 + q2 - caps.gp - caps.hot + zeta) * dt + queues.lambda2, 0.0)
-    return QueueState(lambda1, lambda2)
+    return (
+        max(-zeta * dt + lambda1, 0.0),
+        max((q1 + q2 - caps.gp - caps.hot + zeta) * dt + lambda2, 0.0),
+    )
 
 
 def throughputs(
-    queues: QueueState,
+    lambda1: float,
+    lambda2: float,
     zeta: float,
     q1: float,
     q2: float,
@@ -84,13 +64,18 @@ def throughputs(
     matters for unphysical inputs since nonnegative demands cannot push the
     raw expressions negative.
     """
-    g1 = min(caps.hot - zeta + queues.lambda1 / dt, caps.hot)
-    g2 = min(q1 + q2 - caps.hot + zeta + queues.lambda2 / dt, caps.gp)
+    g1 = min(caps.hot - zeta + lambda1 / dt, caps.hot)
+    g2 = min(q1 + q2 - caps.hot + zeta + lambda2 / dt, caps.gp)
     return max(g1, 0.0), max(g2, 0.0)
 
 
-def queuing_times(queues: QueueState, caps: Capacities) -> TimingState:
-    """Queuing delays implied by the current queues."""
-    w1 = queues.lambda1 / caps.hot
-    w2 = queues.lambda2 / caps.gp
-    return TimingState(w1=w1, w2=w2, w=w2 - w1)
+def queuing_times(
+    lambda1: float, lambda2: float, caps: Capacities
+) -> tuple[float, float, float]:
+    """Queuing delays ``(w1, w2, w)`` implied by the current queues.
+
+    ``w = w2 - w1`` may be negative when the HOT queue exceeds the GP queue.
+    """
+    w1 = lambda1 / caps.hot
+    w2 = lambda2 / caps.gp
+    return w1, w2, w2 - w1

@@ -26,7 +26,6 @@ from hotsim.engine import DemandProfile, run_closed_loop, summarize
 from hotsim.pricing import SelfLearningController
 from hotsim.traffic import (
     Capacities,
-    QueueState,
     residual_capacity,
     step_point_queues,
     throughputs,
@@ -75,10 +74,11 @@ def test_criterion_01_analytic_price():
 def test_criterion_02_closed_loop_optimum():
     traj = run_closed_loop(S0)
     metrics = summarize(traj, pi_star=0.5)
-    final = traj.states[-1]
+    lam1_final = traj.column("lambda1")[-1]
+    zeta_final = traj.column("zeta")[-1]
     check("02 closed-loop optimum", {
-        f"lambda1(T)={final.lambda1:.2e} < 1e-3": final.lambda1 < 1e-3,
-        f"|zeta(T)|={abs(final.zeta):.2e} < 1e-3": abs(final.zeta) < 1e-3,
+        f"lambda1(T)={lam1_final:.2e} < 1e-3": lam1_final < 1e-3,
+        f"|zeta(T)|={abs(zeta_final):.2e} < 1e-3": abs(zeta_final) < 1e-3,
         f"u(T)={metrics.final_u:.4f} in 4.024±0.05":
             abs(metrics.final_u - 4.024) <= 0.05,
         f"avg g1={metrics.avg_g1:.4f} in 29.96±0.05":
@@ -113,7 +113,7 @@ def test_criterion_04_integral_baseline_unstable():
 def test_criterion_05_selflearning_residual_queue():
     cfg = dataclasses.replace(S0, controller_kind="selflearning")
     traj = run_closed_loop(cfg)
-    lam1_final = traj.states[-1].lambda1
+    lam1_final = traj.column("lambda1")[-1]
     g1 = traj.column("g1")
     check("05 self-learning residual queue", {
         f"lambda1(T)={lam1_final:.4f} > 0": lam1_final > 0.0,
@@ -241,19 +241,19 @@ def test_criterion_12a_flow_conservation():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(10_000):
-        queues = QueueState(rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0))
+        lam1, lam2 = rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)
         caps = Capacities(rng.uniform(1.0, 50.0), rng.uniform(1.0, 50.0))
         q1 = rng.uniform(0.0, 40.0)
         q2 = rng.uniform(0.0, 100.0)
         q3 = rng.uniform(0.0, 1.0) * q2
         dt = rng.uniform(1e-3, 0.5)
         zeta = residual_capacity(caps.hot, q1, q3)
-        g1, g2 = throughputs(queues, zeta, q1, q2, caps, dt)
-        nxt = step_point_queues(queues, zeta, q1, q2, caps, dt)
+        g1, g2 = throughputs(lam1, lam2, zeta, q1, q2, caps, dt)
+        nxt1, nxt2 = step_point_queues(lam1, lam2, zeta, q1, q2, caps, dt)
         worst = max(
             worst,
-            abs(nxt.lambda1 - queues.lambda1 - (q1 + q3 - g1) * dt),
-            abs(nxt.lambda2 - queues.lambda2 - (q2 - q3 - g2) * dt),
+            abs(nxt1 - lam1 - (q1 + q3 - g1) * dt),
+            abs(nxt2 - lam2 - (q2 - q3 - g2) * dt),
         )
     check("12a per-step flow conservation (1e4 states)", {
         f"worst defect={worst:.2e} < 1e-9": worst < 1e-9,
@@ -318,6 +318,9 @@ def test_criterion_12e_bitwise_determinism():
     a = run_closed_loop(cfg)
     b = run_closed_loop(cfg)
     check("12e bitwise determinism under a fixed seed", {
-        "states identical": a.states == b.states,
+        "columns identical": all(
+            a.column(name).tobytes() == b.column(name).tobytes()
+            for name in hotsim.engine.STATE_FIELDS
+        ),
         "csv bytes identical": trajectory_csv(a) == trajectory_csv(b),
     })

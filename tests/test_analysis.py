@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hotsim.analysis import (
-    ApproxState,
     ConstantDemandScenario,
     analytic_optimal_price,
     classify_convergence,
@@ -90,27 +89,26 @@ class TestLoopGainRate:
 
 class TestStepApproximate:
     def test_time_factor_freezes_residual_at_start(self):
-        state = step_approximate(ApproxState(1.0, 0.11, 0.0), 0.1, 0.1, BETA0, 1 / 60)
-        assert state.zeta == 0.11
+        _, zeta, _ = step_approximate(1.0, 0.11, 0.0, 0.1, 0.1, BETA0, 1 / 60)
+        assert zeta == 0.11
 
     def test_hand_computed_step(self):
-        state = step_approximate(ApproxState(1.0, 0.11, 1.0), 0.1, 0.1, BETA0, 1 / 60)
+        lambda1, zeta, t = step_approximate(1.0, 0.11, 1.0, 0.1, 0.1, BETA0, 1 / 60)
         dzeta = BETA0 * 1.0 * (0.1 * 1.0 - 0.1 * 0.11)
         assert dzeta == pytest.approx(0.39556, abs=1e-5)
-        assert state.zeta == pytest.approx(0.11 + dzeta / 60.0, rel=1e-12)
-        assert state.zeta == pytest.approx(0.11659, abs=1e-5)
-        assert state.lambda1 == pytest.approx(1.0 - 0.11 / 60.0, rel=1e-12)
-        assert state.t == pytest.approx(1.0 + 1.0 / 60.0, rel=1e-12)
+        assert zeta == pytest.approx(0.11 + dzeta / 60.0, rel=1e-12)
+        assert zeta == pytest.approx(0.11659, abs=1e-5)
+        assert lambda1 == pytest.approx(1.0 - 0.11 / 60.0, rel=1e-12)
+        assert t == pytest.approx(1.0 + 1.0 / 60.0, rel=1e-12)
 
     def test_slow_manifold_is_stationary(self):
         # residual at (queue gain / residual gain) times the queue
-        state = ApproxState(1.0, 0.5, 3.0)
-        nxt = step_approximate(state, 0.1, 0.2, BETA0, 1 / 60)
-        assert nxt.zeta == state.zeta
+        _, zeta, _ = step_approximate(1.0, 0.5, 3.0, 0.1, 0.2, BETA0, 1 / 60)
+        assert zeta == 0.5
 
     def test_queue_clipped_at_zero(self):
-        state = step_approximate(ApproxState(0.001, 0.12, 2.0), 0.1, 0.1, BETA0, 1 / 60)
-        assert state.lambda1 == 0.0
+        lambda1, _, _ = step_approximate(0.001, 0.12, 2.0, 0.1, 0.1, BETA0, 1 / 60)
+        assert lambda1 == 0.0
 
 
 class TestTailLaws:

@@ -1,21 +1,23 @@
 """Closed-loop engine: demand profiles, step sequence, summaries."""
 
 import dataclasses
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hotsim.config import IntegralTollSpec, ScenarioConfig
+from hotsim.config import IntegralTollSpec, ScenarioConfig, SelfLearningSpec
 from hotsim.engine import (
+    STATE_FIELDS,
     DemandProfile,
-    SystemState,
     Trajectory,
     demand_at,
     run_closed_loop,
     summarize,
 )
-from hotsim.errors import ConfigError, ScenarioAssumptionError
+from hotsim.errors import ConfigError, PriceUndefinedError, ScenarioAssumptionError
 
 S0 = ScenarioConfig()
 
@@ -66,10 +68,9 @@ class TestClosedLoop:
 
     def test_reaches_the_optimal_state(self):
         traj = run_closed_loop(S0)
-        final = traj.states[-1]
-        assert final.lambda1 < 1e-3
-        assert abs(final.zeta) < 1e-3
-        assert final.pi == pytest.approx(0.5, abs=0.01)
+        assert traj.column("lambda1")[-1] < 1e-3
+        assert abs(traj.column("zeta")[-1]) < 1e-3
+        assert traj.column("pi")[-1] == pytest.approx(0.5, abs=0.01)
 
     def test_integral_baseline_keeps_growing_queue(self):
         cfg = dataclasses.replace(S0, controller_kind="integral")
@@ -98,8 +99,38 @@ class TestClosedLoop:
         assert (q1[t < 10.0] == 10.0).all()
         assert (q1[t >= 10.0] == 12.0).all()
         # the controller keeps tracking the optimum through the demand shift
-        assert traj.states[-1].lambda1 < 1e-3
-        assert traj.states[-1].pi == pytest.approx(0.5, abs=0.01)
+        assert traj.column("lambda1")[-1] < 1e-3
+        assert traj.column("pi")[-1] == pytest.approx(0.5, abs=0.01)
+
+    def test_negative_initial_queue_rejected(self):
+        with pytest.raises(ValueError):
+            run_closed_loop(dataclasses.replace(S0, initial_hot_queue=-1.0))
+
+    def test_long_timeseries_gives_the_recorded_trajectory(self):
+        # 10,000 breakpoints every 0.002 min; the digest covers every column
+        # at full precision and was recorded when each step rebuilt the
+        # list of breakpoint times
+        samples = tuple(
+            (k * 0.002, 10.0 + 0.1 * (k % 7), 60.0 + 0.5 * (k % 11))
+            for k in range(10_000)
+        )
+        demand = DemandProfile(kind="timeseries", samples=samples)
+        assert demand.sample_times is demand.sample_times
+        traj = run_closed_loop(dataclasses.replace(S0, demand=demand))
+        digest = hashlib.sha256()
+        for name in STATE_FIELDS:
+            digest.update(traj.column(name).tobytes())
+        assert digest.hexdigest()[:16] == "73bf8386a3160729"
+
+    def test_undefined_first_price_raises_without_warnings(self):
+        # alpha2 = 0: the VOT estimate alpha1/alpha2 must not be evaluated
+        spec = SelfLearningSpec(initial_theta=(0.25, 0.0, 0.1))
+        cfg = dataclasses.replace(S0, controller_kind="selflearning",
+                                  selflearning_spec=spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PriceUndefinedError, match="step 0"):
+                run_closed_loop(cfg)
 
     def test_uncongested_demand_fails_with_step_index(self):
         demand = DemandProfile(kind="constant", mean_hov=5.0, mean_sov=10.0)
@@ -115,7 +146,8 @@ class TestClosedLoop:
         )
         first = run_closed_loop(cfg)
         second = run_closed_loop(cfg)
-        assert first.states == second.states
+        for name in STATE_FIELDS:
+            assert first.column(name).tobytes() == second.column(name).tobytes()
         assert first.fingerprint == second.fingerprint
 
     def test_seed_changes_fingerprint(self):
@@ -165,13 +197,9 @@ class TestSummaries:
         assert metrics.pi_rmse_tail < 0.01
 
     def test_all_zero_trajectory_gives_zero_metrics(self):
-        states = [
-            SystemState(t=k * 0.1, lambda1=0.0, lambda2=0.0, zeta=0.0, w=0.0,
-                        pi=0.0, u=0.0, g1=0.0, g2=0.0, q1=0.0, q2=0.0, q3=0.0,
-                        eta=0.0)
-            for k in range(11)
-        ]
-        metrics = summarize(Trajectory(states=states, fingerprint="x"), pi_star=0.0)
+        # t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta
+        rows = [(k * 0.1,) + (0.0,) * 12 for k in range(11)]
+        metrics = summarize(Trajectory(rows, fingerprint="x"), pi_star=0.0)
         assert metrics.avg_g1 == 0.0
         assert metrics.final_u == 0.0
         assert metrics.final_pi == 0.0

@@ -1,0 +1,55 @@
+"""Golden outputs: the CLI's files match recorded digests byte for byte.
+
+Each digest is the first 16 hex digits of the sha256 of one output file.
+Refactors keep them; a deliberate behaviour change re-records them and says
+so in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from hotsim.cli import main
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("scenario, output, expected", [
+    ("reference.yaml", "trajectory.csv", "d68490994502a419"),
+    ("perturbed.yaml", "trajectory.csv", "ee450cc2e9df1bc7"),
+    ("stochastic.yaml", "summary.json", "d2385aca0b9c6d60"),
+])
+def test_simulate_shipped_scenario(tmp_path, scenario, output, expected):
+    assert main(["simulate", "--config", str(SCENARIOS / scenario),
+                 "--out", str(tmp_path)]) == 0
+    assert digest(tmp_path / output) == expected
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("integral", "2759abe5ebd44a65"),
+    ("selflearning", "fddf561b7f48b8f2"),
+])
+def test_simulate_default_scenario_per_controller(tmp_path, kind, expected):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(f"controller: {{kind: {kind}}}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert digest(out / "trajectory.csv") == expected
+
+
+def test_compare_all_controllers(tmp_path):
+    assert main(["compare", "--out", str(tmp_path)]) == 0
+    assert digest(tmp_path / "compare.json") == "76ecd2c762e676c1"
+
+
+def test_sweep_grid_and_bisection(tmp_path):
+    assert main(["sweep", "--config", str(SCENARIOS / "perturbed.yaml"),
+                 "--grid", "0.10:0.20:0.02", "--bisect", "0.1:0.2",
+                 "--resolution", "0.005", "--out", str(tmp_path)]) == 0
+    assert digest(tmp_path / "sweep.csv") == "10d7c706fc1c20cb"
+    assert digest(tmp_path / "boundary.json") == "96b0fde980b8a8d1"

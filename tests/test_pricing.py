@@ -9,7 +9,6 @@ from hotsim.errors import PriceUndefinedError, ScenarioAssumptionError
 from hotsim.pricing import (
     IntegralTollController,
     SelfLearningController,
-    StepObservation,
     VotFeedbackController,
 )
 
@@ -180,15 +179,19 @@ class TestSelfLearningPrice:
 
 class TestControllerInterface:
     def test_quote_then_observe_round_trip(self):
-        obs = StepObservation(dt=DT, lambda1=0.0, zeta=0.0, w=0.0,
-                              u=math.log(2.0), q1=10.0, q2=60.0, q3=20.0)
         for ctrl in (vot_controller(), IntegralTollController(0.01, 0.5, 30.0),
                      learner()):
-            u = ctrl.quote(0.0, 0.0, 10.0, 60.0)
+            u = ctrl.quote(0.0, 10.0, 60.0)
             assert math.isfinite(u)
-            ctrl.observe(obs)
+            ctrl.observe(dt=DT, lambda1=0.0, zeta=0.0, w=0.0,
+                         u=math.log(2.0), q1=10.0, q2=60.0, q3=20.0)
 
     def test_vot_estimates(self):
         assert vot_controller().vot_estimate == 0.5
         assert IntegralTollController(0.01, 0.5, 30.0).vot_estimate is None
         assert learner().vot_estimate == pytest.approx(0.25)
+
+    def test_has_vot_estimate_matches_the_estimate(self):
+        for ctrl in (vot_controller(), IntegralTollController(0.01, 0.5, 30.0),
+                     learner()):
+            assert ctrl.has_vot_estimate == (ctrl.vot_estimate is not None)
