@@ -78,8 +78,16 @@ def induced_residual_capacity(
     return c1 - q1 - paying_demand(q2, u, w, eta, params)
 
 
-def sample_eta(noise: NoiseSpec, rng: np.random.Generator) -> float:
-    """Draw one choice disturbance from the run's random stream."""
+def sample_eta(
+    noise: NoiseSpec, rng: np.random.Generator, size: int | None = None
+) -> float | np.ndarray:
+    """Draw one choice disturbance from the run's random stream.
+
+    With ``size``, return an array of the next ``size`` draws: the values
+    that ``size`` scalar calls would return, in the same order.
+    """
     if noise.kind == "none":
-        return 0.0
-    return float(rng.uniform(-noise.half_width, noise.half_width))
+        return 0.0 if size is None else np.zeros(size)
+    if size is None:
+        return float(rng.uniform(-noise.half_width, noise.half_width))
+    return rng.uniform(-noise.half_width, noise.half_width, size)

@@ -28,11 +28,17 @@ rejected with their dotted path.
 ``dt`` accepts a float or a fraction string like ``"1/60"``.  ``approx.zeta0``
 seeds the reduced model; when null it is derived from the closed-loop state
 at t = 0.
+
+Every number must be finite; NaN and infinities are rejected with the dotted
+path of their key.  Exponent floats such as ``1e6`` or ``2.5e-3`` read as
+numbers, although YAML 1.1 (and so plain PyYAML) reads them as strings.  A
+run may take at most ``MAX_STEPS`` steps of ``dt`` to cover the horizon.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -49,6 +55,21 @@ from .pricing import (
 from .traffic import Capacities
 
 CONTROLLER_KINDS = ("vot", "integral", "selflearning")
+
+# largest horizon / dt accepted; each step keeps one row of floats in memory
+MAX_STEPS = 1_000_000
+
+
+class _ScenarioLoader(yaml.SafeLoader):
+    """Safe YAML loader that also reads exponent floats without a dot or an
+    exponent sign (``1e6``, ``2e1``, ``1.5e3``) as floats."""
+
+
+_ScenarioLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 @dataclass(frozen=True)
@@ -205,11 +226,25 @@ def _reject_unknown(section: dict, allowed: tuple, path: str) -> None:
             raise ConfigError(f"unknown key {path}.{key}" if path else f"unknown key {key}")
 
 
-def _number(section: dict, key: str, path: str, default):
-    value = section.get(key, default)
+def _real(value, where: str, expected: str = "a number") -> float:
+    """``value`` as a finite float, or a ConfigError that names ``where``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {number!r}")
+    return number
+
+
+def _optional_real(value, where: str) -> float | None:
+    return None if value is None else _real(value, where, "a number or null")
+
+
+def _number(section: dict, key: str, path: str, default):
+    return _real(section.get(key, default), f"{path}.{key}")
 
 
 def _integer(section: dict, key: str, path: str, default):
@@ -239,9 +274,7 @@ def _parse_dt(section: dict, path: str) -> float:
                 value = float(value)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"{path}.dt: cannot parse {value!r} as a step size")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.dt: expected a number or fraction string")
-    return float(value)
+    return _real(value, f"{path}.dt", "a number or fraction string")
 
 
 def _parse_demand(section: dict) -> DemandProfile:
@@ -256,10 +289,10 @@ def _parse_demand(section: dict) -> DemandProfile:
             raise ConfigError("demand.samples: expected a non-empty list of [t, hov, sov]")
         samples = []
         for i, row in enumerate(raw):
-            if (not isinstance(row, (list, tuple)) or len(row) != 3
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row)):
-                raise ConfigError(f"demand.samples[{i}]: expected [t, hov, sov] numbers")
-            samples.append((float(row[0]), float(row[1]), float(row[2])))
+            where = f"demand.samples[{i}]"
+            if not isinstance(row, (list, tuple)) or len(row) != 3:
+                raise ConfigError(f"{where}: expected [t, hov, sov] numbers")
+            samples.append(tuple(_real(v, where, "[t, hov, sov] numbers") for v in row))
         if samples[0][0] > 0.0:
             raise ConfigError("demand.samples: first sample must start at t <= 0")
         try:
@@ -278,14 +311,11 @@ def _parse_demand(section: dict) -> DemandProfile:
 
 def _parse_matrix_or_scalar(section: dict, key: str, path: str, default):
     value = section.get(key, default)
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a number or 3x3 matrix")
-    if isinstance(value, (int, float)):
-        return float(value)
+    where, expected = f"{path}.{key}", "a number or 3x3 matrix"
     if (isinstance(value, list) and len(value) == 3
             and all(isinstance(r, list) and len(r) == 3 for r in value)):
-        return tuple(tuple(float(v) for v in row) for row in value)
-    raise ConfigError(f"{path}.{key}: expected a number or 3x3 matrix")
+        return tuple(tuple(_real(v, where, expected) for v in row) for row in value)
+    return _real(value, where, expected)
 
 
 def _parse_controller(section: dict) -> dict:
@@ -312,11 +342,8 @@ def _parse_controller(section: dict) -> dict:
     integral = _as_mapping(section.get("integral"), "controller.integral")
     _reject_unknown(integral, ("gain", "initial_price", "target_demand"),
                     "controller.integral")
-    target = integral.get("target_demand", None)
-    if target is not None:
-        if isinstance(target, bool) or not isinstance(target, (int, float)):
-            raise ConfigError("controller.integral.target_demand: expected a number or null")
-        target = float(target)
+    target = _optional_real(integral.get("target_demand", None),
+                            "controller.integral.target_demand")
     gain = _number(integral, "gain", "controller.integral", 0.01)
     if gain <= 0:
         raise ConfigError("controller.integral.gain must be positive")
@@ -331,14 +358,15 @@ def _parse_controller(section: dict) -> dict:
     _reject_unknown(learn, ("initial_theta", "initial_cov", "measurement_var",
                             "process_noise"), "controller.selflearning")
     theta = learn.get("initial_theta", [0.25, 1.0, 0.1])
-    if (not isinstance(theta, (list, tuple)) or len(theta) != 3
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in theta)):
-        raise ConfigError("controller.selflearning.initial_theta: expected three numbers")
+    where = "controller.selflearning.initial_theta"
+    if not isinstance(theta, (list, tuple)) or len(theta) != 3:
+        raise ConfigError(f"{where}: expected three numbers")
+    theta = tuple(_real(v, where, "three numbers") for v in theta)
     mvar = _number(learn, "measurement_var", "controller.selflearning", 0.09)
     if mvar <= 0:
         raise ConfigError("controller.selflearning.measurement_var must be positive")
     learn_spec = SelfLearningSpec(
-        initial_theta=tuple(float(v) for v in theta),
+        initial_theta=theta,
         initial_cov=_parse_matrix_or_scalar(learn, "initial_cov",
                                             "controller.selflearning", 0.1),
         measurement_var=mvar,
@@ -368,6 +396,11 @@ def config_from_mapping(root: dict) -> ScenarioConfig:
     if horizon <= 0:
         raise ConfigError("run.horizon must be positive")
     n = horizon / dt
+    if n > MAX_STEPS:
+        raise ConfigError(
+            f"run: horizon {horizon:g} / dt {dt:g} gives {n:.3g} steps, "
+            f"more than the cap of {MAX_STEPS}"
+        )
     if abs(n - round(n)) > 1e-6 * max(1.0, n) or round(n) < 1:
         raise ConfigError(
             f"run.dt: step size {dt:g} does not divide the horizon {horizon:g} evenly"
@@ -436,11 +469,7 @@ def config_from_mapping(root: dict) -> ScenarioConfig:
 
     approx = _as_mapping(root.get("approx"), "approx")
     _reject_unknown(approx, ("zeta0",), "approx")
-    zeta0 = approx.get("zeta0", None)
-    if zeta0 is not None:
-        if isinstance(zeta0, bool) or not isinstance(zeta0, (int, float)):
-            raise ConfigError("approx.zeta0: expected a number or null")
-        zeta0 = float(zeta0)
+    zeta0 = _optional_real(approx.get("zeta0", None), "approx.zeta0")
 
     return ScenarioConfig(
         capacities=caps,
@@ -461,7 +490,7 @@ def config_from_mapping(root: dict) -> ScenarioConfig:
 def parse_config_text(text: str) -> ScenarioConfig:
     """Parse an inline YAML scenario document."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_ScenarioLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed scenario file: {exc}")
     return config_from_mapping(data if data is not None else {})

@@ -175,7 +175,13 @@ class SelfLearningController(PricingController):
         return mat.copy()
 
     def ingest(self, q2: float, q3: float, w: float, u: float) -> None:
-        """One predict/update cycle against the realized paying share."""
+        """One predict/update cycle against the realized paying share.
+
+        The six matrix products run through numpy (BLAS).  The elementwise
+        algebra around them runs on Python floats, one IEEE operation for
+        each numpy one and in the same order, so the result is bit for bit
+        that of the all-array filter.
+        """
         if q2 <= 0.0:
             return
         margin = 1e-6 * q2
@@ -184,13 +190,35 @@ class SelfLearningController(PricingController):
         h = np.array([-w, u, 1.0])
 
         cov = self.cov + self.process_noise
-        s = float(h @ cov @ h) + self.measurement_var
-        gain = (cov @ h) / s
-        self.theta = self.theta + gain * (y - float(h @ self.theta))
-        # Joseph form keeps the covariance symmetric PSD under roundoff
-        ikh = _EYE3 - gain[:, None] * h
-        cov = ikh @ cov @ ikh.T + self.measurement_var * (gain[:, None] * gain)
-        self.cov = 0.5 * (cov + cov.T)
+        s = float(h.dot(cov).dot(h)) + self.measurement_var
+        g0, g1, g2 = (cov.dot(h) / s).tolist()
+        innov = y - float(h.dot(self.theta))
+        t0, t1, t2 = self.theta.tolist()
+        self.theta = np.array([t0 + g0 * innov, t1 + g1 * innov, t2 + g2 * innov])
+
+        # Joseph form keeps the covariance symmetric PSD under roundoff:
+        # (I - g h') cov (I - g h')' + r g g', then 0.5 (c + c').
+        # h[2] is 1.0, so g_i * h[2] is g_i exactly.
+        h0 = -w
+        ikh = np.array([
+            1.0 - g0 * h0, 0.0 - g0 * u, 0.0 - g0,
+            0.0 - g1 * h0, 1.0 - g1 * u, 0.0 - g1,
+            0.0 - g2 * h0, 0.0 - g2 * u, 1.0 - g2,
+        ]).reshape(3, 3)
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = (
+            ikh.dot(cov).dot(ikh.T).tolist()
+        )
+        r = self.measurement_var
+        c00, c01, c02 = a00 + r * (g0 * g0), a01 + r * (g0 * g1), a02 + r * (g0 * g2)
+        c10, c11, c12 = a10 + r * (g1 * g0), a11 + r * (g1 * g1), a12 + r * (g1 * g2)
+        c20, c21, c22 = a20 + r * (g2 * g0), a21 + r * (g2 * g1), a22 + r * (g2 * g2)
+        # c_ij + c_ji == c_ji + c_ij exactly, so each off-diagonal pair is summed once
+        s01, s02, s12 = 0.5 * (c01 + c10), 0.5 * (c02 + c20), 0.5 * (c12 + c21)
+        self.cov = np.array([
+            0.5 * (c00 + c00), s01, s02,
+            s01, 0.5 * (c11 + c11), s12,
+            s02, s12, 0.5 * (c22 + c22),
+        ]).reshape(3, 3)
 
     def price(self, w: float, q1: float, q2: float) -> float:
         alpha1, alpha2, gamma = self.theta.tolist()

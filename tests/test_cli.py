@@ -97,6 +97,20 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", config) == 4
 
 
+    @pytest.mark.parametrize("text", [
+        "capacities: {hot: .nan}\n",
+        "behavior: {vot: .nan}\n",
+        "controller: {vot: {queue_gain: .nan}}\n",
+        "initial: {hot_queue: .nan}\n",
+        "run: {horizon: .inf}\n",
+    ], ids=["capacities.hot", "behavior.vot", "controller.vot.queue_gain",
+            "initial.hot_queue", "run.horizon"])
+    def test_non_finite_number_is_config_error(self, scenario_file, tmp_path, text):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", scenario_file(text), "--out", str(out)) == 2
+        assert not (out / "summary.json").exists()
+
+
 class TestCompare:
     def test_only_the_vot_controller_reaches_the_optimum(self, tmp_path):
         out = tmp_path / "cmp"

@@ -1,15 +1,18 @@
 """Scenario parsing: defaults, validation, and error paths."""
 
 import math
+import re
 
 import pytest
 
 from hotsim.config import (
+    MAX_STEPS,
     ScenarioConfig,
     config_from_mapping,
     load_config,
     parse_config_text,
 )
+from hotsim.engine import config_fingerprint
 from hotsim.errors import ConfigError, ScenarioAssumptionError
 
 
@@ -161,3 +164,56 @@ class TestMapping:
         path = tmp_path / "scenario.yaml"
         path.write_text("run: {seed: 9}\n")
         assert load_config(path).seed == 9
+
+
+# one non-finite value per section that used to slip through
+NON_FINITE = [
+    ("capacities: {hot: .nan}", "capacities.hot"),
+    ("behavior: {vot: .nan}", "behavior.vot"),
+    ("controller: {vot: {queue_gain: .nan}}", "controller.vot.queue_gain"),
+    ("initial: {hot_queue: .nan}", "initial.hot_queue"),
+    ("run: {horizon: .inf}", "run.horizon"),
+]
+
+
+class TestNumbers:
+    @pytest.mark.parametrize("text, key", NON_FINITE, ids=[key for _, key in NON_FINITE])
+    def test_non_finite_number_names_its_key(self, text, key):
+        with pytest.raises(ConfigError, match=re.escape(key) + ": expected a finite number"):
+            parse_config_text(text)
+
+    def test_non_finite_matrix_entry_rejected(self):
+        with pytest.raises(ConfigError, match="controller.selflearning.initial_cov"):
+            parse_config_text(
+                "controller: {selflearning: {initial_cov: [[1, 0, 0], [0, .nan, 0], [0, 0, 1]]}}"
+            )
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="capacities.gp: expected a finite number"):
+            parse_config_text(f"capacities: {{gp: {10 ** 400}}}")
+
+    def test_exponent_floats_are_numbers(self):
+        cfg = parse_config_text(
+            "run: {horizon: 2e1}\ncapacities: {hot: 1e6}\n"
+            "noise: {kind: uniform, half_width: 1e-3}\n"
+        )
+        assert cfg.horizon == 20.0
+        assert cfg.capacities.hot == 1e6
+        assert cfg.noise.half_width == 1e-3
+
+    def test_exponent_horizon_has_the_decimal_fingerprint(self):
+        exponent = parse_config_text("run: {horizon: 2e1}")
+        decimal = parse_config_text("run: {horizon: 20.0}")
+        assert exponent == decimal
+        assert config_fingerprint(exponent, 0) == config_fingerprint(decimal, 0)
+
+
+class TestStepCap:
+    def test_tiny_step_rejected_at_parse_time(self):
+        with pytest.raises(ConfigError, match=f"cap of {MAX_STEPS}"):
+            parse_config_text("run: {dt: 1e-300}")
+
+    def test_cap_is_inclusive(self):
+        assert parse_config_text(f"run: {{horizon: {MAX_STEPS}, dt: 1}}").n_steps == MAX_STEPS
+        with pytest.raises(ConfigError, match="cap"):
+            parse_config_text(f"run: {{horizon: {MAX_STEPS + 1}, dt: 1}}")

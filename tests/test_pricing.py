@@ -1,10 +1,15 @@
 """Controllers: estimator arithmetic, price laws, and the Kalman filter."""
 
+import dataclasses
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hotsim.config import load_config, parse_config_text
+from hotsim.engine import STATE_FIELDS, run_closed_loop
 from hotsim.errors import PriceUndefinedError, ScenarioAssumptionError
 from hotsim.pricing import (
     IntegralTollController,
@@ -13,6 +18,7 @@ from hotsim.pricing import (
 )
 
 DT = 1.0 / 60.0
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def vot_controller(**kwargs):
@@ -147,6 +153,79 @@ class TestSelfLearningFilter:
         ctrl.ingest(60.0, 0.0, 1.0, 1.0)   # fully unpaying step
         ctrl.ingest(60.0, 60.0, 1.0, 1.0)  # fully paying step
         assert np.isfinite(ctrl.theta).all()
+
+    def test_matches_the_all_array_filter_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            cov0 = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 2)  # asymmetric
+            kwargs = dict(initial_theta=rng.normal(size=3), initial_cov=cov0,
+                          measurement_var=10.0 ** rng.uniform(-4, 4),
+                          process_noise=rng.normal(size=(3, 3)) * 1e-6)
+            ctrl = learner(**kwargs)
+            ref = learner(**kwargs)
+            for _ in range(50):
+                q2 = rng.uniform(0.0, 120.0)
+                q3 = rng.choice([0.0, q2, rng.uniform(0.0, 1.0) * q2])
+                w, u = rng.normal(size=2) * 10.0 ** rng.uniform(-6, 6)
+                if rng.random() < 0.2:  # empty queues: no delay to price
+                    w = 0.0
+                ctrl.ingest(q2, q3, w, u)
+                reference_ingest(ref, q2, q3, w, u)
+                assert isinstance(ctrl.theta, np.ndarray) and ctrl.cov.shape == (3, 3)
+                assert ctrl.theta.tobytes() == ref.theta.tobytes()
+                assert ctrl.cov.tobytes() == ref.cov.tobytes()
+
+
+def reference_ingest(ctrl, q2, q3, w, u):
+    """The Kalman step with every operation on numpy arrays."""
+    margin = 1e-6 * q2
+    q3 = min(max(q3, margin), q2 - margin)
+    y = math.log((q2 - q3) / q3)
+    h = np.array([-w, u, 1.0])
+    cov = ctrl.cov + ctrl.process_noise
+    s = float(h @ cov @ h) + ctrl.measurement_var
+    gain = (cov @ h) / s
+    ctrl.theta = ctrl.theta + gain * (y - float(h @ ctrl.theta))
+    ikh = np.eye(3) - gain[:, None] * h
+    cov = ikh @ cov @ ikh.T + ctrl.measurement_var * (gain[:, None] * gain)
+    ctrl.cov = 0.5 * (cov + cov.T)
+
+
+# asymmetric initial covariance: the first step tells h @ cov from cov @ h
+MATRIX_SCENARIO = """\
+controller:
+  kind: selflearning
+  selflearning:
+    initial_cov: [[0.2, 0.03, -0.01], [0.01, 0.12, 0.02], [0.0, -0.02, 0.15]]
+    process_noise: [[2.0e-6, 1.0e-7, 0.0], [1.0e-7, 1.0e-6, 0.0], [0.0, 0.0, 3.0e-6]]
+"""
+
+
+@pytest.mark.parametrize("source, seed, expected", [
+    ("reference.yaml", None, "23f08373b75679d3"),
+    ("stochastic.yaml", 0, "bb637e8caf669790"),
+    ("stochastic.yaml", 5, "aadadacc1eebbfbd"),
+    ("stochastic.yaml", 77, "bea751058a64e093"),
+    ("perturbed.yaml", None, "a41576edd1b1dfd0"),
+    (MATRIX_SCENARIO, None, "381a09f7d3d253ad"),
+], ids=["reference", "stochastic-0", "stochastic-5", "stochastic-77", "perturbed",
+        "asymmetric-3x3"])
+def test_selflearning_run_is_bit_identical(source, seed, expected):
+    """Every column of a self-learning run at full precision, not 9 digits.
+
+    The first 16 hex digits of the sha256 over all ``STATE_FIELDS`` columns'
+    bytes, recorded before the Kalman step moved its elementwise algebra to
+    Python floats.
+    """
+    if source.endswith(".yaml"):
+        cfg = load_config(SCENARIOS / source)
+    else:
+        cfg = parse_config_text(source)
+    traj = run_closed_loop(dataclasses.replace(cfg, controller_kind="selflearning"), seed)
+    h = hashlib.sha256()
+    for name in STATE_FIELDS:
+        h.update(traj.column(name).tobytes())
+    assert h.hexdigest()[:16] == expected
 
 
 class TestSelfLearningPrice:
