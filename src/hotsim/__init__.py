@@ -47,6 +47,7 @@ from .errors import (
     BoundaryNotBracketedError,
     ConfigError,
     HotSimError,
+    NonFiniteResultError,
     PriceUndefinedError,
     ScenarioAssumptionError,
 )

@@ -295,8 +295,8 @@ def find_phase_boundary(
     the bracket is narrower than ``resolution``.  Returns the midpoint of
     the final bracket.
     """
-    if resolution <= 0:
-        raise ConfigError("resolution must be positive")
+    if not 0.0 < resolution < math.inf:  # nan fails too
+        raise ConfigError(f"resolution must be a positive finite number, got {resolution!r}")
     low_pattern = _classify_at(config, k2_low, model)
     high_pattern = _classify_at(config, k2_high, model)
     if low_pattern == high_pattern:

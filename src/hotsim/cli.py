@@ -9,7 +9,8 @@ Subcommands::
     approx     integrate the reduced near-equilibrium model
 
 Exit codes: 0 success, 2 configuration or usage error, 3 scenario-assumption
-violation, 4 controller failure, 5 I/O failure.
+violation, 4 controller failure, 5 I/O failure, 6 non-finite result (a
+summary metric is infinite or NaN, so no JSON is written).
 
 All CSV output uses 9 significant digits, '\\n' line endings, and a
 terminating newline, so identical runs produce byte-identical files.
@@ -32,6 +33,7 @@ from .errors import (
     BoundaryNotBracketedError,
     ConfigError,
     HotSimError,
+    NonFiniteResultError,
     PriceUndefinedError,
     ScenarioAssumptionError,
 )
@@ -58,7 +60,11 @@ def trajectory_csv(traj: engine.Trajectory) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # an inf or nan, which standard JSON cannot hold
+        raise NonFiniteResultError(f"cannot write JSON: {exc}") from exc
+    return text + "\n"
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -344,6 +350,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except NonFiniteResultError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 6
     except HotSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

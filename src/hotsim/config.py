@@ -33,6 +33,10 @@ Every number must be finite; NaN and infinities are rejected with the dotted
 path of their key.  Exponent floats such as ``1e6`` or ``2.5e-3`` read as
 numbers, although YAML 1.1 (and so plain PyYAML) reads them as strings.  A
 run may take at most ``MAX_STEPS`` steps of ``dt`` to cover the horizon.
+``initial_cov`` and ``process_noise`` must be covariances: the symmetric part
+``0.5 (C + C')`` of a matrix, or the scalar that scales the identity, may
+have no eigenvalue below zero by more than ``COV_EIG_TOL`` times its largest
+eigenvalue magnitude.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .choice import BehaviorParams, NoiseSpec, induced_residual_capacity
@@ -58,6 +63,10 @@ CONTROLLER_KINDS = ("vot", "integral", "selflearning")
 
 # largest horizon / dt accepted; each step keeps one row of floats in memory
 MAX_STEPS = 1_000_000
+
+# a covariance eigenvalue below -COV_EIG_TOL times the largest eigenvalue
+# magnitude is negative beyond roundoff
+COV_EIG_TOL = 1e-9
 
 
 class _ScenarioLoader(yaml.SafeLoader):
@@ -206,8 +215,8 @@ def _spec_dict(spec) -> dict:
     out = {}
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
+        if isinstance(value, tuple):  # a vector, or a matrix as a tuple of rows
+            value = [list(v) if isinstance(v, tuple) else v for v in value]
         out[f.name] = value
     return out
 
@@ -309,13 +318,25 @@ def _parse_demand(section: dict) -> DemandProfile:
         raise ConfigError(f"demand: {exc}")
 
 
-def _parse_matrix_or_scalar(section: dict, key: str, path: str, default):
+def _parse_covariance(section: dict, key: str, path: str, default):
+    """A scalar (times the identity) or 3x3 matrix whose symmetric part is
+    positive semidefinite, up to roundoff of its largest eigenvalue."""
     value = section.get(key, default)
     where, expected = f"{path}.{key}", "a number or 3x3 matrix"
     if (isinstance(value, list) and len(value) == 3
             and all(isinstance(r, list) and len(r) == 3 for r in value)):
-        return tuple(tuple(_real(v, where, expected) for v in row) for row in value)
-    return _real(value, where, expected)
+        cov = tuple(tuple(_real(v, where, expected) for v in row) for row in value)
+        mat = np.array(cov)
+        eig = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    else:
+        cov = _real(value, where, expected)
+        eig = np.array([cov])
+    if eig.min() < -COV_EIG_TOL * np.abs(eig).max():
+        raise ConfigError(
+            f"{where}: expected a covariance, whose symmetric part has no "
+            f"negative eigenvalue; smallest eigenvalue is {eig.min():.6g}"
+        )
+    return cov
 
 
 def _parse_controller(section: dict) -> dict:
@@ -367,10 +388,10 @@ def _parse_controller(section: dict) -> dict:
         raise ConfigError("controller.selflearning.measurement_var must be positive")
     learn_spec = SelfLearningSpec(
         initial_theta=theta,
-        initial_cov=_parse_matrix_or_scalar(learn, "initial_cov",
+        initial_cov=_parse_covariance(learn, "initial_cov",
                                             "controller.selflearning", 0.1),
         measurement_var=mvar,
-        process_noise=_parse_matrix_or_scalar(learn, "process_noise",
+        process_noise=_parse_covariance(learn, "process_noise",
                                               "controller.selflearning", 1e-6),
     )
     return {

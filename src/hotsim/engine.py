@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import choice, traffic
-from .errors import ConfigError, HotSimError
+from .errors import ConfigError, HotSimError, NonFiniteResultError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
@@ -112,8 +113,10 @@ class Trajectory:
     """
 
     def __init__(self, rows, fingerprint: str) -> None:
-        # one row per field, so that each column is contiguous
-        self._table = np.array(list(zip(*rows)), dtype=float).reshape(len(STATE_FIELDS), -1)
+        # one pass over the values in row order; the transposed copy makes
+        # each column contiguous
+        flat = np.fromiter(itertools.chain.from_iterable(rows), float)
+        self._table = flat.reshape(-1, len(STATE_FIELDS)).T.copy()
         self._columns = dict(zip(STATE_FIELDS, self._table))
         self.fingerprint = fingerprint
 
@@ -177,38 +180,45 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     has_pi = controller.has_vot_estimate
 
     rows = []
-    for k in range(n_steps + 1):
-        t = k * dt
-        _, _, w = traffic.queuing_times(lambda1, lambda2, caps)
-        q1, q2 = demand_at(demand, t, dt, rng)
-        eta = choice.sample_eta(noise, rng)
-        if q2 > 0.0:
-            try:
-                u = controller.quote(w, q1, q2)
-            except HotSimError as exc:
-                raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
-            q3 = choice.paying_demand(q2, u, w, eta, behavior)
-        else:
-            # no SOVs to price this step
-            u, q3 = 0.0, 0.0
-        zeta = traffic.residual_capacity(caps.hot, q1, q3)
-        g1, g2 = traffic.throughputs(lambda1, lambda2, zeta, q1, q2, caps, dt)
-        pi = controller.vot_estimate if has_pi else math.nan
-        rows.append((t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta))
-        if k == n_steps:
-            break
-        if q2 > 0.0:
-            try:
-                controller.observe(dt, lambda1, zeta, w, u, q1, q2, q3)
-            except HotSimError as exc:
-                raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
-        lambda1, lambda2 = traffic.step_point_queues(lambda1, lambda2, zeta, q1, q2, caps, dt)
+    # overflow in a controller's numpy products gives inf or nan quietly, as
+    # it does in the float arithmetic around them; summarize reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            t = k * dt
+            _, _, w = traffic.queuing_times(lambda1, lambda2, caps)
+            q1, q2 = demand_at(demand, t, dt, rng)
+            eta = choice.sample_eta(noise, rng)
+            if q2 > 0.0:
+                try:
+                    u = controller.quote(w, q1, q2)
+                except HotSimError as exc:
+                    raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
+                q3 = choice.paying_demand(q2, u, w, eta, behavior)
+            else:
+                # no SOVs to price this step
+                u, q3 = 0.0, 0.0
+            zeta = traffic.residual_capacity(caps.hot, q1, q3)
+            g1, g2 = traffic.throughputs(lambda1, lambda2, zeta, q1, q2, caps, dt)
+            pi = controller.vot_estimate if has_pi else math.nan
+            rows.append((t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta))
+            if k == n_steps:
+                break
+            if q2 > 0.0:
+                try:
+                    controller.observe(dt, lambda1, zeta, w, u, q1, q2, q3)
+                except HotSimError as exc:
+                    raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
+            lambda1, lambda2 = traffic.step_point_queues(lambda1, lambda2, zeta, q1, q2, caps, dt)
 
     return Trajectory(rows, config_fingerprint(config, run_seed))
 
 
 def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
-    """Scalar metrics of one trajectory against the true average VOT."""
+    """Scalar metrics of one trajectory against the true average VOT.
+
+    Raises NonFiniteResultError, naming the first metric in ``as_dict``
+    order, when a metric is infinite or NaN.
+    """
     if not len(traj):
         raise ValueError("cannot summarize an empty trajectory")
     lambda1 = traj.column("lambda1")
@@ -224,14 +234,20 @@ def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
 
     tail = slice(3 * len(traj) // 4, None)
     has_pi = not math.isnan(pi[-1])
-    rmse = float(np.sqrt(np.mean((pi[tail] - pi_star) ** 2))) if has_pi else None
-
-    return SummaryMetrics(
-        avg_g1=float(g1.mean()),
-        final_u=float(traj.column("u")[-1]),
-        final_pi=float(pi[-1]) if has_pi else None,
-        max_lambda1=float(lambda1.max()),
-        final_lambda1=float(lambda1[-1]),
-        time_to_zero_queue=time_to_zero,
-        pi_rmse_tail=rmse,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rmse = float(np.sqrt(np.mean((pi[tail] - pi_star) ** 2))) if has_pi else None
+        metrics = SummaryMetrics(
+            avg_g1=float(g1.mean()),
+            final_u=float(traj.column("u")[-1]),
+            final_pi=float(pi[-1]) if has_pi else None,
+            max_lambda1=float(lambda1.max()),
+            final_lambda1=float(lambda1[-1]),
+            time_to_zero_queue=time_to_zero,
+            pi_rmse_tail=rmse,
+        )
+    for name, value in metrics.as_dict().items():
+        if value is not None and not math.isfinite(value):
+            raise NonFiniteResultError(
+                f"summary metric {name} is {value!r}: the run left the finite range"
+            )
+    return metrics

@@ -2,7 +2,7 @@
 
 Each class maps to one CLI exit code so that callers can tell apart bad
 configuration, demand patterns outside the model's assumptions, controller
-failures, and I/O problems.
+failures, I/O problems, and runs whose results are not finite.
 """
 
 
@@ -29,3 +29,7 @@ class PriceUndefinedError(HotSimError):
 
 class BoundaryNotBracketedError(HotSimError):
     """Both ends of a bisection bracket classify as the same pattern."""
+
+
+class NonFiniteResultError(HotSimError):
+    """A run's summary metric is infinite or NaN: its state left the finite range."""

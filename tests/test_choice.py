@@ -157,3 +157,22 @@ class TestSampleEta:
             NoiseSpec("uniform", 1.0)
         with pytest.raises(ValueError):
             NoiseSpec("gaussian", 0.1)
+
+
+def test_scalar_draws_are_numpys_uniform():
+    # the engine's per-step order: HOV demand, SOV demand, then the disturbance;
+    # a twin generator that calls uniform(-h, h) must see the same bytes
+    for half_width in (0.0, 1e-3, 0.1, 0.5, 0.999):
+        spec = NoiseSpec("uniform", half_width)
+        for seed in (0, 77, 2**63 + 5):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            ours, theirs = [], []
+            for _ in range(2000):
+                ours += [float(rng.poisson(10.0)), float(rng.poisson(60.0)),
+                         sample_eta(spec, rng)]
+                theirs += [float(twin.poisson(10.0)), float(twin.poisson(60.0)),
+                           float(twin.uniform(-half_width, half_width))]
+            assert all(type(v) is float for v in ours)
+            assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+            sized = sample_eta(spec, rng, size=5000)
+            assert sized.tobytes() == twin.uniform(-half_width, half_width, 5000).tobytes()

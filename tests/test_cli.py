@@ -2,10 +2,12 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
-from hotsim.cli import main
+from hotsim.cli import _json_text, main
+from hotsim.errors import NonFiniteResultError
 
 COLUMNS = "t,lambda1,lambda2,zeta,w,pi,u,g1,g2,q1,q2,q3,eta"
 
@@ -109,6 +111,39 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_cli("simulate", "--config", scenario_file(text), "--out", str(out)) == 2
         assert not (out / "summary.json").exists()
+
+
+    @pytest.mark.parametrize("text, metric", [
+        ("initial: {hot_queue: 1.0e300}\n", "final_u"),
+        ("controller: {vot: {initial_vot: 1.0e300}}\n", "pi_rmse_tail"),
+        ("controller: {kind: selflearning, "
+         "selflearning: {initial_theta: [1.0e300, 1.0e-5, 0]}}\n", "pi_rmse_tail"),
+    ], ids=["initial.hot_queue", "controller.vot.initial_vot",
+            "controller.selflearning.initial_theta"])
+    def test_non_finite_summary_is_its_own_error(
+        self, scenario_file, tmp_path, capsys, text, metric
+    ):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("simulate", "--config", scenario_file(text),
+                           "--out", str(out)) == 6
+        assert not out.exists()
+        assert f"summary metric {metric} is" in capsys.readouterr().err
+
+    def test_json_holds_no_non_finite_token(self):
+        with pytest.raises(NonFiniteResultError, match="JSON"):
+            _json_text({"final_u": -math.inf})
+
+    def test_indefinite_covariance_is_config_error(self, scenario_file):
+        config = scenario_file(
+            "controller: {kind: selflearning, selflearning: {initial_cov: -1.0}}\n"
+        )
+        assert run_cli("simulate", "--config", config) == 2
+
+    @pytest.mark.parametrize("resolution", ["nan", "inf", "0"])
+    def test_non_finite_resolution_is_config_error(self, resolution):
+        assert run_cli("sweep", "--bisect", "0.1:0.2", "--resolution", resolution) == 2
 
 
 class TestCompare:

@@ -4,6 +4,9 @@ import math
 import re
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotsim.config import (
     MAX_STEPS,
@@ -217,3 +220,139 @@ class TestStepCap:
         assert parse_config_text(f"run: {{horizon: {MAX_STEPS}, dt: 1}}").n_steps == MAX_STEPS
         with pytest.raises(ConfigError, match="cap"):
             parse_config_text(f"run: {{horizon: {MAX_STEPS + 1}, dt: 1}}")
+
+
+def _selflearning(key: str, value) -> str:
+    return f"controller: {{selflearning: {{{key}: {value}}}}}"
+
+
+class TestCovariances:
+    @pytest.mark.parametrize("key, value", [
+        ("initial_cov", "-1.0"),
+        ("process_noise", "-1.0e-6"),
+        ("initial_cov", "[[1, 0, 0], [0, -0.5, 0], [0, 0, 1]]"),
+        # every entry positive, yet the symmetric part has eigenvalue -1
+        ("process_noise", "[[1, 2, 0], [2, 1, 0], [0, 0, 1]]"),
+        # symmetric part [[0.1, 1, 0], [1, 0.1, 0], [0, 0, 0.1]], eigenvalue -0.9
+        ("initial_cov", "[[0.1, 0, 0], [2, 0.1, 0], [0, 0, 0.1]]"),
+        # negative beyond roundoff at any scale
+        ("process_noise", "[[1.0e-12, 0, 0], [0, -1.0e-12, 0], [0, 0, 1.0e-12]]"),
+    ])
+    def test_indefinite_matrix_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"controller.selflearning.{key}: "
+                                                        "expected a covariance")):
+            parse_config_text(_selflearning(key, value))
+
+    @pytest.mark.parametrize("key, value", [
+        ("initial_cov", "0.0"),
+        ("process_noise", "0"),
+        # asymmetric, positive definite symmetric part (as in the pricing digests)
+        ("initial_cov", "[[0.2, 0.03, -0.01], [0.01, 0.12, 0.02], [0.0, -0.02, 0.15]]"),
+        # skew-symmetric part only
+        ("initial_cov", "[[1, 2, 0], [-2, 1, 0], [0, 0, 1]]"),
+        # rank one and rank zero
+        ("process_noise", "[[1.0e-6, 1.0e-6, 1.0e-6], [1.0e-6, 1.0e-6, 1.0e-6], "
+                          "[1.0e-6, 1.0e-6, 1.0e-6]]"),
+        ("initial_cov", "[[0.1, 0.3, 0], [0.3, 0.9, 0], [0, 0, 0]]"),
+        ("process_noise", "[[0, 0, 0], [0, 0, 0], [0, 0, 0]]"),
+        # rank one at a scale where eigvalsh's roundoff is about -1e-4
+        ("initial_cov", "[[1.0e12, 1.0e12, 1.0e12], [1.0e12, 1.0e12, 1.0e12], "
+                        "[1.0e12, 1.0e12, 1.0e12]]"),
+    ])
+    def test_positive_semidefinite_parses(self, key, value):
+        cfg = parse_config_text(_selflearning(key, value))
+        assert config_from_mapping(cfg.to_mapping()) == cfg
+
+
+# valid scenario mappings: each value in range, most sections and keys left
+# to their defaults now and then
+_real = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_positive = st.floats(min_value=1e-3, max_value=1e6)
+_nonnegative = st.floats(min_value=0.0, max_value=1e6)
+
+
+@st.composite
+def _covariances(draw):
+    if draw(st.booleans()):
+        return draw(_nonnegative)
+    factor = draw(st.lists(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+                           min_size=3, max_size=3))
+    skew = draw(st.floats(-5.0, 5.0))
+    # F F' is positive semidefinite; a skew-symmetric part leaves that alone
+    return [[sum(factor[i][k] * factor[j][k] for k in range(3))
+             + skew * ((i < j) - (j < i)) for j in range(3)] for i in range(3)]
+
+
+@st.composite
+def _scenarios(draw):
+    n_steps = draw(st.integers(1, 5000))
+    if draw(st.booleans()):
+        dt = step = draw(st.floats(1e-4, 1.0))
+    else:
+        a, b = draw(st.integers(1, 10)), draw(st.integers(1, 240))
+        dt, step = f"{a}/{b}", a / b
+    hot = draw(_positive)
+    hov = st.floats(0.0, hot, exclude_max=True)
+    demand = draw(st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["constant", "poisson"]), "hov": hov},
+                              optional={"sov": _nonnegative}),
+        st.builds(
+            lambda t0, gaps, rates: {"kind": "timeseries", "samples": [
+                [t0 + sum(gaps[:i]), hov_i, sov_i] for i, (hov_i, sov_i) in enumerate(rates)
+            ]},
+            st.floats(-10.0, 0.0), st.lists(st.floats(1e-3, 10.0), min_size=5, max_size=5),
+            st.lists(st.tuples(hov, _nonnegative), min_size=1, max_size=6),
+        ),
+    ))
+    # the HOT capacity and the HOV demand below it are always given together
+    required = {
+        "capacities": st.fixed_dictionaries({"hot": st.just(hot)},
+                                            optional={"gp": _positive}),
+        "demand": st.just(demand),
+    }
+    optional = {
+        "run": st.fixed_dictionaries({"horizon": st.just(n_steps * step), "dt": st.just(dt)},
+                                     optional={"seed": st.integers(0, 2**64 - 1),
+                                               "replications": st.integers(1, 50)}),
+        "behavior": st.fixed_dictionaries({}, optional={"vot": _positive,
+                                                        "scale": _positive}),
+        "noise": st.fixed_dictionaries({}, optional={
+            "kind": st.sampled_from(["none", "uniform"]),
+            "half_width": st.floats(0.0, 1.0, exclude_max=True),
+        }),
+        "initial": st.fixed_dictionaries({}, optional={"hot_queue": _nonnegative,
+                                                       "gp_queue": _nonnegative}),
+        "controller": st.fixed_dictionaries({}, optional={
+            "kind": st.sampled_from(["vot", "integral", "selflearning"]),
+            "vot": st.fixed_dictionaries({}, optional={
+                "queue_gain": _positive, "residual_gain": _positive,
+                "scale_guess": _positive, "initial_vot": _real,
+            }),
+            "integral": st.fixed_dictionaries({}, optional={
+                "gain": _positive, "initial_price": _real,
+                "target_demand": st.one_of(st.none(), _real),
+            }),
+            "selflearning": st.fixed_dictionaries({}, optional={
+                "initial_theta": st.lists(_real, min_size=3, max_size=3),
+                "initial_cov": _covariances(), "measurement_var": _positive,
+                "process_noise": _covariances(),
+            }),
+        }),
+        "approx": st.fixed_dictionaries({}, optional={
+            "zeta0": st.one_of(st.none(), _real),
+        }),
+    }
+    return draw(st.fixed_dictionaries(required, optional=optional))
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_scenarios())
+    def test_parse_to_mapping_parse_is_identity(self, mapping):
+        cfg = config_from_mapping(mapping)
+        again = config_from_mapping(cfg.to_mapping())
+        assert again == cfg
+        assert config_fingerprint(again, again.seed) == config_fingerprint(cfg, cfg.seed)
+        from_yaml = parse_config_text(yaml.safe_dump(cfg.to_mapping()))
+        assert from_yaml == cfg
+        assert config_fingerprint(from_yaml, 0) == config_fingerprint(cfg, 0)

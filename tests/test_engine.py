@@ -17,7 +17,12 @@ from hotsim.engine import (
     run_closed_loop,
     summarize,
 )
-from hotsim.errors import ConfigError, PriceUndefinedError, ScenarioAssumptionError
+from hotsim.errors import (
+    ConfigError,
+    NonFiniteResultError,
+    PriceUndefinedError,
+    ScenarioAssumptionError,
+)
 
 S0 = ScenarioConfig()
 
@@ -209,6 +214,25 @@ class TestClosedLoop:
         )
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("n_rows", [0, 1, 7])
+    def test_table_is_the_transposed_rows_in_bytes(self, n_rows):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 3, -2, 1e-310, 1.5]
+        rows = [
+            tuple(specials[(i * 5 + j) % len(specials)] for j in range(len(STATE_FIELDS)))
+            for i in range(n_rows)
+        ]
+        traj = Trajectory(rows, "f" * 16)
+        # the table as built before it was read in one pass
+        table = np.array(list(zip(*rows)), dtype=float).reshape(len(STATE_FIELDS), -1)
+        assert len(traj) == n_rows
+        for name, expected in zip(STATE_FIELDS, table):
+            column = traj.column(name)
+            assert column.dtype == np.float64 and column.flags.c_contiguous
+            assert column.tobytes() == expected.tobytes()
+        assert np.array(traj.rows(), dtype=float).tobytes() == table.T.tobytes()
+
+
 class TestSummaries:
     def test_reference_run_metrics(self):
         metrics = summarize(run_closed_loop(S0), pi_star=0.5)
@@ -244,3 +268,29 @@ class TestSummaries:
         )
         metrics = summarize(run_closed_loop(cfg), pi_star=0.5)
         assert metrics.time_to_zero_queue is None
+
+    # one config per way a finite input drives the state out of the finite range
+    OVERFLOWING = [
+        (dict(initial_hot_queue=1.0e300), "final_u"),
+        (dict(vot_spec=dataclasses.replace(S0.vot_spec, initial_vot=1.0e300)),
+         "pi_rmse_tail"),
+        (dict(controller_kind="selflearning",
+              selflearning_spec=SelfLearningSpec(initial_theta=(1.0e300, 1.0e-5, 0.0))),
+         "pi_rmse_tail"),
+    ]
+
+    @pytest.mark.parametrize("overrides, metric", OVERFLOWING,
+                             ids=["hot_queue", "initial_vot", "initial_theta"])
+    def test_non_finite_metric_is_named_without_warnings(self, overrides, metric):
+        cfg = dataclasses.replace(S0, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run_closed_loop(cfg)
+            with pytest.raises(NonFiniteResultError, match=f"summary metric {metric} is"):
+                summarize(traj, pi_star=0.5)
+
+    def test_first_non_finite_metric_in_summary_order_is_named(self):
+        # u (final_u) and lambda1 (max_lambda1, final_lambda1) are non-finite
+        rows = [(0.0, math.inf, 0.0, 0.0, 0.0, 0.5, math.nan) + (0.0,) * 6]
+        with pytest.raises(NonFiniteResultError, match="final_u is nan"):
+            summarize(Trajectory(rows, fingerprint="x"), pi_star=0.5)
