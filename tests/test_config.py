@@ -1,7 +1,9 @@
 """Scenario parsing: defaults, validation, and error paths."""
 
+import dataclasses
 import math
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -156,6 +158,41 @@ class TestValidation:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/scenario.yaml")
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+TIMESERIES = """\
+demand: {kind: timeseries, samples: [[0, 10, 60], [5, 12, 55]]}
+controller: {selflearning: {initial_cov: [[1,0,0],[0,1,0],[0,0,1]]}, integral: {target_demand: 25}}
+approx: {zeta0: 0.11}
+"""
+
+
+class TestFingerprints:
+    """``config_fingerprint`` hashes ``to_mapping``: its values are part of
+    every trajectory's identity, so a parser change must keep them."""
+
+    @pytest.mark.parametrize("name, expected", [
+        ("reference.yaml", "523864e2a15d2281"),
+        ("perturbed.yaml", "2eeac901fe1d807c"),
+        ("stochastic.yaml", "9506a009fb842de9"),
+    ])
+    def test_shipped_scenarios(self, name, expected):
+        cfg = load_config(SCENARIOS / name)
+        assert config_fingerprint(cfg, cfg.seed) == expected
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("vot", "523864e2a15d2281"),
+        ("integral", "6adc77275078dfec"),
+        ("selflearning", "3963fe2b6e68662b"),
+    ])
+    def test_default_scenario_per_controller(self, kind, expected):
+        cfg = dataclasses.replace(ScenarioConfig(), controller_kind=kind)
+        assert config_fingerprint(cfg, 0) == expected
+
+    def test_timeseries_matrix_and_nulls(self):
+        assert config_fingerprint(parse_config_text(TIMESERIES), 0) == "4ad478a0309a9754"
 
 
 class TestMapping:
