@@ -3,8 +3,9 @@
 Includes the market-clearing price under known behavior, the reduced
 near-equilibrium dynamics of the HOT queue and residual capacity, the two
 asymptotic decay laws (Gaussian when the queue is empty, exponential when a
-queue persists), a trajectory classifier for those two patterns, and a
-bisection search for the gain value where the patterns switch.
+queue persists), a trajectory classifier for those two patterns, a
+bisection search for the gain value where the patterns switch, and the rule
+for a run having reached the optimal state.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import BoundaryNotBracketedError, ConfigError, ScenarioAssumptionEr
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
-    from .engine import Trajectory
+    from .engine import SummaryMetrics, Trajectory
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
@@ -29,6 +30,13 @@ UNDETERMINED = "undetermined"
 
 CONVERGENCE_FLOOR = 1e-9
 RATIO_RTOL = 0.10
+
+# the models a study classifies, and the vot gains it varies by their paper names
+MODELS = ("closed", "approx")
+GAINS = {"k1": "queue_gain", "k2": "residual_gain"}
+
+OPTIMAL_QUEUE_TOL = 1e-3        # veh, final HOT queue
+OPTIMAL_THROUGHPUT_TOL = 0.5    # veh/min, average HOT throughput below capacity
 
 
 @dataclass(frozen=True)
@@ -262,23 +270,35 @@ def scenario_from_config(config: "ScenarioConfig") -> ConstantDemandScenario:
     )
 
 
-def _classify_at(config: "ScenarioConfig", residual_gain: float, model: str) -> str:
-    spec = dataclasses.replace(config.vot_spec, residual_gain=residual_gain)
+def approximate_from_config(config: "ScenarioConfig") -> tuple[np.ndarray, ...]:
+    """The reduced model over the scenario's horizon, from its initial HOT
+    queue and residual capacity, with its vot controller's gains."""
+    spec = config.vot_spec
+    return run_approximate(
+        config.initial_hot_queue, config.approx_initial_zeta(),
+        spec.queue_gain, spec.residual_gain,
+        loop_gain_rate(scenario_from_config(config)), config.horizon, config.dt,
+    )
+
+
+def classify_at(
+    config: "ScenarioConfig", param: str, value: float, model: str
+) -> ConvergenceReport:
+    """Classify the vot controller's run under ``model`` (one of ``MODELS``)
+    with gain ``param`` (a key of ``GAINS``) set to ``value``; an unknown
+    name, or a gain the controller rejects, is a ConfigError."""
+    if model not in MODELS or param not in GAINS:
+        raise ConfigError(f"unknown model {model!r} or gain {param!r}; "
+                          f"use one of {MODELS} and one of {tuple(GAINS)}")
+    try:
+        spec = dataclasses.replace(config.vot_spec, **{GAINS[param]: value})
+    except ValueError as exc:
+        raise ConfigError(f"{param}={value:g}: {exc}") from None
     cfg = dataclasses.replace(config, controller_kind="vot", vot_spec=spec)
     if model == "closed":
-        traj = run_closed_loop(cfg)
-        report = classify_trajectory(traj, spec.queue_gain, residual_gain)
-    elif model == "approx":
-        scen = scenario_from_config(cfg)
-        t, lam, zeta = run_approximate(
-            cfg.initial_hot_queue, cfg.approx_initial_zeta(),
-            spec.queue_gain, residual_gain,
-            loop_gain_rate(scen), cfg.horizon, cfg.dt,
-        )
-        report = classify_convergence(t, lam, zeta, spec.queue_gain, residual_gain)
-    else:
-        raise ConfigError(f"unknown model {model!r}; use 'closed' or 'approx'")
-    return report.pattern
+        return classify_trajectory(run_closed_loop(cfg), spec.queue_gain, spec.residual_gain)
+    t, lam, zeta = approximate_from_config(cfg)
+    return classify_convergence(t, lam, zeta, spec.queue_gain, spec.residual_gain)
 
 
 def find_phase_boundary(
@@ -297,8 +317,10 @@ def find_phase_boundary(
     """
     if not 0.0 < resolution < math.inf:  # nan fails too
         raise ConfigError(f"resolution must be a positive finite number, got {resolution!r}")
-    low_pattern = _classify_at(config, k2_low, model)
-    high_pattern = _classify_at(config, k2_high, model)
+    if not -math.inf < k2_low < k2_high < math.inf:
+        raise ConfigError(f"bracket [{k2_low!r}, {k2_high!r}] needs finite ends, low below high")
+    low_pattern = classify_at(config, "k2", k2_low, model).pattern
+    high_pattern = classify_at(config, "k2", k2_high, model).pattern
     if low_pattern == high_pattern:
         raise BoundaryNotBracketedError(
             f"both ends of [{k2_low:g}, {k2_high:g}] classify as {low_pattern}"
@@ -306,8 +328,17 @@ def find_phase_boundary(
     low, high = k2_low, k2_high
     while high - low > resolution:
         mid = 0.5 * (low + high)
-        if _classify_at(config, mid, model) == low_pattern:
+        if classify_at(config, "k2", mid, model).pattern == low_pattern:
             low = mid
         else:
             high = mid
     return 0.5 * (low + high)
+
+
+def optimal_state(metrics: "SummaryMetrics", hot_capacity: float) -> bool:
+    """Whether a run ended in the optimal state: HOT queue cleared and HOT
+    lanes used to capacity, within the ``OPTIMAL_*`` tolerances."""
+    return (
+        metrics.final_lambda1 < OPTIMAL_QUEUE_TOL
+        and abs(metrics.avg_g1 - hot_capacity) <= OPTIMAL_THROUGHPUT_TOL
+    )

@@ -40,7 +40,8 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+            raise ValueError(f"kind: expected one of {', '.join(NOISE_KINDS)}, "
+                             f"got {self.kind!r}")
         if not 0.0 <= self.half_width < 1.0:
             raise ValueError("half_width must lie in [0, 1)")
 

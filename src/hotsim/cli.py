@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, engine
-from .config import ScenarioConfig, load_config
+from .config import CONTROLLER_KINDS, ScenarioConfig, check_scenario, load_config
 from .errors import (
     BoundaryNotBracketedError,
     ConfigError,
@@ -41,6 +41,8 @@ from .errors import (
 TRAJECTORY_COLUMNS = engine.STATE_FIELDS
 # '%.9g' writes the same text as format(x, '.9g'), nan included
 _TRAJECTORY_ROW = ",".join(["%.9g"] * len(TRAJECTORY_COLUMNS))
+# most gain values one ``sweep --grid`` may run; each is a full simulation
+MAX_GRID_POINTS = 10_000
 
 
 def _fmt(value: float) -> str:
@@ -48,8 +50,9 @@ def _fmt(value: float) -> str:
 
 
 def _csv_lines(header: tuple, rows) -> str:
+    """Numbers in 9 significant digits; strings as they are."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -75,28 +78,25 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 
 def _load(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else ScenarioConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must be an unsigned 64-bit integer")
-        overrides["seed"] = args.seed
-    if getattr(args, "replications", None) is not None:
-        if args.replications < 1:
-            raise ConfigError("--replications must be at least 1")
-        overrides["replications"] = args.replications
-    return dataclasses.replace(config, **overrides) if overrides else config
+    overrides = {key: getattr(args, key, None) for key in ("seed", "replications")}
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    check_scenario(config)
+    return config
 
 
 def _aggregate(summaries: list[dict]) -> dict:
-    mean, std = {}, {}
-    for key in summaries[0]:
-        values = [s[key] for s in summaries]
-        if any(v is None for v in values):
-            mean[key] = std[key] = None
-        else:
-            mean[key] = float(np.mean(values))
-            std[key] = float(np.std(values))
-    return {"mean": mean, "std": std}
+    """Mean and standard deviation of each metric across replications."""
+    aggregate = {"mean": {}, "std": {}}
+    # the squares in a spread of finite values can overflow; the check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key in summaries[0]:
+            values = [s[key] for s in summaries]
+            none = any(v is None for v in values)
+            aggregate["mean"][key] = None if none else float(np.mean(values))
+            aggregate["std"][key] = None if none else float(np.std(values))
+    engine.check_finite({f"aggregate.{block}.{key}": value for block, metrics in aggregate.items()
+                         for key, value in metrics.items()})
+    return aggregate
 
 
 def cmd_simulate(args) -> int:
@@ -136,17 +136,14 @@ def cmd_compare(args) -> int:
     if len(kinds) < 2:
         raise ConfigError("compare needs at least two controllers")
     for kind in kinds:
-        if kind not in ("vot", "integral", "selflearning"):
+        if kind not in CONTROLLER_KINDS:
             raise ConfigError(f"unknown controller {kind!r}")
     results = {}
     for kind in kinds:
         cfg = dataclasses.replace(config, controller_kind=kind)
         traj = engine.run_closed_loop(cfg)
         metrics = engine.summarize(traj, config.behavior.vot)
-        optimal = (
-            metrics.final_lambda1 < 1e-3
-            and abs(metrics.avg_g1 - config.capacities.hot) <= 0.5
-        )
+        optimal = analysis.optimal_state(metrics, config.capacities.hot)
         results[kind] = dict(metrics.as_dict(), optimal_state=optimal)
     verdict = [kind for kind, summary in results.items() if summary["optimal_state"]]
     payload = {"seed": config.seed, "controllers": results, "verdict": verdict}
@@ -157,12 +154,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _parse_span(text: str, flag: str) -> tuple[float, ...]:
+def _numbers(text: str, flag: str, sep: str) -> tuple[float, ...]:
+    """The finite numbers of ``text`` split at ``sep``, blanks skipped."""
     try:
-        parts = tuple(float(p) for p in text.split(":"))
+        numbers = tuple(float(p) for p in text.split(sep) if p.strip())
     except ValueError:
-        raise ConfigError(f"{flag}: cannot parse {text!r}")
-    return parts
+        raise ConfigError(f"{flag}: cannot parse {text!r}") from None
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{flag}: expected finite numbers, got {text!r}")
+    return numbers
 
 
 def cmd_sweep(args) -> int:
@@ -170,64 +170,49 @@ def cmd_sweep(args) -> int:
     if not args.grid and not args.values and not args.bisect:
         raise ConfigError("sweep needs --grid, --values, or --bisect")
 
-    grid: list[float] = []
+    grid: tuple[float, ...] = ()
     if args.grid:
-        span = _parse_span(args.grid, "--grid")
+        span = _numbers(args.grid, "--grid", ":")
         if len(span) != 3 or span[2] <= 0:
             raise ConfigError("--grid expects START:STOP:STEP with a positive step")
         start, stop, step = span
-        count = math.floor((stop - start) / step + 1e-9) + 1
-        grid = [start + i * step for i in range(count)]
+        steps = (stop - start) / step + 1e-9  # inf when the quotient overflows
+        if not steps < MAX_GRID_POINTS:
+            raise ConfigError(f"--grid: {args.grid} has more than the cap of "
+                              f"{MAX_GRID_POINTS} points")
+        grid = tuple(start + i * step for i in range(math.floor(max(steps, -1.0)) + 1))
     elif args.values:
-        grid = [float(v) for v in args.values.split(",") if v.strip()]
+        grid = _numbers(args.values, "--values", ",")
     if (args.grid or args.values) and not grid:
         raise ConfigError("sweep grid is empty")
-
-    rows = []
-    for value in grid:
-        replacement = {"queue_gain" if args.param == "k1" else "residual_gain": value}
-        spec = dataclasses.replace(config.vot_spec, **replacement)
-        cfg = dataclasses.replace(config, controller_kind="vot", vot_spec=spec)
-        if args.model == "closed":
-            traj = engine.run_closed_loop(cfg)
-            report = analysis.classify_trajectory(
-                traj, spec.queue_gain, spec.residual_gain
-            )
-        else:
-            scen = analysis.scenario_from_config(cfg)
-            t, lam, zeta = analysis.run_approximate(
-                cfg.initial_hot_queue, cfg.approx_initial_zeta(),
-                spec.queue_gain, spec.residual_gain,
-                analysis.loop_gain_rate(scen), cfg.horizon, cfg.dt,
-            )
-            report = analysis.classify_convergence(
-                t, lam, zeta, spec.queue_gain, spec.residual_gain
-            )
-        rows.append((value, report))
-
-    boundary = None
     if args.bisect:
-        span = _parse_span(args.bisect, "--bisect")
-        if len(span) != 2:
+        bracket = _numbers(args.bisect, "--bisect", ":")
+        if len(bracket) != 2:
             raise ConfigError("--bisect expects LOW:HIGH")
         if args.param != "k2":
             raise ConfigError("bisection is supported on the residual gain (k2) only")
+
+    # a gain or bracket that analysis rejects is reported under its flag
+    try:
+        rows = [(value, analysis.classify_at(config, args.param, value, args.model))
+                for value in grid]
+    except ConfigError as exc:
+        raise ConfigError(f"{'--grid' if args.grid else '--values'}: {exc}") from None
+    boundary = None
+    if args.bisect:
         try:
-            boundary = analysis.find_phase_boundary(
-                config, span[0], span[1], args.resolution, args.model
-            )
+            boundary = analysis.find_phase_boundary(config, *bracket, args.resolution, args.model)
         except BoundaryNotBracketedError as exc:
             print(f"warning: {exc}", file=sys.stderr)
+        except ConfigError as exc:
+            raise ConfigError(f"--bisect: {exc}") from None
 
     header = (args.param, "pattern", "ratio_estimate",
               "fit_r2_gaussian", "fit_r2_exponential")
-    lines = [",".join(header)]
-    for value, report in rows:
-        lines.append(",".join((
-            _fmt(value), report.pattern, _fmt(report.ratio_estimate),
-            _fmt(report.fit_r2_gaussian), _fmt(report.fit_r2_exponential),
-        )))
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _csv_lines(header, (
+        (value, r.pattern, r.ratio_estimate, r.fit_r2_gaussian, r.fit_r2_exponential)
+        for value, r in rows
+    ))
 
     if args.out:
         out = Path(args.out)
@@ -262,14 +247,7 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    config = _load(args)
-    scen = analysis.scenario_from_config(config)
-    spec = config.vot_spec
-    t, lam, zeta = analysis.run_approximate(
-        config.initial_hot_queue, config.approx_initial_zeta(),
-        spec.queue_gain, spec.residual_gain,
-        analysis.loop_gain_rate(scen), config.horizon, config.dt,
-    )
+    t, lam, zeta = analysis.approximate_from_config(_load(args))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(zeta) > 0.0, lam / zeta, math.nan)
     rows = zip(t, lam, zeta, ratio)
@@ -305,20 +283,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run several controllers on one demand draw")
     common(p)
-    p.add_argument("--controllers", default="vot,integral,selflearning",
+    p.add_argument("--controllers", default=",".join(CONTROLLER_KINDS),
                    help="comma-separated controller kinds (at least two)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="classify convergence across a gain grid")
     common(p)
-    p.add_argument("--param", choices=("k1", "k2"), default="k2",
+    p.add_argument("--param", choices=tuple(analysis.GAINS), default="k2",
                    help="which controller gain to vary")
     p.add_argument("--grid", help="START:STOP:STEP grid of gain values")
     p.add_argument("--values", help="comma-separated gain values")
     p.add_argument("--bisect", help="LOW:HIGH bracket for the pattern boundary")
     p.add_argument("--resolution", type=float, default=0.005,
                    help="bracket width at which bisection stops")
-    p.add_argument("--model", choices=("closed", "approx"), default="closed",
+    p.add_argument("--model", choices=analysis.MODELS, default="closed",
                    help="simulate the full closed loop or the reduced model")
     p.set_defaults(func=cmd_sweep)
 

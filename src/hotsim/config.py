@@ -25,7 +25,9 @@ rejected with their dotted path.
                      measurement_var: 0.09, process_noise: 1.0e-6}
     approx:     {zeta0: null}
 
-``dt`` accepts a float or a fraction string like ``"1/60"``.  ``approx.zeta0``
+``dt`` accepts a float or a fraction string like ``"1/60"``.  A demand key
+that the demand kind does not read (``samples`` for constant or Poisson
+demand, ``hov`` and ``sov`` for timeseries) is an error.  ``approx.zeta0``
 seeds the reduced model; when null it is derived from the closed-loop state
 at t = 0.
 
@@ -41,9 +43,11 @@ eigenvalue magnitude.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import operator
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +85,16 @@ _ScenarioLoader.add_implicit_resolver(
 )
 
 
+class _ControllerSpec:
+    """Settings of one pricing controller, checked by building it once with
+    the constructor's value rules, none of which reads the capacities."""
+
+    def __post_init__(self) -> None:
+        self.build(Capacities(1.0, 1.0))
+
+
 @dataclass(frozen=True)
-class VotControllerSpec:
+class VotControllerSpec(_ControllerSpec):
     """Gains and initial state of the VOT-estimating feedback controller."""
 
     queue_gain: float = 0.1
@@ -98,7 +110,7 @@ class VotControllerSpec:
 
 
 @dataclass(frozen=True)
-class IntegralTollSpec:
+class IntegralTollSpec(_ControllerSpec):
     """Gain and initial toll of the demand-tracking integral controller."""
 
     gain: float = 0.01
@@ -111,13 +123,25 @@ class IntegralTollSpec:
 
 
 @dataclass(frozen=True)
-class SelfLearningSpec:
+class SelfLearningSpec(_ControllerSpec):
     """Initialization of the Kalman willingness-to-pay estimator."""
 
     initial_theta: tuple[float, float, float] = (0.25, 1.0, 0.1)
     initial_cov: float | tuple = 0.1          # scalar scales the identity
     measurement_var: float = 0.09
     process_noise: float | tuple = 1e-6       # scalar scales the identity
+
+    def __post_init__(self) -> None:
+        # the controller takes any 3x3 matrix; a scenario's must be a covariance
+        controller = self.build(Capacities(1.0, 1.0))
+        for key, mat in (("initial_cov", controller.cov),
+                         ("process_noise", controller.process_noise)):
+            eig = np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.T)  # no overflow near the float max
+            if eig.min() < -COV_EIG_TOL * np.abs(eig).max():
+                raise ValueError(
+                    f"{key}: expected a covariance, whose symmetric part has no "
+                    f"negative eigenvalue; smallest eigenvalue is {eig.min():.6g}"
+                )
 
     def build(self, caps: Capacities) -> SelfLearningController:
         return SelfLearningController(
@@ -148,12 +172,8 @@ class ScenarioConfig:
 
     @property
     def controller(self):
-        """Spec of the selected pricing strategy."""
-        return {
-            "vot": self.vot_spec,
-            "integral": self.integral_spec,
-            "selflearning": self.selflearning_spec,
-        }[self.controller_kind]
+        """Spec of the selected pricing strategy: the ``<kind>_spec`` field."""
+        return getattr(self, f"{self.controller_kind}_spec")
 
     @property
     def n_steps(self) -> int:
@@ -174,71 +194,33 @@ class ScenarioConfig:
         return induced_residual_capacity(caps.hot, q1, q2, u0, w0, 0.0, self.behavior)
 
     def to_mapping(self) -> dict:
-        """Canonical plain-data form, used for fingerprints."""
-        return {
-            "run": {
-                "horizon": self.horizon,
-                "dt": self.dt,
-                "seed": self.seed,
-                "replications": self.replications,
-            },
-            "capacities": {"hot": self.capacities.hot, "gp": self.capacities.gp},
-            "demand": (
-                {
-                    "kind": self.demand.kind,
-                    "samples": [list(s) for s in self.demand.samples],
-                }
-                if self.demand.kind == "timeseries"
-                else {
-                    "kind": self.demand.kind,
-                    "hov": self.demand.mean_hov,
-                    "sov": self.demand.mean_sov,
-                }
-            ),
-            "behavior": {"vot": self.behavior.vot, "scale": self.behavior.scale},
-            "noise": {"kind": self.noise.kind, "half_width": self.noise.half_width},
-            "initial": {
-                "hot_queue": self.initial_hot_queue,
-                "gp_queue": self.initial_gp_queue,
-            },
-            "controller": {
-                "kind": self.controller_kind,
-                "vot": _spec_dict(self.vot_spec),
-                "integral": _spec_dict(self.integral_spec),
-                "selflearning": _spec_dict(self.selflearning_spec),
-            },
-            "approx": {"zeta0": self.approx_zeta0},
-        }
+        """Canonical plain-data form, used for fingerprints: every ``SCHEMA``
+        key but the demand keys the demand kind does not read."""
+        def walk(table: dict) -> dict:
+            return {
+                key: walk(entry) if isinstance(entry, dict)
+                else _plain(operator.attrgetter(entry[0])(self))
+                for key, entry in table.items()
+            }
+
+        mapping = walk(SCHEMA)
+        for key in _unread_demand_keys(self.demand.kind):
+            del mapping["demand"][key]
+        return mapping
 
 
-def _spec_dict(spec) -> dict:
-    out = {}
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, tuple):  # a vector, or a matrix as a tuple of rows
-            value = [list(v) if isinstance(v, tuple) else v for v in value]
-        out[f.name] = value
-    return out
+def _plain(value):
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
-def _as_mapping(node, path: str) -> dict:
-    if node is None:
-        return {}
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
-    return node
+def _unread_demand_keys(kind: str) -> tuple[str, ...]:
+    return ("hov", "sov") if kind == "timeseries" else ("samples",)
 
 
-def _reject_unknown(section: dict, allowed: tuple, path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}.{key}" if path else f"unknown key {key}")
-
-
-def _real(value, where: str, expected: str = "a number") -> float:
+def _real(value, where: str) -> float:
     """``value`` as a finite float, or a ConfigError that names ``where``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
@@ -249,169 +231,115 @@ def _real(value, where: str, expected: str = "a number") -> float:
 
 
 def _optional_real(value, where: str) -> float | None:
-    return None if value is None else _real(value, where, "a number or null")
+    return None if value is None else _real(value, where)
 
 
-def _number(section: dict, key: str, path: str, default):
-    return _real(section.get(key, default), f"{path}.{key}")
-
-
-def _integer(section: dict, key: str, path: str, default):
-    value = section.get(key, default)
+def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
-def _choice_key(section: dict, key: str, path: str, default: str, allowed) -> str:
-    value = section.get(key, default)
-    if value not in allowed:
-        raise ConfigError(
-            f"{path}.{key}: expected one of {', '.join(allowed)}, got {value!r}"
-        )
-    return value
-
-
-def _parse_dt(section: dict, path: str) -> float:
-    value = section.get("dt", 1.0 / 60.0)
+def _step(value, where: str) -> float:
+    """A number, or a fraction string like ``"1/60"``."""
     if isinstance(value, str):
-        parts = value.split("/")
+        num, _, den = value.partition("/")
         try:
-            if len(parts) == 2:
-                value = float(parts[0]) / float(parts[1])
-            else:
-                value = float(value)
+            value = float(num) / float(den) if den else float(value)
         except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{path}.dt: cannot parse {value!r} as a step size")
-    return _real(value, f"{path}.dt", "a number or fraction string")
+            raise ConfigError(f"{where}: cannot parse {value!r} as a step size") from None
+    return _real(value, where)
 
 
-def _parse_demand(section: dict) -> DemandProfile:
-    _reject_unknown(section, ("kind", "hov", "sov", "samples"), "demand")
-    kind = _choice_key(section, "kind", "demand", "constant",
-                       ("constant", "poisson", "timeseries"))
-    if kind == "timeseries":
-        if "samples" not in section:
-            raise ConfigError("missing required key demand.samples for timeseries demand")
-        raw = section["samples"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("demand.samples: expected a non-empty list of [t, hov, sov]")
-        samples = []
-        for i, row in enumerate(raw):
-            where = f"demand.samples[{i}]"
-            if not isinstance(row, (list, tuple)) or len(row) != 3:
-                raise ConfigError(f"{where}: expected [t, hov, sov] numbers")
-            samples.append(tuple(_real(v, where, "[t, hov, sov] numbers") for v in row))
-        if samples[0][0] > 0.0:
-            raise ConfigError("demand.samples: first sample must start at t <= 0")
-        try:
-            return DemandProfile(kind=kind, samples=tuple(samples))
-        except ValueError as exc:
-            raise ConfigError(f"demand.samples: {exc}")
-    if "samples" in section:
-        raise ConfigError(f"demand.samples: only valid for timeseries demand, not {kind}")
-    hov = _number(section, "hov", "demand", 10.0)
-    sov = _number(section, "sov", "demand", 60.0)
-    try:
-        return DemandProfile(kind=kind, mean_hov=hov, mean_sov=sov)
-    except ValueError as exc:
-        raise ConfigError(f"demand: {exc}")
+def _triple(value, where: str) -> tuple[float, float, float]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{where}: expected three numbers, got {value!r}")
+    return tuple(_real(v, where) for v in value)
 
 
-def _parse_covariance(section: dict, key: str, path: str, default):
-    """A scalar (times the identity) or 3x3 matrix whose symmetric part is
-    positive semidefinite, up to roundoff of its largest eigenvalue."""
-    value = section.get(key, default)
-    where, expected = f"{path}.{key}", "a number or 3x3 matrix"
-    if (isinstance(value, list) and len(value) == 3
-            and all(isinstance(r, list) and len(r) == 3 for r in value)):
-        cov = tuple(tuple(_real(v, where, expected) for v in row) for row in value)
-        mat = np.array(cov)
-        eig = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    else:
-        cov = _real(value, where, expected)
-        eig = np.array([cov])
-    if eig.min() < -COV_EIG_TOL * np.abs(eig).max():
-        raise ConfigError(
-            f"{where}: expected a covariance, whose symmetric part has no "
-            f"negative eigenvalue; smallest eigenvalue is {eig.min():.6g}"
-        )
-    return cov
+def _rows(value, where: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list of rows of three numbers, got {value!r}")
+    return tuple(_triple(row, f"{where}[{i}]") for i, row in enumerate(value))
 
 
-def _parse_controller(section: dict) -> dict:
-    _reject_unknown(section, ("kind", "vot", "integral", "selflearning"), "controller")
-    kind = _choice_key(section, "kind", "controller", "vot", CONTROLLER_KINDS)
-
-    vot = _as_mapping(section.get("vot"), "controller.vot")
-    _reject_unknown(vot, ("queue_gain", "residual_gain", "scale_guess", "initial_vot"),
-                    "controller.vot")
-    try:
-        vot_spec = VotControllerSpec(
-            queue_gain=_number(vot, "queue_gain", "controller.vot", 0.1),
-            residual_gain=_number(vot, "residual_gain", "controller.vot", 0.1),
-            scale_guess=_number(vot, "scale_guess", "controller.vot", 1.0),
-            initial_vot=_number(vot, "initial_vot", "controller.vot", 0.25),
-        )
-        if vot_spec.queue_gain <= 0 or vot_spec.residual_gain <= 0:
-            raise ConfigError("controller.vot: gains must be positive")
-        if vot_spec.scale_guess <= 0:
-            raise ConfigError("controller.vot.scale_guess must be positive")
-    except ValueError as exc:
-        raise ConfigError(f"controller.vot: {exc}")
-
-    integral = _as_mapping(section.get("integral"), "controller.integral")
-    _reject_unknown(integral, ("gain", "initial_price", "target_demand"),
-                    "controller.integral")
-    target = _optional_real(integral.get("target_demand", None),
-                            "controller.integral.target_demand")
-    gain = _number(integral, "gain", "controller.integral", 0.01)
-    if gain <= 0:
-        raise ConfigError("controller.integral.gain must be positive")
-    integral_spec = IntegralTollSpec(
-        gain=gain,
-        initial_price=_number(integral, "initial_price", "controller.integral",
-                              math.log(2.0)),
-        target_demand=target,
-    )
-
-    learn = _as_mapping(section.get("selflearning"), "controller.selflearning")
-    _reject_unknown(learn, ("initial_theta", "initial_cov", "measurement_var",
-                            "process_noise"), "controller.selflearning")
-    theta = learn.get("initial_theta", [0.25, 1.0, 0.1])
-    where = "controller.selflearning.initial_theta"
-    if not isinstance(theta, (list, tuple)) or len(theta) != 3:
-        raise ConfigError(f"{where}: expected three numbers")
-    theta = tuple(_real(v, where, "three numbers") for v in theta)
-    mvar = _number(learn, "measurement_var", "controller.selflearning", 0.09)
-    if mvar <= 0:
-        raise ConfigError("controller.selflearning.measurement_var must be positive")
-    learn_spec = SelfLearningSpec(
-        initial_theta=theta,
-        initial_cov=_parse_covariance(learn, "initial_cov",
-                                            "controller.selflearning", 0.1),
-        measurement_var=mvar,
-        process_noise=_parse_covariance(learn, "process_noise",
-                                              "controller.selflearning", 1e-6),
-    )
-    return {
-        "controller_kind": kind,
-        "vot_spec": vot_spec,
-        "integral_spec": integral_spec,
-        "selflearning_spec": learn_spec,
-    }
+def _matrix(value, where: str) -> float | tuple:
+    """A number (times the identity) or a list of rows of three numbers."""
+    return _rows(value, where) if isinstance(value, list) else _real(value, where)
 
 
-def config_from_mapping(root: dict) -> ScenarioConfig:
-    """Validate a plain mapping and build the scenario it describes."""
-    root = _as_mapping(root, "config")
-    _reject_unknown(root, ("run", "capacities", "demand", "behavior", "noise",
-                           "initial", "controller", "approx"), "")
+# YAML section -> key -> (ScenarioConfig attribute path, converter); a nested
+# table is a subsection.  Parsing and to_mapping walk this one table.  A value
+# rule, a kind's included (converter None), lives in the object that owns the
+# value; its ValueError message begins with the key, the parser adds the section.
+SCHEMA = {
+    "run": {
+        "horizon": ("horizon", _real),
+        "dt": ("dt", _step),
+        "seed": ("seed", _integer),
+        "replications": ("replications", _integer),
+    },
+    "capacities": {"hot": ("capacities.hot", _real), "gp": ("capacities.gp", _real)},
+    "demand": {
+        "kind": ("demand.kind", None),
+        "hov": ("demand.mean_hov", _real),
+        "sov": ("demand.mean_sov", _real),
+        "samples": ("demand.samples", _rows),
+    },
+    "behavior": {"vot": ("behavior.vot", _real), "scale": ("behavior.scale", _real)},
+    "noise": {"kind": ("noise.kind", None), "half_width": ("noise.half_width", _real)},
+    "initial": {
+        "hot_queue": ("initial_hot_queue", _real),
+        "gp_queue": ("initial_gp_queue", _real),
+    },
+    "controller": {
+        "kind": ("controller_kind", None),
+        "vot": {
+            "queue_gain": ("vot_spec.queue_gain", _real),
+            "residual_gain": ("vot_spec.residual_gain", _real),
+            "scale_guess": ("vot_spec.scale_guess", _real),
+            "initial_vot": ("vot_spec.initial_vot", _real),
+        },
+        "integral": {
+            "gain": ("integral_spec.gain", _real),
+            "initial_price": ("integral_spec.initial_price", _real),
+            "target_demand": ("integral_spec.target_demand", _optional_real),
+        },
+        "selflearning": {
+            "initial_theta": ("selflearning_spec.initial_theta", _triple),
+            "initial_cov": ("selflearning_spec.initial_cov", _matrix),
+            "measurement_var": ("selflearning_spec.measurement_var", _real),
+            "process_noise": ("selflearning_spec.process_noise", _matrix),
+        },
+    },
+    "approx": {"zeta0": ("approx_zeta0", _optional_real)},
+}
 
-    run = _as_mapping(root.get("run"), "run")
-    _reject_unknown(run, ("horizon", "dt", "seed", "replications"), "run")
-    horizon = _number(run, "horizon", "run", 20.0)
-    dt = _parse_dt(run, "run")
+
+def _leaves(node, table: dict, path: str):
+    """``(dotted key, attribute path, converted value)`` per key given."""
+    if node is None:  # an empty section
+        return
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path or 'config'}: expected a mapping, got {type(node).__name__}")
+    for key, value in node.items():
+        where = f"{path}.{key}" if path else str(key)
+        if key not in table:
+            raise ConfigError(f"unknown key {where}")
+        if isinstance(table[key], dict):
+            yield from _leaves(value, table[key], where)
+        else:
+            attr, convert = table[key]
+            yield where, attr, value if convert is None else convert(value, where)
+
+
+def check_scenario(config: ScenarioConfig) -> None:
+    """Check the rules no section object owns; the ConfigError (or, for HOV
+    demand that fills the HOT lanes, ScenarioAssumptionError) names the key."""
+    if config.controller_kind not in CONTROLLER_KINDS:
+        raise ConfigError(f"controller.kind: expected one of "
+                          f"{', '.join(CONTROLLER_KINDS)}, got {config.controller_kind!r}")
+    horizon, dt = config.horizon, config.dt
     if dt <= 0:
         raise ConfigError("run.dt must be positive")
     if horizon <= 0:
@@ -426,86 +354,51 @@ def config_from_mapping(root: dict) -> ScenarioConfig:
         raise ConfigError(
             f"run.dt: step size {dt:g} does not divide the horizon {horizon:g} evenly"
         )
-    seed = _integer(run, "seed", "run", 0)
-    if not 0 <= seed < 2**64:
+    if not 0 <= config.seed < 2**64:
         raise ConfigError("run.seed must be an unsigned 64-bit integer")
-    replications = _integer(run, "replications", "run", 1)
-    if replications < 1:
+    if config.replications < 1:
         raise ConfigError("run.replications must be at least 1")
+    for key in ("hot_queue", "gp_queue"):
+        if getattr(config, f"initial_{key}") < 0:
+            raise ConfigError(f"initial.{key} cannot be negative")
 
-    caps_section = _as_mapping(root.get("capacities"), "capacities")
-    _reject_unknown(caps_section, ("hot", "gp"), "capacities")
-    try:
-        caps = Capacities(
-            hot=_number(caps_section, "hot", "capacities", 30.0),
-            gp=_number(caps_section, "gp", "capacities", 30.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"capacities: {exc}")
-
-    demand = _parse_demand(_as_mapping(root.get("demand"), "demand"))
-    if demand.kind in ("constant", "poisson"):
-        if demand.mean_hov >= caps.hot:
+    demand, hot = config.demand, config.capacities.hot
+    timeseries = demand.kind == "timeseries"
+    if timeseries and demand.samples[0][0] > 0.0:
+        raise ConfigError("demand.samples: first sample must start at t <= 0")
+    key, samples = "samples", demand.samples
+    if not timeseries:  # a mean rate holds from t = 0
+        key, samples = "hov", [(0.0, demand.mean_hov, demand.mean_sov)]
+    for t, hov, _ in samples:
+        if hov >= hot:
             raise ScenarioAssumptionError(
-                f"demand.hov: mean HOV demand {demand.mean_hov:g} veh/min must stay "
-                f"below the HOT capacity {caps.hot:g} veh/min"
+                f"demand.{key}: HOV demand {hov:g} veh/min from t={t:g} must "
+                f"stay below the HOT capacity {hot:g} veh/min"
             )
-    else:
-        for t, hov, _ in demand.samples:
-            if hov >= caps.hot:
-                raise ScenarioAssumptionError(
-                    f"demand.samples: HOV demand {hov:g} veh/min at t={t:g} must "
-                    f"stay below the HOT capacity {caps.hot:g} veh/min"
-                )
 
-    behavior_section = _as_mapping(root.get("behavior"), "behavior")
-    _reject_unknown(behavior_section, ("vot", "scale"), "behavior")
-    try:
-        behavior = BehaviorParams(
-            vot=_number(behavior_section, "vot", "behavior", 0.5),
-            scale=_number(behavior_section, "scale", "behavior", 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"behavior: {exc}")
 
-    noise_section = _as_mapping(root.get("noise"), "noise")
-    _reject_unknown(noise_section, ("kind", "half_width"), "noise")
-    try:
-        noise = NoiseSpec(
-            kind=_choice_key(noise_section, "kind", "noise", "none",
-                             ("none", "uniform")),
-            half_width=_number(noise_section, "half_width", "noise", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}")
+def config_from_mapping(root: dict) -> ScenarioConfig:
+    """Validate a plain mapping and build the scenario it describes."""
+    leaves, default = list(_leaves(root, SCHEMA, "")), ScenarioConfig()
+    parts = {}  # ScenarioConfig attribute ("" for its own fields) -> section, fields given
+    for where, attr, value in leaves:
+        part, _, name = attr.rpartition(".")
+        parts.setdefault(part, (where.rpartition(".")[0], {}))[1][name] = value
+    fields = parts.pop("", ("", {}))[1]
+    for part, (section, values) in parts.items():
+        try:
+            fields[part] = dataclasses.replace(getattr(default, part), **values)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{exc}") from None
+    config = dataclasses.replace(default, **fields)
 
-    initial = _as_mapping(root.get("initial"), "initial")
-    _reject_unknown(initial, ("hot_queue", "gp_queue"), "initial")
-    hot_queue = _number(initial, "hot_queue", "initial", 0.0)
-    gp_queue = _number(initial, "gp_queue", "initial", 0.0)
-    if hot_queue < 0 or gp_queue < 0:
-        raise ConfigError("initial: queue sizes cannot be negative")
-
-    controller = _parse_controller(_as_mapping(root.get("controller"), "controller"))
-
-    approx = _as_mapping(root.get("approx"), "approx")
-    _reject_unknown(approx, ("zeta0",), "approx")
-    zeta0 = _optional_real(approx.get("zeta0", None), "approx.zeta0")
-
-    return ScenarioConfig(
-        capacities=caps,
-        horizon=horizon,
-        dt=dt,
-        demand=demand,
-        behavior=behavior,
-        noise=noise,
-        initial_hot_queue=hot_queue,
-        initial_gp_queue=gp_queue,
-        seed=seed,
-        replications=replications,
-        approx_zeta0=zeta0,
-        **controller,
-    )
+    kind = config.demand.kind
+    given = {where for where, _, _ in leaves}
+    for key in _unread_demand_keys(kind):
+        if f"demand.{key}" in given:
+            raise ConfigError(f"demand.{key}: not read by {kind} demand")
+    check_scenario(config)
+    return config
 
 
 def parse_config_text(text: str) -> ScenarioConfig:

@@ -28,7 +28,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -59,19 +59,22 @@ class DemandProfile:
     samples: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self) -> None:
+        # each message begins with the scenario key it rejects
         if self.kind not in DEMAND_KINDS:
-            raise ValueError(f"unknown demand kind {self.kind!r}")
-        if self.kind in ("constant", "poisson"):
-            if self.mean_hov < 0 or self.mean_sov < 0:
-                raise ValueError("demand rates cannot be negative")
+            raise ValueError(f"kind: expected one of {', '.join(DEMAND_KINDS)}, "
+                             f"got {self.kind!r}")
+        if self.kind != "timeseries":
+            for key, rate in (("hov", self.mean_hov), ("sov", self.mean_sov)):
+                if rate < 0:
+                    raise ValueError(f"{key} cannot be negative")
         else:
             if not self.samples:
-                raise ValueError("timeseries demand needs at least one sample")
+                raise ValueError("samples: timeseries demand needs at least one sample")
             times = self.sample_times
             if any(b <= a for a, b in zip(times, times[1:])):
-                raise ValueError("timeseries sample times must be strictly increasing")
+                raise ValueError("samples: timeseries sample times must be strictly increasing")
             if any(s[1] < 0 or s[2] < 0 for s in self.samples):
-                raise ValueError("demand rates cannot be negative")
+                raise ValueError("samples: demand rates cannot be negative")
 
     @cached_property
     def sample_times(self) -> tuple[float, ...]:
@@ -145,15 +148,8 @@ class SummaryMetrics:
     pi_rmse_tail: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "avg_g1": self.avg_g1,
-            "final_u": self.final_u,
-            "final_pi": self.final_pi,
-            "max_lambda1": self.max_lambda1,
-            "final_lambda1": self.final_lambda1,
-            "time_to_zero_queue": self.time_to_zero_queue,
-            "pi_rmse_tail": self.pi_rmse_tail,
-        }
+        """The metrics by field name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def config_fingerprint(config: "ScenarioConfig", seed: int) -> str:
@@ -245,9 +241,14 @@ def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
             time_to_zero_queue=time_to_zero,
             pi_rmse_tail=rmse,
         )
-    for name, value in metrics.as_dict().items():
+    check_finite(metrics.as_dict())
+    return metrics
+
+
+def check_finite(metrics: dict) -> None:
+    """Raise NonFiniteResultError naming the first metric that is infinite or NaN."""
+    for name, value in metrics.items():
         if value is not None and not math.isfinite(value):
             raise NonFiniteResultError(
-                f"summary metric {name} is {value!r}: the run left the finite range"
+                f"summary metric {name} is {value!r}: outside the finite range"
             )
-    return metrics

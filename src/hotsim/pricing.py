@@ -82,10 +82,10 @@ class VotFeedbackController(PricingController):
         scale_guess: float = 1.0,
         initial_vot: float = 0.25,
     ) -> None:
-        if queue_gain <= 0 or residual_gain <= 0:
-            raise ValueError("gains must be positive")
-        if scale_guess <= 0:
-            raise ValueError("scale_guess must be positive")
+        for key, value in (("queue_gain", queue_gain), ("residual_gain", residual_gain),
+                           ("scale_guess", scale_guess)):
+            if not value > 0:  # nan is not positive either
+                raise ValueError(f"{key} must be positive")
         self.hot_capacity = hot_capacity
         self.queue_gain = queue_gain
         self.residual_gain = residual_gain

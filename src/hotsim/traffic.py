@@ -19,8 +19,9 @@ class Capacities:
     gp: float
 
     def __post_init__(self) -> None:
-        if self.hot <= 0 or self.gp <= 0:
-            raise ValueError("capacities must be positive")
+        for key in ("hot", "gp"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
 
 
 def residual_capacity(c1: float, q1: float, q3: float) -> float:

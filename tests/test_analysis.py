@@ -9,18 +9,21 @@ import pytest
 from hotsim.analysis import (
     ConstantDemandScenario,
     analytic_optimal_price,
+    approximate_from_config,
+    classify_at,
     classify_convergence,
     classify_trajectory,
     exponential_tail,
     find_phase_boundary,
     gaussian_tail,
     loop_gain_rate,
+    optimal_state,
     run_approximate,
     step_approximate,
 )
 from hotsim.config import ScenarioConfig, VotControllerSpec
-from hotsim.engine import run_closed_loop
-from hotsim.errors import BoundaryNotBracketedError, ScenarioAssumptionError
+from hotsim.engine import SummaryMetrics, run_closed_loop
+from hotsim.errors import BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError
 
 S0_SCEN = ConstantDemandScenario(q1=10.0, q2=60.0, c1=30.0, c2=30.0,
                                  vot=0.5, scale=1.0)
@@ -202,3 +205,55 @@ class TestPhaseBoundary:
         with pytest.raises(BoundaryNotBracketedError):
             find_phase_boundary(pattern_config(0.1), 0.05, 0.09,
                                 resolution=0.005, model="closed")
+
+    @pytest.mark.parametrize("low, high", [
+        (math.nan, 0.2), (0.1, math.inf), (-math.inf, 0.2), (0.2, 0.1), (0.1, 0.1),
+    ])
+    def test_bracket_needs_finite_ordered_ends(self, low, high):
+        with pytest.raises(ConfigError, match="bracket"):
+            find_phase_boundary(pattern_config(0.1), low, high, resolution=0.005)
+
+
+class TestClassifyAt:
+    @pytest.mark.parametrize("model", ["closed", "approx"])
+    def test_matches_the_classifier_on_the_run(self, model):
+        cfg = pattern_config(0.18)
+        if model == "closed":
+            expected = classify_trajectory(run_closed_loop(cfg), 0.1, 0.18)
+        else:
+            expected = classify_convergence(*approximate_from_config(cfg), 0.1, 0.18)
+        assert classify_at(pattern_config(0.1), "k2", 0.18, model) == expected
+        assert expected.pattern == "exponential"
+
+    def test_varies_the_queue_gain_as_k1(self):
+        report = classify_at(pattern_config(0.1), "k1", 0.1, "approx")
+        assert report == classify_at(pattern_config(0.1), "k2", 0.1, "approx")
+
+    @pytest.mark.parametrize("param, value", [("k2", 0.0), ("k2", -0.1), ("k1", 0.0),
+                                              ("k2", math.nan)])
+    def test_invalid_gain_is_config_error(self, param, value):
+        with pytest.raises(ConfigError, match=f"{param}={value:g}: .*_gain must be positive"):
+            classify_at(pattern_config(0.1), param, value, "closed")
+
+    @pytest.mark.parametrize("param, model", [("k3", "closed"), ("k2", "exact")])
+    def test_unknown_name_is_config_error(self, param, model):
+        with pytest.raises(ConfigError, match="unknown"):
+            classify_at(pattern_config(0.1), param, 0.1, model)
+
+
+def _metrics(final_lambda1, avg_g1):
+    return SummaryMetrics(avg_g1=avg_g1, final_u=4.0, final_pi=0.5, max_lambda1=1.0,
+                          final_lambda1=final_lambda1, time_to_zero_queue=None,
+                          pi_rmse_tail=0.0)
+
+
+class TestOptimalState:
+    def test_final_queue_must_be_below_a_thousandth(self):
+        assert optimal_state(_metrics(0.000999, 30.0), 30.0)
+        assert not optimal_state(_metrics(1e-3, 30.0), 30.0)
+
+    def test_throughput_gap_of_half_a_vehicle_is_optimal(self):
+        assert optimal_state(_metrics(0.0, 29.5), 30.0)
+        assert optimal_state(_metrics(0.0, 30.5), 30.0)
+        assert not optimal_state(_metrics(0.0, 29.4999), 30.0)
+        assert not optimal_state(_metrics(0.0, 30.5001), 30.0)

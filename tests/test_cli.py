@@ -74,6 +74,24 @@ class TestSimulate:
         assert payload["final_lambda1"] < 1e-3
 
 
+# each used to end in a traceback or in a row or boundary of nan
+BAD_SWEEP_INPUTS = [
+    (["--values", "a,b"], "--values"),
+    (["--grid", "0:nan:0.1"], "--grid"),
+    (["--grid", "0:inf:1"], "--grid"),
+    (["--values", "0"], "--values"),
+    (["--values", "-0.1"], "--values"),
+    (["--param", "k1", "--values", "0"], "--values"),
+    (["--values", "nan"], "--values"),
+    (["--bisect", "nan:0.2"], "--bisect"),
+    (["--bisect", "0.2:0.1"], "--bisect"),
+    (["--bisect", "0:0.2"], "--bisect"),
+    # more points than the cap, checked before the grid is built
+    (["--grid", "0:1e9:1e-9"], "--grid"),
+    (["--grid=-1e308:1e308:1"], "--grid"),
+]
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, scenario_file):
         config = scenario_file("runn: {}\n")
@@ -144,6 +162,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("resolution", ["nan", "inf", "0"])
     def test_non_finite_resolution_is_config_error(self, resolution):
         assert run_cli("sweep", "--bisect", "0.1:0.2", "--resolution", resolution) == 2
+
+    def test_aggregate_overflow_names_the_entry(self, scenario_file, tmp_path, capsys):
+        # every replication's final_u is about 1.7e168: finite, but its
+        # squared deviations overflow in the standard deviation
+        config = scenario_file("run: {replications: 3}\ndemand: {kind: poisson}\n"
+                               "initial: {gp_queue: 1.0e170}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("simulate", "--config", config, "--out", str(out)) == 6
+        assert "aggregate.std.final_u" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv, flag", BAD_SWEEP_INPUTS,
+                             ids=[" ".join(argv) for argv, _ in BAD_SWEEP_INPUTS])
+    def test_bad_sweep_input_names_its_flag(self, capsys, pattern_file, argv, flag):
+        assert run_cli("sweep", "--config", pattern_file, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and "Traceback" not in err
 
 
 class TestCompare:

@@ -123,6 +123,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="demand.samples"):
             parse_config_text("demand: {kind: timeseries}")
 
+    @pytest.mark.parametrize("text, key", [
+        ("demand: {kind: timeseries, samples: [[0, 10, 60]], hov: 12}",
+         "demand.hov: not read by timeseries demand"),
+        ("demand: {kind: poisson, samples: [[0, 10, 60]]}",
+         "demand.samples: not read by poisson demand"),
+    ])
+    def test_demand_key_the_kind_does_not_read(self, text, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(text)
+
     def test_saturating_hov_demand_is_assumption_error(self):
         with pytest.raises(ScenarioAssumptionError, match="HOV demand"):
             parse_config_text("demand: {hov: 30.0}")
