@@ -222,10 +222,37 @@ def test_selflearning_run_is_bit_identical(source, seed, expected):
     else:
         cfg = parse_config_text(source)
     traj = run_closed_loop(dataclasses.replace(cfg, controller_kind="selflearning"), seed)
+    assert state_digest(traj) == expected
+
+
+def state_digest(traj):
+    """First 16 hex digits of the sha256 over every ``STATE_FIELDS`` column's bytes."""
     h = hashlib.sha256()
     for name in STATE_FIELDS:
         h.update(traj.column(name).tobytes())
-    assert h.hexdigest()[:16] == expected
+    return h.hexdigest()[:16]
+
+
+# each demand kind with each noise kind it is not already pinned with
+@pytest.mark.parametrize("source, expected", [
+    ("noise: {kind: uniform, half_width: 0.1}\nrun: {seed: 3}",
+     {"vot": "f10abc1d4c38bd8f", "integral": "09609addd921047f"}),
+    ("demand: {kind: poisson, hov: 10.0, sov: 60.0}\nrun: {seed: 7}",
+     {"vot": "421482d3aa3e141c", "integral": "b15a4221d66809b6"}),
+    ("demand: {kind: timeseries, samples: [[0, 10, 60], [5, 12, 55]]}\n"
+     "noise: {kind: uniform, half_width: 0.1}",
+     {"vot": "10bc514fcc0540fe", "integral": "d4195a9bb469ca31"}),
+], ids=["constant-uniform", "poisson-none", "timeseries-uniform"])
+@pytest.mark.parametrize("kind", ["vot", "integral"])
+def test_draw_combinations_are_bit_identical(source, expected, kind):
+    """Full-precision digests of the demand/noise pairs the golden outputs miss.
+
+    The golden digests cover constant demand without noise and Poisson demand
+    with uniform noise; these pin the other combinations, so a change to when
+    the loop reads demand or draws a disturbance cannot move a run unseen.
+    """
+    cfg = dataclasses.replace(parse_config_text(source), controller_kind=kind)
+    assert state_digest(run_closed_loop(cfg)) == expected[kind]
 
 
 class TestSelfLearningPrice:
