@@ -102,8 +102,9 @@ def step_approximate(
 
     Returns the next ``(lambda1, zeta, t)``.
     """
+    queue = lambda1 - zeta * dt  # clipped at zero as max(queue, 0.0) would
     return (
-        max(lambda1 - zeta * dt, 0.0),
+        0.0 if 0.0 > queue else queue,
         zeta + dt * gain_rate * t * (queue_gain * lambda1 - residual_gain * zeta),
         t + dt,
     )

@@ -5,8 +5,8 @@ controller into one discrete feedback loop and records every step.  The
 per-step sequence is fixed:
 
 1. queuing times from the current queues;
-2. demand rates from the profile;
-3. choice disturbance drawn;
+2. demand rates from the profile (read once per run for constant demand);
+3. choice disturbance drawn (read once per run, as 0, without noise);
 4. price quoted by the controller from its current state;
 5. paying demand and residual capacity from the lane-choice model;
 6. throughputs recorded;
@@ -174,6 +174,14 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     if lambda1 < 0 or lambda2 < 0:
         raise ValueError("queue sizes cannot be negative")
     has_pi = controller.has_vot_estimate
+    # constant demand and noise "none" give the same value every step and
+    # draw nothing from ``rng``, so they are read once here
+    demand_varies = demand.kind != "constant"
+    noise_varies = noise.kind != "none"
+    if not demand_varies:
+        q1, q2 = demand_at(demand, 0.0, dt, rng)
+    if not noise_varies:
+        eta = choice.sample_eta(noise, rng)
 
     rows = []
     # overflow in a controller's numpy products gives inf or nan quietly, as
@@ -182,8 +190,10 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
         for k in range(n_steps + 1):
             t = k * dt
             _, _, w = traffic.queuing_times(lambda1, lambda2, caps)
-            q1, q2 = demand_at(demand, t, dt, rng)
-            eta = choice.sample_eta(noise, rng)
+            if demand_varies:
+                q1, q2 = demand_at(demand, t, dt, rng)
+            if noise_varies:
+                eta = choice.sample_eta(noise, rng)
             if q2 > 0.0:
                 try:
                     u = controller.quote(w, q1, q2)

@@ -184,8 +184,12 @@ class SelfLearningController(PricingController):
         """
         if q2 <= 0.0:
             return
+        # min(max(q3, margin), q2 - margin) as comparisons, the same operand
+        # picked, nan included
         margin = 1e-6 * q2
-        q3 = min(max(q3, margin), q2 - margin)
+        q3 = margin if margin > q3 else q3
+        upper = q2 - margin
+        q3 = upper if upper < q3 else q3
         y = math.log((q2 - q3) / q3)
         h = np.array([-w, u, 1.0])
 

@@ -44,10 +44,11 @@ def step_point_queues(
     absorbs whatever demand exceeds the total discharge rate; both are
     clipped at zero.
     """
-    return (
-        max(-zeta * dt + lambda1, 0.0),
-        max((q1 + q2 - caps.gp - caps.hot + zeta) * dt + lambda2, 0.0),
-    )
+    # ``0.0 if 0.0 > x else x`` is ``max(x, 0.0)``, -0.0 and nan included,
+    # at a tenth of the builtin's call cost
+    hot = -zeta * dt + lambda1
+    gp = (q1 + q2 - caps.gp - caps.hot + zeta) * dt + lambda2
+    return 0.0 if 0.0 > hot else hot, 0.0 if 0.0 > gp else gp
 
 
 def throughputs(
@@ -65,9 +66,13 @@ def throughputs(
     matters for unphysical inputs since nonnegative demands cannot push the
     raw expressions negative.
     """
-    g1 = min(caps.hot - zeta + lambda1 / dt, caps.hot)
-    g2 = min(q1 + q2 - caps.hot + zeta + lambda2 / dt, caps.gp)
-    return max(g1, 0.0), max(g2, 0.0)
+    # comparison clamps pick the same operand as builtin min/max would
+    hot, gp = caps.hot, caps.gp
+    g1 = hot - zeta + lambda1 / dt
+    g1 = hot if hot < g1 else g1
+    g2 = q1 + q2 - hot + zeta + lambda2 / dt
+    g2 = gp if gp < g2 else g2
+    return 0.0 if 0.0 > g1 else g1, 0.0 if 0.0 > g2 else g2
 
 
 def queuing_times(

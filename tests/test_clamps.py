@@ -1,0 +1,106 @@
+"""The per-step clamps pick exactly the operand builtin ``min``/``max`` pick.
+
+The kernels clamp with comparison expressions.  Each reference below is the
+kernel's formula written with the builtins; over every combination of edge
+values the two must agree in type and in every bit, signed zeros and NaN
+included.
+"""
+
+import itertools
+import math
+import struct
+from types import SimpleNamespace
+
+import pytest
+
+from hotsim import pricing
+from hotsim.analysis import step_approximate
+from hotsim.pricing import SelfLearningController
+from hotsim.traffic import step_point_queues, throughputs
+
+# signed zeros, nan, infinities, subnormals, near-overflow, ordinary values
+# and an int, whose type a clamp must keep when it picks it
+EDGES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+         1e308, -1e308, 1.0, -1.0, 30.0, 2)
+
+
+def reference_step_point_queues(lambda1, lambda2, zeta, q1, q2, caps, dt):
+    return (
+        max(-zeta * dt + lambda1, 0.0),
+        max((q1 + q2 - caps.gp - caps.hot + zeta) * dt + lambda2, 0.0),
+    )
+
+
+def reference_throughputs(lambda1, lambda2, zeta, q1, q2, caps, dt):
+    g1 = min(caps.hot - zeta + lambda1 / dt, caps.hot)
+    g2 = min(q1 + q2 - caps.hot + zeta + lambda2 / dt, caps.gp)
+    return max(g1, 0.0), max(g2, 0.0)
+
+
+def reference_step_approximate(lambda1, zeta, t, queue_gain, residual_gain, gain_rate, dt):
+    return (
+        max(lambda1 - zeta * dt, 0.0),
+        zeta + dt * gain_rate * t * (queue_gain * lambda1 - residual_gain * zeta),
+        t + dt,
+    )
+
+
+def bits(values):
+    """Type and IEEE bits of each value."""
+    return [(type(v), struct.pack("<d", v)) for v in values]
+
+
+def outcome(kernel, args):
+    """Bits of the returned values, or the exception type raised."""
+    try:
+        return bits(kernel(*args))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def traffic_args(lambda1=3.0, lambda2=5.0, zeta=1.0, q1=10.0, q2=60.0,
+                 hot=30.0, gp=30.0, dt=1.0 / 60.0):
+    # a namespace, not Capacities, so capacities can take any edge value
+    return (lambda1, lambda2, zeta, q1, q2, SimpleNamespace(hot=hot, gp=gp), dt)
+
+
+# four free arguments per case, the rest at ordinary values: each clamp's
+# raw expression and its bound both run over every edge value
+CASES = {
+    "throughputs-hot": (throughputs, reference_throughputs,
+                        lambda a, b, c, d: traffic_args(lambda1=a, zeta=b, hot=c, dt=d)),
+    "throughputs-gp": (throughputs, reference_throughputs,
+                       lambda a, b, c, d: traffic_args(lambda2=a, q1=b, zeta=c, gp=d)),
+    "step_point_queues-hot": (step_point_queues, reference_step_point_queues,
+                              lambda a, b, c, d: traffic_args(lambda1=a, zeta=b, dt=c, q1=d)),
+    "step_point_queues-gp": (step_point_queues, reference_step_point_queues,
+                             lambda a, b, c, d: traffic_args(lambda2=a, q2=b, zeta=c, gp=d)),
+    "step_approximate": (step_approximate, reference_step_approximate,
+                         lambda a, b, c, d: (a, b, 2.0, 0.1, 0.1, c, d)),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_kernel_clamps_match_the_builtins(name):
+    kernel, reference, make_args = CASES[name]
+    for combo in itertools.product(EDGES, repeat=4):
+        args = make_args(*combo)
+        assert outcome(kernel, args) == outcome(reference, args), (name, combo)
+
+
+@pytest.mark.parametrize("q2, q3", [
+    (60.0, -1.0), (60.0, -0.0), (60.0, 0.0), (60.0, 1e-9), (3e6, 2),  # below the margin
+    (60.0, 60.0), (60.0, 61.0), (60.0, math.inf),                     # above q2 - margin
+    (60.0, math.nan),
+    (60.0, 30.0),                                                      # inside: no clamp
+], ids=repr)
+def test_ingest_clamps_the_measurement_as_the_builtins(monkeypatch, q2, q3):
+    """The paying-share ratio the filter takes the log of, bit for bit."""
+    ratios = []
+    monkeypatch.setattr(pricing, "math", SimpleNamespace(log=lambda x: ratios.append(x) or 0.0))
+    ctrl = SelfLearningController(hot_capacity=30.0, initial_theta=(0.25, 1.0, 0.1),
+                                  initial_cov=0.1)
+    ctrl.ingest(q2, q3, 0.5, 4.0)
+    margin = 1e-6 * q2
+    clamped = min(max(q3, margin), q2 - margin)
+    assert bits(ratios) == bits([(q2 - clamped) / clamped])
