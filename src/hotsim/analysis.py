@@ -302,6 +302,12 @@ def classify_at(
     return classify_convergence(t, lam, zeta, spec.queue_gain, spec.residual_gain)
 
 
+def check_resolution(resolution: float) -> None:
+    """Reject a bisection resolution that is not a positive finite number."""
+    if not 0.0 < resolution < math.inf:  # nan fails too
+        raise ConfigError(f"resolution must be a positive finite number, got {resolution!r}")
+
+
 def find_phase_boundary(
     config: "ScenarioConfig",
     k2_low: float,
@@ -316,8 +322,7 @@ def find_phase_boundary(
     the bracket is narrower than ``resolution``.  Returns the midpoint of
     the final bracket.
     """
-    if not 0.0 < resolution < math.inf:  # nan fails too
-        raise ConfigError(f"resolution must be a positive finite number, got {resolution!r}")
+    check_resolution(resolution)
     if not -math.inf < k2_low < k2_high < math.inf:
         raise ConfigError(f"bracket [{k2_low!r}, {k2_high!r}] needs finite ends, low below high")
     low_pattern = classify_at(config, "k2", k2_low, model).pattern

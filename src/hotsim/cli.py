@@ -191,6 +191,13 @@ def cmd_sweep(args) -> int:
             raise ConfigError("--bisect expects LOW:HIGH")
         if args.param != "k2":
             raise ConfigError("bisection is supported on the residual gain (k2) only")
+        try:
+            analysis.check_resolution(args.resolution)
+        except ConfigError as exc:
+            raise ConfigError(f"--resolution: {exc}") from None
+    if args.model == "approx":
+        # a scenario the reduced model cannot take is its own fault, not a flag's
+        analysis.scenario_from_config(config)
 
     # a gain or bracket that analysis rejects is reported under its flag
     try:

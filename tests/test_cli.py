@@ -89,6 +89,9 @@ BAD_SWEEP_INPUTS = [
     # more points than the cap, checked before the grid is built
     (["--grid", "0:1e9:1e-9"], "--grid"),
     (["--grid=-1e308:1e308:1"], "--grid"),
+    # checked before any run, so never reported under --bisect
+    (["--bisect", "0.1:0.2", "--resolution", "nan"], "--resolution"),
+    (["--bisect", "0.1:0.2", "--resolution", "-1"], "--resolution"),
 ]
 
 
@@ -181,6 +184,16 @@ class TestExitCodes:
         assert run_cli("sweep", "--config", pattern_file, *argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--values", "0.1"], ["--bisect", "0.1:0.2"]])
+    def test_scenario_the_reduced_model_cannot_take_names_no_flag(
+        self, capsys, scenario_file, argv
+    ):
+        config = scenario_file(
+            "demand: {kind: timeseries, samples: [[0, 10, 60], [5, 12, 55]]}\n")
+        assert run_cli("sweep", "--config", config, "--model", "approx", *argv) == 2
+        assert capsys.readouterr().err == (
+            "error: constant-demand analysis needs a demand profile with mean rates\n")
 
 
 class TestCompare:
