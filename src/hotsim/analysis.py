@@ -308,6 +308,12 @@ def check_resolution(resolution: float) -> None:
         raise ConfigError(f"resolution must be a positive finite number, got {resolution!r}")
 
 
+def check_bracket(low: float, high: float) -> None:
+    """Reject a bisection bracket without finite ends and low below high."""
+    if not -math.inf < low < high < math.inf:  # nan fails too
+        raise ConfigError(f"bracket [{low!r}, {high!r}] needs finite ends, low below high")
+
+
 def find_phase_boundary(
     config: "ScenarioConfig",
     k2_low: float,
@@ -323,8 +329,7 @@ def find_phase_boundary(
     the final bracket.
     """
     check_resolution(resolution)
-    if not -math.inf < k2_low < k2_high < math.inf:
-        raise ConfigError(f"bracket [{k2_low!r}, {k2_high!r}] needs finite ends, low below high")
+    check_bracket(k2_low, k2_high)
     low_pattern = classify_at(config, "k2", k2_low, model).pattern
     high_pattern = classify_at(config, "k2", k2_high, model).pattern
     if low_pattern == high_pattern:

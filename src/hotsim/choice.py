@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import traffic
+
 NOISE_KINDS = ("none", "uniform")
 
 
@@ -47,23 +49,23 @@ class NoiseSpec:
 
 
 def paying_share(u: float, w: float, eta: float, params: BehaviorParams) -> float:
-    """Fraction of SOVs that pay the toll ``u`` to skip ``w`` minutes of queue.
-
-    Evaluated with the sign-split logistic so large exponents cannot
-    overflow.
-    """
-    x = params.scale * (u - (1.0 + eta) * params.vot * w)
-    if x >= 0.0:
-        e = math.exp(-x)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(x))
+    """Fraction of SOVs that pay the toll ``u`` to skip ``w`` minutes of queue."""
+    return paying_demand(1.0, u, w, eta, params)
 
 
 def paying_demand(
     q2: float, u: float, w: float, eta: float, params: BehaviorParams
 ) -> float:
-    """Arrival rate of paying SOVs out of total SOV demand ``q2``."""
-    return q2 * paying_share(u, w, eta, params)
+    """Arrival rate of paying SOVs out of total SOV demand ``q2``.
+
+    The paying share is evaluated with the sign-split logistic so large
+    exponents cannot overflow.
+    """
+    x = params.scale * (u - (1.0 + eta) * params.vot * w)
+    if x >= 0.0:
+        e = math.exp(-x)
+        return q2 * (e / (1.0 + e))
+    return q2 * (1.0 / (1.0 + math.exp(x)))
 
 
 def induced_residual_capacity(
@@ -76,7 +78,7 @@ def induced_residual_capacity(
     params: BehaviorParams,
 ) -> float:
     """Residual HOT capacity left once drivers respond to the quoted price."""
-    return c1 - q1 - paying_demand(q2, u, w, eta, params)
+    return traffic.residual_capacity(c1, q1, paying_demand(q2, u, w, eta, params))
 
 
 def sample_eta(

@@ -43,6 +43,9 @@ TRAJECTORY_COLUMNS = engine.STATE_FIELDS
 _TRAJECTORY_ROW = ",".join(["%.9g"] * len(TRAJECTORY_COLUMNS))
 # most gain values one ``sweep --grid`` may run; each is a full simulation
 MAX_GRID_POINTS = 10_000
+# exit code of each error a command reports, the first matching class wins
+EXIT_CODES = ((ConfigError, 2), (ScenarioAssumptionError, 3), (PriceUndefinedError, 4),
+              (OSError, 5), (NonFiniteResultError, 6), (HotSimError, 2))
 
 
 def _fmt(value: float) -> str:
@@ -192,6 +195,10 @@ def cmd_sweep(args) -> int:
         if args.param != "k2":
             raise ConfigError("bisection is supported on the residual gain (k2) only")
         try:
+            analysis.check_bracket(*bracket)
+        except ConfigError as exc:
+            raise ConfigError(f"--bisect: {exc}") from None
+        try:
             analysis.check_resolution(args.resolution)
         except ConfigError as exc:
             raise ConfigError(f"--resolution: {exc}") from None
@@ -323,25 +330,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (HotSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScenarioAssumptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PriceUndefinedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except NonFiniteResultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except HotSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
-def console_main() -> None:
+if __name__ == "__main__":
     sys.exit(main())

@@ -28,6 +28,7 @@ import hashlib
 import itertools
 import json
 import math
+import struct
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -105,6 +106,7 @@ STATE_FIELDS = (
     "t", "lambda1", "lambda2", "zeta", "w", "pi", "u",
     "g1", "g2", "q1", "q2", "q3", "eta",
 )
+_ROW = struct.Struct(f"{len(STATE_FIELDS)}d")  # one row as native doubles
 
 
 class Trajectory:
@@ -115,13 +117,21 @@ class Trajectory:
     when the strategy has none.
     """
 
-    def __init__(self, rows, fingerprint: str) -> None:
-        # one pass over the values in row order; the transposed copy makes
-        # each column contiguous
-        flat = np.fromiter(itertools.chain.from_iterable(rows), float)
-        self._table = flat.reshape(-1, len(STATE_FIELDS)).T.copy()
+    def __init__(self, rows, config: "ScenarioConfig", seed: int) -> None:
+        # one pass packs every row's doubles in order; the transposed copy
+        # makes each column contiguous
+        try:
+            packed = b"".join(itertools.starmap(_ROW.pack, rows))
+        except struct.error as exc:
+            raise ValueError(f"a row needs {len(STATE_FIELDS)} numbers: {exc}") from None
+        self._table = np.frombuffer(packed).reshape(-1, len(STATE_FIELDS)).T.copy()
         self._columns = dict(zip(STATE_FIELDS, self._table))
-        self.fingerprint = fingerprint
+        self._config, self._seed = config, seed
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Hash of the run's configuration and seed, computed when first read."""
+        return config_fingerprint(self._config, self._seed)
 
     def __len__(self) -> int:
         return len(self._columns["t"])
@@ -161,11 +171,9 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     """Simulate one closed-loop run and return its trajectory.
 
     ``seed`` overrides the configured seed (used for replications).
-    Controller errors are re-raised with the offending step index attached.
+    Controller and demand errors are re-raised with the step index attached.
     """
-    caps = config.capacities
-    dt = config.dt
-    n_steps = config.n_steps
+    caps, dt, n_steps = config.capacities, config.dt, config.n_steps
     demand, noise, behavior = config.demand, config.noise, config.behavior
     run_seed = config.seed if seed is None else seed
     rng = np.random.default_rng(run_seed)
@@ -174,6 +182,11 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     if lambda1 < 0 or lambda2 < 0:
         raise ValueError("queue sizes cannot be negative")
     has_pi = controller.has_vot_estimate
+    # bound once per run, after any replacement of the module attributes
+    quote, observe = controller.quote, controller.observe
+    queuing_times, residual_capacity = traffic.queuing_times, traffic.residual_capacity
+    throughputs, step_point_queues = traffic.throughputs, traffic.step_point_queues
+    paying_demand, sample_eta = choice.paying_demand, choice.sample_eta
     # constant demand and noise "none" give the same value every step and
     # draw nothing from ``rng``, so they are read once here
     demand_varies = demand.kind != "constant"
@@ -181,42 +194,39 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     if not demand_varies:
         q1, q2 = demand_at(demand, 0.0, dt, rng)
     if not noise_varies:
-        eta = choice.sample_eta(noise, rng)
+        eta = sample_eta(noise, rng)
 
     rows = []
     # overflow in a controller's numpy products gives inf or nan quietly, as
     # it does in the float arithmetic around them; summarize reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps + 1):
-            t = k * dt
-            _, _, w = traffic.queuing_times(lambda1, lambda2, caps)
-            if demand_varies:
-                q1, q2 = demand_at(demand, t, dt, rng)
-            if noise_varies:
-                eta = choice.sample_eta(noise, rng)
-            if q2 > 0.0:
-                try:
-                    u = controller.quote(w, q1, q2)
-                except HotSimError as exc:
-                    raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
-                q3 = choice.paying_demand(q2, u, w, eta, behavior)
-            else:
-                # no SOVs to price this step
-                u, q3 = 0.0, 0.0
-            zeta = traffic.residual_capacity(caps.hot, q1, q3)
-            g1, g2 = traffic.throughputs(lambda1, lambda2, zeta, q1, q2, caps, dt)
-            pi = controller.vot_estimate if has_pi else math.nan
-            rows.append((t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta))
-            if k == n_steps:
-                break
-            if q2 > 0.0:
-                try:
-                    controller.observe(dt, lambda1, zeta, w, u, q1, q2, q3)
-                except HotSimError as exc:
-                    raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
-            lambda1, lambda2 = traffic.step_point_queues(lambda1, lambda2, zeta, q1, q2, caps, dt)
+        try:
+            for k in range(n_steps + 1):
+                t = k * dt
+                _, _, w = queuing_times(lambda1, lambda2, caps)
+                if demand_varies:
+                    q1, q2 = demand_at(demand, t, dt, rng)
+                if noise_varies:
+                    eta = sample_eta(noise, rng)
+                if q2 > 0.0:
+                    u = quote(w, q1, q2)
+                    q3 = paying_demand(q2, u, w, eta, behavior)
+                else:
+                    # no SOVs to price this step
+                    u, q3 = 0.0, 0.0
+                zeta = residual_capacity(caps.hot, q1, q3)
+                g1, g2 = throughputs(lambda1, lambda2, zeta, q1, q2, caps, dt)
+                pi = controller.vot_estimate if has_pi else math.nan
+                rows.append((t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta))
+                if k == n_steps:
+                    break
+                if q2 > 0.0:
+                    observe(dt, lambda1, zeta, w, u, q1, q2, q3)
+                lambda1, lambda2 = step_point_queues(lambda1, lambda2, zeta, q1, q2, caps, dt)
+        except HotSimError as exc:
+            raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
 
-    return Trajectory(rows, config_fingerprint(config, run_seed))
+    return Trajectory(rows, config, run_seed)
 
 
 def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:

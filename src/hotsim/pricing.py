@@ -33,6 +33,8 @@ class PricingController:
     name = "base"
     # whether ``vot_estimate`` is a number; known without evaluating it
     has_vot_estimate = False
+    # current estimate of the average value of time, if the strategy has one
+    vot_estimate: float | None = None
 
     def quote(self, w: float, q1: float, q2: float) -> float:
         raise NotImplementedError
@@ -42,24 +44,6 @@ class PricingController:
         u: float, q1: float, q2: float, q3: float,
     ) -> None:
         raise NotImplementedError
-
-    @property
-    def vot_estimate(self) -> float | None:
-        """Current estimate of the average value of time, if the strategy has one."""
-        return None
-
-
-def _check_congested(q1: float, q2: float, c1: float) -> None:
-    # log term requires q1 < c1 < q1 + q2
-    if q1 >= c1:
-        raise ScenarioAssumptionError(
-            f"HOV demand {q1:g} veh/min saturates the HOT capacity {c1:g} veh/min"
-        )
-    if q1 + q2 <= c1:
-        raise ScenarioAssumptionError(
-            f"total demand {q1 + q2:g} veh/min does not exceed the HOT capacity "
-            f"{c1:g} veh/min; the corridor is not congested"
-        )
 
 
 class VotFeedbackController(PricingController):
@@ -90,25 +74,27 @@ class VotFeedbackController(PricingController):
         self.queue_gain = queue_gain
         self.residual_gain = residual_gain
         self.scale_guess = scale_guess
-        self.vot = initial_vot
-
-    def update_estimate(self, lambda1: float, zeta: float, dt: float) -> None:
-        """One explicit Euler step of the estimator."""
-        self.vot += dt * (self.queue_gain * lambda1 - self.residual_gain * zeta)
+        self.vot_estimate = initial_vot
 
     def price(self, w: float, q1: float, q2: float) -> float:
         c1 = self.hot_capacity
-        _check_congested(q1, q2, c1)
-        return self.vot * w + math.log((q1 + q2 - c1) / (c1 - q1)) / self.scale_guess
+        # log term requires q1 < c1 < q1 + q2
+        if q1 >= c1:
+            raise ScenarioAssumptionError(
+                f"HOV demand {q1:g} veh/min saturates the HOT capacity {c1:g} veh/min"
+            )
+        if q1 + q2 <= c1:
+            raise ScenarioAssumptionError(
+                f"total demand {q1 + q2:g} veh/min does not exceed the HOT capacity "
+                f"{c1:g} veh/min; the corridor is not congested"
+            )
+        return self.vot_estimate * w + math.log((q1 + q2 - c1) / (c1 - q1)) / self.scale_guess
 
     quote = price
 
     def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
-        self.update_estimate(lambda1, zeta, dt)
-
-    @property
-    def vot_estimate(self) -> float:
-        return self.vot
+        # one explicit Euler step of the estimator
+        self.vot_estimate += dt * (self.queue_gain * lambda1 - self.residual_gain * zeta)
 
 
 class IntegralTollController(PricingController):
@@ -123,15 +109,12 @@ class IntegralTollController(PricingController):
         self.u = initial_price
         self.target_demand = target_demand
 
-    def update(self, q_hot: float) -> None:
-        self.u += self.gain * (q_hot - self.target_demand)
-
     def quote(self, w: float, q1: float, q2: float) -> float:
         return self.u
 
     def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
         # HOT arrival demand is HOVs plus paying SOVs
-        self.update(q1 + q3)
+        self.u += self.gain * (q1 + q3 - self.target_demand)
 
 
 class SelfLearningController(PricingController):

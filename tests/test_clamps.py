@@ -3,7 +3,8 @@
 The kernels clamp with comparison expressions.  Each reference below is the
 kernel's formula written with the builtins; over every combination of edge
 values the two must agree in type and in every bit, signed zeros and NaN
-included.
+included.  The same edge values check that the logistic, now evaluated
+inside ``paying_demand``, gives what it gave as a function of its own.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import pytest
 
 from hotsim import pricing
 from hotsim.analysis import step_approximate
+from hotsim.choice import paying_demand, paying_share
 from hotsim.pricing import SelfLearningController
 from hotsim.traffic import step_point_queues, throughputs
 
@@ -104,3 +106,27 @@ def test_ingest_clamps_the_measurement_as_the_builtins(monkeypatch, q2, q3):
     margin = 1e-6 * q2
     clamped = min(max(q3, margin), q2 - margin)
     assert bits(ratios) == bits([(q2 - clamped) / clamped])
+
+
+def reference_paying_share(u, w, eta, params):
+    # the logistic as a function of its own, which paying_demand scaled by q2
+    x = params.scale * (u - (1.0 + eta) * params.vot * w)
+    if x >= 0.0:
+        e = math.exp(-x)
+        return e / (1.0 + e)
+    return 1.0 / (1.0 + math.exp(x))
+
+
+def test_paying_demand_holds_the_logistic_bit_for_bit():
+    params = SimpleNamespace(vot=0.5, scale=2)
+    for u, w, eta, q2 in itertools.product(EDGES, repeat=4):
+        share = reference_paying_share(u, w, eta, params)
+        assert bits([paying_share(u, w, eta, params)]) == bits([share]), (u, w, eta)
+        assert bits([paying_demand(1.0, u, w, eta, params)]) == bits([share]), (u, w, eta)
+        demand = paying_demand(q2, u, w, eta, params)
+        if math.isnan(q2) and math.isnan(share):
+            # of two nan factors, CPython's product keeps the one its code
+            # path (specialized or generic) happens to pick, in any version
+            assert math.isnan(demand)
+        else:
+            assert bits([demand]) == bits([q2 * share]), (u, w, eta, q2)

@@ -2,12 +2,21 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+from hotsim import analysis
 from hotsim.cli import _json_text, main
+from hotsim.config import ScenarioConfig
+from hotsim.engine import config_fingerprint
 from hotsim.errors import NonFiniteResultError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 COLUMNS = "t,lambda1,lambda2,zeta,w,pi,u,g1,g2,q1,q2,q3,eta"
 
@@ -26,6 +35,7 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["final_u"] == pytest.approx(4.024, abs=0.05)
         assert summary["final_pi"] == pytest.approx(0.5, abs=0.01)
+        assert summary["fingerprint"] == config_fingerprint(ScenarioConfig(), ScenarioConfig().seed)
 
     def test_csv_ends_with_newline(self, tmp_path):
         out = tmp_path / "run"
@@ -257,6 +267,18 @@ class TestSweep:
     def test_missing_parameter_spec_is_usage_error(self, pattern_file):
         assert run_cli("sweep", "--config", pattern_file) == 2
 
+    @pytest.mark.parametrize("bracket", ["0.2:0.1", "0.15:0.15"])
+    def test_bad_bracket_is_rejected_before_any_run(
+        self, monkeypatch, capsys, pattern_file, bracket
+    ):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a run started before the bracket was checked")
+
+        monkeypatch.setattr(analysis, "run_closed_loop", unexpected)
+        assert run_cli("sweep", "--config", pattern_file, "--grid", "0.10:0.20:0.02",
+                       "--bisect", bracket) == 2
+        assert capsys.readouterr().err.startswith("error: --bisect: bracket ")
+
 
 class TestAnalytic:
     def test_price_column_ends_at_reference_value(self, tmp_path):
@@ -295,3 +317,24 @@ class TestApprox:
         ratio = [float(r.split(",")[3]) for r in rows]
         assert max(zeta) == pytest.approx(0.31, abs=0.03)
         assert ratio[-1] == pytest.approx(2.0, abs=0.1)
+
+
+def run_module(*argv):
+    """``python -m argv...`` with this checkout's sources on the path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+class TestModuleEntryPoints:
+    def test_cli_module_exits_with_the_usage_code(self):
+        done = run_module("hotsim.cli", "sweep", "--bisect", "0.1:0.2", "--resolution", "nan")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: --resolution: ")
+
+    def test_package_prints_the_summary(self, capsys):
+        done = run_module("hotsim", "simulate", "--format", "json")
+        assert done.returncode == 0
+        assert run_cli("simulate", "--format", "json") == 0
+        assert done.stdout == capsys.readouterr().out
+        assert "fingerprint" in json.loads(done.stdout)

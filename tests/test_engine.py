@@ -2,17 +2,21 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
+from hotsim import engine
 from hotsim.config import IntegralTollSpec, ScenarioConfig, SelfLearningSpec
 from hotsim.engine import (
     STATE_FIELDS,
     DemandProfile,
     Trajectory,
+    config_fingerprint,
     demand_at,
     run_closed_loop,
     summarize,
@@ -25,6 +29,8 @@ from hotsim.errors import (
 )
 
 S0 = ScenarioConfig()
+# sign bit set and a payload of 0x123 in a quiet nan
+NEGATIVE_NAN_WITH_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000123))[0]
 
 
 class TestDemandAt:
@@ -217,20 +223,41 @@ class TestClosedLoop:
 class TestTrajectory:
     @pytest.mark.parametrize("n_rows", [0, 1, 7])
     def test_table_is_the_transposed_rows_in_bytes(self, n_rows):
-        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 3, -2, 1e-310, 1.5]
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 3, -2, 1e-310, 1.5,
+                    NEGATIVE_NAN_WITH_PAYLOAD]
         rows = [
             tuple(specials[(i * 5 + j) % len(specials)] for j in range(len(STATE_FIELDS)))
             for i in range(n_rows)
         ]
-        traj = Trajectory(rows, "f" * 16)
+        traj = Trajectory(rows, S0, 0)
         # the table as built before it was read in one pass
         table = np.array(list(zip(*rows)), dtype=float).reshape(len(STATE_FIELDS), -1)
+        # the table as built before the rows were packed with struct
+        flat = np.fromiter(itertools.chain.from_iterable(rows), float)
+        assert flat.reshape(-1, len(STATE_FIELDS)).T.tobytes() == table.tobytes()
         assert len(traj) == n_rows
         for name, expected in zip(STATE_FIELDS, table):
             column = traj.column(name)
             assert column.dtype == np.float64 and column.flags.c_contiguous
             assert column.tobytes() == expected.tobytes()
         assert np.array(traj.rows(), dtype=float).tobytes() == table.T.tobytes()
+
+    @pytest.mark.parametrize("width", [len(STATE_FIELDS) - 1, len(STATE_FIELDS) + 1])
+    def test_row_of_the_wrong_length_is_rejected(self, width):
+        # rows of 12 and 14 numbers, in either order, hold two rows' worth of values
+        rows = [(0.0,) * width, (0.0,) * (2 * len(STATE_FIELDS) - width)]
+        with pytest.raises(ValueError, match=f"{len(STATE_FIELDS)} numbers"):
+            Trajectory(rows, S0, 0)
+
+    def test_fingerprint_is_computed_when_read(self, monkeypatch):
+        def unexpected(config, seed):
+            raise AssertionError("run_closed_loop computed the fingerprint")
+
+        cfg = dataclasses.replace(S0, seed=7)
+        monkeypatch.setattr(engine, "config_fingerprint", unexpected)
+        traj = run_closed_loop(cfg, seed=11)
+        monkeypatch.undo()
+        assert traj.fingerprint == config_fingerprint(cfg, 11)
 
 
 class TestSummaries:
@@ -247,7 +274,7 @@ class TestSummaries:
     def test_all_zero_trajectory_gives_zero_metrics(self):
         # t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta
         rows = [(k * 0.1,) + (0.0,) * 12 for k in range(11)]
-        metrics = summarize(Trajectory(rows, fingerprint="x"), pi_star=0.0)
+        metrics = summarize(Trajectory(rows, S0, 0), pi_star=0.0)
         assert metrics.avg_g1 == 0.0
         assert metrics.final_u == 0.0
         assert metrics.final_pi == 0.0
@@ -293,4 +320,4 @@ class TestSummaries:
         # u (final_u) and lambda1 (max_lambda1, final_lambda1) are non-finite
         rows = [(0.0, math.inf, 0.0, 0.0, 0.0, 0.5, math.nan) + (0.0,) * 6]
         with pytest.raises(NonFiniteResultError, match="final_u is nan"):
-            summarize(Trajectory(rows, fingerprint="x"), pi_star=0.5)
+            summarize(Trajectory(rows, S0, 0), pi_star=0.5)

@@ -28,30 +28,36 @@ def vot_controller(**kwargs):
     return VotFeedbackController(**defaults)
 
 
+def observe_vot(ctrl, lambda1, zeta):
+    # the estimator reads only dt, lambda1 and zeta
+    ctrl.observe(DT, lambda1, zeta, 1.0, 2.0, 10.0, 60.0, 20.0)
+
+
 class TestVotEstimator:
     def test_optimal_state_freezes_estimate(self):
         ctrl = vot_controller()
-        ctrl.update_estimate(0.0, 0.0, DT)
-        assert ctrl.vot == 0.5
+        observe_vot(ctrl, 0.0, 0.0)
+        assert ctrl.vot_estimate == 0.5
 
     def test_queue_raises_estimate(self):
         ctrl = vot_controller()
-        ctrl.update_estimate(1.0, 0.0, DT)
-        assert ctrl.vot == pytest.approx(0.5 + 0.1 / 60.0, rel=1e-12)
+        observe_vot(ctrl, 1.0, 0.0)
+        assert ctrl.vot_estimate == pytest.approx(0.5 + 0.1 / 60.0, rel=1e-12)
 
     def test_spare_capacity_lowers_estimate(self):
         ctrl = vot_controller()
-        ctrl.update_estimate(0.0, 0.11, DT)
-        assert ctrl.vot == pytest.approx(0.5 - 0.011 / 60.0, rel=1e-12)
+        observe_vot(ctrl, 0.0, 0.11)
+        assert ctrl.vot_estimate == pytest.approx(0.5 - 0.011 / 60.0, rel=1e-12)
 
     def test_update_is_linear(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             lam, zeta = rng.uniform(-2.0, 2.0, size=2)
             a, b = vot_controller(), vot_controller()
-            a.update_estimate(lam, zeta, DT)
-            b.update_estimate(2.0 * lam, 2.0 * zeta, DT)
-            assert b.vot - 0.5 == pytest.approx(2.0 * (a.vot - 0.5), rel=1e-9, abs=1e-15)
+            observe_vot(a, lam, zeta)
+            observe_vot(b, 2.0 * lam, 2.0 * zeta)
+            assert b.vot_estimate - 0.5 == pytest.approx(
+                2.0 * (a.vot_estimate - 0.5), rel=1e-9, abs=1e-15)
 
 
 class TestVotPrice:
@@ -79,20 +85,25 @@ class TestVotPrice:
             vot_controller().price(0.0, 30.0, 60.0)
 
 
+def observe_hot_demand(ctrl, q1, q3):
+    # the toll update reads only the HOT demand q1 + q3
+    ctrl.observe(DT, 1.0, 0.5, 1.0, ctrl.u, q1, 60.0, q3)
+
+
 class TestIntegralToll:
     def test_on_target_demand_freezes_toll(self):
         ctrl = IntegralTollController(0.01, math.log(2.0), 30.0)
-        ctrl.update(30.0)
+        observe_hot_demand(ctrl, 10.0, 20.0)
         assert ctrl.u == math.log(2.0)
 
     def test_excess_demand_raises_toll(self):
         ctrl = IntegralTollController(0.01, math.log(2.0), 30.0)
-        ctrl.update(40.0)
+        observe_hot_demand(ctrl, 10.0, 30.0)
         assert ctrl.u == pytest.approx(math.log(2.0) + 0.1, rel=1e-12)
 
     def test_shortfall_lowers_toll(self):
         ctrl = IntegralTollController(0.01, 1.0, 30.0)
-        ctrl.update(25.0)
+        observe_hot_demand(ctrl, 10.0, 15.0)
         assert ctrl.u < 1.0
 
 
