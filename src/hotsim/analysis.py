@@ -21,7 +21,7 @@ from .engine import run_closed_loop
 from .errors import BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .config import ScenarioConfig
+    from .config import ScenarioConfig, VotControllerSpec
     from .engine import SummaryMetrics, Trajectory
 
 GAUSSIAN = "gaussian"
@@ -291,15 +291,21 @@ def classify_at(
     if model not in MODELS or param not in GAINS:
         raise ConfigError(f"unknown model {model!r} or gain {param!r}; "
                           f"use one of {MODELS} and one of {tuple(GAINS)}")
-    try:
-        spec = dataclasses.replace(config.vot_spec, **{GAINS[param]: value})
-    except ValueError as exc:
-        raise ConfigError(f"{param}={value:g}: {exc}") from None
+    spec = gain_spec(config, param, value)
     cfg = dataclasses.replace(config, controller_kind="vot", vot_spec=spec)
     if model == "closed":
         return classify_trajectory(run_closed_loop(cfg), spec.queue_gain, spec.residual_gain)
     t, lam, zeta = approximate_from_config(cfg)
     return classify_convergence(t, lam, zeta, spec.queue_gain, spec.residual_gain)
+
+
+def gain_spec(config: "ScenarioConfig", param: str, value: float) -> "VotControllerSpec":
+    """The vot spec of ``config`` with gain ``param`` set to ``value``; a
+    gain the controller rejects is a ConfigError."""
+    try:
+        return dataclasses.replace(config.vot_spec, **{GAINS[param]: value})
+    except ValueError as exc:
+        raise ConfigError(f"{param}={value:g}: {exc}") from None
 
 
 def check_resolution(resolution: float) -> None:
@@ -308,10 +314,13 @@ def check_resolution(resolution: float) -> None:
         raise ConfigError(f"resolution must be a positive finite number, got {resolution!r}")
 
 
-def check_bracket(low: float, high: float) -> None:
-    """Reject a bisection bracket without finite ends and low below high."""
+def check_bracket(config: "ScenarioConfig", low: float, high: float) -> None:
+    """Reject a bisection bracket of residual gains without finite ends and
+    low below high, or with an end the vot controller of ``config`` rejects."""
     if not -math.inf < low < high < math.inf:  # nan fails too
         raise ConfigError(f"bracket [{low!r}, {high!r}] needs finite ends, low below high")
+    gain_spec(config, "k2", low)
+    gain_spec(config, "k2", high)
 
 
 def find_phase_boundary(
@@ -329,7 +338,7 @@ def find_phase_boundary(
     the final bracket.
     """
     check_resolution(resolution)
-    check_bracket(k2_low, k2_high)
+    check_bracket(config, k2_low, k2_high)
     low_pattern = classify_at(config, "k2", k2_low, model).pattern
     high_pattern = classify_at(config, "k2", k2_high, model).pattern
     if low_pattern == high_pattern:

@@ -195,7 +195,7 @@ def cmd_sweep(args) -> int:
         if args.param != "k2":
             raise ConfigError("bisection is supported on the residual gain (k2) only")
         try:
-            analysis.check_bracket(*bracket)
+            analysis.check_bracket(config, *bracket)
         except ConfigError as exc:
             raise ConfigError(f"--bisect: {exc}") from None
         try:

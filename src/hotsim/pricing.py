@@ -18,6 +18,7 @@ quote never sees same-step outcomes.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -25,13 +26,16 @@ from .errors import PriceUndefinedError, ScenarioAssumptionError
 
 ALPHA2_FLOOR = 1e-6
 _EYE3 = np.eye(3)
+# write Python floats into a float64 buffer, the native bytes of each double
+_PACK3 = struct.Struct("3d").pack_into
+_PACK9 = struct.Struct("9d").pack_into
 
 
 class PricingController:
     """Behavioral contract shared by the pricing strategies."""
 
     name = "base"
-    # whether ``vot_estimate`` is a number; known without evaluating it
+    # whether ``vot_estimate`` is a number rather than None
     has_vot_estimate = False
     # current estimate of the average value of time, if the strategy has one
     vot_estimate: float | None = None
@@ -125,6 +129,10 @@ class SelfLearningController(PricingController):
     paying share yields the scalar measurement
     ``log((q2 - q3)/q3) = -alpha1*w + alpha2*u + gamma``.
     The implied value-of-time estimate is ``alpha1/alpha2``.
+
+    The state is held in Python floats; ``theta`` and ``cov`` are arrays
+    built from them when read.  The arrays the six matrix products of a step
+    read are per-controller buffers, written in place.
     """
 
     name = "selflearning"
@@ -141,12 +149,23 @@ class SelfLearningController(PricingController):
         if measurement_var <= 0:
             raise ValueError("measurement_var must be positive")
         self.hot_capacity = hot_capacity
-        self.theta = np.asarray(initial_theta, dtype=float).copy()
-        if self.theta.shape != (3,):
+        theta = np.asarray(initial_theta, dtype=float)
+        if theta.shape != (3,):
             raise ValueError("initial_theta must have three entries")
-        self.cov = self._as_matrix(initial_cov, "initial_cov")
         self.measurement_var = float(measurement_var)
         self.process_noise = self._as_matrix(process_noise, "process_noise")
+        self._coef = t0, t1, _ = tuple(theta.tolist())
+        self.vot_estimate = t0 / t1 if t1 else _quiet_divide((t0,), t1)[0]
+        self._posterior = tuple(self._as_matrix(initial_cov, "initial_cov").ravel().tolist())
+        self._noise = tuple(self.process_noise.ravel().tolist())
+        # the product operands: theta, h, the predicted covariance (posterior
+        # plus process noise) of the next step, and I - g h'
+        self._theta = theta.copy()
+        self._h = np.array([0.0, 0.0, 1.0])
+        prior = [c + n for c, n in zip(self._posterior, self._noise)]
+        self._prior = np.array(prior).reshape(3, 3)
+        self._ikh = np.empty((3, 3))
+        self._ikh_t = self._ikh.T
 
     @staticmethod
     def _as_matrix(value, name: str) -> np.ndarray:
@@ -157,7 +176,17 @@ class SelfLearningController(PricingController):
             raise ValueError(f"{name} must be a scalar or a 3x3 matrix")
         return mat.copy()
 
-    def ingest(self, q2: float, q3: float, w: float, u: float) -> None:
+    @property
+    def theta(self) -> np.ndarray:
+        """The coefficients ``[alpha1, alpha2, gamma]``."""
+        return np.array(self._coef)
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The posterior covariance: ``initial_cov`` until the first update."""
+        return np.array(self._posterior).reshape(3, 3)
+
+    def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
         """One predict/update cycle against the realized paying share.
 
         The six matrix products run through numpy (BLAS).  The elementwise
@@ -174,42 +203,55 @@ class SelfLearningController(PricingController):
         upper = q2 - margin
         q3 = upper if upper < q3 else q3
         y = math.log((q2 - q3) / q3)
-        h = np.array([-w, u, 1.0])
+        h, prior = self._h, self._prior
+        h0 = -w
+        h[0] = h0
+        h[1] = u
 
-        cov = self.cov + self.process_noise
-        s = float(h.dot(cov).dot(h)) + self.measurement_var
-        g0, g1, g2 = (cov.dot(h) / s).tolist()
-        innov = y - float(h.dot(self.theta))
-        t0, t1, t2 = self.theta.tolist()
-        self.theta = np.array([t0 + g0 * innov, t1 + g1 * innov, t2 + g2 * innov])
+        s = float(h.dot(prior).dot(h)) + self.measurement_var
+        p0, p1, p2 = prior.dot(h).tolist()
+        if s:
+            g0, g1, g2 = p0 / s, p1 / s, p2 / s
+        else:
+            g0, g1, g2 = _quiet_divide((p0, p1, p2), s)
+        innov = y - float(h.dot(self._theta))
+        t0, t1, t2 = self._coef
+        t0, t1, t2 = t0 + g0 * innov, t1 + g1 * innov, t2 + g2 * innov
+        _PACK3(self._theta, 0, t0, t1, t2)
+        self._coef = t0, t1, t2
+        self.vot_estimate = t0 / t1 if t1 else _quiet_divide((t0,), t1)[0]
 
         # Joseph form keeps the covariance symmetric PSD under roundoff:
         # (I - g h') cov (I - g h')' + r g g', then 0.5 (c + c').
         # h[2] is 1.0, so g_i * h[2] is g_i exactly.
-        h0 = -w
-        ikh = np.array([
+        _PACK9(
+            self._ikh, 0,
             1.0 - g0 * h0, 0.0 - g0 * u, 0.0 - g0,
             0.0 - g1 * h0, 1.0 - g1 * u, 0.0 - g1,
             0.0 - g2 * h0, 0.0 - g2 * u, 1.0 - g2,
-        ]).reshape(3, 3)
+        )
         (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = (
-            ikh.dot(cov).dot(ikh.T).tolist()
+            self._ikh.dot(prior).dot(self._ikh_t).tolist()
         )
         r = self.measurement_var
         c00, c01, c02 = a00 + r * (g0 * g0), a01 + r * (g0 * g1), a02 + r * (g0 * g2)
         c10, c11, c12 = a10 + r * (g1 * g0), a11 + r * (g1 * g1), a12 + r * (g1 * g2)
         c20, c21, c22 = a20 + r * (g2 * g0), a21 + r * (g2 * g1), a22 + r * (g2 * g2)
         # c_ij + c_ji == c_ji + c_ij exactly, so each off-diagonal pair is summed once
+        d0, d1, d2 = 0.5 * (c00 + c00), 0.5 * (c11 + c11), 0.5 * (c22 + c22)
         s01, s02, s12 = 0.5 * (c01 + c10), 0.5 * (c02 + c20), 0.5 * (c12 + c21)
-        self.cov = np.array([
-            0.5 * (c00 + c00), s01, s02,
-            s01, 0.5 * (c11 + c11), s12,
-            s02, s12, 0.5 * (c22 + c22),
-        ]).reshape(3, 3)
+        self._posterior = d0, s01, s02, s01, d1, s12, s02, s12, d2
+        n00, n01, n02, n10, n11, n12, n20, n21, n22 = self._noise
+        _PACK9(
+            prior, 0,
+            d0 + n00, s01 + n01, s02 + n02,
+            s01 + n10, d1 + n11, s12 + n12,
+            s02 + n20, s12 + n21, d2 + n22,
+        )
 
     def price(self, w: float, q1: float, q2: float) -> float:
-        alpha1, alpha2, gamma = self.theta.tolist()
-        if abs(alpha2) < ALPHA2_FLOOR:
+        alpha1, alpha2, gamma = self._coef
+        if -ALPHA2_FLOOR < alpha2 < ALPHA2_FLOOR:  # abs(alpha2) < floor
             raise PriceUndefinedError(
                 f"price-utility estimate alpha2={alpha2:g} is too close to zero"
             )
@@ -223,9 +265,8 @@ class SelfLearningController(PricingController):
 
     quote = price
 
-    def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
-        self.ingest(q2, q3, w, u)
 
-    @property
-    def vot_estimate(self) -> float:
-        return float(self.theta[0] / self.theta[1])
+def _quiet_divide(values, divisor: float) -> list:
+    """``values / divisor`` as numpy divides: by zero, a signed inf or nan and no warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.asarray(values, dtype=float) / divisor).tolist()

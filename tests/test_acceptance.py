@@ -310,8 +310,8 @@ def test_criterion_12d_kalman_covariance_psd():
     floor = 0.0
     for _ in range(1000):
         q2 = rng.uniform(30.0, 100.0)
-        ctrl.ingest(q2, rng.uniform(0.0, 1.0) * q2,
-                    rng.uniform(-2.0, 10.0), rng.uniform(-1.0, 8.0))
+        q3, w, u = rng.uniform(0.0, 1.0) * q2, rng.uniform(-2.0, 10.0), rng.uniform(-1.0, 8.0)
+        ctrl.observe(1.0 / 60.0, 0.0, 0.0, w, u, 10.0, q2, q3)
         floor = min(floor, float(np.linalg.eigvalsh(ctrl.cov).min()))
     check("12d Kalman covariance stays PSD (1e3 updates)", {
         f"eigenvalue floor={floor:.2e} >= -1e-9": floor >= -1e-9,

@@ -129,6 +129,26 @@ class TestExitCodes:
         )
         assert run_cli("simulate", "--config", config) == 4
 
+    @pytest.mark.parametrize("samples, code, message", [
+        ("[[0.0, 10.0, 0.0], [0.02, 10.0, 60.0]]", 4,
+         "step 2 (t=0.0333333 min): price-utility estimate alpha2=0 is too close to zero"),
+        ("[[0.0, 10.0, 0.0]]", 6, "summary metric final_pi is inf: outside the finite range"),
+    ], ids=["sov-demand-later", "no-sov-demand"])
+    def test_undefined_estimate_on_unpriced_steps_leaks_no_warning(
+        self, scenario_file, tmp_path, capsys, samples, code, message
+    ):
+        # alpha2 = 0 and no SOV demand at first: those steps record the
+        # estimate alpha1/alpha2 without a quote to raise first
+        config = scenario_file(
+            "controller: {kind: selflearning, selflearning: {initial_theta: [0.25, 0.0, 0.1]}}\n"
+            f"demand: {{kind: timeseries, samples: {samples}}}\n"
+            "run: {horizon: 0.05}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("simulate", "--config", config,
+                           "--out", str(tmp_path / "out")) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("text", [
         "capacities: {hot: .nan}\n",
@@ -278,6 +298,19 @@ class TestSweep:
         assert run_cli("sweep", "--config", pattern_file, "--grid", "0.10:0.20:0.02",
                        "--bisect", bracket) == 2
         assert capsys.readouterr().err.startswith("error: --bisect: bracket ")
+
+    @pytest.mark.parametrize("bracket, gain", [("0:0.2", "k2=0"), ("-0.1:0.2", "k2=-0.1")])
+    def test_bracket_end_the_controller_rejects_fails_before_any_run(
+        self, monkeypatch, capsys, pattern_file, bracket, gain
+    ):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a run started before the bracket ends were checked")
+
+        monkeypatch.setattr(analysis, "run_closed_loop", unexpected)
+        assert run_cli("sweep", "--config", pattern_file, "--grid", "0.10:0.20:0.02",
+                       f"--bisect={bracket}") == 2
+        assert capsys.readouterr().err == (
+            f"error: --bisect: {gain}: residual_gain must be positive\n")
 
 
 class TestAnalytic:

@@ -134,7 +134,7 @@ class TestClosedLoop:
         assert digest.hexdigest()[:16] == "73bf8386a3160729"
 
     def test_undefined_first_price_raises_without_warnings(self):
-        # alpha2 = 0: the VOT estimate alpha1/alpha2 must not be evaluated
+        # alpha2 = 0: neither the price nor the estimate alpha1/alpha2 may warn
         spec = SelfLearningSpec(initial_theta=(0.25, 0.0, 0.1))
         cfg = dataclasses.replace(S0, controller_kind="selflearning",
                                   selflearning_spec=spec)
@@ -142,6 +142,21 @@ class TestClosedLoop:
             warnings.simplefilter("error")
             with pytest.raises(PriceUndefinedError, match="step 0"):
                 run_closed_loop(cfg)
+
+    @pytest.mark.parametrize("alpha1, pi", [
+        (0.25, math.inf), (-0.25, -math.inf), (0.0, math.nan),
+    ])
+    def test_undefined_estimate_is_recorded_without_warnings(self, alpha1, pi):
+        # no SOV demand, so no step is priced; alpha1/alpha2 with alpha2 = 0
+        # is recorded as numpy divides: a signed inf, or nan for 0/0
+        spec = SelfLearningSpec(initial_theta=(alpha1, 0.0, 0.1))
+        demand = DemandProfile(kind="constant", mean_hov=10.0, mean_sov=0.0)
+        cfg = dataclasses.replace(S0, controller_kind="selflearning",
+                                  selflearning_spec=spec, demand=demand, horizon=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pis = run_closed_loop(cfg).column("pi")
+        np.testing.assert_array_equal(pis, np.full(4, pi))  # nan equals nan here
 
     def test_uncongested_demand_fails_with_step_index(self):
         demand = DemandProfile(kind="constant", mean_hov=5.0, mean_sov=10.0)

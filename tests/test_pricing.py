@@ -114,6 +114,11 @@ def learner(**kwargs):
     return SelfLearningController(**defaults)
 
 
+def observe_share(ctrl, q2, q3, w, u):
+    # the filter reads only the delay w, the toll u and the paying share q3/q2
+    ctrl.observe(DT, 1.0, 0.5, w, u, 10.0, q2, q3)
+
+
 class TestSelfLearningFilter:
     def test_zero_innovation_keeps_estimate(self):
         ctrl = learner(process_noise=0.0)
@@ -123,7 +128,7 @@ class TestSelfLearningFilter:
         # observation manufactured to match the current estimate exactly
         y = -theta[0] * w + theta[1] * u + theta[2]
         q3 = 60.0 / (1.0 + math.exp(y))
-        ctrl.ingest(60.0, q3, w, u)
+        observe_share(ctrl, 60.0, q3, w, u)
         assert ctrl.theta == pytest.approx(theta, rel=1e-9)
         assert np.trace(ctrl.cov) <= trace_before + 1e-12
 
@@ -133,7 +138,7 @@ class TestSelfLearningFilter:
         ctrl = learner(initial_cov=1.0, process_noise=0.0)
         y_true = -0.5 * 1.0 + 1.0 * 1.0 + 0.0
         q3 = 60.0 / (1.0 + math.exp(y_true))
-        ctrl.ingest(60.0, q3, 1.0, 1.0)
+        observe_share(ctrl, 60.0, q3, 1.0, 1.0)
         shift = 0.35 / 3.09
         expected = np.array([0.25 + shift, 1.0 - shift, 0.1 - shift])
         assert ctrl.theta == pytest.approx(expected, rel=1e-9)
@@ -144,7 +149,7 @@ class TestSelfLearningFilter:
     def test_huge_measurement_noise_is_uninformative(self):
         ctrl = learner(measurement_var=1e12)
         theta = ctrl.theta.copy()
-        ctrl.ingest(60.0, 25.0, 1.0, 1.0)
+        observe_share(ctrl, 60.0, 25.0, 1.0, 1.0)
         assert ctrl.theta == pytest.approx(theta, abs=1e-9)
 
     def test_covariance_stays_symmetric_psd(self):
@@ -152,8 +157,8 @@ class TestSelfLearningFilter:
         rng = np.random.default_rng(31)
         for _ in range(1000):
             q2 = rng.uniform(30.0, 100.0)
-            ctrl.ingest(
-                q2, rng.uniform(0.0, 1.0) * q2,
+            observe_share(
+                ctrl, q2, rng.uniform(0.0, 1.0) * q2,
                 rng.uniform(-2.0, 10.0), rng.uniform(-1.0, 8.0),
             )
             assert ctrl.cov == pytest.approx(ctrl.cov.T, abs=1e-12)
@@ -161,9 +166,23 @@ class TestSelfLearningFilter:
 
     def test_boundary_paying_demand_is_clamped(self):
         ctrl = learner()
-        ctrl.ingest(60.0, 0.0, 1.0, 1.0)   # fully unpaying step
-        ctrl.ingest(60.0, 60.0, 1.0, 1.0)  # fully paying step
+        observe_share(ctrl, 60.0, 0.0, 1.0, 1.0)   # fully unpaying step
+        observe_share(ctrl, 60.0, 60.0, 1.0, 1.0)  # fully paying step
         assert np.isfinite(ctrl.theta).all()
+
+    def test_zero_innovation_variance_divides_as_numpy(self):
+        # the controller takes any matrix, and an indefinite one can make
+        # s = h' P h + r exactly 0: the gain is numpy's inf or nan, not a
+        # ZeroDivisionError
+        kwargs = dict(initial_theta=(0.25, 1.0, 0.1), initial_cov=-0.03 * np.eye(3),
+                      measurement_var=0.09, process_noise=np.zeros((3, 3)))
+        ctrl, ref = learner(**kwargs), ReferenceFilter(**kwargs)
+        with np.errstate(all="ignore"):
+            observe_share(ctrl, 60.0, 20.0, 1.0, 1.0)
+            ref.ingest(60.0, 20.0, 1.0, 1.0)
+        assert not np.isfinite(ctrl.theta).all()
+        assert ctrl.theta.tobytes() == ref.theta.tobytes()
+        assert ctrl.cov.tobytes() == ref.cov.tobytes()
 
     def test_matches_the_all_array_filter_bit_for_bit(self):
         rng = np.random.default_rng(41)
@@ -173,33 +192,72 @@ class TestSelfLearningFilter:
                           measurement_var=10.0 ** rng.uniform(-4, 4),
                           process_noise=rng.normal(size=(3, 3)) * 1e-6)
             ctrl = learner(**kwargs)
-            ref = learner(**kwargs)
+            ref = ReferenceFilter(**kwargs)
             for _ in range(50):
                 q2 = rng.uniform(0.0, 120.0)
                 q3 = rng.choice([0.0, q2, rng.uniform(0.0, 1.0) * q2])
                 w, u = rng.normal(size=2) * 10.0 ** rng.uniform(-6, 6)
                 if rng.random() < 0.2:  # empty queues: no delay to price
                     w = 0.0
-                ctrl.ingest(q2, q3, w, u)
-                reference_ingest(ref, q2, q3, w, u)
+                observe_share(ctrl, q2, q3, w, u)
+                ref.ingest(q2, q3, w, u)
                 assert isinstance(ctrl.theta, np.ndarray) and ctrl.cov.shape == (3, 3)
                 assert ctrl.theta.tobytes() == ref.theta.tobytes()
                 assert ctrl.cov.tobytes() == ref.cov.tobytes()
+                assert type(ctrl.vot_estimate) is float
+                assert bits(ctrl.vot_estimate) == bits(ref.vot_estimate())
+                # q1 = 10 leaves 20 veh/min to fill by paying SOVs: some q2 cannot
+                assert outcome(ctrl.price, w, 10.0, q2) == outcome(ref.price, w, 10.0, q2)
 
 
-def reference_ingest(ctrl, q2, q3, w, u):
-    """The Kalman step with every operation on numpy arrays."""
-    margin = 1e-6 * q2
-    q3 = min(max(q3, margin), q2 - margin)
-    y = math.log((q2 - q3) / q3)
-    h = np.array([-w, u, 1.0])
-    cov = ctrl.cov + ctrl.process_noise
-    s = float(h @ cov @ h) + ctrl.measurement_var
-    gain = (cov @ h) / s
-    ctrl.theta = ctrl.theta + gain * (y - float(h @ ctrl.theta))
-    ikh = np.eye(3) - gain[:, None] * h
-    cov = ikh @ cov @ ikh.T + ctrl.measurement_var * (gain[:, None] * gain)
-    ctrl.cov = 0.5 * (cov + cov.T)
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def outcome(price, *args):
+    """The bits of the price, or the type of the error it raises."""
+    try:
+        return bits(price(*args))
+    except (PriceUndefinedError, ScenarioAssumptionError) as exc:
+        return type(exc)
+
+
+class ReferenceFilter:
+    """The Kalman filter and its price law with every operation on numpy arrays."""
+
+    def __init__(self, initial_theta, initial_cov, measurement_var, process_noise):
+        self.theta = np.array(initial_theta, dtype=float)
+        self.cov = np.array(initial_cov, dtype=float)
+        self.process_noise = np.array(process_noise, dtype=float)
+        self.measurement_var = measurement_var
+
+    def ingest(self, q2, q3, w, u):
+        if q2 <= 0.0:
+            return
+        margin = 1e-6 * q2
+        q3 = min(max(q3, margin), q2 - margin)
+        y = math.log((q2 - q3) / q3)
+        h = np.array([-w, u, 1.0])
+        cov = self.cov + self.process_noise
+        s = float(h @ cov @ h) + self.measurement_var
+        gain = (cov @ h) / s
+        self.theta = self.theta + gain * (y - float(h @ self.theta))
+        ikh = np.eye(3) - gain[:, None] * h
+        cov = ikh @ cov @ ikh.T + self.measurement_var * (gain[:, None] * gain)
+        self.cov = 0.5 * (cov + cov.T)
+
+    def vot_estimate(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.theta[0] / self.theta[1]
+
+    def price(self, w, q1, q2):
+        alpha1, alpha2, gamma = self.theta
+        if abs(alpha2) < 1e-6:
+            raise PriceUndefinedError("alpha2")
+        target = 30.0 - q1
+        if not 0.0 < target < q2:
+            raise ScenarioAssumptionError("target")
+        return (math.log((q2 - target) / target) + alpha1 * w - gamma) / alpha2
 
 
 # asymmetric initial covariance: the first step tells h @ cov from cov @ h
