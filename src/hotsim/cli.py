@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, engine
-from .config import CONTROLLER_KINDS, ScenarioConfig, check_scenario, load_config
+from .config import CONTROLLER_KINDS, ScenarioConfig, load_config
 from .errors import (
     BoundaryNotBracketedError,
     ConfigError,
@@ -82,9 +82,7 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 def _load(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else ScenarioConfig()
     overrides = {key: getattr(args, key, None) for key in ("seed", "replications")}
-    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    check_scenario(config)
-    return config
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _aggregate(summaries: list[dict]) -> dict:
@@ -138,12 +136,10 @@ def cmd_compare(args) -> int:
     kinds = [k.strip() for k in args.controllers.split(",") if k.strip()]
     if len(kinds) < 2:
         raise ConfigError("compare needs at least two controllers")
-    for kind in kinds:
-        if kind not in CONTROLLER_KINDS:
-            raise ConfigError(f"unknown controller {kind!r}")
+    # each config checks its kind when built, so an unknown one fails before any run
+    configs = {kind: dataclasses.replace(config, controller_kind=kind) for kind in kinds}
     results = {}
-    for kind in kinds:
-        cfg = dataclasses.replace(config, controller_kind=kind)
+    for kind, cfg in configs.items():
         traj = engine.run_closed_loop(cfg)
         metrics = engine.summarize(traj, config.behavior.vot)
         optimal = analysis.optimal_state(metrics, config.capacities.hot)
@@ -188,6 +184,11 @@ def cmd_sweep(args) -> int:
         grid = _numbers(args.values, "--values", ",")
     if (args.grid or args.values) and not grid:
         raise ConfigError("sweep grid is empty")
+    try:  # every gain, before the first run
+        for value in grid:
+            analysis.gain_spec(config, args.param, value)
+    except ConfigError as exc:
+        raise ConfigError(f"{'--grid' if args.grid else '--values'}: {exc}") from None
     if args.bisect:
         bracket = _numbers(args.bisect, "--bisect", ":")
         if len(bracket) != 2:
@@ -206,20 +207,14 @@ def cmd_sweep(args) -> int:
         # a scenario the reduced model cannot take is its own fault, not a flag's
         analysis.scenario_from_config(config)
 
-    # a gain or bracket that analysis rejects is reported under its flag
-    try:
-        rows = [(value, analysis.classify_at(config, args.param, value, args.model))
-                for value in grid]
-    except ConfigError as exc:
-        raise ConfigError(f"{'--grid' if args.grid else '--values'}: {exc}") from None
+    rows = [(value, analysis.classify_at(config, args.param, value, args.model))
+            for value in grid]
     boundary = None
     if args.bisect:
         try:
             boundary = analysis.find_phase_boundary(config, *bracket, args.resolution, args.model)
         except BoundaryNotBracketedError as exc:
             print(f"warning: {exc}", file=sys.stderr)
-        except ConfigError as exc:
-            raise ConfigError(f"--bisect: {exc}") from None
 
     header = (args.param, "pattern", "ratio_estimate",
               "fit_r2_gaussian", "fit_r2_exponential")
@@ -305,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--param", choices=tuple(analysis.GAINS), default="k2",
                    help="which controller gain to vary")
-    p.add_argument("--grid", help="START:STOP:STEP grid of gain values")
-    p.add_argument("--values", help="comma-separated gain values")
+    gains = p.add_mutually_exclusive_group()
+    gains.add_argument("--grid", help="START:STOP:STEP grid of gain values")
+    gains.add_argument("--values", help="comma-separated gain values")
     p.add_argument("--bisect", help="LOW:HIGH bracket for the pattern boundary")
     p.add_argument("--resolution", type=float, default=0.005,
                    help="bracket width at which bisection stops")

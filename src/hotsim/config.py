@@ -39,6 +39,11 @@ run may take at most ``MAX_STEPS`` steps of ``dt`` to cover the horizon.
 ``0.5 (C + C')`` of a matrix, or the scalar that scales the identity, may
 have no eigenvalue below zero by more than ``COV_EIG_TOL`` times its largest
 eigenvalue magnitude.
+
+A ``ScenarioConfig`` checks itself when it is built, by the parser or in
+code, ``dataclasses.replace`` included: each section object checks its own
+values and the config checks the rules across sections, so no scenario
+exists unchecked.
 """
 
 from __future__ import annotations
@@ -152,7 +157,7 @@ class SelfLearningSpec(_ControllerSpec):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete, validated description of one simulation scenario."""
+    """Complete description of one simulation scenario, checked when built."""
 
     capacities: Capacities = Capacities(30.0, 30.0)
     horizon: float = 20.0
@@ -169,6 +174,49 @@ class ScenarioConfig:
     seed: int = 0
     replications: int = 1
     approx_zeta0: float | None = None
+
+    def __post_init__(self) -> None:
+        # the rules no section object owns; the ConfigError (or, for HOV
+        # demand that fills the HOT lanes, ScenarioAssumptionError) names the key
+        if self.controller_kind not in CONTROLLER_KINDS:
+            raise ConfigError(f"controller.kind: expected one of "
+                              f"{', '.join(CONTROLLER_KINDS)}, got {self.controller_kind!r}")
+        horizon, dt = self.horizon, self.dt
+        if not dt > 0:  # nan is not positive either
+            raise ConfigError("run.dt must be positive")
+        if not horizon > 0:
+            raise ConfigError("run.horizon must be positive")
+        n = horizon / dt
+        if not n <= MAX_STEPS:
+            raise ConfigError(
+                f"run: horizon {horizon:g} / dt {dt:g} gives {n:.3g} steps, "
+                f"more than the cap of {MAX_STEPS}"
+            )
+        if abs(n - round(n)) > 1e-6 * max(1.0, n) or round(n) < 1:
+            raise ConfigError(
+                f"run.dt: step size {dt:g} does not divide the horizon {horizon:g} evenly"
+            )
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("run.seed must be an unsigned 64-bit integer")
+        if self.replications < 1:
+            raise ConfigError("run.replications must be at least 1")
+        for key in ("hot_queue", "gp_queue"):
+            if getattr(self, f"initial_{key}") < 0:
+                raise ConfigError(f"initial.{key} cannot be negative")
+
+        demand, hot = self.demand, self.capacities.hot
+        timeseries = demand.kind == "timeseries"
+        if timeseries and demand.samples[0][0] > 0.0:
+            raise ConfigError("demand.samples: first sample must start at t <= 0")
+        key, samples = "samples", demand.samples
+        if not timeseries:  # a mean rate holds from t = 0
+            key, samples = "hov", [(0.0, demand.mean_hov, demand.mean_sov)]
+        for t, hov, _ in samples:
+            if hov >= hot:
+                raise ScenarioAssumptionError(
+                    f"demand.{key}: HOV demand {hov:g} veh/min from t={t:g} must "
+                    f"stay below the HOT capacity {hot:g} veh/min"
+                )
 
     @property
     def controller(self):
@@ -333,50 +381,6 @@ def _leaves(node, table: dict, path: str):
             yield where, attr, value if convert is None else convert(value, where)
 
 
-def check_scenario(config: ScenarioConfig) -> None:
-    """Check the rules no section object owns; the ConfigError (or, for HOV
-    demand that fills the HOT lanes, ScenarioAssumptionError) names the key."""
-    if config.controller_kind not in CONTROLLER_KINDS:
-        raise ConfigError(f"controller.kind: expected one of "
-                          f"{', '.join(CONTROLLER_KINDS)}, got {config.controller_kind!r}")
-    horizon, dt = config.horizon, config.dt
-    if dt <= 0:
-        raise ConfigError("run.dt must be positive")
-    if horizon <= 0:
-        raise ConfigError("run.horizon must be positive")
-    n = horizon / dt
-    if n > MAX_STEPS:
-        raise ConfigError(
-            f"run: horizon {horizon:g} / dt {dt:g} gives {n:.3g} steps, "
-            f"more than the cap of {MAX_STEPS}"
-        )
-    if abs(n - round(n)) > 1e-6 * max(1.0, n) or round(n) < 1:
-        raise ConfigError(
-            f"run.dt: step size {dt:g} does not divide the horizon {horizon:g} evenly"
-        )
-    if not 0 <= config.seed < 2**64:
-        raise ConfigError("run.seed must be an unsigned 64-bit integer")
-    if config.replications < 1:
-        raise ConfigError("run.replications must be at least 1")
-    for key in ("hot_queue", "gp_queue"):
-        if getattr(config, f"initial_{key}") < 0:
-            raise ConfigError(f"initial.{key} cannot be negative")
-
-    demand, hot = config.demand, config.capacities.hot
-    timeseries = demand.kind == "timeseries"
-    if timeseries and demand.samples[0][0] > 0.0:
-        raise ConfigError("demand.samples: first sample must start at t <= 0")
-    key, samples = "samples", demand.samples
-    if not timeseries:  # a mean rate holds from t = 0
-        key, samples = "hov", [(0.0, demand.mean_hov, demand.mean_sov)]
-    for t, hov, _ in samples:
-        if hov >= hot:
-            raise ScenarioAssumptionError(
-                f"demand.{key}: HOV demand {hov:g} veh/min from t={t:g} must "
-                f"stay below the HOT capacity {hot:g} veh/min"
-            )
-
-
 def config_from_mapping(root: dict) -> ScenarioConfig:
     """Validate a plain mapping and build the scenario it describes."""
     leaves, default = list(_leaves(root, SCHEMA, "")), ScenarioConfig()
@@ -390,15 +394,12 @@ def config_from_mapping(root: dict) -> ScenarioConfig:
             fields[part] = dataclasses.replace(getattr(default, part), **values)
         except ValueError as exc:
             raise ConfigError(f"{section}.{exc}") from None
-    config = dataclasses.replace(default, **fields)
-
-    kind = config.demand.kind
+    kind = fields.get("demand", default.demand).kind
     given = {where for where, _, _ in leaves}
     for key in _unread_demand_keys(kind):
         if f"demand.{key}" in given:
             raise ConfigError(f"demand.{key}: not read by {kind} demand")
-    check_scenario(config)
-    return config
+    return dataclasses.replace(default, **fields)
 
 
 def parse_config_text(text: str) -> ScenarioConfig:

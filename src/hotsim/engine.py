@@ -179,8 +179,6 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     rng = np.random.default_rng(run_seed)
     controller = config.controller.build(caps)
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
-    if lambda1 < 0 or lambda2 < 0:
-        raise ValueError("queue sizes cannot be negative")
     has_pi = controller.has_vot_estimate
     # bound once per run, after any replacement of the module attributes
     quote, observe = controller.quote, controller.observe

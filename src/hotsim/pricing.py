@@ -4,7 +4,9 @@ Three controllers share one interface: ``quote(w, q1, q2)`` returns the toll
 for the current step from the current internal state, and
 ``observe(dt, lambda1, zeta, w, u, q1, q2, q3)`` feeds the realized step
 back into the controller.  The engine always calls them in that order, so a
-quote never sees same-step outcomes.
+quote never sees same-step outcomes.  Each also has ``vot_estimate``, its
+current estimate of the average value of time, a number when
+``has_vot_estimate`` and None otherwise.
 
 * ``VotFeedbackController`` integrates the HOT queue and residual capacity
   into an estimate of the average value of time, then inverts the logit
@@ -31,26 +33,7 @@ _PACK3 = struct.Struct("3d").pack_into
 _PACK9 = struct.Struct("9d").pack_into
 
 
-class PricingController:
-    """Behavioral contract shared by the pricing strategies."""
-
-    name = "base"
-    # whether ``vot_estimate`` is a number rather than None
-    has_vot_estimate = False
-    # current estimate of the average value of time, if the strategy has one
-    vot_estimate: float | None = None
-
-    def quote(self, w: float, q1: float, q2: float) -> float:
-        raise NotImplementedError
-
-    def observe(
-        self, dt: float, lambda1: float, zeta: float, w: float,
-        u: float, q1: float, q2: float, q3: float,
-    ) -> None:
-        raise NotImplementedError
-
-
-class VotFeedbackController(PricingController):
+class VotFeedbackController:
     """Integral estimator of the average value of time plus a logit-inverting price law.
 
     A positive HOT queue raises the estimate with gain ``queue_gain`` and
@@ -59,7 +42,6 @@ class VotFeedbackController(PricingController):
     by the operator's guess of the logit scale.
     """
 
-    name = "vot"
     has_vot_estimate = True
 
     def __init__(
@@ -101,10 +83,11 @@ class VotFeedbackController(PricingController):
         self.vot_estimate += dt * (self.queue_gain * lambda1 - self.residual_gain * zeta)
 
 
-class IntegralTollController(PricingController):
+class IntegralTollController:
     """Toll adjusted in proportion to the accumulated HOT demand error."""
 
-    name = "integral"
+    has_vot_estimate = False
+    vot_estimate = None
 
     def __init__(self, gain: float, initial_price: float, target_demand: float) -> None:
         if gain <= 0:
@@ -121,7 +104,7 @@ class IntegralTollController(PricingController):
         self.u += self.gain * (q1 + q3 - self.target_demand)
 
 
-class SelfLearningController(PricingController):
+class SelfLearningController:
     """Kalman-filtered willingness-to-pay model inverted for the price.
 
     State vector ``theta = [alpha1, alpha2, gamma]``: marginal delay utility
@@ -135,7 +118,6 @@ class SelfLearningController(PricingController):
     read are per-controller buffers, written in place.
     """
 
-    name = "selflearning"
     has_vot_estimate = True
 
     def __init__(

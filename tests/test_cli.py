@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hotsim import analysis
+from hotsim import analysis, engine
 from hotsim.cli import _json_text, main
 from hotsim.config import ScenarioConfig
 from hotsim.engine import config_fingerprint
@@ -239,6 +239,14 @@ class TestCompare:
     def test_single_controller_is_usage_error(self):
         assert run_cli("compare", "--controllers", "vot") == 2
 
+    def test_unknown_controller_fails_before_any_run(self, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a run started before every controller kind was checked")
+
+        monkeypatch.setattr(engine, "run_closed_loop", unexpected)
+        assert run_cli("compare", "--controllers", "vot,foo") == 2
+        assert capsys.readouterr().err.startswith("error: controller.kind: ")
+
     def test_identical_controllers_give_identical_summaries(self, capsys):
         assert run_cli("compare", "--controllers", "vot,vot") == 0
         payload = json.loads(capsys.readouterr().out)
@@ -299,18 +307,34 @@ class TestSweep:
                        "--bisect", bracket) == 2
         assert capsys.readouterr().err.startswith("error: --bisect: bracket ")
 
-    @pytest.mark.parametrize("bracket, gain", [("0:0.2", "k2=0"), ("-0.1:0.2", "k2=-0.1")])
+    # a bracket end or a grid point, first or last, that the controller rejects
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--grid", "0.10:0.20:0.02", "--bisect=0:0.2"],
+                     "--bisect: k2=0: residual_gain must be positive", id="0:0.2-k2=0"),
+        pytest.param(["--grid", "0.10:0.20:0.02", "--bisect=-0.1:0.2"],
+                     "--bisect: k2=-0.1: residual_gain must be positive", id="-0.1:0.2-k2=-0.1"),
+        pytest.param(["--values", "0.1,0.12,0.14,0"],
+                     "--values: k2=0: residual_gain must be positive", id="values-k2=0"),
+        pytest.param(["--grid=-0.02:0.2:0.02"],
+                     "--grid: k2=-0.02: residual_gain must be positive", id="grid-k2=-0.02"),
+        pytest.param(["--param", "k1", "--values", "0.1,-1"],
+                     "--values: k1=-1: queue_gain must be positive", id="values-k1=-1"),
+    ])
     def test_bracket_end_the_controller_rejects_fails_before_any_run(
-        self, monkeypatch, capsys, pattern_file, bracket, gain
+        self, monkeypatch, capsys, pattern_file, argv, message
     ):
         def unexpected(*args, **kwargs):
-            raise AssertionError("a run started before the bracket ends were checked")
+            raise AssertionError("a run started before every gain was checked")
 
         monkeypatch.setattr(analysis, "run_closed_loop", unexpected)
-        assert run_cli("sweep", "--config", pattern_file, "--grid", "0.10:0.20:0.02",
-                       f"--bisect={bracket}") == 2
-        assert capsys.readouterr().err == (
-            f"error: --bisect: {gain}: residual_gain must be positive\n")
+        assert run_cli("sweep", "--config", pattern_file, *argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_grid_and_values_together_is_usage_error(self, pattern_file):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("sweep", "--config", pattern_file, "--grid", "0.10:0.20:0.02",
+                    "--values", "0.1")
+        assert exit_.value.code == 2
 
 
 class TestAnalytic:

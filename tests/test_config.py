@@ -17,7 +17,7 @@ from hotsim.config import (
     load_config,
     parse_config_text,
 )
-from hotsim.engine import config_fingerprint
+from hotsim.engine import DemandProfile, config_fingerprint
 from hotsim.errors import ConfigError, ScenarioAssumptionError
 
 
@@ -168,6 +168,29 @@ class TestValidation:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/scenario.yaml")
+
+
+# one value per rule across sections, set without the parser: (fields, error, key)
+UNPARSED = [
+    ({"controller_kind": "foo"}, ConfigError, "controller.kind"),
+    ({"dt": -1 / 60}, ConfigError, "run.dt"),
+    ({"horizon": 1e9}, ConfigError, "run: horizon"),
+    ({"seed": -1}, ConfigError, "run.seed"),
+    ({"replications": 0}, ConfigError, "run.replications"),
+    ({"initial_gp_queue": -1.0}, ConfigError, "initial.gp_queue"),
+    ({"demand": DemandProfile("timeseries", samples=((1.0, 10.0, 60.0),))},
+     ConfigError, "demand.samples"),
+    ({"demand": DemandProfile(mean_hov=30.0)}, ScenarioAssumptionError, "demand.hov"),
+]
+
+
+class TestBuiltInCode:
+    @pytest.mark.parametrize("fields, error, key", UNPARSED,
+                             ids=[key for _, _, key in UNPARSED])
+    def test_replace_checks_the_rules_across_sections(self, fields, error, key):
+        # only built, never run
+        with pytest.raises(error, match=f"^{re.escape(key)}"):
+            dataclasses.replace(ScenarioConfig(), **fields)
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

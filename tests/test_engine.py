@@ -114,8 +114,9 @@ class TestClosedLoop:
         assert traj.column("pi")[-1] == pytest.approx(0.5, abs=0.01)
 
     def test_negative_initial_queue_rejected(self):
-        with pytest.raises(ValueError):
-            run_closed_loop(dataclasses.replace(S0, initial_hot_queue=-1.0))
+        # by the config when it is built, before any run
+        with pytest.raises(ConfigError, match=r"^initial\.hot_queue cannot be negative"):
+            dataclasses.replace(S0, initial_hot_queue=-1.0)
 
     def test_long_timeseries_gives_the_recorded_trajectory(self):
         # 10,000 breakpoints every 0.002 min; the digest covers every column
