@@ -53,3 +53,32 @@ def test_sweep_grid_and_bisection(tmp_path):
                  "--resolution", "0.005", "--out", str(tmp_path)]) == 0
     assert digest(tmp_path / "sweep.csv") == "10d7c706fc1c20cb"
     assert digest(tmp_path / "boundary.json") == "96b0fde980b8a8d1"
+
+
+@pytest.mark.parametrize("argv, output, expected", [
+    (["analytic"], "analytic.csv", "013420e6e51706c4"),
+    (["approx", "--config", str(SCENARIOS / "perturbed.yaml")], "approx.csv", "57320e5b5d99cee3"),
+])
+def test_reduced_and_analytic_tables(tmp_path, argv, output, expected):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert digest(tmp_path / output) == expected
+
+
+def text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_simulate_to_stdout(capsys):
+    assert main(["simulate"]) == 0
+    out, err = capsys.readouterr()
+    assert text_digest(out) == "d68490994502a419"
+    assert err == ""
+
+
+def test_sweep_to_stdout(capsys):
+    assert main(["sweep", "--config", str(SCENARIOS / "perturbed.yaml"),
+                 "--grid", "0.10:0.20:0.02", "--bisect", "0.1:0.2",
+                 "--resolution", "0.005"]) == 0
+    out, err = capsys.readouterr()
+    assert text_digest(out) == "10d7c706fc1c20cb"
+    assert err == "boundary k2=0.1484375\n"
