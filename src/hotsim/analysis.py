@@ -175,23 +175,17 @@ def _fit_r2(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def classify_convergence(
-    t: np.ndarray,
-    lambda1: np.ndarray,
-    zeta: np.ndarray,
-    queue_gain: float,
-    residual_gain: float,
-    tail_window: float | None = None,
-    floor: float = CONVERGENCE_FLOOR,
+    t: np.ndarray, lambda1: np.ndarray, zeta: np.ndarray, queue_gain: float, residual_gain: float
 ) -> ConvergenceReport:
     """Classify the tail of a trajectory as Gaussian, exponential, or neither.
 
     The decay patterns are asymptotic, so classification looks at a trailing
     window of the *active* part of the trajectory: samples after both the
-    queue and the residual capacity have fallen below ``floor`` carry no
-    information and are discarded first.  ``tail_window`` is the window
-    length in minutes (default: a quarter of the horizon).  If the queue
-    empties for good inside the window, the window is narrowed to the
-    empty-queue segment, where the Gaussian law applies.
+    queue and the residual capacity have fallen below ``CONVERGENCE_FLOOR``
+    carry no information and are discarded first.  The window spans a
+    quarter of the horizon.  If the queue empties for good inside the
+    window, the window is narrowed to the empty-queue segment, where the
+    Gaussian law applies.
 
     Gaussian requires an identically empty queue with positive residual
     capacity over the window; exponential requires a persistent queue whose
@@ -202,14 +196,13 @@ def classify_convergence(
     t = np.asarray(t, dtype=float)
     lambda1 = np.asarray(lambda1, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
-    if tail_window is None:
-        tail_window = (t[-1] - t[0]) / 4.0
+    floor = CONVERGENCE_FLOOR
 
     active = np.maximum(lambda1, np.abs(zeta)) > floor
     if not active.any():
         return ConvergenceReport(UNDETERMINED, math.nan, 0.0, 0.0)
     t_end = t[active][-1]
-    window = (t >= t_end - tail_window) & (t <= t_end)
+    window = (t >= t_end - (t[-1] - t[0]) / 4.0) & (t <= t_end)
 
     # if the queue empties for good mid-window, the Gaussian regime starts there
     lam_win = lambda1[window]
@@ -243,16 +236,11 @@ def classify_convergence(
 
 
 def classify_trajectory(
-    traj: "Trajectory",
-    queue_gain: float,
-    residual_gain: float,
-    tail_window: float | None = None,
+    traj: "Trajectory", queue_gain: float, residual_gain: float
 ) -> ConvergenceReport:
     """Classify a recorded closed-loop trajectory."""
-    return classify_convergence(
-        traj.column("t"), traj.column("lambda1"), traj.column("zeta"),
-        queue_gain, residual_gain, tail_window,
-    )
+    return classify_convergence(traj.column("t"), traj.column("lambda1"), traj.column("zeta"),
+                                queue_gain, residual_gain)
 
 
 def scenario_from_config(config: "ScenarioConfig") -> ConstantDemandScenario:

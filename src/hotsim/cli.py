@@ -38,9 +38,6 @@ from .errors import (
     ScenarioAssumptionError,
 )
 
-TRAJECTORY_COLUMNS = engine.STATE_FIELDS
-# '%.9g' writes the same text as format(x, '.9g'), nan included
-_TRAJECTORY_ROW = ",".join(["%.9g"] * len(TRAJECTORY_COLUMNS))
 # most gain values one ``sweep --grid`` may run; each is a full simulation
 MAX_GRID_POINTS = 10_000
 # exit code of each error a command reports, the first matching class wins
@@ -48,21 +45,17 @@ EXIT_CODES = ((ConfigError, 2), (ScenarioAssumptionError, 3), (PriceUndefinedErr
               (OSError, 5), (NonFiniteResultError, 6), (HotSimError, 2))
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
-
-
-def _csv_lines(header: tuple, rows) -> str:
-    """Numbers in 9 significant digits; strings as they are."""
+def _csv(header: tuple, rows, row_format: str = "") -> str:
+    """``header``, then one line per row through the %-format ``row_format``,
+    by default '%.9g' per column: 9 significant digits, nan included."""
+    row_format = row_format or ",".join(["%.9g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)
+    lines.extend(row_format % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def trajectory_csv(traj: engine.Trajectory) -> str:
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    lines.extend(_TRAJECTORY_ROW % tuple(row) for row in traj.rows())
-    return "\n".join(lines) + "\n"
+    return _csv(engine.STATE_FIELDS, traj.rows())
 
 
 def _json_text(payload) -> str:
@@ -77,6 +70,14 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(text)
     print(f"wrote {out_dir / name}")
+
+
+def _emit(args, name: str, text: str) -> None:
+    """``text`` as the file ``name`` under ``--out``, or on stdout without it."""
+    if args.out:
+        _write(Path(args.out), name, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load(args) -> ScenarioConfig:
@@ -146,10 +147,7 @@ def cmd_compare(args) -> int:
         results[kind] = dict(metrics.as_dict(), optimal_state=optimal)
     verdict = [kind for kind, summary in results.items() if summary["optimal_state"]]
     payload = {"seed": config.seed, "controllers": results, "verdict": verdict}
-    if args.out:
-        _write(Path(args.out), "compare.json", _json_text(payload))
-    else:
-        sys.stdout.write(_json_text(payload))
+    _emit(args, "compare.json", _json_text(payload))
     return 0
 
 
@@ -164,13 +162,22 @@ def _numbers(text: str, flag: str, sep: str) -> tuple[float, ...]:
     return numbers
 
 
+def _flagged(flag: str, check, *args) -> None:
+    """``check(*args)``, with ``flag`` in front of the message of a ConfigError it raises."""
+    try:
+        check(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def cmd_sweep(args) -> int:
     config = _load(args)
-    if not args.grid and not args.values and not args.bisect:
+    gridded = args.grid is not None or args.values is not None
+    if not gridded and args.bisect is None:
         raise ConfigError("sweep needs --grid, --values, or --bisect")
 
     grid: tuple[float, ...] = ()
-    if args.grid:
+    if args.grid:  # an empty --grid, like an empty --values, is an empty grid
         span = _numbers(args.grid, "--grid", ":")
         if len(span) != 3 or span[2] <= 0:
             raise ConfigError("--grid expects START:STOP:STEP with a positive step")
@@ -180,29 +187,21 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--grid: {args.grid} has more than the cap of "
                               f"{MAX_GRID_POINTS} points")
         grid = tuple(start + i * step for i in range(math.floor(max(steps, -1.0)) + 1))
-    elif args.values:
+    elif args.values is not None:
         grid = _numbers(args.values, "--values", ",")
-    if (args.grid or args.values) and not grid:
+    if gridded and not grid:
         raise ConfigError("sweep grid is empty")
-    try:  # every gain, before the first run
-        for value in grid:
-            analysis.gain_spec(config, args.param, value)
-    except ConfigError as exc:
-        raise ConfigError(f"{'--grid' if args.grid else '--values'}: {exc}") from None
-    if args.bisect:
+    flag = "--grid" if args.grid else "--values"
+    for value in grid:  # every gain, before the first run
+        _flagged(flag, analysis.gain_spec, config, args.param, value)
+    if args.bisect is not None:
         bracket = _numbers(args.bisect, "--bisect", ":")
         if len(bracket) != 2:
             raise ConfigError("--bisect expects LOW:HIGH")
         if args.param != "k2":
             raise ConfigError("bisection is supported on the residual gain (k2) only")
-        try:
-            analysis.check_bracket(config, *bracket)
-        except ConfigError as exc:
-            raise ConfigError(f"--bisect: {exc}") from None
-        try:
-            analysis.check_resolution(args.resolution)
-        except ConfigError as exc:
-            raise ConfigError(f"--resolution: {exc}") from None
+        _flagged("--bisect", analysis.check_bracket, config, *bracket)
+        _flagged("--resolution", analysis.check_resolution, args.resolution)
     if args.model == "approx":
         # a scenario the reduced model cannot take is its own fault, not a flag's
         analysis.scenario_from_config(config)
@@ -210,33 +209,26 @@ def cmd_sweep(args) -> int:
     rows = [(value, analysis.classify_at(config, args.param, value, args.model))
             for value in grid]
     boundary = None
-    if args.bisect:
+    if args.bisect is not None:
         try:
             boundary = analysis.find_phase_boundary(config, *bracket, args.resolution, args.model)
         except BoundaryNotBracketedError as exc:
             print(f"warning: {exc}", file=sys.stderr)
 
-    header = (args.param, "pattern", "ratio_estimate",
-              "fit_r2_gaussian", "fit_r2_exponential")
-    csv_text = _csv_lines(header, (
-        (value, r.pattern, r.ratio_estimate, r.fit_r2_gaussian, r.fit_r2_exponential)
-        for value, r in rows
-    ))
-
-    if args.out:
-        out = Path(args.out)
-        if rows:
-            _write(out, "sweep.csv", csv_text)
-        if args.bisect:
-            _write(out, "boundary.json", _json_text({
-                "param": args.param, "model": args.model,
-                "resolution": args.resolution, "boundary": boundary,
-            }))
-    else:
-        if rows:
-            sys.stdout.write(csv_text)
-        if boundary is not None:
-            print(f"boundary {args.param}={_fmt(boundary)}", file=sys.stderr)
+    if rows:
+        _emit(args, "sweep.csv", _csv(
+            (args.param, "pattern", "ratio_estimate", "fit_r2_gaussian", "fit_r2_exponential"),
+            ((value, r.pattern, r.ratio_estimate, r.fit_r2_gaussian, r.fit_r2_exponential)
+             for value, r in rows),
+            "%.9g,%s,%.9g,%.9g,%.9g",
+        ))
+    if args.out and args.bisect is not None:
+        _write(Path(args.out), "boundary.json", _json_text({
+            "param": args.param, "model": args.model,
+            "resolution": args.resolution, "boundary": boundary,
+        }))
+    elif boundary is not None:
+        print("boundary %s=%.9g" % (args.param, boundary), file=sys.stderr)
     return 0
 
 
@@ -247,11 +239,7 @@ def cmd_analytic(args) -> int:
     scen = analysis.scenario_from_config(config)
     times = [k * config.dt for k in range(config.n_steps + 1)]
     rows = ((t, analysis.analytic_optimal_price(t, scen)) for t in times)
-    text = _csv_lines(("t", "u_analytic"), rows)
-    if args.out:
-        _write(Path(args.out), "analytic.csv", text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, "analytic.csv", _csv(("t", "u_analytic"), rows))
     return 0
 
 
@@ -259,12 +247,7 @@ def cmd_approx(args) -> int:
     t, lam, zeta = analysis.approximate_from_config(_load(args))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(zeta) > 0.0, lam / zeta, math.nan)
-    rows = zip(t, lam, zeta, ratio)
-    text = _csv_lines(("t", "lambda1", "zeta", "ratio"), rows)
-    if args.out:
-        _write(Path(args.out), "approx.csv", text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, "approx.csv", _csv(("t", "lambda1", "zeta", "ratio"), zip(t, lam, zeta, ratio)))
     return 0
 
 

@@ -59,7 +59,7 @@ import numpy as np
 import yaml
 
 from .choice import BehaviorParams, NoiseSpec, induced_residual_capacity
-from .engine import DemandProfile
+from .engine import DemandProfile, check_seeds
 from .errors import ConfigError, ScenarioAssumptionError
 from .pricing import (
     IntegralTollController,
@@ -196,10 +196,9 @@ class ScenarioConfig:
             raise ConfigError(
                 f"run.dt: step size {dt:g} does not divide the horizon {horizon:g} evenly"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("run.seed must be an unsigned 64-bit integer")
         if self.replications < 1:
             raise ConfigError("run.replications must be at least 1")
+        check_seeds(self.seed, self.replications)  # replication i runs at seed + i
         for key in ("hot_queue", "gp_queue"):
             if getattr(self, f"initial_{key}") < 0:
                 raise ConfigError(f"initial.{key} cannot be negative")
@@ -238,7 +237,7 @@ class ScenarioConfig:
         caps = self.capacities
         w0 = self.initial_gp_queue / caps.gp - self.initial_hot_queue / caps.hot
         q1, q2 = self.demand.mean_hov, self.demand.mean_sov
-        u0 = self.vot_spec.build(caps).price(w0, q1, q2)
+        u0 = self.vot_spec.build(caps).quote(w0, q1, q2)
         return induced_residual_capacity(caps.hot, q1, q2, u0, w0, 0.0, self.behavior)
 
     def to_mapping(self) -> dict:

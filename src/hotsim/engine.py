@@ -83,9 +83,7 @@ class DemandProfile:
         return tuple(s[0] for s in self.samples)
 
 
-def demand_at(
-    profile: DemandProfile, t: float, dt: float, rng: np.random.Generator
-) -> tuple[float, float]:
+def demand_at(profile: DemandProfile, t: float, rng: np.random.Generator) -> tuple[float, float]:
     """Demand rates (HOV, SOV) in veh/min for the step starting at ``t``."""
     if profile.kind == "constant":
         return profile.mean_hov, profile.mean_sov
@@ -167,6 +165,14 @@ def config_fingerprint(config: "ScenarioConfig", seed: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def check_seeds(seed: int, count: int) -> None:
+    """Reject ``count`` runs from ``seed`` unless every run's seed, ``seed + i``
+    for run ``i``, is an unsigned 64-bit integer, as numpy's generators take."""
+    if not 0 <= seed <= 2**64 - count:
+        raise ConfigError(f"run.seed: seeds {seed} to {seed + count - 1} of {count} run(s) "
+                          f"must be unsigned 64-bit integers")
+
+
 def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajectory:
     """Simulate one closed-loop run and return its trajectory.
 
@@ -176,6 +182,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     caps, dt, n_steps = config.capacities, config.dt, config.n_steps
     demand, noise, behavior = config.demand, config.noise, config.behavior
     run_seed = config.seed if seed is None else seed
+    check_seeds(run_seed, 1)
     rng = np.random.default_rng(run_seed)
     controller = config.controller.build(caps)
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
@@ -190,7 +197,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     demand_varies = demand.kind != "constant"
     noise_varies = noise.kind != "none"
     if not demand_varies:
-        q1, q2 = demand_at(demand, 0.0, dt, rng)
+        q1, q2 = demand_at(demand, 0.0, rng)
     if not noise_varies:
         eta = sample_eta(noise, rng)
 
@@ -203,7 +210,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                 t = k * dt
                 _, _, w = queuing_times(lambda1, lambda2, caps)
                 if demand_varies:
-                    q1, q2 = demand_at(demand, t, dt, rng)
+                    q1, q2 = demand_at(demand, t, rng)
                 if noise_varies:
                     eta = sample_eta(noise, rng)
                 if q2 > 0.0:

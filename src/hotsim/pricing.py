@@ -44,14 +44,8 @@ class VotFeedbackController:
 
     has_vot_estimate = True
 
-    def __init__(
-        self,
-        hot_capacity: float,
-        queue_gain: float,
-        residual_gain: float,
-        scale_guess: float = 1.0,
-        initial_vot: float = 0.25,
-    ) -> None:
+    def __init__(self, hot_capacity: float, queue_gain: float, residual_gain: float,
+                 scale_guess: float, initial_vot: float) -> None:
         for key, value in (("queue_gain", queue_gain), ("residual_gain", residual_gain),
                            ("scale_guess", scale_guess)):
             if not value > 0:  # nan is not positive either
@@ -62,7 +56,7 @@ class VotFeedbackController:
         self.scale_guess = scale_guess
         self.vot_estimate = initial_vot
 
-    def price(self, w: float, q1: float, q2: float) -> float:
+    def quote(self, w: float, q1: float, q2: float) -> float:
         c1 = self.hot_capacity
         # log term requires q1 < c1 < q1 + q2
         if q1 >= c1:
@@ -75,8 +69,6 @@ class VotFeedbackController:
                 f"{c1:g} veh/min; the corridor is not congested"
             )
         return self.vot_estimate * w + math.log((q1 + q2 - c1) / (c1 - q1)) / self.scale_guess
-
-    quote = price
 
     def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
         # one explicit Euler step of the estimator
@@ -120,14 +112,8 @@ class SelfLearningController:
 
     has_vot_estimate = True
 
-    def __init__(
-        self,
-        hot_capacity: float,
-        initial_theta,
-        initial_cov,
-        measurement_var: float = 0.09,
-        process_noise=1e-6,
-    ) -> None:
+    def __init__(self, hot_capacity: float, initial_theta, initial_cov,
+                 measurement_var: float, process_noise) -> None:
         if measurement_var <= 0:
             raise ValueError("measurement_var must be positive")
         self.hot_capacity = hot_capacity
@@ -231,7 +217,7 @@ class SelfLearningController:
             s02 + n20, s12 + n21, d2 + n22,
         )
 
-    def price(self, w: float, q1: float, q2: float) -> float:
+    def quote(self, w: float, q1: float, q2: float) -> float:
         alpha1, alpha2, gamma = self._coef
         if -ALPHA2_FLOOR < alpha2 < ALPHA2_FLOOR:  # abs(alpha2) < floor
             raise PriceUndefinedError(
@@ -244,8 +230,6 @@ class SelfLearningController:
                 f"between 0 and the SOV demand {q2:g} veh/min"
             )
         return (math.log((q2 - target) / target) + alpha1 * w - gamma) / alpha2
-
-    quote = price
 
 
 def _quiet_divide(values, divisor: float) -> list:

@@ -101,7 +101,7 @@ def test_ingest_clamps_the_measurement_as_the_builtins(monkeypatch, q2, q3):
     ratios = []
     monkeypatch.setattr(pricing, "math", SimpleNamespace(log=lambda x: ratios.append(x) or 0.0))
     ctrl = SelfLearningController(hot_capacity=30.0, initial_theta=(0.25, 1.0, 0.1),
-                                  initial_cov=0.1)
+                                  initial_cov=0.1, measurement_var=0.09, process_noise=1e-6)
     ctrl.observe(1.0 / 60.0, 1.0, 0.5, 0.5, 4.0, 10.0, q2, q3)
     margin = 1e-6 * q2
     clamped = min(max(q3, margin), q2 - margin)

@@ -113,6 +113,12 @@ class TestExitCodes:
     def test_missing_config_file(self):
         assert run_cli("simulate", "--config", "/nope.yaml") == 2
 
+    def test_replication_seed_past_the_64_bit_cap(self, scenario_file, capsys):
+        # replication 1 would run at seed 2**64
+        config = scenario_file("run: {seed: 18446744073709551615, replications: 2}\n")
+        assert run_cli("simulate", "--config", config) == 2
+        assert capsys.readouterr().err.startswith("error: run.seed: ")
+
     def test_assumption_violation_at_parse(self, scenario_file):
         config = scenario_file("demand: {hov: 35.0}\n")
         assert run_cli("simulate", "--config", config) == 3
@@ -291,6 +297,11 @@ class TestSweep:
 
     def test_empty_grid_is_usage_error(self, pattern_file):
         assert run_cli("sweep", "--config", pattern_file, "--values", "") == 2
+
+    @pytest.mark.parametrize("flag", ["--values", "--grid"])
+    def test_blank_grid_flag_is_an_empty_grid(self, capsys, pattern_file, flag):
+        assert run_cli("sweep", "--config", pattern_file, flag, "") == 2
+        assert capsys.readouterr().err == "error: sweep grid is empty\n"
 
     def test_missing_parameter_spec_is_usage_error(self, pattern_file):
         assert run_cli("sweep", "--config", pattern_file) == 2

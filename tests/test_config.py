@@ -192,6 +192,11 @@ class TestBuiltInCode:
         with pytest.raises(error, match=f"^{re.escape(key)}"):
             dataclasses.replace(ScenarioConfig(), **fields)
 
+    def test_last_replication_seed_within_64_bits(self):
+        ScenarioConfig(seed=2**64 - 2, replications=2)
+        with pytest.raises(ConfigError, match="^run.seed"):
+            ScenarioConfig(seed=2**64 - 1, replications=2)
+
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 

@@ -37,17 +37,17 @@ class TestDemandAt:
     def test_constant_profile(self):
         rng = np.random.default_rng(0)
         profile = DemandProfile(kind="constant", mean_hov=10.0, mean_sov=60.0)
-        assert demand_at(profile, 3.0, 1 / 60, rng) == (10.0, 60.0)
+        assert demand_at(profile, 3.0, rng) == (10.0, 60.0)
 
     def test_zero_demand(self):
         rng = np.random.default_rng(0)
         profile = DemandProfile(kind="constant", mean_hov=0.0, mean_sov=0.0)
-        assert demand_at(profile, 0.0, 1 / 60, rng) == (0.0, 0.0)
+        assert demand_at(profile, 0.0, rng) == (0.0, 0.0)
 
     def test_poisson_sample_mean(self):
         rng = np.random.default_rng(42)
         profile = DemandProfile(kind="poisson", mean_hov=10.0, mean_sov=60.0)
-        draws = [demand_at(profile, k / 60, 1 / 60, rng) for k in range(1200)]
+        draws = [demand_at(profile, k / 60, rng) for k in range(1200)]
         hov = np.array([d[0] for d in draws])
         assert abs(hov.mean() - 10.0) < 1.5
 
@@ -57,15 +57,15 @@ class TestDemandAt:
             kind="timeseries",
             samples=((0.0, 10.0, 60.0), (5.0, 12.0, 55.0)),
         )
-        assert demand_at(profile, 4.99, 1 / 60, rng) == (10.0, 60.0)
-        assert demand_at(profile, 5.0, 1 / 60, rng) == (12.0, 55.0)
-        assert demand_at(profile, 19.0, 1 / 60, rng) == (12.0, 55.0)
+        assert demand_at(profile, 4.99, rng) == (10.0, 60.0)
+        assert demand_at(profile, 5.0, rng) == (12.0, 55.0)
+        assert demand_at(profile, 19.0, rng) == (12.0, 55.0)
 
     def test_timeseries_lookup_before_first_sample(self):
         rng = np.random.default_rng(0)
         profile = DemandProfile(kind="timeseries", samples=((1.0, 10.0, 60.0),))
         with pytest.raises(ConfigError):
-            demand_at(profile, 0.5, 1 / 60, rng)
+            demand_at(profile, 0.5, rng)
 
 
 class TestClosedLoop:
@@ -117,6 +117,11 @@ class TestClosedLoop:
         # by the config when it is built, before any run
         with pytest.raises(ConfigError, match=r"^initial\.hot_queue cannot be negative"):
             dataclasses.replace(S0, initial_hot_queue=-1.0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_override_outside_64_bits_is_config_error(self, seed):
+        with pytest.raises(ConfigError, match=r"^run\.seed: "):
+            run_closed_loop(S0, seed=seed)
 
     def test_long_timeseries_gives_the_recorded_trajectory(self):
         # 10,000 breakpoints every 0.002 min; the digest covers every column

@@ -62,27 +62,27 @@ class TestVotEstimator:
 
 class TestVotPrice:
     def test_reference_price_at_twenty_minutes(self):
-        u = vot_controller().price(20.0 / 3.0, 10.0, 60.0)
+        u = vot_controller().quote(20.0 / 3.0, 10.0, 60.0)
         assert u == pytest.approx(10.0 / 3.0 + math.log(2.0), rel=1e-12)
         assert u == pytest.approx(4.0265, abs=5e-4)
 
     def test_zero_delay_gives_log_term(self):
-        assert vot_controller().price(0.0, 10.0, 60.0) == pytest.approx(
+        assert vot_controller().quote(0.0, 10.0, 60.0) == pytest.approx(
             math.log(2.0), rel=1e-12
         )
 
     def test_scale_guess_shrinks_log_term(self):
-        u = vot_controller(scale_guess=1.2).price(20.0 / 3.0, 10.0, 60.0)
+        u = vot_controller(scale_guess=1.2).quote(20.0 / 3.0, 10.0, 60.0)
         assert u == pytest.approx(10.0 / 3.0 + math.log(2.0) / 1.2, rel=1e-12)
         assert u == pytest.approx(3.9110, abs=5e-4)
 
     def test_uncongested_demand_rejected(self):
         with pytest.raises(ScenarioAssumptionError):
-            vot_controller().price(0.0, 10.0, 10.0)
+            vot_controller().quote(0.0, 10.0, 10.0)
 
     def test_saturating_hov_demand_rejected(self):
         with pytest.raises(ScenarioAssumptionError):
-            vot_controller().price(0.0, 30.0, 60.0)
+            vot_controller().quote(0.0, 30.0, 60.0)
 
 
 def observe_hot_demand(ctrl, q1, q3):
@@ -207,7 +207,7 @@ class TestSelfLearningFilter:
                 assert type(ctrl.vot_estimate) is float
                 assert bits(ctrl.vot_estimate) == bits(ref.vot_estimate())
                 # q1 = 10 leaves 20 veh/min to fill by paying SOVs: some q2 cannot
-                assert outcome(ctrl.price, w, 10.0, q2) == outcome(ref.price, w, 10.0, q2)
+                assert outcome(ctrl.quote, w, 10.0, q2) == outcome(ref.quote, w, 10.0, q2)
 
 
 def bits(x):
@@ -250,7 +250,7 @@ class ReferenceFilter:
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.theta[0] / self.theta[1]
 
-    def price(self, w, q1, q2):
+    def quote(self, w, q1, q2):
         alpha1, alpha2, gamma = self.theta
         if abs(alpha2) < 1e-6:
             raise PriceUndefinedError("alpha2")
@@ -327,29 +327,29 @@ def test_draw_combinations_are_bit_identical(source, expected, kind):
 class TestSelfLearningPrice:
     def test_reference_price_at_twenty_minutes(self):
         ctrl = learner(initial_theta=(0.5, 1.0, 0.0))
-        u = ctrl.price(20.0 / 3.0, 10.0, 60.0)
+        u = ctrl.quote(20.0 / 3.0, 10.0, 60.0)
         assert u == pytest.approx(math.log(2.0) + 10.0 / 3.0, rel=1e-12)
         assert u == pytest.approx(4.0265, abs=5e-4)
 
     def test_zero_delay_gives_log_term(self):
         ctrl = learner(initial_theta=(0.5, 1.0, 0.0))
-        assert ctrl.price(0.0, 10.0, 60.0) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert ctrl.quote(0.0, 10.0, 60.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_bias_shifts_price_linearly(self):
         delta = 0.3
-        base = learner(initial_theta=(0.5, 1.0, 0.0)).price(1.0, 10.0, 60.0)
-        shifted = learner(initial_theta=(0.5, 1.0, delta)).price(1.0, 10.0, 60.0)
+        base = learner(initial_theta=(0.5, 1.0, 0.0)).quote(1.0, 10.0, 60.0)
+        shifted = learner(initial_theta=(0.5, 1.0, delta)).quote(1.0, 10.0, 60.0)
         assert shifted == pytest.approx(base - delta, rel=1e-12)
 
     def test_degenerate_price_sensitivity_fails(self):
         ctrl = learner(initial_theta=(0.5, 0.0, 0.0))
         with pytest.raises(PriceUndefinedError):
-            ctrl.price(1.0, 10.0, 60.0)
+            ctrl.quote(1.0, 10.0, 60.0)
 
     def test_target_outside_demand_rejected(self):
         ctrl = learner()
         with pytest.raises(ScenarioAssumptionError):
-            ctrl.price(1.0, 10.0, 15.0)  # needs 20 paying out of 15 SOVs
+            ctrl.quote(1.0, 10.0, 15.0)  # needs 20 paying out of 15 SOVs
 
 
 class TestControllerInterface:
