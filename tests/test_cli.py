@@ -231,6 +231,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: constant-demand analysis needs a demand profile with mean rates\n")
 
+    @pytest.mark.parametrize("sov", [45, 15])
+    @pytest.mark.parametrize("argv", [
+        ["analytic"], ["approx"],
+        ["sweep", "--model", "approx", "--values", "0.1"],
+        ["sweep", "--model", "approx", "--bisect", "0.1:0.2"],
+    ], ids=" ".join)
+    def test_uncongested_scenario_fails_the_analysis(self, capsys, scenario_file, argv, sov):
+        # total demand at or below the total capacity; at sov 15 also below
+        # the HOT capacity, which the reduced model's seed quote meets first
+        config = scenario_file(f"demand: {{hov: 10, sov: {sov}}}\n")
+        assert run_cli(*argv, "--config", config) == 3
+        message = f"total demand {10 + sov} must exceed the total capacity 60"
+        if argv == ["approx"] and sov == 15:
+            message = ("total demand 25 veh/min does not exceed the HOT capacity 30 veh/min; "
+                       "the corridor is not congested")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestCompare:
     def test_only_the_vot_controller_reaches_the_optimum(self, tmp_path):
