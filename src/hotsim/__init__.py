@@ -6,7 +6,6 @@ machinery for their convergence behavior.
 """
 
 from .analysis import (
-    ConstantDemandScenario,
     ConvergenceReport,
     analytic_optimal_price,
     classify_convergence,

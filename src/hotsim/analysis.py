@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .choice import induced_residual_capacity
 from .engine import run_closed_loop
 from .errors import BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError
 
@@ -39,54 +40,44 @@ OPTIMAL_QUEUE_TOL = 1e-3        # veh, final HOT queue
 OPTIMAL_THROUGHPUT_TOL = 0.5    # veh/min, average HOT throughput below capacity
 
 
-@dataclass(frozen=True)
-class ConstantDemandScenario:
-    """Constant-demand corridor satisfying the congested-regime assumptions."""
-
-    q1: float
-    q2: float
-    c1: float
-    c2: float
-    vot: float
-    scale: float
-
-    def __post_init__(self) -> None:
-        if self.q1 >= self.c1:
-            raise ScenarioAssumptionError(
-                f"HOV demand {self.q1:g} must stay below the HOT capacity {self.c1:g}"
-            )
-        if self.q1 + self.q2 <= self.c1 + self.c2:
-            raise ScenarioAssumptionError(
-                f"total demand {self.q1 + self.q2:g} must exceed the total "
-                f"capacity {self.c1 + self.c2:g}"
-            )
+def _congested_means(config: "ScenarioConfig") -> tuple[float, float, float, float]:
+    """Mean demand rates and capacities ``(q1, q2, c1, c2)`` of ``config``
+    (Poisson profiles use their means), which must be congested: its total
+    demand exceeds its total capacity."""
+    if config.demand.kind == "timeseries":
+        raise ConfigError(
+            "constant-demand analysis needs a demand profile with mean rates"
+        )
+    q1, q2 = config.demand.mean_hov, config.demand.mean_sov
+    c1, c2 = config.capacities.hot, config.capacities.gp
+    if q1 + q2 <= c1 + c2:
+        raise ScenarioAssumptionError(
+            f"total demand {q1 + q2:g} must exceed the total capacity {c1 + c2:g}"
+        )
+    return q1, q2, c1, c2
 
 
-def analytic_optimal_price(t: float, scen: ConstantDemandScenario) -> float:
+def analytic_optimal_price(t: float, config: "ScenarioConfig") -> float:
     """Price that keeps the HOT lanes exactly full at time ``t``.
 
     Affine in ``t``: the slope is the value of the GP queue's growth rate in
     delay terms, the intercept the demand-split log term.
     """
-    slope = (scen.q1 + scen.q2 - scen.c1 - scen.c2) / scen.c2 * scen.vot
-    intercept = math.log((scen.q1 + scen.q2 - scen.c1) / (scen.c1 - scen.q1)) / scen.scale
+    q1, q2, c1, c2 = _congested_means(config)
+    slope = (q1 + q2 - c1 - c2) / c2 * config.behavior.vot
+    intercept = math.log((q1 + q2 - c1) / (c1 - q1)) / config.behavior.scale
     return slope * t + intercept
 
 
-def loop_gain_rate(scen: ConstantDemandScenario) -> float:
+def loop_gain_rate(config: "ScenarioConfig") -> float:
     """Growth rate of the estimator-to-residual loop gain, per (min·veh).
 
     The residual capacity's sensitivity to the estimation error grows
     linearly in time because the GP queue (and with it the queuing-time
     difference) grows linearly; this factor is the rate of that growth.
     """
-    return (
-        scen.scale
-        * (scen.q1 + scen.q2 - scen.c1 - scen.c2)
-        * (scen.q1 + scen.q2 - scen.c1)
-        * (scen.c1 - scen.q1)
-        / (scen.c2 * scen.q2)
-    )
+    q1, q2, c1, c2 = _congested_means(config)
+    return config.behavior.scale * (q1 + q2 - c1 - c2) * (q1 + q2 - c1) * (c1 - q1) / (c2 * q2)
 
 
 def step_approximate(
@@ -243,20 +234,19 @@ def classify_trajectory(
                                 queue_gain, residual_gain)
 
 
-def scenario_from_config(config: "ScenarioConfig") -> ConstantDemandScenario:
-    """Constant-demand view of a scenario (Poisson profiles use their means)."""
-    if config.demand.kind == "timeseries":
-        raise ConfigError(
-            "constant-demand analysis needs a demand profile with mean rates"
-        )
-    return ConstantDemandScenario(
-        q1=config.demand.mean_hov,
-        q2=config.demand.mean_sov,
-        c1=config.capacities.hot,
-        c2=config.capacities.gp,
-        vot=config.behavior.vot,
-        scale=config.behavior.scale,
-    )
+def approx_initial_zeta(config: "ScenarioConfig") -> float:
+    """Residual capacity seeding the reduced model.
+
+    Explicit ``approx.zeta0`` wins; otherwise derived from the
+    closed-loop quantities at t = 0 under the mean demand rates.
+    """
+    if config.approx_zeta0 is not None:
+        return config.approx_zeta0
+    caps = config.capacities
+    w0 = config.initial_gp_queue / caps.gp - config.initial_hot_queue / caps.hot
+    q1, q2 = config.demand.mean_hov, config.demand.mean_sov
+    u0 = config.vot_spec.build(caps).quote(w0, q1, q2)
+    return induced_residual_capacity(caps.hot, q1, q2, u0, w0, 0.0, config.behavior)
 
 
 def approximate_from_config(config: "ScenarioConfig") -> tuple[np.ndarray, ...]:
@@ -264,9 +254,9 @@ def approximate_from_config(config: "ScenarioConfig") -> tuple[np.ndarray, ...]:
     queue and residual capacity, with its vot controller's gains."""
     spec = config.vot_spec
     return run_approximate(
-        config.initial_hot_queue, config.approx_initial_zeta(),
+        config.initial_hot_queue, approx_initial_zeta(config),
         spec.queue_gain, spec.residual_gain,
-        loop_gain_rate(scenario_from_config(config)), config.horizon, config.dt,
+        loop_gain_rate(config), config.horizon, config.dt,
     )
 
 

@@ -81,18 +81,12 @@ def induced_residual_capacity(
     return traffic.residual_capacity(c1, q1, paying_demand(q2, u, w, eta, params))
 
 
-def sample_eta(
-    noise: NoiseSpec, rng: np.random.Generator, size: int | None = None
-) -> float | np.ndarray:
-    """Draw one choice disturbance from the run's random stream.
-
-    With ``size``, return an array of the next ``size`` draws: the values
-    that ``size`` scalar calls would return, in the same order.
-    """
+def sample_eta(noise: NoiseSpec, rng: np.random.Generator) -> float:
+    """Draw one choice disturbance from the run's random stream."""
     if noise.kind == "none":
-        return 0.0 if size is None else np.zeros(size)
+        return 0.0
     # numpy's uniform(low, high) is exactly low + (high - low) * random(),
     # so this consumes the stream and rounds as uniform does, at a third of
     # the cost of a scalar uniform call
     low, high = -noise.half_width, noise.half_width
-    return low + (high - low) * rng.random(size)
+    return low + (high - low) * rng.random()

@@ -204,7 +204,7 @@ def cmd_sweep(args) -> int:
         _flagged("--resolution", analysis.check_resolution, args.resolution)
     if args.model == "approx":
         # a scenario the reduced model cannot take is its own fault, not a flag's
-        analysis.scenario_from_config(config)
+        analysis.loop_gain_rate(config)
 
     rows = [(value, analysis.classify_at(config, args.param, value, args.model))
             for value in grid]
@@ -236,9 +236,8 @@ def cmd_analytic(args) -> int:
     config = _load(args)
     if config.demand.kind != "constant":
         raise ConfigError("the analytic price requires constant demand")
-    scen = analysis.scenario_from_config(config)
     times = [k * config.dt for k in range(config.n_steps + 1)]
-    rows = ((t, analysis.analytic_optimal_price(t, scen)) for t in times)
+    rows = ((t, analysis.analytic_optimal_price(t, config)) for t in times)
     _emit(args, "analytic.csv", _csv(("t", "u_analytic"), rows))
     return 0
 

@@ -28,8 +28,8 @@ rejected with their dotted path.
 ``dt`` accepts a float or a fraction string like ``"1/60"``.  A demand key
 that the demand kind does not read (``samples`` for constant or Poisson
 demand, ``hov`` and ``sov`` for timeseries) is an error.  ``approx.zeta0``
-seeds the reduced model; when null it is derived from the closed-loop state
-at t = 0.
+seeds the reduced model; when null, ``analysis.approx_initial_zeta`` derives
+it from the closed-loop state at t = 0.
 
 Every number must be finite; NaN and infinities are rejected with the dotted
 path of their key.  Exponent floats such as ``1e6`` or ``2.5e-3`` read as
@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .choice import BehaviorParams, NoiseSpec, induced_residual_capacity
+from .choice import BehaviorParams, NoiseSpec
 from .engine import DemandProfile, check_seeds
 from .errors import ConfigError, ScenarioAssumptionError
 from .pricing import (
@@ -225,20 +225,6 @@ class ScenarioConfig:
     @property
     def n_steps(self) -> int:
         return round(self.horizon / self.dt)
-
-    def approx_initial_zeta(self) -> float:
-        """Residual capacity seeding the reduced model.
-
-        Explicit ``approx.zeta0`` wins; otherwise derived from the
-        closed-loop quantities at t = 0 under the mean demand rates.
-        """
-        if self.approx_zeta0 is not None:
-            return self.approx_zeta0
-        caps = self.capacities
-        w0 = self.initial_gp_queue / caps.gp - self.initial_hot_queue / caps.hot
-        q1, q2 = self.demand.mean_hov, self.demand.mean_sov
-        u0 = self.vot_spec.build(caps).quote(w0, q1, q2)
-        return induced_residual_capacity(caps.hot, q1, q2, u0, w0, 0.0, self.behavior)
 
     def to_mapping(self) -> dict:
         """Canonical plain-data form, used for fingerprints: every ``SCHEMA``

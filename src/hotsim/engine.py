@@ -28,6 +28,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -166,8 +167,14 @@ def config_fingerprint(config: "ScenarioConfig", seed: int) -> str:
 
 
 def check_seeds(seed: int, count: int) -> None:
-    """Reject ``count`` runs from ``seed`` unless every run's seed, ``seed + i``
-    for run ``i``, is an unsigned 64-bit integer, as numpy's generators take."""
+    """Reject ``count`` runs from ``seed`` unless both are integers (numpy's
+    included) and every run's seed, ``seed + i`` for run ``i``, is an unsigned
+    64-bit integer, as numpy's generators take."""
+    try:
+        seed, count = operator.index(seed), operator.index(count)
+    except TypeError:
+        raise ConfigError(f"run.seed: seed {seed!r} and run count {count!r} "
+                          f"must be integers") from None
     if not 0 <= seed <= 2**64 - count:
         raise ConfigError(f"run.seed: seeds {seed} to {seed + count - 1} of {count} run(s) "
                           f"must be unsigned 64-bit integers")
@@ -186,7 +193,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     rng = np.random.default_rng(run_seed)
     controller = config.controller.build(caps)
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
-    has_pi = controller.has_vot_estimate
+    has_pi = controller.vot_estimate is not None
     # bound once per run, after any replacement of the module attributes
     quote, observe = controller.quote, controller.observe
     queuing_times, residual_capacity = traffic.queuing_times, traffic.residual_capacity

@@ -5,8 +5,8 @@ for the current step from the current internal state, and
 ``observe(dt, lambda1, zeta, w, u, q1, q2, q3)`` feeds the realized step
 back into the controller.  The engine always calls them in that order, so a
 quote never sees same-step outcomes.  Each also has ``vot_estimate``, its
-current estimate of the average value of time, a number when
-``has_vot_estimate`` and None otherwise.
+current estimate of the average value of time, or None for a strategy that
+keeps none.
 
 * ``VotFeedbackController`` integrates the HOT queue and residual capacity
   into an estimate of the average value of time, then inverts the logit
@@ -42,8 +42,6 @@ class VotFeedbackController:
     by the operator's guess of the logit scale.
     """
 
-    has_vot_estimate = True
-
     def __init__(self, hot_capacity: float, queue_gain: float, residual_gain: float,
                  scale_guess: float, initial_vot: float) -> None:
         for key, value in (("queue_gain", queue_gain), ("residual_gain", residual_gain),
@@ -78,7 +76,6 @@ class VotFeedbackController:
 class IntegralTollController:
     """Toll adjusted in proportion to the accumulated HOT demand error."""
 
-    has_vot_estimate = False
     vot_estimate = None
 
     def __init__(self, gain: float, initial_price: float, target_demand: float) -> None:
@@ -109,8 +106,6 @@ class SelfLearningController:
     built from them when read.  The arrays the six matrix products of a step
     read are per-controller buffers, written in place.
     """
-
-    has_vot_estimate = True
 
     def __init__(self, hot_capacity: float, initial_theta, initial_cov,
                  measurement_var: float, process_noise) -> None:

@@ -12,7 +12,6 @@ import pytest
 
 import hotsim
 from hotsim.analysis import (
-    ConstantDemandScenario,
     classify_trajectory,
     find_phase_boundary,
     gaussian_tail,
@@ -32,8 +31,6 @@ from hotsim.traffic import (
 )
 
 S0 = ScenarioConfig()
-S0_SCEN = ConstantDemandScenario(q1=10.0, q2=60.0, c1=30.0, c2=30.0,
-                                 vot=0.5, scale=1.0)
 
 
 def check(criterion: str, clauses: dict) -> None:
@@ -63,8 +60,8 @@ def hold_time(t, values, target, tol):
 
 
 def test_criterion_01_analytic_price():
-    u0 = hotsim.analytic_optimal_price(0.0, S0_SCEN)
-    u20 = hotsim.analytic_optimal_price(20.0, S0_SCEN)
+    u0 = hotsim.analytic_optimal_price(0.0, S0)
+    u20 = hotsim.analytic_optimal_price(20.0, S0)
     check("01 analytic price", {
         f"u(0)={u0:.6f} is log 2": abs(u0 - math.log(2.0)) < 1e-12,
         f"u(20)={u20:.6f} in 4.0265±1e-3": abs(u20 - 4.0265) < 1e-3,
@@ -167,7 +164,7 @@ def test_criterion_08_phase_boundary():
 
 
 def test_criterion_09_approximate_model():
-    beta = loop_gain_rate(S0_SCEN)
+    beta = loop_gain_rate(S0)
     _, _, zeta_low = run_approximate(1.0, 0.11, 0.1, 0.1, beta, 20.0, 1 / 60)
     _, _, zeta_high = run_approximate(1.0, 0.11, 0.1, 0.2, beta, 20.0, 1 / 60)
 

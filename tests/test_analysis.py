@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hotsim.analysis import (
-    ConstantDemandScenario,
     analytic_optimal_price,
     approximate_from_config,
     classify_at,
@@ -21,12 +20,13 @@ from hotsim.analysis import (
     run_approximate,
     step_approximate,
 )
+from hotsim.choice import BehaviorParams
 from hotsim.config import ScenarioConfig, VotControllerSpec
-from hotsim.engine import SummaryMetrics, run_closed_loop
+from hotsim.engine import DemandProfile, SummaryMetrics, run_closed_loop
 from hotsim.errors import BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError
+from hotsim.traffic import Capacities
 
-S0_SCEN = ConstantDemandScenario(q1=10.0, q2=60.0, c1=30.0, c2=30.0,
-                                 vot=0.5, scale=1.0)
+S0 = ScenarioConfig()
 BETA0 = 40.0 / 9.0
 
 
@@ -39,42 +39,46 @@ def pattern_config(residual_gain):
 
 class TestAnalyticPrice:
     def test_intercept_is_log_two(self):
-        assert analytic_optimal_price(0.0, S0_SCEN) == pytest.approx(
+        assert analytic_optimal_price(0.0, S0) == pytest.approx(
             math.log(2.0), rel=1e-12
         )
 
     def test_value_at_twenty_minutes(self):
-        u = analytic_optimal_price(20.0, S0_SCEN)
+        u = analytic_optimal_price(20.0, S0)
         assert u == pytest.approx(10.0 / 3.0 + math.log(2.0), rel=1e-12)
         assert u == pytest.approx(4.0265, abs=1e-3)
 
     def test_zero_vot_removes_time_dependence(self):
-        scen = dataclasses.replace(S0_SCEN, vot=1e-12)
+        scen = dataclasses.replace(S0, behavior=BehaviorParams(1e-12, 1.0))
         assert analytic_optimal_price(5.0, scen) == pytest.approx(
             analytic_optimal_price(15.0, scen), rel=1e-9
         )
 
     def test_affine_with_exact_slope(self):
         slope = (10.0 + 60.0 - 60.0) / 30.0 * 0.5
-        u5 = analytic_optimal_price(5.0, S0_SCEN)
-        u17 = analytic_optimal_price(17.0, S0_SCEN)
+        u5 = analytic_optimal_price(5.0, S0)
+        u17 = analytic_optimal_price(17.0, S0)
         assert (u17 - u5) / 12.0 == pytest.approx(slope, rel=1e-12)
 
     def test_assumptions_validated(self):
-        with pytest.raises(ScenarioAssumptionError):
-            ConstantDemandScenario(q1=30.0, q2=60.0, c1=30.0, c2=30.0,
-                                   vot=0.5, scale=1.0)
-        with pytest.raises(ScenarioAssumptionError):
-            ConstantDemandScenario(q1=10.0, q2=20.0, c1=30.0, c2=30.0,
-                                   vot=0.5, scale=1.0)
+        # HOV demand at the HOT capacity is the config's own rule
+        uncongested = dataclasses.replace(S0, demand=DemandProfile(mean_sov=20.0))
+        timeseries = dataclasses.replace(
+            S0, demand=DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)))
+        for law in (lambda cfg: analytic_optimal_price(0.0, cfg), loop_gain_rate):
+            with pytest.raises(ScenarioAssumptionError,
+                               match="^total demand 30 must exceed the total capacity 60$"):
+                law(uncongested)
+            with pytest.raises(ConfigError, match="needs a demand profile with mean rates"):
+                law(timeseries)
 
 
 class TestLoopGainRate:
     def test_reference_value(self):
-        assert loop_gain_rate(S0_SCEN) == BETA0
+        assert loop_gain_rate(S0) == BETA0
 
     def test_linear_in_scale(self):
-        doubled = dataclasses.replace(S0_SCEN, scale=2.0)
+        doubled = dataclasses.replace(S0, behavior=BehaviorParams(0.5, 2.0))
         assert loop_gain_rate(doubled) == pytest.approx(2.0 * BETA0, rel=1e-12)
 
     def test_positive_under_assumptions(self):
@@ -84,9 +88,9 @@ class TestLoopGainRate:
             q1 = rng.uniform(0.0, 0.95) * c1
             c2 = rng.uniform(5.0, 50.0)
             q2 = (c1 + c2 - q1) + rng.uniform(0.1, 50.0)
-            scen = ConstantDemandScenario(q1=q1, q2=q2, c1=c1, c2=c2,
-                                          vot=rng.uniform(0.1, 2.0),
-                                          scale=rng.uniform(0.1, 3.0))
+            scen = dataclasses.replace(
+                S0, capacities=Capacities(c1, c2), demand=DemandProfile(mean_hov=q1, mean_sov=q2),
+                behavior=BehaviorParams(rng.uniform(0.1, 2.0), rng.uniform(0.1, 3.0)))
             assert loop_gain_rate(scen) > 0.0
 
 

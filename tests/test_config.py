@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hotsim.analysis import approx_initial_zeta
 from hotsim.config import (
     MAX_STEPS,
     ScenarioConfig,
@@ -88,7 +89,7 @@ class TestParsing:
     def test_approx_seed_value(self):
         cfg = parse_config_text("approx: {zeta0: 0.11}")
         assert cfg.approx_zeta0 == 0.11
-        assert cfg.approx_initial_zeta() == 0.11
+        assert approx_initial_zeta(cfg) == 0.11
 
     def test_approx_seed_derived_from_initial_state(self):
         cfg = parse_config_text(
@@ -98,8 +99,8 @@ class TestParsing:
         w0 = -1.0 / 30.0
         u0 = 0.25 * w0 + math.log(2.0)
         expected = 20.0 - 60.0 / (1.0 + math.exp(u0 - 0.5 * w0))
-        assert cfg.approx_initial_zeta() == pytest.approx(expected, rel=1e-12)
-        assert cfg.approx_initial_zeta() == pytest.approx(0.11, abs=1e-3)
+        assert approx_initial_zeta(cfg) == pytest.approx(expected, rel=1e-12)
+        assert approx_initial_zeta(cfg) == pytest.approx(0.11, abs=1e-3)
 
 
 class TestValidation:
@@ -196,6 +197,11 @@ class TestBuiltInCode:
         ScenarioConfig(seed=2**64 - 2, replications=2)
         with pytest.raises(ConfigError, match="^run.seed"):
             ScenarioConfig(seed=2**64 - 1, replications=2)
+
+    @pytest.mark.parametrize("fields", [{"seed": 1.5}, {"seed": "1"}, {"replications": 2.0}])
+    def test_non_integer_seed_or_count_is_config_error(self, fields):
+        with pytest.raises(ConfigError, match=r"^run\.seed: .* must be integers$"):
+            ScenarioConfig(**fields)
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

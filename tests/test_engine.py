@@ -123,6 +123,15 @@ class TestClosedLoop:
         with pytest.raises(ConfigError, match=r"^run\.seed: "):
             run_closed_loop(S0, seed=seed)
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, "2"])
+    def test_non_integer_seed_override_is_config_error(self, seed):
+        with pytest.raises(ConfigError, match=r"^run\.seed: .* must be integers$"):
+            run_closed_loop(S0, seed=seed)
+
+    def test_numpy_integer_seed_override_runs_as_the_int(self):
+        runs = run_closed_loop(S0, seed=np.int64(3)), run_closed_loop(S0, seed=3)
+        assert runs[0].rows() == runs[1].rows()
+
     def test_long_timeseries_gives_the_recorded_trajectory(self):
         # 10,000 breakpoints every 0.002 min; the digest covers every column
         # at full precision and was recorded when each step rebuilt the

@@ -365,8 +365,3 @@ class TestControllerInterface:
         assert vot_controller().vot_estimate == 0.5
         assert IntegralTollController(0.01, 0.5, 30.0).vot_estimate is None
         assert learner().vot_estimate == pytest.approx(0.25)
-
-    def test_has_vot_estimate_matches_the_estimate(self):
-        for ctrl in (vot_controller(), IntegralTollController(0.01, 0.5, 30.0),
-                     learner()):
-            assert ctrl.has_vot_estimate == (ctrl.vot_estimate is not None)
