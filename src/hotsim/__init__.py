@@ -22,7 +22,6 @@ from .choice import (
     NoiseSpec,
     induced_residual_capacity,
     paying_demand,
-    paying_share,
     sample_eta,
 )
 from .config import (

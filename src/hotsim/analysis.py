@@ -312,8 +312,8 @@ def find_phase_boundary(
 
     Re-runs the simulation (closed loop or reduced model) at every midpoint
     and keeps the half-bracket whose endpoints classify differently, until
-    the bracket is narrower than ``resolution``.  Returns the midpoint of
-    the final bracket.
+    the bracket is narrower than ``resolution`` or no float lies strictly
+    between its ends.  Returns the midpoint of the final bracket.
     """
     check_resolution(resolution)
     check_bracket(config, k2_low, k2_high)
@@ -326,6 +326,8 @@ def find_phase_boundary(
     low, high = k2_low, k2_high
     while high - low > resolution:
         mid = 0.5 * (low + high)
+        if not low < mid < high:  # no float left between the ends
+            break
         if classify_at(config, "k2", mid, model).pattern == low_pattern:
             low = mid
         else:

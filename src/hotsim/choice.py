@@ -27,9 +27,9 @@ class BehaviorParams:
     scale: float  # logit scale, 1/$
 
     def __post_init__(self) -> None:
-        if self.vot <= 0:
+        if not self.vot > 0:  # nan is not positive either
             raise ValueError("vot must be positive")
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ValueError("scale must be positive")
 
 
@@ -46,11 +46,6 @@ class NoiseSpec:
                              f"got {self.kind!r}")
         if not 0.0 <= self.half_width < 1.0:
             raise ValueError("half_width must lie in [0, 1)")
-
-
-def paying_share(u: float, w: float, eta: float, params: BehaviorParams) -> float:
-    """Fraction of SOVs that pay the toll ``u`` to skip ``w`` minutes of queue."""
-    return paying_demand(1.0, u, w, eta, params)
 
 
 def paying_demand(

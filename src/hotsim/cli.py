@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, engine
-from .config import CONTROLLER_KINDS, ScenarioConfig, load_config
+from .config import CONTROLLER_KINDS, ScenarioConfig, config_fingerprint, load_config
 from .errors import (
     BoundaryNotBracketedError,
     ConfigError,
@@ -111,7 +111,7 @@ def cmd_simulate(args) -> int:
         engine.summarize(traj, config.behavior.vot).as_dict() for traj in trajectories
     ]
     if config.replications == 1:
-        summary_payload = dict(summaries[0], fingerprint=trajectories[0].fingerprint)
+        summary_payload = dict(summaries[0], fingerprint=config_fingerprint(config, config.seed))
     else:
         summary_payload = {
             "replications": summaries,

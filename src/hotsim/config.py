@@ -49,6 +49,8 @@ exists unchecked.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 import operator
 import re
@@ -141,6 +143,8 @@ class SelfLearningSpec(_ControllerSpec):
         controller = self.build(Capacities(1.0, 1.0))
         for key, mat in (("initial_cov", controller.cov),
                          ("process_noise", controller.process_noise)):
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{key}: expected finite entries, got {mat.tolist()!r}")
             eig = np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.T)  # no overflow near the float max
             if eig.min() < -COV_EIG_TOL * np.abs(eig).max():
                 raise ValueError(
@@ -196,22 +200,25 @@ class ScenarioConfig:
             raise ConfigError(
                 f"run.dt: step size {dt:g} does not divide the horizon {horizon:g} evenly"
             )
-        if self.replications < 1:
+        # replication i runs at seed + i; both are stored as Python ints
+        seed, replications = check_seeds(self.seed, self.replications)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "replications", replications)
+        if replications < 1:
             raise ConfigError("run.replications must be at least 1")
-        check_seeds(self.seed, self.replications)  # replication i runs at seed + i
         for key in ("hot_queue", "gp_queue"):
-            if getattr(self, f"initial_{key}") < 0:
+            if not getattr(self, f"initial_{key}") >= 0:  # nan fails too
                 raise ConfigError(f"initial.{key} cannot be negative")
 
         demand, hot = self.demand, self.capacities.hot
         timeseries = demand.kind == "timeseries"
-        if timeseries and demand.samples[0][0] > 0.0:
+        if timeseries and not demand.samples[0][0] <= 0.0:
             raise ConfigError("demand.samples: first sample must start at t <= 0")
         key, samples = "samples", demand.samples
         if not timeseries:  # a mean rate holds from t = 0
             key, samples = "hov", [(0.0, demand.mean_hov, demand.mean_sov)]
         for t, hov, _ in samples:
-            if hov >= hot:
+            if not hov < hot:
                 raise ScenarioAssumptionError(
                     f"demand.{key}: HOV demand {hov:g} veh/min from t={t:g} must "
                     f"stay below the HOT capacity {hot:g} veh/min"
@@ -240,6 +247,12 @@ class ScenarioConfig:
         for key in _unread_demand_keys(self.demand.kind):
             del mapping["demand"][key]
         return mapping
+
+
+def config_fingerprint(config: ScenarioConfig, seed: int) -> str:
+    """First 16 hex digits of the sha256 of ``config.to_mapping()`` and ``seed``."""
+    payload = json.dumps([config.to_mapping(), seed], sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _plain(value):

@@ -24,9 +24,7 @@ regardless of the controller.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import itertools
-import json
 import math
 import operator
 import struct
@@ -67,15 +65,15 @@ class DemandProfile:
                              f"got {self.kind!r}")
         if self.kind != "timeseries":
             for key, rate in (("hov", self.mean_hov), ("sov", self.mean_sov)):
-                if rate < 0:
+                if not rate >= 0:  # nan fails too
                     raise ValueError(f"{key} cannot be negative")
         else:
             if not self.samples:
                 raise ValueError("samples: timeseries demand needs at least one sample")
             times = self.sample_times
-            if any(b <= a for a, b in zip(times, times[1:])):
+            if not all(a < b for a, b in zip(times, times[1:])):
                 raise ValueError("samples: timeseries sample times must be strictly increasing")
-            if any(s[1] < 0 or s[2] < 0 for s in self.samples):
+            if not all(s[1] >= 0 and s[2] >= 0 for s in self.samples):
                 raise ValueError("samples: demand rates cannot be negative")
 
     @cached_property
@@ -109,14 +107,14 @@ _ROW = struct.Struct(f"{len(STATE_FIELDS)}d")  # one row as native doubles
 
 
 class Trajectory:
-    """Recorded steps of one run as column arrays, plus a fingerprint of its inputs.
+    """Recorded steps of one run as column arrays.
 
     Built from one row per step with a value for every ``STATE_FIELDS``
     entry, in that order.  ``pi`` is the controller's VOT estimate and nan
     when the strategy has none.
     """
 
-    def __init__(self, rows, config: "ScenarioConfig", seed: int) -> None:
+    def __init__(self, rows) -> None:
         # one pass packs every row's doubles in order; the transposed copy
         # makes each column contiguous
         try:
@@ -125,12 +123,6 @@ class Trajectory:
             raise ValueError(f"a row needs {len(STATE_FIELDS)} numbers: {exc}") from None
         self._table = np.frombuffer(packed).reshape(-1, len(STATE_FIELDS)).T.copy()
         self._columns = dict(zip(STATE_FIELDS, self._table))
-        self._config, self._seed = config, seed
-
-    @cached_property
-    def fingerprint(self) -> str:
-        """Hash of the run's configuration and seed, computed when first read."""
-        return config_fingerprint(self._config, self._seed)
 
     def __len__(self) -> int:
         return len(self._columns["t"])
@@ -161,16 +153,13 @@ class SummaryMetrics:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def config_fingerprint(config: "ScenarioConfig", seed: int) -> str:
-    payload = json.dumps([config.to_mapping(), seed], sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def check_seeds(seed: int, count: int) -> None:
-    """Reject ``count`` runs from ``seed`` unless both are integers (numpy's
-    included) and every run's seed, ``seed + i`` for run ``i``, is an unsigned
-    64-bit integer, as numpy's generators take."""
+def check_seeds(seed: int, count: int) -> tuple[int, int]:
+    """``(seed, count)`` as Python ints, or a ConfigError unless both are
+    integers (numpy's included, bools not) and every run's seed, ``seed + i``
+    for run ``i``, is an unsigned 64-bit integer, as numpy's generators take."""
     try:
+        if isinstance(seed, bool) or isinstance(count, bool):
+            raise TypeError
         seed, count = operator.index(seed), operator.index(count)
     except TypeError:
         raise ConfigError(f"run.seed: seed {seed!r} and run count {count!r} "
@@ -178,6 +167,7 @@ def check_seeds(seed: int, count: int) -> None:
     if not 0 <= seed <= 2**64 - count:
         raise ConfigError(f"run.seed: seeds {seed} to {seed + count - 1} of {count} run(s) "
                           f"must be unsigned 64-bit integers")
+    return seed, count
 
 
 def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajectory:
@@ -188,8 +178,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     """
     caps, dt, n_steps = config.capacities, config.dt, config.n_steps
     demand, noise, behavior = config.demand, config.noise, config.behavior
-    run_seed = config.seed if seed is None else seed
-    check_seeds(run_seed, 1)
+    run_seed, _ = check_seeds(config.seed if seed is None else seed, 1)
     rng = np.random.default_rng(run_seed)
     controller = config.controller.build(caps)
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
@@ -238,7 +227,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
         except HotSimError as exc:
             raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
 
-    return Trajectory(rows, config, run_seed)
+    return Trajectory(rows)
 
 
 def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:

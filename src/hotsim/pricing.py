@@ -79,7 +79,7 @@ class IntegralTollController:
     vot_estimate = None
 
     def __init__(self, gain: float, initial_price: float, target_demand: float) -> None:
-        if gain <= 0:
+        if not gain > 0:  # nan is not positive either
             raise ValueError("gain must be positive")
         self.gain = gain
         self.u = initial_price
@@ -109,7 +109,7 @@ class SelfLearningController:
 
     def __init__(self, hot_capacity: float, initial_theta, initial_cov,
                  measurement_var: float, process_noise) -> None:
-        if measurement_var <= 0:
+        if not measurement_var > 0:  # nan is not positive either
             raise ValueError("measurement_var must be positive")
         self.hot_capacity = hot_capacity
         theta = np.asarray(initial_theta, dtype=float)

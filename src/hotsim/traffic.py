@@ -20,7 +20,7 @@ class Capacities:
 
     def __post_init__(self) -> None:
         for key in ("hot", "gp"):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:  # nan is not positive either
                 raise ValueError(f"{key} must be positive")
 
 

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hotsim import analysis
 from hotsim.analysis import (
     analytic_optimal_price,
     approximate_from_config,
@@ -21,12 +23,13 @@ from hotsim.analysis import (
     step_approximate,
 )
 from hotsim.choice import BehaviorParams
-from hotsim.config import ScenarioConfig, VotControllerSpec
+from hotsim.config import ScenarioConfig, VotControllerSpec, load_config
 from hotsim.engine import DemandProfile, SummaryMetrics, run_closed_loop
 from hotsim.errors import BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError
 from hotsim.traffic import Capacities
 
 S0 = ScenarioConfig()
+PERTURBED = Path(__file__).resolve().parents[1] / "scenarios" / "perturbed.yaml"
 BETA0 = 40.0 / 9.0
 
 
@@ -204,6 +207,20 @@ class TestPhaseBoundary:
         boundary = find_phase_boundary(pattern_config(0.1), 0.1, 0.2,
                                        resolution=0.005, model="approx")
         assert boundary == pytest.approx(0.14, abs=0.01)
+
+    def test_resolution_below_float_spacing_ends(self, monkeypatch):
+        # no float lies between two neighbours, so halving stops there
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return classify_at(*args)
+
+        monkeypatch.setattr(analysis, "classify_at", counted)
+        config = load_config(PERTURBED)
+        boundary = find_phase_boundary(config, 0.1, 0.2, resolution=1e-300, model="approx")
+        assert 0.1 < boundary < 0.2
+        assert len(calls) <= 60
 
     def test_unbracketed_interval_rejected(self):
         with pytest.raises(BoundaryNotBracketedError):

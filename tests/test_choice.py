@@ -10,7 +10,6 @@ from hotsim.choice import (
     NoiseSpec,
     induced_residual_capacity,
     paying_demand,
-    paying_share,
     sample_eta,
 )
 
@@ -21,26 +20,26 @@ U_OPT = 0.5 * (20.0 / 3.0) + math.log(2.0)
 
 class TestPayingShare:
     def test_even_split_at_equal_utilities(self):
-        assert paying_share(0.0, 0.0, 0.0, PARAMS) == 0.5
+        assert paying_demand(1.0, 0.0, 0.0, 0.0, PARAMS) == 0.5
 
     def test_log_two_toll_gives_one_third(self):
-        assert paying_share(math.log(2.0), 0.0, 0.0, PARAMS) == pytest.approx(
+        assert paying_demand(1.0, math.log(2.0), 0.0, 0.0, PARAMS) == pytest.approx(
             1.0 / 3.0, rel=1e-12
         )
 
     def test_optimal_price_at_late_queue_gives_one_third(self):
         # exponent reduces to log 2 exactly, the 20/60 optimal paying split
-        assert paying_share(U_OPT, 20.0 / 3.0, 0.0, PARAMS) == pytest.approx(
+        assert paying_demand(1.0, U_OPT, 20.0 / 3.0, 0.0, PARAMS) == pytest.approx(
             1.0 / 3.0, rel=1e-12
         )
 
     def test_no_overflow_at_large_exponents(self):
         # the paying side keeps subnormal headroom; the unanimous side
         # rounds to the boundary once the exponent passes float precision
-        assert paying_share(700.0, 0.0, 0.0, PARAMS) > 0.0
-        assert math.isfinite(paying_share(-700.0, 0.0, 0.0, PARAMS))
-        assert paying_share(-700.0, 0.0, 0.0, PARAMS) == 1.0
-        assert paying_share(-36.0, 0.0, 0.0, PARAMS) < 1.0
+        assert paying_demand(1.0, 700.0, 0.0, 0.0, PARAMS) > 0.0
+        assert math.isfinite(paying_demand(1.0, -700.0, 0.0, 0.0, PARAMS))
+        assert paying_demand(1.0, -700.0, 0.0, 0.0, PARAMS) == 1.0
+        assert paying_demand(1.0, -36.0, 0.0, 0.0, PARAMS) < 1.0
 
     def test_monotone_in_price_and_delay(self):
         rng = np.random.default_rng(3)
@@ -50,16 +49,16 @@ class TestPayingShare:
             eta = rng.uniform(-0.9, 0.9)
             du = rng.uniform(1e-6, 1.0)
             dw = rng.uniform(1e-6, 1.0)
-            base = paying_share(u, w, eta, PARAMS)
-            assert paying_share(u + du, w, eta, PARAMS) < base
-            assert paying_share(u, w + dw, eta, PARAMS) > base
+            base = paying_demand(1.0, u, w, eta, PARAMS)
+            assert paying_demand(1.0, u + du, w, eta, PARAMS) < base
+            assert paying_demand(1.0, u, w + dw, eta, PARAMS) > base
 
     def test_share_strictly_inside_unit_interval(self):
         # strict bounds hold wherever 1 - share is representable
         rng = np.random.default_rng(5)
         for _ in range(500):
-            s = paying_share(
-                rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0),
+            s = paying_demand(
+                1.0, rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0),
                 rng.uniform(-0.5, 0.5), PARAMS,
             )
             assert 0.0 < s < 1.0
@@ -72,8 +71,8 @@ class TestPayingShare:
             # same exponent: u and vot*w shifted together
             u2 = u1 + shift
             w2 = w1 + shift / PARAMS.vot
-            assert paying_share(u1, w1, 0.0, PARAMS) == pytest.approx(
-                paying_share(u2, w2, 0.0, PARAMS), rel=1e-9
+            assert paying_demand(1.0, u1, w1, 0.0, PARAMS) == pytest.approx(
+                paying_demand(1.0, u2, w2, 0.0, PARAMS), rel=1e-9
             )
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from hotsim import pricing
 from hotsim.analysis import step_approximate
-from hotsim.choice import paying_demand, paying_share
+from hotsim.choice import paying_demand
 from hotsim.pricing import SelfLearningController
 from hotsim.traffic import step_point_queues, throughputs
 
@@ -121,7 +121,6 @@ def test_paying_demand_holds_the_logistic_bit_for_bit():
     params = SimpleNamespace(vot=0.5, scale=2)
     for u, w, eta, q2 in itertools.product(EDGES, repeat=4):
         share = reference_paying_share(u, w, eta, params)
-        assert bits([paying_share(u, w, eta, params)]) == bits([share]), (u, w, eta)
         assert bits([paying_demand(1.0, u, w, eta, params)]) == bits([share]), (u, w, eta)
         demand = paying_demand(q2, u, w, eta, params)
         if math.isnan(q2) and math.isnan(share):

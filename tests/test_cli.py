@@ -1,19 +1,24 @@
 """Command-line interface: outputs, exit codes, byte stability."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from test_config import _scenarios
 
 from hotsim import analysis, engine
 from hotsim.cli import _json_text, main
-from hotsim.config import ScenarioConfig
-from hotsim.engine import config_fingerprint
+from hotsim.config import ScenarioConfig, config_fingerprint
 from hotsim.errors import NonFiniteResultError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -308,6 +313,11 @@ class TestSweep:
         payload = json.loads((out / "boundary.json").read_text())
         assert payload["boundary"] == pytest.approx(0.14, abs=0.01)
 
+    def test_bisection_below_float_spacing_ends(self, capsys):
+        assert run_cli("sweep", "--config", str(SRC.parent / "scenarios" / "perturbed.yaml"),
+                       "--model", "approx", "--bisect", "0.1:0.2", "--resolution", "1e-300") == 0
+        assert capsys.readouterr().err.startswith("boundary k2=0.14")
+
     def test_unbracketed_bisect_is_a_warning(self, capsys, pattern_file):
         assert run_cli("sweep", "--config", pattern_file, "--bisect", "0.05:0.09") == 0
         assert "warning" in capsys.readouterr().err
@@ -423,3 +433,27 @@ class TestModuleEntryPoints:
         assert run_cli("simulate", "--format", "json") == 0
         assert done.stdout == capsys.readouterr().out
         assert "fingerprint" in json.loads(done.stdout)
+
+
+class TestSimulateFuzz:
+    """Every valid scenario ends ``simulate`` in a result or in one clear error."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(_scenarios(max_steps=60, max_replications=2))
+    def test_valid_scenario_exits_cleanly(self, mapping):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.yaml"
+            path.write_text(yaml.safe_dump(mapping))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["simulate", "--config", str(path), "--format", "json"])
+        assert code in (0, 3, 4, 6)
+        if code == 0:
+            assert err.getvalue() == ""
+            json.loads(out.getvalue())
+        else:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")

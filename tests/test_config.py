@@ -5,21 +5,27 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hotsim.analysis import approx_initial_zeta
+from hotsim.choice import BehaviorParams
 from hotsim.config import (
     MAX_STEPS,
+    IntegralTollSpec,
     ScenarioConfig,
+    SelfLearningSpec,
+    config_fingerprint,
     config_from_mapping,
     load_config,
     parse_config_text,
 )
-from hotsim.engine import DemandProfile, config_fingerprint
+from hotsim.engine import DemandProfile
 from hotsim.errors import ConfigError, ScenarioAssumptionError
+from hotsim.traffic import Capacities
 
 
 class TestDefaults:
@@ -184,6 +190,30 @@ UNPARSED = [
     ({"demand": DemandProfile(mean_hov=30.0)}, ScenarioAssumptionError, "demand.hov"),
 ]
 
+NAN = math.nan
+# one nan per range rule, set without the parser: (object, fields, error, key)
+NAN_RULES = [
+    (Capacities(30.0, 30.0), {"hot": NAN}, ValueError, "hot"),
+    (Capacities(30.0, 30.0), {"gp": NAN}, ValueError, "gp"),
+    (DemandProfile(), {"mean_hov": NAN}, ValueError, "hov"),
+    (DemandProfile(), {"mean_sov": NAN}, ValueError, "sov"),
+    (DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
+     {"samples": ((0.0, 10.0, 60.0), (NAN, 10.0, 60.0))}, ValueError, "samples: timeseries"),
+    (DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
+     {"samples": ((0.0, 10.0, NAN),)}, ValueError, "samples: demand rates"),
+    (ScenarioConfig(), {"demand": DemandProfile("timeseries", samples=((NAN, 10.0, 60.0),))},
+     ConfigError, "demand.samples"),
+    (BehaviorParams(0.5, 1.0), {"vot": NAN}, ValueError, "vot"),
+    (BehaviorParams(0.5, 1.0), {"scale": NAN}, ValueError, "scale"),
+    (ScenarioConfig(), {"initial_hot_queue": NAN}, ConfigError, "initial.hot_queue"),
+    (ScenarioConfig(), {"initial_gp_queue": NAN}, ConfigError, "initial.gp_queue"),
+    (IntegralTollSpec(), {"gain": NAN}, ValueError, "gain"),
+    (SelfLearningSpec(), {"measurement_var": NAN}, ValueError, "measurement_var"),
+    (SelfLearningSpec(), {"initial_cov": NAN}, ValueError, "initial_cov"),
+    (SelfLearningSpec(), {"process_noise": ((1.0, 0.0, 0.0), (0.0, NAN, 0.0), (0.0, 0.0, 1.0))},
+     ValueError, "process_noise"),
+]
+
 
 class TestBuiltInCode:
     @pytest.mark.parametrize("fields, error, key", UNPARSED,
@@ -198,10 +228,24 @@ class TestBuiltInCode:
         with pytest.raises(ConfigError, match="^run.seed"):
             ScenarioConfig(seed=2**64 - 1, replications=2)
 
-    @pytest.mark.parametrize("fields", [{"seed": 1.5}, {"seed": "1"}, {"replications": 2.0}])
+    @pytest.mark.parametrize("fields", [{"seed": 1.5}, {"seed": "1"}, {"replications": 2.0},
+                                        {"replications": "1"}, {"seed": True},
+                                        {"replications": True}])
     def test_non_integer_seed_or_count_is_config_error(self, fields):
         with pytest.raises(ConfigError, match=r"^run\.seed: .* must be integers$"):
             ScenarioConfig(**fields)
+
+    @pytest.mark.parametrize("key, value", [("seed", np.uint64(3)), ("replications", np.int64(2))])
+    def test_numpy_seed_and_count_are_stored_as_ints(self, key, value):
+        cfg, plain = ScenarioConfig(**{key: value}), ScenarioConfig(**{key: int(value)})
+        assert type(getattr(cfg, key)) is int and cfg == plain
+        assert config_fingerprint(cfg, cfg.seed) == config_fingerprint(plain, plain.seed)
+
+    @pytest.mark.parametrize("section, fields, error, key", NAN_RULES,
+                             ids=[key for _, _, _, key in NAN_RULES])
+    def test_nan_fails_each_range_rule(self, section, fields, error, key):
+        with pytest.raises(error, match=f"^{re.escape(key)}"):
+            dataclasses.replace(section, **fields)
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -365,8 +409,9 @@ def _covariances(draw):
 
 
 @st.composite
-def _scenarios(draw):
-    n_steps = draw(st.integers(1, 5000))
+def _scenarios(draw, max_steps=5000, max_replications=50):
+    n_steps = draw(st.integers(1, max_steps))
+    replications = draw(st.integers(1, max_replications))
     if draw(st.booleans()):
         dt = step = draw(st.floats(1e-4, 1.0))
     else:
@@ -393,8 +438,8 @@ def _scenarios(draw):
     }
     optional = {
         "run": st.fixed_dictionaries({"horizon": st.just(n_steps * step), "dt": st.just(dt)},
-                                     optional={"seed": st.integers(0, 2**64 - 1),
-                                               "replications": st.integers(1, 50)}),
+                                     optional={"seed": st.integers(0, 2**64 - replications),
+                                               "replications": st.just(replications)}),
         "behavior": st.fixed_dictionaries({}, optional={"vot": _positive,
                                                         "scale": _positive}),
         "noise": st.fixed_dictionaries({}, optional={

@@ -10,13 +10,16 @@ import warnings
 import numpy as np
 import pytest
 
-from hotsim import engine
-from hotsim.config import IntegralTollSpec, ScenarioConfig, SelfLearningSpec
+from hotsim.config import (
+    IntegralTollSpec,
+    ScenarioConfig,
+    SelfLearningSpec,
+    config_fingerprint,
+)
 from hotsim.engine import (
     STATE_FIELDS,
     DemandProfile,
     Trajectory,
-    config_fingerprint,
     demand_at,
     run_closed_loop,
     summarize,
@@ -123,7 +126,7 @@ class TestClosedLoop:
         with pytest.raises(ConfigError, match=r"^run\.seed: "):
             run_closed_loop(S0, seed=seed)
 
-    @pytest.mark.parametrize("seed", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("seed", [2.5, 2.0, "2", True])
     def test_non_integer_seed_override_is_config_error(self, seed):
         with pytest.raises(ConfigError, match=r"^run\.seed: .* must be integers$"):
             run_closed_loop(S0, seed=seed)
@@ -189,12 +192,11 @@ class TestClosedLoop:
         second = run_closed_loop(cfg)
         for name in STATE_FIELDS:
             assert first.column(name).tobytes() == second.column(name).tobytes()
-        assert first.fingerprint == second.fingerprint
+        # a config built again from the same values has the same identity
+        assert config_fingerprint(cfg, 123) == config_fingerprint(dataclasses.replace(cfg), 123)
 
     def test_seed_changes_fingerprint(self):
-        a = run_closed_loop(S0)
-        b = run_closed_loop(dataclasses.replace(S0, seed=1))
-        assert a.fingerprint != b.fingerprint
+        assert config_fingerprint(S0, 0) != config_fingerprint(dataclasses.replace(S0, seed=1), 1)
 
     def test_recorded_steps_conserve_flow(self):
         traj = run_closed_loop(S0)
@@ -259,7 +261,7 @@ class TestTrajectory:
             tuple(specials[(i * 5 + j) % len(specials)] for j in range(len(STATE_FIELDS)))
             for i in range(n_rows)
         ]
-        traj = Trajectory(rows, S0, 0)
+        traj = Trajectory(rows)
         # the table as built before it was read in one pass
         table = np.array(list(zip(*rows)), dtype=float).reshape(len(STATE_FIELDS), -1)
         # the table as built before the rows were packed with struct
@@ -277,17 +279,7 @@ class TestTrajectory:
         # rows of 12 and 14 numbers, in either order, hold two rows' worth of values
         rows = [(0.0,) * width, (0.0,) * (2 * len(STATE_FIELDS) - width)]
         with pytest.raises(ValueError, match=f"{len(STATE_FIELDS)} numbers"):
-            Trajectory(rows, S0, 0)
-
-    def test_fingerprint_is_computed_when_read(self, monkeypatch):
-        def unexpected(config, seed):
-            raise AssertionError("run_closed_loop computed the fingerprint")
-
-        cfg = dataclasses.replace(S0, seed=7)
-        monkeypatch.setattr(engine, "config_fingerprint", unexpected)
-        traj = run_closed_loop(cfg, seed=11)
-        monkeypatch.undo()
-        assert traj.fingerprint == config_fingerprint(cfg, 11)
+            Trajectory(rows)
 
 
 class TestSummaries:
@@ -304,7 +296,7 @@ class TestSummaries:
     def test_all_zero_trajectory_gives_zero_metrics(self):
         # t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta
         rows = [(k * 0.1,) + (0.0,) * 12 for k in range(11)]
-        metrics = summarize(Trajectory(rows, S0, 0), pi_star=0.0)
+        metrics = summarize(Trajectory(rows), pi_star=0.0)
         assert metrics.avg_g1 == 0.0
         assert metrics.final_u == 0.0
         assert metrics.final_pi == 0.0
@@ -350,4 +342,4 @@ class TestSummaries:
         # u (final_u) and lambda1 (max_lambda1, final_lambda1) are non-finite
         rows = [(0.0, math.inf, 0.0, 0.0, 0.0, 0.5, math.nan) + (0.0,) * 6]
         with pytest.raises(NonFiniteResultError, match="final_u is nan"):
-            summarize(Trajectory(rows, S0, 0), pi_star=0.5)
+            summarize(Trajectory(rows), pi_star=0.5)
