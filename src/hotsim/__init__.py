@@ -25,10 +25,7 @@ from .choice import (
     sample_eta,
 )
 from .config import (
-    IntegralTollSpec,
     ScenarioConfig,
-    SelfLearningSpec,
-    VotControllerSpec,
     config_from_mapping,
     load_config,
     parse_config_text,
@@ -51,7 +48,10 @@ from .errors import (
 )
 from .pricing import (
     IntegralTollController,
+    IntegralTollSpec,
     SelfLearningController,
+    SelfLearningSpec,
+    VotControllerSpec,
     VotFeedbackController,
 )
 from .traffic import (

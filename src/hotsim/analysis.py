@@ -22,8 +22,9 @@ from .engine import run_closed_loop
 from .errors import BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .config import ScenarioConfig, VotControllerSpec
+    from .config import ScenarioConfig
     from .engine import SummaryMetrics, Trajectory
+    from .pricing import VotControllerSpec
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"

@@ -35,10 +35,8 @@ Every number must be finite; NaN and infinities are rejected with the dotted
 path of their key.  Exponent floats such as ``1e6`` or ``2.5e-3`` read as
 numbers, although YAML 1.1 (and so plain PyYAML) reads them as strings.  A
 run may take at most ``MAX_STEPS`` steps of ``dt`` to cover the horizon.
-``initial_cov`` and ``process_noise`` must be covariances: the symmetric part
-``0.5 (C + C')`` of a matrix, or the scalar that scales the identity, may
-have no eigenvalue below zero by more than ``COV_EIG_TOL`` times its largest
-eigenvalue magnitude.
+The controller sections are the specs of ``pricing``, where each
+controller's value rules live (the covariance rule and ``COV_EIG_TOL`` too).
 
 A ``ScenarioConfig`` checks itself when it is built, by the parser or in
 code, ``dataclasses.replace`` included: each section object checks its own
@@ -57,27 +55,18 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .choice import BehaviorParams, NoiseSpec
 from .engine import DemandProfile, check_seeds
 from .errors import ConfigError, ScenarioAssumptionError
-from .pricing import (
-    IntegralTollController,
-    SelfLearningController,
-    VotFeedbackController,
-)
+from .pricing import IntegralTollSpec, SelfLearningSpec, VotControllerSpec
 from .traffic import Capacities
 
 CONTROLLER_KINDS = ("vot", "integral", "selflearning")
 
 # largest horizon / dt accepted; each step keeps one row of floats in memory
 MAX_STEPS = 1_000_000
-
-# a covariance eigenvalue below -COV_EIG_TOL times the largest eigenvalue
-# magnitude is negative beyond roundoff
-COV_EIG_TOL = 1e-9
 
 
 class _ScenarioLoader(yaml.SafeLoader):
@@ -90,73 +79,6 @@ _ScenarioLoader.add_implicit_resolver(
     re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
     list("-+.0123456789"),
 )
-
-
-class _ControllerSpec:
-    """Settings of one pricing controller, checked by building it once with
-    the constructor's value rules, none of which reads the capacities."""
-
-    def __post_init__(self) -> None:
-        self.build(Capacities(1.0, 1.0))
-
-
-@dataclass(frozen=True)
-class VotControllerSpec(_ControllerSpec):
-    """Gains and initial state of the VOT-estimating feedback controller."""
-
-    queue_gain: float = 0.1
-    residual_gain: float = 0.1
-    scale_guess: float = 1.0
-    initial_vot: float = 0.25
-
-    def build(self, caps: Capacities) -> VotFeedbackController:
-        return VotFeedbackController(
-            caps.hot, self.queue_gain, self.residual_gain,
-            self.scale_guess, self.initial_vot,
-        )
-
-
-@dataclass(frozen=True)
-class IntegralTollSpec(_ControllerSpec):
-    """Gain and initial toll of the demand-tracking integral controller."""
-
-    gain: float = 0.01
-    initial_price: float = math.log(2.0)
-    target_demand: float | None = None  # None: fill the HOT capacity
-
-    def build(self, caps: Capacities) -> IntegralTollController:
-        target = caps.hot if self.target_demand is None else self.target_demand
-        return IntegralTollController(self.gain, self.initial_price, target)
-
-
-@dataclass(frozen=True)
-class SelfLearningSpec(_ControllerSpec):
-    """Initialization of the Kalman willingness-to-pay estimator."""
-
-    initial_theta: tuple[float, float, float] = (0.25, 1.0, 0.1)
-    initial_cov: float | tuple = 0.1          # scalar scales the identity
-    measurement_var: float = 0.09
-    process_noise: float | tuple = 1e-6       # scalar scales the identity
-
-    def __post_init__(self) -> None:
-        # the controller takes any 3x3 matrix; a scenario's must be a covariance
-        controller = self.build(Capacities(1.0, 1.0))
-        for key, mat in (("initial_cov", controller.cov),
-                         ("process_noise", controller.process_noise)):
-            if not np.isfinite(mat).all():
-                raise ValueError(f"{key}: expected finite entries, got {mat.tolist()!r}")
-            eig = np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.T)  # no overflow near the float max
-            if eig.min() < -COV_EIG_TOL * np.abs(eig).max():
-                raise ValueError(
-                    f"{key}: expected a covariance, whose symmetric part has no "
-                    f"negative eigenvalue; smallest eigenvalue is {eig.min():.6g}"
-                )
-
-    def build(self, caps: Capacities) -> SelfLearningController:
-        return SelfLearningController(
-            caps.hot, self.initial_theta, self.initial_cov,
-            self.measurement_var, self.process_noise,
-        )
 
 
 @dataclass(frozen=True)
@@ -209,6 +131,9 @@ class ScenarioConfig:
         for key in ("hot_queue", "gp_queue"):
             if not getattr(self, f"initial_{key}") >= 0:  # nan fails too
                 raise ConfigError(f"initial.{key} cannot be negative")
+        zeta0 = self.approx_zeta0
+        if zeta0 is not None and not math.isfinite(zeta0):
+            raise ConfigError(f"approx.zeta0: expected a finite number, got {zeta0!r}")
 
         demand, hot = self.demand, self.capacities.hot
         timeseries = demand.kind == "timeseries"

@@ -15,22 +15,43 @@ keeps none.
   gap between realized and desired HOT demand.
 * ``SelfLearningController`` tracks the willingness-to-pay coefficients with
   a linear Kalman filter and inverts the fitted logit for the price.
+
+Each controller's scenario spec (``VotControllerSpec``, ``IntegralTollSpec``,
+``SelfLearningSpec``) sits beside it with its defaults and ``build``.  The
+value rules live in the constructors, which a spec runs once when built: a
+gain out of range, a NaN or infinite initial state, and a self-learning
+``initial_cov`` or ``process_noise`` whose symmetric part ``0.5 (C + C')`` has
+an eigenvalue below ``-COV_EIG_TOL`` times its largest magnitude are each a
+ValueError whose message begins with the key.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PriceUndefinedError, ScenarioAssumptionError
+from .traffic import Capacities
 
 ALPHA2_FLOOR = 1e-6
+# a covariance eigenvalue below -COV_EIG_TOL times the largest eigenvalue
+# magnitude is negative beyond roundoff
+COV_EIG_TOL = 1e-9
 _EYE3 = np.eye(3)
 # write Python floats into a float64 buffer, the native bytes of each double
 _PACK3 = struct.Struct("3d").pack_into
 _PACK9 = struct.Struct("9d").pack_into
+
+
+class _ControllerSpec:
+    """Settings of one pricing controller, checked by building it once with
+    the constructor's value rules, none of which reads the capacities."""
+
+    def __post_init__(self) -> None:
+        self.build(Capacities(1.0, 1.0))
 
 
 class VotFeedbackController:
@@ -48,6 +69,7 @@ class VotFeedbackController:
                            ("scale_guess", scale_guess)):
             if not value > 0:  # nan is not positive either
                 raise ValueError(f"{key} must be positive")
+        _check_finite("initial_vot", initial_vot)
         self.hot_capacity = hot_capacity
         self.queue_gain = queue_gain
         self.residual_gain = residual_gain
@@ -73,6 +95,22 @@ class VotFeedbackController:
         self.vot_estimate += dt * (self.queue_gain * lambda1 - self.residual_gain * zeta)
 
 
+@dataclass(frozen=True)
+class VotControllerSpec(_ControllerSpec):
+    """Gains and initial state of the VOT-estimating feedback controller."""
+
+    queue_gain: float = 0.1
+    residual_gain: float = 0.1
+    scale_guess: float = 1.0
+    initial_vot: float = 0.25
+
+    def build(self, caps: Capacities) -> VotFeedbackController:
+        return VotFeedbackController(
+            caps.hot, self.queue_gain, self.residual_gain,
+            self.scale_guess, self.initial_vot,
+        )
+
+
 class IntegralTollController:
     """Toll adjusted in proportion to the accumulated HOT demand error."""
 
@@ -81,6 +119,8 @@ class IntegralTollController:
     def __init__(self, gain: float, initial_price: float, target_demand: float) -> None:
         if not gain > 0:  # nan is not positive either
             raise ValueError("gain must be positive")
+        _check_finite("initial_price", initial_price)
+        _check_finite("target_demand", target_demand)
         self.gain = gain
         self.u = initial_price
         self.target_demand = target_demand
@@ -91,6 +131,19 @@ class IntegralTollController:
     def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
         # HOT arrival demand is HOVs plus paying SOVs
         self.u += self.gain * (q1 + q3 - self.target_demand)
+
+
+@dataclass(frozen=True)
+class IntegralTollSpec(_ControllerSpec):
+    """Gain and initial toll of the demand-tracking integral controller."""
+
+    gain: float = 0.01
+    initial_price: float = math.log(2.0)
+    target_demand: float | None = None  # None: fill the HOT capacity
+
+    def build(self, caps: Capacities) -> IntegralTollController:
+        target = caps.hot if self.target_demand is None else self.target_demand
+        return IntegralTollController(self.gain, self.initial_price, target)
 
 
 class SelfLearningController:
@@ -115,12 +168,24 @@ class SelfLearningController:
         theta = np.asarray(initial_theta, dtype=float)
         if theta.shape != (3,):
             raise ValueError("initial_theta must have three entries")
+        noise = self._as_matrix(process_noise, "process_noise")
+        posterior = self._as_matrix(initial_cov, "initial_cov")
+        if not np.isfinite(theta).all():
+            raise ValueError(f"initial_theta: expected finite entries, got {theta.tolist()!r}")
+        for key, mat in (("initial_cov", posterior), ("process_noise", noise)):
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{key}: expected finite entries, got {mat.tolist()!r}")
+            eig = np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.T)  # no overflow near the float max
+            if eig.min() < -COV_EIG_TOL * np.abs(eig).max():
+                raise ValueError(
+                    f"{key}: expected a covariance, whose symmetric part has no "
+                    f"negative eigenvalue; smallest eigenvalue is {eig.min():.6g}"
+                )
         self.measurement_var = float(measurement_var)
-        self.process_noise = self._as_matrix(process_noise, "process_noise")
         self._coef = t0, t1, _ = tuple(theta.tolist())
         self.vot_estimate = t0 / t1 if t1 else _quiet_divide((t0,), t1)[0]
-        self._posterior = tuple(self._as_matrix(initial_cov, "initial_cov").ravel().tolist())
-        self._noise = tuple(self.process_noise.ravel().tolist())
+        self._posterior = tuple(posterior.ravel().tolist())
+        self._noise = tuple(noise.ravel().tolist())
         # the product operands: theta, h, the predicted covariance (posterior
         # plus process noise) of the next step, and I - g h'
         self._theta = theta.copy()
@@ -137,7 +202,7 @@ class SelfLearningController:
             mat = float(mat) * _EYE3
         if mat.shape != (3, 3):
             raise ValueError(f"{name} must be a scalar or a 3x3 matrix")
-        return mat.copy()
+        return mat
 
     @property
     def theta(self) -> np.ndarray:
@@ -225,6 +290,27 @@ class SelfLearningController:
                 f"between 0 and the SOV demand {q2:g} veh/min"
             )
         return (math.log((q2 - target) / target) + alpha1 * w - gamma) / alpha2
+
+
+@dataclass(frozen=True)
+class SelfLearningSpec(_ControllerSpec):
+    """Initialization of the Kalman willingness-to-pay estimator."""
+
+    initial_theta: tuple[float, float, float] = (0.25, 1.0, 0.1)
+    initial_cov: float | tuple = 0.1          # scalar scales the identity
+    measurement_var: float = 0.09
+    process_noise: float | tuple = 1e-6       # scalar scales the identity
+
+    def build(self, caps: Capacities) -> SelfLearningController:
+        return SelfLearningController(
+            caps.hot, self.initial_theta, self.initial_cov,
+            self.measurement_var, self.process_noise,
+        )
+
+
+def _check_finite(key: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{key}: expected a finite number, got {value!r}")
 
 
 def _quiet_divide(values, divisor: float) -> list:

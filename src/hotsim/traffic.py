@@ -8,6 +8,7 @@ return plain floats: ``lambda1`` and ``lambda2`` are the HOT and GP queues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -20,8 +21,8 @@ class Capacities:
 
     def __post_init__(self) -> None:
         for key in ("hot", "gp"):
-            if not getattr(self, key) > 0:  # nan is not positive either
-                raise ValueError(f"{key} must be positive")
+            if not 0 < getattr(self, key) < math.inf:  # nan fails too
+                raise ValueError(f"{key} must be positive and finite")
 
 
 def residual_capacity(c1: float, q1: float, q3: float) -> float:

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 import yaml
 from hypothesis import given, settings
-from test_config import _scenarios
+from hypothesis import strategies as st
+from test_config import _positive, _scenarios
 
 from hotsim import analysis, engine
 from hotsim.cli import _json_text, main
@@ -435,25 +436,57 @@ class TestModuleEntryPoints:
         assert "fingerprint" in json.loads(done.stdout)
 
 
-class TestSimulateFuzz:
-    """Every valid scenario ends ``simulate`` in a result or in one clear error."""
+def _csv_table(text: str) -> None:
+    header, *rows = text.splitlines()
+    assert rows and all(row.count(",") == header.count(",") for row in rows)
 
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-    @given(_scenarios(max_steps=60, max_replications=2))
-    def test_valid_scenario_exits_cleanly(self, mapping):
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "scenario.yaml"
-            path.write_text(yaml.safe_dump(mapping))
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = main(["simulate", "--config", str(path), "--format", "json"])
-        assert code in (0, 3, 4, 6)
-        if code == 0:
-            assert err.getvalue() == ""
-            json.loads(out.getvalue())
-        else:
-            assert out.getvalue() == ""
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: ")
+
+def _sweep(model: str):
+    """``sweep`` argv with one to three positive values of a random gain."""
+    return st.builds(
+        lambda param, values: ["sweep", "--param", param, "--model", model,
+                               "--values", ",".join(map(repr, values))],
+        st.sampled_from(tuple(analysis.GAINS)), st.lists(_positive, min_size=1, max_size=3),
+    )
+
+
+# command: (argv strategy, exit codes of its errors, check of its stdout,
+# examples); a constant-demand analysis of other demand is a ConfigError (exit 2)
+COMMANDS = {
+    "simulate": (st.just(["simulate", "--format", "json"]), (3, 4, 6), json.loads, 50),
+    "compare": (st.just(["compare"]), (3, 4, 6), json.loads, 15),
+    "sweep-closed": (_sweep("closed"), (3, 4, 6), _csv_table, 15),
+    "sweep-approx": (_sweep("approx"), (2, 3, 4, 6), _csv_table, 15),
+    "analytic": (st.just(["analytic"]), (2, 3, 4, 6), _csv_table, 15),
+    "approx": (st.just(["approx"]), (2, 3, 4, 6), _csv_table, 15),
+}
+
+
+class TestSimulateFuzz:
+    """Every valid scenario ends each command in a result or in one clear error."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_valid_scenario_exits_cleanly(self, command):
+        argv_strategy, codes, check, examples = COMMANDS[command]
+
+        @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+        @given(_scenarios(max_steps=60, max_replications=2), argv_strategy)
+        def exits_cleanly(mapping, argv):
+            out, err = io.StringIO(), io.StringIO()
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "scenario.yaml"
+                path.write_text(yaml.safe_dump(mapping))
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main([*argv, "--config", str(path)])
+            assert code == 0 or code in codes, err.getvalue()
+            if code == 0:
+                assert err.getvalue() == ""
+                check(out.getvalue())
+            else:
+                assert out.getvalue() == ""
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+
+        exits_cleanly()

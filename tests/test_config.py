@@ -18,6 +18,7 @@ from hotsim.config import (
     IntegralTollSpec,
     ScenarioConfig,
     SelfLearningSpec,
+    VotControllerSpec,
     config_fingerprint,
     config_from_mapping,
     load_config,
@@ -25,6 +26,7 @@ from hotsim.config import (
 )
 from hotsim.engine import DemandProfile
 from hotsim.errors import ConfigError, ScenarioAssumptionError
+from hotsim.pricing import SelfLearningController
 from hotsim.traffic import Capacities
 
 
@@ -212,6 +214,12 @@ NAN_RULES = [
     (SelfLearningSpec(), {"initial_cov": NAN}, ValueError, "initial_cov"),
     (SelfLearningSpec(), {"process_noise": ((1.0, 0.0, 0.0), (0.0, NAN, 0.0), (0.0, 0.0, 1.0))},
      ValueError, "process_noise"),
+    # an initial state with no range rule, the reduced model's included, is finite
+    (VotControllerSpec(), {"initial_vot": NAN}, ValueError, "initial_vot"),
+    (IntegralTollSpec(), {"initial_price": NAN}, ValueError, "initial_price"),
+    (IntegralTollSpec(), {"target_demand": NAN}, ValueError, "target_demand"),
+    (SelfLearningSpec(), {"initial_theta": (NAN, 1.0, 0.1)}, ValueError, "initial_theta"),
+    (ScenarioConfig(), {"approx_zeta0": NAN}, ConfigError, "approx.zeta0"),
 ]
 
 
@@ -351,22 +359,36 @@ def _selflearning(key: str, value) -> str:
     return f"controller: {{selflearning: {{{key}: {value}}}}}"
 
 
+INDEFINITE = [
+    ("initial_cov", "-1.0"),
+    ("process_noise", "-1.0e-6"),
+    ("initial_cov", "[[1, 0, 0], [0, -0.5, 0], [0, 0, 1]]"),
+    # every entry positive, yet the symmetric part has eigenvalue -1
+    ("process_noise", "[[1, 2, 0], [2, 1, 0], [0, 0, 1]]"),
+    # symmetric part [[0.1, 1, 0], [1, 0.1, 0], [0, 0, 0.1]], eigenvalue -0.9
+    ("initial_cov", "[[0.1, 0, 0], [2, 0.1, 0], [0, 0, 0.1]]"),
+    # negative beyond roundoff at any scale
+    ("process_noise", "[[1.0e-12, 0, 0], [0, -1.0e-12, 0], [0, 0, 1.0e-12]]"),
+]
+
+
 class TestCovariances:
-    @pytest.mark.parametrize("key, value", [
-        ("initial_cov", "-1.0"),
-        ("process_noise", "-1.0e-6"),
-        ("initial_cov", "[[1, 0, 0], [0, -0.5, 0], [0, 0, 1]]"),
-        # every entry positive, yet the symmetric part has eigenvalue -1
-        ("process_noise", "[[1, 2, 0], [2, 1, 0], [0, 0, 1]]"),
-        # symmetric part [[0.1, 1, 0], [1, 0.1, 0], [0, 0, 0.1]], eigenvalue -0.9
-        ("initial_cov", "[[0.1, 0, 0], [2, 0.1, 0], [0, 0, 0.1]]"),
-        # negative beyond roundoff at any scale
-        ("process_noise", "[[1.0e-12, 0, 0], [0, -1.0e-12, 0], [0, 0, 1.0e-12]]"),
-    ])
+    @pytest.mark.parametrize("key, value", INDEFINITE)
     def test_indefinite_matrix_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=re.escape(f"controller.selflearning.{key}: "
                                                         "expected a covariance")):
             parse_config_text(_selflearning(key, value))
+
+    @pytest.mark.parametrize("key, value", INDEFINITE)
+    def test_controller_built_in_code_gives_the_spec_message(self, key, value):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config_text(_selflearning(key, value))
+        kwargs = dict(initial_theta=(0.25, 1.0, 0.1), initial_cov=0.1,
+                      measurement_var=0.09, process_noise=1e-6)
+        kwargs[key] = yaml.safe_load(value)
+        with pytest.raises(ValueError, match=f"^{key}: expected a covariance, ") as built:
+            SelfLearningController(30.0, **kwargs)
+        assert str(parsed.value) == f"controller.selflearning.{built.value}"
 
     @pytest.mark.parametrize("key, value", [
         ("initial_cov", "0.0"),

@@ -171,15 +171,15 @@ class TestSelfLearningFilter:
         assert np.isfinite(ctrl.theta).all()
 
     def test_zero_innovation_variance_divides_as_numpy(self):
-        # the controller takes any matrix, and an indefinite one can make
-        # s = h' P h + r exactly 0: the gain is numpy's inf or nan, not a
-        # ZeroDivisionError
-        kwargs = dict(initial_theta=(0.25, 1.0, 0.1), initial_cov=-0.03 * np.eye(3),
-                      measurement_var=0.09, process_noise=np.zeros((3, 3)))
+        # a covariance may have an eigenvalue below zero within COV_EIG_TOL of
+        # its largest, and with h = [0, 1, 1] this one makes s = h' P h + r
+        # exactly 0: the gain is numpy's inf or nan, not a ZeroDivisionError
+        kwargs = dict(initial_theta=(0.25, 1.0, 0.1), initial_cov=np.diag([1e12, -999.0, 0.0]),
+                      measurement_var=999.0, process_noise=np.zeros((3, 3)))
         ctrl, ref = learner(**kwargs), ReferenceFilter(**kwargs)
         with np.errstate(all="ignore"):
-            observe_share(ctrl, 60.0, 20.0, 1.0, 1.0)
-            ref.ingest(60.0, 20.0, 1.0, 1.0)
+            observe_share(ctrl, 60.0, 20.0, 0.0, 1.0)
+            ref.ingest(60.0, 20.0, 0.0, 1.0)
         assert not np.isfinite(ctrl.theta).all()
         assert ctrl.theta.tobytes() == ref.theta.tobytes()
         assert ctrl.cov.tobytes() == ref.cov.tobytes()
@@ -187,10 +187,12 @@ class TestSelfLearningFilter:
     def test_matches_the_all_array_filter_bit_for_bit(self):
         rng = np.random.default_rng(41)
         for _ in range(40):
-            cov0 = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 2)  # asymmetric
+            # asymmetric covariances: F F' plus the skew-symmetric F - F'
+            f0, f1 = rng.normal(size=(2, 3, 3))
+            cov0 = (f0 @ f0.T + f0 - f0.T) * 10.0 ** rng.uniform(-3, 2)
             kwargs = dict(initial_theta=rng.normal(size=3), initial_cov=cov0,
                           measurement_var=10.0 ** rng.uniform(-4, 4),
-                          process_noise=rng.normal(size=(3, 3)) * 1e-6)
+                          process_noise=(f1 @ f1.T + f1 - f1.T) * 1e-6)
             ctrl = learner(**kwargs)
             ref = ReferenceFilter(**kwargs)
             for _ in range(50):
