@@ -133,6 +133,23 @@ class TestExitCodes:
         config = scenario_file("demand: {hov: 5.0, sov: 10.0}\n")
         assert run_cli("simulate", "--config", config) == 3
 
+    @pytest.mark.parametrize("controller, message", [
+        ("vot", "HOV demand 30 veh/min saturates the HOT capacity 30 veh/min"),
+        ("selflearning", "optimal paying demand 0 veh/min must lie strictly "
+                         "between 0 and the SOV demand 70 veh/min"),
+    ])
+    def test_quote_check_fires_when_sampled_demand_changes(
+        self, scenario_file, tmp_path, capsys, controller, message
+    ):
+        # the draws of steps 0 and 1 pass the quote's demand checks; step 2
+        # draws an HOV demand that fills the HOT capacity, so a quote that
+        # kept the checks of an earlier demand pair would price it
+        config = scenario_file(f"demand: {{kind: poisson, hov: 25}}\n"
+                               f"controller: {{kind: {controller}}}\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", config, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: step 2 (t=0.0333333 min): {message}\n"
+
     def test_degenerate_price_sensitivity(self, scenario_file):
         config = scenario_file(
             "controller:\n"
