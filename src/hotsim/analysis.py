@@ -81,6 +81,35 @@ def loop_gain_rate(config: "ScenarioConfig") -> float:
     return config.behavior.scale * (q1 + q2 - c1 - c2) * (q1 + q2 - c1) * (c1 - q1) / (c2 * q2)
 
 
+def _integrate(
+    lam: float,
+    zeta: float,
+    t: float,
+    queue_gain: float,
+    residual_gain: float,
+    gain_rate: float,
+    dt: float,
+    n: int,
+) -> tuple[list, list, float]:
+    """``n`` explicit Euler steps of the reduced dynamics from ``(lam, zeta)`` at ``t``.
+
+    Returns the ``n + 1`` queues and residual capacities, the initial ones
+    first, and the time after the last step.
+    """
+    lams, zetas = [lam], [zeta]
+    append_lam, append_zeta = lams.append, zetas.append
+    # dt * gain_rate * t * (...) multiplies left to right: its first product is fixed
+    rate_dt = dt * gain_rate
+    for _ in range(n):
+        queue = lam - zeta * dt  # clipped at zero as max(queue, 0.0) would
+        zeta = zeta + rate_dt * t * (queue_gain * lam - residual_gain * zeta)
+        lam = 0.0 if 0.0 > queue else queue
+        t = t + dt
+        append_lam(lam)
+        append_zeta(zeta)
+    return lams, zetas, t
+
+
 def step_approximate(
     lambda1: float,
     zeta: float,
@@ -94,12 +123,8 @@ def step_approximate(
 
     Returns the next ``(lambda1, zeta, t)``.
     """
-    queue = lambda1 - zeta * dt  # clipped at zero as max(queue, 0.0) would
-    return (
-        0.0 if 0.0 > queue else queue,
-        zeta + dt * gain_rate * t * (queue_gain * lambda1 - residual_gain * zeta),
-        t + dt,
-    )
+    lams, zetas, t = _integrate(lambda1, zeta, t, queue_gain, residual_gain, gain_rate, dt, 1)
+    return lams[1], zetas[1], t
 
 
 def run_approximate(
@@ -118,12 +143,8 @@ def run_approximate(
     reduced dynamics are time-variant.
     """
     n = round(horizon / dt)
-    lam, zeta, t = initial_queue, initial_zeta, start_time
-    lams, zetas = [lam], [zeta]
-    for _ in range(n):
-        lam, zeta, t = step_approximate(lam, zeta, t, queue_gain, residual_gain, gain_rate, dt)
-        lams.append(lam)
-        zetas.append(zeta)
+    lams, zetas, _ = _integrate(initial_queue, initial_zeta, start_time,
+                                queue_gain, residual_gain, gain_rate, dt, n)
     times = start_time + np.arange(n + 1) * dt
     return times, np.array(lams, dtype=float), np.array(zetas, dtype=float)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import traffic
+from .errors import require_finite
 
 NOISE_KINDS = ("none", "uniform")
 
@@ -27,10 +28,10 @@ class BehaviorParams:
     scale: float  # logit scale, 1/$
 
     def __post_init__(self) -> None:
-        if not self.vot > 0:  # nan is not positive either
-            raise ValueError("vot must be positive")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        for key in ("vot", "scale"):
+            if not getattr(self, key) > 0:  # nan is not positive either
+                raise ValueError(f"{key} must be positive")
+            require_finite(key, getattr(self, key))
 
 
 @dataclass(frozen=True)

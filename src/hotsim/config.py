@@ -59,7 +59,7 @@ import yaml
 
 from .choice import BehaviorParams, NoiseSpec
 from .engine import DemandProfile, check_seeds
-from .errors import ConfigError, ScenarioAssumptionError
+from .errors import ConfigError, ScenarioAssumptionError, require_finite
 from .pricing import IntegralTollSpec, SelfLearningSpec, VotControllerSpec
 from .traffic import Capacities
 
@@ -129,11 +129,12 @@ class ScenarioConfig:
         if replications < 1:
             raise ConfigError("run.replications must be at least 1")
         for key in ("hot_queue", "gp_queue"):
-            if not getattr(self, f"initial_{key}") >= 0:  # nan fails too
+            queue = getattr(self, f"initial_{key}")
+            if not queue >= 0:  # nan fails too
                 raise ConfigError(f"initial.{key} cannot be negative")
-        zeta0 = self.approx_zeta0
-        if zeta0 is not None and not math.isfinite(zeta0):
-            raise ConfigError(f"approx.zeta0: expected a finite number, got {zeta0!r}")
+            require_finite(f"initial.{key}", queue, ConfigError)
+        if self.approx_zeta0 is not None:
+            require_finite("approx.zeta0", self.approx_zeta0, ConfigError)
 
         demand, hot = self.demand, self.capacities.hot
         timeseries = demand.kind == "timeseries"
@@ -196,8 +197,7 @@ def _real(value, where: str) -> float:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where}: expected a finite number, got {number!r}")
+    require_finite(where, number, ConfigError)
     return number
 
 

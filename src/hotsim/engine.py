@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import choice, traffic
-from .errors import ConfigError, HotSimError, NonFiniteResultError
+from .errors import ConfigError, HotSimError, NonFiniteResultError, require_finite
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
@@ -67,6 +67,7 @@ class DemandProfile:
             for key, rate in (("hov", self.mean_hov), ("sov", self.mean_sov)):
                 if not rate >= 0:  # nan fails too
                     raise ValueError(f"{key} cannot be negative")
+                require_finite(key, rate)
         else:
             if not self.samples:
                 raise ValueError("samples: timeseries demand needs at least one sample")
@@ -75,6 +76,9 @@ class DemandProfile:
                 raise ValueError("samples: timeseries sample times must be strictly increasing")
             if not all(s[1] >= 0 and s[2] >= 0 for s in self.samples):
                 raise ValueError("samples: demand rates cannot be negative")
+            for _, hov, sov in self.samples:
+                require_finite("samples", hov)
+                require_finite("samples", sov)
 
     @cached_property
     def sample_times(self) -> tuple[float, ...]:

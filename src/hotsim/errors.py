@@ -5,6 +5,8 @@ configuration, demand patterns outside the model's assumptions, controller
 failures, I/O problems, and runs whose results are not finite.
 """
 
+import math
+
 
 class HotSimError(Exception):
     """Base class for all errors raised by this package."""
@@ -33,3 +35,9 @@ class BoundaryNotBracketedError(HotSimError):
 
 class NonFiniteResultError(HotSimError):
     """A run's summary metric is infinite or NaN: its state left the finite range."""
+
+
+def require_finite(key: str, value: float, error: type[Exception] = ValueError) -> None:
+    """Raise ``error``, its message beginning with ``key``, if ``value`` is NaN or infinite."""
+    if not math.isfinite(value):
+        raise error(f"{key}: expected a finite number, got {value!r}")

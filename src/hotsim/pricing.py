@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PriceUndefinedError, ScenarioAssumptionError
+from .errors import PriceUndefinedError, ScenarioAssumptionError, require_finite
 from .traffic import Capacities
 
 ALPHA2_FLOOR = 1e-6
@@ -44,6 +44,9 @@ _EYE3 = np.eye(3)
 # write Python floats into a float64 buffer, the native bytes of each double
 _PACK3 = struct.Struct("3d").pack_into
 _PACK9 = struct.Struct("9d").pack_into
+# a quote's demand cache starts at nan, which equals no demand rate, so the
+# first quote computes its demand term
+_UNQUOTED = math.nan
 
 
 class _ControllerSpec:
@@ -61,6 +64,11 @@ class VotFeedbackController:
     positive residual capacity lowers it with gain ``residual_gain``.  The
     price is the estimated delay cost plus the demand-split log term scaled
     by the operator's guess of the logit scale.
+
+    The log term and its two demand checks read only ``q1``, ``q2``, the HOT
+    capacity and ``scale_guess``, so ``quote`` computes them only when the
+    demand pair differs from the last one it priced; under constant demand
+    that is the first quote only.
     """
 
     def __init__(self, hot_capacity: float, queue_gain: float, residual_gain: float,
@@ -69,26 +77,32 @@ class VotFeedbackController:
                            ("scale_guess", scale_guess)):
             if not value > 0:  # nan is not positive either
                 raise ValueError(f"{key} must be positive")
-        _check_finite("initial_vot", initial_vot)
+            require_finite(key, value)
+        require_finite("initial_vot", initial_vot)
         self.hot_capacity = hot_capacity
         self.queue_gain = queue_gain
         self.residual_gain = residual_gain
         self.scale_guess = scale_guess
         self.vot_estimate = initial_vot
+        # the demand pair of the last quote and its log term
+        self._q1 = self._q2 = self._split = _UNQUOTED
 
     def quote(self, w: float, q1: float, q2: float) -> float:
-        c1 = self.hot_capacity
-        # log term requires q1 < c1 < q1 + q2
-        if q1 >= c1:
-            raise ScenarioAssumptionError(
-                f"HOV demand {q1:g} veh/min saturates the HOT capacity {c1:g} veh/min"
-            )
-        if q1 + q2 <= c1:
-            raise ScenarioAssumptionError(
-                f"total demand {q1 + q2:g} veh/min does not exceed the HOT capacity "
-                f"{c1:g} veh/min; the corridor is not congested"
-            )
-        return self.vot_estimate * w + math.log((q1 + q2 - c1) / (c1 - q1)) / self.scale_guess
+        if q1 != self._q1 or q2 != self._q2:  # nan differs from itself: never kept
+            c1 = self.hot_capacity
+            # log term requires q1 < c1 < q1 + q2
+            if q1 >= c1:
+                raise ScenarioAssumptionError(
+                    f"HOV demand {q1:g} veh/min saturates the HOT capacity {c1:g} veh/min"
+                )
+            if q1 + q2 <= c1:
+                raise ScenarioAssumptionError(
+                    f"total demand {q1 + q2:g} veh/min does not exceed the HOT capacity "
+                    f"{c1:g} veh/min; the corridor is not congested"
+                )
+            self._split = math.log((q1 + q2 - c1) / (c1 - q1)) / self.scale_guess
+            self._q1, self._q2 = q1, q2
+        return self.vot_estimate * w + self._split
 
     def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
         # one explicit Euler step of the estimator
@@ -119,8 +133,9 @@ class IntegralTollController:
     def __init__(self, gain: float, initial_price: float, target_demand: float) -> None:
         if not gain > 0:  # nan is not positive either
             raise ValueError("gain must be positive")
-        _check_finite("initial_price", initial_price)
-        _check_finite("target_demand", target_demand)
+        require_finite("gain", gain)
+        require_finite("initial_price", initial_price)
+        require_finite("target_demand", target_demand)
         self.gain = gain
         self.u = initial_price
         self.target_demand = target_demand
@@ -158,12 +173,18 @@ class SelfLearningController:
     The state is held in Python floats; ``theta`` and ``cov`` are arrays
     built from them when read.  The arrays the six matrix products of a step
     read are per-controller buffers, written in place.
+
+    ``quote`` checks ``alpha2`` on every call, since the filter moves it.
+    The paying-demand target, its check and its log term read only ``q1``,
+    ``q2`` and the HOT capacity, so they are computed only when the demand
+    pair differs from the last one priced.
     """
 
     def __init__(self, hot_capacity: float, initial_theta, initial_cov,
                  measurement_var: float, process_noise) -> None:
         if not measurement_var > 0:  # nan is not positive either
             raise ValueError("measurement_var must be positive")
+        require_finite("measurement_var", measurement_var)
         self.hot_capacity = hot_capacity
         theta = np.asarray(initial_theta, dtype=float)
         if theta.shape != (3,):
@@ -194,6 +215,8 @@ class SelfLearningController:
         self._prior = np.array(prior).reshape(3, 3)
         self._ikh = np.empty((3, 3))
         self._ikh_t = self._ikh.T
+        # the demand pair of the last quote and its log term
+        self._q1 = self._q2 = self._split = _UNQUOTED
 
     @staticmethod
     def _as_matrix(value, name: str) -> np.ndarray:
@@ -283,13 +306,16 @@ class SelfLearningController:
             raise PriceUndefinedError(
                 f"price-utility estimate alpha2={alpha2:g} is too close to zero"
             )
-        target = self.hot_capacity - q1  # paying demand that fills the HOT lanes
-        if not 0.0 < target < q2:
-            raise ScenarioAssumptionError(
-                f"optimal paying demand {target:g} veh/min must lie strictly "
-                f"between 0 and the SOV demand {q2:g} veh/min"
-            )
-        return (math.log((q2 - target) / target) + alpha1 * w - gamma) / alpha2
+        if q1 != self._q1 or q2 != self._q2:  # nan differs from itself: never kept
+            target = self.hot_capacity - q1  # paying demand that fills the HOT lanes
+            if not 0.0 < target < q2:
+                raise ScenarioAssumptionError(
+                    f"optimal paying demand {target:g} veh/min must lie strictly "
+                    f"between 0 and the SOV demand {q2:g} veh/min"
+                )
+            self._split = math.log((q2 - target) / target)
+            self._q1, self._q2 = q1, q2
+        return (self._split + alpha1 * w - gamma) / alpha2
 
 
 @dataclass(frozen=True)
@@ -306,11 +332,6 @@ class SelfLearningSpec(_ControllerSpec):
             caps.hot, self.initial_theta, self.initial_cov,
             self.measurement_var, self.process_noise,
         )
-
-
-def _check_finite(key: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{key}: expected a finite number, got {value!r}")
 
 
 def _quiet_divide(values, divisor: float) -> list:

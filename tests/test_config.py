@@ -1,6 +1,7 @@
 """Scenario parsing: defaults, validation, and error paths."""
 
 import dataclasses
+import functools
 import math
 import re
 from pathlib import Path
@@ -26,7 +27,7 @@ from hotsim.config import (
 )
 from hotsim.engine import DemandProfile
 from hotsim.errors import ConfigError, ScenarioAssumptionError
-from hotsim.pricing import SelfLearningController
+from hotsim.pricing import IntegralTollController, SelfLearningController, VotFeedbackController
 from hotsim.traffic import Capacities
 
 
@@ -222,6 +223,45 @@ NAN_RULES = [
     (ScenarioConfig(), {"approx_zeta0": NAN}, ConfigError, "approx.zeta0"),
 ]
 
+INF = math.inf
+TIMESERIES_ONE = DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),))
+VOT_ARGS = dict(hot_capacity=30.0, queue_gain=0.1, residual_gain=0.1, scale_guess=1.0,
+                initial_vot=0.25)
+LEARNER_ARGS = dict(hot_capacity=30.0, initial_theta=(0.25, 1.0, 0.1), initial_cov=0.1,
+                    measurement_var=0.09, process_noise=1e-6)
+# +inf at each range rule with only a lower bound: (object, fields, error,
+# key, constructor); the constructor takes the fields as keywords and builds
+# the object, or for a controller spec the controller, directly
+INF_RULES = [
+    (ScenarioConfig(), {"initial_hot_queue": INF}, ConfigError, "initial.hot_queue",
+     ScenarioConfig),
+    (ScenarioConfig(), {"initial_gp_queue": INF}, ConfigError, "initial.gp_queue",
+     ScenarioConfig),
+    (DemandProfile(), {"mean_hov": INF}, ValueError, "hov", DemandProfile),
+    (DemandProfile(), {"mean_sov": INF}, ValueError, "sov", DemandProfile),
+    (TIMESERIES_ONE, {"samples": ((0.0, INF, 60.0),)}, ValueError, "samples",
+     functools.partial(DemandProfile, "timeseries")),
+    (TIMESERIES_ONE, {"samples": ((0.0, 10.0, 60.0), (5.0, 10.0, INF))}, ValueError, "samples",
+     functools.partial(DemandProfile, "timeseries")),
+    (BehaviorParams(0.5, 1.0), {"vot": INF}, ValueError, "vot",
+     functools.partial(BehaviorParams, scale=1.0)),
+    (BehaviorParams(0.5, 1.0), {"scale": INF}, ValueError, "scale",
+     functools.partial(BehaviorParams, 0.5)),
+    (VotControllerSpec(), {"queue_gain": INF}, ValueError, "queue_gain",
+     functools.partial(VotFeedbackController, **VOT_ARGS)),
+    (VotControllerSpec(), {"residual_gain": INF}, ValueError, "residual_gain",
+     functools.partial(VotFeedbackController, **VOT_ARGS)),
+    (VotControllerSpec(), {"scale_guess": INF}, ValueError, "scale_guess",
+     functools.partial(VotFeedbackController, **VOT_ARGS)),
+    (IntegralTollSpec(), {"gain": INF}, ValueError, "gain",
+     functools.partial(IntegralTollController, initial_price=0.5, target_demand=30.0)),
+    (SelfLearningSpec(), {"measurement_var": INF}, ValueError, "measurement_var",
+     functools.partial(SelfLearningController, **LEARNER_ARGS)),
+]
+INF_IDS = ["initial.hot_queue", "initial.gp_queue", "hov", "sov", "samples-hov", "samples-sov",
+           "vot", "scale", "queue_gain", "residual_gain", "scale_guess", "gain",
+           "measurement_var"]
+
 
 class TestBuiltInCode:
     @pytest.mark.parametrize("fields, error, key", UNPARSED,
@@ -254,6 +294,16 @@ class TestBuiltInCode:
     def test_nan_fails_each_range_rule(self, section, fields, error, key):
         with pytest.raises(error, match=f"^{re.escape(key)}"):
             dataclasses.replace(section, **fields)
+
+    @pytest.mark.parametrize("how", ["replace", "construct"])
+    @pytest.mark.parametrize("section, fields, error, key, construct", INF_RULES, ids=INF_IDS)
+    def test_inf_fails_each_lower_bound_rule(self, section, fields, error, key, construct, how):
+        # the message is the parser's for the same key, less its section
+        with pytest.raises(error, match=f"^{re.escape(key)}: expected a finite number, got inf$"):
+            if how == "replace":
+                dataclasses.replace(section, **fields)
+            else:
+                construct(**fields)
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

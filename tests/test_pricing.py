@@ -367,3 +367,48 @@ class TestControllerInterface:
         assert vot_controller().vot_estimate == 0.5
         assert IntegralTollController(0.01, 0.5, 30.0).vot_estimate is None
         assert learner().vot_estimate == pytest.approx(0.25)
+
+
+class TestQuoteDemandCache:
+    """A quote keeps its demand term for the last demand pair it priced.
+
+    Each quote must still be, bit for bit, the formula evaluated afresh:
+    pairs repeat (A, A, B, A), change in one rate only, fail the demand
+    checks (C), go nan, and come back to A after a failure, with an
+    ``observe`` moving the estimate between every two quotes.
+    """
+
+    A, B, C = (10.0, 60.0), (12.0, 55.0), (30.0, 60.0)
+    PAIRS = [A, A, B, A, (10.0, 55.0), (12.0, 60.0), C, (math.nan, math.nan), A]
+
+    @staticmethod
+    def reference_vot_quote(ctrl, w, q1, q2):
+        c1 = ctrl.hot_capacity
+        if q1 >= c1 or q1 + q2 <= c1:
+            raise ScenarioAssumptionError("demand")
+        return ctrl.vot_estimate * w + math.log((q1 + q2 - c1) / (c1 - q1)) / ctrl.scale_guess
+
+    def test_vot_quote_is_the_uncached_formula(self):
+        ctrl = vot_controller()
+        quotes = []
+        for k, (q1, q2) in enumerate(self.PAIRS):
+            w = 0.4 + 0.1 * k
+            quotes.append(outcome(ctrl.quote, w, q1, q2))
+            assert quotes[-1] == outcome(self.reference_vot_quote, ctrl, w, q1, q2), k
+            observe_vot(ctrl, 2.0 - 0.5 * k, 0.3)
+        assert quotes[6] is ScenarioAssumptionError
+        assert math.isnan(np.frombuffer(quotes[7])[0])
+
+    def test_selflearning_quote_is_the_uncached_formula(self):
+        ctrl = learner()
+        ref = ReferenceFilter((0.25, 1.0, 0.1), 0.1 * np.eye(3), 0.09, 1e-6 * np.eye(3))
+        quotes = []
+        for k, (q1, q2) in enumerate(self.PAIRS):
+            w = 0.4 + 0.1 * k
+            quotes.append(outcome(ctrl.quote, w, q1, q2))
+            assert quotes[-1] == outcome(ref.quote, w, q1, q2), k
+            q3, u = 0.3 * q2 + k, 1.0 + 0.2 * k
+            observe_share(ctrl, 60.0, q3, w, u)
+            ref.ingest(60.0, q3, w, u)
+        assert quotes[6] is ScenarioAssumptionError
+        assert quotes[7] is ScenarioAssumptionError
