@@ -5,6 +5,11 @@ the toll against the value of the queuing time saved.  A multiplicative
 disturbance on the value of time captures driver heterogeneity and detection
 noise; it perturbs only the drivers' decisions, never the operator's
 measurements.
+
+``engine.run_closed_loop`` evaluates the logistic of ``paying_demand`` in
+its own step loop, with the same operations in the same order;
+``paying_demand`` is its bit-for-bit reference.  The loop still calls
+``sample_eta`` for each step's draw.
 """
 
 from __future__ import annotations

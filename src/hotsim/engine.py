@@ -13,6 +13,15 @@ per-step sequence is fixed:
 7. controller updated with the same-step observation;
 8. queues advanced.
 
+The loop does the plant's arithmetic of steps 1, 5, 6 and 8 itself.  It
+makes the IEEE operations of ``traffic.queuing_times``,
+``choice.paying_demand``, ``traffic.residual_capacity``,
+``traffic.throughputs`` and ``traffic.step_point_queues`` in their order,
+comparison clamps included, so those kernels are its bit-for-bit reference
+(``tests/test_engine.py`` holds a run that calls them).  The only calls left
+in a step are the controller's ``quote`` and ``observe``, and ``demand_at``
+and ``choice.sample_eta`` when demand or noise varies.
+
 The final state at ``t = horizon`` is computed and recorded without a
 further controller or queue update, so a run of ``horizon / dt`` steps
 yields ``horizon / dt + 1`` rows.  Each run owns a single seeded random
@@ -34,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import choice, traffic
+from . import choice
 from .errors import ConfigError, HotSimError, NonFiniteResultError, require_finite
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -188,10 +197,13 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
     has_pi = controller.vot_estimate is not None
     # bound once per run, after any replacement of the module attributes
-    quote, observe = controller.quote, controller.observe
-    queuing_times, residual_capacity = traffic.queuing_times, traffic.residual_capacity
-    throughputs, step_point_queues = traffic.throughputs, traffic.step_point_queues
-    paying_demand, sample_eta = choice.paying_demand, choice.sample_eta
+    quote, observe, sample_eta = controller.quote, controller.observe, choice.sample_eta
+    # the plant's arithmetic is written out below, each line as its kernel
+    # in ``traffic`` or ``choice`` does it: a call costs about as much as
+    # the few float operations it would run
+    hot, gp = caps.hot, caps.gp
+    scale, vot = behavior.scale, behavior.vot
+    exp = math.exp
     # constant demand and noise "none" give the same value every step and
     # draw nothing from ``rng``, so they are read once here
     demand_varies = demand.kind != "constant"
@@ -208,26 +220,42 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
         try:
             for k in range(n_steps + 1):
                 t = k * dt
-                _, _, w = queuing_times(lambda1, lambda2, caps)
+                w = lambda2 / gp - lambda1 / hot  # traffic.queuing_times
                 if demand_varies:
                     q1, q2 = demand_at(demand, t, rng)
                 if noise_varies:
                     eta = sample_eta(noise, rng)
                 if q2 > 0.0:
                     u = quote(w, q1, q2)
-                    q3 = paying_demand(q2, u, w, eta, behavior)
+                    # choice.paying_demand: the sign-split logistic
+                    x = scale * (u - (1.0 + eta) * vot * w)
+                    if x >= 0.0:
+                        e = exp(-x)
+                        q3 = q2 * (e / (1.0 + e))
+                    else:
+                        q3 = q2 * (1.0 / (1.0 + exp(x)))
                 else:
                     # no SOVs to price this step
                     u, q3 = 0.0, 0.0
-                zeta = residual_capacity(caps.hot, q1, q3)
-                g1, g2 = throughputs(lambda1, lambda2, zeta, q1, q2, caps, dt)
+                zeta = hot - q1 - q3  # traffic.residual_capacity
+                # traffic.throughputs
+                g1 = hot - zeta + lambda1 / dt
+                g1 = hot if hot < g1 else g1
+                g2 = q1 + q2 - hot + zeta + lambda2 / dt
+                g2 = gp if gp < g2 else g2
+                g1 = 0.0 if 0.0 > g1 else g1
+                g2 = 0.0 if 0.0 > g2 else g2
                 pi = controller.vot_estimate if has_pi else math.nan
                 rows.append((t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta))
                 if k == n_steps:
                     break
                 if q2 > 0.0:
                     observe(dt, lambda1, zeta, w, u, q1, q2, q3)
-                lambda1, lambda2 = step_point_queues(lambda1, lambda2, zeta, q1, q2, caps, dt)
+                # traffic.step_point_queues
+                lambda1 = -zeta * dt + lambda1
+                lambda2 = (q1 + q2 - gp - hot + zeta) * dt + lambda2
+                lambda1 = 0.0 if 0.0 > lambda1 else lambda1
+                lambda2 = 0.0 if 0.0 > lambda2 else lambda2
         except HotSimError as exc:
             raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
 

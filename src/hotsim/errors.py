@@ -38,6 +38,12 @@ class NonFiniteResultError(HotSimError):
 
 
 def require_finite(key: str, value: float, error: type[Exception] = ValueError) -> None:
-    """Raise ``error``, its message beginning with ``key``, if ``value`` is NaN or infinite."""
-    if not math.isfinite(value):
+    """Raise ``error``, its message beginning with ``key``, if ``value`` is NaN,
+    infinite, or an integer beyond the float range."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int no float can hold; its repr may run to any length
+        raise error(f"{key}: expected a finite number, got an integer "
+                    f"too large for a float") from None
+    if not finite:
         raise error(f"{key}: expected a finite number, got {value!r}")

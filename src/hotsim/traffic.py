@@ -4,12 +4,19 @@ Two vertical queues, one per lane group, driven by the residual capacity of
 the HOT lanes (capacity minus HOT-bound demand).  All rates are vehicles per
 minute, queues are vehicles, and times are minutes.  The kernels take and
 return plain floats: ``lambda1`` and ``lambda2`` are the HOT and GP queues.
+
+``engine.run_closed_loop`` does this arithmetic in its own step loop, with
+the same operations in the same order; these kernels are its bit-for-bit
+reference and the public form of the dynamics for the analysis and for
+library use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .errors import require_finite
 
 
 @dataclass(frozen=True)
@@ -21,8 +28,10 @@ class Capacities:
 
     def __post_init__(self) -> None:
         for key in ("hot", "gp"):
-            if not 0 < getattr(self, key) < math.inf:  # nan fails too
+            rate = getattr(self, key)
+            if not 0 < rate < math.inf:  # nan fails too
                 raise ValueError(f"{key} must be positive and finite")
+            require_finite(key, rate)  # an int beyond the float range is below inf
 
 
 def residual_capacity(c1: float, q1: float, q3: float) -> float:

@@ -258,6 +258,25 @@ INF_RULES = [
     (SelfLearningSpec(), {"measurement_var": INF}, ValueError, "measurement_var",
      functools.partial(SelfLearningController, **LEARNER_ARGS)),
 ]
+# how the object is built, a value beyond the finite floats, and how the
+# message names it: an int beyond the float range is not printed, as its
+# repr would run to 401 digits
+TOO_LARGE = "an integer too large for a float"
+BEYOND_FINITE = [
+    pytest.param("replace", INF, "inf", id="replace"),
+    pytest.param("construct", INF, "inf", id="construct"),
+    pytest.param("replace", 10**400, TOO_LARGE, id="replace-int-10**400"),
+    pytest.param("construct", 10**400, TOO_LARGE, id="construct-int-10**400"),
+]
+
+
+def _replace_inf(value, big):
+    """``value`` with every inf in it, in nested tuples too, replaced by ``big``."""
+    if isinstance(value, tuple):
+        return tuple(_replace_inf(v, big) for v in value)
+    return big if value == INF else value
+
+
 INF_IDS = ["initial.hot_queue", "initial.gp_queue", "hov", "sov", "samples-hov", "samples-sov",
            "vot", "scale", "queue_gain", "residual_gain", "scale_guess", "gain",
            "measurement_var"]
@@ -295,15 +314,24 @@ class TestBuiltInCode:
         with pytest.raises(error, match=f"^{re.escape(key)}"):
             dataclasses.replace(section, **fields)
 
-    @pytest.mark.parametrize("how", ["replace", "construct"])
+    @pytest.mark.parametrize("how, big, got", BEYOND_FINITE)
     @pytest.mark.parametrize("section, fields, error, key, construct", INF_RULES, ids=INF_IDS)
-    def test_inf_fails_each_lower_bound_rule(self, section, fields, error, key, construct, how):
-        # the message is the parser's for the same key, less its section
-        with pytest.raises(error, match=f"^{re.escape(key)}: expected a finite number, got inf$"):
+    def test_inf_fails_each_lower_bound_rule(self, section, fields, error, key, construct, how,
+                                             big, got):
+        # for inf the message is the parser's for the same key, less its section
+        fields = {name: _replace_inf(value, big) for name, value in fields.items()}
+        with pytest.raises(error, match=f"^{re.escape(key)}: expected a finite number, "
+                                        f"got {re.escape(got)}$"):
             if how == "replace":
                 dataclasses.replace(section, **fields)
             else:
                 construct(**fields)
+
+    @pytest.mark.parametrize("key", ["hot", "gp"])
+    def test_capacity_beyond_the_float_range_fails_by_key(self, key):
+        # 10**400 passes 0 < rate < inf, and a run would stop on an OverflowError
+        with pytest.raises(ValueError, match=f"^{key}: expected a finite number, got {TOO_LARGE}$"):
+            Capacities(**{"hot": 30.0, "gp": 30.0, key: 10**400})
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

@@ -9,27 +9,35 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hotsim import choice, traffic
+from hotsim.choice import BehaviorParams, NoiseSpec
 from hotsim.config import (
     IntegralTollSpec,
     ScenarioConfig,
     SelfLearningSpec,
+    VotControllerSpec,
     config_fingerprint,
 )
 from hotsim.engine import (
     STATE_FIELDS,
     DemandProfile,
     Trajectory,
+    check_seeds,
     demand_at,
     run_closed_loop,
     summarize,
 )
 from hotsim.errors import (
     ConfigError,
+    HotSimError,
     NonFiniteResultError,
     PriceUndefinedError,
     ScenarioAssumptionError,
 )
+from hotsim.traffic import Capacities
 
 S0 = ScenarioConfig()
 # sign bit set and a payload of 0x123 in a quiet nan
@@ -250,6 +258,162 @@ class TestClosedLoop:
         assert lost == pytest.approx(
             (pi[clear] - pi[-1]) / spec.residual_gain, abs=1e-9
         )
+
+
+def reference_run_closed_loop(config, seed=None):
+    """``run_closed_loop`` as it ran when each step called the plant kernels
+    of ``traffic`` and ``choice``: the loop now does their arithmetic itself
+    and must give the same bits, and the same error, as this run."""
+    caps, dt, n_steps = config.capacities, config.dt, config.n_steps
+    demand, noise, behavior = config.demand, config.noise, config.behavior
+    run_seed, _ = check_seeds(config.seed if seed is None else seed, 1)
+    rng = np.random.default_rng(run_seed)
+    controller = config.controller.build(caps)
+    lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
+    has_pi = controller.vot_estimate is not None
+    demand_varies = demand.kind != "constant"
+    noise_varies = noise.kind != "none"
+    if not demand_varies:
+        q1, q2 = demand_at(demand, 0.0, rng)
+    if not noise_varies:
+        eta = choice.sample_eta(noise, rng)
+
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for k in range(n_steps + 1):
+                t = k * dt
+                _, _, w = traffic.queuing_times(lambda1, lambda2, caps)
+                if demand_varies:
+                    q1, q2 = demand_at(demand, t, rng)
+                if noise_varies:
+                    eta = choice.sample_eta(noise, rng)
+                if q2 > 0.0:
+                    u = controller.quote(w, q1, q2)
+                    q3 = choice.paying_demand(q2, u, w, eta, behavior)
+                else:
+                    u, q3 = 0.0, 0.0
+                zeta = traffic.residual_capacity(caps.hot, q1, q3)
+                g1, g2 = traffic.throughputs(lambda1, lambda2, zeta, q1, q2, caps, dt)
+                pi = controller.vot_estimate if has_pi else math.nan
+                rows.append((t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta))
+                if k == n_steps:
+                    break
+                if q2 > 0.0:
+                    controller.observe(dt, lambda1, zeta, w, u, q1, q2, q3)
+                lambda1, lambda2 = traffic.step_point_queues(
+                    lambda1, lambda2, zeta, q1, q2, caps, dt)
+        except HotSimError as exc:
+            raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
+
+    return Trajectory(rows)
+
+
+def run_outcome(run, config):
+    """Each column's bytes, or the type and message of the error the run raised."""
+    try:
+        traj = run(config)
+    except (HotSimError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [traj.column(name).tobytes() for name in STATE_FIELDS]
+
+
+@st.composite
+def _rates(draw, hot):
+    """HOV and SOV rates: mostly congested, sometimes without SOVs, and
+    sometimes uncongested, which fails the quote's demand checks."""
+    hov = draw(st.floats(0.0, 0.8 * hot))
+    no_sovs = draw(st.integers(0, 4)) == 2
+    return hov, 0.0 if no_sovs else draw(st.floats(0.8 * (hot - hov), 3.0 * hot))
+
+
+@st.composite
+def _loop_scenarios(draw):
+    """A closed-loop scenario of at most 120 steps, built in code.
+
+    Capacities, rates and the step are arbitrary floats, so that a sum taken
+    in another order rounds differently; HOV demand stays below the HOT
+    capacity, as a config requires, and may leave the corridor uncongested.
+    """
+    hot, gp = draw(st.floats(10.0, 60.0)), draw(st.floats(10.0, 60.0))
+    dt = draw(st.floats(1e-3, 0.2))
+    n_steps = draw(st.integers(1, 120))
+    rates = _rates(hot)
+    kind = draw(st.sampled_from(["constant", "poisson", "timeseries"]))
+    if kind == "timeseries":
+        steps = draw(st.lists(rates, min_size=1, max_size=5))
+        # the first sample starts at or before t = 0, the rest spread over the run
+        gap = n_steps * dt / len(steps)
+        times = [-draw(st.floats(0.0, 1.0))] + [i * gap for i in range(1, len(steps))]
+        demand = DemandProfile(kind, samples=tuple(
+            (t, hov, sov) for t, (hov, sov) in zip(times, steps)))
+    else:
+        demand = DemandProfile(kind, *draw(rates))
+    noise = NoiseSpec("uniform", draw(st.floats(0.0, 0.9))) if draw(st.booleans()) else NoiseSpec()
+    controller = draw(st.sampled_from(["vot", "integral", "selflearning"]))
+    return ScenarioConfig(
+        capacities=Capacities(hot, gp),
+        horizon=n_steps * dt,
+        dt=dt,
+        demand=demand,
+        behavior=BehaviorParams(draw(st.floats(0.05, 2.0)), draw(st.floats(0.2, 5.0))),
+        noise=noise,
+        controller_kind=controller,
+        vot_spec=VotControllerSpec(initial_vot=draw(st.floats(-1.0, 2.0))),
+        integral_spec=IntegralTollSpec(initial_price=draw(st.floats(-2.0, 6.0))),
+        # a queue on the HOT lanes longer than on the GP lanes gives w < 0
+        initial_hot_queue=draw(st.floats(0.0, 40.0)),
+        initial_gp_queue=draw(st.floats(0.0, 40.0)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def _default(**overrides):
+    return dataclasses.replace(S0, horizon=1.0, **overrides)
+
+
+# one config per branch of the plant arithmetic that random draws may miss:
+# (config, test on the reference trajectory that the branch ran)
+BRANCHES = {
+    "no-sovs-to-price": (
+        _default(demand=DemandProfile("timeseries", samples=(
+            (0.0, 10.0, 60.0), (0.2, 12.0, 0.0), (0.5, 9.0, 45.0)))),
+        lambda c: (c["q2"] == 0.0).any()),
+    "g1-capped-at-hot": (_default(initial_hot_queue=5.0),
+                         lambda c: (c["g1"] == S0.capacities.hot).any()),
+    # a paying share above one half: the logistic's x < 0 branch
+    "logistic-x-negative": (
+        _default(demand=DemandProfile(mean_hov=10.0, mean_sov=25.0),
+                 noise=NoiseSpec("uniform", 0.3), seed=5),
+        lambda c: (c["q3"] > 0.5 * c["q2"]).any()),
+    "w-negative": (_default(initial_hot_queue=20.0, controller_kind="selflearning"),
+                   lambda c: (c["w"] < 0.0).any()),
+}
+
+
+class TestPlantArithmetic:
+    """The loop's plant arithmetic against the run that calls the kernels."""
+
+    @pytest.mark.parametrize("name", BRANCHES)
+    def test_branch_runs_and_matches_the_kernels(self, name):
+        config, ran = BRANCHES[name]
+        traj = reference_run_closed_loop(config)
+        assert ran({field: traj.column(field) for field in STATE_FIELDS})
+        assert run_outcome(run_closed_loop, config) == run_outcome(
+            reference_run_closed_loop, config)
+
+    def test_poisson_hov_near_capacity_fails_as_the_kernels_do(self):
+        config = dataclasses.replace(S0, demand=DemandProfile("poisson", 25.0, 60.0))
+        outcome = run_outcome(run_closed_loop, config)
+        assert outcome == run_outcome(reference_run_closed_loop, config)
+        assert outcome[0] is ScenarioAssumptionError
+        assert outcome[1].startswith("step 2 ")
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_loop_scenarios())
+    def test_loop_matches_the_kernels_bit_for_bit(self, config):
+        assert run_outcome(run_closed_loop, config) == run_outcome(
+            reference_run_closed_loop, config)
 
 
 class TestTrajectory:
