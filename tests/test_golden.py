@@ -55,6 +55,14 @@ def test_sweep_grid_and_bisection(tmp_path):
     assert digest(tmp_path / "boundary.json") == "96b0fde980b8a8d1"
 
 
+def test_sweep_grid_and_bisection_of_the_reduced_model(tmp_path):
+    assert main(["sweep", "--config", str(SCENARIOS / "perturbed.yaml"),
+                 "--grid", "0.10:0.20:0.02", "--bisect", "0.1:0.2",
+                 "--resolution", "0.005", "--model", "approx", "--out", str(tmp_path)]) == 0
+    assert digest(tmp_path / "sweep.csv") == "21bdb4bd6ec31afc"
+    assert digest(tmp_path / "boundary.json") == "17df899b388275b8"
+
+
 @pytest.mark.parametrize("argv, output, expected", [
     (["analytic"], "analytic.csv", "013420e6e51706c4"),
     (["approx", "--config", str(SCENARIOS / "perturbed.yaml")], "approx.csv", "57320e5b5d99cee3"),
