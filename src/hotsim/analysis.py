@@ -187,6 +187,48 @@ def _fit_r2(x: np.ndarray, y: np.ndarray) -> float:
     return min(max(r2, 0.0), 1.0)
 
 
+def _tail_window(
+    t: np.ndarray, lambda1: np.ndarray, zeta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The samples ``(t, lambda1, zeta)`` that ``classify_convergence``
+    reads, as it describes them; empty when no sample is active."""
+    floor = CONVERGENCE_FLOOR
+    window = np.maximum(lambda1, np.abs(zeta)) > floor  # the active samples
+    if window.any():
+        t_end = t[window][-1]
+        window = (t >= t_end - (t[-1] - t[0]) / 4.0) & (t <= t_end)
+
+        # if the queue empties for good mid-window, the Gaussian regime starts there
+        lam_win = lambda1[window]
+        if lam_win[-1] <= floor and (lam_win > floor).any():
+            t_win = t[window]
+            empty_from = t_win[lam_win > floor][-1]
+            window &= t > empty_from
+    return t[window], lambda1[window], zeta[window]
+
+
+def _pattern(
+    lam_win: np.ndarray, zeta_win: np.ndarray, queue_gain: float, residual_gain: float
+) -> tuple[str, float]:
+    """The pattern and ratio estimate of a tail window, as
+    ``classify_convergence`` describes them."""
+    floor = CONVERGENCE_FLOOR
+    if not lam_win.size:
+        return UNDETERMINED, math.nan
+
+    if (lam_win <= floor).all() and (zeta_win > 0.0).all():
+        return GAUSSIAN, 0.0
+
+    if (lam_win > floor).all() and (zeta_win > floor).all():
+        ratio = float(np.mean(lam_win / zeta_win))
+        target = residual_gain / queue_gain
+        if abs(ratio - target) <= RATIO_RTOL * target:
+            return EXPONENTIAL, ratio
+        return UNDETERMINED, ratio
+
+    return UNDETERMINED, math.nan
+
+
 def classify_convergence(
     t: np.ndarray, lambda1: np.ndarray, zeta: np.ndarray, queue_gain: float, residual_gain: float
 ) -> ConvergenceReport:
@@ -204,48 +246,21 @@ def classify_convergence(
     capacity over the window; exponential requires a persistent queue whose
     ratio to the residual capacity is locked near ``residual_gain /
     queue_gain``.  Anything else (including a fully converged trajectory) is
-    undetermined.
+    undetermined.  The report's R² fits of the two laws over the window do
+    not enter the pattern.
     """
-    t = np.asarray(t, dtype=float)
-    lambda1 = np.asarray(lambda1, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    floor = CONVERGENCE_FLOOR
-
-    active = np.maximum(lambda1, np.abs(zeta)) > floor
-    if not active.any():
-        return ConvergenceReport(UNDETERMINED, math.nan, 0.0, 0.0)
-    t_end = t[active][-1]
-    window = (t >= t_end - (t[-1] - t[0]) / 4.0) & (t <= t_end)
-
-    # if the queue empties for good mid-window, the Gaussian regime starts there
-    lam_win = lambda1[window]
-    if lam_win[-1] <= floor and (lam_win > floor).any():
-        t_win = t[window]
-        empty_from = t_win[lam_win > floor][-1]
-        window &= t > empty_from
-
-    lam_win = lambda1[window]
-    zeta_win = zeta[window]
-    t_win = t[window]
-
+    t_win, lam_win, zeta_win = _tail_window(
+        np.asarray(t, dtype=float), np.asarray(lambda1, dtype=float),
+        np.asarray(zeta, dtype=float),
+    )
+    pattern, ratio = _pattern(lam_win, zeta_win, queue_gain, residual_gain)
     r2_gauss = 0.0
     r2_exp = 0.0
     if (zeta_win > 0.0).all():
         r2_gauss = _fit_r2(t_win**2, np.log(zeta_win))
-    if (lam_win > floor).all():
+    if (lam_win > CONVERGENCE_FLOOR).all():
         r2_exp = _fit_r2(t_win, np.log(lam_win))
-
-    if (lam_win <= floor).all() and (zeta_win > 0.0).all():
-        return ConvergenceReport(GAUSSIAN, 0.0, r2_gauss, r2_exp)
-
-    if (lam_win > floor).all() and (zeta_win > floor).all():
-        ratio = float(np.mean(lam_win / zeta_win))
-        target = residual_gain / queue_gain
-        if abs(ratio - target) <= RATIO_RTOL * target:
-            return ConvergenceReport(EXPONENTIAL, ratio, r2_gauss, r2_exp)
-        return ConvergenceReport(UNDETERMINED, ratio, r2_gauss, r2_exp)
-
-    return ConvergenceReport(UNDETERMINED, math.nan, r2_gauss, r2_exp)
+    return ConvergenceReport(pattern, ratio, r2_gauss, r2_exp)
 
 
 def classify_trajectory(
@@ -282,21 +297,30 @@ def approximate_from_config(config: "ScenarioConfig") -> tuple[np.ndarray, ...]:
     )
 
 
-def classify_at(
+def _run_at(
     config: "ScenarioConfig", param: str, value: float, model: str
-) -> ConvergenceReport:
-    """Classify the vot controller's run under ``model`` (one of ``MODELS``)
-    with gain ``param`` (a key of ``GAINS``) set to ``value``; an unknown
-    name, or a gain the controller rejects, is a ConfigError."""
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], "VotControllerSpec"]:
+    """The ``(t, lambda1, zeta)`` arrays of the run ``classify_at`` classifies,
+    and the vot spec it ran with."""
     if model not in MODELS or param not in GAINS:
         raise ConfigError(f"unknown model {model!r} or gain {param!r}; "
                           f"use one of {MODELS} and one of {tuple(GAINS)}")
     spec = gain_spec(config, param, value)
     cfg = dataclasses.replace(config, controller_kind="vot", vot_spec=spec)
     if model == "closed":
-        return classify_trajectory(run_closed_loop(cfg), spec.queue_gain, spec.residual_gain)
-    t, lam, zeta = approximate_from_config(cfg)
-    return classify_convergence(t, lam, zeta, spec.queue_gain, spec.residual_gain)
+        traj = run_closed_loop(cfg)
+        return (traj.column("t"), traj.column("lambda1"), traj.column("zeta")), spec
+    return approximate_from_config(cfg), spec
+
+
+def classify_at(
+    config: "ScenarioConfig", param: str, value: float, model: str
+) -> ConvergenceReport:
+    """Classify the vot controller's run under ``model`` (one of ``MODELS``)
+    with gain ``param`` (a key of ``GAINS``) set to ``value``; an unknown
+    name, or a gain the controller rejects, is a ConfigError."""
+    run, spec = _run_at(config, param, value, model)
+    return classify_convergence(*run, spec.queue_gain, spec.residual_gain)
 
 
 def gain_spec(config: "ScenarioConfig", param: str, value: float) -> "VotControllerSpec":
@@ -335,12 +359,20 @@ def find_phase_boundary(
     Re-runs the simulation (closed loop or reduced model) at every midpoint
     and keeps the half-bracket whose endpoints classify differently, until
     the bracket is narrower than ``resolution`` or no float lies strictly
-    between its ends.  Returns the midpoint of the final bracket.
+    between its ends.  Returns the midpoint of the final bracket.  Each run
+    is classified as ``classify_at`` would, but only its pattern is
+    computed: the R² fits of a report are not.
     """
+
+    def pattern_at(k2: float) -> str:
+        run, spec = _run_at(config, "k2", k2, model)
+        _, lam_win, zeta_win = _tail_window(*run)
+        return _pattern(lam_win, zeta_win, spec.queue_gain, spec.residual_gain)[0]
+
     check_resolution(resolution)
     check_bracket(config, k2_low, k2_high)
-    low_pattern = classify_at(config, "k2", k2_low, model).pattern
-    high_pattern = classify_at(config, "k2", k2_high, model).pattern
+    low_pattern = pattern_at(k2_low)
+    high_pattern = pattern_at(k2_high)
     if low_pattern == high_pattern:
         raise BoundaryNotBracketedError(
             f"both ends of [{k2_low:g}, {k2_high:g}] classify as {low_pattern}"
@@ -350,7 +382,7 @@ def find_phase_boundary(
         mid = 0.5 * (low + high)
         if not low < mid < high:  # no float left between the ends
             break
-        if classify_at(config, "k2", mid, model).pattern == low_pattern:
+        if pattern_at(mid) == low_pattern:
             low = mid
         else:
             high = mid

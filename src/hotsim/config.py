@@ -112,6 +112,8 @@ class ScenarioConfig:
             raise ConfigError("run.dt must be positive")
         if not horizon > 0:
             raise ConfigError("run.horizon must be positive")
+        require_finite("run.horizon", horizon, ConfigError)
+        require_finite("run.dt", dt, ConfigError)
         n = horizon / dt
         if not n <= MAX_STEPS:
             raise ConfigError(

@@ -186,16 +186,16 @@ class SelfLearningController:
             raise ValueError("measurement_var must be positive")
         require_finite("measurement_var", measurement_var)
         self.hot_capacity = hot_capacity
-        theta = np.asarray(initial_theta, dtype=float)
+        theta = self._floats(initial_theta, "initial_theta")
         if theta.shape != (3,):
             raise ValueError("initial_theta must have three entries")
         noise = self._as_matrix(process_noise, "process_noise")
         posterior = self._as_matrix(initial_cov, "initial_cov")
-        if not np.isfinite(theta).all():
-            raise ValueError(f"initial_theta: expected finite entries, got {theta.tolist()!r}")
+        for entry in theta.tolist():
+            require_finite("initial_theta", entry)
         for key, mat in (("initial_cov", posterior), ("process_noise", noise)):
-            if not np.isfinite(mat).all():
-                raise ValueError(f"{key}: expected finite entries, got {mat.tolist()!r}")
+            for entry in mat.ravel().tolist():
+                require_finite(key, entry)
             eig = np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.T)  # no overflow near the float max
             if eig.min() < -COV_EIG_TOL * np.abs(eig).max():
                 raise ValueError(
@@ -219,9 +219,20 @@ class SelfLearningController:
         self._q1 = self._q2 = self._split = _UNQUOTED
 
     @staticmethod
+    def _floats(value, name: str) -> np.ndarray:
+        """``value`` as a float array; an int no float can hold is a
+        ValueError that begins with ``name``, as in ``require_finite``."""
+        try:
+            return np.asarray(value, dtype=float)
+        except OverflowError:
+            raise ValueError(f"{name}: expected a finite number, got an integer "
+                             f"too large for a float") from None
+
+    @staticmethod
     def _as_matrix(value, name: str) -> np.ndarray:
-        mat = np.asarray(value, dtype=float)
+        mat = SelfLearningController._floats(value, name)
         if mat.ndim == 0:
+            require_finite(name, float(mat))  # inf times the identity's zeros warns
             mat = float(mat) * _EYE3
         if mat.shape != (3, 3):
             raise ValueError(f"{name} must be a scalar or a 3x3 matrix")

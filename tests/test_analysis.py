@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotsim import analysis
 from hotsim.analysis import (
@@ -197,6 +199,89 @@ class TestClassification:
         assert report.pattern == "undetermined"
 
 
+def reference_classify_convergence(t, lambda1, zeta, queue_gain, residual_gain):
+    """``classify_convergence`` written as one function, window, fits and
+    pattern rule in the order they run: the reference that the search's
+    window and pattern rule, and the report, are held to."""
+    floor = analysis.CONVERGENCE_FLOOR
+    active = np.maximum(lambda1, np.abs(zeta)) > floor
+    if not active.any():
+        return analysis.ConvergenceReport("undetermined", math.nan, 0.0, 0.0)
+    t_end = t[active][-1]
+    window = (t >= t_end - (t[-1] - t[0]) / 4.0) & (t <= t_end)
+    lam_win = lambda1[window]
+    if lam_win[-1] <= floor and (lam_win > floor).any():
+        window &= t > t[window][lam_win > floor][-1]
+    lam_win, zeta_win, t_win = lambda1[window], zeta[window], t[window]
+    r2_gauss = r2_exp = 0.0
+    if (zeta_win > 0.0).all():
+        r2_gauss = analysis._fit_r2(t_win**2, np.log(zeta_win))
+    if (lam_win > floor).all():
+        r2_exp = analysis._fit_r2(t_win, np.log(lam_win))
+    if (lam_win <= floor).all() and (zeta_win > 0.0).all():
+        return analysis.ConvergenceReport("gaussian", 0.0, r2_gauss, r2_exp)
+    if (lam_win > floor).all() and (zeta_win > floor).all():
+        ratio = float(np.mean(lam_win / zeta_win))
+        target = residual_gain / queue_gain
+        close = abs(ratio - target) <= analysis.RATIO_RTOL * target
+        pattern = "exponential" if close else "undetermined"
+        return analysis.ConvergenceReport(pattern, ratio, r2_gauss, r2_exp)
+    return analysis.ConvergenceReport("undetermined", math.nan, r2_gauss, r2_exp)
+
+
+FLOOR = analysis.CONVERGENCE_FLOOR
+# zero, the floor and its neighbours on both sides, and clearly active values
+_levels = st.one_of(
+    st.sampled_from([0.0, FLOOR / 2, math.nextafter(FLOOR, 0.0), FLOOR,
+                     math.nextafter(FLOOR, 1.0), 2 * FLOOR]),
+    st.floats(1e-12, 10.0),
+)
+
+
+@st.composite
+def _tails(draw):
+    """``(t, lambda1, zeta, queue_gain, residual_gain)`` of a synthetic tail."""
+    n = draw(st.integers(1, 40))
+    t = draw(st.floats(0.0, 30.0)) + np.arange(n) * draw(st.sampled_from([1 / 60, 0.25, 1.0]))
+    queue_gain = draw(st.sampled_from([0.05, 0.1, 0.3]))
+    residual_gain = draw(st.sampled_from([0.02, 0.1, 0.2, 0.5]))
+    shape = draw(st.sampled_from(["zero", "empty", "levels", "locked"]))
+    if shape == "zero":
+        lam, zeta = np.zeros(n), np.zeros(n)
+    elif shape == "empty":  # no queue; a residual capacity of zero or above
+        lam, zeta = np.zeros(n), np.array(draw(st.lists(_levels, min_size=n, max_size=n)))
+    elif shape == "levels":
+        lam = np.array(draw(st.lists(_levels, min_size=n, max_size=n)))
+        signed = st.one_of(_levels, _levels.map(lambda x: -x), st.just(math.nan))
+        zeta = np.array(draw(st.lists(signed, min_size=n, max_size=n)))
+    else:  # a queue locked near the gain ratio times a decaying residual capacity
+        zeta = draw(st.floats(1e-6, 1.0)) * np.exp(-draw(st.floats(0.0, 0.5)) * (t - t[0]))
+        lam = zeta * (residual_gain / queue_gain) * draw(st.floats(0.85, 1.15))
+    if draw(st.booleans()):  # the queue empties for good, mid-window or not
+        lam[draw(st.integers(0, n - 1)):] = 0.0
+    return t, lam, zeta, queue_gain, residual_gain
+
+
+def _comparable(values):
+    """``values`` as a tuple, with nan made equal to itself."""
+    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in values)
+
+
+class TestPatternRule:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_tails())
+    def test_pattern_and_ratio_are_the_reports(self, tail):
+        t, lam, zeta, queue_gain, residual_gain = tail
+        report = dataclasses.astuple(classify_convergence(t, lam, zeta, queue_gain,
+                                                          residual_gain))
+        reference = reference_classify_convergence(t, lam, zeta, queue_gain, residual_gain)
+        assert _comparable(report) == _comparable(dataclasses.astuple(reference))
+        # what the boundary search computes in place of the report
+        _, lam_win, zeta_win = analysis._tail_window(t, lam, zeta)
+        pattern_and_ratio = analysis._pattern(lam_win, zeta_win, queue_gain, residual_gain)
+        assert _comparable(pattern_and_ratio) == _comparable(report[:2])
+
+
 class TestPhaseBoundary:
     def test_closed_loop_boundary(self):
         boundary = find_phase_boundary(pattern_config(0.1), 0.1, 0.2,
@@ -214,13 +299,34 @@ class TestPhaseBoundary:
 
         def counted(*args):
             calls.append(args)
-            return classify_at(*args)
+            return run_approximate(*args)
 
-        monkeypatch.setattr(analysis, "classify_at", counted)
+        monkeypatch.setattr(analysis, "run_approximate", counted)
         config = load_config(PERTURBED)
         boundary = find_phase_boundary(config, 0.1, 0.2, resolution=1e-300, model="approx")
         assert 0.1 < boundary < 0.2
-        assert len(calls) <= 60
+        assert 0 < len(calls) <= 60
+
+    @pytest.mark.parametrize("model, seam, expected", [
+        ("closed", "run_closed_loop", 0.14843750000000003),
+        ("approx", "run_approximate", 0.14218750000000002),
+    ])
+    def test_search_reads_only_the_pattern(self, monkeypatch, model, seam, expected):
+        # every run of the search is made, and none of a report's R² fits
+        def no_fit(x, y):
+            raise AssertionError("the boundary search computed an R² fit")
+
+        runs, run = [], getattr(analysis, seam)
+
+        def counted(*args):
+            runs.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(analysis, "_fit_r2", no_fit)
+        monkeypatch.setattr(analysis, seam, counted)
+        config = load_config(PERTURBED)
+        assert find_phase_boundary(config, 0.1, 0.2, resolution=0.005, model=model) == expected
+        assert len(runs) == 7  # both ends and five midpoints
 
     def test_unbracketed_interval_rejected(self):
         with pytest.raises(BoundaryNotBracketedError):

@@ -229,10 +229,13 @@ VOT_ARGS = dict(hot_capacity=30.0, queue_gain=0.1, residual_gain=0.1, scale_gues
                 initial_vot=0.25)
 LEARNER_ARGS = dict(hot_capacity=30.0, initial_theta=(0.25, 1.0, 0.1), initial_cov=0.1,
                     measurement_var=0.09, process_noise=1e-6)
-# +inf at each range rule with only a lower bound: (object, fields, error,
-# key, constructor); the constructor takes the fields as keywords and builds
-# the object, or for a controller spec the controller, directly
+# +inf at each range rule with only a lower bound, and in each of the
+# self-learning controller's arrays: (object, fields, error, key,
+# constructor); the constructor takes the fields as keywords and builds the
+# object, or for a controller spec the controller, directly
 INF_RULES = [
+    (ScenarioConfig(), {"horizon": INF}, ConfigError, "run.horizon", ScenarioConfig),
+    (ScenarioConfig(), {"dt": INF}, ConfigError, "run.dt", ScenarioConfig),
     (ScenarioConfig(), {"initial_hot_queue": INF}, ConfigError, "initial.hot_queue",
      ScenarioConfig),
     (ScenarioConfig(), {"initial_gp_queue": INF}, ConfigError, "initial.gp_queue",
@@ -257,6 +260,12 @@ INF_RULES = [
      functools.partial(IntegralTollController, initial_price=0.5, target_demand=30.0)),
     (SelfLearningSpec(), {"measurement_var": INF}, ValueError, "measurement_var",
      functools.partial(SelfLearningController, **LEARNER_ARGS)),
+    (SelfLearningSpec(), {"initial_theta": (INF, 1.0, 0.1)}, ValueError, "initial_theta",
+     functools.partial(SelfLearningController, **LEARNER_ARGS)),
+    (SelfLearningSpec(), {"initial_cov": INF}, ValueError, "initial_cov",
+     functools.partial(SelfLearningController, **LEARNER_ARGS)),
+    (SelfLearningSpec(), {"process_noise": INF}, ValueError, "process_noise",
+     functools.partial(SelfLearningController, **LEARNER_ARGS)),
 ]
 # how the object is built, a value beyond the finite floats, and how the
 # message names it: an int beyond the float range is not printed, as its
@@ -277,9 +286,9 @@ def _replace_inf(value, big):
     return big if value == INF else value
 
 
-INF_IDS = ["initial.hot_queue", "initial.gp_queue", "hov", "sov", "samples-hov", "samples-sov",
+INF_IDS = ["run.horizon", "run.dt", "initial.hot_queue", "initial.gp_queue", "hov", "sov", "samples-hov", "samples-sov",
            "vot", "scale", "queue_gain", "residual_gain", "scale_guess", "gain",
-           "measurement_var"]
+           "measurement_var", "initial_theta", "initial_cov", "process_noise"]
 
 
 class TestBuiltInCode:
