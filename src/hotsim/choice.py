@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import traffic
-from .errors import require_finite
+from .errors import require_finite, require_positive
 
 NOISE_KINDS = ("none", "uniform")
 
@@ -34,9 +34,7 @@ class BehaviorParams:
 
     def __post_init__(self) -> None:
         for key in ("vot", "scale"):
-            if not getattr(self, key) > 0:  # nan is not positive either
-                raise ValueError(f"{key} must be positive")
-            require_finite(key, getattr(self, key))
+            require_positive(key, getattr(self, key))
 
 
 @dataclass(frozen=True)
@@ -50,6 +48,7 @@ class NoiseSpec:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"kind: expected one of {', '.join(NOISE_KINDS)}, "
                              f"got {self.kind!r}")
+        require_finite("half_width", self.half_width)
         if not 0.0 <= self.half_width < 1.0:
             raise ValueError("half_width must lie in [0, 1)")
 

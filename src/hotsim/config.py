@@ -31,17 +31,19 @@ demand, ``hov`` and ``sov`` for timeseries) is an error.  ``approx.zeta0``
 seeds the reduced model; when null, ``analysis.approx_initial_zeta`` derives
 it from the closed-loop state at t = 0.
 
-Every number must be finite; NaN and infinities are rejected with the dotted
-path of their key.  Exponent floats such as ``1e6`` or ``2.5e-3`` read as
-numbers, although YAML 1.1 (and so plain PyYAML) reads them as strings.  A
-run may take at most ``MAX_STEPS`` steps of ``dt`` to cover the horizon.
-The controller sections are the specs of ``pricing``, where each
-controller's value rules live (the covariance rule and ``COV_EIG_TOL`` too).
+The parser checks only that each value has the right type.  Exponent floats
+such as ``1e6`` or ``2.5e-3`` read as numbers, although YAML 1.1 (and so
+plain PyYAML) reads them as strings.  A run may take at most ``MAX_STEPS``
+steps of ``dt`` to cover the horizon.  The controller sections are the specs
+of ``pricing``, where each controller's value rules live (the covariance
+rule and ``COV_EIG_TOL`` too).
 
 A ``ScenarioConfig`` checks itself when it is built, by the parser or in
 code, ``dataclasses.replace`` included: each section object checks its own
 values and the config checks the rules across sections, so no scenario
-exists unchecked.
+exists unchecked.  Each owner checks that a number, sample times included,
+is finite before its range rule, so a NaN, an infinity or an integer beyond
+the float range gives one message from code and, after its section, from a file.
 """
 
 from __future__ import annotations
@@ -49,17 +51,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .choice import BehaviorParams, NoiseSpec
 from .engine import DemandProfile, check_seeds
-from .errors import ConfigError, ScenarioAssumptionError, require_finite
+from .errors import ConfigError, ScenarioAssumptionError, require_finite, require_positive
 from .pricing import IntegralTollSpec, SelfLearningSpec, VotControllerSpec
 from .traffic import Capacities
 
@@ -108,12 +110,8 @@ class ScenarioConfig:
             raise ConfigError(f"controller.kind: expected one of "
                               f"{', '.join(CONTROLLER_KINDS)}, got {self.controller_kind!r}")
         horizon, dt = self.horizon, self.dt
-        if not dt > 0:  # nan is not positive either
-            raise ConfigError("run.dt must be positive")
-        if not horizon > 0:
-            raise ConfigError("run.horizon must be positive")
-        require_finite("run.horizon", horizon, ConfigError)
-        require_finite("run.dt", dt, ConfigError)
+        require_positive("run.dt", dt, ConfigError)
+        require_positive("run.horizon", horizon, ConfigError)
         n = horizon / dt
         if not n <= MAX_STEPS:
             raise ConfigError(
@@ -132,21 +130,21 @@ class ScenarioConfig:
             raise ConfigError("run.replications must be at least 1")
         for key in ("hot_queue", "gp_queue"):
             queue = getattr(self, f"initial_{key}")
-            if not queue >= 0:  # nan fails too
-                raise ConfigError(f"initial.{key} cannot be negative")
             require_finite(f"initial.{key}", queue, ConfigError)
+            if queue < 0:
+                raise ConfigError(f"initial.{key} cannot be negative")
         if self.approx_zeta0 is not None:
             require_finite("approx.zeta0", self.approx_zeta0, ConfigError)
 
         demand, hot = self.demand, self.capacities.hot
         timeseries = demand.kind == "timeseries"
-        if timeseries and not demand.samples[0][0] <= 0.0:
+        if timeseries and demand.samples[0][0] > 0.0:
             raise ConfigError("demand.samples: first sample must start at t <= 0")
         key, samples = "samples", demand.samples
         if not timeseries:  # a mean rate holds from t = 0
             key, samples = "hov", [(0.0, demand.mean_hov, demand.mean_sov)]
         for t, hov, _ in samples:
-            if not hov < hot:
+            if hov >= hot:
                 raise ScenarioAssumptionError(
                     f"demand.{key}: HOV demand {hov:g} veh/min from t={t:g} must "
                     f"stay below the HOT capacity {hot:g} veh/min"
@@ -167,7 +165,7 @@ class ScenarioConfig:
         def walk(table: dict) -> dict:
             return {
                 key: walk(entry) if isinstance(entry, dict)
-                else _plain(operator.attrgetter(entry[0])(self))
+                else _plain(operator.attrgetter(entry[0])(self), entry[1])
                 for key, entry in table.items()
             }
 
@@ -183,8 +181,13 @@ def config_fingerprint(config: ScenarioConfig, seed: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _plain(value):
-    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+def _plain(value, convert):
+    """``value`` as plain data: a kind, an integer and None as they are, a
+    number as a float and an array (numpy's too) as nested lists of floats,
+    so equal configs have equal mappings."""
+    if convert in (None, _integer) or value is None:
+        return value
+    return np.asarray(value, dtype=float).tolist()
 
 
 def _unread_demand_keys(kind: str) -> tuple[str, ...]:
@@ -192,15 +195,13 @@ def _unread_demand_keys(kind: str) -> tuple[str, ...]:
 
 
 def _real(value, where: str) -> float:
-    """``value`` as a finite float, or a ConfigError that names ``where``."""
+    """``value`` as a float, or a ConfigError at ``where`` if it is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    require_finite(where, number, ConfigError)
-    return number
+        return float(value)
+    except OverflowError:  # an integer beyond the float range: its owner rejects it
+        return value
 
 
 def _optional_real(value, where: str) -> float | None:

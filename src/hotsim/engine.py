@@ -74,20 +74,19 @@ class DemandProfile:
                              f"got {self.kind!r}")
         if self.kind != "timeseries":
             for key, rate in (("hov", self.mean_hov), ("sov", self.mean_sov)):
-                if not rate >= 0:  # nan fails too
-                    raise ValueError(f"{key} cannot be negative")
                 require_finite(key, rate)
+                if rate < 0:
+                    raise ValueError(f"{key} cannot be negative")
         else:
             if not self.samples:
                 raise ValueError("samples: timeseries demand needs at least one sample")
+            for entry in itertools.chain.from_iterable(self.samples):  # times too
+                require_finite("samples", entry)
             times = self.sample_times
             if not all(a < b for a, b in zip(times, times[1:])):
                 raise ValueError("samples: timeseries sample times must be strictly increasing")
             if not all(s[1] >= 0 and s[2] >= 0 for s in self.samples):
                 raise ValueError("samples: demand rates cannot be negative")
-            for _, hov, sov in self.samples:
-                require_finite("samples", hov)
-                require_finite("samples", sov)
 
     @cached_property
     def sample_times(self) -> tuple[float, ...]:

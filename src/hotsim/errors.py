@@ -47,3 +47,10 @@ def require_finite(key: str, value: float, error: type[Exception] = ValueError) 
                     f"too large for a float") from None
     if not finite:
         raise error(f"{key}: expected a finite number, got {value!r}")
+
+
+def require_positive(key: str, value: float, error: type[Exception] = ValueError) -> None:
+    """``require_finite``, then raise ``error`` unless ``value`` is above zero."""
+    require_finite(key, value, error)
+    if value <= 0:
+        raise error(f"{key} must be positive")

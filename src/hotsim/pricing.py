@@ -18,8 +18,9 @@ keeps none.
 
 Each controller's scenario spec (``VotControllerSpec``, ``IntegralTollSpec``,
 ``SelfLearningSpec``) sits beside it with its defaults and ``build``.  The
-value rules live in the constructors, which a spec runs once when built: a
-gain out of range, a NaN or infinite initial state, and a self-learning
+value rules live in the constructors, which a spec runs once when built;
+each checks that a number, array entries included, is finite before its
+range rule.  A non-finite value, a gain out of range, and a self-learning
 ``initial_cov`` or ``process_noise`` whose symmetric part ``0.5 (C + C')`` has
 an eigenvalue below ``-COV_EIG_TOL`` times its largest magnitude are each a
 ValueError whose message begins with the key.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PriceUndefinedError, ScenarioAssumptionError, require_finite
+from .errors import PriceUndefinedError, ScenarioAssumptionError, require_finite, require_positive
 from .traffic import Capacities
 
 ALPHA2_FLOOR = 1e-6
@@ -75,9 +76,7 @@ class VotFeedbackController:
                  scale_guess: float, initial_vot: float) -> None:
         for key, value in (("queue_gain", queue_gain), ("residual_gain", residual_gain),
                            ("scale_guess", scale_guess)):
-            if not value > 0:  # nan is not positive either
-                raise ValueError(f"{key} must be positive")
-            require_finite(key, value)
+            require_positive(key, value)
         require_finite("initial_vot", initial_vot)
         self.hot_capacity = hot_capacity
         self.queue_gain = queue_gain
@@ -131,9 +130,7 @@ class IntegralTollController:
     vot_estimate = None
 
     def __init__(self, gain: float, initial_price: float, target_demand: float) -> None:
-        if not gain > 0:  # nan is not positive either
-            raise ValueError("gain must be positive")
-        require_finite("gain", gain)
+        require_positive("gain", gain)
         require_finite("initial_price", initial_price)
         require_finite("target_demand", target_demand)
         self.gain = gain
@@ -182,20 +179,14 @@ class SelfLearningController:
 
     def __init__(self, hot_capacity: float, initial_theta, initial_cov,
                  measurement_var: float, process_noise) -> None:
-        if not measurement_var > 0:  # nan is not positive either
-            raise ValueError("measurement_var must be positive")
-        require_finite("measurement_var", measurement_var)
+        require_positive("measurement_var", measurement_var)
         self.hot_capacity = hot_capacity
         theta = self._floats(initial_theta, "initial_theta")
         if theta.shape != (3,):
             raise ValueError("initial_theta must have three entries")
         noise = self._as_matrix(process_noise, "process_noise")
         posterior = self._as_matrix(initial_cov, "initial_cov")
-        for entry in theta.tolist():
-            require_finite("initial_theta", entry)
         for key, mat in (("initial_cov", posterior), ("process_noise", noise)):
-            for entry in mat.ravel().tolist():
-                require_finite(key, entry)
             eig = np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.T)  # no overflow near the float max
             if eig.min() < -COV_EIG_TOL * np.abs(eig).max():
                 raise ValueError(
@@ -220,19 +211,15 @@ class SelfLearningController:
 
     @staticmethod
     def _floats(value, name: str) -> np.ndarray:
-        """``value`` as a float array; an int no float can hold is a
-        ValueError that begins with ``name``, as in ``require_finite``."""
-        try:
-            return np.asarray(value, dtype=float)
-        except OverflowError:
-            raise ValueError(f"{name}: expected a finite number, got an integer "
-                             f"too large for a float") from None
+        """``value`` as a float array, each entry checked finite before conversion."""
+        for entry in np.asarray(value, dtype=object).ravel().tolist():
+            require_finite(name, entry)
+        return np.asarray(value, dtype=float)
 
     @staticmethod
     def _as_matrix(value, name: str) -> np.ndarray:
         mat = SelfLearningController._floats(value, name)
         if mat.ndim == 0:
-            require_finite(name, float(mat))  # inf times the identity's zeros warns
             mat = float(mat) * _EYE3
         if mat.shape != (3, 3):
             raise ValueError(f"{name} must be a scalar or a 3x3 matrix")

@@ -13,10 +13,9 @@ library use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import require_finite
+from .errors import require_positive
 
 
 @dataclass(frozen=True)
@@ -28,10 +27,7 @@ class Capacities:
 
     def __post_init__(self) -> None:
         for key in ("hot", "gp"):
-            rate = getattr(self, key)
-            if not 0 < rate < math.inf:  # nan fails too
-                raise ValueError(f"{key} must be positive and finite")
-            require_finite(key, rate)  # an int beyond the float range is below inf
+            require_positive(key, getattr(self, key))
 
 
 def residual_capacity(c1: float, q1: float, q3: float) -> float:

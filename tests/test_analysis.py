@@ -359,7 +359,8 @@ class TestClassifyAt:
     @pytest.mark.parametrize("param, value", [("k2", 0.0), ("k2", -0.1), ("k1", 0.0),
                                               ("k2", math.nan)])
     def test_invalid_gain_is_config_error(self, param, value):
-        with pytest.raises(ConfigError, match=f"{param}={value:g}: .*_gain must be positive"):
+        rule = ": expected a finite number" if math.isnan(value) else " must be positive"
+        with pytest.raises(ConfigError, match=f"{param}={value:g}: .*_gain{rule}"):
             classify_at(pattern_config(0.1), param, value, "closed")
 
     @pytest.mark.parametrize("param, model", [("k3", "closed"), ("k2", "exact")])

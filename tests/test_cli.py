@@ -110,8 +110,39 @@ BAD_SWEEP_INPUTS = [
     (["--bisect", "0.1:0.2", "--resolution", "-1"], "--resolution"),
 ]
 
+# one input per usage or scenario error: (argv, scenario or None, stderr's start)
+USAGE_ERRORS = [
+    (["sweep", "--grid", "1:2"], None,
+     "error: --grid expects START:STOP:STEP with a positive step"),
+    (["sweep", "--grid", "0.1:0.2:0"], None,
+     "error: --grid expects START:STOP:STEP with a positive step"),
+    (["sweep", "--bisect", "0.1"], None, "error: --bisect expects LOW:HIGH"),
+    (["sweep", "--bisect", "0.1:0.2", "--param", "k1"], None,
+     "error: bisection is supported on the residual gain (k2) only"),
+    (["simulate"], "run: {horizon: 0}", "error: run.horizon must be positive"),
+    (["simulate"], "capacities: {hot: '30'}",
+     "error: capacities.hot: expected a number, got '30'"),
+    (["simulate"], "behavior: {vot: true}", "error: behavior.vot: expected a number, got True"),
+    (["simulate"], "run: {dt: 1/x}", "error: run.dt: cannot parse '1/x' as a step size"),
+    (["simulate"], "controller: {selflearning: {initial_theta: [1, 2]}}",
+     "error: controller.selflearning.initial_theta: expected three numbers, got [1, 2]"),
+    (["simulate"], "demand: {kind: timeseries, samples: 5}",
+     "error: demand.samples: expected a list of rows of three numbers, got 5"),
+    (["simulate"], "demand: {kind: foo}",
+     "error: demand.kind: expected one of constant, poisson, timeseries, got 'foo'"),
+]
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, scenario, message", USAGE_ERRORS,
+                             ids=[" ".join(argv[1:]) or scenario
+                                  for argv, scenario, _ in USAGE_ERRORS])
+    def test_usage_or_scenario_error_is_exit_2(self, capsys, scenario_file, argv, scenario,
+                                               message):
+        config = ["--config", scenario_file(scenario + "\n")] if scenario else []
+        assert run_cli(*argv, *config) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_unknown_config_key(self, scenario_file):
         config = scenario_file("runn: {}\n")
         assert run_cli("simulate", "--config", config) == 2

@@ -16,6 +16,7 @@ from hotsim.analysis import approx_initial_zeta
 from hotsim.choice import BehaviorParams
 from hotsim.config import (
     MAX_STEPS,
+    SCHEMA,
     IntegralTollSpec,
     ScenarioConfig,
     SelfLearningSpec,
@@ -143,6 +144,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=key):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("demand: {hov: -1}", "demand.hov cannot be negative"),
+        ("demand: {kind: poisson, sov: -1}", "demand.sov cannot be negative"),
+        ("demand: {kind: timeseries, samples: [[0, 10, 60], [0, 10, 60]]}",
+         "demand.samples: timeseries sample times must be strictly increasing"),
+        ("demand: {kind: timeseries, samples: [[0, 10, -60]]}",
+         "demand.samples: demand rates cannot be negative"),
+    ])
+    def test_demand_range_rules(self, text, message):
+        # each value is finite, so the range rule, not the finite check, rejects it
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_text(text)
+
     def test_saturating_hov_demand_is_assumption_error(self):
         with pytest.raises(ScenarioAssumptionError, match="HOV demand"):
             parse_config_text("demand: {hov: 30.0}")
@@ -194,18 +208,22 @@ UNPARSED = [
 ]
 
 NAN = math.nan
-# one nan per range rule, set without the parser: (object, fields, error, key)
+# one nan per range rule, set without the parser: (object, fields, error, key);
+# the three samples entries share one message, so each names its case by id
 NAN_RULES = [
     (Capacities(30.0, 30.0), {"hot": NAN}, ValueError, "hot"),
     (Capacities(30.0, 30.0), {"gp": NAN}, ValueError, "gp"),
     (DemandProfile(), {"mean_hov": NAN}, ValueError, "hov"),
     (DemandProfile(), {"mean_sov": NAN}, ValueError, "sov"),
-    (DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
-     {"samples": ((0.0, 10.0, 60.0), (NAN, 10.0, 60.0))}, ValueError, "samples: timeseries"),
-    (DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
-     {"samples": ((0.0, 10.0, NAN),)}, ValueError, "samples: demand rates"),
-    (ScenarioConfig(), {"demand": DemandProfile("timeseries", samples=((NAN, 10.0, 60.0),))},
-     ConfigError, "demand.samples"),
+    pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
+                 {"samples": ((0.0, 10.0, 60.0), (NAN, 10.0, 60.0))}, ValueError,
+                 "samples: expected a finite number", id="samples: timeseries"),
+    pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
+                 {"samples": ((0.0, 10.0, NAN),)}, ValueError,
+                 "samples: expected a finite number", id="samples: demand rates"),
+    pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
+                 {"samples": ((NAN, 10.0, 60.0),)}, ValueError,
+                 "samples: expected a finite number", id="demand.samples"),
     (BehaviorParams(0.5, 1.0), {"vot": NAN}, ValueError, "vot"),
     (BehaviorParams(0.5, 1.0), {"scale": NAN}, ValueError, "scale"),
     (ScenarioConfig(), {"initial_hot_queue": NAN}, ConfigError, "initial.hot_queue"),
@@ -318,7 +336,7 @@ class TestBuiltInCode:
         assert config_fingerprint(cfg, cfg.seed) == config_fingerprint(plain, plain.seed)
 
     @pytest.mark.parametrize("section, fields, error, key", NAN_RULES,
-                             ids=[key for _, _, _, key in NAN_RULES])
+                             ids=[getattr(rule, "id", None) or rule[3] for rule in NAN_RULES])
     def test_nan_fails_each_range_rule(self, section, fields, error, key):
         with pytest.raises(error, match=f"^{re.escape(key)}"):
             dataclasses.replace(section, **fields)
@@ -377,6 +395,18 @@ class TestFingerprints:
     def test_timeseries_matrix_and_nulls(self):
         assert config_fingerprint(parse_config_text(TIMESERIES), 0) == "4ad478a0309a9754"
 
+    def test_equal_configs_have_equal_fingerprints(self):
+        # an int where a float goes, or a numpy array where a tuple goes, is
+        # hashed as the float or the nested tuple the parser would give
+        assert ScenarioConfig(horizon=20) == ScenarioConfig()
+        assert config_fingerprint(ScenarioConfig(horizon=20), 0) == "523864e2a15d2281"
+        ints = ScenarioConfig(capacities=Capacities(30, 30))
+        assert config_fingerprint(ints, 0) == "523864e2a15d2281"
+        array = ScenarioConfig(selflearning_spec=SelfLearningSpec(initial_cov=np.eye(3)))
+        nested = ScenarioConfig(selflearning_spec=SelfLearningSpec(
+            initial_cov=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))
+        assert config_fingerprint(array, 0) == config_fingerprint(nested, 0)
+
 
 class TestMapping:
     def test_round_trip_through_mapping(self):
@@ -429,6 +459,71 @@ class TestNumbers:
         decimal = parse_config_text("run: {horizon: 20.0}")
         assert exponent == decimal
         assert config_fingerprint(exponent, 0) == config_fingerprint(decimal, 0)
+
+
+def _nested(where: str, value) -> dict:
+    """The scenario mapping that sets only the dotted key ``where`` to
+    ``value``, tuples written as lists."""
+    def listed(v):
+        return [listed(x) for x in v] if isinstance(v, tuple) else v
+
+    value = listed(value)
+    for key in reversed(where.split(".")):
+        value = {key: value}
+    return value
+
+
+def _number_entries(table=SCHEMA, path=""):
+    """``(test id, dotted key, owner, field, wrap)`` per number a scenario
+    sets: each number key of the schema but the seed and the replication
+    count, ``initial_theta`` at its first entry, and a sample's first time,
+    later time and rate.  ``owner`` is the object whose ``field`` holds the
+    number, the ScenarioConfig itself for a key it owns; ``wrap(x)`` is the
+    field's value with ``x`` at the number."""
+    for key, entry in table.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(entry, dict):
+            yield from _number_entries(entry, where)
+            continue
+        part, _, name = entry[0].rpartition(".")
+        if entry[1] is None or name in ("seed", "replications"):
+            continue
+        owner = getattr(ScenarioConfig(), part) if part else ScenarioConfig()
+        if name == "samples":
+            yield f"{where}-first-time", where, TIMESERIES_ONE, name, lambda x: ((x, 10.0, 60.0),)
+            yield (f"{where}-later-time", where, TIMESERIES_ONE, name,
+                   lambda x: ((0.0, 10.0, 60.0), (x, 10.0, 60.0)))
+            yield f"{where}-rate", where, TIMESERIES_ONE, name, lambda x: ((0.0, 10.0, x),)
+        elif name == "initial_theta":
+            yield where, where, owner, name, lambda x: (x, 1.0, 0.1)
+        else:
+            yield where, where, owner, name, lambda x: x
+
+
+NUMBER_ENTRIES = list(_number_entries())
+BAD_NUMBERS = [pytest.param(math.nan, id="nan"), pytest.param(math.inf, id="inf"),
+               pytest.param(-math.inf, id="-inf"), pytest.param(10**400, id="int-10**400")]
+
+
+class TestOneMessagePerNumber:
+    """A number that is not finite gives one message from a file and from
+    code: its owner checks that it is finite before any range rule."""
+
+    @pytest.mark.parametrize("bad", BAD_NUMBERS)
+    @pytest.mark.parametrize("where, owner, name, wrap", [e[1:] for e in NUMBER_ENTRIES],
+                             ids=[e[0] for e in NUMBER_ENTRIES])
+    def test_file_and_code_agree(self, where, owner, name, wrap, bad):
+        mapping = _nested(where, wrap(bad))
+        if name == "samples":
+            mapping["demand"]["kind"] = "timeseries"
+        with pytest.raises(ConfigError) as parsed:
+            parse_config_text(yaml.safe_dump(mapping))
+        with pytest.raises((ValueError, ConfigError)) as built:
+            dataclasses.replace(owner, **{name: wrap(bad)})
+        # a key the ScenarioConfig owns keeps its section in code too
+        key = where if isinstance(owner, ScenarioConfig) else where.rpartition(".")[2]
+        assert str(built.value).startswith(f"{key}: expected a finite number, got ")
+        assert str(parsed.value) == where[:-len(key)] + str(built.value)
 
 
 class TestStepCap:

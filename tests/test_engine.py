@@ -447,6 +447,10 @@ class TestTrajectory:
 
 
 class TestSummaries:
+    def test_empty_trajectory_is_rejected(self):
+        with pytest.raises(ValueError, match="^cannot summarize an empty trajectory"):
+            summarize(Trajectory([]), 0.5)
+
     def test_reference_run_metrics(self):
         metrics = summarize(run_closed_loop(S0), pi_star=0.5)
         assert metrics.avg_g1 == pytest.approx(29.96, abs=0.05)

@@ -120,6 +120,21 @@ def observe_share(ctrl, q2, q3, w, u):
 
 
 class TestSelfLearningFilter:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"initial_theta": (0.25, 1.0)}, "initial_theta must have three entries"),
+        ({"initial_cov": np.ones((2, 3))}, "initial_cov must be a scalar or a 3x3 matrix"),
+    ])
+    def test_wrong_shape_is_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            learner(**kwargs)
+
+    @pytest.mark.parametrize("q2", [0.0, -5.0])
+    def test_no_sov_demand_leaves_the_state_alone(self, q2):
+        ctrl = learner()
+        theta, cov = ctrl.theta.tobytes(), ctrl.cov.tobytes()
+        observe_share(ctrl, q2, 0.0, 1.0, 1.0)
+        assert ctrl.theta.tobytes() == theta and ctrl.cov.tobytes() == cov
+
     def test_zero_innovation_keeps_estimate(self):
         ctrl = learner(process_noise=0.0)
         theta = ctrl.theta.copy()

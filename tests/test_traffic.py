@@ -19,7 +19,7 @@ class TestCapacities:
     # an infinite HOT capacity would be the integral controller's default target
     @pytest.mark.parametrize("key", ["hot", "gp"])
     def test_infinite_rate_rejected(self, key):
-        with pytest.raises(ValueError, match=f"^{key} must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^{key}: expected a finite number"):
             Capacities(**{"hot": 30.0, "gp": 30.0, key: np.inf})
 
 
