@@ -23,6 +23,8 @@ def digest(path: Path) -> str:
     ("reference.yaml", "trajectory.csv", "d68490994502a419"),
     ("perturbed.yaml", "trajectory.csv", "ee450cc2e9df1bc7"),
     ("stochastic.yaml", "summary.json", "d2385aca0b9c6d60"),
+    ("stochastic.yaml", "trajectory_rep000.csv", "944974f9bc6d551b"),
+    ("stochastic.yaml", "trajectory_rep019.csv", "1a85f3268d1b64dd"),
 ])
 def test_simulate_shipped_scenario(tmp_path, scenario, output, expected):
     assert main(["simulate", "--config", str(SCENARIOS / scenario),
