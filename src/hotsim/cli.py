@@ -47,10 +47,11 @@ EXIT_CODES = ((ConfigError, 2), (ScenarioAssumptionError, 3), (PriceUndefinedErr
 
 def _csv(header: tuple, rows, row_format: str = "") -> str:
     """``header``, then one line per row through the %-format ``row_format``,
-    by default '%.9g' per column: 9 significant digits, nan included."""
+    by default '%.9g' per column: 9 significant digits, nan included.  Each
+    row is a tuple."""
     row_format = row_format or ",".join(["%.9g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(row_format % tuple(row) for row in rows)
+    lines.extend(map(row_format.__mod__, rows))
     return "\n".join(lines) + "\n"
 
 
@@ -103,13 +104,14 @@ def _aggregate(summaries: list[dict]) -> dict:
 
 def cmd_simulate(args) -> int:
     config = _load(args)
-    trajectories = [
-        engine.run_closed_loop(config, seed=config.seed + rep)
-        for rep in range(config.replications)
-    ]
-    summaries = [
-        engine.summarize(traj, config.behavior.vot).as_dict() for traj in trajectories
-    ]
+    # a trajectory's rows are large, so each one lives only until its summary
+    # and, when it is written or printed, its CSV text are made
+    summaries, texts = [], []
+    for rep in range(config.replications):
+        traj = engine.run_closed_loop(config, seed=config.seed + rep)
+        summaries.append(engine.summarize(traj, config.behavior.vot).as_dict())
+        if args.out or (rep == 0 and args.format == "csv"):
+            texts.append(trajectory_csv(traj))
     if config.replications == 1:
         summary_payload = dict(summaries[0], fingerprint=config_fingerprint(config, config.seed))
     else:
@@ -120,15 +122,15 @@ def cmd_simulate(args) -> int:
     if args.out:
         out = Path(args.out)
         if config.replications == 1:
-            _write(out, "trajectory.csv", trajectory_csv(trajectories[0]))
+            _write(out, "trajectory.csv", texts[0])
         else:
-            for rep, traj in enumerate(trajectories):
-                _write(out, f"trajectory_rep{rep:03d}.csv", trajectory_csv(traj))
+            for rep, text in enumerate(texts):
+                _write(out, f"trajectory_rep{rep:03d}.csv", text)
         _write(out, "summary.json", _json_text(summary_payload))
     elif args.format == "json":
         sys.stdout.write(_json_text(summary_payload))
     else:
-        sys.stdout.write(trajectory_csv(trajectories[0]))
+        sys.stdout.write(texts[0])
     return 0
 
 

@@ -24,10 +24,16 @@ and ``choice.sample_eta`` when demand or noise varies.
 
 The final state at ``t = horizon`` is computed and recorded without a
 further controller or queue update, so a run of ``horizon / dt`` steps
-yields ``horizon / dt + 1`` rows.  Each run owns a single seeded random
-stream; the per-step draw order (HOV demand, SOV demand, disturbance) never
-varies, so runs with the same seed see identical demand realizations
-regardless of the controller.
+yields ``horizon / dt + 1`` rows.  Each run that draws (Poisson demand or
+choice noise) owns a single seeded random stream; the per-step draw order
+(HOV demand, SOV demand, disturbance) never varies, so runs with the same
+seed see identical demand realizations regardless of the controller.  A run
+that draws nothing builds no stream, though its seed is still checked.
+
+A run builds only what is read.  Its ``Trajectory`` keeps the row tuples
+the loop made, so the CSV formats those floats directly; ``column`` builds
+a fresh array from the rows on each read, and ``summarize`` builds only the
+columns it reduces over.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ import bisect
 import itertools
 import math
 import operator
-import struct
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -80,6 +85,13 @@ class DemandProfile:
         else:
             if not self.samples:
                 raise ValueError("samples: timeseries demand needs at least one sample")
+            for sample in self.samples:  # the shape, before any entry is read
+                try:
+                    triple = len(sample) == 3
+                except TypeError:  # a bare number
+                    triple = False
+                if not triple:
+                    raise ValueError(f"samples: expected three numbers, got {sample!r}")
             for entry in itertools.chain.from_iterable(self.samples):  # times too
                 require_finite("samples", entry)
             times = self.sample_times
@@ -94,8 +106,10 @@ class DemandProfile:
         return tuple(s[0] for s in self.samples)
 
 
-def demand_at(profile: DemandProfile, t: float, rng: np.random.Generator) -> tuple[float, float]:
-    """Demand rates (HOV, SOV) in veh/min for the step starting at ``t``."""
+def demand_at(profile: DemandProfile, t: float,
+              rng: np.random.Generator | None) -> tuple[float, float]:
+    """Demand rates (HOV, SOV) in veh/min for the step starting at ``t``;
+    only ``poisson`` demand draws from ``rng``."""
     if profile.kind == "constant":
         return profile.mean_hov, profile.mean_sov
     if profile.kind == "poisson":
@@ -115,37 +129,39 @@ STATE_FIELDS = (
     "t", "lambda1", "lambda2", "zeta", "w", "pi", "u",
     "g1", "g2", "q1", "q2", "q3", "eta",
 )
-_ROW = struct.Struct(f"{len(STATE_FIELDS)}d")  # one row as native doubles
+_INDEX = {name: i for i, name in enumerate(STATE_FIELDS)}
+
+
+def _floats(rows, name: str) -> np.ndarray:
+    """Entry ``name`` of each row as a new contiguous float64 array."""
+    return np.fromiter(map(operator.itemgetter(_INDEX[name]), rows), float, len(rows))
 
 
 class Trajectory:
-    """Recorded steps of one run as column arrays.
+    """Recorded steps of one run, kept as the rows the loop made.
 
-    Built from one row per step with a value for every ``STATE_FIELDS``
+    Built from one tuple per step with a value for every ``STATE_FIELDS``
     entry, in that order.  ``pi`` is the controller's VOT estimate and nan
     when the strategy has none.
     """
 
     def __init__(self, rows) -> None:
-        # one pass packs every row's doubles in order; the transposed copy
-        # makes each column contiguous
-        try:
-            packed = b"".join(itertools.starmap(_ROW.pack, rows))
-        except struct.error as exc:
-            raise ValueError(f"a row needs {len(STATE_FIELDS)} numbers: {exc}") from None
-        self._table = np.frombuffer(packed).reshape(-1, len(STATE_FIELDS)).T.copy()
-        self._columns = dict(zip(STATE_FIELDS, self._table))
+        self._rows = tuple(rows)
+        widths = set(map(len, self._rows))
+        if widths - {len(STATE_FIELDS)}:
+            raise ValueError(f"a row needs {len(STATE_FIELDS)} numbers; "
+                             f"the rows hold {sorted(widths)}")
 
     def __len__(self) -> int:
-        return len(self._columns["t"])
+        return len(self._rows)
 
     def column(self, name: str) -> np.ndarray:
-        """One entry per recorded step."""
-        return self._columns[name]
+        """One entry per recorded step, as a new float64 array on each call."""
+        return _floats(self._rows, name)
 
-    def rows(self) -> list[list[float]]:
-        """One list of ``STATE_FIELDS`` values per recorded step."""
-        return self._table.T.tolist()
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """The stored tuple of ``STATE_FIELDS`` values per recorded step."""
+        return self._rows
 
 
 @dataclass(frozen=True)
@@ -191,7 +207,11 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     caps, dt, n_steps = config.capacities, config.dt, config.n_steps
     demand, noise, behavior = config.demand, config.noise, config.behavior
     run_seed, _ = check_seeds(config.seed if seed is None else seed, 1)
-    rng = np.random.default_rng(run_seed)
+    demand_varies = demand.kind != "constant"
+    noise_varies = noise.kind != "none"
+    # only Poisson demand and choice noise draw; a run with neither builds no stream
+    draws = demand.kind == "poisson" or noise_varies
+    rng = np.random.default_rng(run_seed) if draws else None
     controller = config.controller.build(caps)
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
     has_pi = controller.vot_estimate is not None
@@ -203,10 +223,8 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     hot, gp = caps.hot, caps.gp
     scale, vot = behavior.scale, behavior.vot
     exp = math.exp
-    # constant demand and noise "none" give the same value every step and
-    # draw nothing from ``rng``, so they are read once here
-    demand_varies = demand.kind != "constant"
-    noise_varies = noise.kind != "none"
+    # constant demand and noise "none" give the same value every step, so
+    # they are read once here
     if not demand_varies:
         q1, q2 = demand_at(demand, 0.0, rng)
     if not noise_varies:
@@ -267,27 +285,30 @@ def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
     Raises NonFiniteResultError, naming the first metric in ``as_dict``
     order, when a metric is infinite or NaN.
     """
-    if not len(traj):
+    rows = traj.rows()
+    if not rows:
         raise ValueError("cannot summarize an empty trajectory")
-    lambda1 = traj.column("lambda1")
-    g1 = traj.column("g1")
-    pi = traj.column("pi")
-    t = traj.column("t")
+    # the columns reduced over; t and u are read at one step each
+    lambda1 = _floats(rows, "lambda1")
+    g1 = _floats(rows, "g1")
+    final_pi = float(rows[-1][_INDEX["pi"]])
 
     # first time after which the HOT queue stays (numerically) empty
     time_to_zero: float | None = None
     if lambda1[-1] < ZERO_QUEUE_TOL:
         above = np.flatnonzero(~(lambda1 < ZERO_QUEUE_TOL))  # nan counts as above
-        time_to_zero = float(t[above[-1] + 1 if above.size else 0])
+        time_to_zero = float(rows[above[-1] + 1 if above.size else 0][_INDEX["t"]])
 
-    tail = slice(3 * len(traj) // 4, None)
-    has_pi = not math.isnan(pi[-1])
+    has_pi = not math.isnan(final_pi)
     with np.errstate(over="ignore", invalid="ignore"):
-        rmse = float(np.sqrt(np.mean((pi[tail] - pi_star) ** 2))) if has_pi else None
+        rmse = None
+        if has_pi:
+            pi_tail = _floats(rows[3 * len(rows) // 4:], "pi")
+            rmse = float(np.sqrt(np.mean((pi_tail - pi_star) ** 2)))
         metrics = SummaryMetrics(
             avg_g1=float(g1.mean()),
-            final_u=float(traj.column("u")[-1]),
-            final_pi=float(pi[-1]) if has_pi else None,
+            final_u=float(rows[-1][_INDEX["u"]]),
+            final_pi=final_pi if has_pi else None,
             max_lambda1=float(lambda1.max()),
             final_lambda1=float(lambda1[-1]),
             time_to_zero_queue=time_to_zero,

@@ -266,7 +266,8 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert run_cli("simulate", "--config", config, "--out", str(out)) == 6
         assert "aggregate.std.final_u" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        # no file at all, not even a replication's CSV
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", BAD_SWEEP_INPUTS,
                              ids=[" ".join(argv) for argv, _ in BAD_SWEEP_INPUTS])

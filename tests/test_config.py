@@ -208,8 +208,9 @@ UNPARSED = [
 ]
 
 NAN = math.nan
-# one nan per range rule, set without the parser: (object, fields, error, key);
-# the three samples entries share one message, so each names its case by id
+# one nan per range rule, and one badly shaped sample per shape case, set
+# without the parser: (object, fields, error, key); the samples entries share
+# a message, so each names its case by id
 NAN_RULES = [
     (Capacities(30.0, 30.0), {"hot": NAN}, ValueError, "hot"),
     (Capacities(30.0, 30.0), {"gp": NAN}, ValueError, "gp"),
@@ -224,6 +225,15 @@ NAN_RULES = [
     pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
                  {"samples": ((NAN, 10.0, 60.0),)}, ValueError,
                  "samples: expected a finite number", id="demand.samples"),
+    pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
+                 {"samples": ((0.0, 10.0),)}, ValueError,
+                 "samples: expected three numbers", id="samples: two entries"),
+    pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
+                 {"samples": (5.0,)}, ValueError,
+                 "samples: expected three numbers", id="samples: a bare number"),
+    pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
+                 {"samples": ((0.0, 10.0, 60.0, 1.0),)}, ValueError,
+                 "samples: expected three numbers", id="samples: four entries"),
     (BehaviorParams(0.5, 1.0), {"vot": NAN}, ValueError, "vot"),
     (BehaviorParams(0.5, 1.0), {"scale": NAN}, ValueError, "scale"),
     (ScenarioConfig(), {"initial_hot_queue": NAN}, ConfigError, "initial.hot_queue"),

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotsim import choice, traffic
+from hotsim import choice, engine, traffic
+from hotsim.cli import _csv, trajectory_csv
 from hotsim.choice import BehaviorParams, NoiseSpec
 from hotsim.config import (
     IntegralTollSpec,
@@ -138,6 +139,30 @@ class TestClosedLoop:
     def test_non_integer_seed_override_is_config_error(self, seed):
         with pytest.raises(ConfigError, match=r"^run\.seed: .* must be integers$"):
             run_closed_loop(S0, seed=seed)
+
+    @pytest.mark.parametrize("overrides, draws", [
+        ({}, False),
+        ({"demand": DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),))}, False),
+        ({"demand": DemandProfile("poisson")}, True),
+        ({"noise": NoiseSpec("uniform", 0.3)}, True),
+    ], ids=["constant", "timeseries", "poisson", "noise"])
+    def test_only_a_run_that_draws_builds_a_stream(self, monkeypatch, overrides, draws):
+        class StreamBuilt(Exception):
+            pass
+
+        def refuse(seed):
+            raise StreamBuilt(seed)
+
+        monkeypatch.setattr(engine.np.random, "default_rng", refuse)
+        cfg = dataclasses.replace(S0, **overrides)
+        if draws:
+            with pytest.raises(StreamBuilt):
+                run_closed_loop(cfg, seed=7)
+        else:
+            assert len(run_closed_loop(cfg, seed=7)) == cfg.n_steps + 1
+        # the seed is checked whether or not the run draws
+        with pytest.raises(ConfigError, match=r"^run\.seed: "):
+            run_closed_loop(cfg, seed=-1)
 
     def test_numpy_integer_seed_override_runs_as_the_int(self):
         runs = run_closed_loop(S0, seed=np.int64(3)), run_closed_loop(S0, seed=3)
@@ -437,6 +462,16 @@ class TestTrajectory:
             assert column.dtype == np.float64 and column.flags.c_contiguous
             assert column.tobytes() == expected.tobytes()
         assert np.array(traj.rows(), dtype=float).tobytes() == table.T.tobytes()
+        # the CSV formats the stored values as it would their floats
+        csv = trajectory_csv(traj)
+        assert csv == _csv(STATE_FIELDS, [tuple(map(float, row)) for row in rows])
+        # each read is a new array: writing into one changes neither a later
+        # read nor the CSV
+        for name in STATE_FIELDS:
+            traj.column(name)[:] = 7.25
+        for name, expected in zip(STATE_FIELDS, table):
+            assert traj.column(name).tobytes() == expected.tobytes()
+        assert trajectory_csv(traj) == csv
 
     @pytest.mark.parametrize("width", [len(STATE_FIELDS) - 1, len(STATE_FIELDS) + 1])
     def test_row_of_the_wrong_length_is_rejected(self, width):
