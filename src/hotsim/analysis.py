@@ -279,11 +279,10 @@ def approx_initial_zeta(config: "ScenarioConfig") -> float:
     """
     if config.approx_zeta0 is not None:
         return config.approx_zeta0
-    caps = config.capacities
-    w0 = config.initial_gp_queue / caps.gp - config.initial_hot_queue / caps.hot
-    q1, q2 = config.demand.mean_hov, config.demand.mean_sov
-    u0 = config.vot_spec.build(caps).quote(w0, q1, q2)
-    return induced_residual_capacity(caps.hot, q1, q2, u0, w0, 0.0, config.behavior)
+    q1, q2, c1, c2 = _congested_means(config)
+    w0 = config.initial_gp_queue / c2 - config.initial_hot_queue / c1
+    u0 = config.vot_spec.build(config.capacities).quote(w0, q1, q2)
+    return induced_residual_capacity(c1, q1, q2, u0, w0, 0.0, config.behavior)
 
 
 def approximate_from_config(config: "ScenarioConfig") -> tuple[np.ndarray, ...]:

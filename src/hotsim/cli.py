@@ -204,9 +204,6 @@ def cmd_sweep(args) -> int:
             raise ConfigError("bisection is supported on the residual gain (k2) only")
         _flagged("--bisect", analysis.check_bracket, config, *bracket)
         _flagged("--resolution", analysis.check_resolution, args.resolution)
-    if args.model == "approx":
-        # a scenario the reduced model cannot take is its own fault, not a flag's
-        analysis.loop_gain_rate(config)
 
     rows = [(value, analysis.classify_at(config, args.param, value, args.model))
             for value in grid]

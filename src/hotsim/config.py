@@ -73,7 +73,19 @@ MAX_STEPS = 1_000_000
 
 class _ScenarioLoader(yaml.SafeLoader):
     """Safe YAML loader that also reads exponent floats without a dot or an
-    exponent sign (``1e6``, ``2e1``, ``1.5e3``) as floats."""
+    exponent sign (``1e6``, ``2e1``, ``1.5e3``) as floats, and rejects a key
+    given twice in one mapping rather than keep its last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:  # each scalar key, the merge key << aside
+            if key_node.id == "scalar" and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 _ScenarioLoader.add_implicit_resolver(
@@ -328,8 +340,9 @@ def config_from_mapping(root: dict) -> ScenarioConfig:
     return dataclasses.replace(default, **fields)
 
 
-def parse_config_text(text: str) -> ScenarioConfig:
-    """Parse an inline YAML scenario document."""
+def parse_config_text(text: str | bytes) -> ScenarioConfig:
+    """Parse an inline YAML scenario document; bytes are decoded by the YAML
+    reader, and bytes it cannot decode are a malformed document."""
     try:
         data = yaml.load(text, Loader=_ScenarioLoader)
     except yaml.YAMLError as exc:
@@ -342,4 +355,4 @@ def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
-    return parse_config_text(path.read_text())
+    return parse_config_text(path.read_bytes())

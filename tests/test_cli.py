@@ -119,6 +119,9 @@ USAGE_ERRORS = [
     (["sweep", "--bisect", "0.1"], None, "error: --bisect expects LOW:HIGH"),
     (["sweep", "--bisect", "0.1:0.2", "--param", "k1"], None,
      "error: bisection is supported on the residual gain (k2) only"),
+    # --seed beyond simulate is checked by the same seed range rule
+    (["compare", "--seed", "-1"], None, "error: run.seed"),
+    (["sweep", "--values", "0.1", "--seed", "-1"], None, "error: run.seed"),
     (["simulate"], "run: {horizon: 0}", "error: run.horizon must be positive"),
     (["simulate"], "capacities: {hot: '30'}",
      "error: capacities.hot: expected a number, got '30'"),
@@ -294,14 +297,37 @@ class TestExitCodes:
     ], ids=" ".join)
     def test_uncongested_scenario_fails_the_analysis(self, capsys, scenario_file, argv, sov):
         # total demand at or below the total capacity; at sov 15 also below
-        # the HOT capacity, which the reduced model's seed quote meets first
+        # the HOT capacity, which the reduced model's seed quote would meet
         config = scenario_file(f"demand: {{hov: 10, sov: {sov}}}\n")
         assert run_cli(*argv, "--config", config) == 3
-        message = f"total demand {10 + sov} must exceed the total capacity 60"
-        if argv == ["approx"] and sov == 15:
-            message = ("total demand 25 veh/min does not exceed the HOT capacity 30 veh/min; "
-                       "the corridor is not congested")
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: total demand {10 + sov} must exceed the total capacity 60\n")
+
+    def test_reduced_model_seed_reads_no_unset_mean(self, capsys, scenario_file):
+        # timeseries demand has no mean rates; the seed quote would read the
+        # default HOV mean of 10, which saturates this HOT capacity
+        config = scenario_file(
+            "capacities: {hot: 5}\ndemand: {kind: timeseries, samples: [[0, 2, 60]]}\n")
+        assert run_cli("approx", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            "error: constant-demand analysis needs a demand profile with mean rates\n")
+
+    def test_scenario_file_that_is_not_utf8_is_malformed(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(b"run:\n  horizon: \xff\xfe20\n")
+        assert run_cli("simulate", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed scenario file: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, key, line", [
+        ("run: {horizon: 5}\nrun: {horizon: 6}\n", "run", 2),
+        ("controller:\n  kind: vot\n  kind: integral\n", "kind", 3),
+    ], ids=["top-level", "nested"])
+    def test_key_given_twice_is_malformed(self, scenario_file, capsys, text, key, line):
+        assert run_cli("simulate", "--config", scenario_file(text)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed scenario file: ")
+        assert f"found duplicate key '{key}'\n  in \"<byte string>\", line {line}," in err
 
 
 class TestCompare:
@@ -324,6 +350,15 @@ class TestCompare:
         monkeypatch.setattr(engine, "run_closed_loop", unexpected)
         assert run_cli("compare", "--controllers", "vot,foo") == 2
         assert capsys.readouterr().err.startswith("error: controller.kind: ")
+
+    def test_seed_flag_changes_the_draws(self, capsys, scenario_file):
+        config = scenario_file("demand: {kind: poisson}\n")
+        payloads = []
+        for seed in (1, 2):
+            assert run_cli("compare", "--config", config, "--seed", str(seed)) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+            assert payloads[-1]["seed"] == seed
+        assert payloads[0]["controllers"] != payloads[1]["controllers"]
 
     def test_identical_controllers_give_identical_summaries(self, capsys):
         assert run_cli("compare", "--controllers", "vot,vot") == 0

@@ -112,6 +112,12 @@ class TestParsing:
         assert approx_initial_zeta(cfg) == pytest.approx(expected, rel=1e-12)
         assert approx_initial_zeta(cfg) == pytest.approx(0.11, abs=1e-3)
 
+    def test_merge_key_may_be_overridden(self):
+        # a key given beside a merge key (<<) overrides the merged one; it is
+        # not a key given twice
+        cfg = parse_config_text("capacities: {<<: {hot: 31, gp: 31}, hot: 32}")
+        assert cfg.capacities == Capacities(32.0, 31.0)
+
 
 class TestValidation:
     def test_zero_step_size_rejected(self):
