@@ -19,7 +19,8 @@ import numpy as np
 
 from .choice import induced_residual_capacity
 from .engine import run_closed_loop
-from .errors import BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError
+from .errors import (BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError,
+                     require_positive)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
@@ -331,12 +332,6 @@ def gain_spec(config: "ScenarioConfig", param: str, value: float) -> "VotControl
         raise ConfigError(f"{param}={value:g}: {exc}") from None
 
 
-def check_resolution(resolution: float) -> None:
-    """Reject a bisection resolution that is not a positive finite number."""
-    if not 0.0 < resolution < math.inf:  # nan fails too
-        raise ConfigError(f"resolution must be a positive finite number, got {resolution!r}")
-
-
 def check_bracket(config: "ScenarioConfig", low: float, high: float) -> None:
     """Reject a bisection bracket of residual gains without finite ends and
     low below high, or with an end the vot controller of ``config`` rejects."""
@@ -368,7 +363,7 @@ def find_phase_boundary(
         _, lam_win, zeta_win = _tail_window(*run)
         return _pattern(lam_win, zeta_win, spec.queue_gain, spec.residual_gain)[0]
 
-    check_resolution(resolution)
+    require_positive("resolution", resolution, ConfigError)
     check_bracket(config, k2_low, k2_high)
     low_pattern = pattern_at(k2_low)
     high_pattern = pattern_at(k2_high)

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import traffic
 from .errors import require_finite, require_positive
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 NOISE_KINDS = ("none", "uniform")
 

@@ -36,6 +36,7 @@ from .errors import (
     NonFiniteResultError,
     PriceUndefinedError,
     ScenarioAssumptionError,
+    require_positive,
 )
 
 # most gain values one ``sweep --grid`` may run; each is a full simulation
@@ -203,7 +204,7 @@ def cmd_sweep(args) -> int:
         if args.param != "k2":
             raise ConfigError("bisection is supported on the residual gain (k2) only")
         _flagged("--bisect", analysis.check_bracket, config, *bracket)
-        _flagged("--resolution", analysis.check_resolution, args.resolution)
+    _flagged("--resolution", require_positive, "resolution", args.resolution, ConfigError)
 
     rows = [(value, analysis.classify_at(config, args.param, value, args.model))
             for value in grid]
@@ -233,8 +234,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_analytic(args) -> int:
     config = _load(args)
-    if config.demand.kind != "constant":
-        raise ConfigError("the analytic price requires constant demand")
     times = [k * config.dt for k in range(config.n_steps + 1)]
     rows = ((t, analysis.analytic_optimal_price(t, config)) for t in times)
     _emit(args, "analytic.csv", _csv(("t", "u_analytic"), rows))
@@ -256,10 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, replications=False, fmt=False):
+    def common(p, seed=True, replications=False, fmt=False):
         p.add_argument("--config", help="scenario YAML file (defaults when omitted)")
         p.add_argument("--out", help="directory for output files")
-        p.add_argument("--seed", type=int, help="override the configured seed")
+        if seed:  # only the commands that draw
+            p.add_argument("--seed", type=int, help="override the configured seed")
         if replications:
             p.add_argument("--replications", type=int,
                            help="override the configured replication count")
@@ -292,11 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("analytic", help="tabulate the known-behavior optimal price")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("approx", help="integrate the reduced near-equilibrium model")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_approx)
 
     return parser

@@ -56,7 +56,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .choice import BehaviorParams, NoiseSpec
@@ -199,7 +198,10 @@ def _plain(value, convert):
     so equal configs have equal mappings."""
     if convert in (None, _integer) or value is None:
         return value
-    return np.asarray(value, dtype=float).tolist()
+    try:
+        return float(value)
+    except TypeError:  # a sequence, numpy's arrays included
+        return [_plain(entry, convert) for entry in value]
 
 
 def _unread_demand_keys(kind: str) -> tuple[str, ...]:
@@ -341,11 +343,13 @@ def config_from_mapping(root: dict) -> ScenarioConfig:
 
 
 def parse_config_text(text: str | bytes) -> ScenarioConfig:
-    """Parse an inline YAML scenario document; bytes are decoded by the YAML
-    reader, and bytes it cannot decode are a malformed document."""
+    """Parse an inline YAML scenario document; bytes must be UTF-8, a byte
+    order mark allowed, and any other bytes are a malformed document."""
     try:
+        if isinstance(text, bytes):  # the YAML reader would also take UTF-16/32
+            text.decode("utf-8")
         data = yaml.load(text, Loader=_ScenarioLoader)
-    except yaml.YAMLError as exc:
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"malformed scenario file: {exc}")
     return config_from_mapping(data if data is not None else {})
 

@@ -108,6 +108,9 @@ BAD_SWEEP_INPUTS = [
     # checked before any run, so never reported under --bisect
     (["--bisect", "0.1:0.2", "--resolution", "nan"], "--resolution"),
     (["--bisect", "0.1:0.2", "--resolution", "-1"], "--resolution"),
+    # checked on every sweep, bisecting or not
+    (["--values", "0.1", "--resolution", "nan"], "--resolution"),
+    (["--grid", "0.1:0.2:0.05", "--resolution", "0"], "--resolution"),
 ]
 
 # one input per usage or scenario error: (argv, scenario or None, stderr's start)
@@ -255,6 +258,13 @@ class TestExitCodes:
         )
         assert run_cli("simulate", "--config", config) == 2
 
+    @pytest.mark.parametrize("command", ["analytic", "approx"])
+    def test_seed_is_no_flag_of_a_command_that_draws_nothing(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(command, "--seed", "1")
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("resolution", ["nan", "inf", "0"])
     def test_non_finite_resolution_is_config_error(self, resolution):
         assert run_cli("sweep", "--bisect", "0.1:0.2", "--resolution", resolution) == 2
@@ -318,6 +328,25 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", str(path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed scenario file: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-be", "utf-32"])
+    def test_scenario_file_in_another_unicode_encoding_is_malformed(
+        self, tmp_path, capsys, encoding
+    ):
+        # the YAML reader alone would decode UTF-16 behind its byte order mark
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes("\ufeffrun:\n  horizon: 10.0\n".encode(encoding))
+        assert run_cli("simulate", "--config", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: malformed scenario file: ")
+
+    def test_utf8_scenario_file_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
+        outputs = []
+        for bom in ("\ufeff", ""):
+            path = tmp_path / "scenario.yaml"
+            path.write_bytes(f"{bom}run:\n  horizon: 10.0\n".encode("utf-8"))
+            assert run_cli("simulate", "--format", "json", "--config", str(path)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("text, key, line", [
         ("run: {horizon: 5}\nrun: {horizon: 6}\n", "run", 2),
@@ -470,9 +499,20 @@ class TestAnalytic:
         assert float(last[0]) == pytest.approx(20.0, rel=1e-9)
         assert float(last[1]) == pytest.approx(10.0 / 3.0 + math.log(2.0), rel=1e-9)
 
-    def test_requires_constant_demand(self, scenario_file):
-        config = scenario_file("demand: {kind: poisson}\n")
+    def test_poisson_demand_is_analysed_at_its_mean_rates(self, capsys, scenario_file):
+        tables = []
+        for kind in ("constant", "poisson"):
+            config = scenario_file(f"demand: {{kind: {kind}, hov: 12, sov: 55}}\n")
+            assert run_cli("analytic", "--config", config) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+
+    def test_timeseries_demand_has_no_mean_rates(self, capsys, scenario_file):
+        config = scenario_file(
+            "demand: {kind: timeseries, samples: [[0, 10, 60], [5, 12, 55]]}\n")
         assert run_cli("analytic", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            "error: constant-demand analysis needs a demand profile with mean rates\n")
 
 
 class TestApprox:
@@ -546,6 +586,26 @@ COMMANDS = {
 }
 
 
+def _run_scenario(mapping, argv) -> tuple[int, str, str]:
+    """``main(argv)`` on ``mapping`` dumped to a scenario file, with warnings
+    turned into errors: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--config", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _one_clear_error(out: str, err: str) -> None:
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestSimulateFuzz:
     """Every valid scenario ends each command in a result or in one clear error."""
 
@@ -556,21 +616,60 @@ class TestSimulateFuzz:
         @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
         @given(_scenarios(max_steps=60, max_replications=2), argv_strategy)
         def exits_cleanly(mapping, argv):
-            out, err = io.StringIO(), io.StringIO()
-            with tempfile.TemporaryDirectory() as tmp:
-                path = Path(tmp) / "scenario.yaml"
-                path.write_text(yaml.safe_dump(mapping))
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                        warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    code = main([*argv, "--config", str(path)])
-            assert code == 0 or code in codes, err.getvalue()
+            code, out, err = _run_scenario(mapping, argv)
+            assert code == 0 or code in codes, err
             if code == 0:
-                assert err.getvalue() == ""
-                check(out.getvalue())
+                assert err == ""
+                check(out)
             else:
-                assert out.getvalue() == ""
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("error: ")
+                _one_clear_error(out, err)
 
         exits_cleanly()
+
+
+_HOSTILE = st.one_of(
+    st.text(max_size=8), st.booleans(), st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]),
+    st.lists(_positive, max_size=3), st.lists(st.lists(_positive, max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=5), _positive, max_size=2),
+)
+
+
+def _paths(mapping: dict, prefix: tuple = ()):
+    """The key path of every section and value of ``mapping``."""
+    for key, value in mapping.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _paths(value, (*prefix, key))
+
+
+@st.composite
+def _hostile_scenarios(draw):
+    """A valid scenario with one section or value replaced by a hostile value."""
+    mapping = draw(_scenarios(max_steps=60, max_replications=2))
+    *parents, key = draw(st.sampled_from(list(_paths(mapping))))
+    node = mapping
+    for parent in parents:
+        node = node[parent]
+    node[key] = draw(_HOSTILE)
+    return mapping
+
+
+class TestHostileFuzz:
+    """A hostile value anywhere in a scenario ends every command in a result or
+    in one clear error, never in a traceback or a warning."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--format", "json"], ["compare"], ["analytic"], ["approx"],
+        ["sweep", "--values", "0.1"], ["sweep", "--model", "approx", "--values", "0.1"],
+    ], ids=" ".join)
+    def test_hostile_value_ends_in_one_clear_error(self, argv):
+        @settings(max_examples=17, deadline=None, derandomize=True, database=None)
+        @given(_hostile_scenarios())
+        def ends_cleanly(mapping):
+            code, out, err = _run_scenario(mapping, argv)
+            assert code in (0, 2, 3, 4, 6), err
+            if code:
+                _one_clear_error(out, err)
+
+        ends_cleanly()
