@@ -15,14 +15,14 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .choice import induced_residual_capacity
 from .engine import run_closed_loop
 from .errors import (BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError,
                      require_positive)
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .config import ScenarioConfig
     from .engine import SummaryMetrics, Trajectory
     from .pricing import VotControllerSpec
@@ -143,6 +143,8 @@ def run_approximate(
     Returns (t, lambda1, zeta) arrays.  ``start_time`` matters because the
     reduced dynamics are time-variant.
     """
+    import numpy as np
+
     n = round(horizon / dt)
     lams, zetas, _ = _integrate(initial_queue, initial_zeta, start_time,
                                 queue_gain, residual_gain, gain_rate, dt, n)
@@ -177,6 +179,8 @@ class ConvergenceReport:
 
 def _fit_r2(x: np.ndarray, y: np.ndarray) -> float:
     """R^2 of the least-squares line of y against x; 0 when degenerate."""
+    import numpy as np
+
     if len(x) < 3 or np.ptp(x) == 0.0:
         return 0.0
     coeffs = np.polyfit(x, y, 1)
@@ -193,6 +197,8 @@ def _tail_window(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The samples ``(t, lambda1, zeta)`` that ``classify_convergence``
     reads, as it describes them; empty when no sample is active."""
+    import numpy as np
+
     floor = CONVERGENCE_FLOOR
     window = np.maximum(lambda1, np.abs(zeta)) > floor  # the active samples
     if window.any():
@@ -213,6 +219,8 @@ def _pattern(
 ) -> tuple[str, float]:
     """The pattern and ratio estimate of a tail window, as
     ``classify_convergence`` describes them."""
+    import numpy as np
+
     floor = CONVERGENCE_FLOOR
     if not lam_win.size:
         return UNDETERMINED, math.nan
@@ -250,6 +258,8 @@ def classify_convergence(
     undetermined.  The report's R² fits of the two laws over the window do
     not enter the pattern.
     """
+    import numpy as np
+
     t_win, lam_win, zeta_win = _tail_window(
         np.asarray(t, dtype=float), np.asarray(lambda1, dtype=float),
         np.asarray(zeta, dtype=float),

@@ -25,8 +25,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, engine
 from .config import CONTROLLER_KINDS, ScenarioConfig, config_fingerprint, load_config
 from .errors import (
@@ -90,6 +88,8 @@ def _load(args) -> ScenarioConfig:
 
 def _aggregate(summaries: list[dict]) -> dict:
     """Mean and standard deviation of each metric across replications."""
+    import numpy as np
+
     aggregate = {"mean": {}, "std": {}}
     # the squares in a spread of finite values can overflow; the check names it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -204,7 +204,7 @@ def cmd_sweep(args) -> int:
         if args.param != "k2":
             raise ConfigError("bisection is supported on the residual gain (k2) only")
         _flagged("--bisect", analysis.check_bracket, config, *bracket)
-    _flagged("--resolution", require_positive, "resolution", args.resolution, ConfigError)
+    require_positive("--resolution", args.resolution, ConfigError)
 
     rows = [(value, analysis.classify_at(config, args.param, value, args.model))
             for value in grid]
@@ -241,6 +241,8 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    import numpy as np
+
     t, lam, zeta = analysis.approximate_from_config(_load(args))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(zeta) > 0.0, lam / zeta, math.nan)

@@ -46,12 +46,12 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import choice
 from .errors import ConfigError, HotSimError, NonFiniteResultError, require_finite
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .config import ScenarioConfig
 
 DEMAND_KINDS = ("constant", "poisson", "timeseries")
@@ -134,6 +134,8 @@ _INDEX = {name: i for i, name in enumerate(STATE_FIELDS)}
 
 def _floats(rows, name: str) -> np.ndarray:
     """Entry ``name`` of each row as a new contiguous float64 array."""
+    import numpy as np
+
     return np.fromiter(map(operator.itemgetter(_INDEX[name]), rows), float, len(rows))
 
 
@@ -204,6 +206,8 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     ``seed`` overrides the configured seed (used for replications).
     Controller and demand errors are re-raised with the step index attached.
     """
+    import numpy as np
+
     caps, dt, n_steps = config.capacities, config.dt, config.n_steps
     demand, noise, behavior = config.demand, config.noise, config.behavior
     run_seed, _ = check_seeds(config.seed if seed is None else seed, 1)
@@ -285,6 +289,8 @@ def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
     Raises NonFiniteResultError, naming the first metric in ``as_dict``
     order, when a metric is infinite or NaN.
     """
+    import numpy as np
+
     rows = traj.rows()
     if not rows:
         raise ValueError("cannot summarize an empty trajectory")

@@ -24,24 +24,33 @@ range rule.  A non-finite value, a gain out of range, and a self-learning
 ``initial_cov`` or ``process_noise`` whose symmetric part ``0.5 (C + C')`` has
 an eigenvalue below ``-COV_EIG_TOL`` times its largest magnitude are each a
 ValueError whose message begins with the key.
+
+Building a spec or a controller imports no numpy: the value rules run in
+plain Python.  The self-learning filter's matrix operands are numpy arrays,
+built on its first update, and its ``theta`` and ``cov`` are arrays built
+when read; numpy is imported there.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import PriceUndefinedError, ScenarioAssumptionError, require_finite, require_positive
 from .traffic import Capacities
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 ALPHA2_FLOOR = 1e-6
 # a covariance eigenvalue below -COV_EIG_TOL times the largest eigenvalue
 # magnitude is negative beyond roundoff
 COV_EIG_TOL = 1e-9
-_EYE3 = np.eye(3)
+# most Jacobi sweeps of the covariance check; three by three matrices take about six
+_JACOBI_SWEEPS = 50
 # write Python floats into a float64 buffer, the native bytes of each double
 _PACK3 = struct.Struct("3d").pack_into
 _PACK9 = struct.Struct("9d").pack_into
@@ -168,8 +177,10 @@ class SelfLearningController:
     The implied value-of-time estimate is ``alpha1/alpha2``.
 
     The state is held in Python floats; ``theta`` and ``cov`` are arrays
-    built from them when read.  The arrays the six matrix products of a step
-    read are per-controller buffers, written in place.
+    built from them when read.  The constructor checks its values, the
+    covariance rule included, in plain Python and builds no array.  The
+    arrays the six matrix products of a step read are per-controller numpy
+    buffers, built by the first update (``_new_operands``) and written in place.
 
     ``quote`` checks ``alpha2`` on every call, since the filter moves it.
     The paying-demand target, its check and its log term read only ``q1``,
@@ -181,58 +192,55 @@ class SelfLearningController:
                  measurement_var: float, process_noise) -> None:
         require_positive("measurement_var", measurement_var)
         self.hot_capacity = hot_capacity
-        theta = self._floats(initial_theta, "initial_theta")
-        if theta.shape != (3,):
+        theta = _floats(initial_theta, "initial_theta")
+        if not _is_triple(theta):
             raise ValueError("initial_theta must have three entries")
-        noise = self._as_matrix(process_noise, "process_noise")
-        posterior = self._as_matrix(initial_cov, "initial_cov")
+        noise = _as_matrix(process_noise, "process_noise")
+        posterior = _as_matrix(initial_cov, "initial_cov")
         for key, mat in (("initial_cov", posterior), ("process_noise", noise)):
-            eig = np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.T)  # no overflow near the float max
-            if eig.min() < -COV_EIG_TOL * np.abs(eig).max():
+            # the symmetric part as 0.5 * C + 0.5 * C', no overflow near the float max
+            eig = _symmetric_eigenvalues(
+                [[0.5 * mat[i][j] + 0.5 * mat[j][i] for j in range(3)] for i in range(3)])
+            if min(eig) < -COV_EIG_TOL * max(map(abs, eig)):
                 raise ValueError(
                     f"{key}: expected a covariance, whose symmetric part has no "
-                    f"negative eigenvalue; smallest eigenvalue is {eig.min():.6g}"
+                    f"negative eigenvalue; smallest eigenvalue is {min(eig):.6g}"
                 )
         self.measurement_var = float(measurement_var)
-        self._coef = t0, t1, _ = tuple(theta.tolist())
-        self.vot_estimate = t0 / t1 if t1 else _quiet_divide((t0,), t1)[0]
-        self._posterior = tuple(posterior.ravel().tolist())
-        self._noise = tuple(noise.ravel().tolist())
-        # the product operands: theta, h, the predicted covariance (posterior
-        # plus process noise) of the next step, and I - g h'
-        self._theta = theta.copy()
-        self._h = np.array([0.0, 0.0, 1.0])
-        prior = [c + n for c, n in zip(self._posterior, self._noise)]
-        self._prior = np.array(prior).reshape(3, 3)
-        self._ikh = np.empty((3, 3))
-        self._ikh_t = self._ikh.T
+        self._coef = t0, t1, _ = tuple(theta)
+        self.vot_estimate = t0 / t1 if t1 else _divide_by_zero((t0,), t1)[0]
+        self._posterior = tuple(itertools.chain.from_iterable(posterior))
+        self._noise = tuple(itertools.chain.from_iterable(noise))
         # the demand pair of the last quote and its log term
         self._q1 = self._q2 = self._split = _UNQUOTED
+        # the product operands, built by the first update: a plain attribute,
+        # as a cached_property writes through the instance's __dict__, after
+        # which each attribute access of a step is slower (CPython 3.11)
+        self._operands = None
 
-    @staticmethod
-    def _floats(value, name: str) -> np.ndarray:
-        """``value`` as a float array, each entry checked finite before conversion."""
-        for entry in np.asarray(value, dtype=object).ravel().tolist():
-            require_finite(name, entry)
-        return np.asarray(value, dtype=float)
+    def _new_operands(self) -> tuple:
+        """The arrays the products of ``observe`` read: theta, h, the
+        predicted covariance (posterior plus process noise) of the next
+        step, and I - g h' with its transpose, a view."""
+        import numpy as np
 
-    @staticmethod
-    def _as_matrix(value, name: str) -> np.ndarray:
-        mat = SelfLearningController._floats(value, name)
-        if mat.ndim == 0:
-            mat = float(mat) * _EYE3
-        if mat.shape != (3, 3):
-            raise ValueError(f"{name} must be a scalar or a 3x3 matrix")
-        return mat
+        prior = [c + n for c, n in zip(self._posterior, self._noise)]
+        ikh = np.empty((3, 3))
+        return (np.array(self._coef), np.array([0.0, 0.0, 1.0]),
+                np.array(prior).reshape(3, 3), ikh, ikh.T)
 
     @property
     def theta(self) -> np.ndarray:
         """The coefficients ``[alpha1, alpha2, gamma]``."""
+        import numpy as np
+
         return np.array(self._coef)
 
     @property
     def cov(self) -> np.ndarray:
         """The posterior covariance: ``initial_cov`` until the first update."""
+        import numpy as np
+
         return np.array(self._posterior).reshape(3, 3)
 
     def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
@@ -252,7 +260,10 @@ class SelfLearningController:
         upper = q2 - margin
         q3 = upper if upper < q3 else q3
         y = math.log((q2 - q3) / q3)
-        h, prior = self._h, self._prior
+        operands = self._operands
+        if operands is None:
+            operands = self._operands = self._new_operands()
+        theta, h, prior, ikh, ikh_t = operands
         h0 = -w
         h[0] = h0
         h[1] = u
@@ -262,25 +273,25 @@ class SelfLearningController:
         if s:
             g0, g1, g2 = p0 / s, p1 / s, p2 / s
         else:
-            g0, g1, g2 = _quiet_divide((p0, p1, p2), s)
-        innov = y - float(h.dot(self._theta))
+            g0, g1, g2 = _divide_by_zero((p0, p1, p2), s)
+        innov = y - float(h.dot(theta))
         t0, t1, t2 = self._coef
         t0, t1, t2 = t0 + g0 * innov, t1 + g1 * innov, t2 + g2 * innov
-        _PACK3(self._theta, 0, t0, t1, t2)
+        _PACK3(theta, 0, t0, t1, t2)
         self._coef = t0, t1, t2
-        self.vot_estimate = t0 / t1 if t1 else _quiet_divide((t0,), t1)[0]
+        self.vot_estimate = t0 / t1 if t1 else _divide_by_zero((t0,), t1)[0]
 
         # Joseph form keeps the covariance symmetric PSD under roundoff:
         # (I - g h') cov (I - g h')' + r g g', then 0.5 (c + c').
         # h[2] is 1.0, so g_i * h[2] is g_i exactly.
         _PACK9(
-            self._ikh, 0,
+            ikh, 0,
             1.0 - g0 * h0, 0.0 - g0 * u, 0.0 - g0,
             0.0 - g1 * h0, 1.0 - g1 * u, 0.0 - g1,
             0.0 - g2 * h0, 0.0 - g2 * u, 1.0 - g2,
         )
         (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = (
-            self._ikh.dot(prior).dot(self._ikh_t).tolist()
+            ikh.dot(prior).dot(ikh_t).tolist()
         )
         r = self.measurement_var
         c00, c01, c02 = a00 + r * (g0 * g0), a01 + r * (g0 * g1), a02 + r * (g0 * g2)
@@ -332,7 +343,65 @@ class SelfLearningSpec(_ControllerSpec):
         )
 
 
-def _quiet_divide(values, divisor: float) -> list:
-    """``values / divisor`` as numpy divides: by zero, a signed inf or nan and no warning."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (np.asarray(values, dtype=float) / divisor).tolist()
+def _divide_by_zero(values, zero: float) -> list:
+    """``values / zero`` for a signed zero ``zero``, as IEEE division (numpy's
+    too) gives it: a signed inf, or nan for a zero or a nan, and no error.
+    Multiplying by the inf of the zero's sign gives those same results."""
+    inf = math.copysign(math.inf, zero)
+    return [value * inf for value in values]
+
+
+def _floats(value, name: str):
+    """``value`` as a float or nested lists of floats (a numpy array read as
+    its lists), each entry checked finite before conversion."""
+    value = value.tolist() if hasattr(value, "tolist") else value
+    if isinstance(value, (list, tuple)):
+        return [_floats(entry, name) for entry in value]
+    require_finite(name, value)
+    return float(value)
+
+
+def _is_triple(value) -> bool:
+    return isinstance(value, list) and len(value) == 3 and all(
+        isinstance(entry, float) for entry in value)
+
+
+def _as_matrix(value, name: str) -> list[list[float]]:
+    """A scalar times the identity, or a 3x3 matrix, as three lists of floats."""
+    mat = _floats(value, name)
+    if isinstance(mat, float):  # each entry as mat * 1.0 or mat * 0.0, -0.0 kept
+        return [[mat * (i == j) for j in range(3)] for i in range(3)]
+    if not (len(mat) == 3 and all(map(_is_triple, mat))):
+        raise ValueError(f"{name} must be a scalar or a 3x3 matrix")
+    return mat
+
+
+def _symmetric_eigenvalues(mat: list[list[float]]) -> list[float]:
+    """The eigenvalues of the symmetric 3x3 matrix ``mat``, by cyclic Jacobi
+    rotations on a copy scaled by a power of two to a largest entry near 1,
+    so that no product overflows or underflows at either end of the floats."""
+    if not (mat[0][1] or mat[0][2] or mat[1][2]):  # diagonal, a scalar's included
+        return [mat[0][0], mat[1][1], mat[2][2]]
+    exp = math.frexp(max(abs(x) for row in mat for x in row))[1]
+    a = [[math.ldexp(x, -exp) for x in row] for row in mat]
+    # the off-diagonal entries fall quadratically and reach zero in a few
+    # sweeps; the bound only keeps a pathological input from looping
+    for _ in range(_JACOBI_SWEEPS):
+        if not (a[0][1] or a[0][2] or a[1][2]):
+            break
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq = a[p][q]
+            if not apq:
+                continue
+            # the rotation that zeroes a[p][q], by its tangent t (the smaller root)
+            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            arp, arq = a[r][p], a[r][q]
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
+            a[p][q] = a[q][p] = 0.0
+            a[r][p] = a[p][r] = c * arp - s * arq
+            a[r][q] = a[q][r] = s * arp + c * arq
+    return [math.ldexp(a[i][i], exp) for i in range(3)]

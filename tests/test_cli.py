@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, byte stability."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -23,6 +24,8 @@ from hotsim.config import ScenarioConfig, config_fingerprint
 from hotsim.errors import NonFiniteResultError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SCENARIOS = SRC.parent / "scenarios"
+SCENARIO_NAMES = ("reference.yaml", "stochastic.yaml", "perturbed.yaml")
 
 COLUMNS = "t,lambda1,lambda2,zeta,w,pi,u,g1,g2,q1,q2,q3,eta"
 
@@ -105,12 +108,20 @@ BAD_SWEEP_INPUTS = [
     # more points than the cap, checked before the grid is built
     (["--grid", "0:1e9:1e-9"], "--grid"),
     (["--grid=-1e308:1e308:1"], "--grid"),
-    # checked before any run, so never reported under --bisect
+    # checked before any run, so never reported under --bisect; a value that
+    # is not positive is in RESOLUTION_ERRORS, whose message has no colon
     (["--bisect", "0.1:0.2", "--resolution", "nan"], "--resolution"),
-    (["--bisect", "0.1:0.2", "--resolution", "-1"], "--resolution"),
     # checked on every sweep, bisecting or not
     (["--values", "0.1", "--resolution", "nan"], "--resolution"),
-    (["--grid", "0.1:0.2:0.05", "--resolution", "0"], "--resolution"),
+]
+
+# the whole stderr of each resolution rule, the flag named once
+RESOLUTION_ERRORS = [
+    (["--values", "0.1", "--resolution", "nan"],
+     "error: --resolution: expected a finite number, got nan\n"),
+    (["--values", "0.1", "--resolution", "0"], "error: --resolution must be positive\n"),
+    (["--bisect", "0.1:0.2", "--resolution", "-1"], "error: --resolution must be positive\n"),
+    (["--grid", "0.1:0.2:0.05", "--resolution", "0"], "error: --resolution must be positive\n"),
 ]
 
 # one input per usage or scenario error: (argv, scenario or None, stderr's start)
@@ -268,6 +279,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("resolution", ["nan", "inf", "0"])
     def test_non_finite_resolution_is_config_error(self, resolution):
         assert run_cli("sweep", "--bisect", "0.1:0.2", "--resolution", resolution) == 2
+
+    @pytest.mark.parametrize("argv, message", RESOLUTION_ERRORS,
+                             ids=[" ".join(argv) for argv, _ in RESOLUTION_ERRORS])
+    def test_resolution_message_names_the_flag_once(self, capsys, pattern_file, argv, message):
+        assert run_cli("sweep", "--config", pattern_file, *argv) == 2
+        assert capsys.readouterr().err == message
 
     def test_aggregate_overflow_names_the_entry(self, scenario_file, tmp_path, capsys):
         # every replication's final_u is about 1.7e168: finite, but its
@@ -539,11 +556,16 @@ class TestApprox:
         assert ratio[-1] == pytest.approx(2.0, abs=0.1)
 
 
+def run_python(*args):
+    """``python args...`` with this checkout's sources on the path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
 def run_module(*argv):
     """``python -m argv...`` with this checkout's sources on the path."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return run_python("-m", *argv)
 
 
 class TestModuleEntryPoints:
@@ -558,6 +580,52 @@ class TestModuleEntryPoints:
         assert run_cli("simulate", "--format", "json") == 0
         assert done.stdout == capsys.readouterr().out
         assert "fingerprint" in json.loads(done.stdout)
+
+
+class TestStartupImportsNoNumpy:
+    """Importing the package, loading a scenario and the commands that
+    compute nothing with numpy leave it unimported: ``-X importtime`` lists
+    every module the process imported, on stderr."""
+
+    @staticmethod
+    def run(*args):
+        done = run_python("-X", "importtime", *args)
+        imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "hotsim" in imported and "numpy" not in imported
+        return done
+
+    @pytest.mark.parametrize("code", [
+        "import hotsim",
+        "import hotsim.cli\n" + "".join(f"hotsim.config.load_config({str(SCENARIOS / name)!r})\n"
+                                         for name in SCENARIO_NAMES),
+    ], ids=["import", "load-shipped-scenarios"])
+    def test_import_and_load(self, code):
+        assert self.run("-c", code).returncode == 0
+
+    def test_load_full_covariances(self, scenario_file):
+        config = scenario_file(
+            "controller:\n  kind: selflearning\n  selflearning:\n"
+            "    initial_cov: [[0.2, 0.03, -0.01], [0.01, 0.12, 0.02], [0.0, -0.02, 0.15]]\n"
+            "    process_noise: [[2.0e-6, 1.0e-7, 0], [0, 1.0e-6, 3.0e-7], [1.0e-7, 0, 1.0e-6]]\n"
+        )
+        code = f"import hotsim.cli\nhotsim.config.load_config({config!r}).selflearning_spec"
+        assert self.run("-c", code).returncode == 0
+
+    def test_help(self):
+        done = self.run("-m", "hotsim", "--help")
+        assert done.returncode == 0 and done.stdout.startswith("usage: hotsim")
+
+    def test_analytic_table(self):
+        done = self.run("-m", "hotsim", "analytic", "--config", str(SCENARIOS / "reference.yaml"))
+        assert done.returncode == 0
+        assert hashlib.sha256(done.stdout.encode()).hexdigest()[:16] == "013420e6e51706c4"
+
+    def test_config_error(self, scenario_file):
+        config = scenario_file("controller: {selflearning: {initial_cov: -1.0}}\n")
+        done = self.run("-m", "hotsim", "simulate", "--config", config)
+        assert done.returncode == 2
+        assert "error: controller.selflearning.initial_cov: expected a covariance" in done.stderr
 
 
 def _csv_table(text: str) -> None:

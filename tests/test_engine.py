@@ -153,7 +153,7 @@ class TestClosedLoop:
         def refuse(seed):
             raise StreamBuilt(seed)
 
-        monkeypatch.setattr(engine.np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
         cfg = dataclasses.replace(S0, **overrides)
         if draws:
             with pytest.raises(StreamBuilt):
