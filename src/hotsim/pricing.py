@@ -26,9 +26,11 @@ an eigenvalue below ``-COV_EIG_TOL`` times its largest magnitude are each a
 ValueError whose message begins with the key.
 
 Building a spec or a controller imports no numpy: the value rules run in
-plain Python.  The self-learning filter's matrix operands are numpy arrays,
-built on its first update, and its ``theta`` and ``cov`` are arrays built
-when read; numpy is imported there.
+plain Python, and a scalar or diagonal covariance's eigenvalues are its
+diagonal.  numpy is imported where it computes: for the eigenvalues of any
+other covariance (LAPACK's), for the self-learning filter's matrix operands,
+numpy arrays built on its first update, and for its ``theta`` and ``cov``,
+arrays built when read.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ ALPHA2_FLOOR = 1e-6
 # a covariance eigenvalue below -COV_EIG_TOL times the largest eigenvalue
 # magnitude is negative beyond roundoff
 COV_EIG_TOL = 1e-9
-# most Jacobi sweeps of the covariance check; three by three matrices take about six
-_JACOBI_SWEEPS = 50
 # write Python floats into a float64 buffer, the native bytes of each double
 _PACK3 = struct.Struct("3d").pack_into
 _PACK9 = struct.Struct("9d").pack_into
@@ -177,10 +177,11 @@ class SelfLearningController:
     The implied value-of-time estimate is ``alpha1/alpha2``.
 
     The state is held in Python floats; ``theta`` and ``cov`` are arrays
-    built from them when read.  The constructor checks its values, the
-    covariance rule included, in plain Python and builds no array.  The
-    arrays the six matrix products of a step read are per-controller numpy
-    buffers, built by the first update (``_new_operands``) and written in place.
+    built from them when read.  The constructor checks its values in plain
+    Python and builds no array; only a covariance with an off-diagonal entry
+    takes its eigenvalues from numpy.  The arrays the six matrix products of
+    a step read are per-controller numpy buffers, built by the first update
+    (``_new_operands``) and written in place.
 
     ``quote`` checks ``alpha2`` on every call, since the filter moves it.
     The paying-demand target, its check and its log term read only ``q1``,
@@ -352,12 +353,16 @@ def _divide_by_zero(values, zero: float) -> list:
 
 
 def _floats(value, name: str):
-    """``value`` as a float or nested lists of floats (a numpy array read as
-    its lists), each entry checked finite before conversion."""
+    """``value`` as a float or nested lists of floats, each entry checked
+    finite before conversion: any sequence is read entry by entry, a numpy
+    array as its lists."""
     value = value.tolist() if hasattr(value, "tolist") else value
-    if isinstance(value, (list, tuple)):
+    try:
+        require_finite(name, value)
+    except TypeError:  # not a number: a sequence of them
+        if isinstance(value, str):  # whose entries are strings again
+            raise TypeError(f"{name}: expected a number, got {value!r}") from None
         return [_floats(entry, name) for entry in value]
-    require_finite(name, value)
     return float(value)
 
 
@@ -377,31 +382,10 @@ def _as_matrix(value, name: str) -> list[list[float]]:
 
 
 def _symmetric_eigenvalues(mat: list[list[float]]) -> list[float]:
-    """The eigenvalues of the symmetric 3x3 matrix ``mat``, by cyclic Jacobi
-    rotations on a copy scaled by a power of two to a largest entry near 1,
-    so that no product overflows or underflows at either end of the floats."""
-    if not (mat[0][1] or mat[0][2] or mat[1][2]):  # diagonal, a scalar's included
+    """The eigenvalues of the symmetric 3x3 matrix ``mat``: a diagonal one's,
+    a scalar's included, read off as they are, any other's from LAPACK."""
+    if not (mat[0][1] or mat[0][2] or mat[1][2]):
         return [mat[0][0], mat[1][1], mat[2][2]]
-    exp = math.frexp(max(abs(x) for row in mat for x in row))[1]
-    a = [[math.ldexp(x, -exp) for x in row] for row in mat]
-    # the off-diagonal entries fall quadratically and reach zero in a few
-    # sweeps; the bound only keeps a pathological input from looping
-    for _ in range(_JACOBI_SWEEPS):
-        if not (a[0][1] or a[0][2] or a[1][2]):
-            break
-        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            apq = a[p][q]
-            if not apq:
-                continue
-            # the rotation that zeroes a[p][q], by its tangent t (the smaller root)
-            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-            t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            arp, arq = a[r][p], a[r][q]
-            a[p][p] -= t * apq
-            a[q][q] += t * apq
-            a[p][q] = a[q][p] = 0.0
-            a[r][p] = a[p][r] = c * arp - s * arq
-            a[r][q] = a[q][r] = s * arp + c * arq
-    return [math.ldexp(a[i][i], exp) for i in range(3)]
+    import numpy as np
+
+    return np.linalg.eigvalsh(mat).tolist()

@@ -603,15 +603,6 @@ class TestStartupImportsNoNumpy:
     def test_import_and_load(self, code):
         assert self.run("-c", code).returncode == 0
 
-    def test_load_full_covariances(self, scenario_file):
-        config = scenario_file(
-            "controller:\n  kind: selflearning\n  selflearning:\n"
-            "    initial_cov: [[0.2, 0.03, -0.01], [0.01, 0.12, 0.02], [0.0, -0.02, 0.15]]\n"
-            "    process_noise: [[2.0e-6, 1.0e-7, 0], [0, 1.0e-6, 3.0e-7], [1.0e-7, 0, 1.0e-6]]\n"
-        )
-        code = f"import hotsim.cli\nhotsim.config.load_config({config!r}).selflearning_spec"
-        assert self.run("-c", code).returncode == 0
-
     def test_help(self):
         done = self.run("-m", "hotsim", "--help")
         assert done.returncode == 0 and done.stdout.startswith("usage: hotsim")

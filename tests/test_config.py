@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hotsim.analysis import approx_initial_zeta
@@ -28,12 +28,7 @@ from hotsim.config import (
 )
 from hotsim.engine import DemandProfile
 from hotsim.errors import ConfigError, ScenarioAssumptionError
-from hotsim.pricing import (
-    COV_EIG_TOL,
-    IntegralTollController,
-    SelfLearningController,
-    VotFeedbackController,
-)
+from hotsim.pricing import IntegralTollController, SelfLearningController, VotFeedbackController
 from hotsim.traffic import Capacities
 
 
@@ -614,39 +609,6 @@ class TestCovariances:
     def test_positive_semidefinite_parses(self, key, value):
         cfg = parse_config_text(_selflearning(key, value))
         assert config_from_mapping(cfg.to_mapping()) == cfg
-
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(st.data())
-    def test_rule_agrees_with_eigvalsh(self, data):
-        # the rule's plain-Python eigenvalues against LAPACK's, from the
-        # smallest to the largest scale of the floats
-        unit = st.floats(-1.0, 1.0)
-        kind = data.draw(st.sampled_from(["full", "diagonal", "singular", "scalar"]))
-        if kind == "scalar":
-            mat = data.draw(unit) * np.eye(3)
-        elif kind == "diagonal":
-            mat = np.diag(data.draw(st.lists(unit, min_size=3, max_size=3)))
-        else:
-            mat = np.array(data.draw(st.lists(st.lists(unit, min_size=3, max_size=3),
-                                              min_size=3, max_size=3)))
-            if kind == "singular":
-                # symmetric part u u' + s v v' with s = +-1, rank two, plus a skew part
-                u, v = mat[0], mat[1]
-                sign = data.draw(st.sampled_from([1.0, -1.0]))
-                mat = np.outer(u, u) + sign * np.outer(v, v) + mat - mat.T
-        mat = mat * 10.0 ** data.draw(st.floats(-300.0, 300.0))
-        value = mat[0, 0] if kind == "scalar" else mat.tolist()
-        eig = np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.T)
-        smallest, threshold = eig.min(), -COV_EIG_TOL * np.abs(eig).max()
-        # roundoff of either routine decides nothing outside this band
-        assume(not abs(smallest - threshold) < 1e-12 * np.abs(eig).max())
-        kwargs = dict(LEARNER_ARGS, initial_cov=value)
-        if smallest < threshold:
-            with pytest.raises(ValueError, match="^initial_cov: expected a covariance") as err:
-                SelfLearningController(**kwargs)
-            assert str(err.value).endswith(f"smallest eigenvalue is {smallest:.6g}")
-        else:
-            SelfLearningController(**kwargs)
 
 
 # valid scenario mappings: each value in range, most sections and keys left

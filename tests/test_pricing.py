@@ -1,5 +1,6 @@
 """Controllers: estimator arithmetic, price laws, and the Kalman filter."""
 
+import collections
 import dataclasses
 import hashlib
 import math
@@ -127,6 +128,17 @@ class TestSelfLearningFilter:
     def test_wrong_shape_is_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             learner(**kwargs)
+
+    @pytest.mark.parametrize("sequence", [tuple, list, collections.deque, np.array])
+    def test_any_sequence_is_read_by_its_entries(self, sequence):
+        rows = [[0.2, 0.03, -0.01], [0.01, 0.12, 0.02], [0.0, -0.02, 0.15]]
+        ctrl = learner(initial_theta=range(1, 4),
+                       initial_cov=sequence([sequence(row) for row in rows]))
+        assert ctrl.theta.tolist() == [1.0, 2.0, 3.0] and ctrl.cov.tolist() == rows
+
+    def test_a_string_entry_names_its_key(self):
+        with pytest.raises(TypeError, match="^initial_theta: expected a number, got '1'$"):
+            learner(initial_theta=("1", 2.0, 3.0))
 
     @pytest.mark.parametrize("q2", [0.0, -5.0])
     def test_no_sov_demand_leaves_the_state_alone(self, q2):
