@@ -140,6 +140,9 @@ def cmd_compare(args) -> int:
     kinds = [k.strip() for k in args.controllers.split(",") if k.strip()]
     if len(kinds) < 2:
         raise ConfigError("compare needs at least two controllers")
+    for kind in kinds:
+        if kinds.count(kind) > 1:
+            raise ConfigError(f"--controllers: {kind} given twice")
     # each config checks its kind when built, so an unknown one fails before any run
     configs = {kind: dataclasses.replace(config, controller_kind=kind) for kind in kinds}
     results = {}

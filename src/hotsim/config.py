@@ -31,19 +31,25 @@ demand, ``hov`` and ``sov`` for timeseries) is an error.  ``approx.zeta0``
 seeds the reduced model; when null, ``analysis.approx_initial_zeta`` derives
 it from the closed-loop state at t = 0.
 
-The parser checks only that each value has the right type.  Exponent floats
-such as ``1e6`` or ``2.5e-3`` read as numbers, although YAML 1.1 (and so
-plain PyYAML) reads them as strings.  A run may take at most ``MAX_STEPS``
-steps of ``dt`` to cover the horizon.  The controller sections are the specs
-of ``pricing``, where each controller's value rules live (the covariance
-rule and ``COV_EIG_TOL`` too).
+The parser reads only YAML types.  A number key takes a number, and each
+array key (``samples``, ``initial_theta``, ``initial_cov``,
+``process_noise``) a number or a list of numbers or of such lists, of any
+length; the kinds, ``seed`` and ``replications`` pass as they are.
+Exponent floats such as ``1e6`` or ``2.5e-3`` read as numbers, although YAML
+1.1 (and so plain PyYAML) reads them as strings.  A run may take at most
+``MAX_STEPS`` steps of ``dt`` to cover the horizon.  The controller sections
+are the specs of ``pricing``, where each controller's value rules live (the
+covariance rule, ``COV_EIG_TOL`` and the array shapes too).
 
 A ``ScenarioConfig`` checks itself when it is built, by the parser or in
 code, ``dataclasses.replace`` included: each section object checks its own
-values and the config checks the rules across sections, so no scenario
-exists unchecked.  Each owner checks that a number, sample times included,
-is finite before its range rule, so a NaN, an infinity or an integer beyond
-the float range gives one message from code and, after its section, from a file.
+values, the shape of ``samples`` included, and the config checks the rules
+across sections, the integer rule of ``seed`` and ``replications``
+(``engine.check_seeds``) included, so no scenario exists unchecked.  Each
+owner checks that a number, sample times included, is finite before its
+range rule, so a NaN, an infinity, an integer beyond the float range, a
+badly shaped array or a seed that is not an integer gives one message from
+code and, after its section, from a file.
 """
 
 from __future__ import annotations
@@ -196,7 +202,7 @@ def _plain(value, convert):
     """``value`` as plain data: a kind, an integer and None as they are, a
     number as a float and an array (numpy's too) as nested lists of floats,
     so equal configs have equal mappings."""
-    if convert in (None, _integer) or value is None:
+    if convert is None or value is None:
         return value
     try:
         return float(value)
@@ -222,12 +228,6 @@ def _optional_real(value, where: str) -> float | None:
     return None if value is None else _real(value, where)
 
 
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
 def _step(value, where: str) -> float:
     """A number, or a fraction string like ``"1/60"``."""
     if isinstance(value, str):
@@ -239,40 +239,32 @@ def _step(value, where: str) -> float:
     return _real(value, where)
 
 
-def _triple(value, where: str) -> tuple[float, float, float]:
-    if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"{where}: expected three numbers, got {value!r}")
-    return tuple(_real(v, where) for v in value)
-
-
-def _rows(value, where: str) -> tuple:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list of rows of three numbers, got {value!r}")
-    return tuple(_triple(row, f"{where}[{i}]") for i, row in enumerate(value))
-
-
-def _matrix(value, where: str) -> float | tuple:
-    """A number (times the identity) or a list of rows of three numbers."""
-    return _rows(value, where) if isinstance(value, list) else _real(value, where)
+def _array(value, where: str) -> float | tuple:
+    """A number, or nested lists of numbers, as nested tuples of floats: no shape rule."""
+    if isinstance(value, list):
+        return tuple(_array(entry, where) for entry in value)
+    return _real(value, where)
 
 
 # YAML section -> key -> (ScenarioConfig attribute path, converter); a nested
-# table is a subsection.  Parsing and to_mapping walk this one table.  A value
-# rule, a kind's included (converter None), lives in the object that owns the
-# value; its ValueError message begins with the key, the parser adds the section.
+# table is a subsection.  Parsing and to_mapping walk this one table.  A
+# converter reads only the YAML type; a value passed as it is has converter
+# None.  Every value rule, each kind, shape and integer rule included, lives in
+# the object that owns the value; its message begins with the key, and the
+# parser adds the section.
 SCHEMA = {
     "run": {
         "horizon": ("horizon", _real),
         "dt": ("dt", _step),
-        "seed": ("seed", _integer),
-        "replications": ("replications", _integer),
+        "seed": ("seed", None),
+        "replications": ("replications", None),
     },
     "capacities": {"hot": ("capacities.hot", _real), "gp": ("capacities.gp", _real)},
     "demand": {
         "kind": ("demand.kind", None),
         "hov": ("demand.mean_hov", _real),
         "sov": ("demand.mean_sov", _real),
-        "samples": ("demand.samples", _rows),
+        "samples": ("demand.samples", _array),
     },
     "behavior": {"vot": ("behavior.vot", _real), "scale": ("behavior.scale", _real)},
     "noise": {"kind": ("noise.kind", None), "half_width": ("noise.half_width", _real)},
@@ -294,10 +286,10 @@ SCHEMA = {
             "target_demand": ("integral_spec.target_demand", _optional_real),
         },
         "selflearning": {
-            "initial_theta": ("selflearning_spec.initial_theta", _triple),
-            "initial_cov": ("selflearning_spec.initial_cov", _matrix),
+            "initial_theta": ("selflearning_spec.initial_theta", _array),
+            "initial_cov": ("selflearning_spec.initial_cov", _array),
             "measurement_var": ("selflearning_spec.measurement_var", _real),
-            "process_noise": ("selflearning_spec.process_noise", _matrix),
+            "process_noise": ("selflearning_spec.process_noise", _array),
         },
     },
     "approx": {"zeta0": ("approx_zeta0", _optional_real)},
@@ -351,6 +343,8 @@ def parse_config_text(text: str | bytes) -> ScenarioConfig:
         data = yaml.load(text, Loader=_ScenarioLoader)
     except (UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"malformed scenario file: {exc}")
+    except RecursionError:  # the YAML reader recurses once per level of a nested list
+        raise ConfigError("malformed scenario file: nested too deeply") from None
     return config_from_mapping(data if data is not None else {})
 
 

@@ -39,7 +39,6 @@ columns it reduces over.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -47,7 +46,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import choice
-from .errors import ConfigError, HotSimError, NonFiniteResultError, require_finite
+from .errors import ConfigError, HotSimError, NonFiniteResultError, _float_array, require_finite
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -83,17 +82,8 @@ class DemandProfile:
                 if rate < 0:
                     raise ValueError(f"{key} cannot be negative")
         else:
-            if not self.samples:
+            if not _float_array("samples", self.samples, "rows of three numbers", (None, 3)):
                 raise ValueError("samples: timeseries demand needs at least one sample")
-            for sample in self.samples:  # the shape, before any entry is read
-                try:
-                    triple = len(sample) == 3
-                except TypeError:  # a bare number
-                    triple = False
-                if not triple:
-                    raise ValueError(f"samples: expected three numbers, got {sample!r}")
-            for entry in itertools.chain.from_iterable(self.samples):  # times too
-                require_finite("samples", entry)
             times = self.sample_times
             if not all(a < b for a, b in zip(times, times[1:])):
                 raise ValueError("samples: timeseries sample times must be strictly increasing")
@@ -187,13 +177,15 @@ def check_seeds(seed: int, count: int) -> tuple[int, int]:
     """``(seed, count)`` as Python ints, or a ConfigError unless both are
     integers (numpy's included, bools not) and every run's seed, ``seed + i``
     for run ``i``, is an unsigned 64-bit integer, as numpy's generators take."""
-    try:
-        if isinstance(seed, bool) or isinstance(count, bool):
-            raise TypeError
-        seed, count = operator.index(seed), operator.index(count)
-    except TypeError:
-        raise ConfigError(f"run.seed: seed {seed!r} and run count {count!r} "
-                          f"must be integers") from None
+    checked = []
+    for key, value in (("run.seed", seed), ("run.replications", count)):
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            checked.append(operator.index(value))
+        except TypeError:
+            raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+    seed, count = checked
     if not 0 <= seed <= 2**64 - count:
         raise ConfigError(f"run.seed: seeds {seed} to {seed + count - 1} of {count} run(s) "
                           f"must be unsigned 64-bit integers")

@@ -1,4 +1,5 @@
-"""Exception classes shared across the package.
+"""Exception classes shared across the package, and the value rules that the
+objects owning scenario values share (a finite number, an array's shape).
 
 Each class maps to one CLI exit code so that callers can tell apart bad
 configuration, demand patterns outside the model's assumptions, controller
@@ -54,3 +55,32 @@ def require_positive(key: str, value: float, error: type[Exception] = ValueError
     require_finite(key, value, error)
     if value <= 0:
         raise error(f"{key} must be positive")
+
+
+def _float_array(key: str, value, what: str, *shapes: tuple):
+    """``value`` as a float or as nested lists of floats, or a ValueError
+    ``<key>: expected <what>, got …`` unless it has one of ``shapes``, where
+    None stands for any length.  Any sequence is read entry by entry, a numpy
+    array as its lists, and each number is checked finite as it is read."""
+    floats = _read(key, value)
+    if not any(_has_shape(floats, shape) for shape in shapes):
+        raise ValueError(f"{key}: expected {what}, got {floats!r}")
+    return floats
+
+
+def _read(key: str, value):
+    value = value.tolist() if hasattr(value, "tolist") else value
+    try:
+        require_finite(key, value)
+    except TypeError:  # not a number: a sequence of them
+        if isinstance(value, str) or not hasattr(value, "__iter__"):  # nor a sequence
+            raise TypeError(f"{key}: expected a number, got {value!r}") from None
+        return [_read(key, entry) for entry in value]
+    return float(value)
+
+
+def _has_shape(value, shape: tuple) -> bool:
+    if not shape:
+        return isinstance(value, float)
+    return (isinstance(value, list) and shape[0] in (None, len(value))
+            and all(_has_shape(entry, shape[1:]) for entry in value))

@@ -20,10 +20,11 @@ Each controller's scenario spec (``VotControllerSpec``, ``IntegralTollSpec``,
 ``SelfLearningSpec``) sits beside it with its defaults and ``build``.  The
 value rules live in the constructors, which a spec runs once when built;
 each checks that a number, array entries included, is finite before its
-range rule.  A non-finite value, a gain out of range, and a self-learning
-``initial_cov`` or ``process_noise`` whose symmetric part ``0.5 (C + C')`` has
-an eigenvalue below ``-COV_EIG_TOL`` times its largest magnitude are each a
-ValueError whose message begins with the key.
+range rule.  A non-finite value, a gain out of range, a self-learning array
+of the wrong shape, and an ``initial_cov`` or ``process_noise`` whose
+symmetric part ``0.5 (C + C')`` has an eigenvalue below ``-COV_EIG_TOL``
+times its largest magnitude are each a ValueError whose message begins with
+the key.
 
 Building a spec or a controller imports no numpy: the value rules run in
 plain Python, and a scalar or diagonal covariance's eigenvalues are its
@@ -41,7 +42,8 @@ import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import PriceUndefinedError, ScenarioAssumptionError, require_finite, require_positive
+from .errors import (PriceUndefinedError, ScenarioAssumptionError, _float_array, require_finite,
+                     require_positive)
 from .traffic import Capacities
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -193,9 +195,7 @@ class SelfLearningController:
                  measurement_var: float, process_noise) -> None:
         require_positive("measurement_var", measurement_var)
         self.hot_capacity = hot_capacity
-        theta = _floats(initial_theta, "initial_theta")
-        if not _is_triple(theta):
-            raise ValueError("initial_theta must have three entries")
+        theta = _float_array("initial_theta", initial_theta, "three numbers", (3,))
         noise = _as_matrix(process_noise, "process_noise")
         posterior = _as_matrix(initial_cov, "initial_cov")
         for key, mat in (("initial_cov", posterior), ("process_noise", noise)):
@@ -352,32 +352,11 @@ def _divide_by_zero(values, zero: float) -> list:
     return [value * inf for value in values]
 
 
-def _floats(value, name: str):
-    """``value`` as a float or nested lists of floats, each entry checked
-    finite before conversion: any sequence is read entry by entry, a numpy
-    array as its lists."""
-    value = value.tolist() if hasattr(value, "tolist") else value
-    try:
-        require_finite(name, value)
-    except TypeError:  # not a number: a sequence of them
-        if isinstance(value, str):  # whose entries are strings again
-            raise TypeError(f"{name}: expected a number, got {value!r}") from None
-        return [_floats(entry, name) for entry in value]
-    return float(value)
-
-
-def _is_triple(value) -> bool:
-    return isinstance(value, list) and len(value) == 3 and all(
-        isinstance(entry, float) for entry in value)
-
-
 def _as_matrix(value, name: str) -> list[list[float]]:
     """A scalar times the identity, or a 3x3 matrix, as three lists of floats."""
-    mat = _floats(value, name)
+    mat = _float_array(name, value, "a number or a 3x3 matrix", (), (3, 3))
     if isinstance(mat, float):  # each entry as mat * 1.0 or mat * 0.0, -0.0 kept
         return [[mat * (i == j) for j in range(3)] for i in range(3)]
-    if not (len(mat) == 3 and all(map(_is_triple, mat))):
-        raise ValueError(f"{name} must be a scalar or a 3x3 matrix")
     return mat
 
 

@@ -135,6 +135,8 @@ USAGE_ERRORS = [
      "error: bisection is supported on the residual gain (k2) only"),
     # --seed beyond simulate is checked by the same seed range rule
     (["compare", "--seed", "-1"], None, "error: run.seed"),
+    # a kind given twice, like a key given twice in a scenario file
+    (["compare", "--controllers", "vot,vot"], None, "error: --controllers: vot given twice"),
     (["sweep", "--values", "0.1", "--seed", "-1"], None, "error: run.seed"),
     (["simulate"], "run: {horizon: 0}", "error: run.horizon must be positive"),
     (["simulate"], "capacities: {hot: '30'}",
@@ -142,9 +144,9 @@ USAGE_ERRORS = [
     (["simulate"], "behavior: {vot: true}", "error: behavior.vot: expected a number, got True"),
     (["simulate"], "run: {dt: 1/x}", "error: run.dt: cannot parse '1/x' as a step size"),
     (["simulate"], "controller: {selflearning: {initial_theta: [1, 2]}}",
-     "error: controller.selflearning.initial_theta: expected three numbers, got [1, 2]"),
+     "error: controller.selflearning.initial_theta: expected three numbers, got [1.0, 2.0]"),
     (["simulate"], "demand: {kind: timeseries, samples: 5}",
-     "error: demand.samples: expected a list of rows of three numbers, got 5"),
+     "error: demand.samples: expected rows of three numbers, got 5.0"),
     (["simulate"], "demand: {kind: foo}",
      "error: demand.kind: expected one of constant, poisson, timeseries, got 'foo'"),
 ]
@@ -375,6 +377,12 @@ class TestExitCodes:
         assert err.startswith("error: malformed scenario file: ")
         assert f"found duplicate key '{key}'\n  in \"<byte string>\", line {line}," in err
 
+    def test_list_nested_beyond_the_reader_is_malformed(self, scenario_file, capsys):
+        depth = 2000
+        text = f"controller: {{selflearning: {{initial_theta: {'[' * depth}1{']' * depth}}}}}\n"
+        assert run_cli("simulate", "--config", scenario_file(text)) == 2
+        assert capsys.readouterr().err == "error: malformed scenario file: nested too deeply\n"
+
 
 class TestCompare:
     def test_only_the_vot_controller_reaches_the_optimum(self, tmp_path):
@@ -405,11 +413,6 @@ class TestCompare:
             payloads.append(json.loads(capsys.readouterr().out))
             assert payloads[-1]["seed"] == seed
         assert payloads[0]["controllers"] != payloads[1]["controllers"]
-
-    def test_identical_controllers_give_identical_summaries(self, capsys):
-        assert run_cli("compare", "--controllers", "vot,vot") == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["verdict"] == ["vot"]
 
 
 @pytest.fixture
@@ -732,3 +735,14 @@ class TestHostileFuzz:
                 _one_clear_error(out, err)
 
         ends_cleanly()
+
+    @pytest.mark.parametrize("mapping", [
+        {"demand": {"kind": "timeseries", "samples": [[0, 10, [60]]]}},
+        {"controller": {"selflearning": {"initial_theta": [1, [2], 3]}}},
+        {"controller": {"selflearning": {"initial_cov": [[1, 0, [0]], [0, 1, 0], [0, 0, 1]]}}},
+    ], ids=["samples", "initial_theta", "initial_cov"])
+    def test_list_nested_one_level_too_deep_is_exit_2(self, mapping):
+        # a depth the random values above do not reach
+        code, out, err = _run_scenario(mapping, ["simulate", "--format", "json"])
+        assert code == 2, err
+        _one_clear_error(out, err)

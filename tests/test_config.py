@@ -233,13 +233,13 @@ NAN_RULES = [
                  "samples: expected a finite number", id="demand.samples"),
     pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
                  {"samples": ((0.0, 10.0),)}, ValueError,
-                 "samples: expected three numbers", id="samples: two entries"),
+                 "samples: expected rows of three numbers", id="samples: two entries"),
     pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
                  {"samples": (5.0,)}, ValueError,
-                 "samples: expected three numbers", id="samples: a bare number"),
+                 "samples: expected rows of three numbers", id="samples: a bare number"),
     pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
                  {"samples": ((0.0, 10.0, 60.0, 1.0),)}, ValueError,
-                 "samples: expected three numbers", id="samples: four entries"),
+                 "samples: expected rows of three numbers", id="samples: four entries"),
     (BehaviorParams(0.5, 1.0), {"vot": NAN}, ValueError, "vot"),
     (BehaviorParams(0.5, 1.0), {"scale": NAN}, ValueError, "scale"),
     (ScenarioConfig(), {"initial_hot_queue": NAN}, ConfigError, "initial.hot_queue"),
@@ -338,12 +338,13 @@ class TestBuiltInCode:
         with pytest.raises(ConfigError, match="^run.seed"):
             ScenarioConfig(seed=2**64 - 1, replications=2)
 
-    @pytest.mark.parametrize("fields", [{"seed": 1.5}, {"seed": "1"}, {"replications": 2.0},
-                                        {"replications": "1"}, {"seed": True},
-                                        {"replications": True}])
-    def test_non_integer_seed_or_count_is_config_error(self, fields):
-        with pytest.raises(ConfigError, match=r"^run\.seed: .* must be integers$"):
-            ScenarioConfig(**fields)
+    @pytest.mark.parametrize("key, value", [("seed", 1.5), ("seed", "1"), ("replications", 2.0),
+                                            ("replications", "1"), ("seed", True),
+                                            ("replications", True)])
+    def test_non_integer_seed_or_count_is_config_error(self, key, value):
+        with pytest.raises(ConfigError) as error:
+            ScenarioConfig(**{key: value})
+        assert str(error.value) == f"run.{key}: expected an integer, got {value!r}"
 
     @pytest.mark.parametrize("key, value", [("seed", np.uint64(3)), ("replications", np.int64(2))])
     def test_numpy_seed_and_count_are_stored_as_ints(self, key, value):
@@ -502,7 +503,7 @@ def _number_entries(table=SCHEMA, path=""):
             yield from _number_entries(entry, where)
             continue
         part, _, name = entry[0].rpartition(".")
-        if entry[1] is None or name in ("seed", "replications"):
+        if entry[1] is None:  # a kind, the seed or the replication count
             continue
         owner = getattr(ScenarioConfig(), part) if part else ScenarioConfig()
         if name == "samples":
@@ -539,6 +540,47 @@ class TestOneMessagePerNumber:
         # a key the ScenarioConfig owns keeps its section in code too
         key = where if isinstance(owner, ScenarioConfig) else where.rpartition(".")[2]
         assert str(built.value).startswith(f"{key}: expected a finite number, got ")
+        assert str(parsed.value) == where[:-len(key)] + str(built.value)
+
+
+# one value per shape rule and integer rule, as YAML reads it: (dotted key, value)
+MISSHAPEN = [
+    ("controller.selflearning.initial_theta", [1, 2]),
+    ("controller.selflearning.initial_theta", 1),
+    ("controller.selflearning.initial_cov", [[1, 0, 0], [0, 1, 0]]),
+    ("controller.selflearning.initial_cov", [[1, 0, 0], [0, 1], [0, 0, 1]]),
+    ("demand.samples", 5),
+    ("demand.samples", [[0, 10]]),
+    ("demand.samples", [[0, 10, [60]]]),
+    ("run.seed", 1.5),
+    ("run.replications", 2.5),
+    ("run.seed", True),
+]
+
+
+class TestOneMessagePerShape:
+    """A badly shaped array, or a seed or replication count that is not an
+    integer, gives one message from a file and from code: the parser reads
+    only its type, and the object that owns it checks its shape."""
+
+    @pytest.mark.parametrize("where, value", MISSHAPEN,
+                             ids=[f"{where.rpartition('.')[2]}: {value}"
+                                  for where, value in MISSHAPEN])
+    def test_file_and_code_agree(self, where, value):
+        mapping = _nested(where, value)
+        section, _, key = where.rpartition(".")
+        if key == "samples":
+            mapping["demand"]["kind"] = "timeseries"
+        with pytest.raises(ConfigError) as parsed:
+            parse_config_text(yaml.safe_dump(mapping))
+        part, _, name = functools.reduce(dict.get, where.split("."), SCHEMA)[0].rpartition(".")
+        if not part:  # a key the ScenarioConfig owns keeps its section in code too
+            owner, key = ScenarioConfig(), where
+        else:
+            owner = TIMESERIES_ONE if key == "samples" else getattr(ScenarioConfig(), part)
+        with pytest.raises((ValueError, ConfigError)) as built:
+            dataclasses.replace(owner, **{name: value})
+        assert str(built.value).startswith(f"{key}: expected ")
         assert str(parsed.value) == where[:-len(key)] + str(built.value)
 
 

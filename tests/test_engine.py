@@ -137,8 +137,9 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("seed", [2.5, 2.0, "2", True])
     def test_non_integer_seed_override_is_config_error(self, seed):
-        with pytest.raises(ConfigError, match=r"^run\.seed: .* must be integers$"):
+        with pytest.raises(ConfigError) as error:
             run_closed_loop(S0, seed=seed)
+        assert str(error.value) == f"run.seed: expected an integer, got {seed!r}"
 
     @pytest.mark.parametrize("overrides, draws", [
         ({}, False),

@@ -122,12 +122,18 @@ def observe_share(ctrl, q2, q3, w, u):
 
 class TestSelfLearningFilter:
     @pytest.mark.parametrize("kwargs, message", [
-        ({"initial_theta": (0.25, 1.0)}, "initial_theta must have three entries"),
-        ({"initial_cov": np.ones((2, 3))}, "initial_cov must be a scalar or a 3x3 matrix"),
-    ])
+        ({"initial_theta": (0.25, 1.0)},
+         "initial_theta: expected three numbers, got [0.25, 1.0]"),
+        ({"initial_cov": np.ones((2, 3))}, "initial_cov: expected a number or a 3x3 matrix, "
+                                           "got [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]"),
+        ({"process_noise": [[1, 0, 0], [0, 1], [0, 0, 1]]},
+         "process_noise: expected a number or a 3x3 matrix, "
+         "got [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]"),
+    ], ids=["initial_theta", "initial_cov", "process_noise"])
     def test_wrong_shape_is_rejected(self, kwargs, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
+        with pytest.raises(ValueError) as error:
             learner(**kwargs)
+        assert str(error.value) == message
 
     @pytest.mark.parametrize("sequence", [tuple, list, collections.deque, np.array])
     def test_any_sequence_is_read_by_its_entries(self, sequence):
@@ -139,6 +145,10 @@ class TestSelfLearningFilter:
     def test_a_string_entry_names_its_key(self):
         with pytest.raises(TypeError, match="^initial_theta: expected a number, got '1'$"):
             learner(initial_theta=("1", 2.0, 3.0))
+
+    def test_a_value_neither_number_nor_sequence_names_its_key(self):
+        with pytest.raises(TypeError, match="^initial_cov: expected a number, got None$"):
+            learner(initial_cov=None)
 
     @pytest.mark.parametrize("q2", [0.0, -5.0])
     def test_no_sov_demand_leaves_the_state_alone(self, q2):
