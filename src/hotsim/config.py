@@ -31,10 +31,9 @@ demand, ``hov`` and ``sov`` for timeseries) is an error.  ``approx.zeta0``
 seeds the reduced model; when null, ``analysis.approx_initial_zeta`` derives
 it from the closed-loop state at t = 0.
 
-The parser reads only YAML types.  A number key takes a number, and each
-array key (``samples``, ``initial_theta``, ``initial_cov``,
-``process_noise``) a number or a list of numbers or of such lists, of any
-length; the kinds, ``seed`` and ``replications`` pass as they are.
+The parser reads only YAML types and leaves every value rule to the value's
+owner: it reads a YAML integer as a float, as code gives a number, a list as
+a tuple and ``dt``'s fraction string, and passes any other value as it is.
 Exponent floats such as ``1e6`` or ``2.5e-3`` read as numbers, although YAML
 1.1 (and so plain PyYAML) reads them as strings.  A run may take at most
 ``MAX_STEPS`` steps of ``dt`` to cover the horizon.  The controller sections
@@ -43,13 +42,11 @@ covariance rule, ``COV_EIG_TOL`` and the array shapes too).
 
 A ``ScenarioConfig`` checks itself when it is built, by the parser or in
 code, ``dataclasses.replace`` included: each section object checks its own
-values, the shape of ``samples`` included, and the config checks the rules
-across sections, the integer rule of ``seed`` and ``replications``
-(``engine.check_seeds``) included, so no scenario exists unchecked.  Each
-owner checks that a number, sample times included, is finite before its
-range rule, so a NaN, an infinity, an integer beyond the float range, a
-badly shaped array or a seed that is not an integer gives one message from
-code and, after its section, from a file.
+values, and the config its own keys and the rules across sections, so no
+scenario exists unchecked.  Each owner calls ``errors.require_finite``, the
+one rule of what a number is, before its range rule, so a value that is not
+a finite number, a badly shaped array or a seed that is not an integer gives
+one message from code and, after its section, from a file.
 """
 
 from __future__ import annotations
@@ -214,18 +211,13 @@ def _unread_demand_keys(kind: str) -> tuple[str, ...]:
     return ("hov", "sov") if kind == "timeseries" else ("samples",)
 
 
-def _real(value, where: str) -> float:
-    """``value`` as a float, or a ConfigError at ``where`` if it is not a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+def _real(value, where: str):
+    """A YAML integer as a float, as code gives a number; any other value as it
+    is, for its owner to check (``where`` is unused: an owner names its key)."""
     try:
-        return float(value)
+        return float(value) if type(value) is int else value
     except OverflowError:  # an integer beyond the float range: its owner rejects it
         return value
-
-
-def _optional_real(value, where: str) -> float | None:
-    return None if value is None else _real(value, where)
 
 
 def _step(value, where: str) -> float:
@@ -240,7 +232,7 @@ def _step(value, where: str) -> float:
 
 
 def _array(value, where: str) -> float | tuple:
-    """A number, or nested lists of numbers, as nested tuples of floats: no shape rule."""
+    """Nested lists as nested tuples, each entry read by ``_real``: no shape rule."""
     if isinstance(value, list):
         return tuple(_array(entry, where) for entry in value)
     return _real(value, where)
@@ -249,9 +241,9 @@ def _array(value, where: str) -> float | tuple:
 # YAML section -> key -> (ScenarioConfig attribute path, converter); a nested
 # table is a subsection.  Parsing and to_mapping walk this one table.  A
 # converter reads only the YAML type; a value passed as it is has converter
-# None.  Every value rule, each kind, shape and integer rule included, lives in
-# the object that owns the value; its message begins with the key, and the
-# parser adds the section.
+# None.  Every value rule, the number rule and each kind, shape and integer
+# rule, lives in the object that owns the value; its message begins with the
+# key, and the parser adds the section.
 SCHEMA = {
     "run": {
         "horizon": ("horizon", _real),
@@ -283,7 +275,7 @@ SCHEMA = {
         "integral": {
             "gain": ("integral_spec.gain", _real),
             "initial_price": ("integral_spec.initial_price", _real),
-            "target_demand": ("integral_spec.target_demand", _optional_real),
+            "target_demand": ("integral_spec.target_demand", _real),
         },
         "selflearning": {
             "initial_theta": ("selflearning_spec.initial_theta", _array),
@@ -292,7 +284,7 @@ SCHEMA = {
             "process_noise": ("selflearning_spec.process_noise", _array),
         },
     },
-    "approx": {"zeta0": ("approx_zeta0", _optional_real)},
+    "approx": {"zeta0": ("approx_zeta0", _real)},
 }
 
 

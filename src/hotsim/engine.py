@@ -179,15 +179,14 @@ def check_seeds(seed: int, count: int) -> tuple[int, int]:
     for run ``i``, is an unsigned 64-bit integer, as numpy's generators take."""
     checked = []
     for key, value in (("run.seed", seed), ("run.replications", count)):
-        try:
-            if isinstance(value, bool):
-                raise TypeError
-            checked.append(operator.index(value))
+        try:  # a bool is no integer: operator.index rejects None
+            checked.append(operator.index(None if isinstance(value, bool) else value))
         except TypeError:
             raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
     seed, count = checked
-    if not 0 <= seed <= 2**64 - count:
-        raise ConfigError(f"run.seed: seeds {seed} to {seed + count - 1} of {count} run(s) "
+    if not 0 <= seed <= 2**64 - count:  # more than 2**64 runs fail at any seed
+        key = "run.seed" if count <= 2**64 else "run.replications"
+        raise ConfigError(f"{key}: seeds {seed} to {seed + count - 1} of {count} run(s) "
                           f"must be unsigned 64-bit integers")
     return seed, count
 

@@ -1,5 +1,7 @@
 """Exception classes shared across the package, and the value rules that the
-objects owning scenario values share (a finite number, an array's shape).
+objects owning scenario values share: a finite number, the one test of what
+is a number (``require_finite``: what ``math.isfinite`` takes, bools aside),
+and an array's shape.
 
 Each class maps to one CLI exit code so that callers can tell apart bad
 configuration, demand patterns outside the model's assumptions, controller
@@ -7,6 +9,7 @@ failures, I/O problems, and runs whose results are not finite.
 """
 
 import math
+from collections.abc import Sequence
 
 
 class HotSimError(Exception):
@@ -39,10 +42,12 @@ class NonFiniteResultError(HotSimError):
 
 
 def require_finite(key: str, value: float, error: type[Exception] = ValueError) -> None:
-    """Raise ``error``, its message beginning with ``key``, if ``value`` is NaN,
-    infinite, or an integer beyond the float range."""
-    try:
-        finite = math.isfinite(value)
+    """Raise ``error``, its message beginning with ``key``, unless ``value`` is a
+    number, bools aside, and finite: not NaN, infinite or an int beyond any float."""
+    try:  # a bool is no number: math.isfinite rejects None
+        finite = math.isfinite(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise error(f"{key}: expected a number, got {value!r}") from None
     except OverflowError:  # an int no float can hold; its repr may run to any length
         raise error(f"{key}: expected a finite number, got an integer "
                     f"too large for a float") from None
@@ -60,22 +65,24 @@ def require_positive(key: str, value: float, error: type[Exception] = ValueError
 def _float_array(key: str, value, what: str, *shapes: tuple):
     """``value`` as a float or as nested lists of floats, or a ValueError
     ``<key>: expected <what>, got …`` unless it has one of ``shapes``, where
-    None stands for any length.  Any sequence is read entry by entry, a numpy
-    array as its lists, and each number is checked finite as it is read."""
+    None stands for any length.  A sequence (not a string nor bytes) is read
+    entry by entry, a numpy array as its lists, each number by ``require_finite``;
+    a list of rows of an accepted length shows only its first bad row."""
     floats = _read(key, value)
-    if not any(_has_shape(floats, shape) for shape in shapes):
-        raise ValueError(f"{key}: expected {what}, got {floats!r}")
-    return floats
+    if any(_has_shape(floats, shape) for shape in shapes):
+        return floats
+    for shape in shapes:
+        if len(shape) == 2 and isinstance(floats, list) and shape[0] in (None, len(floats)):
+            i = next(i for i, row in enumerate(floats) if not _has_shape(row, shape[1:]))
+            raise ValueError(f"{key}: expected {what}, got {floats[i]!r} at row {i}")
+    raise ValueError(f"{key}: expected {what}, got {floats!r}")
 
 
 def _read(key: str, value):
     value = value.tolist() if hasattr(value, "tolist") else value
-    try:
-        require_finite(key, value)
-    except TypeError:  # not a number: a sequence of them
-        if isinstance(value, str) or not hasattr(value, "__iter__"):  # nor a sequence
-            raise TypeError(f"{key}: expected a number, got {value!r}") from None
+    if isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray)):
         return [_read(key, entry) for entry in value]
+    require_finite(key, value)
     return float(value)
 
 

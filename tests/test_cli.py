@@ -1,11 +1,13 @@
 """Command-line interface: outputs, exit codes, byte stability."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,12 +18,12 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_config import _positive, _scenarios
+from test_config import TIMESERIES_ONE, _positive, _scenarios
 
 from hotsim import analysis, engine
 from hotsim.cli import _json_text, main
-from hotsim.config import ScenarioConfig, config_fingerprint
-from hotsim.errors import NonFiniteResultError
+from hotsim.config import SCHEMA, ScenarioConfig, config_fingerprint
+from hotsim.errors import ConfigError, NonFiniteResultError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCENARIOS = SRC.parent / "scenarios"
@@ -717,6 +719,35 @@ def _hostile_scenarios(draw):
     return mapping
 
 
+def _owned_keys(table=SCHEMA, path=""):
+    """``(dotted key, key its owner names, owner, field)`` per scenario key:
+    the owner is the section object holding the value (a timeseries profile
+    for ``samples``) or the ScenarioConfig, which names a key of its own dotted."""
+    for key, entry in table.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(entry, dict):
+            yield from _owned_keys(entry, where)
+            continue
+        part, _, name = entry[0].rpartition(".")
+        if not part:
+            yield where, where, ScenarioConfig(), name
+        elif key == "samples":
+            yield where, key, TIMESERIES_ONE, name
+        else:
+            yield where, key, getattr(ScenarioConfig(), part), name
+
+
+OWNED_KEYS = list(_owned_keys())
+# a bool, string, None, list, dict, NaN or integer beyond the float range
+_WRONG_TYPE = st.one_of(
+    st.booleans(), st.text(max_size=8), st.none(),
+    st.sampled_from([math.nan, 10**400, -10**400]),
+    st.lists(st.one_of(_positive, st.text(max_size=3), st.lists(_positive, max_size=4)),
+             max_size=4),
+    st.dictionaries(st.text(max_size=5), _positive, max_size=2),
+)
+
+
 class TestHostileFuzz:
     """A hostile value anywhere in a scenario ends every command in a result or
     in one clear error, never in a traceback or a warning."""
@@ -746,3 +777,26 @@ class TestHostileFuzz:
         code, out, err = _run_scenario(mapping, ["simulate", "--format", "json"])
         assert code == 2, err
         _one_clear_error(out, err)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(OWNED_KEYS), _WRONG_TYPE)
+    def test_hostile_value_in_code_names_its_key(self, owned, value):
+        # a section object or config built in code with one hostile value is
+        # built, or raises its owner's error naming the key, never TypeError,
+        # AttributeError or OverflowError
+        where, key, owner, name = owned
+        try:
+            dataclasses.replace(owner, **{name: value})
+        except (ValueError, ConfigError) as exc:
+            assert re.match(f"{re.escape(key)}[: ]", str(exc)), (where, str(exc))
+
+    def test_one_bad_row_of_many_is_a_short_error(self):
+        # the message shows the first row that breaks the shape, not the array
+        samples = [[t, 10, 60] for t in range(500)] + [[500, 10]]
+        code, out, err = _run_scenario({"demand": {"kind": "timeseries", "samples": samples}},
+                                       ["simulate"])
+        assert code == 2
+        _one_clear_error(out, err)
+        assert err == ("error: demand.samples: expected rows of three numbers, "
+                       "got [500.0, 10.0] at row 500\n")
+        assert len(err.encode()) < 200

@@ -584,6 +584,40 @@ class TestOneMessagePerShape:
         assert str(parsed.value) == where[:-len(key)] + str(built.value)
 
 
+# a value of each type that is not a number, per number key: None only where
+# the key does not take null, and no string for dt, whose string the parser
+# reads as a fraction (``cannot parse`` when it is none)
+NOT_NUMBERS = [
+    pytest.param(where, owner, name, wrap, bad, id=f"{test_id}-{bad!r}")
+    for test_id, where, owner, name, wrap in NUMBER_ENTRIES
+    for bad in (True, "ten", None)
+    if not (bad is None and getattr(owner, name) is None
+            or bad == "ten" and where == "run.dt")
+]
+
+
+class TestOneMessagePerType:
+    """A value that is not a number, a bool included, gives one message from a
+    file and from code: the parser passes it on as it is, and its owner's
+    number rule (``errors.require_finite``) raises the owner's own error."""
+
+    @pytest.mark.parametrize("where, owner, name, wrap, bad", NOT_NUMBERS)
+    def test_file_and_code_agree(self, where, owner, name, wrap, bad):
+        with pytest.raises((ValueError, ConfigError)) as built:
+            dataclasses.replace(owner, **{name: wrap(bad)})
+        # a key the ScenarioConfig owns keeps its section in code too
+        own = isinstance(owner, ScenarioConfig)
+        key = where if own else where.rpartition(".")[2]
+        assert type(built.value) is (ConfigError if own else ValueError)
+        assert str(built.value) == f"{key}: expected a number, got {bad!r}"
+        mapping = _nested(where, wrap(bad))
+        if name == "samples":
+            mapping["demand"]["kind"] = "timeseries"
+        with pytest.raises(ConfigError) as parsed:
+            parse_config_text(yaml.safe_dump(mapping))
+        assert str(parsed.value) == where[:-len(key)] + str(built.value)
+
+
 class TestStepCap:
     def test_tiny_step_rejected_at_parse_time(self):
         with pytest.raises(ConfigError, match=f"cap of {MAX_STEPS}"):

@@ -127,8 +127,7 @@ class TestSelfLearningFilter:
         ({"initial_cov": np.ones((2, 3))}, "initial_cov: expected a number or a 3x3 matrix, "
                                            "got [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]"),
         ({"process_noise": [[1, 0, 0], [0, 1], [0, 0, 1]]},
-         "process_noise: expected a number or a 3x3 matrix, "
-         "got [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]"),
+         "process_noise: expected a number or a 3x3 matrix, got [0.0, 1.0] at row 1"),
     ], ids=["initial_theta", "initial_cov", "process_noise"])
     def test_wrong_shape_is_rejected(self, kwargs, message):
         with pytest.raises(ValueError) as error:
@@ -143,11 +142,11 @@ class TestSelfLearningFilter:
         assert ctrl.theta.tolist() == [1.0, 2.0, 3.0] and ctrl.cov.tolist() == rows
 
     def test_a_string_entry_names_its_key(self):
-        with pytest.raises(TypeError, match="^initial_theta: expected a number, got '1'$"):
+        with pytest.raises(ValueError, match="^initial_theta: expected a number, got '1'$"):
             learner(initial_theta=("1", 2.0, 3.0))
 
     def test_a_value_neither_number_nor_sequence_names_its_key(self):
-        with pytest.raises(TypeError, match="^initial_cov: expected a number, got None$"):
+        with pytest.raises(ValueError, match="^initial_cov: expected a number, got None$"):
             learner(initial_cov=None)
 
     @pytest.mark.parametrize("q2", [0.0, -5.0])
