@@ -334,21 +334,22 @@ def classify_at(
 
 
 def gain_spec(config: "ScenarioConfig", param: str, value: float) -> "VotControllerSpec":
-    """The vot spec of ``config`` with gain ``param`` set to ``value``; a
-    gain the controller rejects is a ConfigError."""
+    """The vot spec of ``config`` with gain ``param`` set to ``value``; a gain the
+    controller rejects is a ConfigError naming ``param``, and its value if a float."""
     try:
         return dataclasses.replace(config.vot_spec, **{GAINS[param]: value})
-    except ValueError as exc:
-        raise ConfigError(f"{param}={value:g}: {exc}") from None
+    except ValueError as exc:  # the controller's message shows a value that is no number
+        name = f"{param}={value:g}" if isinstance(value, float) else param
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def check_bracket(config: "ScenarioConfig", low: float, high: float) -> None:
-    """Reject a bisection bracket of residual gains without finite ends and
-    low below high, or with an end the vot controller of ``config`` rejects."""
-    if not -math.inf < low < high < math.inf:  # nan fails too
-        raise ConfigError(f"bracket [{low!r}, {high!r}] needs finite ends, low below high")
-    gain_spec(config, "k2", low)
-    gain_spec(config, "k2", high)
+    """Reject a bisection bracket of residual gains with an end the vot
+    controller of ``config`` rejects, or with low not below high."""
+    for end in (low, high):
+        gain_spec(config, "k2", end)
+    if not low < high:
+        raise ConfigError(f"bracket [{low!r}, {high!r}] needs low below high")
 
 
 def find_phase_boundary(

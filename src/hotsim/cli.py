@@ -158,14 +158,11 @@ def cmd_compare(args) -> int:
 
 
 def _numbers(text: str, flag: str, sep: str) -> tuple[float, ...]:
-    """The finite numbers of ``text`` split at ``sep``, blanks skipped."""
+    """The numbers of ``text`` split at ``sep``, blanks skipped."""
     try:
-        numbers = tuple(float(p) for p in text.split(sep) if p.strip())
+        return tuple(float(p) for p in text.split(sep) if p.strip())
     except ValueError:
         raise ConfigError(f"{flag}: cannot parse {text!r}") from None
-    if not all(map(math.isfinite, numbers)):
-        raise ConfigError(f"{flag}: expected finite numbers, got {text!r}")
-    return numbers
 
 
 def _flagged(flag: str, check, *args) -> None:
@@ -185,6 +182,8 @@ def cmd_sweep(args) -> int:
     grid: tuple[float, ...] = ()
     if args.grid:  # an empty --grid, like an empty --values, is an empty grid
         span = _numbers(args.grid, "--grid", ":")
+        if not all(map(math.isfinite, span)):  # the point count below needs them finite
+            raise ConfigError(f"--grid: expected finite numbers, got {args.grid!r}")
         if len(span) != 3 or span[2] <= 0:
             raise ConfigError("--grid expects START:STOP:STEP with a positive step")
         start, stop, step = span

@@ -151,11 +151,8 @@ class ScenarioConfig:
             require_finite("approx.zeta0", self.approx_zeta0, ConfigError)
 
         demand, hot = self.demand, self.capacities.hot
-        timeseries = demand.kind == "timeseries"
-        if timeseries and demand.samples[0][0] > 0.0:
-            raise ConfigError("demand.samples: first sample must start at t <= 0")
         key, samples = "samples", demand.samples
-        if not timeseries:  # a mean rate holds from t = 0
+        if demand.kind != "timeseries":  # a mean rate holds from t = 0
             key, samples = "hov", [(0.0, demand.mean_hov, demand.mean_sov)]
         for t, hov, _ in samples:
             if hov >= hot:

@@ -63,7 +63,8 @@ class DemandProfile:
 
     ``constant`` returns the means; ``poisson`` redraws both rates each step
     from Poisson distributions with those means (veh/min); ``timeseries``
-    holds ``(t, hov, sov)`` breakpoints interpreted as a step function.
+    holds ``(t, hov, sov)`` breakpoints interpreted as a step function, the
+    first at t <= 0.
     """
 
     kind: str = "constant"
@@ -89,6 +90,8 @@ class DemandProfile:
                 raise ValueError("samples: timeseries sample times must be strictly increasing")
             if not all(s[1] >= 0 and s[2] >= 0 for s in self.samples):
                 raise ValueError("samples: demand rates cannot be negative")
+            if times[0] > 0.0:  # a run reads the demand from t = 0
+                raise ValueError("samples: first sample must start at t <= 0")
 
     @cached_property
     def sample_times(self) -> tuple[float, ...]:
@@ -185,7 +188,10 @@ def check_seeds(seed: int, count: int) -> tuple[int, int]:
             raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
     seed, count = checked
     if not 0 <= seed <= 2**64 - count:  # more than 2**64 runs fail at any seed
-        key = "run.seed" if count <= 2**64 else "run.replications"
+        key, value = ("run.seed", seed) if count <= 2**64 else ("run.replications", count)
+        if abs(value) >= 2**64:  # not printed: its digits may run to any length
+            raise ConfigError(f"{key}: a {abs(value).bit_length()}-bit integer reaches "
+                              f"beyond the unsigned 64-bit seeds")
         raise ConfigError(f"{key}: seeds {seed} to {seed + count - 1} of {count} run(s) "
                           f"must be unsigned 64-bit integers")
     return seed, count

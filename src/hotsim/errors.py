@@ -1,7 +1,7 @@
 """Exception classes shared across the package, and the value rules that the
 objects owning scenario values share: a finite number, the one test of what
-is a number (``require_finite``: what ``math.isfinite`` takes, bools aside),
-and an array's shape.
+is a number (``require_finite``: what ``math.isfinite`` takes, bools,
+numpy's too, aside), and an array's shape.
 
 Each class maps to one CLI exit code so that callers can tell apart bad
 configuration, demand patterns outside the model's assumptions, controller
@@ -9,6 +9,7 @@ failures, I/O problems, and runs whose results are not finite.
 """
 
 import math
+import sys
 from collections.abc import Sequence
 
 
@@ -43,9 +44,13 @@ class NonFiniteResultError(HotSimError):
 
 def require_finite(key: str, value: float, error: type[Exception] = ValueError) -> None:
     """Raise ``error``, its message beginning with ``key``, unless ``value`` is a
-    number, bools aside, and finite: not NaN, infinite or an int beyond any float."""
+    number, bools (numpy's too) aside, and finite: not NaN, infinite or an int
+    beyond any float."""
+    # numpy's bool exists only once numpy is imported, and a float is no bool
+    numpy = sys.modules.get("numpy") if type(value) is not float else None
+    bools = (bool, numpy.bool_) if numpy else bool
     try:  # a bool is no number: math.isfinite rejects None
-        finite = math.isfinite(None if isinstance(value, bool) else value)
+        finite = math.isfinite(None if isinstance(value, bools) else value)
     except TypeError:
         raise error(f"{key}: expected a number, got {value!r}") from None
     except OverflowError:  # an int no float can hold; its repr may run to any length

@@ -31,6 +31,9 @@ from hotsim.errors import BoundaryNotBracketedError, ConfigError, ScenarioAssump
 from hotsim.traffic import Capacities
 
 S0 = ScenarioConfig()
+# a gain or bracket end that is not a finite number, a bool (numpy's too) or a list
+HOSTILE_GAINS = ["x", None, True, np.True_, math.nan, math.inf, -math.inf, 10**400,
+                 [0.1, 0.2]]
 PERTURBED = Path(__file__).resolve().parents[1] / "scenarios" / "perturbed.yaml"
 BETA0 = 40.0 / 9.0
 
@@ -333,12 +336,40 @@ class TestPhaseBoundary:
             find_phase_boundary(pattern_config(0.1), 0.05, 0.09,
                                 resolution=0.005, model="closed")
 
-    @pytest.mark.parametrize("low, high", [
-        (math.nan, 0.2), (0.1, math.inf), (-math.inf, 0.2), (0.2, 0.1), (0.1, 0.1),
-    ])
-    def test_bracket_needs_finite_ordered_ends(self, low, high):
-        with pytest.raises(ConfigError, match="bracket"):
+    # the controller rejects a non-finite end, naming the gain; the bracket
+    # keeps only its order rule
+    @pytest.mark.parametrize("low, high, message", [
+        (math.nan, 0.2, "k2=nan: residual_gain: expected a finite number, got nan"),
+        (0.1, math.inf, "k2=inf: residual_gain: expected a finite number, got inf"),
+        (-math.inf, 0.2, "k2=-inf: residual_gain: expected a finite number, got -inf"),
+        (0.2, 0.1, "bracket [0.2, 0.1] needs low below high"),
+        (0.1, 0.1, "bracket [0.1, 0.1] needs low below high"),
+    ], ids=["nan-0.2", "0.1-inf", "-inf-0.2", "0.2-0.1", "0.1-0.1"])
+    def test_bracket_needs_finite_ordered_ends(self, low, high, message):
+        with pytest.raises(ConfigError) as error:
             find_phase_boundary(pattern_config(0.1), low, high, resolution=0.005)
+        assert str(error.value) == message
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["gain_spec", "check_bracket", "classify_at", "find_phase_boundary"]),
+           st.sampled_from(["k1", "k2"]), st.booleans(), st.sampled_from(HOSTILE_GAINS))
+    def test_hostile_gain_is_one_short_config_error(self, entry, param, low_end, value):
+        # one hostile gain, or bracket end (of k2), fails before any run
+        # with the controller's message after the gain's name
+        config = pattern_config(0.1)
+        low, high = (value, 0.2) if low_end else (0.1, value)
+        calls = {
+            "gain_spec": lambda: analysis.gain_spec(config, param, value),
+            "check_bracket": lambda: analysis.check_bracket(config, low, high),
+            "classify_at": lambda: classify_at(config, param, value, "closed"),
+            "find_phase_boundary": lambda: find_phase_boundary(config, low, high),
+        }
+        with pytest.raises(ConfigError) as error:
+            calls[entry]()
+        message = str(error.value)
+        named = param if entry in ("gain_spec", "classify_at") else "k2"
+        assert message.startswith((f"{named}: ", f"{named}=")), message
+        assert "\n" not in message and len(message.encode()) < 200, message
 
 
 class TestClassifyAt:

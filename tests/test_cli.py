@@ -14,6 +14,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -493,6 +494,9 @@ class TestSweep:
                      "--grid: k2=-0.02: residual_gain must be positive", id="grid-k2=-0.02"),
         pytest.param(["--param", "k1", "--values", "0.1,-1"],
                      "--values: k1=-1: queue_gain must be positive", id="values-k1=-1"),
+        pytest.param(["--values", "0.1,nan"],
+                     "--values: k2=nan: residual_gain: expected a finite number, got nan",
+                     id="values-k2=nan"),
     ])
     def test_bracket_end_the_controller_rejects_fails_before_any_run(
         self, monkeypatch, capsys, pattern_file, argv, message
@@ -741,7 +745,7 @@ OWNED_KEYS = list(_owned_keys())
 # a bool, string, None, list, dict, NaN or integer beyond the float range
 _WRONG_TYPE = st.one_of(
     st.booleans(), st.text(max_size=8), st.none(),
-    st.sampled_from([math.nan, 10**400, -10**400]),
+    st.sampled_from([math.nan, 10**400, -10**400, np.True_]),
     st.lists(st.one_of(_positive, st.text(max_size=3), st.lists(_positive, max_size=4)),
              max_size=4),
     st.dictionaries(st.text(max_size=5), _positive, max_size=2),

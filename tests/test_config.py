@@ -157,6 +157,8 @@ class TestValidation:
          "demand.samples: timeseries sample times must be strictly increasing"),
         ("demand: {kind: timeseries, samples: [[0, 10, -60]]}",
          "demand.samples: demand rates cannot be negative"),
+        ("demand: {kind: timeseries, samples: [[5, 10, 60]]}",
+         "demand.samples: first sample must start at t <= 0"),
     ])
     def test_demand_range_rules(self, text, message):
         # each value is finite, so the range rule, not the finite check, rejects it
@@ -208,8 +210,8 @@ UNPARSED = [
     ({"seed": -1}, ConfigError, "run.seed"),
     ({"replications": 0}, ConfigError, "run.replications"),
     ({"initial_gp_queue": -1.0}, ConfigError, "initial.gp_queue"),
-    ({"demand": DemandProfile("timeseries", samples=((1.0, 10.0, 60.0),))},
-     ConfigError, "demand.samples"),
+    ({"demand": DemandProfile("timeseries", samples=((0.0, 30.0, 60.0),))},
+     ScenarioAssumptionError, "demand.samples"),
     ({"demand": DemandProfile(mean_hov=30.0)}, ScenarioAssumptionError, "demand.hov"),
 ]
 
@@ -345,6 +347,32 @@ class TestBuiltInCode:
         with pytest.raises(ConfigError) as error:
             ScenarioConfig(**{key: value})
         assert str(error.value) == f"run.{key}: expected an integer, got {value!r}"
+
+    # a seed or count beyond 64 bits is named by its bit count, not its
+    # digits; an ordinary seed keeps its range message
+    @pytest.mark.parametrize("fields, message", [
+        ({"seed": 10**400}, "run.seed: a 1329-bit integer"),
+        ({"seed": -10**400}, "run.seed: a 1329-bit integer"),
+        ({"replications": 10**400}, "run.replications: a 1329-bit integer"),
+        ({"seed": 2**64}, "run.seed: a 65-bit integer"),
+    ], ids=["seed-10**400", "seed--10**400", "replications-10**400", "seed-2**64"])
+    def test_seed_or_count_beyond_64_bits_is_a_short_error(self, fields, message):
+        with pytest.raises(ConfigError) as error:
+            ScenarioConfig(**fields)
+        assert str(error.value) == f"{message} reaches beyond the unsigned 64-bit seeds"
+
+    def test_ordinary_seed_out_of_range_shows_the_seeds(self):
+        with pytest.raises(ConfigError) as error:
+            ScenarioConfig(seed=-1)
+        assert str(error.value) == ("run.seed: seeds -1 to -1 of 1 run(s) "
+                                    "must be unsigned 64-bit integers")
+
+    def test_numpy_bool_is_no_number(self):
+        # rejected as a bool is, with the same message; numpy's numbers pass
+        with pytest.raises(ValueError) as error:
+            BehaviorParams(vot=np.True_, scale=1.0)
+        assert str(error.value) == "vot: expected a number, got np.True_"
+        BehaviorParams(vot=np.float32(0.5), scale=np.int64(1))
 
     @pytest.mark.parametrize("key, value", [("seed", np.uint64(3)), ("replications", np.int64(2))])
     def test_numpy_seed_and_count_are_stored_as_ints(self, key, value):
@@ -543,7 +571,8 @@ class TestOneMessagePerNumber:
         assert str(parsed.value) == where[:-len(key)] + str(built.value)
 
 
-# one value per shape rule and integer rule, as YAML reads it: (dotted key, value)
+# one value per shape rule and integer rule, and a timeseries that starts
+# after t = 0, as YAML reads it: (dotted key, value)
 MISSHAPEN = [
     ("controller.selflearning.initial_theta", [1, 2]),
     ("controller.selflearning.initial_theta", 1),
@@ -552,6 +581,7 @@ MISSHAPEN = [
     ("demand.samples", 5),
     ("demand.samples", [[0, 10]]),
     ("demand.samples", [[0, 10, [60]]]),
+    ("demand.samples", [[5, 10, 60]]),
     ("run.seed", 1.5),
     ("run.replications", 2.5),
     ("run.seed", True),
@@ -559,9 +589,10 @@ MISSHAPEN = [
 
 
 class TestOneMessagePerShape:
-    """A badly shaped array, or a seed or replication count that is not an
-    integer, gives one message from a file and from code: the parser reads
-    only its type, and the object that owns it checks its shape."""
+    """A badly shaped array, a seed or replication count that is not an
+    integer, or a timeseries that starts after t = 0 gives one message from a
+    file and from code: the parser reads only its type, and the object that
+    owns it checks its shape and its order."""
 
     @pytest.mark.parametrize("where, value", MISSHAPEN,
                              ids=[f"{where.rpartition('.')[2]}: {value}"
@@ -580,7 +611,7 @@ class TestOneMessagePerShape:
             owner = TIMESERIES_ONE if key == "samples" else getattr(ScenarioConfig(), part)
         with pytest.raises((ValueError, ConfigError)) as built:
             dataclasses.replace(owner, **{name: value})
-        assert str(built.value).startswith(f"{key}: expected ")
+        assert str(built.value).startswith(f"{key}: ")
         assert str(parsed.value) == where[:-len(key)] + str(built.value)
 
 

@@ -74,10 +74,11 @@ class TestDemandAt:
         assert demand_at(profile, 19.0, rng) == (12.0, 55.0)
 
     def test_timeseries_lookup_before_first_sample(self):
+        # a profile starts at t <= 0, so only a negative time is before it
         rng = np.random.default_rng(0)
-        profile = DemandProfile(kind="timeseries", samples=((1.0, 10.0, 60.0),))
+        profile = DemandProfile(kind="timeseries", samples=((0.0, 10.0, 60.0),))
         with pytest.raises(ConfigError):
-            demand_at(profile, 0.5, rng)
+            demand_at(profile, -0.5, rng)
 
 
 class TestClosedLoop:
