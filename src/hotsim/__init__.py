@@ -20,6 +20,7 @@ from .analysis import (
 from .choice import (
     BehaviorParams,
     NoiseSpec,
+    clearing_log_odds,
     induced_residual_capacity,
     paying_demand,
     sample_eta,

@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .choice import induced_residual_capacity
+from .choice import clearing_log_odds, induced_residual_capacity
 from .engine import run_closed_loop
 from .errors import (BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError,
-                     require_positive)
+                     brief_repr, require_positive)
+from .traffic import queuing_times
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -67,8 +68,7 @@ def analytic_optimal_price(t: float, config: "ScenarioConfig") -> float:
     """
     q1, q2, c1, c2 = _congested_means(config)
     slope = (q1 + q2 - c1 - c2) / c2 * config.behavior.vot
-    intercept = math.log((q1 + q2 - c1) / (c1 - q1)) / config.behavior.scale
-    return slope * t + intercept
+    return slope * t + clearing_log_odds(q1, q2, c1) / config.behavior.scale
 
 
 def loop_gain_rate(config: "ScenarioConfig") -> float:
@@ -290,8 +290,8 @@ def approx_initial_zeta(config: "ScenarioConfig") -> float:
     """
     if config.approx_zeta0 is not None:
         return config.approx_zeta0
-    q1, q2, c1, c2 = _congested_means(config)
-    w0 = config.initial_gp_queue / c2 - config.initial_hot_queue / c1
+    q1, q2, c1, _ = _congested_means(config)
+    _, _, w0 = queuing_times(config.initial_hot_queue, config.initial_gp_queue, config.capacities)
     u0 = config.vot_spec.build(config.capacities).quote(w0, q1, q2)
     return induced_residual_capacity(c1, q1, q2, u0, w0, 0.0, config.behavior)
 
@@ -378,10 +378,10 @@ def find_phase_boundary(
     check_bracket(config, k2_low, k2_high)
     low_pattern = pattern_at(k2_low)
     high_pattern = pattern_at(k2_high)
-    if low_pattern == high_pattern:
-        raise BoundaryNotBracketedError(
-            f"both ends of [{k2_low:g}, {k2_high:g}] classify as {low_pattern}"
-        )
+    if low_pattern == high_pattern:  # :g for floats only: a Fraction, say, cannot take it
+        ends = ", ".join(f"{end:g}" if isinstance(end, float) else brief_repr(end)
+                         for end in (k2_low, k2_high))
+        raise BoundaryNotBracketedError(f"both ends of [{ends}] classify as {low_pattern}")
     low, high = k2_low, k2_high
     while high - low > resolution:
         mid = 0.5 * (low + high)

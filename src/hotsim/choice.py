@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import traffic
-from .errors import require_finite, require_positive
+from .errors import ScenarioAssumptionError, brief_repr, require_finite, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -49,7 +49,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"kind: expected one of {', '.join(NOISE_KINDS)}, "
-                             f"got {self.kind!r}")
+                             f"got {brief_repr(self.kind)}")
         require_finite("half_width", self.half_width)
         if not 0.0 <= self.half_width < 1.0:
             raise ValueError("half_width must lie in [0, 1)")
@@ -68,6 +68,20 @@ def paying_demand(
         e = math.exp(-x)
         return q2 * (e / (1.0 + e))
     return q2 * (1.0 / (1.0 + math.exp(x)))
+
+
+def clearing_log_odds(q1: float, q2: float, c1: float) -> float:
+    """The logit exponent ``scale * (u - vot * w)`` at which paying SOVs fill the
+    HOT capacity ``c1``: ``log((q1 + q2 - c1) / (c1 - q1))``, the demand term of
+    every price law.  Only the congested regime ``q1 < c1 < q1 + q2`` has one;
+    outside it, a nan demand rate included, it is a ScenarioAssumptionError."""
+    if not q1 < c1:
+        raise ScenarioAssumptionError(
+            f"HOV demand {q1:g} veh/min saturates the HOT capacity {c1:g} veh/min")
+    if not c1 < q1 + q2:
+        raise ScenarioAssumptionError(f"total demand {q1 + q2:g} veh/min does not exceed the HOT "
+                                      f"capacity {c1:g} veh/min; the corridor is not congested")
+    return math.log((q1 + q2 - c1) / (c1 - q1))
 
 
 def induced_residual_capacity(

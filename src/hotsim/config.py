@@ -63,7 +63,8 @@ import yaml
 
 from .choice import BehaviorParams, NoiseSpec
 from .engine import DemandProfile, check_seeds
-from .errors import ConfigError, ScenarioAssumptionError, require_finite, require_positive
+from .errors import (ConfigError, ScenarioAssumptionError, brief_repr, require_finite,
+                     require_positive)
 from .pricing import IntegralTollSpec, SelfLearningSpec, VotControllerSpec
 from .traffic import Capacities
 
@@ -121,8 +122,8 @@ class ScenarioConfig:
         # the rules no section object owns; the ConfigError (or, for HOV
         # demand that fills the HOT lanes, ScenarioAssumptionError) names the key
         if self.controller_kind not in CONTROLLER_KINDS:
-            raise ConfigError(f"controller.kind: expected one of "
-                              f"{', '.join(CONTROLLER_KINDS)}, got {self.controller_kind!r}")
+            raise ConfigError(f"controller.kind: expected one of {', '.join(CONTROLLER_KINDS)}, "
+                              f"got {brief_repr(self.controller_kind)}")
         horizon, dt = self.horizon, self.dt
         require_positive("run.dt", dt, ConfigError)
         require_positive("run.horizon", horizon, ConfigError)
@@ -224,7 +225,8 @@ def _step(value, where: str) -> float:
         try:
             value = float(num) / float(den) if den else float(value)
         except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{where}: cannot parse {value!r} as a step size") from None
+            raise ConfigError(
+                f"{where}: cannot parse {brief_repr(value)} as a step size") from None
     return _real(value, where)
 
 

@@ -46,7 +46,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import choice
-from .errors import ConfigError, HotSimError, NonFiniteResultError, _float_array, require_finite
+from .errors import (ConfigError, HotSimError, NonFiniteResultError, _float_array, brief_repr,
+                     require_finite)
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -76,7 +77,7 @@ class DemandProfile:
         # each message begins with the scenario key it rejects
         if self.kind not in DEMAND_KINDS:
             raise ValueError(f"kind: expected one of {', '.join(DEMAND_KINDS)}, "
-                             f"got {self.kind!r}")
+                             f"got {brief_repr(self.kind)}")
         if self.kind != "timeseries":
             for key, rate in (("hov", self.mean_hov), ("sov", self.mean_sov)):
                 require_finite(key, rate)
@@ -185,7 +186,7 @@ def check_seeds(seed: int, count: int) -> tuple[int, int]:
         try:  # a bool is no integer: operator.index rejects None
             checked.append(operator.index(None if isinstance(value, bool) else value))
         except TypeError:
-            raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+            raise ConfigError(f"{key}: expected an integer, got {brief_repr(value)}") from None
     seed, count = checked
     if not 0 <= seed <= 2**64 - count:  # more than 2**64 runs fail at any seed
         key, value = ("run.seed", seed) if count <= 2**64 else ("run.replications", count)

@@ -1,7 +1,8 @@
 """Exception classes shared across the package, and the value rules that the
 objects owning scenario values share: a finite number, the one test of what
 is a number (``require_finite``: what ``math.isfinite`` takes, bools,
-numpy's too, aside), and an array's shape.
+numpy's too, aside), and an array's shape; and how an error shows the value
+it rejects (``brief_repr``).
 
 Each class maps to one CLI exit code so that callers can tell apart bad
 configuration, demand patterns outside the model's assumptions, controller
@@ -24,9 +25,11 @@ class ConfigError(HotSimError):
 class ScenarioAssumptionError(HotSimError):
     """Demand pattern outside the congested regime the model assumes.
 
-    Raised when the HOV demand saturates the HOT capacity or the total
-    demand does not exceed the HOT capacity, which makes the price law's
-    log argument non-positive.
+    Raised by ``choice.clearing_log_odds``, the demand term of every logit
+    price law, unless ``q1 < c1 < q1 + q2``: the HOV demand saturates the HOT
+    capacity, the total demand does not exceed it, or a demand rate is nan.
+    The constant-demand analysis raises it for total demand at or below the
+    total capacity.
     """
 
 
@@ -52,12 +55,20 @@ def require_finite(key: str, value: float, error: type[Exception] = ValueError) 
     try:  # a bool is no number: math.isfinite rejects None
         finite = math.isfinite(None if isinstance(value, bools) else value)
     except TypeError:
-        raise error(f"{key}: expected a number, got {value!r}") from None
+        raise error(f"{key}: expected a number, got {brief_repr(value)}") from None
     except OverflowError:  # an int no float can hold; its repr may run to any length
         raise error(f"{key}: expected a finite number, got an integer "
                     f"too large for a float") from None
     if not finite:
-        raise error(f"{key}: expected a finite number, got {value!r}")
+        raise error(f"{key}: expected a finite number, got {brief_repr(value)}")
+
+
+def brief_repr(value) -> str:
+    """``repr(value)`` cut short as ``reprlib`` cuts it: the first six entries
+    of a list, a long string's two ends, so that a message stays one short line."""
+    import reprlib
+
+    return reprlib.repr(value)
 
 
 def require_positive(key: str, value: float, error: type[Exception] = ValueError) -> None:
@@ -79,8 +90,8 @@ def _float_array(key: str, value, what: str, *shapes: tuple):
     for shape in shapes:
         if len(shape) == 2 and isinstance(floats, list) and shape[0] in (None, len(floats)):
             i = next(i for i, row in enumerate(floats) if not _has_shape(row, shape[1:]))
-            raise ValueError(f"{key}: expected {what}, got {floats[i]!r} at row {i}")
-    raise ValueError(f"{key}: expected {what}, got {floats!r}")
+            raise ValueError(f"{key}: expected {what}, got {brief_repr(floats[i])} at row {i}")
+    raise ValueError(f"{key}: expected {what}, got {brief_repr(floats)}")
 
 
 def _read(key: str, value):

@@ -16,6 +16,9 @@ keeps none.
 * ``SelfLearningController`` tracks the willingness-to-pay coefficients with
   a linear Kalman filter and inverts the fitted logit for the price.
 
+Both logit inversions take their demand term and its congested-regime rule,
+which a nan demand fails, from ``choice.clearing_log_odds``.
+
 Each controller's scenario spec (``VotControllerSpec``, ``IntegralTollSpec``,
 ``SelfLearningSpec``) sits beside it with its defaults and ``build``.  The
 value rules live in the constructors, which a spec runs once when built;
@@ -42,8 +45,8 @@ import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import (PriceUndefinedError, ScenarioAssumptionError, _float_array, require_finite,
-                     require_positive)
+from .choice import clearing_log_odds
+from .errors import PriceUndefinedError, _float_array, require_finite, require_positive
 from .traffic import Capacities
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,13 +77,11 @@ class VotFeedbackController:
 
     A positive HOT queue raises the estimate with gain ``queue_gain`` and
     positive residual capacity lowers it with gain ``residual_gain``.  The
-    price is the estimated delay cost plus the demand-split log term scaled
-    by the operator's guess of the logit scale.
-
-    The log term and its two demand checks read only ``q1``, ``q2``, the HOT
-    capacity and ``scale_guess``, so ``quote`` computes them only when the
-    demand pair differs from the last one it priced; under constant demand
-    that is the first quote only.
+    price is the estimated delay cost plus the demand term
+    ``choice.clearing_log_odds`` over ``scale_guess``, the operator's guess of
+    the logit scale.  ``quote`` computes that term, which reads ``q1``, ``q2``,
+    the HOT capacity and ``scale_guess``, only when the demand pair differs
+    from the last one it priced: under constant demand, once.
     """
 
     def __init__(self, hot_capacity: float, queue_gain: float, residual_gain: float,
@@ -99,18 +100,7 @@ class VotFeedbackController:
 
     def quote(self, w: float, q1: float, q2: float) -> float:
         if q1 != self._q1 or q2 != self._q2:  # nan differs from itself: never kept
-            c1 = self.hot_capacity
-            # log term requires q1 < c1 < q1 + q2
-            if q1 >= c1:
-                raise ScenarioAssumptionError(
-                    f"HOV demand {q1:g} veh/min saturates the HOT capacity {c1:g} veh/min"
-                )
-            if q1 + q2 <= c1:
-                raise ScenarioAssumptionError(
-                    f"total demand {q1 + q2:g} veh/min does not exceed the HOT capacity "
-                    f"{c1:g} veh/min; the corridor is not congested"
-                )
-            self._split = math.log((q1 + q2 - c1) / (c1 - q1)) / self.scale_guess
+            self._split = clearing_log_odds(q1, q2, self.hot_capacity) / self.scale_guess
             self._q1, self._q2 = q1, q2
         return self.vot_estimate * w + self._split
 
@@ -186,9 +176,9 @@ class SelfLearningController:
     (``_new_operands``) and written in place.
 
     ``quote`` checks ``alpha2`` on every call, since the filter moves it.
-    The paying-demand target, its check and its log term read only ``q1``,
-    ``q2`` and the HOT capacity, so they are computed only when the demand
-    pair differs from the last one priced.
+    Its log term, ``choice.clearing_log_odds`` with its demand checks, reads
+    only ``q1``, ``q2`` and the HOT capacity, so it is computed only when the
+    demand pair differs from the last one priced.
     """
 
     def __init__(self, hot_capacity: float, initial_theta, initial_cov,
@@ -317,13 +307,7 @@ class SelfLearningController:
                 f"price-utility estimate alpha2={alpha2:g} is too close to zero"
             )
         if q1 != self._q1 or q2 != self._q2:  # nan differs from itself: never kept
-            target = self.hot_capacity - q1  # paying demand that fills the HOT lanes
-            if not 0.0 < target < q2:
-                raise ScenarioAssumptionError(
-                    f"optimal paying demand {target:g} veh/min must lie strictly "
-                    f"between 0 and the SOV demand {q2:g} veh/min"
-                )
-            self._split = math.log((q2 - target) / target)
+            self._split = clearing_log_odds(q1, q2, self.hot_capacity)
             self._q1, self._q2 = q1, q2
         return (self._split + alpha1 * w - gamma) / alpha2
 

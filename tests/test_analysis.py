@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,15 @@ class TestAnalyticPrice:
         assert analytic_optimal_price(0.0, S0) == pytest.approx(
             math.log(2.0), rel=1e-12
         )
+
+    def test_intercept_is_the_vot_quote_at_no_delay(self):
+        # one demand term: a vot quote at w = 0 with no estimate and the drivers'
+        # scale; non-integer rates and scale, so any other operand order shows
+        scen = dataclasses.replace(S0, behavior=BehaviorParams(0.5, 0.7),
+                                   demand=DemandProfile(mean_hov=9.1, mean_sov=58.7))
+        spec = VotControllerSpec(initial_vot=0.0, scale_guess=scen.behavior.scale)
+        quote = spec.build(scen.capacities).quote(0.0, 9.1, 58.7)
+        assert analytic_optimal_price(0.0, scen).hex() == quote.hex()
 
     def test_value_at_twenty_minutes(self):
         u = analytic_optimal_price(20.0, S0)
@@ -335,6 +345,16 @@ class TestPhaseBoundary:
         with pytest.raises(BoundaryNotBracketedError):
             find_phase_boundary(pattern_config(0.1), 0.05, 0.09,
                                 resolution=0.005, model="closed")
+
+    # a float end is shown with :g, an end of any other type without it
+    @pytest.mark.parametrize("low, high, ends", [
+        (0.05, 0.09, "0.05, 0.09"),
+        (Fraction(1, 20), Fraction(9, 100), "Fraction(1, 20), Fraction(9, 100)"),
+    ], ids=["float", "fraction"])
+    def test_unbracketed_interval_names_its_ends(self, low, high, ends):
+        with pytest.raises(BoundaryNotBracketedError) as error:
+            find_phase_boundary(load_config(PERTURBED), low, high)
+        assert str(error.value) == f"both ends of [{ends}] classify as gaussian"
 
     # the controller rejects a non-finite end, naming the gain; the bracket
     # keeps only its order rule

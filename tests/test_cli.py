@@ -188,8 +188,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("controller, message", [
         ("vot", "HOV demand 30 veh/min saturates the HOT capacity 30 veh/min"),
-        ("selflearning", "optimal paying demand 0 veh/min must lie strictly "
-                         "between 0 and the SOV demand 70 veh/min"),
+        ("selflearning", "HOV demand 30 veh/min saturates the HOT capacity 30 veh/min"),
     ])
     def test_quote_check_fires_when_sampled_demand_changes(
         self, scenario_file, tmp_path, capsys, controller, message
@@ -803,4 +802,19 @@ class TestHostileFuzz:
         _one_clear_error(out, err)
         assert err == ("error: demand.samples: expected rows of three numbers, "
                        "got [500.0, 10.0] at row 500\n")
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("mapping", [
+        {"behavior": {"vot": [0.1] * 2000}},
+        {"capacities": {"hot": "x" * 5000}},
+        {"controller": {"kind": "x" * 5000}},
+        {"run": {"seed": "x" * 5000}},
+        {"run": {"dt": "x" * 5000}},
+    ], ids=["long-list", "long-string", "long-kind", "long-seed", "long-step"])
+    def test_long_bad_value_is_a_short_error(self, mapping):
+        # the message shows the value cut short, not whole
+        code, out, err = _run_scenario(mapping, ["simulate"])
+        assert code == 2
+        _one_clear_error(out, err)
+        assert "..." in err
         assert len(err.encode()) < 200

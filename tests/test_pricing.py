@@ -295,7 +295,7 @@ class ReferenceFilter:
         target = 30.0 - q1
         if not 0.0 < target < q2:
             raise ScenarioAssumptionError("target")
-        return (math.log((q2 - target) / target) + alpha1 * w - gamma) / alpha2
+        return (math.log((q1 + q2 - 30.0) / (30.0 - q1)) + alpha1 * w - gamma) / alpha2
 
 
 # asymmetric initial covariance: the first step tells h @ cov from cov @ h
@@ -420,7 +420,7 @@ class TestQuoteDemandCache:
     @staticmethod
     def reference_vot_quote(ctrl, w, q1, q2):
         c1 = ctrl.hot_capacity
-        if q1 >= c1 or q1 + q2 <= c1:
+        if not q1 < c1 or not c1 < q1 + q2:
             raise ScenarioAssumptionError("demand")
         return ctrl.vot_estimate * w + math.log((q1 + q2 - c1) / (c1 - q1)) / ctrl.scale_guess
 
@@ -433,7 +433,7 @@ class TestQuoteDemandCache:
             assert quotes[-1] == outcome(self.reference_vot_quote, ctrl, w, q1, q2), k
             observe_vot(ctrl, 2.0 - 0.5 * k, 0.3)
         assert quotes[6] is ScenarioAssumptionError
-        assert math.isnan(np.frombuffer(quotes[7])[0])
+        assert quotes[7] is ScenarioAssumptionError
 
     def test_selflearning_quote_is_the_uncached_formula(self):
         ctrl = learner()
@@ -448,3 +448,32 @@ class TestQuoteDemandCache:
             ref.ingest(60.0, q3, w, u)
         assert quotes[6] is ScenarioAssumptionError
         assert quotes[7] is ScenarioAssumptionError
+
+
+class TestSharedDemandTerm:
+    """Both logit controllers take their demand term and its congested-regime
+    rule from ``choice.clearing_log_odds``: the same toll from the same beliefs
+    (no delay cost, unit price utility), the same error and message outside
+    the regime."""
+
+    NOT_CONGESTED = "; the corridor is not congested"
+
+    @pytest.mark.parametrize("build", [
+        lambda: vot_controller(initial_vot=0.0, scale_guess=1.0),
+        lambda: learner(initial_theta=(0.0, 1.0, 0.0)),
+    ], ids=["vot", "selflearning"])
+    @pytest.mark.parametrize("q1, q2, expected", [
+        (30.0, 60.0, "HOV demand 30 veh/min saturates the HOT capacity 30 veh/min"),
+        (10.0, 20.0, "total demand 30 veh/min does not exceed the HOT capacity 30 veh/min"
+                     + NOT_CONGESTED),
+        (math.nan, 60.0, "HOV demand nan veh/min saturates the HOT capacity 30 veh/min"),
+        (10.0, math.nan, "total demand nan veh/min does not exceed the HOT capacity 30 veh/min"
+                         + NOT_CONGESTED),
+        (9.1, 58.7, bits(math.log((9.1 + 58.7 - 30.0) / (30.0 - 9.1)))),
+    ], ids=["hov-at-capacity", "total-at-capacity", "nan-q1", "nan-q2", "congested"])
+    def test_same_outcome_from_both_controllers(self, build, q1, q2, expected):
+        try:
+            got = bits(build().quote(0.7, q1, q2))
+        except ScenarioAssumptionError as exc:
+            got = str(exc)
+        assert got == expected
