@@ -46,7 +46,8 @@ OPTIMAL_THROUGHPUT_TOL = 0.5    # veh/min, average HOT throughput below capacity
 def _congested_means(config: "ScenarioConfig") -> tuple[float, float, float, float]:
     """Mean demand rates and capacities ``(q1, q2, c1, c2)`` of ``config``
     (Poisson profiles use their means), which must be congested: its total
-    demand exceeds its total capacity."""
+    demand exceeds its total capacity, and the means meet
+    ``choice.clearing_log_odds``'s rule."""
     if config.demand.kind == "timeseries":
         raise ConfigError(
             "constant-demand analysis needs a demand profile with mean rates"
@@ -57,6 +58,7 @@ def _congested_means(config: "ScenarioConfig") -> tuple[float, float, float, flo
         raise ScenarioAssumptionError(
             f"total demand {q1 + q2:g} must exceed the total capacity {c1 + c2:g}"
         )
+    clearing_log_odds(q1, q2, c1)
     return q1, q2, c1, c2
 
 

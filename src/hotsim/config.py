@@ -46,7 +46,8 @@ values, and the config its own keys and the rules across sections, so no
 scenario exists unchecked.  Each owner calls ``errors.require_finite``, the
 one rule of what a number is, before its range rule, so a value that is not
 a finite number, a badly shaped array or a seed that is not an integer gives
-one message from code and, after its section, from a file.
+one message from code and, after its section, from a file.  Demand outside
+the congested regime parses: ``choice.clearing_log_odds`` owns that rule.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ import yaml
 
 from .choice import BehaviorParams, NoiseSpec
 from .engine import DemandProfile, check_seeds
-from .errors import (ConfigError, ScenarioAssumptionError, brief_repr, require_finite,
-                     require_positive)
+from .errors import ConfigError, brief_repr, require_finite, require_positive
 from .pricing import IntegralTollSpec, SelfLearningSpec, VotControllerSpec
 from .traffic import Capacities
 
@@ -119,8 +119,7 @@ class ScenarioConfig:
     approx_zeta0: float | None = None
 
     def __post_init__(self) -> None:
-        # the rules no section object owns; the ConfigError (or, for HOV
-        # demand that fills the HOT lanes, ScenarioAssumptionError) names the key
+        # the rules no section object owns; the ConfigError names the key
         if self.controller_kind not in CONTROLLER_KINDS:
             raise ConfigError(f"controller.kind: expected one of {', '.join(CONTROLLER_KINDS)}, "
                               f"got {brief_repr(self.controller_kind)}")
@@ -150,17 +149,6 @@ class ScenarioConfig:
                 raise ConfigError(f"initial.{key} cannot be negative")
         if self.approx_zeta0 is not None:
             require_finite("approx.zeta0", self.approx_zeta0, ConfigError)
-
-        demand, hot = self.demand, self.capacities.hot
-        key, samples = "samples", demand.samples
-        if demand.kind != "timeseries":  # a mean rate holds from t = 0
-            key, samples = "hov", [(0.0, demand.mean_hov, demand.mean_sov)]
-        for t, hov, _ in samples:
-            if hov >= hot:
-                raise ScenarioAssumptionError(
-                    f"demand.{key}: HOV demand {hov:g} veh/min from t={t:g} must "
-                    f"stay below the HOT capacity {hot:g} veh/min"
-                )
 
     @property
     def controller(self):

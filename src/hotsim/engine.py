@@ -55,6 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
 
 DEMAND_KINDS = ("constant", "poisson", "timeseries")
+# numpy's largest Poisson mean, its POISSON_LAM_MAX, in plain Python
+POISSON_MEAN_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 ZERO_QUEUE_TOL = 1e-6
 
 
@@ -63,9 +65,9 @@ class DemandProfile:
     """Arrival-rate generator for HOV and SOV traffic.
 
     ``constant`` returns the means; ``poisson`` redraws both rates each step
-    from Poisson distributions with those means (veh/min); ``timeseries``
-    holds ``(t, hov, sov)`` breakpoints interpreted as a step function, the
-    first at t <= 0.
+    from Poisson distributions with those means (veh/min, at most
+    ``POISSON_MEAN_MAX``); ``timeseries`` holds ``(t, hov, sov)`` breakpoints
+    interpreted as a step function, the first at t <= 0.
     """
 
     kind: str = "constant"
@@ -83,6 +85,9 @@ class DemandProfile:
                 require_finite(key, rate)
                 if rate < 0:
                     raise ValueError(f"{key} cannot be negative")
+                if self.kind == "poisson" and rate > POISSON_MEAN_MAX:
+                    raise ValueError(f"{key}: a Poisson mean must be at most "
+                                     f"{POISSON_MEAN_MAX:g} veh/min, got {rate:g}")
         else:
             if not _float_array("samples", self.samples, "rows of three numbers", (None, 3)):
                 raise ValueError("samples: timeseries demand needs at least one sample")

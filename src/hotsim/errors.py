@@ -29,7 +29,7 @@ class ScenarioAssumptionError(HotSimError):
     price law, unless ``q1 < c1 < q1 + q2``: the HOV demand saturates the HOT
     capacity, the total demand does not exceed it, or a demand rate is nan.
     The constant-demand analysis raises it for total demand at or below the
-    total capacity.
+    total capacity, and checks its mean rates through ``clearing_log_odds``.
     """
 
 

@@ -79,14 +79,18 @@ class TestAnalyticPrice:
         assert (u17 - u5) / 12.0 == pytest.approx(slope, rel=1e-12)
 
     def test_assumptions_validated(self):
-        # HOV demand at the HOT capacity is the config's own rule
+        # HOV demand past the HOT capacity meets choice.clearing_log_odds's rule
         uncongested = dataclasses.replace(S0, demand=DemandProfile(mean_sov=20.0))
+        saturated = dataclasses.replace(S0, demand=DemandProfile(mean_hov=35.0))
         timeseries = dataclasses.replace(
             S0, demand=DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)))
         for law in (lambda cfg: analytic_optimal_price(0.0, cfg), loop_gain_rate):
             with pytest.raises(ScenarioAssumptionError,
                                match="^total demand 30 must exceed the total capacity 60$"):
                 law(uncongested)
+            with pytest.raises(ScenarioAssumptionError, match="^HOV demand 35 veh/min saturates "
+                                                              "the HOT capacity 30 veh/min$"):
+                law(saturated)
             with pytest.raises(ConfigError, match="needs a demand profile with mean rates"):
                 law(timeseries)
 

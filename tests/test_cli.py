@@ -334,6 +334,38 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: total demand {10 + sov} must exceed the total capacity 60\n")
 
+    @pytest.mark.parametrize("zeta0", ["", "approx: {zeta0: 0.11}\n"], ids=["seeded", "zeta0"])
+    @pytest.mark.parametrize("argv, step", [
+        (["analytic"], ""), (["approx"], ""),
+        (["sweep", "--model", "approx", "--values", "0.1"], ""),
+        (["sweep", "--model", "approx", "--bisect", "0.1:0.2"], ""),
+        (["simulate"], "step 0 (t=0 min): "),
+    ], ids=["analytic", "approx", "sweep-values", "sweep-bisect", "simulate"])
+    def test_saturating_hov_mean_is_exit_3(self, capsys, scenario_file, argv, step, zeta0):
+        # congested in total, but the HOV means fill the HOT lanes; a given
+        # zeta0 skips the seed quote, so the reduced model's own rule rejects it
+        config = scenario_file(f"demand: {{hov: 35}}\n{zeta0}")
+        assert run_cli(*argv, "--config", config) == 3
+        assert capsys.readouterr().err == (
+            f"error: {step}HOV demand 35 veh/min saturates the HOT capacity 30 veh/min\n")
+
+    @pytest.mark.parametrize("controller", ["vot", "selflearning", "integral"])
+    def test_saturating_timeseries_shoulder(self, capsys, scenario_file, controller):
+        # HOV demand fills the HOT lanes from t=10 to t=20: the logit price
+        # laws stop at that step, and the integral controller prices no demand term
+        config = scenario_file(
+            "demand: {kind: timeseries, samples: [[0, 10, 60], [10, 30, 60], [20, 10, 60]]}\n"
+            f"controller: {{kind: {controller}}}\n")
+        code = run_cli("simulate", "--config", config, "--format", "json")
+        out, err = capsys.readouterr()
+        if controller == "integral":
+            assert (code, err) == (0, "")
+            assert json.loads(out)["final_u"] == 10.435765729757584
+        else:
+            assert (code, out) == (3, "")
+            assert err == ("error: step 600 (t=10 min): HOV demand 30 veh/min saturates "
+                           "the HOT capacity 30 veh/min\n")
+
     def test_reduced_model_seed_reads_no_unset_mean(self, capsys, scenario_file):
         # timeseries demand has no mean rates; the seed quote would read the
         # default HOV mean of 10, which saturates this HOT capacity

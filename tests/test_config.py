@@ -26,7 +26,7 @@ from hotsim.config import (
     load_config,
     parse_config_text,
 )
-from hotsim.engine import DemandProfile
+from hotsim.engine import POISSON_MEAN_MAX, DemandProfile, run_closed_loop
 from hotsim.errors import ConfigError, ScenarioAssumptionError
 from hotsim.pricing import IntegralTollController, SelfLearningController, VotFeedbackController
 from hotsim.traffic import Capacities
@@ -159,6 +159,11 @@ class TestValidation:
          "demand.samples: demand rates cannot be negative"),
         ("demand: {kind: timeseries, samples: [[5, 10, 60]]}",
          "demand.samples: first sample must start at t <= 0"),
+        # numpy draws no Poisson mean above its limit
+        ("demand: {kind: poisson, hov: 1.0e19}",
+         "demand.hov: a Poisson mean must be at most 9.22337e+18 veh/min, got 1e+19"),
+        ("demand: {kind: poisson, sov: 1.0e19}",
+         "demand.sov: a Poisson mean must be at most 9.22337e+18 veh/min, got 1e+19"),
     ])
     def test_demand_range_rules(self, text, message):
         # each value is finite, so the range rule, not the finite check, rejects it
@@ -166,8 +171,23 @@ class TestValidation:
             parse_config_text(text)
 
     def test_saturating_hov_demand_is_assumption_error(self):
-        with pytest.raises(ScenarioAssumptionError, match="HOV demand"):
-            parse_config_text("demand: {hov: 30.0}")
+        # a mean or a sample that fills the HOT lanes is parsed or built; the
+        # congested-regime rule is the price law's, met at the first quote
+        parsed = parse_config_text("demand: {hov: 30.0}")
+        built = dataclasses.replace(
+            ScenarioConfig(), demand=DemandProfile("timeseries", samples=((0.0, 30.0, 60.0),)))
+        assert parsed.demand.mean_hov == 30.0
+        for cfg in (parsed, built):
+            with pytest.raises(ScenarioAssumptionError,
+                               match=r"^step 0 \(t=0 min\): HOV demand 30 "):
+                run_closed_loop(cfg)
+
+    def test_poisson_mean_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(POISSON_MEAN_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(math.nextafter(POISSON_MEAN_MAX, math.inf))
+        DemandProfile("poisson", POISSON_MEAN_MAX, POISSON_MEAN_MAX)
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ConfigError, match="controller.vot"):
@@ -210,9 +230,6 @@ UNPARSED = [
     ({"seed": -1}, ConfigError, "run.seed"),
     ({"replications": 0}, ConfigError, "run.replications"),
     ({"initial_gp_queue": -1.0}, ConfigError, "initial.gp_queue"),
-    ({"demand": DemandProfile("timeseries", samples=((0.0, 30.0, 60.0),))},
-     ScenarioAssumptionError, "demand.samples"),
-    ({"demand": DemandProfile(mean_hov=30.0)}, ScenarioAssumptionError, "demand.hov"),
 ]
 
 NAN = math.nan
