@@ -22,6 +22,16 @@ comparison clamps included, so those kernels are its bit-for-bit reference
 in a step are the controller's ``quote`` and ``observe``, and ``demand_at``
 and ``choice.sample_eta`` when demand or noise varies.
 
+The terms that depend only on the demand and the disturbance are formed once
+per draw, where ``q1``, ``q2`` and ``eta`` are read (once per run for
+constant demand and noise ``none``): ``c1 - q1`` of
+``traffic.residual_capacity``, ``q1 + q2 - c1`` of ``traffic.throughputs``,
+``q1 + q2 - c2 - c1`` of ``traffic.step_point_queues`` and
+``(1 + eta) * vot`` of ``choice.paying_demand``.  Each is the left-most part
+of its kernel's expression, so every operation keeps its order and its
+bits.  The step time is a float counter times ``dt``, exact as ``k * dt``
+below 2**53 steps.
+
 The final state at ``t = horizon`` is computed and recorded without a
 further controller or queue update, so a run of ``horizon / dt`` steps
 yields ``horizon / dt + 1`` rows.  Each run that draws (Poisson demand or
@@ -142,12 +152,14 @@ class Trajectory:
     """Recorded steps of one run, kept as the rows the loop made.
 
     Built from one tuple per step with a value for every ``STATE_FIELDS``
-    entry, in that order.  ``pi`` is the controller's VOT estimate and nan
+    entry, in that order.  ``has_pi`` says whether the run's controller keeps
+    a VOT estimate: ``pi`` is that estimate, which may itself be nan, and nan
     when the strategy has none.
     """
 
-    def __init__(self, rows) -> None:
+    def __init__(self, rows, *, has_pi: bool) -> None:
         self._rows = tuple(rows)
+        self.has_pi = has_pi
         widths = set(map(len, self._rows))
         if widths - {len(STATE_FIELDS)}:
             raise ValueError(f"a row needs {len(STATE_FIELDS)} numbers; "
@@ -230,29 +242,39 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     hot, gp = caps.hot, caps.gp
     scale, vot = behavior.scale, behavior.vot
     exp = math.exp
-    # constant demand and noise "none" give the same value every step, so
-    # they are read once here
-    if not demand_varies:
-        q1, q2 = demand_at(demand, 0.0, rng)
-    if not noise_varies:
-        eta = sample_eta(noise, rng)
+    # step 0 reads the demand and the disturbance; later steps read them
+    # again only when they vary, so constant demand and noise "none" are
+    # read once per run
+    read_demand = read_eta = True
 
     rows = []
+    step = 0.0  # k as a float: exact below 2**53 steps, so t is k * dt
     # overflow in a controller's numpy products gives inf or nan quietly, as
     # it does in the float arithmetic around them; summarize reports it
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k in range(n_steps + 1):
-                t = k * dt
+                t = step * dt
+                step += 1.0
                 w = lambda2 / gp - lambda1 / hot  # traffic.queuing_times
-                if demand_varies:
+                # each term below is the left-most part of its kernel's
+                # expression, so it is formed once per draw and the
+                # operations keep their order
+                if read_demand:
                     q1, q2 = demand_at(demand, t, rng)
-                if noise_varies:
+                    total = q1 + q2
+                    spare = hot - q1  # traffic.residual_capacity
+                    gp_inflow = total - hot  # traffic.throughputs
+                    gp_excess = total - gp - hot  # traffic.step_point_queues
+                    read_demand = demand_varies
+                if read_eta:
                     eta = sample_eta(noise, rng)
+                    weight = (1.0 + eta) * vot  # choice.paying_demand
+                    read_eta = noise_varies
                 if q2 > 0.0:
                     u = quote(w, q1, q2)
                     # choice.paying_demand: the sign-split logistic
-                    x = scale * (u - (1.0 + eta) * vot * w)
+                    x = scale * (u - weight * w)
                     if x >= 0.0:
                         e = exp(-x)
                         q3 = q2 * (e / (1.0 + e))
@@ -261,11 +283,11 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                 else:
                     # no SOVs to price this step
                     u, q3 = 0.0, 0.0
-                zeta = hot - q1 - q3  # traffic.residual_capacity
+                zeta = spare - q3  # traffic.residual_capacity
                 # traffic.throughputs
                 g1 = hot - zeta + lambda1 / dt
                 g1 = hot if hot < g1 else g1
-                g2 = q1 + q2 - hot + zeta + lambda2 / dt
+                g2 = gp_inflow + zeta + lambda2 / dt
                 g2 = gp if gp < g2 else g2
                 g1 = 0.0 if 0.0 > g1 else g1
                 g2 = 0.0 if 0.0 > g2 else g2
@@ -277,13 +299,13 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                     observe(dt, lambda1, zeta, w, u, q1, q2, q3)
                 # traffic.step_point_queues
                 lambda1 = -zeta * dt + lambda1
-                lambda2 = (q1 + q2 - gp - hot + zeta) * dt + lambda2
+                lambda2 = (gp_excess + zeta) * dt + lambda2
                 lambda1 = 0.0 if 0.0 > lambda1 else lambda1
                 lambda2 = 0.0 if 0.0 > lambda2 else lambda2
         except HotSimError as exc:
             raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
 
-    return Trajectory(rows)
+    return Trajectory(rows, has_pi=has_pi)
 
 
 def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
@@ -308,16 +330,15 @@ def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
         above = np.flatnonzero(~(lambda1 < ZERO_QUEUE_TOL))  # nan counts as above
         time_to_zero = float(rows[above[-1] + 1 if above.size else 0][_INDEX["t"]])
 
-    has_pi = not math.isnan(final_pi)
     with np.errstate(over="ignore", invalid="ignore"):
         rmse = None
-        if has_pi:
+        if traj.has_pi:
             pi_tail = _floats(rows[3 * len(rows) // 4:], "pi")
             rmse = float(np.sqrt(np.mean((pi_tail - pi_star) ** 2)))
         metrics = SummaryMetrics(
             avg_g1=float(g1.mean()),
             final_u=float(rows[-1][_INDEX["u"]]),
-            final_pi=final_pi if has_pi else None,
+            final_pi=final_pi if traj.has_pi else None,
             max_lambda1=float(lambda1.max()),
             final_lambda1=float(lambda1[-1]),
             time_to_zero_queue=time_to_zero,

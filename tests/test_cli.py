@@ -250,8 +250,12 @@ class TestExitCodes:
         ("controller: {vot: {initial_vot: 1.0e300}}\n", "pi_rmse_tail"),
         ("controller: {kind: selflearning, "
          "selflearning: {initial_theta: [1.0e300, 1.0e-5, 0]}}\n", "pi_rmse_tail"),
+        # alpha1 = alpha2 = 0 and no SOV demand to quote: the estimate is 0/0
+        ("controller: {kind: selflearning, selflearning: {initial_theta: [0.0, 0.0, 0.1]}}\n"
+         "demand: {kind: timeseries, samples: [[0.0, 10.0, 0.0]]}\n"
+         "run: {horizon: 0.05}\n", "final_pi"),
     ], ids=["initial.hot_queue", "controller.vot.initial_vot",
-            "controller.selflearning.initial_theta"])
+            "controller.selflearning.initial_theta", "nan-estimate"])
     def test_non_finite_summary_is_its_own_error(
         self, scenario_file, tmp_path, capsys, text, metric
     ):

@@ -333,16 +333,17 @@ def reference_run_closed_loop(config, seed=None):
         except HotSimError as exc:
             raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
 
-    return Trajectory(rows)
+    return Trajectory(rows, has_pi=has_pi)
 
 
 def run_outcome(run, config):
-    """Each column's bytes, or the type and message of the error the run raised."""
+    """Each column's bytes and whether the run keeps an estimate, or the type
+    and message of the error the run raised."""
     try:
         traj = run(config)
     except (HotSimError, ArithmeticError) as exc:
         return type(exc), str(exc)
-    return [traj.column(name).tobytes() for name in STATE_FIELDS]
+    return [traj.column(name).tobytes() for name in STATE_FIELDS], traj.has_pi
 
 
 @st.composite
@@ -452,7 +453,7 @@ class TestTrajectory:
             tuple(specials[(i * 5 + j) % len(specials)] for j in range(len(STATE_FIELDS)))
             for i in range(n_rows)
         ]
-        traj = Trajectory(rows)
+        traj = Trajectory(rows, has_pi=True)
         # the table as built before it was read in one pass
         table = np.array(list(zip(*rows)), dtype=float).reshape(len(STATE_FIELDS), -1)
         # the table as built before the rows were packed with struct
@@ -480,13 +481,13 @@ class TestTrajectory:
         # rows of 12 and 14 numbers, in either order, hold two rows' worth of values
         rows = [(0.0,) * width, (0.0,) * (2 * len(STATE_FIELDS) - width)]
         with pytest.raises(ValueError, match=f"{len(STATE_FIELDS)} numbers"):
-            Trajectory(rows)
+            Trajectory(rows, has_pi=True)
 
 
 class TestSummaries:
     def test_empty_trajectory_is_rejected(self):
         with pytest.raises(ValueError, match="^cannot summarize an empty trajectory"):
-            summarize(Trajectory([]), 0.5)
+            summarize(Trajectory([], has_pi=True), 0.5)
 
     def test_reference_run_metrics(self):
         metrics = summarize(run_closed_loop(S0), pi_star=0.5)
@@ -501,7 +502,7 @@ class TestSummaries:
     def test_all_zero_trajectory_gives_zero_metrics(self):
         # t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta
         rows = [(k * 0.1,) + (0.0,) * 12 for k in range(11)]
-        metrics = summarize(Trajectory(rows), pi_star=0.0)
+        metrics = summarize(Trajectory(rows, has_pi=True), pi_star=0.0)
         assert metrics.avg_g1 == 0.0
         assert metrics.final_u == 0.0
         assert metrics.final_pi == 0.0
@@ -531,10 +532,17 @@ class TestSummaries:
         (dict(controller_kind="selflearning",
               selflearning_spec=SelfLearningSpec(initial_theta=(1.0e300, 1.0e-5, 0.0))),
          "pi_rmse_tail"),
+        # alpha1 = alpha2 = 0 and no SOV demand to quote: the estimate is 0/0,
+        # which is a nan estimate, not a controller without one
+        (dict(controller_kind="selflearning",
+              selflearning_spec=SelfLearningSpec(initial_theta=(0.0, 0.0, 0.1)),
+              demand=DemandProfile("timeseries", samples=((0.0, 10.0, 0.0),)),
+              horizon=0.05),
+         "final_pi"),
     ]
 
     @pytest.mark.parametrize("overrides, metric", OVERFLOWING,
-                             ids=["hot_queue", "initial_vot", "initial_theta"])
+                             ids=["hot_queue", "initial_vot", "initial_theta", "nan_estimate"])
     def test_non_finite_metric_is_named_without_warnings(self, overrides, metric):
         cfg = dataclasses.replace(S0, **overrides)
         with warnings.catch_warnings():
@@ -547,4 +555,4 @@ class TestSummaries:
         # u (final_u) and lambda1 (max_lambda1, final_lambda1) are non-finite
         rows = [(0.0, math.inf, 0.0, 0.0, 0.0, 0.5, math.nan) + (0.0,) * 6]
         with pytest.raises(NonFiniteResultError, match="final_u is nan"):
-            summarize(Trajectory(rows), pi_star=0.5)
+            summarize(Trajectory(rows, has_pi=True), pi_star=0.5)
