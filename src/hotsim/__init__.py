@@ -33,6 +33,7 @@ from .config import (
 )
 from .engine import (
     DemandProfile,
+    Draws,
     SummaryMetrics,
     Trajectory,
     demand_at,

@@ -22,7 +22,7 @@ from . import traffic
 from .errors import ScenarioAssumptionError, brief_repr, require_finite, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
+    from .engine import Draws
 
 NOISE_KINDS = ("none", "uniform")
 
@@ -97,12 +97,12 @@ def induced_residual_capacity(
     return traffic.residual_capacity(c1, q1, paying_demand(q2, u, w, eta, params))
 
 
-def sample_eta(noise: NoiseSpec, rng: np.random.Generator) -> float:
+def sample_eta(noise: NoiseSpec, draws: Draws) -> float:
     """Draw one choice disturbance from the run's random stream."""
     if noise.kind == "none":
         return 0.0
-    # numpy's uniform(low, high) is exactly low + (high - low) * random(),
-    # so this consumes the stream and rounds as uniform does, at a third of
-    # the cost of a scalar uniform call
+    # (raw >> 11) * 2**-53 is PCG64's next_double, written on the 64-bit
+    # integer stream numpy keeps fixed, so this is bit for bit numpy's
+    # uniform(low, high), low + (high - low) * random()
     low, high = -noise.half_width, noise.half_width
-    return low + (high - low) * rng.random()
+    return low + (high - low) * ((draws.raw() >> 11) * 2.0**-53)

@@ -35,10 +35,15 @@ below 2**53 steps.
 The final state at ``t = horizon`` is computed and recorded without a
 further controller or queue update, so a run of ``horizon / dt`` steps
 yields ``horizon / dt + 1`` rows.  Each run that draws (Poisson demand or
-choice noise) owns a single seeded random stream; the per-step draw order
-(HOV demand, SOV demand, disturbance) never varies, so runs with the same
-seed see identical demand realizations regardless of the controller.  A run
-that draws nothing builds no stream, though its seed is still checked.
+choice noise) owns a single seeded random stream, one ``Draws`` on
+``np.random.default_rng(seed)``: PCG64 seeded through numpy's
+``SeedSequence``.  The Poisson demand comes from that generator's
+``poisson``; the disturbance is formed from one 64-bit integer of PCG64's
+raw stream, bit for bit the ``uniform`` numpy's generator would return.  The
+per-step draw order (HOV demand, SOV demand, disturbance) never varies, so
+runs with the same seed see identical demand realizations regardless of the
+controller.  A run that draws nothing builds no stream, though its seed is
+still checked.
 
 A run builds only what is read.  Its ``Trajectory`` keeps the row tuples
 the loop made, so the CSV formats those floats directly; ``column`` builds
@@ -115,14 +120,37 @@ class DemandProfile:
         return tuple(s[0] for s in self.samples)
 
 
-def demand_at(profile: DemandProfile, t: float,
-              rng: np.random.Generator | None) -> tuple[float, float]:
+class Draws:
+    """The single seeded random stream of one run that draws.
+
+    Built on ``np.random.default_rng(seed)``, so the seed goes through
+    numpy's ``SeedSequence`` to a PCG64 bit generator.  ``poisson`` is the
+    generator's bound ``Generator.poisson``; ``raw`` is its bit generator's
+    bound ``random_raw``, one 64-bit integer of PCG64's stream per call, from
+    which ``choice.sample_eta`` forms a uniform draw.  ``mean_hov`` and
+    ``mean_sov`` are ``demand``'s two means as float64 0-d arrays, which
+    ``Generator.poisson`` takes without converting them on every call; only
+    ``demand_at`` on a ``poisson`` profile reads them, so a ``Draws`` serves
+    the profile it was built with.
+    """
+
+    def __init__(self, seed: int, demand: DemandProfile) -> None:
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        self.poisson = rng.poisson
+        self.raw = rng.bit_generator.random_raw
+        self.mean_hov = np.array(demand.mean_hov, dtype=np.float64)
+        self.mean_sov = np.array(demand.mean_sov, dtype=np.float64)
+
+
+def demand_at(profile: DemandProfile, t: float, draws: Draws | None) -> tuple[float, float]:
     """Demand rates (HOV, SOV) in veh/min for the step starting at ``t``;
-    only ``poisson`` demand draws from ``rng``."""
+    only ``poisson`` demand draws, from ``draws``, built with ``profile``."""
     if profile.kind == "constant":
         return profile.mean_hov, profile.mean_sov
     if profile.kind == "poisson":
-        return float(rng.poisson(profile.mean_hov)), float(rng.poisson(profile.mean_sov))
+        return float(draws.poisson(draws.mean_hov)), float(draws.poisson(draws.mean_sov))
     times = profile.sample_times
     idx = bisect.bisect_right(times, t) - 1
     if idx < 0:
@@ -229,8 +257,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     demand_varies = demand.kind != "constant"
     noise_varies = noise.kind != "none"
     # only Poisson demand and choice noise draw; a run with neither builds no stream
-    draws = demand.kind == "poisson" or noise_varies
-    rng = np.random.default_rng(run_seed) if draws else None
+    draws = Draws(run_seed, demand) if demand.kind == "poisson" or noise_varies else None
     controller = config.controller.build(caps)
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
     has_pi = controller.vot_estimate is not None
@@ -261,14 +288,14 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                 # expression, so it is formed once per draw and the
                 # operations keep their order
                 if read_demand:
-                    q1, q2 = demand_at(demand, t, rng)
+                    q1, q2 = demand_at(demand, t, draws)
                     total = q1 + q2
                     spare = hot - q1  # traffic.residual_capacity
                     gp_inflow = total - hot  # traffic.throughputs
                     gp_excess = total - gp - hot  # traffic.step_point_queues
                     read_demand = demand_varies
                 if read_eta:
-                    eta = sample_eta(noise, rng)
+                    eta = sample_eta(noise, draws)
                     weight = (1.0 + eta) * vot  # choice.paying_demand
                     read_eta = noise_varies
                 if q2 > 0.0:

@@ -19,8 +19,9 @@ def _openblas_core() -> str:
 
 
 def pytest_report_header(config):
-    # the full-precision self-learning digests hold only on the SkylakeX kernel
-    return f"openblas core: {_openblas_core()}"
+    # the full-precision self-learning digests hold only on the SkylakeX kernel;
+    # the pinned Poisson draws rest on this numpy release's Generator.poisson
+    return f"numpy: {numpy.__version__}, openblas core: {_openblas_core()}"
 
 
 @pytest.fixture

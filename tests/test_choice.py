@@ -1,6 +1,8 @@
 """Logit lane choice: split values, ranges, and the price-law fixed point."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,10 @@ from hotsim.choice import (
     paying_demand,
     sample_eta,
 )
+from hotsim.config import load_config
+from hotsim.engine import DemandProfile, Draws, demand_at
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 PARAMS = BehaviorParams(vot=0.5, scale=1.0)
 # price that zeroes the residual capacity at w = 20/3 under PARAMS
@@ -126,19 +132,18 @@ class TestInducedResidualCapacity:
 
 class TestSampleEta:
     def test_disabled_noise_is_exactly_zero(self):
-        rng = np.random.default_rng(0)
-        assert sample_eta(NoiseSpec("none", 0.0), rng) == 0.0
+        assert sample_eta(NoiseSpec("none", 0.0), Draws(0, DemandProfile())) == 0.0
 
     def test_uniform_draws_stay_in_bounds(self):
-        rng = np.random.default_rng(1)
+        source = Draws(1, DemandProfile())
         spec = NoiseSpec("uniform", 0.1)
-        draws = np.array([sample_eta(spec, rng) for _ in range(10_000)])
+        draws = np.array([sample_eta(spec, source) for _ in range(10_000)])
         assert draws.min() >= -0.1 and draws.max() <= 0.1
 
     def test_uniform_mean_is_centered(self):
-        rng = np.random.default_rng(2)
+        source = Draws(2, DemandProfile())
         spec = NoiseSpec("uniform", 0.1)
-        draws = np.array([sample_eta(spec, rng) for _ in range(1_000_000)])
+        draws = np.array([sample_eta(spec, source) for _ in range(1_000_000)])
         assert abs(draws.mean()) < 1e-3
 
     def test_half_width_validation(self):
@@ -150,16 +155,44 @@ class TestSampleEta:
 
 def test_scalar_draws_are_numpys_uniform():
     # the engine's per-step order: HOV demand, SOV demand, then the disturbance;
-    # a twin generator that calls uniform(-h, h) must see the same bytes
-    for half_width in (0.0, 1e-3, 0.1, 0.5, 0.999):
-        spec = NoiseSpec("uniform", half_width)
-        for seed in (0, 77, 2**63 + 5):
-            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            ours, theirs = [], []
-            for _ in range(2000):
-                ours += [float(rng.poisson(10.0)), float(rng.poisson(60.0)),
-                         sample_eta(spec, rng)]
-                theirs += [float(twin.poisson(10.0)), float(twin.poisson(60.0)),
-                           float(twin.uniform(-half_width, half_width))]
-            assert all(type(v) is float for v in ours)
-            assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+    # a twin generator that calls poisson(mean) and uniform(-h, h) must see the
+    # same bytes.  Means below 10 take numpy's multiplication method, the rest PTRS
+    for mean in (0.0, 3.5, 10.0, 60.0):
+        profile = DemandProfile("poisson", mean, mean)
+        for half_width in (0.0, 1e-3, 0.1, 0.5, 0.999):
+            spec = NoiseSpec("uniform", half_width)
+            for seed in (0, 77, 2**63 + 5):
+                draws, twin = Draws(seed, profile), np.random.default_rng(seed)
+                ours, theirs = [], []
+                for k in range(2000):
+                    ours += [*demand_at(profile, k / 60, draws), sample_eta(spec, draws)]
+                    theirs += [float(twin.poisson(mean)), float(twin.poisson(mean)),
+                               float(twin.uniform(-half_width, half_width))]
+                assert all(type(v) is float for v in ours)
+                assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+
+
+# sha256 of the float64 bytes of the first 10,000 steps of (HOV, SOV,
+# disturbance) that stochastic.yaml's profile and noise draw, per seed;
+# recorded when both demand and disturbance came from Generator's samplers
+STOCHASTIC_DRAWS = {
+    0: "8a62bc1c9a9b8f8b858543c91f5419c3486d48ebef39416ae33b5f3a29ab88b2",
+    1000: "6e46d59ea4305bea68f4f081c30e466f86691d0167f46dec785e0dd129f74245",
+    2**63 + 5: "30d95fed541488a1bbf6aaf03bd7ee1c647e1728dd9fd3785fb80204696b92bb",
+}
+
+
+@pytest.mark.parametrize("seed", STOCHASTIC_DRAWS)
+def test_draw_source_output_is_pinned(seed):
+    config = load_config(str(SCENARIOS / "stochastic.yaml"))
+    profile, noise = config.demand, config.noise
+    draws = Draws(seed, profile)
+    values = []
+    for k in range(10_000):
+        values += [*demand_at(profile, k * config.dt, draws), sample_eta(noise, draws)]
+    digest = hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()
+    assert digest == STOCHASTIC_DRAWS[seed], (
+        "the run's draws moved.  The disturbance is formed from PCG64's raw "
+        "integer stream, which numpy keeps fixed; the Poisson draws still rest on "
+        "numpy's Generator.poisson (ROADMAP direction 2), so a numpy release that "
+        "changes that sampler moves them")

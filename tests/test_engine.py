@@ -25,6 +25,7 @@ from hotsim.config import (
 from hotsim.engine import (
     STATE_FIELDS,
     DemandProfile,
+    Draws,
     Trajectory,
     check_seeds,
     demand_at,
@@ -47,38 +48,35 @@ NEGATIVE_NAN_WITH_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF800000000
 
 class TestDemandAt:
     def test_constant_profile(self):
-        rng = np.random.default_rng(0)
         profile = DemandProfile(kind="constant", mean_hov=10.0, mean_sov=60.0)
-        assert demand_at(profile, 3.0, rng) == (10.0, 60.0)
+        assert demand_at(profile, 3.0, Draws(0, profile)) == (10.0, 60.0)
 
     def test_zero_demand(self):
-        rng = np.random.default_rng(0)
         profile = DemandProfile(kind="constant", mean_hov=0.0, mean_sov=0.0)
-        assert demand_at(profile, 0.0, rng) == (0.0, 0.0)
+        assert demand_at(profile, 0.0, Draws(0, profile)) == (0.0, 0.0)
 
     def test_poisson_sample_mean(self):
-        rng = np.random.default_rng(42)
         profile = DemandProfile(kind="poisson", mean_hov=10.0, mean_sov=60.0)
-        draws = [demand_at(profile, k / 60, rng) for k in range(1200)]
+        source = Draws(42, profile)
+        draws = [demand_at(profile, k / 60, source) for k in range(1200)]
         hov = np.array([d[0] for d in draws])
         assert abs(hov.mean() - 10.0) < 1.5
 
     def test_timeseries_is_a_step_function(self):
-        rng = np.random.default_rng(0)
         profile = DemandProfile(
             kind="timeseries",
             samples=((0.0, 10.0, 60.0), (5.0, 12.0, 55.0)),
         )
-        assert demand_at(profile, 4.99, rng) == (10.0, 60.0)
-        assert demand_at(profile, 5.0, rng) == (12.0, 55.0)
-        assert demand_at(profile, 19.0, rng) == (12.0, 55.0)
+        draws = Draws(0, profile)
+        assert demand_at(profile, 4.99, draws) == (10.0, 60.0)
+        assert demand_at(profile, 5.0, draws) == (12.0, 55.0)
+        assert demand_at(profile, 19.0, draws) == (12.0, 55.0)
 
     def test_timeseries_lookup_before_first_sample(self):
         # a profile starts at t <= 0, so only a negative time is before it
-        rng = np.random.default_rng(0)
         profile = DemandProfile(kind="timeseries", samples=((0.0, 10.0, 60.0),))
         with pytest.raises(ConfigError):
-            demand_at(profile, -0.5, rng)
+            demand_at(profile, -0.5, Draws(0, profile))
 
 
 class TestClosedLoop:
@@ -289,8 +287,9 @@ class TestClosedLoop:
 
 def reference_run_closed_loop(config, seed=None):
     """``run_closed_loop`` as it ran when each step called the plant kernels
-    of ``traffic`` and ``choice``: the loop now does their arithmetic itself
-    and must give the same bits, and the same error, as this run."""
+    of ``traffic`` and ``choice`` and drew from a plain numpy ``Generator``:
+    the loop now does their arithmetic itself and draws from a ``Draws``, and
+    must give the same bits, and the same error, as this run."""
     caps, dt, n_steps = config.capacities, config.dt, config.n_steps
     demand, noise, behavior = config.demand, config.noise, config.behavior
     run_seed, _ = check_seeds(config.seed if seed is None else seed, 1)
@@ -300,10 +299,16 @@ def reference_run_closed_loop(config, seed=None):
     has_pi = controller.vot_estimate is not None
     demand_varies = demand.kind != "constant"
     noise_varies = noise.kind != "none"
+
+    def draw_demand(t):
+        if demand.kind == "poisson":
+            return float(rng.poisson(demand.mean_hov)), float(rng.poisson(demand.mean_sov))
+        return demand_at(demand, t, None)
+
     if not demand_varies:
-        q1, q2 = demand_at(demand, 0.0, rng)
+        q1, q2 = draw_demand(0.0)
     if not noise_varies:
-        eta = choice.sample_eta(noise, rng)
+        eta = 0.0
 
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -312,9 +317,9 @@ def reference_run_closed_loop(config, seed=None):
                 t = k * dt
                 _, _, w = traffic.queuing_times(lambda1, lambda2, caps)
                 if demand_varies:
-                    q1, q2 = demand_at(demand, t, rng)
+                    q1, q2 = draw_demand(t)
                 if noise_varies:
-                    eta = choice.sample_eta(noise, rng)
+                    eta = float(rng.uniform(-noise.half_width, noise.half_width))
                 if q2 > 0.0:
                     u = controller.quote(w, q1, q2)
                     q3 = choice.paying_demand(q2, u, w, eta, behavior)
