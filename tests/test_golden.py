@@ -92,3 +92,23 @@ def test_sweep_to_stdout(capsys):
     out, err = capsys.readouterr()
     assert text_digest(out) == "10d7c706fc1c20cb"
     assert err == "boundary k2=0.1484375\n"
+
+
+# breakpoints of a 1/60 min step: one before the run, one between two steps,
+# one on a step time, two between the next two steps (the second leaves no
+# SOVs to price), one on a step time again and one past the horizon
+TIMESERIES = ("demand: {kind: timeseries, samples: [[-3, 10, 60], [5.005, 12, 58], "
+              "[10, 11, 61.5], [10.001, 9, 70], [10.002, 10, 0], [12.5, 10, 65], [25, 10, 60]]}")
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("vot", "46801ceefad81915"),
+    ("integral", "7a0084cdc894d0fa"),
+    ("selflearning", "d5c3e20db2c752a5"),
+])
+def test_simulate_timeseries_breakpoints_per_controller(tmp_path, kind, expected):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(f"{TIMESERIES}\ncontroller: {{kind: {kind}}}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert digest(out / "trajectory.csv") == expected
