@@ -294,7 +294,9 @@ def approx_initial_zeta(config: "ScenarioConfig") -> float:
         return config.approx_zeta0
     q1, q2, c1, _ = _congested_means(config)
     _, _, w0 = queuing_times(config.initial_hot_queue, config.initial_gp_queue, config.capacities)
-    u0 = config.vot_spec.build(config.capacities).quote(w0, q1, q2)
+    controller = config.vot_spec.build(config.capacities)
+    controller.set_demand(q1, q2)
+    u0 = controller.quote(w0)
     return induced_residual_capacity(c1, q1, q2, u0, w0, 0.0, config.behavior)
 
 

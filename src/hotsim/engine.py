@@ -5,9 +5,12 @@ controller into one discrete feedback loop and records every step.  The
 per-step sequence is fixed:
 
 1. queuing times from the current queues;
-2. demand rates from the profile (read once per run for constant demand);
+2. demand rates read from the profile, and handed to the controller's
+   ``set_demand``, only at a step where they may have changed: step 0, and
+   then every step for Poisson demand and the first step at or past each
+   later breakpoint of a timeseries (``DemandProfile.next_change``);
 3. choice disturbance drawn (read once per run, as 0, without noise);
-4. price quoted by the controller from its current state;
+4. price quoted by the controller from its current state and the delay;
 5. paying demand and residual capacity from the lane-choice model;
 6. throughputs recorded;
 7. controller updated with the same-step observation;
@@ -19,11 +22,14 @@ makes the IEEE operations of ``traffic.queuing_times``,
 ``traffic.throughputs`` and ``traffic.step_point_queues`` in their order,
 comparison clamps included, so those kernels are its bit-for-bit reference
 (``tests/test_engine.py`` holds a run that calls them).  The only calls left
-in a step are the controller's ``quote`` and ``observe``, and ``demand_at``
-and ``choice.sample_eta`` when demand or noise varies.
+in a step are the controller's ``quote`` and ``observe``, and, at a step that
+reads them, ``demand_at`` with ``set_demand`` and ``choice.sample_eta``.  A
+``timeseries`` step before the next breakpoint would read the sample the
+last read got, so it reads none: the breakpoints reached, not the steps,
+count a timeseries run's reads.
 
 The terms that depend only on the demand and the disturbance are formed once
-per draw, where ``q1``, ``q2`` and ``eta`` are read (once per run for
+per read, where ``q1``, ``q2`` and ``eta`` are read (once per run for
 constant demand and noise ``none``): ``c1 - q1`` of
 ``traffic.residual_capacity``, ``q1 + q2 - c1`` of ``traffic.throughputs``,
 ``q1 + q2 - c2 - c1`` of ``traffic.step_point_queues`` and
@@ -118,6 +124,19 @@ class DemandProfile:
     def sample_times(self) -> tuple[float, ...]:
         """Breakpoint times of a ``timeseries`` profile, in order."""
         return tuple(s[0] for s in self.samples)
+
+    def next_change(self, t: float) -> float:
+        """The time from which ``demand_at`` may give other rates than at ``t``:
+        never (inf) for ``constant``; ``t`` itself for ``poisson``, which draws
+        anew at every read; for ``timeseries`` the first sample time after
+        ``t``, found as ``demand_at`` picks its sample, or inf past the last."""
+        if self.kind == "constant":
+            return math.inf
+        if self.kind == "poisson":
+            return t
+        times = self.sample_times
+        idx = bisect.bisect_right(times, t)
+        return times[idx] if idx < len(times) else math.inf
 
 
 class Draws:
@@ -254,25 +273,28 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     caps, dt, n_steps = config.capacities, config.dt, config.n_steps
     demand, noise, behavior = config.demand, config.noise, config.behavior
     run_seed, _ = check_seeds(config.seed if seed is None else seed, 1)
-    demand_varies = demand.kind != "constant"
-    noise_varies = noise.kind != "none"
+    redraw, noise_varies = demand.kind == "poisson", noise.kind != "none"
     # only Poisson demand and choice noise draw; a run with neither builds no stream
-    draws = Draws(run_seed, demand) if demand.kind == "poisson" or noise_varies else None
+    draws = Draws(run_seed, demand) if redraw or noise_varies else None
     controller = config.controller.build(caps)
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
     has_pi = controller.vot_estimate is not None
     # bound once per run, after any replacement of the module attributes
-    quote, observe, sample_eta = controller.quote, controller.observe, choice.sample_eta
+    set_demand, quote, observe = controller.set_demand, controller.quote, controller.observe
+    sample_eta = choice.sample_eta
     # the plant's arithmetic is written out below, each line as its kernel
     # in ``traffic`` or ``choice`` does it: a call costs about as much as
     # the few float operations it would run
     hot, gp = caps.hot, caps.gp
     scale, vot = behavior.scale, behavior.vot
     exp = math.exp
-    # step 0 reads the demand and the disturbance; later steps read them
-    # again only when they vary, so constant demand and noise "none" are
-    # read once per run
-    read_demand = read_eta = True
+    # step 0 reads the demand and the disturbance.  A later step reads the
+    # demand again once t reaches ``change``, the profile's next_change of
+    # the last read, which a Poisson run, whose every step draws, leaves at 0
+    # without asking; and the disturbance again only when noise varies, so
+    # noise "none" is read once per run
+    change = 0.0
+    read_eta = True
 
     rows = []
     step = 0.0  # k as a float: exact below 2**53 steps, so t is k * dt
@@ -285,21 +307,24 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                 step += 1.0
                 w = lambda2 / gp - lambda1 / hot  # traffic.queuing_times
                 # each term below is the left-most part of its kernel's
-                # expression, so it is formed once per draw and the
+                # expression, so it is formed once per read and the
                 # operations keep their order
-                if read_demand:
+                if t >= change:
                     q1, q2 = demand_at(demand, t, draws)
                     total = q1 + q2
                     spare = hot - q1  # traffic.residual_capacity
                     gp_inflow = total - hot  # traffic.throughputs
                     gp_excess = total - gp - hot  # traffic.step_point_queues
-                    read_demand = demand_varies
+                    if q2 > 0.0:  # the demand a quote prices
+                        set_demand(q1, q2)
+                    if not redraw:
+                        change = demand.next_change(t)
                 if read_eta:
                     eta = sample_eta(noise, draws)
                     weight = (1.0 + eta) * vot  # choice.paying_demand
                     read_eta = noise_varies
                 if q2 > 0.0:
-                    u = quote(w, q1, q2)
+                    u = quote(w)
                     # choice.paying_demand: the sign-split logistic
                     x = scale * (u - weight * w)
                     if x >= 0.0:

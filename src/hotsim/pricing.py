@@ -1,10 +1,14 @@
 """Pricing strategies for the HOT lanes.
 
-Three controllers share one interface: ``quote(w, q1, q2)`` returns the toll
-for the current step from the current internal state, and
-``observe(dt, lambda1, zeta, w, u, q1, q2, q3)`` feeds the realized step
-back into the controller.  The engine always calls them in that order, so a
-quote never sees same-step outcomes.  Each also has ``vot_estimate``, its
+Three controllers share one interface: ``set_demand(q1, q2)`` takes the
+demand rates a quote prices, ``quote(w)`` returns the toll for the current
+step from the current internal state, the last demand set and the delay
+difference ``w``, and ``observe(dt, lambda1, zeta, w, u, q1, q2, q3)`` feeds
+the realized step back into the controller.  The engine calls ``set_demand``
+only at a step whose demand may have changed and has SOVs to price, so the
+demand term of a price law is formed once per demand read, there; it calls
+``quote`` and then ``observe`` at every step with SOVs, so a quote never
+sees same-step outcomes.  Each controller also has ``vot_estimate``, its
 current estimate of the average value of time, or None for a strategy that
 keeps none.
 
@@ -17,7 +21,8 @@ keeps none.
   a linear Kalman filter and inverts the fitted logit for the price.
 
 Both logit inversions take their demand term and its congested-regime rule,
-which a nan demand fails, from ``choice.clearing_log_odds``.
+which a nan demand fails, from ``choice.clearing_log_odds`` in
+``set_demand``; a quote before the first ``set_demand`` is nan.
 
 Each controller's scenario spec (``VotControllerSpec``, ``IntegralTollSpec``,
 ``SelfLearningSpec``) sits beside it with its defaults and ``build``.  The
@@ -59,9 +64,6 @@ COV_EIG_TOL = 1e-9
 # write Python floats into a float64 buffer, the native bytes of each double
 _PACK3 = struct.Struct("3d").pack_into
 _PACK9 = struct.Struct("9d").pack_into
-# a quote's demand cache starts at nan, which equals no demand rate, so the
-# first quote computes its demand term
-_UNQUOTED = math.nan
 
 
 class _ControllerSpec:
@@ -79,10 +81,10 @@ class VotFeedbackController:
     positive residual capacity lowers it with gain ``residual_gain``.  The
     price is the estimated delay cost plus the demand term
     ``choice.clearing_log_odds`` over ``scale_guess``, the operator's guess of
-    the logit scale.  ``quote`` computes that term, which reads ``q1``, ``q2``,
-    the HOT capacity and ``scale_guess``, only when the demand pair differs
-    from the last one it priced: under constant demand, once.
+    the logit scale, which ``set_demand`` forms.
     """
+
+    _split = math.nan  # the demand term of the last set_demand
 
     def __init__(self, hot_capacity: float, queue_gain: float, residual_gain: float,
                  scale_guess: float, initial_vot: float) -> None:
@@ -95,13 +97,11 @@ class VotFeedbackController:
         self.residual_gain = residual_gain
         self.scale_guess = scale_guess
         self.vot_estimate = initial_vot
-        # the demand pair of the last quote and its log term
-        self._q1 = self._q2 = self._split = _UNQUOTED
 
-    def quote(self, w: float, q1: float, q2: float) -> float:
-        if q1 != self._q1 or q2 != self._q2:  # nan differs from itself: never kept
-            self._split = clearing_log_odds(q1, q2, self.hot_capacity) / self.scale_guess
-            self._q1, self._q2 = q1, q2
+    def set_demand(self, q1: float, q2: float) -> None:
+        self._split = clearing_log_odds(q1, q2, self.hot_capacity) / self.scale_guess
+
+    def quote(self, w: float) -> float:
         return self.vot_estimate * w + self._split
 
     def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
@@ -138,7 +138,10 @@ class IntegralTollController:
         self.u = initial_price
         self.target_demand = target_demand
 
-    def quote(self, w: float, q1: float, q2: float) -> float:
+    def set_demand(self, q1: float, q2: float) -> None:
+        """Nothing: the toll prices no demand term, so any demand runs."""
+
+    def quote(self, w: float) -> float:
         return self.u
 
     def observe(self, dt, lambda1, zeta, w, u, q1, q2, q3) -> None:
@@ -176,10 +179,12 @@ class SelfLearningController:
     (``_new_operands``) and written in place.
 
     ``quote`` checks ``alpha2`` on every call, since the filter moves it.
-    Its log term, ``choice.clearing_log_odds`` with its demand checks, reads
-    only ``q1``, ``q2`` and the HOT capacity, so it is computed only when the
-    demand pair differs from the last one priced.
+    Its log term, ``choice.clearing_log_odds`` with its demand checks, is
+    formed by ``set_demand``, so at a step that sets a demand which breaks
+    the congested regime that error comes before the ``alpha2`` one.
     """
+
+    _split = math.nan  # the demand term of the last set_demand
 
     def __init__(self, hot_capacity: float, initial_theta, initial_cov,
                  measurement_var: float, process_noise) -> None:
@@ -202,8 +207,6 @@ class SelfLearningController:
         self.vot_estimate = t0 / t1 if t1 else _divide_by_zero((t0,), t1)[0]
         self._posterior = tuple(itertools.chain.from_iterable(posterior))
         self._noise = tuple(itertools.chain.from_iterable(noise))
-        # the demand pair of the last quote and its log term
-        self._q1 = self._q2 = self._split = _UNQUOTED
         # the product operands, built by the first update: a plain attribute,
         # as a cached_property writes through the instance's __dict__, after
         # which each attribute access of a step is slower (CPython 3.11)
@@ -300,15 +303,15 @@ class SelfLearningController:
             s02 + n20, s12 + n21, d2 + n22,
         )
 
-    def quote(self, w: float, q1: float, q2: float) -> float:
+    def set_demand(self, q1: float, q2: float) -> None:
+        self._split = clearing_log_odds(q1, q2, self.hot_capacity)
+
+    def quote(self, w: float) -> float:
         alpha1, alpha2, gamma = self._coef
         if -ALPHA2_FLOOR < alpha2 < ALPHA2_FLOOR:  # abs(alpha2) < floor
             raise PriceUndefinedError(
                 f"price-utility estimate alpha2={alpha2:g} is too close to zero"
             )
-        if q1 != self._q1 or q2 != self._q2:  # nan differs from itself: never kept
-            self._split = clearing_log_odds(q1, q2, self.hot_capacity)
-            self._q1, self._q2 = q1, q2
         return (self._split + alpha1 * w - gamma) / alpha2
 
 

@@ -58,7 +58,9 @@ class TestAnalyticPrice:
         scen = dataclasses.replace(S0, behavior=BehaviorParams(0.5, 0.7),
                                    demand=DemandProfile(mean_hov=9.1, mean_sov=58.7))
         spec = VotControllerSpec(initial_vot=0.0, scale_guess=scen.behavior.scale)
-        quote = spec.build(scen.capacities).quote(0.0, 9.1, 58.7)
+        controller = spec.build(scen.capacities)
+        controller.set_demand(9.1, 58.7)
+        quote = controller.quote(0.0)
         assert analytic_optimal_price(0.0, scen).hex() == quote.hex()
 
     def test_value_at_twenty_minutes(self):

@@ -193,9 +193,9 @@ class TestExitCodes:
     def test_quote_check_fires_when_sampled_demand_changes(
         self, scenario_file, tmp_path, capsys, controller, message
     ):
-        # the draws of steps 0 and 1 pass the quote's demand checks; step 2
-        # draws an HOV demand that fills the HOT capacity, so a quote that
-        # kept the checks of an earlier demand pair would price it
+        # the draws of steps 0 and 1 pass the demand checks of set_demand;
+        # step 2 draws an HOV demand that fills the HOT capacity, so a loop
+        # that set the demand only once would price it
         config = scenario_file(f"demand: {{kind: poisson, hov: 25}}\n"
                                f"controller: {{kind: {controller}}}\n")
         out = tmp_path / "out"
@@ -209,6 +209,19 @@ class TestExitCodes:
             "  selflearning: {initial_theta: [0.25, 0.0, 0.1]}\n"
         )
         assert run_cli("simulate", "--config", config) == 4
+
+    def test_saturating_demand_is_reported_before_the_degenerate_price(
+        self, scenario_file, capsys
+    ):
+        # step 0 sets a demand that fills the HOT lanes and has alpha2 = 0 to
+        # quote with: the demand is set first, so its error is the one reported
+        config = scenario_file(
+            "demand: {hov: 30}\n"
+            "controller: {kind: selflearning, selflearning: {initial_theta: [0.25, 0.0, 0.1]}}\n"
+        )
+        assert run_cli("simulate", "--config", config) == 3
+        assert capsys.readouterr().err == (
+            "error: step 0 (t=0 min): HOV demand 30 veh/min saturates the HOT capacity 30 veh/min\n")
 
     @pytest.mark.parametrize("samples, code, message", [
         ("[[0.0, 10.0, 0.0], [0.02, 10.0, 60.0]]", 4,

@@ -172,7 +172,7 @@ class TestValidation:
 
     def test_saturating_hov_demand_is_assumption_error(self):
         # a mean or a sample that fills the HOT lanes is parsed or built; the
-        # congested-regime rule is the price law's, met at the first quote
+        # congested-regime rule is the price law's, met when the run sets that demand
         parsed = parse_config_text("demand: {hov: 30.0}")
         built = dataclasses.replace(
             ScenarioConfig(), demand=DemandProfile("timeseries", samples=((0.0, 30.0, 60.0),)))

@@ -6,6 +6,7 @@ import itertools
 import math
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from hotsim.config import (
     SelfLearningSpec,
     VotControllerSpec,
     config_fingerprint,
+    load_config,
+    parse_config_text,
 )
 from hotsim.engine import (
     STATE_FIELDS,
@@ -42,6 +45,7 @@ from hotsim.errors import (
 from hotsim.traffic import Capacities
 
 S0 = ScenarioConfig()
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # sign bit set and a payload of 0x123 in a quiet nan
 NEGATIVE_NAN_WITH_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000123))[0]
 
@@ -71,6 +75,19 @@ class TestDemandAt:
         assert demand_at(profile, 4.99, draws) == (10.0, 60.0)
         assert demand_at(profile, 5.0, draws) == (12.0, 55.0)
         assert demand_at(profile, 19.0, draws) == (12.0, 55.0)
+
+    def test_next_change_of_each_kind(self):
+        assert DemandProfile("constant").next_change(3.0) == math.inf
+        assert DemandProfile("poisson").next_change(3.0) == 3.0
+        profile = DemandProfile("timeseries", samples=(
+            (-1.0, 10.0, 60.0), (5.0, 12.0, 55.0), (5.5, 11.0, 58.0)))
+        # the first sample time after t, as demand_at picks the sample at or before t
+        assert profile.next_change(0.0) == 5.0
+        assert profile.next_change(4.99) == 5.0
+        assert profile.next_change(5.0) == 5.5
+        assert profile.next_change(5.2) == 5.5
+        assert profile.next_change(5.5) == math.inf
+        assert profile.next_change(19.0) == math.inf
 
     def test_timeseries_lookup_before_first_sample(self):
         # a profile starts at t <= 0, so only a negative time is before it
@@ -286,10 +303,12 @@ class TestClosedLoop:
 
 
 def reference_run_closed_loop(config, seed=None):
-    """``run_closed_loop`` as it ran when each step called the plant kernels
-    of ``traffic`` and ``choice`` and drew from a plain numpy ``Generator``:
-    the loop now does their arithmetic itself and draws from a ``Draws``, and
-    must give the same bits, and the same error, as this run."""
+    """``run_closed_loop`` as it ran when each step read the demand and set it
+    on the controller, called the plant kernels of ``traffic`` and ``choice``
+    and drew from a plain numpy ``Generator``: the loop now reads the demand
+    only where it may change, does the kernels' arithmetic itself and draws
+    from a ``Draws``, and must give the same bits, and the same error, as
+    this run."""
     caps, dt, n_steps = config.capacities, config.dt, config.n_steps
     demand, noise, behavior = config.demand, config.noise, config.behavior
     run_seed, _ = check_seeds(config.seed if seed is None else seed, 1)
@@ -297,7 +316,6 @@ def reference_run_closed_loop(config, seed=None):
     controller = config.controller.build(caps)
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
     has_pi = controller.vot_estimate is not None
-    demand_varies = demand.kind != "constant"
     noise_varies = noise.kind != "none"
 
     def draw_demand(t):
@@ -305,8 +323,6 @@ def reference_run_closed_loop(config, seed=None):
             return float(rng.poisson(demand.mean_hov)), float(rng.poisson(demand.mean_sov))
         return demand_at(demand, t, None)
 
-    if not demand_varies:
-        q1, q2 = draw_demand(0.0)
     if not noise_varies:
         eta = 0.0
 
@@ -316,12 +332,12 @@ def reference_run_closed_loop(config, seed=None):
             for k in range(n_steps + 1):
                 t = k * dt
                 _, _, w = traffic.queuing_times(lambda1, lambda2, caps)
-                if demand_varies:
-                    q1, q2 = draw_demand(t)
+                q1, q2 = draw_demand(t)
                 if noise_varies:
                     eta = float(rng.uniform(-noise.half_width, noise.half_width))
                 if q2 > 0.0:
-                    u = controller.quote(w, q1, q2)
+                    controller.set_demand(q1, q2)
+                    u = controller.quote(w)
                     q3 = choice.paying_demand(q2, u, w, eta, behavior)
                 else:
                     u, q3 = 0.0, 0.0
@@ -354,10 +370,28 @@ def run_outcome(run, config):
 @st.composite
 def _rates(draw, hot):
     """HOV and SOV rates: mostly congested, sometimes without SOVs, and
-    sometimes uncongested, which fails the quote's demand checks."""
+    sometimes uncongested, which fails the demand checks of set_demand."""
     hov = draw(st.floats(0.0, 0.8 * hot))
     no_sovs = draw(st.integers(0, 4)) == 2
     return hov, 0.0 if no_sovs else draw(st.floats(0.8 * (hot - hov), 3.0 * hot))
+
+
+@st.composite
+def _breakpoints(draw, n_steps, dt):
+    """Timeseries sample times: the first at or before t = 0, the rest on step
+    times ``k * dt``, one to three inside one step, anywhere in the run, or
+    past the horizon, in order."""
+    inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    times = set()
+    for k in draw(st.lists(st.integers(0, n_steps + 2), max_size=4)):
+        where = draw(st.sampled_from(["on", "inside", "anywhere"]))
+        if where == "on":
+            times.add(k * dt)
+        elif where == "inside":
+            times.update(k * dt + f * dt for f in draw(st.lists(inside, min_size=1, max_size=3)))
+        else:
+            times.add(draw(st.floats(0.0, 1.5 * n_steps * dt)))
+    return [-draw(st.floats(0.0, 1.0))] + sorted(t for t in times if t > 0.0)
 
 
 @st.composite
@@ -374,12 +408,8 @@ def _loop_scenarios(draw):
     rates = _rates(hot)
     kind = draw(st.sampled_from(["constant", "poisson", "timeseries"]))
     if kind == "timeseries":
-        steps = draw(st.lists(rates, min_size=1, max_size=5))
-        # the first sample starts at or before t = 0, the rest spread over the run
-        gap = n_steps * dt / len(steps)
-        times = [-draw(st.floats(0.0, 1.0))] + [i * gap for i in range(1, len(steps))]
         demand = DemandProfile(kind, samples=tuple(
-            (t, hov, sov) for t, (hov, sov) in zip(times, steps)))
+            (t, *draw(rates)) for t in draw(_breakpoints(n_steps, dt))))
     else:
         demand = DemandProfile(kind, *draw(rates))
     noise = NoiseSpec("uniform", draw(st.floats(0.0, 0.9))) if draw(st.booleans()) else NoiseSpec()
@@ -447,6 +477,71 @@ class TestPlantArithmetic:
     def test_loop_matches_the_kernels_bit_for_bit(self, config):
         assert run_outcome(run_closed_loop, config) == run_outcome(
             reference_run_closed_loop, config)
+
+
+# breakpoints before the run, between two steps, on a step time, two between
+# the next two steps (the second leaves no SOVs to price), on a step time
+# again and past the horizon; tests/test_golden.py holds this run's CSVs
+TIMESERIES = ("demand: {kind: timeseries, samples: [[-3, 10, 60], [5.005, 12, 58], "
+              "[10, 11, 61.5], [10.001, 9, 70], [10.002, 10, 0], [12.5, 10, 65], [25, 10, 60]]}")
+
+
+class TestDemandReads:
+    """The loop reads the demand, and sets it on the controller, only at a
+    step where it may have changed, and sets it only when it has SOVs."""
+
+    @staticmethod
+    def reads_and_pricings(monkeypatch, config):
+        """The trajectory, the time of each ``demand_at`` call and the rates
+        of each ``set_demand`` call of one run."""
+        reads, pricings = [], []
+        read = engine.demand_at
+
+        def counting_read(profile, t, draws):
+            reads.append(t)
+            return read(profile, t, draws)
+
+        cls = type(config.controller.build(config.capacities))
+        set_demand = cls.set_demand
+
+        def counting_set_demand(self, q1, q2):
+            pricings.append((q1, q2))
+            set_demand(self, q1, q2)
+
+        monkeypatch.setattr(engine, "demand_at", counting_read)
+        monkeypatch.setattr(cls, "set_demand", counting_set_demand)
+        return run_closed_loop(config), reads, pricings
+
+    def test_constant_demand_is_read_and_priced_once(self, monkeypatch):
+        config = load_config(SCENARIOS / "reference.yaml")
+        _, reads, pricings = self.reads_and_pricings(monkeypatch, config)
+        assert (reads, pricings) == ([0.0], [(10.0, 60.0)])
+
+    def test_poisson_demand_is_read_and_priced_every_step(self, monkeypatch):
+        config = load_config(SCENARIOS / "stochastic.yaml")
+        traj, reads, pricings = self.reads_and_pricings(monkeypatch, config)
+        assert reads == list(traj.column("t")) and len(reads) == config.n_steps + 1
+        q1, q2 = traj.column("q1"), traj.column("q2")
+        assert pricings == [(a, b) for a, b in zip(q1, q2) if b > 0.0]
+
+    @pytest.mark.parametrize("kind", ["vot", "integral", "selflearning"])
+    def test_timeseries_is_read_at_each_breakpoint_reached(self, monkeypatch, kind):
+        config = parse_config_text(f"{TIMESERIES}\ncontroller: {{kind: {kind}}}\n")
+        expected = run_outcome(reference_run_closed_loop, config)
+        traj, reads, pricings = self.reads_and_pricings(monkeypatch, config)
+        # step 0, then the first step at or past 5.005, 10, 10.001 and 10.002
+        # (one read) and 12.5; the breakpoint at 25 lies past the horizon
+        assert reads == [k * config.dt for k in (0, 301, 600, 601, 750)]
+        # the sample of step 601 has no SOVs, so nothing is priced there
+        assert pricings == [(10.0, 60.0), (12.0, 58.0), (11.0, 61.5), (10.0, 65.0)]
+        assert [traj.column(name).tobytes() for name in STATE_FIELDS] == expected[0]
+
+    def test_one_sample_timeseries_runs_as_constant_demand(self, monkeypatch):
+        demand = DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),))
+        config = dataclasses.replace(S0, demand=demand)
+        traj, reads, pricings = self.reads_and_pricings(monkeypatch, config)
+        assert (reads, pricings) == ([0.0], [(10.0, 60.0)])
+        assert traj.rows() == run_closed_loop(S0).rows()
 
 
 class TestTrajectory:

@@ -29,6 +29,13 @@ def vot_controller(**kwargs):
     return VotFeedbackController(**defaults)
 
 
+def priced(ctrl, w, q1, q2):
+    """The toll at delay ``w`` once the demand ``(q1, q2)`` is set, as the
+    loop quotes it at a step that reads the demand."""
+    ctrl.set_demand(q1, q2)
+    return ctrl.quote(w)
+
+
 def observe_vot(ctrl, lambda1, zeta):
     # the estimator reads only dt, lambda1 and zeta
     ctrl.observe(DT, lambda1, zeta, 1.0, 2.0, 10.0, 60.0, 20.0)
@@ -63,27 +70,27 @@ class TestVotEstimator:
 
 class TestVotPrice:
     def test_reference_price_at_twenty_minutes(self):
-        u = vot_controller().quote(20.0 / 3.0, 10.0, 60.0)
+        u = priced(vot_controller(), 20.0 / 3.0, 10.0, 60.0)
         assert u == pytest.approx(10.0 / 3.0 + math.log(2.0), rel=1e-12)
         assert u == pytest.approx(4.0265, abs=5e-4)
 
     def test_zero_delay_gives_log_term(self):
-        assert vot_controller().quote(0.0, 10.0, 60.0) == pytest.approx(
+        assert priced(vot_controller(), 0.0, 10.0, 60.0) == pytest.approx(
             math.log(2.0), rel=1e-12
         )
 
     def test_scale_guess_shrinks_log_term(self):
-        u = vot_controller(scale_guess=1.2).quote(20.0 / 3.0, 10.0, 60.0)
+        u = priced(vot_controller(scale_guess=1.2), 20.0 / 3.0, 10.0, 60.0)
         assert u == pytest.approx(10.0 / 3.0 + math.log(2.0) / 1.2, rel=1e-12)
         assert u == pytest.approx(3.9110, abs=5e-4)
 
     def test_uncongested_demand_rejected(self):
         with pytest.raises(ScenarioAssumptionError):
-            vot_controller().quote(0.0, 10.0, 10.0)
+            priced(vot_controller(), 0.0, 10.0, 10.0)
 
     def test_saturating_hov_demand_rejected(self):
         with pytest.raises(ScenarioAssumptionError):
-            vot_controller().quote(0.0, 30.0, 60.0)
+            priced(vot_controller(), 0.0, 30.0, 60.0)
 
 
 def observe_hot_demand(ctrl, q1, q3):
@@ -245,7 +252,7 @@ class TestSelfLearningFilter:
                 assert type(ctrl.vot_estimate) is float
                 assert bits(ctrl.vot_estimate) == bits(ref.vot_estimate())
                 # q1 = 10 leaves 20 veh/min to fill by paying SOVs: some q2 cannot
-                assert outcome(ctrl.quote, w, 10.0, q2) == outcome(ref.quote, w, 10.0, q2)
+                assert outcome(priced, ctrl, w, 10.0, q2) == outcome(ref.price, w, 10.0, q2)
 
 
 def bits(x):
@@ -288,13 +295,14 @@ class ReferenceFilter:
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.theta[0] / self.theta[1]
 
-    def quote(self, w, q1, q2):
-        alpha1, alpha2, gamma = self.theta
-        if abs(alpha2) < 1e-6:
-            raise PriceUndefinedError("alpha2")
+    def price(self, w, q1, q2):
+        # the demand is set before the quote checks alpha2, so its error comes first
         target = 30.0 - q1
         if not 0.0 < target < q2:
             raise ScenarioAssumptionError("target")
+        alpha1, alpha2, gamma = self.theta
+        if abs(alpha2) < 1e-6:
+            raise PriceUndefinedError("alpha2")
         return (math.log((q1 + q2 - 30.0) / (30.0 - q1)) + alpha1 * w - gamma) / alpha2
 
 
@@ -365,89 +373,60 @@ def test_draw_combinations_are_bit_identical(source, expected, kind):
 class TestSelfLearningPrice:
     def test_reference_price_at_twenty_minutes(self):
         ctrl = learner(initial_theta=(0.5, 1.0, 0.0))
-        u = ctrl.quote(20.0 / 3.0, 10.0, 60.0)
+        u = priced(ctrl, 20.0 / 3.0, 10.0, 60.0)
         assert u == pytest.approx(math.log(2.0) + 10.0 / 3.0, rel=1e-12)
         assert u == pytest.approx(4.0265, abs=5e-4)
 
     def test_zero_delay_gives_log_term(self):
         ctrl = learner(initial_theta=(0.5, 1.0, 0.0))
-        assert ctrl.quote(0.0, 10.0, 60.0) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert priced(ctrl, 0.0, 10.0, 60.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_bias_shifts_price_linearly(self):
         delta = 0.3
-        base = learner(initial_theta=(0.5, 1.0, 0.0)).quote(1.0, 10.0, 60.0)
-        shifted = learner(initial_theta=(0.5, 1.0, delta)).quote(1.0, 10.0, 60.0)
+        base = priced(learner(initial_theta=(0.5, 1.0, 0.0)), 1.0, 10.0, 60.0)
+        shifted = priced(learner(initial_theta=(0.5, 1.0, delta)), 1.0, 10.0, 60.0)
         assert shifted == pytest.approx(base - delta, rel=1e-12)
 
     def test_degenerate_price_sensitivity_fails(self):
         ctrl = learner(initial_theta=(0.5, 0.0, 0.0))
         with pytest.raises(PriceUndefinedError):
-            ctrl.quote(1.0, 10.0, 60.0)
+            priced(ctrl, 1.0, 10.0, 60.0)
 
     def test_target_outside_demand_rejected(self):
         ctrl = learner()
         with pytest.raises(ScenarioAssumptionError):
-            ctrl.quote(1.0, 10.0, 15.0)  # needs 20 paying out of 15 SOVs
+            priced(ctrl, 1.0, 10.0, 15.0)  # needs 20 paying out of 15 SOVs
 
 
 class TestControllerInterface:
     def test_quote_then_observe_round_trip(self):
         for ctrl in (vot_controller(), IntegralTollController(0.01, 0.5, 30.0),
                      learner()):
-            u = ctrl.quote(0.0, 10.0, 60.0)
+            u = priced(ctrl, 0.0, 10.0, 60.0)
             assert math.isfinite(u)
             ctrl.observe(dt=DT, lambda1=0.0, zeta=0.0, w=0.0,
                          u=math.log(2.0), q1=10.0, q2=60.0, q3=20.0)
+
+    def test_integral_toll_prices_no_demand_term(self):
+        # a demand that saturates the HOT lanes is set without a check
+        ctrl = IntegralTollController(0.01, 0.5, 30.0)
+        assert priced(ctrl, 1.0, 30.0, 60.0) == 0.5
+
+    def test_a_quote_before_any_demand_is_set_is_nan(self):
+        for ctrl in (vot_controller(), learner()):
+            assert math.isnan(ctrl.quote(1.0))
+
+    def test_a_set_demand_replaces_the_last_one(self):
+        # the demand term is the last demand's, formed afresh, not the first one's
+        for build in (vot_controller, learner):
+            ctrl = build()
+            ctrl.set_demand(10.0, 60.0)
+            assert bits(priced(ctrl, 0.7, 12.0, 55.0)) == bits(priced(build(), 0.7, 12.0, 55.0))
 
     def test_vot_estimates(self):
         assert vot_controller().vot_estimate == 0.5
         assert IntegralTollController(0.01, 0.5, 30.0).vot_estimate is None
         assert learner().vot_estimate == pytest.approx(0.25)
-
-
-class TestQuoteDemandCache:
-    """A quote keeps its demand term for the last demand pair it priced.
-
-    Each quote must still be, bit for bit, the formula evaluated afresh:
-    pairs repeat (A, A, B, A), change in one rate only, fail the demand
-    checks (C), go nan, and come back to A after a failure, with an
-    ``observe`` moving the estimate between every two quotes.
-    """
-
-    A, B, C = (10.0, 60.0), (12.0, 55.0), (30.0, 60.0)
-    PAIRS = [A, A, B, A, (10.0, 55.0), (12.0, 60.0), C, (math.nan, math.nan), A]
-
-    @staticmethod
-    def reference_vot_quote(ctrl, w, q1, q2):
-        c1 = ctrl.hot_capacity
-        if not q1 < c1 or not c1 < q1 + q2:
-            raise ScenarioAssumptionError("demand")
-        return ctrl.vot_estimate * w + math.log((q1 + q2 - c1) / (c1 - q1)) / ctrl.scale_guess
-
-    def test_vot_quote_is_the_uncached_formula(self):
-        ctrl = vot_controller()
-        quotes = []
-        for k, (q1, q2) in enumerate(self.PAIRS):
-            w = 0.4 + 0.1 * k
-            quotes.append(outcome(ctrl.quote, w, q1, q2))
-            assert quotes[-1] == outcome(self.reference_vot_quote, ctrl, w, q1, q2), k
-            observe_vot(ctrl, 2.0 - 0.5 * k, 0.3)
-        assert quotes[6] is ScenarioAssumptionError
-        assert quotes[7] is ScenarioAssumptionError
-
-    def test_selflearning_quote_is_the_uncached_formula(self):
-        ctrl = learner()
-        ref = ReferenceFilter((0.25, 1.0, 0.1), 0.1 * np.eye(3), 0.09, 1e-6 * np.eye(3))
-        quotes = []
-        for k, (q1, q2) in enumerate(self.PAIRS):
-            w = 0.4 + 0.1 * k
-            quotes.append(outcome(ctrl.quote, w, q1, q2))
-            assert quotes[-1] == outcome(ref.quote, w, q1, q2), k
-            q3, u = 0.3 * q2 + k, 1.0 + 0.2 * k
-            observe_share(ctrl, 60.0, q3, w, u)
-            ref.ingest(60.0, q3, w, u)
-        assert quotes[6] is ScenarioAssumptionError
-        assert quotes[7] is ScenarioAssumptionError
 
 
 class TestSharedDemandTerm:
@@ -473,7 +452,7 @@ class TestSharedDemandTerm:
     ], ids=["hov-at-capacity", "total-at-capacity", "nan-q1", "nan-q2", "congested"])
     def test_same_outcome_from_both_controllers(self, build, q1, q2, expected):
         try:
-            got = bits(build().quote(0.7, q1, q2))
+            got = bits(priced(build(), 0.7, q1, q2))
         except ScenarioAssumptionError as exc:
             got = str(exc)
         assert got == expected
