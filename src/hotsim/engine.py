@@ -7,8 +7,9 @@ per-step sequence is fixed:
 1. queuing times from the current queues;
 2. demand rates read from the profile, and handed to the controller's
    ``set_demand``, only at a step where they may have changed: step 0, and
-   then every step for Poisson demand and the first step at or past each
-   later breakpoint of a timeseries (``DemandProfile.next_change``);
+   then the first step at or past the time until which the last read's
+   rates hold, which ``demand_at`` returns with them (every step for Poisson
+   demand, each later breakpoint reached for a timeseries);
 3. choice disturbance drawn (read once per run, as 0, without noise);
 4. price quoted by the controller from its current state and the delay;
 5. paying demand and residual capacity from the lane-choice model;
@@ -83,10 +84,10 @@ ZERO_QUEUE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DemandProfile:
-    """Arrival-rate generator for HOV and SOV traffic.
+    """Arrival-rate generator for HOV and SOV traffic, read by ``demand_at``.
 
-    ``constant`` returns the means; ``poisson`` redraws both rates each step
-    from Poisson distributions with those means (veh/min, at most
+    ``constant`` gives the means; ``poisson`` draws both rates anew at each
+    read from Poisson distributions with those means (veh/min, at most
     ``POISSON_MEAN_MAX``); ``timeseries`` holds ``(t, hov, sov)`` breakpoints
     interpreted as a step function, the first at t <= 0.
     """
@@ -125,19 +126,6 @@ class DemandProfile:
         """Breakpoint times of a ``timeseries`` profile, in order."""
         return tuple(s[0] for s in self.samples)
 
-    def next_change(self, t: float) -> float:
-        """The time from which ``demand_at`` may give other rates than at ``t``:
-        never (inf) for ``constant``; ``t`` itself for ``poisson``, which draws
-        anew at every read; for ``timeseries`` the first sample time after
-        ``t``, found as ``demand_at`` picks its sample, or inf past the last."""
-        if self.kind == "constant":
-            return math.inf
-        if self.kind == "poisson":
-            return t
-        times = self.sample_times
-        idx = bisect.bisect_right(times, t)
-        return times[idx] if idx < len(times) else math.inf
-
 
 class Draws:
     """The single seeded random stream of one run that draws.
@@ -163,22 +151,27 @@ class Draws:
         self.mean_sov = np.array(demand.mean_sov, dtype=np.float64)
 
 
-def demand_at(profile: DemandProfile, t: float, draws: Draws | None) -> tuple[float, float]:
-    """Demand rates (HOV, SOV) in veh/min for the step starting at ``t``;
-    only ``poisson`` demand draws, from ``draws``, built with ``profile``."""
+def demand_at(profile: DemandProfile, t: float,
+              draws: Draws | None) -> tuple[float, float, float]:
+    """Demand rates (HOV, SOV) in veh/min for the step starting at ``t``, and
+    the time from which a read may give other rates: never (inf) for
+    ``constant``; ``t`` itself for ``poisson``, which draws anew at every
+    read; for ``timeseries`` the first sample time after ``t``, or inf past
+    the last.  Only ``poisson`` demand draws, from ``draws``, built with
+    ``profile``."""
     if profile.kind == "constant":
-        return profile.mean_hov, profile.mean_sov
+        return profile.mean_hov, profile.mean_sov, math.inf
     if profile.kind == "poisson":
-        return float(draws.poisson(draws.mean_hov)), float(draws.poisson(draws.mean_sov))
+        return float(draws.poisson(draws.mean_hov)), float(draws.poisson(draws.mean_sov)), t
     times = profile.sample_times
-    idx = bisect.bisect_right(times, t) - 1
-    if idx < 0:
+    idx = bisect.bisect_right(times, t)  # the samples at or before t
+    if idx == 0:
         raise ConfigError(
             f"timeseries demand starts at t={times[0]:g} min, after the "
             f"requested time t={t:g} min"
         )
-    _, hov, sov = profile.samples[idx]
-    return hov, sov
+    _, hov, sov = profile.samples[idx - 1]
+    return hov, sov, times[idx] if idx < len(times) else math.inf
 
 
 STATE_FIELDS = (
@@ -273,9 +266,9 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     caps, dt, n_steps = config.capacities, config.dt, config.n_steps
     demand, noise, behavior = config.demand, config.noise, config.behavior
     run_seed, _ = check_seeds(config.seed if seed is None else seed, 1)
-    redraw, noise_varies = demand.kind == "poisson", noise.kind != "none"
+    noise_varies = noise.kind != "none"
     # only Poisson demand and choice noise draw; a run with neither builds no stream
-    draws = Draws(run_seed, demand) if redraw or noise_varies else None
+    draws = Draws(run_seed, demand) if demand.kind == "poisson" or noise_varies else None
     controller = config.controller.build(caps)
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
     has_pi = controller.vot_estimate is not None
@@ -289,10 +282,9 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     scale, vot = behavior.scale, behavior.vot
     exp = math.exp
     # step 0 reads the demand and the disturbance.  A later step reads the
-    # demand again once t reaches ``change``, the profile's next_change of
-    # the last read, which a Poisson run, whose every step draws, leaves at 0
-    # without asking; and the disturbance again only when noise varies, so
-    # noise "none" is read once per run
+    # demand again once t reaches ``change``, the time until which the last
+    # read's rates hold, and the disturbance again only when noise varies,
+    # so noise "none" is read once per run
     change = 0.0
     read_eta = True
 
@@ -310,15 +302,13 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                 # expression, so it is formed once per read and the
                 # operations keep their order
                 if t >= change:
-                    q1, q2 = demand_at(demand, t, draws)
+                    q1, q2, change = demand_at(demand, t, draws)
                     total = q1 + q2
                     spare = hot - q1  # traffic.residual_capacity
                     gp_inflow = total - hot  # traffic.throughputs
                     gp_excess = total - gp - hot  # traffic.step_point_queues
                     if q2 > 0.0:  # the demand a quote prices
                         set_demand(q1, q2)
-                    if not redraw:
-                        change = demand.next_change(t)
                 if read_eta:
                     eta = sample_eta(noise, draws)
                     weight = (1.0 + eta) * vot  # choice.paying_demand

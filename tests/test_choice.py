@@ -165,7 +165,7 @@ def test_scalar_draws_are_numpys_uniform():
                 draws, twin = Draws(seed, profile), np.random.default_rng(seed)
                 ours, theirs = [], []
                 for k in range(2000):
-                    ours += [*demand_at(profile, k / 60, draws), sample_eta(spec, draws)]
+                    ours += [*demand_at(profile, k / 60, draws)[:2], sample_eta(spec, draws)]
                     theirs += [float(twin.poisson(mean)), float(twin.poisson(mean)),
                                float(twin.uniform(-half_width, half_width))]
                 assert all(type(v) is float for v in ours)
@@ -189,7 +189,7 @@ def test_draw_source_output_is_pinned(seed):
     draws = Draws(seed, profile)
     values = []
     for k in range(10_000):
-        values += [*demand_at(profile, k * config.dt, draws), sample_eta(noise, draws)]
+        values += [*demand_at(profile, k * config.dt, draws)[:2], sample_eta(noise, draws)]
     digest = hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()
     assert digest == STOCHASTIC_DRAWS[seed], (
         "the run's draws moved.  The disturbance is formed from PCG64's raw "

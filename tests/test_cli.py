@@ -178,10 +178,6 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", config) == 2
         assert capsys.readouterr().err.startswith("error: run.seed: ")
 
-    def test_assumption_violation_at_parse(self, scenario_file):
-        config = scenario_file("demand: {hov: 35.0}\n")
-        assert run_cli("simulate", "--config", config) == 3
-
     def test_assumption_violation_at_runtime(self, scenario_file):
         config = scenario_file("demand: {hov: 5.0, sov: 10.0}\n")
         assert run_cli("simulate", "--config", config) == 3

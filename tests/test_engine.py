@@ -53,11 +53,11 @@ NEGATIVE_NAN_WITH_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF800000000
 class TestDemandAt:
     def test_constant_profile(self):
         profile = DemandProfile(kind="constant", mean_hov=10.0, mean_sov=60.0)
-        assert demand_at(profile, 3.0, Draws(0, profile)) == (10.0, 60.0)
+        assert demand_at(profile, 3.0, Draws(0, profile))[:2] == (10.0, 60.0)
 
     def test_zero_demand(self):
         profile = DemandProfile(kind="constant", mean_hov=0.0, mean_sov=0.0)
-        assert demand_at(profile, 0.0, Draws(0, profile)) == (0.0, 0.0)
+        assert demand_at(profile, 0.0, Draws(0, profile))[:2] == (0.0, 0.0)
 
     def test_poisson_sample_mean(self):
         profile = DemandProfile(kind="poisson", mean_hov=10.0, mean_sov=60.0)
@@ -72,22 +72,43 @@ class TestDemandAt:
             samples=((0.0, 10.0, 60.0), (5.0, 12.0, 55.0)),
         )
         draws = Draws(0, profile)
-        assert demand_at(profile, 4.99, draws) == (10.0, 60.0)
-        assert demand_at(profile, 5.0, draws) == (12.0, 55.0)
-        assert demand_at(profile, 19.0, draws) == (12.0, 55.0)
+        assert demand_at(profile, 4.99, draws)[:2] == (10.0, 60.0)
+        assert demand_at(profile, 5.0, draws)[:2] == (12.0, 55.0)
+        assert demand_at(profile, 19.0, draws)[:2] == (12.0, 55.0)
 
-    def test_next_change_of_each_kind(self):
-        assert DemandProfile("constant").next_change(3.0) == math.inf
-        assert DemandProfile("poisson").next_change(3.0) == 3.0
+    def test_until_of_each_kind(self):
+        constant, poisson = DemandProfile("constant"), DemandProfile("poisson")
+        assert demand_at(constant, 3.0, None)[2] == math.inf
+        assert demand_at(poisson, 3.0, Draws(0, poisson))[2] == 3.0
         profile = DemandProfile("timeseries", samples=(
             (-1.0, 10.0, 60.0), (5.0, 12.0, 55.0), (5.5, 11.0, 58.0)))
         # the first sample time after t, as demand_at picks the sample at or before t
-        assert profile.next_change(0.0) == 5.0
-        assert profile.next_change(4.99) == 5.0
-        assert profile.next_change(5.0) == 5.5
-        assert profile.next_change(5.2) == 5.5
-        assert profile.next_change(5.5) == math.inf
-        assert profile.next_change(19.0) == math.inf
+        assert demand_at(profile, 0.0, None)[2] == 5.0
+        assert demand_at(profile, 4.99, None)[2] == 5.0
+        assert demand_at(profile, 5.0, None)[2] == 5.5
+        assert demand_at(profile, 5.2, None)[2] == 5.5
+        assert demand_at(profile, 5.5, None)[2] == math.inf
+        assert demand_at(profile, 19.0, None)[2] == math.inf
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.floats(-5.0, 30.0), min_size=1, max_size=6, unique=True).map(sorted),
+        st.floats(0.0, 40.0),
+        st.data(),
+    )
+    def test_rates_hold_until_the_next_sample(self, times, t, data):
+        times[0] = min(times[0], 0.0)  # a run reads the demand from t = 0
+        # t may fall on a breakpoint itself
+        t = data.draw(st.sampled_from([t, *(b for b in times if b >= 0.0)]))
+        profile = DemandProfile("timeseries", samples=tuple(
+            (b, float(i), float(2 * i)) for i, b in enumerate(times)))
+        q1, q2, until = demand_at(profile, t, None)
+        assert until > t
+        # so the last float before until is at or past t, and still reads q1, q2
+        assert demand_at(profile, math.nextafter(until, -math.inf), None) == (q1, q2, until)
+        if until < math.inf:
+            i = times.index(until)
+            assert demand_at(profile, until, None)[:2] == (float(i), float(2 * i))
 
     def test_timeseries_lookup_before_first_sample(self):
         # a profile starts at t <= 0, so only a negative time is before it
@@ -321,7 +342,7 @@ def reference_run_closed_loop(config, seed=None):
     def draw_demand(t):
         if demand.kind == "poisson":
             return float(rng.poisson(demand.mean_hov)), float(rng.poisson(demand.mean_sov))
-        return demand_at(demand, t, None)
+        return demand_at(demand, t, None)[:2]
 
     if not noise_varies:
         eta = 0.0
