@@ -8,6 +8,14 @@ Subcommands::
     analytic   tabulate the known-behavior optimal price over the horizon
     approx     integrate the reduced near-equilibrium model
 
+Under ``--out DIR`` a command writes each of its files into DIR, printing
+one ``wrote DIR/NAME`` line per file, and writes nothing if it fails; without
+``--out`` it prints its main file on stdout: ``simulate`` its trajectory CSV
+(the first replication's) or, with ``--format json``, its summary JSON;
+``compare`` compare.json; ``sweep`` sweep.csv, and nothing for a bisection
+alone, whose boundary goes to stderr; ``analytic`` analytic.csv; ``approx``
+approx.csv.  ``_emit`` is the one writer.
+
 Exit codes: 0 success, 2 configuration or usage error, 3 scenario-assumption
 violation, 4 controller failure, 5 I/O failure, 6 non-finite result (a
 summary metric is infinite or NaN, so no JSON is written).
@@ -42,6 +50,9 @@ MAX_GRID_POINTS = 10_000
 # exit code of each error a command reports, the first matching class wins
 EXIT_CODES = ((ConfigError, 2), (ScenarioAssumptionError, 3), (PriceUndefinedError, 4),
               (OSError, 5), (NonFiniteResultError, 6), (HotSimError, 2))
+# what each ``cmd_*`` returns for ``_emit``: its files, name to text in write
+# order, and the name of the one printed without ``--out`` (None for none)
+Outputs = tuple[dict[str, str], str | None]
 
 
 def _csv(header: tuple, rows, row_format: str = "") -> str:
@@ -66,18 +77,18 @@ def _json_text(payload) -> str:
     return text + "\n"
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
-    print(f"wrote {out_dir / name}")
-
-
-def _emit(args, name: str, text: str) -> None:
-    """``text`` as the file ``name`` under ``--out``, or on stdout without it."""
+def _emit(args, files: dict[str, str], shown: str | None) -> None:
+    """The one writer of a command's ``files`` (name to text, in write order):
+    under ``--out``, each file there with a ``wrote`` line; without it, the
+    text of ``shown`` (if any) on stdout."""
     if args.out:
-        _write(Path(args.out), name, text)
-    else:
-        sys.stdout.write(text)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+            print(f"wrote {out / name}")
+    elif shown is not None:
+        sys.stdout.write(files[shown])
 
 
 def _load(args) -> ScenarioConfig:
@@ -103,16 +114,17 @@ def _aggregate(summaries: list[dict]) -> dict:
     return aggregate
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Outputs:
     config = _load(args)
+    csv_name = "trajectory.csv" if config.replications == 1 else "trajectory_rep{:03d}.csv"
     # a trajectory's rows are large, so each one lives only until its summary
     # and, when it is written or printed, its CSV text are made
-    summaries, texts = [], []
+    summaries, files = [], {}
     for rep in range(config.replications):
         traj = engine.run_closed_loop(config, seed=config.seed + rep)
         summaries.append(engine.summarize(traj, config.behavior.vot).as_dict())
         if args.out or (rep == 0 and args.format == "csv"):
-            texts.append(trajectory_csv(traj))
+            files[csv_name.format(rep)] = trajectory_csv(traj)
     if config.replications == 1:
         summary_payload = dict(summaries[0], fingerprint=config_fingerprint(config, config.seed))
     else:
@@ -120,22 +132,11 @@ def cmd_simulate(args) -> int:
             "replications": summaries,
             "aggregate": _aggregate(summaries),
         }
-    if args.out:
-        out = Path(args.out)
-        if config.replications == 1:
-            _write(out, "trajectory.csv", texts[0])
-        else:
-            for rep, text in enumerate(texts):
-                _write(out, f"trajectory_rep{rep:03d}.csv", text)
-        _write(out, "summary.json", _json_text(summary_payload))
-    elif args.format == "json":
-        sys.stdout.write(_json_text(summary_payload))
-    else:
-        sys.stdout.write(texts[0])
-    return 0
+    files["summary.json"] = _json_text(summary_payload)
+    return files, "summary.json" if args.format == "json" else csv_name.format(0)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> Outputs:
     config = _load(args)
     kinds = [k.strip() for k in args.controllers.split(",") if k.strip()]
     if len(kinds) < 2:
@@ -153,8 +154,7 @@ def cmd_compare(args) -> int:
         results[kind] = dict(metrics.as_dict(), optimal_state=optimal)
     verdict = [kind for kind, summary in results.items() if summary["optimal_state"]]
     payload = {"seed": config.seed, "controllers": results, "verdict": verdict}
-    _emit(args, "compare.json", _json_text(payload))
-    return 0
+    return {"compare.json": _json_text(payload)}, "compare.json"
 
 
 def _numbers(text: str, flag: str, sep: str) -> tuple[float, ...]:
@@ -173,7 +173,7 @@ def _flagged(flag: str, check, *args) -> None:
         raise ConfigError(f"{flag}: {exc}") from None
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> Outputs:
     config = _load(args)
     gridded = args.grid is not None or args.values is not None
     if not gridded and args.bisect is None:
@@ -217,39 +217,36 @@ def cmd_sweep(args) -> int:
         except BoundaryNotBracketedError as exc:
             print(f"warning: {exc}", file=sys.stderr)
 
+    files = {}
     if rows:
-        _emit(args, "sweep.csv", _csv(
+        files["sweep.csv"] = _csv(
             (args.param, "pattern", "ratio_estimate", "fit_r2_gaussian", "fit_r2_exponential"),
             ((value, r.pattern, r.ratio_estimate, r.fit_r2_gaussian, r.fit_r2_exponential)
              for value, r in rows),
             "%.9g,%s,%.9g,%.9g,%.9g",
-        ))
-    if args.out and args.bisect is not None:
-        _write(Path(args.out), "boundary.json", _json_text({
+        )
+    if args.bisect is not None:
+        files["boundary.json"] = _json_text({
             "param": args.param, "model": args.model,
             "resolution": args.resolution, "boundary": boundary,
-        }))
-    elif boundary is not None:
-        print("boundary %s=%.9g" % (args.param, boundary), file=sys.stderr)
-    return 0
+        })
+        if boundary is not None and not args.out:  # stdout shows no boundary.json
+            print("boundary %s=%.9g" % (args.param, boundary), file=sys.stderr)
+    return files, "sweep.csv" if rows else None
 
 
-def cmd_analytic(args) -> int:
+def cmd_analytic(args) -> Outputs:
     config = _load(args)
     times = [k * config.dt for k in range(config.n_steps + 1)]
     rows = ((t, analysis.analytic_optimal_price(t, config)) for t in times)
-    _emit(args, "analytic.csv", _csv(("t", "u_analytic"), rows))
-    return 0
+    return {"analytic.csv": _csv(("t", "u_analytic"), rows)}, "analytic.csv"
 
 
-def cmd_approx(args) -> int:
-    import numpy as np
-
-    t, lam, zeta = analysis.approximate_from_config(_load(args))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.abs(zeta) > 0.0, lam / zeta, math.nan)
-    _emit(args, "approx.csv", _csv(("t", "lambda1", "zeta", "ratio"), zip(t, lam, zeta, ratio)))
-    return 0
+def cmd_approx(args) -> Outputs:
+    t, lam, zeta = (a.tolist() for a in analysis.approximate_from_config(_load(args)))
+    ratio = (q / z if z else math.nan for q, z in zip(lam, zeta))
+    text = _csv(("t", "lambda1", "zeta", "ratio"), zip(t, lam, zeta, ratio))
+    return {"approx.csv": text}, "approx.csv"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,7 +307,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args, *args.func(args))
+        return 0
     except (HotSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

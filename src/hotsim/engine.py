@@ -137,8 +137,8 @@ class Draws:
     which ``choice.sample_eta`` forms a uniform draw.  ``mean_hov`` and
     ``mean_sov`` are ``demand``'s two means as float64 0-d arrays, which
     ``Generator.poisson`` takes without converting them on every call; only
-    ``demand_at`` on a ``poisson`` profile reads them, so a ``Draws`` serves
-    the profile it was built with.
+    ``demand_at`` on a ``poisson`` profile reads them, and only for the
+    profile ``demand``, which a ``Draws`` keeps, or one equal to it.
     """
 
     def __init__(self, seed: int, demand: DemandProfile) -> None:
@@ -147,6 +147,7 @@ class Draws:
         rng = np.random.default_rng(seed)
         self.poisson = rng.poisson
         self.raw = rng.bit_generator.random_raw
+        self.demand = demand
         self.mean_hov = np.array(demand.mean_hov, dtype=np.float64)
         self.mean_sov = np.array(demand.mean_sov, dtype=np.float64)
 
@@ -157,12 +158,15 @@ def demand_at(profile: DemandProfile, t: float,
     the time from which a read may give other rates: never (inf) for
     ``constant``; ``t`` itself for ``poisson``, which draws anew at every
     read; for ``timeseries`` the first sample time after ``t``, or inf past
-    the last.  Only ``poisson`` demand draws, from ``draws``, built with
-    ``profile``."""
+    the last.  Only ``poisson`` demand draws, from ``draws``, which must be
+    built with ``profile`` (or an equal one): a ValueError otherwise."""
+    if profile.kind == "poisson":  # first: the one kind a run reads at every step
+        # identity first, so a run's every read skips the field-wise compare
+        if draws is None or (draws.demand is not profile and draws.demand != profile):
+            raise ValueError("demand_at: a poisson profile needs the Draws built with it")
+        return float(draws.poisson(draws.mean_hov)), float(draws.poisson(draws.mean_sov)), t
     if profile.kind == "constant":
         return profile.mean_hov, profile.mean_sov, math.inf
-    if profile.kind == "poisson":
-        return float(draws.poisson(draws.mean_hov)), float(draws.poisson(draws.mean_sov)), t
     times = profile.sample_times
     idx = bisect.bisect_right(times, t)  # the samples at or before t
     if idx == 0:

@@ -96,6 +96,38 @@ class TestSimulate:
         assert payload["final_lambda1"] < 1e-3
 
 
+REPS = ["--config", str(SCENARIOS / "stochastic.yaml"), "--replications", "3"]
+REP_FILES = ["trajectory_rep000.csv", "trajectory_rep001.csv", "trajectory_rep002.csv",
+             "summary.json"]
+PERTURBED = ["--config", str(SCENARIOS / "perturbed.yaml")]
+# (argv, the files written under --out in write order, the file printed without it)
+WRITER_CASES = [
+    (["simulate"], ["trajectory.csv", "summary.json"], "trajectory.csv"),
+    (["simulate", "--format", "json"], ["trajectory.csv", "summary.json"], "summary.json"),
+    (["simulate", *REPS], REP_FILES, "trajectory_rep000.csv"),
+    (["simulate", *REPS, "--format", "json"], REP_FILES, "summary.json"),
+    (["compare"], ["compare.json"], "compare.json"),
+    (["sweep", *PERTURBED, "--values", "0.1,0.2", "--bisect", "0.1:0.2"],
+     ["sweep.csv", "boundary.json"], "sweep.csv"),
+    (["analytic"], ["analytic.csv"], "analytic.csv"),
+    (["approx", *PERTURBED], ["approx.csv"], "approx.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, names, shown", WRITER_CASES, ids=[
+    "simulate", "simulate-json", "simulate-reps", "simulate-reps-json", "compare", "sweep",
+    "analytic", "approx"])
+def test_out_writes_each_file_with_a_line_and_stdout_shows_one(
+    tmp_path, capsys, argv, names, shown
+):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().out == "".join(f"wrote {out / name}\n" for name in names)
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == (out / shown).read_text()
+
+
 # each used to end in a traceback or in a row or boundary of nan
 BAD_SWEEP_INPUTS = [
     (["--values", "a,b"], "--values"),
@@ -543,14 +575,16 @@ class TestSweep:
                      id="values-k2=nan"),
     ])
     def test_bracket_end_the_controller_rejects_fails_before_any_run(
-        self, monkeypatch, capsys, pattern_file, argv, message
+        self, monkeypatch, capsys, tmp_path, pattern_file, argv, message
     ):
         def unexpected(*args, **kwargs):
             raise AssertionError("a run started before every gain was checked")
 
         monkeypatch.setattr(analysis, "run_closed_loop", unexpected)
-        assert run_cli("sweep", "--config", pattern_file, *argv) == 2
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", pattern_file, *argv, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_grid_and_values_together_is_usage_error(self, pattern_file):
         with pytest.raises(SystemExit) as exit_:

@@ -66,6 +66,16 @@ class TestDemandAt:
         hov = np.array([d[0] for d in draws])
         assert abs(hov.mean() - 10.0) < 1.5
 
+    def test_poisson_read_needs_the_draws_of_its_profile(self):
+        profile = DemandProfile("poisson", 1.0, 2.0)
+        # a Draws of other means would draw at those means without a word
+        for draws in (Draws(0, DemandProfile("poisson", 50.0, 50.0)), None):
+            with pytest.raises(ValueError, match="demand_at"):
+                demand_at(profile, 0.0, draws)
+        # an equal profile is served as the one the Draws was built with
+        equal = DemandProfile("poisson", 1.0, 2.0)
+        assert demand_at(profile, 0.0, Draws(0, equal)) == demand_at(equal, 0.0, Draws(0, equal))
+
     def test_timeseries_is_a_step_function(self):
         profile = DemandProfile(
             kind="timeseries",
