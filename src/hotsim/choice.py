@@ -97,12 +97,17 @@ def induced_residual_capacity(
     return traffic.residual_capacity(c1, q1, paying_demand(q2, u, w, eta, params))
 
 
-def sample_eta(noise: NoiseSpec, draws: Draws) -> float:
-    """Draw one choice disturbance from the run's random stream."""
+def sample_eta(noise: NoiseSpec, draws: Draws | None) -> float:
+    """Draw one choice disturbance from the run's random stream, ``draws``,
+    which a uniform disturbance needs: a ValueError otherwise."""
     if noise.kind == "none":
         return 0.0
     # (raw >> 11) * 2**-53 is PCG64's next_double, written on the 64-bit
     # integer stream numpy keeps fixed, so this is bit for bit numpy's
     # uniform(low, high), low + (high - low) * random()
     low, high = -noise.half_width, noise.half_width
-    return low + (high - low) * ((draws.raw() >> 11) * 2.0**-53)
+    try:
+        return low + (high - low) * ((draws.raw() >> 11) * 2.0**-53)
+    except AttributeError:  # no Draws: a guard that costs the draw nothing
+        raise ValueError("sample_eta: a uniform disturbance needs the run's Draws, "
+                         f"got {type(draws).__name__}") from None

@@ -37,8 +37,10 @@ a tuple and ``dt``'s fraction string, and passes any other value as it is.
 Exponent floats such as ``1e6`` or ``2.5e-3`` read as numbers, although YAML
 1.1 (and so plain PyYAML) reads them as strings.  A run may take at most
 ``MAX_STEPS`` steps of ``dt`` to cover the horizon.  The controller sections
-are the specs of ``pricing``, where each controller's value rules live (the
-covariance rule, ``COV_EIG_TOL`` and the array shapes too).
+are the specs of ``pricing``: their keys are read off the spec fields, and
+each spec builds its controller from its fields by name.  Each controller's
+value rules live there (the covariance rule, ``COV_EIG_TOL`` and the array
+shapes too).
 
 A ``ScenarioConfig`` checks itself when it is built, by the parser or in
 code, ``dataclasses.replace`` included: each section object checks its own
@@ -225,6 +227,16 @@ def _array(value, where: str) -> float | tuple:
     return _real(value, where)
 
 
+def _controller_keys(kind: str) -> dict:
+    """The keys of section ``controller.<kind>``: the fields of the default
+    ``<kind>_spec``, in order, each read by ``_array`` if the spec names it in
+    ``ARRAYS`` and by ``_real`` otherwise."""
+    spec = getattr(ScenarioConfig, f"{kind}_spec")
+    return {field.name: (f"{kind}_spec.{field.name}",
+                         _array if field.name in spec.ARRAYS else _real)
+            for field in dataclasses.fields(spec)}
+
+
 # YAML section -> key -> (ScenarioConfig attribute path, converter); a nested
 # table is a subsection.  Parsing and to_mapping walk this one table.  A
 # converter reads only the YAML type; a value passed as it is has converter
@@ -253,23 +265,7 @@ SCHEMA = {
     },
     "controller": {
         "kind": ("controller_kind", None),
-        "vot": {
-            "queue_gain": ("vot_spec.queue_gain", _real),
-            "residual_gain": ("vot_spec.residual_gain", _real),
-            "scale_guess": ("vot_spec.scale_guess", _real),
-            "initial_vot": ("vot_spec.initial_vot", _real),
-        },
-        "integral": {
-            "gain": ("integral_spec.gain", _real),
-            "initial_price": ("integral_spec.initial_price", _real),
-            "target_demand": ("integral_spec.target_demand", _real),
-        },
-        "selflearning": {
-            "initial_theta": ("selflearning_spec.initial_theta", _array),
-            "initial_cov": ("selflearning_spec.initial_cov", _array),
-            "measurement_var": ("selflearning_spec.measurement_var", _real),
-            "process_noise": ("selflearning_spec.process_noise", _array),
-        },
+        **{kind: _controller_keys(kind) for kind in CONTROLLER_KINDS},
     },
     "approx": {"zeta0": ("approx_zeta0", _real)},
 }

@@ -25,14 +25,16 @@ which a nan demand fails, from ``choice.clearing_log_odds`` in
 ``set_demand``; a quote before the first ``set_demand`` is nan.
 
 Each controller's scenario spec (``VotControllerSpec``, ``IntegralTollSpec``,
-``SelfLearningSpec``) sits beside it with its defaults and ``build``.  The
-value rules live in the constructors, which a spec runs once when built;
-each checks that a number, array entries included, is finite before its
-range rule.  A non-finite value, a gain out of range, a self-learning array
-of the wrong shape, and an ``initial_cov`` or ``process_noise`` whose
-symmetric part ``0.5 (C + C')`` has an eigenvalue below ``-COV_EIG_TOL``
-times its largest magnitude are each a ValueError whose message begins with
-the key.
+``SelfLearningSpec``) sits beside it with its defaults.  Its fields are the
+constructor's parameters after ``hot_capacity``, and the one ``build`` of
+``_ControllerSpec`` passes each by name; ``config.SCHEMA`` reads its scenario
+keys off the same fields.  The value rules live in the constructors, which a
+spec runs once when built; each checks that a number, array entries
+included, is finite before its range rule.  A non-finite value, a gain out
+of range, a self-learning array of the wrong shape, and an ``initial_cov`` or
+``process_noise`` whose symmetric part ``0.5 (C + C')`` has an eigenvalue
+below ``-COV_EIG_TOL`` times its largest magnitude are each a ValueError
+whose message begins with the key.
 
 Building a spec or a controller imports no numpy: the value rules run in
 plain Python, and a scalar or diagonal covariance's eigenvalues are its
@@ -68,10 +70,24 @@ _PACK9 = struct.Struct("9d").pack_into
 
 class _ControllerSpec:
     """Settings of one pricing controller, checked by building it once with
-    the constructor's value rules, none of which reads the capacities."""
+    the constructor's value rules, none of which reads the capacities.
+
+    A spec names its controller class as ``controller`` and the fields whose
+    values are arrays as ``ARRAYS``; its fields are the constructor's
+    parameters after ``hot_capacity``, by name.
+    """
+
+    controller: type
+    ARRAYS: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         self.build(Capacities(1.0, 1.0))
+
+    def build(self, caps: Capacities):
+        """The controller for HOT capacity ``caps.hot``, each field passed as
+        the keyword of its name (a frozen dataclass's ``__dict__`` holds
+        exactly its fields)."""
+        return self.controller(caps.hot, **vars(self))
 
 
 class VotFeedbackController:
@@ -118,19 +134,19 @@ class VotControllerSpec(_ControllerSpec):
     scale_guess: float = 1.0
     initial_vot: float = 0.25
 
-    def build(self, caps: Capacities) -> VotFeedbackController:
-        return VotFeedbackController(
-            caps.hot, self.queue_gain, self.residual_gain,
-            self.scale_guess, self.initial_vot,
-        )
+    controller = VotFeedbackController
 
 
 class IntegralTollController:
-    """Toll adjusted in proportion to the accumulated HOT demand error."""
+    """Toll adjusted in proportion to the accumulated HOT demand error; a
+    ``target_demand`` of None fills the HOT capacity."""
 
     vot_estimate = None
 
-    def __init__(self, gain: float, initial_price: float, target_demand: float) -> None:
+    def __init__(self, hot_capacity: float, gain: float, initial_price: float,
+                 target_demand: float | None) -> None:
+        if target_demand is None:
+            target_demand = hot_capacity
         require_positive("gain", gain)
         require_finite("initial_price", initial_price)
         require_finite("target_demand", target_demand)
@@ -157,9 +173,7 @@ class IntegralTollSpec(_ControllerSpec):
     initial_price: float = math.log(2.0)
     target_demand: float | None = None  # None: fill the HOT capacity
 
-    def build(self, caps: Capacities) -> IntegralTollController:
-        target = caps.hot if self.target_demand is None else self.target_demand
-        return IntegralTollController(self.gain, self.initial_price, target)
+    controller = IntegralTollController
 
 
 class SelfLearningController:
@@ -324,11 +338,8 @@ class SelfLearningSpec(_ControllerSpec):
     measurement_var: float = 0.09
     process_noise: float | tuple = 1e-6       # scalar scales the identity
 
-    def build(self, caps: Capacities) -> SelfLearningController:
-        return SelfLearningController(
-            caps.hot, self.initial_theta, self.initial_cov,
-            self.measurement_var, self.process_noise,
-        )
+    controller = SelfLearningController
+    ARRAYS = ("initial_theta", "initial_cov", "process_noise")
 
 
 def _divide_by_zero(values, zero: float) -> list:

@@ -146,6 +146,15 @@ class TestSampleEta:
         draws = np.array([sample_eta(spec, source) for _ in range(1_000_000)])
         assert abs(draws.mean()) < 1e-3
 
+    @pytest.mark.parametrize("source, name", [
+        (None, "NoneType"),
+        (np.random.default_rng(0), "Generator"),
+    ], ids=["none", "generator"])
+    def test_uniform_noise_without_the_runs_draws_is_a_value_error(self, source, name):
+        with pytest.raises(ValueError, match=f"^sample_eta: a uniform disturbance needs "
+                                             f"the run's Draws, got {name}$"):
+            sample_eta(NoiseSpec("uniform", 0.2), source)
+
     def test_half_width_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec("uniform", 1.0)

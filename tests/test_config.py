@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hotsim import config
 from hotsim.analysis import approx_initial_zeta
 from hotsim.choice import BehaviorParams
 from hotsim.config import (
@@ -310,7 +311,7 @@ INF_RULES = [
     (VotControllerSpec(), {"scale_guess": INF}, ValueError, "scale_guess",
      functools.partial(VotFeedbackController, **VOT_ARGS)),
     (IntegralTollSpec(), {"gain": INF}, ValueError, "gain",
-     functools.partial(IntegralTollController, initial_price=0.5, target_demand=30.0)),
+     functools.partial(IntegralTollController, 30.0, initial_price=0.5, target_demand=30.0)),
     (SelfLearningSpec(), {"measurement_var": INF}, ValueError, "measurement_var",
      functools.partial(SelfLearningController, **LEARNER_ARGS)),
     (SelfLearningSpec(), {"initial_theta": (INF, 1.0, 0.1)}, ValueError, "initial_theta",
@@ -479,6 +480,35 @@ class TestMapping:
         path = tmp_path / "scenario.yaml"
         path.write_text("run: {seed: 9}\n")
         assert load_config(path).seed == 9
+
+    def test_controller_schema_is_pinned(self):
+        # entry for entry and in order: key, attribute path and converter
+        real, array = config._real, config._array
+
+        def items(table):
+            return [(key, items(entry) if isinstance(entry, dict) else entry)
+                    for key, entry in table.items()]
+
+        assert items(SCHEMA["controller"]) == [
+            ("kind", ("controller_kind", None)),
+            ("vot", [
+                ("queue_gain", ("vot_spec.queue_gain", real)),
+                ("residual_gain", ("vot_spec.residual_gain", real)),
+                ("scale_guess", ("vot_spec.scale_guess", real)),
+                ("initial_vot", ("vot_spec.initial_vot", real)),
+            ]),
+            ("integral", [
+                ("gain", ("integral_spec.gain", real)),
+                ("initial_price", ("integral_spec.initial_price", real)),
+                ("target_demand", ("integral_spec.target_demand", real)),
+            ]),
+            ("selflearning", [
+                ("initial_theta", ("selflearning_spec.initial_theta", array)),
+                ("initial_cov", ("selflearning_spec.initial_cov", array)),
+                ("measurement_var", ("selflearning_spec.measurement_var", real)),
+                ("process_noise", ("selflearning_spec.process_noise", array)),
+            ]),
+        ]
 
 
 # one non-finite value per section that used to slip through

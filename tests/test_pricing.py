@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import hashlib
+import inspect
 import math
 from pathlib import Path
 
@@ -14,9 +15,13 @@ from hotsim.engine import STATE_FIELDS, run_closed_loop
 from hotsim.errors import PriceUndefinedError, ScenarioAssumptionError
 from hotsim.pricing import (
     IntegralTollController,
+    IntegralTollSpec,
     SelfLearningController,
+    SelfLearningSpec,
+    VotControllerSpec,
     VotFeedbackController,
 )
+from hotsim.traffic import Capacities
 
 DT = 1.0 / 60.0
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -100,17 +105,17 @@ def observe_hot_demand(ctrl, q1, q3):
 
 class TestIntegralToll:
     def test_on_target_demand_freezes_toll(self):
-        ctrl = IntegralTollController(0.01, math.log(2.0), 30.0)
+        ctrl = IntegralTollController(30.0, 0.01, math.log(2.0), 30.0)
         observe_hot_demand(ctrl, 10.0, 20.0)
         assert ctrl.u == math.log(2.0)
 
     def test_excess_demand_raises_toll(self):
-        ctrl = IntegralTollController(0.01, math.log(2.0), 30.0)
+        ctrl = IntegralTollController(30.0, 0.01, math.log(2.0), 30.0)
         observe_hot_demand(ctrl, 10.0, 30.0)
         assert ctrl.u == pytest.approx(math.log(2.0) + 0.1, rel=1e-12)
 
     def test_shortfall_lowers_toll(self):
-        ctrl = IntegralTollController(0.01, 1.0, 30.0)
+        ctrl = IntegralTollController(30.0, 0.01, 1.0, 30.0)
         observe_hot_demand(ctrl, 10.0, 15.0)
         assert ctrl.u < 1.0
 
@@ -400,7 +405,7 @@ class TestSelfLearningPrice:
 
 class TestControllerInterface:
     def test_quote_then_observe_round_trip(self):
-        for ctrl in (vot_controller(), IntegralTollController(0.01, 0.5, 30.0),
+        for ctrl in (vot_controller(), IntegralTollController(30.0, 0.01, 0.5, 30.0),
                      learner()):
             u = priced(ctrl, 0.0, 10.0, 60.0)
             assert math.isfinite(u)
@@ -409,7 +414,7 @@ class TestControllerInterface:
 
     def test_integral_toll_prices_no_demand_term(self):
         # a demand that saturates the HOT lanes is set without a check
-        ctrl = IntegralTollController(0.01, 0.5, 30.0)
+        ctrl = IntegralTollController(30.0, 0.01, 0.5, 30.0)
         assert priced(ctrl, 1.0, 30.0, 60.0) == 0.5
 
     def test_a_quote_before_any_demand_is_set_is_nan(self):
@@ -425,8 +430,57 @@ class TestControllerInterface:
 
     def test_vot_estimates(self):
         assert vot_controller().vot_estimate == 0.5
-        assert IntegralTollController(0.01, 0.5, 30.0).vot_estimate is None
+        assert IntegralTollController(30.0, 0.01, 0.5, 30.0).vot_estimate is None
         assert learner().vot_estimate == pytest.approx(0.25)
+
+
+# each spec, its controller, and every setting off its default, in field order
+OFF_DEFAULT = [
+    (VotControllerSpec, VotFeedbackController,
+     dict(queue_gain=0.15, residual_gain=0.07, scale_guess=1.3, initial_vot=0.4)),
+    (IntegralTollSpec, IntegralTollController,
+     dict(gain=0.02, initial_price=0.5, target_demand=25.0)),
+    (SelfLearningSpec, SelfLearningController,
+     dict(initial_theta=(0.3, 0.9, 0.2),
+          initial_cov=((0.2, 0.01, 0.0), (0.01, 0.1, 0.0), (0.0, 0.0, 0.05)),
+          measurement_var=0.05, process_noise=2e-6)),
+]
+SPEC_IDS = ["vot", "integral", "selflearning"]
+
+
+def run_steps(ctrl):
+    """The bits of five quotes, each observed, and the VOT estimate after each."""
+    seen = []
+    for i in range(5):
+        q1, w = 10.0 + i, 0.5 + 0.1 * i
+        u = priced(ctrl, w, q1, 60.0)
+        ctrl.observe(DT, 0.2, 0.1, w, u, q1, 60.0, 20.0 - i)
+        seen.append((bits(u), repr(ctrl.vot_estimate)))
+    return seen
+
+
+class TestSpecBuild:
+    """A spec builds its controller from the HOT capacity and its fields, by name."""
+
+    @pytest.mark.parametrize("spec, controller, settings", OFF_DEFAULT, ids=SPEC_IDS)
+    def test_constructor_parameters_are_the_spec_fields(self, spec, controller, settings):
+        params = list(inspect.signature(controller).parameters)
+        assert params == ["hot_capacity"] + [field.name for field in dataclasses.fields(spec)]
+
+    @pytest.mark.parametrize("spec, controller, settings", OFF_DEFAULT, ids=SPEC_IDS)
+    def test_built_controller_runs_as_a_constructed_one(self, spec, controller, settings):
+        default = spec()
+        assert list(settings) == [field.name for field in dataclasses.fields(spec)]
+        assert all(getattr(default, key) != value for key, value in settings.items())
+        built = spec(**settings).build(Capacities(30.0, 30.0))
+        assert type(built) is controller
+        assert run_steps(built) == run_steps(controller(30.0, *settings.values()))
+
+    def test_integral_target_defaults_to_the_hot_capacity(self):
+        caps = Capacities(27.0, 30.0)
+        assert IntegralTollSpec().build(caps).target_demand == 27.0
+        assert IntegralTollSpec(target_demand=25.0).build(caps).target_demand == 25.0
+        assert IntegralTollController(27.0, 0.01, 0.5, None).target_demand == 27.0
 
 
 class TestSharedDemandTerm:
