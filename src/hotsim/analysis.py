@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from .choice import clearing_log_odds, induced_residual_capacity
 from .engine import run_closed_loop
 from .errors import (BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError,
-                     brief_repr, require_positive)
+                     brief_repr, require_positive, require_whole_steps)
 from .traffic import queuing_times
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,30 +87,28 @@ def loop_gain_rate(config: "ScenarioConfig") -> float:
 def _integrate(
     lam: float,
     zeta: float,
-    t: float,
+    times: list,
     queue_gain: float,
     residual_gain: float,
     gain_rate: float,
     dt: float,
-    n: int,
-) -> tuple[list, list, float]:
-    """``n`` explicit Euler steps of the reduced dynamics from ``(lam, zeta)`` at ``t``.
+) -> tuple[list, list]:
+    """Explicit Euler steps of the reduced dynamics from ``(lam, zeta)`` at
+    ``times[0]``, step k from ``times[k]``: one step fewer than ``times``.
 
-    Returns the ``n + 1`` queues and residual capacities, the initial ones
-    first, and the time after the last step.
+    Returns the queues and residual capacities at ``times``, the initial ones
+    first.
     """
     lams, zetas = [lam], [zeta]
-    append_lam, append_zeta = lams.append, zetas.append
     # dt * gain_rate * t * (...) multiplies left to right: its first product is fixed
     rate_dt = dt * gain_rate
-    for _ in range(n):
+    for t in times[:-1]:
         queue = lam - zeta * dt  # clipped at zero as max(queue, 0.0) would
         zeta = zeta + rate_dt * t * (queue_gain * lam - residual_gain * zeta)
         lam = 0.0 if 0.0 > queue else queue
-        t = t + dt
-        append_lam(lam)
-        append_zeta(zeta)
-    return lams, zetas, t
+        lams.append(lam)
+        zetas.append(zeta)
+    return lams, zetas
 
 
 def step_approximate(
@@ -124,10 +122,10 @@ def step_approximate(
 ) -> tuple[float, float, float]:
     """One explicit Euler step of the reduced dynamics from ``(lambda1, zeta)`` at ``t``.
 
-    Returns the next ``(lambda1, zeta, t)``.
+    Returns the next ``(lambda1, zeta, t + dt)``.
     """
-    lams, zetas, t = _integrate(lambda1, zeta, t, queue_gain, residual_gain, gain_rate, dt, 1)
-    return lams[1], zetas[1], t
+    lams, zetas = _integrate(lambda1, zeta, [t, t + dt], queue_gain, residual_gain, gain_rate, dt)
+    return lams[1], zetas[1], t + dt
 
 
 def run_approximate(
@@ -142,15 +140,19 @@ def run_approximate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate the reduced model over ``horizon`` minutes.
 
-    Returns (t, lambda1, zeta) arrays.  ``start_time`` matters because the
-    reduced dynamics are time-variant.
+    Returns (t, lambda1, zeta) arrays.  Step k runs at ``t[k] = start_time +
+    k*dt``, the clock of the closed loop; ``start_time`` matters because the
+    reduced dynamics are time-variant.  ``dt`` and ``horizon`` must be
+    positive and ``dt`` must divide ``horizon`` into whole steps, as a
+    scenario's must; otherwise it is a ValueError naming the key.
     """
     import numpy as np
 
-    n = round(horizon / dt)
-    lams, zetas, _ = _integrate(initial_queue, initial_zeta, start_time,
-                                queue_gain, residual_gain, gain_rate, dt, n)
-    times = start_time + np.arange(n + 1) * dt
+    require_positive("dt", dt)
+    require_positive("horizon", horizon)
+    times = start_time + np.arange(require_whole_steps("dt", horizon, dt) + 1) * dt
+    lams, zetas = _integrate(initial_queue, initial_zeta, times.tolist(),
+                             queue_gain, residual_gain, gain_rate, dt)
     return times, np.array(lams, dtype=float), np.array(zetas, dtype=float)
 
 

@@ -41,7 +41,9 @@ class BehaviorParams:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Distribution of the per-step multiplicative choice disturbance."""
+    """Distribution of the per-step multiplicative choice disturbance:
+    ``none``, or ``uniform`` on ``[-half_width, half_width]``.  A non-zero
+    ``half_width`` under ``none`` is an error, as it would not be read."""
 
     kind: str = "none"
     half_width: float = 0.0
@@ -53,6 +55,8 @@ class NoiseSpec:
         require_finite("half_width", self.half_width)
         if not 0.0 <= self.half_width < 1.0:
             raise ValueError("half_width must lie in [0, 1)")
+        if self.kind == "none" and self.half_width != 0.0:
+            raise ValueError("half_width: not read by none noise")
 
 
 def paying_demand(

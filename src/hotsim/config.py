@@ -27,7 +27,10 @@ rejected with their dotted path.
 
 ``dt`` accepts a float or a fraction string like ``"1/60"``.  A demand key
 that the demand kind does not read (``samples`` for constant or Poisson
-demand, ``hov`` and ``sov`` for timeseries) is an error.  ``approx.zeta0``
+demand, ``hov`` and ``sov`` for timeseries) is an error, and so is a
+non-zero ``noise.half_width`` under noise ``none``, which reads none
+(``NoiseSpec`` owns that rule, and ``DemandProfile`` the ``samples``
+half of the demand rule).  ``approx.zeta0``
 seeds the reduced model; when null, ``analysis.approx_initial_zeta`` derives
 it from the closed-loop state at t = 0.
 
@@ -66,7 +69,8 @@ import yaml
 
 from .choice import BehaviorParams, NoiseSpec
 from .engine import DemandProfile, check_seeds
-from .errors import ConfigError, brief_repr, require_finite, require_positive
+from .errors import (ConfigError, brief_repr, require_finite, require_positive,
+                     require_whole_steps)
 from .pricing import IntegralTollSpec, SelfLearningSpec, VotControllerSpec
 from .traffic import Capacities
 
@@ -134,10 +138,7 @@ class ScenarioConfig:
                 f"run: horizon {horizon:g} / dt {dt:g} gives {n:.3g} steps, "
                 f"more than the cap of {MAX_STEPS}"
             )
-        if abs(n - round(n)) > 1e-6 * max(1.0, n) or round(n) < 1:
-            raise ConfigError(
-                f"run.dt: step size {dt:g} does not divide the horizon {horizon:g} evenly"
-            )
+        require_whole_steps("run.dt", horizon, dt, ConfigError)
         # replication i runs at seed + i; both are stored as Python ints
         seed, replications = check_seeds(self.seed, self.replications)
         object.__setattr__(self, "seed", seed)

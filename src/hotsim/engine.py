@@ -89,7 +89,9 @@ class DemandProfile:
     ``constant`` gives the means; ``poisson`` draws both rates anew at each
     read from Poisson distributions with those means (veh/min, at most
     ``POISSON_MEAN_MAX``); ``timeseries`` holds ``(t, hov, sov)`` breakpoints
-    interpreted as a step function, the first at t <= 0.
+    interpreted as a step function, the first at t <= 0.  ``samples`` other
+    than the empty tuple under ``constant`` or ``poisson`` is an error, as
+    they would not be read.
     """
 
     kind: str = "constant"
@@ -110,6 +112,8 @@ class DemandProfile:
                 if self.kind == "poisson" and rate > POISSON_MEAN_MAX:
                     raise ValueError(f"{key}: a Poisson mean must be at most "
                                      f"{POISSON_MEAN_MAX:g} veh/min, got {rate:g}")
+            if not isinstance(self.samples, tuple) or self.samples:  # any value but ()
+                raise ValueError(f"samples: not read by {self.kind} demand")
         else:
             if not _float_array("samples", self.samples, "rows of three numbers", (None, 3)):
                 raise ValueError("samples: timeseries demand needs at least one sample")

@@ -1,8 +1,9 @@
 """Exception classes shared across the package, and the value rules that the
 objects owning scenario values share: a finite number, the one test of what
 is a number (``require_finite``: what ``math.isfinite`` takes, bools,
-numpy's too, aside), and an array's shape; and how an error shows the value
-it rejects (``brief_repr``).
+numpy's too, aside), a whole number of steps in a horizon
+(``require_whole_steps``) and an array's shape; and how an error shows the
+value it rejects (``brief_repr``).
 
 Each class maps to one CLI exit code so that callers can tell apart bad
 configuration, demand patterns outside the model's assumptions, controller
@@ -76,6 +77,17 @@ def require_positive(key: str, value: float, error: type[Exception] = ValueError
     require_finite(key, value, error)
     if value <= 0:
         raise error(f"{key} must be positive")
+
+
+def require_whole_steps(key: str, horizon: float, dt: float,
+                        error: type[Exception] = ValueError) -> int:
+    """The number of steps of ``dt`` in ``horizon``, both positive; raise
+    ``error``, its message beginning with ``key``, unless it is at least one
+    and a whole number to within a millionth of itself."""
+    n = horizon / dt
+    if abs(n - round(n)) > 1e-6 * max(1.0, n) or round(n) < 1:
+        raise error(f"{key}: step size {dt:g} does not divide the horizon {horizon:g} evenly")
+    return round(n)
 
 
 def _float_array(key: str, value, what: str, *shapes: tuple):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -195,6 +196,40 @@ class TestReducedModel:
         reference = np.array([gaussian_tail(amplitude, ti, BETA0, 0.1) for ti in t])
         rel = np.abs(zeta - reference) / reference
         assert rel.max() < 0.01
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 10.0),
+           # a step that is no multiple of 2**-30, so that a summed clock would round
+           st.floats(1e-3, 0.2, exclude_min=True, exclude_max=True).filter(
+               lambda dt: math.ldexp(dt, 30) % 1.0 != 0.0),
+           st.integers(1, 2000), st.floats(0.0, 5.0), st.floats(-1.0, 1.0),
+           st.floats(1e-3, 1.0), st.floats(1e-3, 1.0), st.floats(1e-3, 10.0))
+    def test_each_step_runs_on_the_reported_clock(self, start, dt, n, lam0, zeta0, k1, k2,
+                                                  rate):
+        t, lam, zeta = run_approximate(lam0, zeta0, k1, k2, rate, n * dt, dt,
+                                       start_time=start)
+        clock = start + np.arange(n + 1) * dt
+        assert t.tobytes() == clock.tobytes()
+        # a reference Euler loop, step k from clock[k]
+        lams, zetas = [lam0], [zeta0]
+        for tk in clock[:-1].tolist():
+            lams.append(max(lams[-1] - zetas[-1] * dt, 0.0))
+            zetas.append(zetas[-1] + dt * rate * tk * (k1 * lams[-2] - k2 * zetas[-1]))
+        assert lam.tobytes() == np.array(lams).tobytes()
+        assert zeta.tobytes() == np.array(zetas).tobytes()
+
+    @pytest.mark.parametrize("horizon, dt, message", [
+        (1.0, -0.5, "dt must be positive"),
+        (1.0, 0.0, "dt must be positive"),
+        (1.0, math.nan, "dt: expected a finite number, got nan"),
+        (0.0, 0.5, "horizon must be positive"),
+        (math.inf, 0.5, "horizon: expected a finite number, got inf"),
+        (1.0, 0.3, "dt: step size 0.3 does not divide the horizon 1 evenly"),
+        (0.1, 0.3, "dt: step size 0.3 does not divide the horizon 0.1 evenly"),
+    ])
+    def test_step_and_horizon_are_checked(self, horizon, dt, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_approximate(1.0, 0.11, 0.1, 0.1, BETA0, horizon, dt)
 
 
 class TestClassification:

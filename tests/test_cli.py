@@ -184,6 +184,7 @@ USAGE_ERRORS = [
      "error: demand.samples: expected rows of three numbers, got 5.0"),
     (["simulate"], "demand: {kind: foo}",
      "error: demand.kind: expected one of constant, poisson, timeseries, got 'foo'"),
+    (["simulate"], "noise: {half_width: 0.1}", "error: noise.half_width: not read by none noise"),
 ]
 
 

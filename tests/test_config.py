@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hotsim import config
 from hotsim.analysis import approx_initial_zeta
-from hotsim.choice import BehaviorParams
+from hotsim.choice import BehaviorParams, NoiseSpec
 from hotsim.config import (
     MAX_STEPS,
     SCHEMA,
@@ -146,9 +146,13 @@ class TestValidation:
          "demand.hov: not read by timeseries demand"),
         ("demand: {kind: poisson, samples: [[0, 10, 60]]}",
          "demand.samples: not read by poisson demand"),
+        ("demand: {samples: [[0, 10, 60]]}", "demand.samples: not read by constant demand"),
+        ("demand: {samples: []}", "demand.samples: not read by constant demand"),
+        ("noise: {half_width: 0.3}", "noise.half_width: not read by none noise"),
+        ("noise: {kind: none, half_width: 1.0e-300}", "noise.half_width: not read by none noise"),
     ])
-    def test_demand_key_the_kind_does_not_read(self, text, key):
-        with pytest.raises(ConfigError, match=key):
+    def test_key_the_kind_does_not_read(self, text, key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}$"):
             parse_config_text(text)
 
     @pytest.mark.parametrize("text, message", [
@@ -352,6 +356,21 @@ class TestBuiltInCode:
         # only built, never run
         with pytest.raises(error, match=f"^{re.escape(key)}"):
             dataclasses.replace(ScenarioConfig(), **fields)
+
+    # a setting its kind does not read is rejected by its owner, with the
+    # parser's message for the same key, less its section
+    @pytest.mark.parametrize("build, message", [
+        (lambda: NoiseSpec("none", 0.3), "half_width: not read by none noise"),
+        (lambda: DemandProfile(samples=((0.0, 10.0, 60.0),)),
+         "samples: not read by constant demand"),
+        (lambda: DemandProfile("poisson", samples=((0.0, 10.0, 60.0),)),
+         "samples: not read by poisson demand"),
+        (lambda: DemandProfile(samples=np.array([[0.0, 10.0, 60.0]])),
+         "samples: not read by constant demand"),
+    ], ids=["none-noise", "constant", "poisson", "constant-array"])
+    def test_setting_the_kind_does_not_read_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_last_replication_seed_within_64_bits(self):
         ScenarioConfig(seed=2**64 - 2, replications=2)
@@ -818,10 +837,13 @@ def _scenarios(draw, max_steps=5000, max_replications=50):
                                                "replications": st.just(replications)}),
         "behavior": st.fixed_dictionaries({}, optional={"vot": _positive,
                                                         "scale": _positive}),
-        "noise": st.fixed_dictionaries({}, optional={
-            "kind": st.sampled_from(["none", "uniform"]),
-            "half_width": st.floats(0.0, 1.0, exclude_max=True),
-        }),
+        # none noise reads no half_width, so only a uniform one draws it non-zero
+        "noise": st.one_of(
+            st.fixed_dictionaries({}, optional={"kind": st.just("none"),
+                                                "half_width": st.just(0.0)}),
+            st.fixed_dictionaries({"kind": st.just("uniform")}, optional={
+                "half_width": st.floats(0.0, 1.0, exclude_max=True)}),
+        ),
         "initial": st.fixed_dictionaries({}, optional={"hot_queue": _nonnegative,
                                                        "gp_queue": _nonnegative}),
         "controller": st.fixed_dictionaries({}, optional={
