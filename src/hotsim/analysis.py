@@ -17,8 +17,9 @@ from typing import TYPE_CHECKING
 
 from .choice import clearing_log_odds, induced_residual_capacity
 from .engine import run_closed_loop
-from .errors import (BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError,
-                     brief_repr, require_positive, require_whole_steps)
+from .errors import (BoundaryNotBracketedError, ConfigError, NonFiniteResultError,
+                     ScenarioAssumptionError, brief_repr, require_finite, require_positive,
+                     require_steps)
 from .traffic import queuing_times
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -142,15 +143,17 @@ def run_approximate(
 
     Returns (t, lambda1, zeta) arrays.  Step k runs at ``t[k] = start_time +
     k*dt``, the clock of the closed loop; ``start_time`` matters because the
-    reduced dynamics are time-variant.  ``dt`` and ``horizon`` must be
-    positive and ``dt`` must divide ``horizon`` into whole steps, as a
-    scenario's must; otherwise it is a ValueError naming the key.
+    reduced dynamics are time-variant.  ``dt`` and ``horizon`` meet a
+    scenario's step rule, ``errors.require_steps``, and every other input is
+    a finite number; otherwise it is a ValueError naming the key.
     """
     import numpy as np
 
-    require_positive("dt", dt)
-    require_positive("horizon", horizon)
-    times = start_time + np.arange(require_whole_steps("dt", horizon, dt) + 1) * dt
+    for key, value in (("initial_queue", initial_queue), ("initial_zeta", initial_zeta),
+                       ("queue_gain", queue_gain), ("residual_gain", residual_gain),
+                       ("gain_rate", gain_rate), ("start_time", start_time)):
+        require_finite(key, value)
+    times = start_time + np.arange(require_steps(horizon, dt) + 1) * dt
     lams, zetas = _integrate(initial_queue, initial_zeta, times.tolist(),
                              queue_gain, residual_gain, gain_rate, dt)
     return times, np.array(lams, dtype=float), np.array(zetas, dtype=float)
@@ -304,13 +307,15 @@ def approx_initial_zeta(config: "ScenarioConfig") -> float:
 
 def approximate_from_config(config: "ScenarioConfig") -> tuple[np.ndarray, ...]:
     """The reduced model over the scenario's horizon, from its initial HOT
-    queue and residual capacity, with its vot controller's gains."""
+    queue and residual capacity, with its vot controller's gains.  A seed
+    residual capacity or loop-gain rate that the scenario's values carry out
+    of the float range is a NonFiniteResultError naming it."""
     spec = config.vot_spec
-    return run_approximate(
-        config.initial_hot_queue, approx_initial_zeta(config),
-        spec.queue_gain, spec.residual_gain,
-        loop_gain_rate(config), config.horizon, config.dt,
-    )
+    zeta0, rate = approx_initial_zeta(config), loop_gain_rate(config)
+    for key, value in (("initial_zeta", zeta0), ("gain_rate", rate)):
+        require_finite(f"reduced model {key}", value, NonFiniteResultError)
+    return run_approximate(config.initial_hot_queue, zeta0, spec.queue_gain, spec.residual_gain,
+                           rate, config.horizon, config.dt)
 
 
 def _run_at(

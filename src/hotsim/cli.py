@@ -18,7 +18,8 @@ approx.csv.  ``_emit`` is the one writer.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 scenario-assumption
 violation, 4 controller failure, 5 I/O failure, 6 non-finite result (a
-summary metric is infinite or NaN, so no JSON is written).
+summary metric is infinite or NaN, so no JSON is written).  Each error class
+of ``errors`` carries its code as ``exit_code``; an ``OSError`` is 5.
 
 All CSV output uses 9 significant digits, '\\n' line endings, and a
 terminating newline, so identical runs produce byte-identical files.
@@ -40,16 +41,11 @@ from .errors import (
     ConfigError,
     HotSimError,
     NonFiniteResultError,
-    PriceUndefinedError,
-    ScenarioAssumptionError,
     require_positive,
 )
 
 # most gain values one ``sweep --grid`` may run; each is a full simulation
 MAX_GRID_POINTS = 10_000
-# exit code of each error a command reports, the first matching class wins
-EXIT_CODES = ((ConfigError, 2), (ScenarioAssumptionError, 3), (PriceUndefinedError, 4),
-              (OSError, 5), (NonFiniteResultError, 6), (HotSimError, 2))
 # what each ``cmd_*`` returns for ``_emit``: its files, name to text in write
 # order, and the name of the one printed without ``--out`` (None for none)
 Outputs = tuple[dict[str, str], str | None]
@@ -311,7 +307,7 @@ def main(argv=None) -> int:
         return 0
     except (HotSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+        return exc.exit_code if isinstance(exc, HotSimError) else 5
 
 
 if __name__ == "__main__":

@@ -39,7 +39,9 @@ owner: it reads a YAML integer as a float, as code gives a number, a list as
 a tuple and ``dt``'s fraction string, and passes any other value as it is.
 Exponent floats such as ``1e6`` or ``2.5e-3`` read as numbers, although YAML
 1.1 (and so plain PyYAML) reads them as strings.  A run may take at most
-``MAX_STEPS`` steps of ``dt`` to cover the horizon.  The controller sections
+``MAX_STEPS`` steps of ``dt`` to cover the horizon: ``errors.require_steps``,
+the step rule the reduced model shares, owns that rule with the positive
+``dt`` and horizon and the whole number of steps.  The controller sections
 are the specs of ``pricing``: their keys are read off the spec fields, and
 each spec builds its controller from its fields by name.  Each controller's
 value rules live there (the covariance rule, ``COV_EIG_TOL`` and the array
@@ -69,15 +71,12 @@ import yaml
 
 from .choice import BehaviorParams, NoiseSpec
 from .engine import DemandProfile, check_seeds
-from .errors import (ConfigError, brief_repr, require_finite, require_positive,
-                     require_whole_steps)
+# MAX_STEPS, the step rule's cap, stays importable from config
+from .errors import MAX_STEPS, ConfigError, brief_repr, require_finite, require_steps
 from .pricing import IntegralTollSpec, SelfLearningSpec, VotControllerSpec
 from .traffic import Capacities
 
 CONTROLLER_KINDS = ("vot", "integral", "selflearning")
-
-# largest horizon / dt accepted; each step keeps one row of floats in memory
-MAX_STEPS = 1_000_000
 
 
 class _ScenarioLoader(yaml.SafeLoader):
@@ -129,16 +128,7 @@ class ScenarioConfig:
         if self.controller_kind not in CONTROLLER_KINDS:
             raise ConfigError(f"controller.kind: expected one of {', '.join(CONTROLLER_KINDS)}, "
                               f"got {brief_repr(self.controller_kind)}")
-        horizon, dt = self.horizon, self.dt
-        require_positive("run.dt", dt, ConfigError)
-        require_positive("run.horizon", horizon, ConfigError)
-        n = horizon / dt
-        if not n <= MAX_STEPS:
-            raise ConfigError(
-                f"run: horizon {horizon:g} / dt {dt:g} gives {n:.3g} steps, "
-                f"more than the cap of {MAX_STEPS}"
-            )
-        require_whole_steps("run.dt", horizon, dt, ConfigError)
+        require_steps(self.horizon, self.dt, "run", ConfigError)
         # replication i runs at seed + i; both are stored as Python ints
         seed, replications = check_seeds(self.seed, self.replications)
         object.__setattr__(self, "seed", seed)
@@ -160,7 +150,10 @@ class ScenarioConfig:
 
     @property
     def n_steps(self) -> int:
-        return round(self.horizon / self.dt)
+        """The steps of ``dt`` in the horizon, by ``errors.require_steps``.
+        It re-checks a rule ``__post_init__`` has passed, on purpose: the
+        rule is the one place that counts the steps."""
+        return require_steps(self.horizon, self.dt, "run", ConfigError)
 
     def to_mapping(self) -> dict:
         """Canonical plain-data form, used for fingerprints: every ``SCHEMA``

@@ -1,22 +1,29 @@
 """Exception classes shared across the package, and the value rules that the
 objects owning scenario values share: a finite number, the one test of what
 is a number (``require_finite``: what ``math.isfinite`` takes, bools,
-numpy's too, aside), a whole number of steps in a horizon
-(``require_whole_steps``) and an array's shape; and how an error shows the
-value it rejects (``brief_repr``).
+numpy's too, aside), the step rule of a run (``require_steps``: a positive
+``dt`` and horizon, at most ``MAX_STEPS`` steps, a whole number of them),
+which the scenario and the reduced model both call, and an array's shape;
+and how an error shows the value it rejects (``brief_repr``).
 
-Each class maps to one CLI exit code so that callers can tell apart bad
-configuration, demand patterns outside the model's assumptions, controller
-failures, I/O problems, and runs whose results are not finite.
+Each class maps to one CLI exit code, its ``exit_code``, so that callers can
+tell apart bad configuration, demand patterns outside the model's
+assumptions, controller failures and runs whose results are not finite; the
+CLI gives an I/O failure, an ``OSError``, exit code 5.
 """
 
 import math
 import sys
 from collections.abc import Sequence
 
+# largest horizon / dt accepted; each step keeps one row of floats in memory
+MAX_STEPS = 1_000_000
+
 
 class HotSimError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class ConfigError(HotSimError):
@@ -33,9 +40,13 @@ class ScenarioAssumptionError(HotSimError):
     total capacity, and checks its mean rates through ``clearing_log_odds``.
     """
 
+    exit_code = 3
+
 
 class PriceUndefinedError(HotSimError):
     """The controller cannot produce a finite price (degenerate estimate)."""
+
+    exit_code = 4
 
 
 class BoundaryNotBracketedError(HotSimError):
@@ -44,6 +55,8 @@ class BoundaryNotBracketedError(HotSimError):
 
 class NonFiniteResultError(HotSimError):
     """A run's summary metric is infinite or NaN: its state left the finite range."""
+
+    exit_code = 6
 
 
 def require_finite(key: str, value: float, error: type[Exception] = ValueError) -> None:
@@ -79,14 +92,21 @@ def require_positive(key: str, value: float, error: type[Exception] = ValueError
         raise error(f"{key} must be positive")
 
 
-def require_whole_steps(key: str, horizon: float, dt: float,
-                        error: type[Exception] = ValueError) -> int:
-    """The number of steps of ``dt`` in ``horizon``, both positive; raise
-    ``error``, its message beginning with ``key``, unless it is at least one
-    and a whole number to within a millionth of itself."""
+def require_steps(horizon: float, dt: float, section: str = "",
+                  error: type[Exception] = ValueError) -> int:
+    """The number of steps of ``dt`` in ``horizon``; raise ``error``, its
+    message beginning with ``section``, unless both are positive, the count
+    is at most ``MAX_STEPS`` and it is at least one and a whole number to
+    within a millionth of itself."""
+    where, key = (f"{section}: ", f"{section}.") if section else ("", "")
+    require_positive(f"{key}dt", dt, error)
+    require_positive(f"{key}horizon", horizon, error)
     n = horizon / dt
+    if n > MAX_STEPS:
+        raise error(f"{where}horizon {horizon:g} / dt {dt:g} gives {n:.3g} steps, "
+                    f"more than the cap of {MAX_STEPS}")
     if abs(n - round(n)) > 1e-6 * max(1.0, n) or round(n) < 1:
-        raise error(f"{key}: step size {dt:g} does not divide the horizon {horizon:g} evenly")
+        raise error(f"{key}dt: step size {dt:g} does not divide the horizon {horizon:g} evenly")
     return round(n)
 
 

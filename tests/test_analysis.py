@@ -29,7 +29,8 @@ from hotsim.analysis import (
 from hotsim.choice import BehaviorParams
 from hotsim.config import ScenarioConfig, VotControllerSpec, load_config
 from hotsim.engine import DemandProfile, SummaryMetrics, run_closed_loop
-from hotsim.errors import BoundaryNotBracketedError, ConfigError, ScenarioAssumptionError
+from hotsim.errors import (MAX_STEPS, BoundaryNotBracketedError, ConfigError,
+                           ScenarioAssumptionError)
 from hotsim.traffic import Capacities
 
 S0 = ScenarioConfig()
@@ -226,10 +227,27 @@ class TestReducedModel:
         (math.inf, 0.5, "horizon: expected a finite number, got inf"),
         (1.0, 0.3, "dt: step size 0.3 does not divide the horizon 1 evenly"),
         (0.1, 0.3, "dt: step size 0.3 does not divide the horizon 0.1 evenly"),
+        (1e300, 1e-300, "horizon 1e+300 / dt 1e-300 gives inf steps, more than the cap of 1000000"),
+        (MAX_STEPS + 1, 1, "horizon 1e+06 / dt 1 gives 1e+06 steps, more than the cap of 1000000"),
     ])
     def test_step_and_horizon_are_checked(self, horizon, dt, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_approximate(1.0, 0.11, 0.1, 0.1, BETA0, horizon, dt)
+
+    @pytest.mark.parametrize("key, bad", [
+        ("initial_queue", math.nan),
+        ("initial_zeta", math.inf),
+        ("queue_gain", math.nan),
+        ("residual_gain", -math.inf),
+        ("gain_rate", math.inf),
+        ("start_time", math.nan),
+    ])
+    def test_each_input_is_a_finite_number(self, key, bad):
+        inputs = dict(initial_queue=1.0, initial_zeta=0.11, queue_gain=0.1, residual_gain=0.1,
+                      gain_rate=BETA0, horizon=1.0, dt=0.5, start_time=0.0)
+        message = f"{key}: expected a finite number, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_approximate(**{**inputs, key: bad})
 
 
 class TestClassification:

@@ -21,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_config import TIMESERIES_ONE, _positive, _scenarios
 
-from hotsim import analysis, engine
+from hotsim import analysis, cli, engine
 from hotsim.cli import _json_text, main
 from hotsim.config import SCHEMA, ScenarioConfig, config_fingerprint
-from hotsim.errors import ConfigError, NonFiniteResultError
+from hotsim.errors import (BoundaryNotBracketedError, ConfigError, HotSimError,
+                           NonFiniteResultError, PriceUndefinedError, ScenarioAssumptionError)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCENARIOS = SRC.parent / "scenarios"
@@ -309,6 +310,19 @@ class TestExitCodes:
         assert not out.exists()
         assert f"summary metric {metric} is" in capsys.readouterr().err
 
+    # the reduced model's loop-gain rate overflows, (q1+q2-c1-c2)·(q1+q2-c1) or the scale
+    @pytest.mark.parametrize("text", ["behavior: {scale: 1.0e308}\n", "demand: {sov: 1.0e200}\n"],
+                             ids=["behavior.scale", "demand.sov"])
+    @pytest.mark.parametrize("argv", [["approx"], ["sweep", "--model", "approx", "--values", "0.1"],
+                                      ["sweep", "--model", "approx", "--bisect", "0.1:0.2"]],
+                             ids=["approx", "sweep-values", "sweep-bisect"])
+    def test_non_finite_reduced_model_gain_is_its_own_error(self, scenario_file, capsys, text,
+                                                            argv):
+        assert run_cli(*argv, "--config", scenario_file(text)) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: reduced model gain_rate: expected a finite number, got inf\n"
+
     def test_json_holds_no_non_finite_token(self):
         with pytest.raises(NonFiniteResultError, match="JSON"):
             _json_text({"final_u": -math.inf})
@@ -462,6 +476,29 @@ class TestExitCodes:
         text = f"controller: {{selflearning: {{initial_theta: {'[' * depth}1{']' * depth}}}}}\n"
         assert run_cli("simulate", "--config", scenario_file(text)) == 2
         assert capsys.readouterr().err == "error: malformed scenario file: nested too deeply\n"
+
+    def test_each_error_class_carries_its_documented_code(self):
+        # the exit-code table of the cli docstring, one row per error class
+        table = " ".join(cli.__doc__.split())
+        documented = {
+            HotSimError: "2 configuration or usage error",
+            ConfigError: "2 configuration or usage error",
+            BoundaryNotBracketedError: "2 configuration or usage error",
+            ScenarioAssumptionError: "3 scenario-assumption violation",
+            PriceUndefinedError: "4 controller failure",
+            NonFiniteResultError: "6 non-finite result",
+        }
+        assert set(HotSimError.__subclasses__()) | {HotSimError} == set(documented)
+        for kind, row in documented.items():
+            assert row in table
+            assert kind.exit_code == int(row.split()[0])
+
+    def test_io_failure_is_exit_5(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")  # a file where --out wants a directory
+        assert run_cli("analytic", "--out", str(out)) == 5
+        assert capsys.readouterr().err.startswith("error: ")
+        assert "5 I/O failure" in " ".join(cli.__doc__.split())
 
 
 class TestCompare:
