@@ -185,17 +185,22 @@ class ConvergenceReport:
 
 
 def _fit_r2(x: np.ndarray, y: np.ndarray) -> float:
-    """R^2 of the least-squares line of y against x; 0 when degenerate."""
+    """R^2 of the least-squares line of y against x: the squared sample
+    correlation ``Sxy**2 / (Sxx * Syy)`` of the centred samples, three sums
+    with no least-squares solve and no BLAS call.  0 for fewer than three
+    samples or a constant x, 1 when y's centred squares sum to zero;
+    clipped to [0, 1]."""
     import numpy as np
 
     if len(x) < 3 or np.ptp(x) == 0.0:
         return 0.0
-    coeffs = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coeffs, x)
-    total = float(np.sum((y - y.mean()) ** 2))
+    dy = y - y.mean()
+    total = float(np.sum(dy**2))
     if total == 0.0:
         return 1.0
-    r2 = 1.0 - float(np.sum(resid**2)) / total
+    dx = x - x.mean()
+    sxy = float(np.sum(dx * dy))
+    r2 = sxy * sxy / (float(np.sum(dx * dx)) * total)
     return min(max(r2, 0.0), 1.0)
 
 
@@ -262,8 +267,10 @@ def classify_convergence(
     capacity over the window; exponential requires a persistent queue whose
     ratio to the residual capacity is locked near ``residual_gain /
     queue_gain``.  Anything else (including a fully converged trajectory) is
-    undetermined.  The report's R² fits of the two laws over the window do
-    not enter the pattern.
+    undetermined.  The report's R² fits of the two laws over the window,
+    log ζ against t² and log λ1 against t, do not enter the pattern; each
+    is the squared sample correlation of the window's ``(x, log y)``, with
+    no least-squares solve and no BLAS call (``_fit_r2``).
     """
     import numpy as np
 
@@ -309,13 +316,24 @@ def approximate_from_config(config: "ScenarioConfig") -> tuple[np.ndarray, ...]:
     """The reduced model over the scenario's horizon, from its initial HOT
     queue and residual capacity, with its vot controller's gains.  A seed
     residual capacity or loop-gain rate that the scenario's values carry out
-    of the float range is a NonFiniteResultError naming it."""
+    of the float range is a NonFiniteResultError naming it, and so is a
+    trajectory whose Euler steps leave it: the message names the column and
+    the first step with a non-finite value."""
+    import numpy as np
+
     spec = config.vot_spec
     zeta0, rate = approx_initial_zeta(config), loop_gain_rate(config)
     for key, value in (("initial_zeta", zeta0), ("gain_rate", rate)):
         require_finite(f"reduced model {key}", value, NonFiniteResultError)
-    return run_approximate(config.initial_hot_queue, zeta0, spec.queue_gain, spec.residual_gain,
-                           rate, config.horizon, config.dt)
+    t, lam, zeta = run_approximate(config.initial_hot_queue, zeta0, spec.queue_gain,
+                                   spec.residual_gain, rate, config.horizon, config.dt)
+    finite = np.isfinite(lam) & np.isfinite(zeta)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        name, value = ("lambda1", lam[k]) if not np.isfinite(lam[k]) else ("zeta", zeta[k])
+        raise NonFiniteResultError(f"reduced model {name} is {float(value)!r} at step {k} "
+                                   f"(t={t[k]:g} min): outside the finite range")
+    return t, lam, zeta
 
 
 def _run_at(

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from hotsim.choice import BehaviorParams
 from hotsim.config import ScenarioConfig, VotControllerSpec, load_config
 from hotsim.engine import DemandProfile, SummaryMetrics, run_closed_loop
 from hotsim.errors import (MAX_STEPS, BoundaryNotBracketedError, ConfigError,
-                           ScenarioAssumptionError)
+                           NonFiniteResultError, ScenarioAssumptionError)
 from hotsim.traffic import Capacities
 
 S0 = ScenarioConfig()
@@ -219,6 +220,21 @@ class TestReducedModel:
         assert lam.tobytes() == np.array(lams).tobytes()
         assert zeta.tobytes() == np.array(zetas).tobytes()
 
+    @pytest.mark.parametrize("column, step", [("lambda1", 7), ("zeta", 0), ("zeta", 1200)])
+    def test_a_non_finite_step_of_the_run_is_named(self, monkeypatch, column, step):
+        # every row is read, not only the last; the run's own steps stay finite here
+        def broken(*args):
+            t, lam, zeta = run_approximate(*args)
+            (lam if column == "lambda1" else zeta)[step] = math.inf
+            return t, lam, zeta
+
+        monkeypatch.setattr(analysis, "run_approximate", broken)
+        config = load_config(PERTURBED)
+        message = (f"reduced model {column} is inf at step {step} "
+                   f"(t={step * config.dt:g} min): outside the finite range")
+        with pytest.raises(NonFiniteResultError, match=f"^{re.escape(message)}$"):
+            approximate_from_config(config)
+
     @pytest.mark.parametrize("horizon, dt, message", [
         (1.0, -0.5, "dt must be positive"),
         (1.0, 0.0, "dt must be positive"),
@@ -271,6 +287,20 @@ class TestClassification:
         assert report.pattern == "undetermined"
 
 
+def reference_fit_r2(x, y):
+    """R² of the least-squares line of y against x, by numpy's least-squares
+    solve and the residuals: the oracle that ``analysis._fit_r2`` is held to."""
+    if len(x) < 3 or np.ptp(x) == 0.0:
+        return 0.0
+    coeffs = np.polyfit(x, y, 1)
+    resid = y - np.polyval(coeffs, x)
+    total = float(np.sum((y - y.mean()) ** 2))
+    if total == 0.0:
+        return 1.0
+    r2 = 1.0 - float(np.sum(resid**2)) / total
+    return min(max(r2, 0.0), 1.0)
+
+
 def reference_classify_convergence(t, lambda1, zeta, queue_gain, residual_gain):
     """``classify_convergence`` written as one function, window, fits and
     pattern rule in the order they run: the reference that the search's
@@ -287,9 +317,9 @@ def reference_classify_convergence(t, lambda1, zeta, queue_gain, residual_gain):
     lam_win, zeta_win, t_win = lambda1[window], zeta[window], t[window]
     r2_gauss = r2_exp = 0.0
     if (zeta_win > 0.0).all():
-        r2_gauss = analysis._fit_r2(t_win**2, np.log(zeta_win))
+        r2_gauss = reference_fit_r2(t_win**2, np.log(zeta_win))
     if (lam_win > floor).all():
-        r2_exp = analysis._fit_r2(t_win, np.log(lam_win))
+        r2_exp = reference_fit_r2(t_win, np.log(lam_win))
     if (lam_win <= floor).all() and (zeta_win > 0.0).all():
         return analysis.ConvergenceReport("gaussian", 0.0, r2_gauss, r2_exp)
     if (lam_win > floor).all() and (zeta_win > floor).all():
@@ -347,11 +377,73 @@ class TestPatternRule:
         report = dataclasses.astuple(classify_convergence(t, lam, zeta, queue_gain,
                                                           residual_gain))
         reference = reference_classify_convergence(t, lam, zeta, queue_gain, residual_gain)
-        assert _comparable(report) == _comparable(dataclasses.astuple(reference))
+        assert _comparable(report[:2]) == _comparable(dataclasses.astuple(reference)[:2])
         # what the boundary search computes in place of the report
         _, lam_win, zeta_win = analysis._tail_window(t, lam, zeta)
         pattern_and_ratio = analysis._pattern(lam_win, zeta_win, queue_gain, residual_gain)
         assert _comparable(pattern_and_ratio) == _comparable(report[:2])
+
+
+def _fit_tolerance(y):
+    """How far two R² fits of ``y`` may differ: 1e-12, plus ten times the
+    rounding of ``y``'s values against their range.  A least-squares solve
+    leaves residuals of about ``eps * max|y|`` each, so where ``y`` varies
+    only at that level its R² is rounding noise (a decay of 1e-9 a minute
+    over nine 1 s samples moves polyfit's R² by 5e-8); a ``y`` of one value
+    whose mean rounds has no bound."""
+    spread = float(np.ptp(y)) if len(y) else 0.0
+    if spread == 0.0:  # also an empty window, whose fits are both 0.0
+        return 1.0
+    return 1e-12 + 10 * np.finfo(float).eps * float(np.max(np.abs(y))) / spread
+
+
+class TestFitR2:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_tails())
+    def test_both_fits_are_the_least_squares_ones(self, tail):
+        t, lam, zeta, queue_gain, residual_gain = tail
+        report = classify_convergence(t, lam, zeta, queue_gain, residual_gain)
+        reference = reference_classify_convergence(t, lam, zeta, queue_gain, residual_gain)
+        _, lam_win, zeta_win = analysis._tail_window(t, lam, zeta)
+        # the windows each fit takes the log of, if it is taken; else both read 0.0
+        for fit, ref, window, taken in zip(
+                dataclasses.astuple(report)[2:], dataclasses.astuple(reference)[2:],
+                (zeta_win, lam_win), ((zeta_win > 0.0).all(), (lam_win > FLOOR).all())):
+            tolerance = _fit_tolerance(np.log(window)) if taken else 0.0
+            assert fit == pytest.approx(ref, rel=0, abs=tolerance)
+
+    # each degenerate rule, and a line with no slope, give the oracle's value exactly
+    @pytest.mark.parametrize("x, y, expected", [
+        ([0.0, 1.0], [1.0, 2.0], 0.0),
+        ([2.0] * 5, [0.0, 1.0, 2.0, 3.0, 4.0], 0.0),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [-3.0] * 5, 1.0),
+        # the centred squares underflow to zero
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [1e-300, 2e-300, 3e-300, 5e-300, 4e-300], 1.0),
+        # no correlation: the sample covariance is zero
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 1.0, -1.0, 1.0], 0.0),
+    ], ids=["fewer-than-three", "constant-x", "constant-y", "y-at-1e-300", "alternating-y"])
+    def test_degenerate_cases_match_the_oracle_exactly(self, x, y, expected):
+        x, y = np.array(x), np.array(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert analysis._fit_r2(x, y) == reference_fit_r2(x, y) == expected
+
+    @pytest.mark.parametrize("model", ["closed", "approx"])
+    def test_sweep_rows_show_the_oracle_fits(self, model):
+        # each R² as sweep.csv writes it, with 9 significant digits
+        config = load_config(PERTURBED)
+        for k1 in (0.05, 0.4):
+            for k2 in (0.02 * i for i in range(1, 26)):
+                spec = dataclasses.replace(config.vot_spec, queue_gain=k1, residual_gain=k2)
+                cfg = dataclasses.replace(config, vot_spec=spec)
+                if model == "approx":
+                    run = approximate_from_config(cfg)
+                else:
+                    traj = run_closed_loop(cfg)
+                    run = tuple(traj.column(name) for name in ("t", "lambda1", "zeta"))
+                fits = dataclasses.astuple(classify_convergence(*run, k1, k2))[2:]
+                oracle = dataclasses.astuple(reference_classify_convergence(*run, k1, k2))[2:]
+                assert ["%.9g" % r2 for r2 in fits] == ["%.9g" % r2 for r2 in oracle], (k1, k2)
 
 
 class TestPhaseBoundary:

@@ -323,6 +323,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: reduced model gain_rate: expected a finite number, got inf\n"
 
+    # the loop-gain rate is finite (about 4e302), but the Euler steps overflow
+    @pytest.mark.parametrize("argv", [["approx"],
+                                      ["sweep", "--model", "approx", "--values", "0.1,0.2"],
+                                      ["sweep", "--model", "approx", "--bisect", "0.1:0.2"]],
+                             ids=["approx", "sweep-values", "sweep-bisect"])
+    def test_overflowing_reduced_model_is_its_own_error(self, scenario_file, tmp_path, capsys,
+                                                        argv):
+        out = tmp_path / "out"
+        config = scenario_file("behavior: {scale: 1.0e300}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv, "--config", config, "--out", str(out)) == 6
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: reduced model zeta is inf at step 3 (t=0.05 min): "
+                                "outside the finite range\n")
+
     def test_json_holds_no_non_finite_token(self):
         with pytest.raises(NonFiniteResultError, match="JSON"):
             _json_text({"final_u": -math.inf})
