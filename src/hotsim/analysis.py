@@ -188,17 +188,22 @@ def _fit_r2(x: np.ndarray, y: np.ndarray) -> float:
     """R^2 of the least-squares line of y against x: the squared sample
     correlation ``Sxy**2 / (Sxx * Syy)`` of the centred samples, three sums
     with no least-squares solve and no BLAS call.  0 for fewer than three
-    samples or a constant x, 1 when y's centred squares sum to zero;
-    clipped to [0, 1]."""
+    samples or a constant x, 1 for a constant y or when y's centred squares
+    sum to zero; clipped to [0, 1].  The centred x is scaled by the power of
+    two that brings its range into [0.5, 1), an exact scaling that leaves
+    R^2 as it is, so a narrow x's squares cannot underflow to zero."""
     import numpy as np
 
-    if len(x) < 3 or np.ptp(x) == 0.0:
+    spread = float(np.ptp(x)) if len(x) >= 3 else 0.0
+    if spread == 0.0:
         return 0.0
+    if y.max() == y.min():  # a constant y, whose mean may round to centred noise
+        return 1.0
     dy = y - y.mean()
     total = float(np.sum(dy**2))
     if total == 0.0:
         return 1.0
-    dx = x - x.mean()
+    dx = (x - x.mean()) * 2.0 ** -math.frexp(spread)[1]
     sxy = float(np.sum(dx * dy))
     r2 = sxy * sxy / (float(np.sum(dx * dx)) * total)
     return min(max(r2, 0.0), 1.0)

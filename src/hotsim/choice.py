@@ -36,7 +36,7 @@ class BehaviorParams:
 
     def __post_init__(self) -> None:
         for key in ("vot", "scale"):
-            require_positive(key, getattr(self, key))
+            object.__setattr__(self, key, require_positive(key, getattr(self, key)))
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,11 @@ class NoiseSpec:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"kind: expected one of {', '.join(NOISE_KINDS)}, "
                              f"got {brief_repr(self.kind)}")
-        require_finite("half_width", self.half_width)
-        if not 0.0 <= self.half_width < 1.0:
+        half_width = require_finite("half_width", self.half_width)
+        object.__setattr__(self, "half_width", half_width)
+        if not 0.0 <= half_width < 1.0:
             raise ValueError("half_width must lie in [0, 1)")
-        if self.kind == "none" and self.half_width != 0.0:
+        if self.kind == "none" and half_width != 0.0:
             raise ValueError("half_width: not read by none noise")
 
 

@@ -34,11 +34,13 @@ half of the demand rule).  ``approx.zeta0``
 seeds the reduced model; when null, ``analysis.approx_initial_zeta`` derives
 it from the closed-loop state at t = 0.
 
-The parser reads only YAML types and leaves every value rule to the value's
-owner: it reads a YAML integer as a float, as code gives a number, a list as
-a tuple and ``dt``'s fraction string, and passes any other value as it is.
-Exponent floats such as ``1e6`` or ``2.5e-3`` read as numbers, although YAML
-1.1 (and so plain PyYAML) reads them as strings.  A run may take at most
+The parser reads only the YAML structure and leaves every value to its
+owner: it reads ``dt``'s fraction string and passes any other value on as
+YAML gives it.  The owner stores the number it checked as a float and an
+array as nested tuples of floats, so a file and code that give equal
+numbers give one config, an int or a numpy scalar included.  Exponent
+floats such as ``1e6`` or ``2.5e-3`` read as numbers, although YAML 1.1
+(and so plain PyYAML) reads them as strings.  A run may take at most
 ``MAX_STEPS`` steps of ``dt`` to cover the horizon: ``errors.require_steps``,
 the step rule the reduced model shares, owns that rule with the positive
 ``dt`` and horizon and the whole number of steps.  The controller sections
@@ -51,10 +53,11 @@ A ``ScenarioConfig`` checks itself when it is built, by the parser or in
 code, ``dataclasses.replace`` included: each section object checks its own
 values, and the config its own keys and the rules across sections, so no
 scenario exists unchecked.  Each owner calls ``errors.require_finite``, the
-one rule of what a number is, before its range rule, so a value that is not
-a finite number, a badly shaped array or a seed that is not an integer gives
-one message from code and, after its section, from a file.  Demand outside
-the congested regime parses: ``choice.clearing_log_odds`` owns that rule.
+one rule of what a number is, before its range rule, and stores the float
+it returns, so a value that is not a finite number, a badly shaped array or
+a seed that is not an integer gives one message from code and, after its
+section, from a file.  Demand outside the congested regime parses:
+``choice.clearing_log_odds`` owns that rule.
 """
 
 from __future__ import annotations
@@ -129,6 +132,8 @@ class ScenarioConfig:
             raise ConfigError(f"controller.kind: expected one of {', '.join(CONTROLLER_KINDS)}, "
                               f"got {brief_repr(self.controller_kind)}")
         require_steps(self.horizon, self.dt, "run", ConfigError)
+        for key in ("horizon", "dt"):  # each a finite number: require_steps checked it
+            object.__setattr__(self, key, float(getattr(self, key)))
         # replication i runs at seed + i; both are stored as Python ints
         seed, replications = check_seeds(self.seed, self.replications)
         object.__setattr__(self, "seed", seed)
@@ -136,12 +141,13 @@ class ScenarioConfig:
         if replications < 1:
             raise ConfigError("run.replications must be at least 1")
         for key in ("hot_queue", "gp_queue"):
-            queue = getattr(self, f"initial_{key}")
-            require_finite(f"initial.{key}", queue, ConfigError)
+            queue = require_finite(f"initial.{key}", getattr(self, f"initial_{key}"), ConfigError)
+            object.__setattr__(self, f"initial_{key}", queue)
             if queue < 0:
                 raise ConfigError(f"initial.{key} cannot be negative")
         if self.approx_zeta0 is not None:
-            require_finite("approx.zeta0", self.approx_zeta0, ConfigError)
+            zeta0 = require_finite("approx.zeta0", self.approx_zeta0, ConfigError)
+            object.__setattr__(self, "approx_zeta0", zeta0)
 
     @property
     def controller(self):
@@ -157,11 +163,12 @@ class ScenarioConfig:
 
     def to_mapping(self) -> dict:
         """Canonical plain-data form, used for fingerprints: every ``SCHEMA``
-        key but the demand keys the demand kind does not read."""
+        key but the demand keys the demand kind does not read, each value as
+        its owner stores it."""
         def walk(table: dict) -> dict:
             return {
                 key: walk(entry) if isinstance(entry, dict)
-                else _plain(operator.attrgetter(entry[0])(self), entry[1])
+                else operator.attrgetter(entry[0])(self)
                 for key, entry in table.items()
             }
 
@@ -177,96 +184,66 @@ def config_fingerprint(config: ScenarioConfig, seed: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _plain(value, convert):
-    """``value`` as plain data: a kind, an integer and None as they are, a
-    number as a float and an array (numpy's too) as nested lists of floats,
-    so equal configs have equal mappings."""
-    if convert is None or value is None:
-        return value
-    try:
-        return float(value)
-    except TypeError:  # a sequence, numpy's arrays included
-        return [_plain(entry, convert) for entry in value]
-
-
 def _unread_demand_keys(kind: str) -> tuple[str, ...]:
     return ("hov", "sov") if kind == "timeseries" else ("samples",)
 
 
-def _real(value, where: str):
-    """A YAML integer as a float, as code gives a number; any other value as it
-    is, for its owner to check (``where`` is unused: an owner names its key)."""
-    try:
-        return float(value) if type(value) is int else value
-    except OverflowError:  # an integer beyond the float range: its owner rejects it
+def _step(value, where: str):
+    """A fraction string like ``"1/60"`` as a float; any other value as it
+    is, for its owner to check."""
+    if not isinstance(value, str):
         return value
-
-
-def _step(value, where: str) -> float:
-    """A number, or a fraction string like ``"1/60"``."""
-    if isinstance(value, str):
-        num, _, den = value.partition("/")
-        try:
-            value = float(num) / float(den) if den else float(value)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(
-                f"{where}: cannot parse {brief_repr(value)} as a step size") from None
-    return _real(value, where)
-
-
-def _array(value, where: str) -> float | tuple:
-    """Nested lists as nested tuples, each entry read by ``_real``: no shape rule."""
-    if isinstance(value, list):
-        return tuple(_array(entry, where) for entry in value)
-    return _real(value, where)
+    num, _, den = value.partition("/")
+    try:
+        return float(num) / float(den) if den else float(value)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{where}: cannot parse {brief_repr(value)} as a step size") from None
 
 
 def _controller_keys(kind: str) -> dict:
     """The keys of section ``controller.<kind>``: the fields of the default
-    ``<kind>_spec``, in order, each read by ``_array`` if the spec names it in
-    ``ARRAYS`` and by ``_real`` otherwise."""
+    ``<kind>_spec``, in order."""
     spec = getattr(ScenarioConfig, f"{kind}_spec")
-    return {field.name: (f"{kind}_spec.{field.name}",
-                         _array if field.name in spec.ARRAYS else _real)
-            for field in dataclasses.fields(spec)}
+    return {field.name: (f"{kind}_spec.{field.name}", None) for field in dataclasses.fields(spec)}
 
 
-# YAML section -> key -> (ScenarioConfig attribute path, converter); a nested
-# table is a subsection.  Parsing and to_mapping walk this one table.  A
-# converter reads only the YAML type; a value passed as it is has converter
-# None.  Every value rule, the number rule and each kind, shape and integer
-# rule, lives in the object that owns the value; its message begins with the
-# key, and the parser adds the section.
+# YAML section -> key -> (ScenarioConfig attribute path, reader); a nested
+# table is a subsection.  Parsing and to_mapping walk this one table.  Only
+# ``run.dt`` has a reader, for its fraction string; every other value is
+# passed on as YAML gives it (reader None).  Every value rule, the number
+# rule and each kind, shape and integer rule, lives in the object that owns
+# the value, which also stores the number it checked as a float; its message
+# begins with the key, and the parser adds the section.
 SCHEMA = {
     "run": {
-        "horizon": ("horizon", _real),
+        "horizon": ("horizon", None),
         "dt": ("dt", _step),
         "seed": ("seed", None),
         "replications": ("replications", None),
     },
-    "capacities": {"hot": ("capacities.hot", _real), "gp": ("capacities.gp", _real)},
+    "capacities": {"hot": ("capacities.hot", None), "gp": ("capacities.gp", None)},
     "demand": {
         "kind": ("demand.kind", None),
-        "hov": ("demand.mean_hov", _real),
-        "sov": ("demand.mean_sov", _real),
-        "samples": ("demand.samples", _array),
+        "hov": ("demand.mean_hov", None),
+        "sov": ("demand.mean_sov", None),
+        "samples": ("demand.samples", None),
     },
-    "behavior": {"vot": ("behavior.vot", _real), "scale": ("behavior.scale", _real)},
-    "noise": {"kind": ("noise.kind", None), "half_width": ("noise.half_width", _real)},
+    "behavior": {"vot": ("behavior.vot", None), "scale": ("behavior.scale", None)},
+    "noise": {"kind": ("noise.kind", None), "half_width": ("noise.half_width", None)},
     "initial": {
-        "hot_queue": ("initial_hot_queue", _real),
-        "gp_queue": ("initial_gp_queue", _real),
+        "hot_queue": ("initial_hot_queue", None),
+        "gp_queue": ("initial_gp_queue", None),
     },
     "controller": {
         "kind": ("controller_kind", None),
         **{kind: _controller_keys(kind) for kind in CONTROLLER_KINDS},
     },
-    "approx": {"zeta0": ("approx_zeta0", _real)},
+    "approx": {"zeta0": ("approx_zeta0", None)},
 }
 
 
 def _leaves(node, table: dict, path: str):
-    """``(dotted key, attribute path, converted value)`` per key given."""
+    """``(dotted key, attribute path, read value)`` per key given."""
     if node is None:  # an empty section
         return
     if not isinstance(node, dict):
@@ -278,8 +255,8 @@ def _leaves(node, table: dict, path: str):
         if isinstance(table[key], dict):
             yield from _leaves(value, table[key], where)
         else:
-            attr, convert = table[key]
-            yield where, attr, value if convert is None else convert(value, where)
+            attr, read = table[key]
+            yield where, attr, value if read is None else read(value, where)
 
 
 def config_from_mapping(root: dict) -> ScenarioConfig:

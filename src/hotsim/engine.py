@@ -91,7 +91,8 @@ class DemandProfile:
     ``POISSON_MEAN_MAX``); ``timeseries`` holds ``(t, hov, sov)`` breakpoints
     interpreted as a step function, the first at t <= 0.  ``samples`` other
     than the empty tuple under ``constant`` or ``poisson`` is an error, as
-    they would not be read.
+    they would not be read.  The means a kind reads are stored as floats, and
+    ``samples`` as a tuple of float triples.
     """
 
     kind: str = "constant"
@@ -105,8 +106,9 @@ class DemandProfile:
             raise ValueError(f"kind: expected one of {', '.join(DEMAND_KINDS)}, "
                              f"got {brief_repr(self.kind)}")
         if self.kind != "timeseries":
-            for key, rate in (("hov", self.mean_hov), ("sov", self.mean_sov)):
-                require_finite(key, rate)
+            for key, name in (("hov", "mean_hov"), ("sov", "mean_sov")):
+                rate = require_finite(key, getattr(self, name))
+                object.__setattr__(self, name, rate)
                 if rate < 0:
                     raise ValueError(f"{key} cannot be negative")
                 if self.kind == "poisson" and rate > POISSON_MEAN_MAX:
@@ -115,8 +117,10 @@ class DemandProfile:
             if not isinstance(self.samples, tuple) or self.samples:  # any value but ()
                 raise ValueError(f"samples: not read by {self.kind} demand")
         else:
-            if not _float_array("samples", self.samples, "rows of three numbers", (None, 3)):
+            samples = _float_array("samples", self.samples, "rows of three numbers", (None, 3))
+            if not samples:
                 raise ValueError("samples: timeseries demand needs at least one sample")
+            object.__setattr__(self, "samples", tuple(map(tuple, samples)))
             times = self.sample_times
             if not all(a < b for a, b in zip(times, times[1:])):
                 raise ValueError("samples: timeseries sample times must be strictly increasing")

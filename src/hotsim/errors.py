@@ -6,6 +6,12 @@ numpy's too, aside), the step rule of a run (``require_steps``: a positive
 which the scenario and the reduced model both call, and an array's shape;
 and how an error shows the value it rejects (``brief_repr``).
 
+A number rule returns the number it checked as a float, and the owner
+stores that, so a number given as an int or as a numpy scalar is stored as
+the float a scenario file gives.  ``stored`` gives the one stored form of a
+value that may be None, a number or an array, which the controller specs
+keep.
+
 Each class maps to one CLI exit code, its ``exit_code``, so that callers can
 tell apart bad configuration, demand patterns outside the model's
 assumptions, controller failures and runs whose results are not finite; the
@@ -59,10 +65,10 @@ class NonFiniteResultError(HotSimError):
     exit_code = 6
 
 
-def require_finite(key: str, value: float, error: type[Exception] = ValueError) -> None:
-    """Raise ``error``, its message beginning with ``key``, unless ``value`` is a
-    number, bools (numpy's too) aside, and finite: not NaN, infinite or an int
-    beyond any float."""
+def require_finite(key: str, value: float, error: type[Exception] = ValueError) -> float:
+    """``value`` as a float; raise ``error``, its message beginning with
+    ``key``, unless ``value`` is a number, bools (numpy's too) aside, and
+    finite: not NaN, infinite or an int beyond any float."""
     # numpy's bool exists only once numpy is imported, and a float is no bool
     numpy = sys.modules.get("numpy") if type(value) is not float else None
     bools = (bool, numpy.bool_) if numpy else bool
@@ -75,6 +81,7 @@ def require_finite(key: str, value: float, error: type[Exception] = ValueError) 
                     f"too large for a float") from None
     if not finite:
         raise error(f"{key}: expected a finite number, got {brief_repr(value)}")
+    return float(value)
 
 
 def brief_repr(value) -> str:
@@ -85,11 +92,12 @@ def brief_repr(value) -> str:
     return reprlib.repr(value)
 
 
-def require_positive(key: str, value: float, error: type[Exception] = ValueError) -> None:
+def require_positive(key: str, value: float, error: type[Exception] = ValueError) -> float:
     """``require_finite``, then raise ``error`` unless ``value`` is above zero."""
-    require_finite(key, value, error)
+    value = require_finite(key, value, error)
     if value <= 0:
         raise error(f"{key} must be positive")
+    return value
 
 
 def require_steps(horizon: float, dt: float, section: str = "",
@@ -99,8 +107,8 @@ def require_steps(horizon: float, dt: float, section: str = "",
     is at most ``MAX_STEPS`` and it is at least one and a whole number to
     within a millionth of itself."""
     where, key = (f"{section}: ", f"{section}.") if section else ("", "")
-    require_positive(f"{key}dt", dt, error)
-    require_positive(f"{key}horizon", horizon, error)
+    dt = require_positive(f"{key}dt", dt, error)
+    horizon = require_positive(f"{key}horizon", horizon, error)
     n = horizon / dt
     if n > MAX_STEPS:
         raise error(f"{where}horizon {horizon:g} / dt {dt:g} gives {n:.3g} steps, "
@@ -108,6 +116,18 @@ def require_steps(horizon: float, dt: float, section: str = "",
     if abs(n - round(n)) > 1e-6 * max(1.0, n) or round(n) < 1:
         raise error(f"{key}dt: step size {dt:g} does not divide the horizon {horizon:g} evenly")
     return round(n)
+
+
+def stored(value):
+    """``value`` in the one form a checked scenario value is stored in: None
+    as it is, a number as a float, and an array (numpy's too) as nested
+    tuples of floats, so that equal values compare, hash and print equal."""
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except TypeError:  # a sequence, numpy's arrays included
+        return tuple(map(stored, value))
 
 
 def _float_array(key: str, value, what: str, *shapes: tuple):
@@ -130,8 +150,7 @@ def _read(key: str, value):
     value = value.tolist() if hasattr(value, "tolist") else value
     if isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray)):
         return [_read(key, entry) for entry in value]
-    require_finite(key, value)
-    return float(value)
+    return require_finite(key, value)
 
 
 def _has_shape(value, shape: tuple) -> bool:

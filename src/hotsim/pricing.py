@@ -34,7 +34,11 @@ included, is finite before its range rule.  A non-finite value, a gain out
 of range, a self-learning array of the wrong shape, and an ``initial_cov`` or
 ``process_noise`` whose symmetric part ``0.5 (C + C')`` has an eigenvalue
 below ``-COV_EIG_TOL`` times its largest magnitude are each a ValueError
-whose message begins with the key.
+whose message begins with the key.  A constructor keeps each number as the
+float its number rule returns, and a spec, once checked, stores each field
+in one form (``errors.stored``): None as it is, a number as a float and an
+array, numpy's too, as nested tuples of floats.  So a spec or a controller
+built from ints or numpy scalars holds the floats a scenario file gives.
 
 Building a spec or a controller imports no numpy: the value rules run in
 plain Python, and a scalar or diagonal covariance's eigenvalues are its
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .choice import clearing_log_odds
-from .errors import PriceUndefinedError, _float_array, require_finite, require_positive
+from .errors import PriceUndefinedError, _float_array, require_finite, require_positive, stored
 from .traffic import Capacities
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,18 +74,19 @@ _PACK9 = struct.Struct("9d").pack_into
 
 class _ControllerSpec:
     """Settings of one pricing controller, checked by building it once with
-    the constructor's value rules, none of which reads the capacities.
+    the constructor's value rules, none of which reads the capacities, and
+    then each stored in the form ``errors.stored`` gives.
 
-    A spec names its controller class as ``controller`` and the fields whose
-    values are arrays as ``ARRAYS``; its fields are the constructor's
-    parameters after ``hot_capacity``, by name.
+    A spec names its controller class as ``controller``; its fields are the
+    constructor's parameters after ``hot_capacity``, by name.
     """
 
     controller: type
-    ARRAYS: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         self.build(Capacities(1.0, 1.0))
+        for name, value in vars(self).items():  # sets only existing keys
+            object.__setattr__(self, name, stored(value))
 
     def build(self, caps: Capacities):
         """The controller for HOT capacity ``caps.hot``, each field passed as
@@ -104,15 +109,11 @@ class VotFeedbackController:
 
     def __init__(self, hot_capacity: float, queue_gain: float, residual_gain: float,
                  scale_guess: float, initial_vot: float) -> None:
-        for key, value in (("queue_gain", queue_gain), ("residual_gain", residual_gain),
-                           ("scale_guess", scale_guess)):
-            require_positive(key, value)
-        require_finite("initial_vot", initial_vot)
         self.hot_capacity = hot_capacity
-        self.queue_gain = queue_gain
-        self.residual_gain = residual_gain
-        self.scale_guess = scale_guess
-        self.vot_estimate = initial_vot
+        self.queue_gain = require_positive("queue_gain", queue_gain)
+        self.residual_gain = require_positive("residual_gain", residual_gain)
+        self.scale_guess = require_positive("scale_guess", scale_guess)
+        self.vot_estimate = require_finite("initial_vot", initial_vot)
 
     def set_demand(self, q1: float, q2: float) -> None:
         self._split = clearing_log_odds(q1, q2, self.hot_capacity) / self.scale_guess
@@ -147,12 +148,9 @@ class IntegralTollController:
                  target_demand: float | None) -> None:
         if target_demand is None:
             target_demand = hot_capacity
-        require_positive("gain", gain)
-        require_finite("initial_price", initial_price)
-        require_finite("target_demand", target_demand)
-        self.gain = gain
-        self.u = initial_price
-        self.target_demand = target_demand
+        self.gain = require_positive("gain", gain)
+        self.u = require_finite("initial_price", initial_price)
+        self.target_demand = require_finite("target_demand", target_demand)
 
     def set_demand(self, q1: float, q2: float) -> None:
         """Nothing: the toll prices no demand term, so any demand runs."""
@@ -202,7 +200,7 @@ class SelfLearningController:
 
     def __init__(self, hot_capacity: float, initial_theta, initial_cov,
                  measurement_var: float, process_noise) -> None:
-        require_positive("measurement_var", measurement_var)
+        self.measurement_var = require_positive("measurement_var", measurement_var)
         self.hot_capacity = hot_capacity
         theta = _float_array("initial_theta", initial_theta, "three numbers", (3,))
         noise = _as_matrix(process_noise, "process_noise")
@@ -216,7 +214,6 @@ class SelfLearningController:
                     f"{key}: expected a covariance, whose symmetric part has no "
                     f"negative eigenvalue; smallest eigenvalue is {min(eig):.6g}"
                 )
-        self.measurement_var = float(measurement_var)
         self._coef = t0, t1, _ = tuple(theta)
         self.vot_estimate = t0 / t1 if t1 else _divide_by_zero((t0,), t1)[0]
         self._posterior = tuple(itertools.chain.from_iterable(posterior))
@@ -339,7 +336,6 @@ class SelfLearningSpec(_ControllerSpec):
     process_noise: float | tuple = 1e-6       # scalar scales the identity
 
     controller = SelfLearningController
-    ARRAYS = ("initial_theta", "initial_cov", "process_noise")
 
 
 def _divide_by_zero(values, zero: float) -> list:

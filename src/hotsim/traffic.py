@@ -27,7 +27,7 @@ class Capacities:
 
     def __post_init__(self) -> None:
         for key in ("hot", "gp"):
-            require_positive(key, getattr(self, key))
+            object.__setattr__(self, key, require_positive(key, getattr(self, key)))
 
 
 def residual_capacity(c1: float, q1: float, q3: float) -> float:

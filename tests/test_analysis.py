@@ -404,13 +404,19 @@ class TestFitR2:
         t, lam, zeta, queue_gain, residual_gain = tail
         report = classify_convergence(t, lam, zeta, queue_gain, residual_gain)
         reference = reference_classify_convergence(t, lam, zeta, queue_gain, residual_gain)
-        _, lam_win, zeta_win = analysis._tail_window(t, lam, zeta)
+        t_win, lam_win, zeta_win = analysis._tail_window(t, lam, zeta)
         # the windows each fit takes the log of, if it is taken; else both read 0.0
         for fit, ref, window, taken in zip(
                 dataclasses.astuple(report)[2:], dataclasses.astuple(reference)[2:],
                 (zeta_win, lam_win), ((zeta_win > 0.0).all(), (lam_win > FLOOR).all())):
             tolerance = _fit_tolerance(np.log(window)) if taken else 0.0
             assert fit == pytest.approx(ref, rel=0, abs=tolerance)
+        # x scaled by a power of two whose centred squares would underflow
+        # gives the same R² bits: the fit scales x's range itself
+        for x, window in ((t_win**2, zeta_win), (t_win, lam_win)):
+            if len(window) and (window > 0.0).all():
+                y = np.log(window)
+                assert analysis._fit_r2(x * 2.0**-700, y) == analysis._fit_r2(x, y)
 
     # each degenerate rule, and a line with no slope, give the oracle's value exactly
     @pytest.mark.parametrize("x, y, expected", [
@@ -427,6 +433,11 @@ class TestFitR2:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert analysis._fit_r2(x, y) == reference_fit_r2(x, y) == expected
+
+    def test_constant_y_whose_mean_rounds_is_a_perfect_fit(self):
+        # 3 * 0.1 / 3 rounds to 0.10000000000000002, so the centred squares
+        # of a constant y are rounding noise, not zero
+        assert analysis._fit_r2(np.arange(3.0), np.full(3, 0.1)) == 1.0
 
     @pytest.mark.parametrize("model", ["closed", "approx"])
     def test_sweep_rows_show_the_oracle_fits(self, model):

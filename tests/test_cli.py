@@ -19,7 +19,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_config import TIMESERIES_ONE, _positive, _scenarios
+from test_config import NUMBER_ENTRIES, TIMESERIES_ONE, _positive, _scenarios
 
 from hotsim import analysis, cli, engine
 from hotsim.cli import _json_text, main
@@ -642,6 +642,17 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["closed", "approx"])
+    def test_window_too_narrow_to_square_writes_its_row(self, capsys, model):
+        # the tail window's x = t**2 spans about 1e-200, whose centred squares
+        # underflow to zero unless the fit scales them
+        mapping = yaml.safe_load((SCENARIOS / "perturbed.yaml").read_text())
+        mapping["run"] = {"horizon": 1.0e-100, "dt": 1.0e-103}
+        code, out, err = _run_scenario(mapping, ["sweep", "--model", model, "--values", "0.1"])
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0].startswith("k2,pattern") and len(lines) == 2
+
     def test_grid_and_values_together_is_usage_error(self, pattern_file):
         with pytest.raises(SystemExit) as exit_:
             run_cli("sweep", "--config", pattern_file, "--grid", "0.10:0.20:0.02",
@@ -876,6 +887,23 @@ def _owned_keys(table=SCHEMA, path=""):
 
 
 OWNED_KEYS = list(_owned_keys())
+# the scenario keys that hold no number
+NOT_NUMBER_KEYS = ("run.seed", "run.replications", "demand.kind", "noise.kind", "controller.kind")
+
+
+def _schema_keys(table=SCHEMA, path=""):
+    for key, entry in table.items():
+        where = f"{path}.{key}" if path else key
+        yield from _schema_keys(entry, where) if isinstance(entry, dict) else (where,)
+
+
+def test_schema_driven_parametrizations_keep_every_key():
+    # a filter that drops a key drops its cases silently; here it fails by name
+    keys = list(_schema_keys())
+    assert [where for where, *_ in OWNED_KEYS] == keys
+    numbers = dict.fromkeys(where for _, where, *_ in NUMBER_ENTRIES)
+    assert list(numbers) == [key for key in keys if key not in NOT_NUMBER_KEYS]
+    assert set(NOT_NUMBER_KEYS) < set(keys)
 # a bool, string, None, list, dict, NaN or integer beyond the float range
 _WRONG_TYPE = st.one_of(
     st.booleans(), st.text(max_size=8), st.none(),

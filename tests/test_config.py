@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotsim import config
 from hotsim.analysis import approx_initial_zeta
 from hotsim.choice import BehaviorParams, NoiseSpec
+from hotsim.cli import trajectory_csv
 from hotsim.config import (
+    CONTROLLER_KINDS,
     MAX_STEPS,
     SCHEMA,
     IntegralTollSpec,
@@ -490,6 +492,52 @@ class TestFingerprints:
         assert config_fingerprint(array, 0) == config_fingerprint(nested, 0)
 
 
+# one demand given in code with ints and a list, and its twin in a file
+CODE_AND_FILE_DEMANDS = {
+    "constant": (DemandProfile(mean_hov=11, mean_sov=np.int64(58)), "{hov: 11, sov: 58}"),
+    "timeseries": (DemandProfile("timeseries", samples=[[0, 10, 60], [2, np.float64(12), 55]]),
+                   "{kind: timeseries, samples: [[0, 10, 60], [2, 12, 55]]}"),
+}
+
+
+class TestCodeAndFileAgree:
+    """A config built in code from ints, numpy scalars and arrays, a Fraction
+    and lists is the config its file twin gives: each owner stores the
+    float its number rule returns, so the two compare, hash, fingerprint and
+    run alike."""
+
+    @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
+    @pytest.mark.parametrize("demand", CODE_AND_FILE_DEMANDS)
+    def test_config_built_in_code_is_its_file_twin(self, demand, kind):
+        profile, text = CODE_AND_FILE_DEMANDS[demand]
+        gain = np.linspace(0.1, 0.2, 3)[1]
+        code = ScenarioConfig(
+            capacities=Capacities(np.float64(30.0), np.float64(31)),
+            horizon=5, dt=Fraction(1, 60), demand=profile,
+            behavior=BehaviorParams(np.float64(0.5), 1), controller_kind=kind,
+            vot_spec=VotControllerSpec(queue_gain=np.float64(0.1), residual_gain=gain),
+            integral_spec=IntegralTollSpec(gain=np.float64(0.01), target_demand=25),
+            selflearning_spec=SelfLearningSpec(initial_theta=[0.25, 1, np.float64(0.1)],
+                                               initial_cov=np.eye(3), process_noise=np.int64(0)),
+            initial_hot_queue=1, approx_zeta0=np.float64(0.11),
+        )
+        twin = parse_config_text(
+            f"run: {{horizon: 5, dt: 1/60}}\ncapacities: {{hot: 30.0, gp: 31}}\n"
+            f"demand: {text}\nbehavior: {{vot: 0.5, scale: 1}}\n"
+            f"controller:\n  kind: {kind}\n"
+            f"  vot: {{queue_gain: 0.1, residual_gain: {float(gain)!r}}}\n"
+            f"  integral: {{gain: 0.01, target_demand: 25}}\n"
+            f"  selflearning: {{initial_theta: [0.25, 1, 0.1], process_noise: 0,\n"
+            f"                 initial_cov: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}\n"
+            f"initial: {{hot_queue: 1}}\napprox: {{zeta0: 0.11}}\n")
+        assert code == twin
+        assert hash(code) == hash(twin)
+        assert config_fingerprint(code, 0) == config_fingerprint(twin, 0)
+        traj = run_closed_loop(code)
+        assert {type(value) for row in traj.rows() for value in row} == {float}
+        assert trajectory_csv(traj) == trajectory_csv(run_closed_loop(twin))
+
+
 class TestMapping:
     def test_round_trip_through_mapping(self):
         cfg = parse_config_text("run: {seed: 7}\ncontroller: {kind: selflearning}")
@@ -501,9 +549,8 @@ class TestMapping:
         assert load_config(path).seed == 9
 
     def test_controller_schema_is_pinned(self):
-        # entry for entry and in order: key, attribute path and converter
-        real, array = config._real, config._array
-
+        # entry for entry and in order: key, attribute path and reader, which
+        # no controller key has: each value goes to its spec as YAML gives it
         def items(table):
             return [(key, items(entry) if isinstance(entry, dict) else entry)
                     for key, entry in table.items()]
@@ -511,21 +558,21 @@ class TestMapping:
         assert items(SCHEMA["controller"]) == [
             ("kind", ("controller_kind", None)),
             ("vot", [
-                ("queue_gain", ("vot_spec.queue_gain", real)),
-                ("residual_gain", ("vot_spec.residual_gain", real)),
-                ("scale_guess", ("vot_spec.scale_guess", real)),
-                ("initial_vot", ("vot_spec.initial_vot", real)),
+                ("queue_gain", ("vot_spec.queue_gain", None)),
+                ("residual_gain", ("vot_spec.residual_gain", None)),
+                ("scale_guess", ("vot_spec.scale_guess", None)),
+                ("initial_vot", ("vot_spec.initial_vot", None)),
             ]),
             ("integral", [
-                ("gain", ("integral_spec.gain", real)),
-                ("initial_price", ("integral_spec.initial_price", real)),
-                ("target_demand", ("integral_spec.target_demand", real)),
+                ("gain", ("integral_spec.gain", None)),
+                ("initial_price", ("integral_spec.initial_price", None)),
+                ("target_demand", ("integral_spec.target_demand", None)),
             ]),
             ("selflearning", [
-                ("initial_theta", ("selflearning_spec.initial_theta", array)),
-                ("initial_cov", ("selflearning_spec.initial_cov", array)),
-                ("measurement_var", ("selflearning_spec.measurement_var", real)),
-                ("process_noise", ("selflearning_spec.process_noise", array)),
+                ("initial_theta", ("selflearning_spec.initial_theta", None)),
+                ("initial_cov", ("selflearning_spec.initial_cov", None)),
+                ("measurement_var", ("selflearning_spec.measurement_var", None)),
+                ("process_noise", ("selflearning_spec.process_noise", None)),
             ]),
         ]
 
@@ -597,9 +644,9 @@ def _number_entries(table=SCHEMA, path=""):
             yield from _number_entries(entry, where)
             continue
         part, _, name = entry[0].rpartition(".")
-        if entry[1] is None:  # a kind, the seed or the replication count
-            continue
         owner = getattr(ScenarioConfig(), part) if part else ScenarioConfig()
+        if type(getattr(owner, name)) in (str, int):  # a kind, the seed or the replication count
+            continue
         if name == "samples":
             yield f"{where}-first-time", where, TIMESERIES_ONE, name, lambda x: ((x, 10.0, 60.0),)
             yield (f"{where}-later-time", where, TIMESERIES_ONE, name,
