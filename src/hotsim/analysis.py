@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 from .choice import clearing_log_odds, induced_residual_capacity
 from .engine import run_closed_loop
 from .errors import (BoundaryNotBracketedError, ConfigError, NonFiniteResultError,
-                     ScenarioAssumptionError, brief_repr, require_finite, require_positive,
-                     require_steps)
+                     ScenarioAssumptionError, brief_repr, require_finite, require_kind,
+                     require_positive, require_steps)
 from .traffic import queuing_times
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -346,9 +346,8 @@ def _run_at(
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], "VotControllerSpec"]:
     """The ``(t, lambda1, zeta)`` arrays of the run ``classify_at`` classifies,
     and the vot spec it ran with."""
-    if model not in MODELS or param not in GAINS:
-        raise ConfigError(f"unknown model {model!r} or gain {param!r}; "
-                          f"use one of {MODELS} and one of {tuple(GAINS)}")
+    require_kind("param", param, tuple(GAINS), ConfigError)
+    require_kind("model", model, MODELS, ConfigError)
     spec = gain_spec(config, param, value)
     cfg = dataclasses.replace(config, controller_kind="vot", vot_spec=spec)
     if model == "closed":
@@ -362,7 +361,8 @@ def classify_at(
 ) -> ConvergenceReport:
     """Classify the vot controller's run under ``model`` (one of ``MODELS``)
     with gain ``param`` (a key of ``GAINS``) set to ``value``; an unknown
-    name, or a gain the controller rejects, is a ConfigError."""
+    name is a ConfigError naming ``param`` or ``model``, and a gain the
+    controller rejects one naming the gain."""
     run, spec = _run_at(config, param, value, model)
     return classify_convergence(*run, spec.queue_gain, spec.residual_gain)
 

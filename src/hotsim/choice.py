@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import traffic
-from .errors import ScenarioAssumptionError, brief_repr, require_finite, require_positive
+from .errors import ScenarioAssumptionError, require_finite, require_kind, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Draws
@@ -49,9 +49,7 @@ class NoiseSpec:
     half_width: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"kind: expected one of {', '.join(NOISE_KINDS)}, "
-                             f"got {brief_repr(self.kind)}")
+        require_kind("kind", self.kind, NOISE_KINDS)
         half_width = require_finite("half_width", self.half_width)
         object.__setattr__(self, "half_width", half_width)
         if not 0.0 <= half_width < 1.0:

@@ -28,9 +28,12 @@ rejected with their dotted path.
 ``dt`` accepts a float or a fraction string like ``"1/60"``.  A demand key
 that the demand kind does not read (``samples`` for constant or Poisson
 demand, ``hov`` and ``sov`` for timeseries) is an error, and so is a
-non-zero ``noise.half_width`` under noise ``none``, which reads none
-(``NoiseSpec`` owns that rule, and ``DemandProfile`` the ``samples``
-half of the demand rule).  ``approx.zeta0``
+non-zero ``noise.half_width`` under noise ``none``, which reads none.
+``NoiseSpec`` owns that rule, and ``DemandProfile`` the demand rule: a
+field whose key its kind does not read holds its default.
+``engine.UNREAD_DEMAND_KEYS`` is the one table of those keys; the parser
+reads it to reject such a key given in a file, even at its default, and
+``to_mapping`` to leave it out.  ``approx.zeta0``
 seeds the reduced model; when null, ``analysis.approx_initial_zeta`` derives
 it from the closed-loop state at t = 0.
 
@@ -52,8 +55,9 @@ shapes too).
 A ``ScenarioConfig`` checks itself when it is built, by the parser or in
 code, ``dataclasses.replace`` included: each section object checks its own
 values, and the config its own keys and the rules across sections, so no
-scenario exists unchecked.  Each owner calls ``errors.require_finite``, the
-one rule of what a number is, before its range rule, and stores the float
+scenario exists unchecked.  Each owner checks a kind with
+``errors.require_kind`` and calls ``errors.require_finite``, the one rule of
+what a number is, before its range rule, and stores the float
 it returns, so a value that is not a finite number, a badly shaped array or
 a seed that is not an integer gives one message from code and, after its
 section, from a file.  Demand outside the congested regime parses:
@@ -73,9 +77,10 @@ from pathlib import Path
 import yaml
 
 from .choice import BehaviorParams, NoiseSpec
-from .engine import DemandProfile, check_seeds
+from .engine import UNREAD_DEMAND_KEYS, DemandProfile, check_seeds
 # MAX_STEPS, the step rule's cap, stays importable from config
-from .errors import MAX_STEPS, ConfigError, brief_repr, require_finite, require_steps
+from .errors import (MAX_STEPS, ConfigError, brief_repr, require_finite, require_kind,
+                     require_steps)
 from .pricing import IntegralTollSpec, SelfLearningSpec, VotControllerSpec
 from .traffic import Capacities
 
@@ -128,9 +133,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         # the rules no section object owns; the ConfigError names the key
-        if self.controller_kind not in CONTROLLER_KINDS:
-            raise ConfigError(f"controller.kind: expected one of {', '.join(CONTROLLER_KINDS)}, "
-                              f"got {brief_repr(self.controller_kind)}")
+        require_kind("controller.kind", self.controller_kind, CONTROLLER_KINDS, ConfigError)
         require_steps(self.horizon, self.dt, "run", ConfigError)
         for key in ("horizon", "dt"):  # each a finite number: require_steps checked it
             object.__setattr__(self, key, float(getattr(self, key)))
@@ -168,12 +171,12 @@ class ScenarioConfig:
         def walk(table: dict) -> dict:
             return {
                 key: walk(entry) if isinstance(entry, dict)
-                else operator.attrgetter(entry[0])(self)
+                else operator.attrgetter(entry)(self)
                 for key, entry in table.items()
             }
 
         mapping = walk(SCHEMA)
-        for key in _unread_demand_keys(self.demand.kind):
+        for key in UNREAD_DEMAND_KEYS[self.demand.kind]:
             del mapping["demand"][key]
         return mapping
 
@@ -182,10 +185,6 @@ def config_fingerprint(config: ScenarioConfig, seed: int) -> str:
     """First 16 hex digits of the sha256 of ``config.to_mapping()`` and ``seed``."""
     payload = json.dumps([config.to_mapping(), seed], sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _unread_demand_keys(kind: str) -> tuple[str, ...]:
-    return ("hov", "sov") if kind == "timeseries" else ("samples",)
 
 
 def _step(value, where: str):
@@ -204,46 +203,39 @@ def _controller_keys(kind: str) -> dict:
     """The keys of section ``controller.<kind>``: the fields of the default
     ``<kind>_spec``, in order."""
     spec = getattr(ScenarioConfig, f"{kind}_spec")
-    return {field.name: (f"{kind}_spec.{field.name}", None) for field in dataclasses.fields(spec)}
+    return {field.name: f"{kind}_spec.{field.name}" for field in dataclasses.fields(spec)}
 
 
-# YAML section -> key -> (ScenarioConfig attribute path, reader); a nested
-# table is a subsection.  Parsing and to_mapping walk this one table.  Only
-# ``run.dt`` has a reader, for its fraction string; every other value is
-# passed on as YAML gives it (reader None).  Every value rule, the number
-# rule and each kind, shape and integer rule, lives in the object that owns
-# the value, which also stores the number it checked as a float; its message
-# begins with the key, and the parser adds the section.
+# YAML section -> key -> ScenarioConfig attribute path; a nested table is a
+# subsection.  Parsing and to_mapping walk this one table.  The parser reads
+# only ``run.dt``'s fraction string and passes every other value on as YAML
+# gives it.  Every value rule, the number rule and each kind, shape and
+# integer rule, lives in the object that owns the value, which also stores
+# the number it checked as a float; its message begins with the key, and the
+# parser adds the section.
 SCHEMA = {
-    "run": {
-        "horizon": ("horizon", None),
-        "dt": ("dt", _step),
-        "seed": ("seed", None),
-        "replications": ("replications", None),
-    },
-    "capacities": {"hot": ("capacities.hot", None), "gp": ("capacities.gp", None)},
+    "run": {"horizon": "horizon", "dt": "dt", "seed": "seed", "replications": "replications"},
+    "capacities": {"hot": "capacities.hot", "gp": "capacities.gp"},
     "demand": {
-        "kind": ("demand.kind", None),
-        "hov": ("demand.mean_hov", None),
-        "sov": ("demand.mean_sov", None),
-        "samples": ("demand.samples", None),
+        "kind": "demand.kind",
+        "hov": "demand.mean_hov",
+        "sov": "demand.mean_sov",
+        "samples": "demand.samples",
     },
-    "behavior": {"vot": ("behavior.vot", None), "scale": ("behavior.scale", None)},
-    "noise": {"kind": ("noise.kind", None), "half_width": ("noise.half_width", None)},
-    "initial": {
-        "hot_queue": ("initial_hot_queue", None),
-        "gp_queue": ("initial_gp_queue", None),
-    },
+    "behavior": {"vot": "behavior.vot", "scale": "behavior.scale"},
+    "noise": {"kind": "noise.kind", "half_width": "noise.half_width"},
+    "initial": {"hot_queue": "initial_hot_queue", "gp_queue": "initial_gp_queue"},
     "controller": {
-        "kind": ("controller_kind", None),
+        "kind": "controller_kind",
         **{kind: _controller_keys(kind) for kind in CONTROLLER_KINDS},
     },
-    "approx": {"zeta0": ("approx_zeta0", None)},
+    "approx": {"zeta0": "approx_zeta0"},
 }
 
 
 def _leaves(node, table: dict, path: str):
-    """``(dotted key, attribute path, read value)`` per key given."""
+    """``(dotted key, attribute path, value)`` per key given, ``run.dt``'s
+    fraction string read at its leaf so that its error keeps its place."""
     if node is None:  # an empty section
         return
     if not isinstance(node, dict):
@@ -255,8 +247,7 @@ def _leaves(node, table: dict, path: str):
         if isinstance(table[key], dict):
             yield from _leaves(value, table[key], where)
         else:
-            attr, read = table[key]
-            yield where, attr, value if read is None else read(value, where)
+            yield where, table[key], _step(value, where) if where == "run.dt" else value
 
 
 def config_from_mapping(root: dict) -> ScenarioConfig:
@@ -274,7 +265,7 @@ def config_from_mapping(root: dict) -> ScenarioConfig:
             raise ConfigError(f"{section}.{exc}") from None
     kind = fields.get("demand", default.demand).kind
     given = {where for where, _, _ in leaves}
-    for key in _unread_demand_keys(kind):
+    for key in UNREAD_DEMAND_KEYS[kind]:  # even at its default, which the owner takes
         if f"demand.{key}" in given:
             raise ConfigError(f"demand.{key}: not read by {kind} demand")
     return dataclasses.replace(default, **fields)

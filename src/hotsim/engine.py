@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -69,14 +70,20 @@ from typing import TYPE_CHECKING
 
 from . import choice
 from .errors import (ConfigError, HotSimError, NonFiniteResultError, _float_array, brief_repr,
-                     require_finite)
+                     require_finite, require_kind)
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
     from .config import ScenarioConfig
 
-DEMAND_KINDS = ("constant", "poisson", "timeseries")
+# each demand kind -> the keys of the demand section it does not read, which
+# DemandProfile, the scenario parser and ScenarioConfig.to_mapping all read
+UNREAD_DEMAND_KEYS = {"constant": ("samples",), "poisson": ("samples",),
+                      "timeseries": ("hov", "sov")}
+DEMAND_KINDS = tuple(UNREAD_DEMAND_KEYS)
+# the DemandProfile field of each demand key
+_FIELDS = {"hov": "mean_hov", "sov": "mean_sov", "samples": "samples"}
 # numpy's largest Poisson mean, its POISSON_LAM_MAX, in plain Python
 POISSON_MEAN_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 ZERO_QUEUE_TOL = 1e-6
@@ -89,9 +96,11 @@ class DemandProfile:
     ``constant`` gives the means; ``poisson`` draws both rates anew at each
     read from Poisson distributions with those means (veh/min, at most
     ``POISSON_MEAN_MAX``); ``timeseries`` holds ``(t, hov, sov)`` breakpoints
-    interpreted as a step function, the first at t <= 0.  ``samples`` other
-    than the empty tuple under ``constant`` or ``poisson`` is an error, as
-    they would not be read.  The means a kind reads are stored as floats, and
+    interpreted as a step function, the first at t <= 0.  A field whose key
+    the kind does not read (``UNREAD_DEMAND_KEYS``) must hold its default, as
+    it would not be read: ``samples`` the empty tuple under ``constant`` or
+    ``poisson``, and each mean its default number under ``timeseries``; it is
+    stored as that default.  The means a kind reads are stored as floats, and
     ``samples`` as a tuple of float triples.
     """
 
@@ -102,20 +111,16 @@ class DemandProfile:
 
     def __post_init__(self) -> None:
         # each message begins with the scenario key it rejects
-        if self.kind not in DEMAND_KINDS:
-            raise ValueError(f"kind: expected one of {', '.join(DEMAND_KINDS)}, "
-                             f"got {brief_repr(self.kind)}")
+        require_kind("kind", self.kind, DEMAND_KINDS)
         if self.kind != "timeseries":
-            for key, name in (("hov", "mean_hov"), ("sov", "mean_sov")):
-                rate = require_finite(key, getattr(self, name))
-                object.__setattr__(self, name, rate)
+            for key in ("hov", "sov"):
+                rate = require_finite(key, getattr(self, _FIELDS[key]))
+                object.__setattr__(self, _FIELDS[key], rate)
                 if rate < 0:
                     raise ValueError(f"{key} cannot be negative")
                 if self.kind == "poisson" and rate > POISSON_MEAN_MAX:
                     raise ValueError(f"{key}: a Poisson mean must be at most "
                                      f"{POISSON_MEAN_MAX:g} veh/min, got {rate:g}")
-            if not isinstance(self.samples, tuple) or self.samples:  # any value but ()
-                raise ValueError(f"samples: not read by {self.kind} demand")
         else:
             samples = _float_array("samples", self.samples, "rows of three numbers", (None, 3))
             if not samples:
@@ -128,6 +133,12 @@ class DemandProfile:
                 raise ValueError("samples: demand rates cannot be negative")
             if times[0] > 0.0:  # a run reads the demand from t = 0
                 raise ValueError("samples: first sample must start at t <= 0")
+        for key in UNREAD_DEMAND_KEYS[self.kind]:  # last, after the rules of what is read
+            default, value = getattr(DemandProfile, _FIELDS[key]), getattr(self, _FIELDS[key])
+            # the default as a number or the empty tuple; never an array, whose == is no bool
+            if not (isinstance(value, (tuple, numbers.Real)) and value == default):
+                raise ValueError(f"{key}: not read by {self.kind} demand")
+            object.__setattr__(self, _FIELDS[key], default)
 
     @cached_property
     def sample_times(self) -> tuple[float, ...]:

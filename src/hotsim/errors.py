@@ -1,10 +1,11 @@
 """Exception classes shared across the package, and the value rules that the
 objects owning scenario values share: a finite number, the one test of what
 is a number (``require_finite``: what ``math.isfinite`` takes, bools,
-numpy's too, aside), the step rule of a run (``require_steps``: a positive
-``dt`` and horizon, at most ``MAX_STEPS`` steps, a whole number of them),
-which the scenario and the reduced model both call, and an array's shape;
-and how an error shows the value it rejects (``brief_repr``).
+numpy's too, aside), one of a tuple of kinds (``require_kind``), the step
+rule of a run (``require_steps``: a positive ``dt`` and horizon, at most
+``MAX_STEPS`` steps, a whole number of them), which the scenario and the
+reduced model both call, and an array's shape; and how an error shows the
+value it rejects (``brief_repr``).
 
 A number rule returns the number it checked as a float, and the owner
 stores that, so a number given as an int or as a numpy scalar is stored as
@@ -82,6 +83,14 @@ def require_finite(key: str, value: float, error: type[Exception] = ValueError) 
     if not finite:
         raise error(f"{key}: expected a finite number, got {brief_repr(value)}")
     return float(value)
+
+
+def require_kind(key: str, value, kinds: tuple[str, ...], error: type[Exception] = ValueError):
+    """``value``; raise ``error``, its message beginning with ``key``, unless
+    it is a string and one of ``kinds``: a numpy array's ``==`` is no bool."""
+    if not (isinstance(value, str) and value in kinds):
+        raise error(f"{key}: expected one of {', '.join(kinds)}, got {brief_repr(value)}")
+    return value
 
 
 def brief_repr(value) -> str:

@@ -578,7 +578,10 @@ class TestClassifyAt:
 
     @pytest.mark.parametrize("param, model", [("k3", "closed"), ("k2", "exact")])
     def test_unknown_name_is_config_error(self, param, model):
-        with pytest.raises(ConfigError, match="unknown"):
+        # only the wrong name is named
+        key, kinds, name = (("param", "k1, k2", param) if param == "k3"
+                            else ("model", "closed, approx", model))
+        with pytest.raises(ConfigError, match=f"^{key}: expected one of {kinds}, got '{name}'$"):
             classify_at(pattern_config(0.1), param, 0.1, model)
 
 

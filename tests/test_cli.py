@@ -183,6 +183,9 @@ USAGE_ERRORS = [
      "error: controller.selflearning.initial_theta: expected three numbers, got [1.0, 2.0]"),
     (["simulate"], "demand: {kind: timeseries, samples: 5}",
      "error: demand.samples: expected rows of three numbers, got 5.0"),
+    # the owner checks the samples its kind reads before a mean it does not read
+    (["simulate"], "demand: {kind: timeseries, hov: 12, samples: [[0, 10]]}",
+     "error: demand.samples: expected rows of three numbers, got [0.0, 10.0] at row 0"),
     (["simulate"], "demand: {kind: foo}",
      "error: demand.kind: expected one of constant, poisson, timeseries, got 'foo'"),
     (["simulate"], "noise: {half_width: 0.1}", "error: noise.half_width: not read by none noise"),
@@ -877,7 +880,7 @@ def _owned_keys(table=SCHEMA, path=""):
         if isinstance(entry, dict):
             yield from _owned_keys(entry, where)
             continue
-        part, _, name = entry[0].rpartition(".")
+        part, _, name = entry.rpartition(".")
         if not part:
             yield where, where, ScenarioConfig(), name
         elif key == "samples":

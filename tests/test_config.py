@@ -29,7 +29,7 @@ from hotsim.config import (
     load_config,
     parse_config_text,
 )
-from hotsim.engine import POISSON_MEAN_MAX, DemandProfile, run_closed_loop
+from hotsim.engine import POISSON_MEAN_MAX, UNREAD_DEMAND_KEYS, DemandProfile, run_closed_loop
 from hotsim.errors import ConfigError, ScenarioAssumptionError
 from hotsim.pricing import IntegralTollController, SelfLearningController, VotFeedbackController
 from hotsim.traffic import Capacities
@@ -146,8 +146,16 @@ class TestValidation:
     @pytest.mark.parametrize("text, key", [
         ("demand: {kind: timeseries, samples: [[0, 10, 60]], hov: 12}",
          "demand.hov: not read by timeseries demand"),
+        ("demand: {kind: timeseries, samples: [[0, 10, 60]], sov: 12}",
+         "demand.sov: not read by timeseries demand"),
+        # the parser's rule: a key given is an error even at the default its owner takes
+        ("demand: {kind: timeseries, samples: [[0, 10, 60]], hov: 10}",
+         "demand.hov: not read by timeseries demand"),
+        ("demand: {kind: timeseries, samples: [[0, 10, 60]], sov: 60.0}",
+         "demand.sov: not read by timeseries demand"),
         ("demand: {kind: poisson, samples: [[0, 10, 60]]}",
          "demand.samples: not read by poisson demand"),
+        ("demand: {kind: poisson, samples: []}", "demand.samples: not read by poisson demand"),
         ("demand: {samples: [[0, 10, 60]]}", "demand.samples: not read by constant demand"),
         ("demand: {samples: []}", "demand.samples: not read by constant demand"),
         ("noise: {half_width: 0.3}", "noise.half_width: not read by none noise"),
@@ -156,6 +164,60 @@ class TestValidation:
     def test_key_the_kind_does_not_read(self, text, key):
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}$"):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("key", ["hov", "sov", "samples"])
+    @pytest.mark.parametrize("kind", list(UNREAD_DEMAND_KEYS))
+    def test_one_table_serves_owner_parser_and_mapping(self, kind, key):
+        # a key off its default fails in code, and a key given fails in a
+        # file, exactly when the table lists it; to_mapping keeps the rest
+        unread = key in UNREAD_DEMAND_KEYS[kind]
+        samples = {"samples": [[0, 10, 60]]} if kind == "timeseries" else {}
+        given = {"hov": 12, "sov": 50, "samples": [[0, 12, 50]]}[key]
+        text = yaml.safe_dump({"demand": {"kind": kind, **samples, key: given}})
+        field = {"hov": "mean_hov", "sov": "mean_sov", "samples": "samples"}[key]
+        if unread:
+            with pytest.raises(ValueError, match=f"^{key}: not read by {kind} demand$"):
+                DemandProfile(kind, **{**samples, field: given})
+            with pytest.raises(ConfigError, match=f"^demand.{key}: not read by {kind} demand$"):
+                parse_config_text(text)
+        else:
+            DemandProfile(kind, **{**samples, field: given})
+            mapping = parse_config_text(text).to_mapping()["demand"]
+            assert list(mapping) == [k for k in SCHEMA["demand"]
+                                     if k not in UNREAD_DEMAND_KEYS[kind]]
+
+    # the full line of each kind rule, after its section from a file and
+    # without it from code, but for the kind the ScenarioConfig owns
+    @pytest.mark.parametrize("text, build, from_file, from_code", [
+        ("demand: {kind: foo}", lambda: DemandProfile("foo"),
+         "demand.kind: expected one of constant, poisson, timeseries, got 'foo'",
+         "kind: expected one of constant, poisson, timeseries, got 'foo'"),
+        ("noise: {kind: foo}", lambda: NoiseSpec("foo"),
+         "noise.kind: expected one of none, uniform, got 'foo'",
+         "kind: expected one of none, uniform, got 'foo'"),
+        ("controller: {kind: foo}", lambda: ScenarioConfig(controller_kind="foo"),
+         "controller.kind: expected one of vot, integral, selflearning, got 'foo'",
+         "controller.kind: expected one of vot, integral, selflearning, got 'foo'"),
+    ], ids=["demand", "noise", "controller"])
+    def test_unknown_kind_message(self, text, build, from_file, from_code):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config_text(text)
+        with pytest.raises((ValueError, ConfigError)) as built:
+            build()
+        assert (str(parsed.value), str(built.value)) == (from_file, from_code)
+
+    @pytest.mark.parametrize("build, kind, message", [
+        (lambda kind: DemandProfile(kind), "constant",
+         "kind: expected one of constant, poisson, timeseries"),
+        (lambda kind: NoiseSpec(kind), "none", "kind: expected one of none, uniform"),
+        (lambda kind: ScenarioConfig(controller_kind=kind), "vot",
+         "controller.kind: expected one of vot, integral, selflearning"),
+    ], ids=["demand", "noise", "controller"])
+    def test_kind_is_a_string(self, build, kind, message):
+        # a one-element array equals its string, but is no kind
+        build(np.str_(kind))
+        with pytest.raises((ValueError, ConfigError), match=f"^{re.escape(message)}, got array"):
+            build(np.array([kind]))
 
     @pytest.mark.parametrize("text, message", [
         ("demand: {hov: -1}", "demand.hov cannot be negative"),
@@ -369,10 +431,22 @@ class TestBuiltInCode:
          "samples: not read by poisson demand"),
         (lambda: DemandProfile(samples=np.array([[0.0, 10.0, 60.0]])),
          "samples: not read by constant demand"),
-    ], ids=["none-noise", "constant", "poisson", "constant-array"])
+        *[(lambda mean=mean: DemandProfile("timeseries", mean_hov=mean, samples=[[0, 10, 60]]),
+           "hov: not read by timeseries demand")
+          for mean in ("junk", 12, math.nan, None, np.array([10.0]))],
+        (lambda: DemandProfile("timeseries", mean_sov=60.5, samples=[[0, 10, 60]]),
+         "sov: not read by timeseries demand"),
+    ], ids=["none-noise", "constant", "poisson", "constant-array", "timeseries-hov-'junk'",
+            "timeseries-hov-12", "timeseries-hov-nan", "timeseries-hov-None",
+            "timeseries-hov-array", "timeseries-sov-60.5"])
     def test_setting_the_kind_does_not_read_is_rejected(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+    @pytest.mark.parametrize("mean", [10, np.float64(10.0), np.int64(10)], ids=repr)
+    def test_unread_mean_at_its_default_is_stored_as_the_float_default(self, mean):
+        profile = DemandProfile("timeseries", mean_hov=mean, samples=[[0, 10, 60]])
+        assert type(profile.mean_hov) is float and profile == TIMESERIES_ONE
 
     def test_last_replication_seed_within_64_bits(self):
         ScenarioConfig(seed=2**64 - 2, replications=2)
@@ -497,6 +571,10 @@ CODE_AND_FILE_DEMANDS = {
     "constant": (DemandProfile(mean_hov=11, mean_sov=np.int64(58)), "{hov: 11, sov: 58}"),
     "timeseries": (DemandProfile("timeseries", samples=[[0, 10, 60], [2, np.float64(12), 55]]),
                    "{kind: timeseries, samples: [[0, 10, 60], [2, 12, 55]]}"),
+    # the means timeseries demand does not read, each at its default
+    "timeseries-default-means": (
+        DemandProfile("timeseries", mean_hov=10, mean_sov=np.float64(60.0), samples=[[0, 10, 60]]),
+        "{kind: timeseries, samples: [[0, 10, 60]]}"),
 }
 
 
@@ -549,30 +627,30 @@ class TestMapping:
         assert load_config(path).seed == 9
 
     def test_controller_schema_is_pinned(self):
-        # entry for entry and in order: key, attribute path and reader, which
-        # no controller key has: each value goes to its spec as YAML gives it
+        # entry for entry and in order: key and attribute path; each value
+        # goes to its spec as YAML gives it
         def items(table):
             return [(key, items(entry) if isinstance(entry, dict) else entry)
                     for key, entry in table.items()]
 
         assert items(SCHEMA["controller"]) == [
-            ("kind", ("controller_kind", None)),
+            ("kind", "controller_kind"),
             ("vot", [
-                ("queue_gain", ("vot_spec.queue_gain", None)),
-                ("residual_gain", ("vot_spec.residual_gain", None)),
-                ("scale_guess", ("vot_spec.scale_guess", None)),
-                ("initial_vot", ("vot_spec.initial_vot", None)),
+                ("queue_gain", "vot_spec.queue_gain"),
+                ("residual_gain", "vot_spec.residual_gain"),
+                ("scale_guess", "vot_spec.scale_guess"),
+                ("initial_vot", "vot_spec.initial_vot"),
             ]),
             ("integral", [
-                ("gain", ("integral_spec.gain", None)),
-                ("initial_price", ("integral_spec.initial_price", None)),
-                ("target_demand", ("integral_spec.target_demand", None)),
+                ("gain", "integral_spec.gain"),
+                ("initial_price", "integral_spec.initial_price"),
+                ("target_demand", "integral_spec.target_demand"),
             ]),
             ("selflearning", [
-                ("initial_theta", ("selflearning_spec.initial_theta", None)),
-                ("initial_cov", ("selflearning_spec.initial_cov", None)),
-                ("measurement_var", ("selflearning_spec.measurement_var", None)),
-                ("process_noise", ("selflearning_spec.process_noise", None)),
+                ("initial_theta", "selflearning_spec.initial_theta"),
+                ("initial_cov", "selflearning_spec.initial_cov"),
+                ("measurement_var", "selflearning_spec.measurement_var"),
+                ("process_noise", "selflearning_spec.process_noise"),
             ]),
         ]
 
@@ -643,7 +721,7 @@ def _number_entries(table=SCHEMA, path=""):
         if isinstance(entry, dict):
             yield from _number_entries(entry, where)
             continue
-        part, _, name = entry[0].rpartition(".")
+        part, _, name = entry.rpartition(".")
         owner = getattr(ScenarioConfig(), part) if part else ScenarioConfig()
         if type(getattr(owner, name)) in (str, int):  # a kind, the seed or the replication count
             continue
@@ -717,7 +795,7 @@ class TestOneMessagePerShape:
             mapping["demand"]["kind"] = "timeseries"
         with pytest.raises(ConfigError) as parsed:
             parse_config_text(yaml.safe_dump(mapping))
-        part, _, name = functools.reduce(dict.get, where.split("."), SCHEMA)[0].rpartition(".")
+        part, _, name = functools.reduce(dict.get, where.split("."), SCHEMA).rpartition(".")
         if not part:  # a key the ScenarioConfig owns keeps its section in code too
             owner, key = ScenarioConfig(), where
         else:
