@@ -62,7 +62,11 @@ def _csv(header: tuple, rows, row_format: str = "") -> str:
 
 
 def trajectory_csv(traj: engine.Trajectory) -> str:
-    return _csv(engine.STATE_FIELDS, traj.rows())
+    """The CSV of ``traj``: its ``STATE_FIELDS`` header, then one line per
+    step, as ``_csv`` writes them; the whole table is one %-format over the
+    trajectory's flat list of values."""
+    row_format = ",".join(["%.9g"] * len(engine.STATE_FIELDS)) + "\n"
+    return ",".join(engine.STATE_FIELDS) + "\n" + (row_format * len(traj)) % tuple(traj.values())
 
 
 def _json_text(payload) -> str:

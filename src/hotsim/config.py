@@ -257,17 +257,17 @@ def config_from_mapping(root: dict) -> ScenarioConfig:
     for where, attr, value in leaves:
         part, _, name = attr.rpartition(".")
         parts.setdefault(part, (where.rpartition(".")[0], {}))[1][name] = value
-    fields = parts.pop("", ("", {}))[1]
+    fields, given = parts.pop("", ("", {}))[1], {where for where, _, _ in leaves}
     for part, (section, values) in parts.items():
         try:
             fields[part] = dataclasses.replace(getattr(default, part), **values)
         except ValueError as exc:
             raise ConfigError(f"{section}.{exc}") from None
-    kind = fields.get("demand", default.demand).kind
-    given = {where for where, _, _ in leaves}
-    for key in UNREAD_DEMAND_KEYS[kind]:  # even at its default, which the owner takes
-        if f"demand.{key}" in given:
-            raise ConfigError(f"demand.{key}: not read by {kind} demand")
+        if part == "demand":  # a key given is reported at its section, like the owner's rules
+            kind = fields[part].kind
+            for key in UNREAD_DEMAND_KEYS[kind]:  # even at its default, which the owner takes
+                if f"demand.{key}" in given:
+                    raise ConfigError(f"demand.{key}: not read by {kind} demand")
     return dataclasses.replace(default, **fields)
 
 

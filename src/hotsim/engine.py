@@ -52,10 +52,11 @@ runs with the same seed see identical demand realizations regardless of the
 controller.  A run that draws nothing builds no stream, though its seed is
 still checked.
 
-A run builds only what is read.  Its ``Trajectory`` keeps the row tuples
-the loop made, so the CSV formats those floats directly; ``column`` builds
-a fresh array from the rows on each read, and ``summarize`` builds only the
-columns it reduces over.
+A run builds only what is read.  The loop extends one flat, row-major list
+of floats by each step's values, and its ``Trajectory`` keeps that list as
+it is, so a kept run holds no object per step; the CSV formats those floats
+in one pass, ``column`` builds a fresh array from every 13th value on each
+read, and ``summarize`` builds only the columns it reduces over.
 """
 
 from __future__ import annotations
@@ -202,42 +203,54 @@ STATE_FIELDS = (
     "g1", "g2", "q1", "q2", "q3", "eta",
 )
 _INDEX = {name: i for i, name in enumerate(STATE_FIELDS)}
-
-
-def _floats(rows, name: str) -> np.ndarray:
-    """Entry ``name`` of each row as a new contiguous float64 array."""
-    import numpy as np
-
-    return np.fromiter(map(operator.itemgetter(_INDEX[name]), rows), float, len(rows))
+_WIDTH = len(STATE_FIELDS)
 
 
 class Trajectory:
-    """Recorded steps of one run, kept as the rows the loop made.
+    """Recorded steps of one run, kept as one flat, row-major list of floats.
 
-    Built from one tuple per step with a value for every ``STATE_FIELDS``
-    entry, in that order.  ``has_pi`` says whether the run's controller keeps
-    a VOT estimate: ``pi`` is that estimate, which may itself be nan, and nan
-    when the strategy has none.
+    Built from one row per step with a value for every ``STATE_FIELDS``
+    entry, in that order; the rows are checked for that width and their
+    values stored in one list, the form the step loop makes itself (and
+    hands over unchecked).  ``has_pi`` says whether the run's controller
+    keeps a VOT estimate: ``pi`` is that estimate, which may itself be nan,
+    and nan when the strategy has none.
     """
 
     def __init__(self, rows, *, has_pi: bool) -> None:
-        self._rows = tuple(rows)
-        self.has_pi = has_pi
-        widths = set(map(len, self._rows))
-        if widths - {len(STATE_FIELDS)}:
-            raise ValueError(f"a row needs {len(STATE_FIELDS)} numbers; "
+        rows = tuple(rows)
+        widths = set(map(len, rows))
+        if widths - {_WIDTH}:
+            raise ValueError(f"a row needs {_WIDTH} numbers; "
                              f"the rows hold {sorted(widths)}")
+        self._values = [value for row in rows for value in row]
+        self.has_pi = has_pi
+
+    @classmethod
+    def _from_values(cls, values: list, *, has_pi: bool) -> Trajectory:
+        """A trajectory that keeps ``values``, a flat row-major list of whole
+        rows, as it is: no copy and no check."""
+        traj = cls.__new__(cls)
+        traj._values, traj.has_pi = values, has_pi
+        return traj
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._values) // _WIDTH
 
     def column(self, name: str) -> np.ndarray:
         """One entry per recorded step, as a new float64 array on each call."""
-        return _floats(self._rows, name)
+        import numpy as np
+
+        return np.fromiter(self._values[_INDEX[name]::_WIDTH], float, len(self))
 
     def rows(self) -> tuple[tuple[float, ...], ...]:
-        """The stored tuple of ``STATE_FIELDS`` values per recorded step."""
-        return self._rows
+        """A tuple of ``STATE_FIELDS`` values per recorded step, built on each call."""
+        return tuple(zip(*[iter(self._values)] * _WIDTH))  # the values in whole rows
+
+    def values(self) -> list:
+        """The stored flat list, every step's ``STATE_FIELDS`` values in
+        order: not a copy, so a reader must not change it."""
+        return self._values
 
 
 @dataclass(frozen=True)
@@ -311,7 +324,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     change = 0.0
     read_eta = True
 
-    rows = []
+    values = []  # each step's STATE_FIELDS values, row after row
     step = 0.0  # k as a float: exact below 2**53 steps, so t is k * dt
     # overflow in a controller's numpy products gives inf or nan quietly, as
     # it does in the float arithmetic around them; summarize reports it
@@ -357,7 +370,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                 g1 = 0.0 if 0.0 > g1 else g1
                 g2 = 0.0 if 0.0 > g2 else g2
                 pi = controller.vot_estimate if has_pi else math.nan
-                rows.append((t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta))
+                values += (t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta)
                 if k == n_steps:
                     break
                 if q2 > 0.0:
@@ -370,39 +383,44 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
         except HotSimError as exc:
             raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
 
-    return Trajectory(rows, has_pi=has_pi)
+    return Trajectory._from_values(values, has_pi=has_pi)
 
 
 def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
     """Scalar metrics of one trajectory against the true average VOT.
 
-    Raises NonFiniteResultError, naming the first metric in ``as_dict``
-    order, when a metric is infinite or NaN.
+    Builds the two columns it reduces over, ``lambda1`` and ``g1``, and the
+    tail of ``pi``, and reads ``t`` and ``u`` at one step each, by their
+    offsets in the trajectory's flat list.  Raises NonFiniteResultError,
+    naming the first metric in ``as_dict`` order, when a metric is infinite
+    or NaN.
     """
     import numpy as np
 
-    rows = traj.rows()
-    if not rows:
+    n, values = len(traj), traj.values()
+    if not n:
         raise ValueError("cannot summarize an empty trajectory")
-    # the columns reduced over; t and u are read at one step each
-    lambda1 = _floats(rows, "lambda1")
-    g1 = _floats(rows, "g1")
-    final_pi = float(rows[-1][_INDEX["pi"]])
+    lambda1 = traj.column("lambda1")
+    g1 = traj.column("g1")
+    last = (n - 1) * _WIDTH  # the offset of the last step
+    final_pi = float(values[last + _INDEX["pi"]])
 
     # first time after which the HOT queue stays (numerically) empty
     time_to_zero: float | None = None
     if lambda1[-1] < ZERO_QUEUE_TOL:
         above = np.flatnonzero(~(lambda1 < ZERO_QUEUE_TOL))  # nan counts as above
-        time_to_zero = float(rows[above[-1] + 1 if above.size else 0][_INDEX["t"]])
+        step = int(above[-1]) + 1 if above.size else 0
+        time_to_zero = float(values[step * _WIDTH + _INDEX["t"]])
 
     with np.errstate(over="ignore", invalid="ignore"):
         rmse = None
         if traj.has_pi:
-            pi_tail = _floats(rows[3 * len(rows) // 4:], "pi")
+            tail = 3 * n // 4  # the first step of the tail
+            pi_tail = np.fromiter(values[tail * _WIDTH + _INDEX["pi"]::_WIDTH], float, n - tail)
             rmse = float(np.sqrt(np.mean((pi_tail - pi_star) ** 2)))
         metrics = SummaryMetrics(
             avg_g1=float(g1.mean()),
-            final_u=float(rows[-1][_INDEX["u"]]),
+            final_u=float(values[last + _INDEX["u"]]),
             final_pi=final_pi if traj.has_pi else None,
             max_lambda1=float(lambda1.max()),
             final_lambda1=float(lambda1[-1]),

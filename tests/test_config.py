@@ -153,6 +153,9 @@ class TestValidation:
          "demand.hov: not read by timeseries demand"),
         ("demand: {kind: timeseries, samples: [[0, 10, 60]], sov: 60.0}",
          "demand.sov: not read by timeseries demand"),
+        # ... and reported at its section, before a later section's error
+        ("demand: {kind: timeseries, samples: [[0, 10, 60]], hov: 10}\ncapacities: {hot: -1}",
+         "demand.hov: not read by timeseries demand"),
         ("demand: {kind: poisson, samples: [[0, 10, 60]]}",
          "demand.samples: not read by poisson demand"),
         ("demand: {kind: poisson, samples: []}", "demand.samples: not read by poisson demand"),

@@ -1,6 +1,7 @@
 """Closed-loop engine: demand profiles, step sequence, summaries."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
@@ -613,6 +614,42 @@ class TestTrajectory:
         rows = [(0.0,) * width, (0.0,) * (2 * len(STATE_FIELDS) - width)]
         with pytest.raises(ValueError, match=f"{len(STATE_FIELDS)} numbers"):
             Trajectory(rows, has_pi=True)
+
+    @pytest.mark.parametrize("horizon, n_rows", [(S0.horizon, 1201), (10 * S0.horizon, 12001)])
+    def test_a_kept_run_hands_the_collector_no_object_per_step(self, horizon, n_rows):
+        # a run kept as one list of floats adds a few tracked objects, where
+        # a tuple per step would add one per row
+        config = dataclasses.replace(S0, horizon=horizon)
+        run_closed_loop(config)  # makes whatever a first run caches
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            traj = run_closed_loop(config)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(traj) == n_rows
+        assert added < 10
+
+    @pytest.mark.parametrize("one_step", [False, True], ids=["horizon", "one-step"])
+    @pytest.mark.parametrize("kind", ["vot", "integral", "selflearning"])
+    @pytest.mark.parametrize("scenario", ["reference", "perturbed", "stochastic"])
+    def test_the_loop_and_the_rows_build_the_same_trajectory(self, scenario, kind, one_step):
+        config = dataclasses.replace(load_config(SCENARIOS / f"{scenario}.yaml"),
+                                     seed=1000, controller_kind=kind)
+        if one_step:
+            config = dataclasses.replace(config, horizon=config.dt)
+        traj = run_closed_loop(config)
+        rebuilt = Trajectory(traj.rows(), has_pi=traj.has_pi)
+
+        def outcome(trajectory):
+            columns = [trajectory.column(name).tobytes() for name in STATE_FIELDS]
+            summary = summarize(trajectory, config.behavior.vot).as_dict()
+            return len(trajectory), trajectory.rows(), columns, trajectory_csv(trajectory), summary
+
+        assert len(traj) == (2 if one_step else config.n_steps + 1)
+        assert outcome(rebuilt) == outcome(traj)
 
 
 class TestSummaries:
