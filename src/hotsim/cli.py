@@ -27,12 +27,11 @@ terminating newline, so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import analysis, engine
 from .config import CONTROLLER_KINDS, ScenarioConfig, config_fingerprint, load_config
@@ -43,6 +42,9 @@ from .errors import (
     NonFiniteResultError,
     require_positive,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    import argparse
 
 # most gain values one ``sweep --grid`` may run; each is a full simulation
 MAX_GRID_POINTS = 10_000
@@ -70,6 +72,8 @@ def trajectory_csv(traj: engine.Trajectory) -> str:
 
 
 def _json_text(payload) -> str:
+    import json
+
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # an inf or nan, which standard JSON cannot hold
@@ -250,6 +254,8 @@ def cmd_approx(args) -> Outputs:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hotsim",
         description="Dynamic-pricing simulation laboratory for HOT lanes",

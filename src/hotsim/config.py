@@ -32,8 +32,9 @@ non-zero ``noise.half_width`` under noise ``none``, which reads none.
 ``NoiseSpec`` owns that rule, and ``DemandProfile`` the demand rule: a
 field whose key its kind does not read holds its default.
 ``engine.UNREAD_DEMAND_KEYS`` is the one table of those keys; the parser
-reads it to reject such a key given in a file, even at its default, and
-``to_mapping`` to leave it out.  ``approx.zeta0``
+reads it to reject such a key given in a file, even at its default and
+before the owner's rules read the section, and ``to_mapping`` to leave it
+out.  ``approx.zeta0``
 seeds the reduced model; when null, ``analysis.approx_initial_zeta`` derives
 it from the closed-loop state at t = 0.
 
@@ -67,8 +68,6 @@ section, from a file.  Demand outside the congested regime parses:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import operator
 import re
 from dataclasses import dataclass
@@ -183,6 +182,9 @@ class ScenarioConfig:
 
 def config_fingerprint(config: ScenarioConfig, seed: int) -> str:
     """First 16 hex digits of the sha256 of ``config.to_mapping()`` and ``seed``."""
+    import hashlib
+    import json
+
     payload = json.dumps([config.to_mapping(), seed], sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -259,15 +261,16 @@ def config_from_mapping(root: dict) -> ScenarioConfig:
         parts.setdefault(part, (where.rpartition(".")[0], {}))[1][name] = value
     fields, given = parts.pop("", ("", {}))[1], {where for where, _, _ in leaves}
     for part, (section, values) in parts.items():
+        kind = values.get("kind", default.demand.kind) if part == "demand" else None
+        if isinstance(kind, str) and kind in UNREAD_DEMAND_KEYS:  # else the owner's kind error
+            # a key given, even at the default the owner takes, before the owner's rules
+            for key in UNREAD_DEMAND_KEYS[kind]:
+                if f"demand.{key}" in given:
+                    raise ConfigError(f"demand.{key}: not read by {kind} demand")
         try:
             fields[part] = dataclasses.replace(getattr(default, part), **values)
         except ValueError as exc:
             raise ConfigError(f"{section}.{exc}") from None
-        if part == "demand":  # a key given is reported at its section, like the owner's rules
-            kind = fields[part].kind
-            for key in UNREAD_DEMAND_KEYS[kind]:  # even at its default, which the owner takes
-                if f"demand.{key}" in given:
-                    raise ConfigError(f"demand.{key}: not read by {kind} demand")
     return dataclasses.replace(default, **fields)
 
 

@@ -153,6 +153,13 @@ class TestValidation:
          "demand.hov: not read by timeseries demand"),
         ("demand: {kind: timeseries, samples: [[0, 10, 60]], sov: 60.0}",
          "demand.sov: not read by timeseries demand"),
+        # ... and before the owner's rules, so of two unread keys the first in the table
+        ("demand: {kind: timeseries, samples: [[0, 10, 60]], hov: 10, sov: 12}",
+         "demand.hov: not read by timeseries demand"),
+        ("demand: {kind: timeseries, samples: [[0, 10, 60]], sov: 12, hov: 10}",
+         "demand.hov: not read by timeseries demand"),
+        ("demand: {kind: timeseries, samples: [[0, 10]], hov: 10}",
+         "demand.hov: not read by timeseries demand"),
         # ... and reported at its section, before a later section's error
         ("demand: {kind: timeseries, samples: [[0, 10, 60]], hov: 10}\ncapacities: {hot: -1}",
          "demand.hov: not read by timeseries demand"),
