@@ -15,7 +15,6 @@ from .analysis import (
     gaussian_tail,
     loop_gain_rate,
     run_approximate,
-    step_approximate,
 )
 from .choice import (
     BehaviorParams,

@@ -112,23 +112,6 @@ def _integrate(
     return lams, zetas
 
 
-def step_approximate(
-    lambda1: float,
-    zeta: float,
-    t: float,
-    queue_gain: float,
-    residual_gain: float,
-    gain_rate: float,
-    dt: float,
-) -> tuple[float, float, float]:
-    """One explicit Euler step of the reduced dynamics from ``(lambda1, zeta)`` at ``t``.
-
-    Returns the next ``(lambda1, zeta, t + dt)``.
-    """
-    lams, zetas = _integrate(lambda1, zeta, [t, t + dt], queue_gain, residual_gain, gain_rate, dt)
-    return lams[1], zetas[1], t + dt
-
-
 def run_approximate(
     initial_queue: float,
     initial_zeta: float,

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import traffic
-from .errors import ScenarioAssumptionError, require_finite, require_kind, require_positive
+from .errors import (ScenarioAssumptionError, require_finite, require_kind, require_positive,
+                     require_unread)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Draws
@@ -42,20 +43,21 @@ class BehaviorParams:
 @dataclass(frozen=True)
 class NoiseSpec:
     """Distribution of the per-step multiplicative choice disturbance:
-    ``none``, or ``uniform`` on ``[-half_width, half_width]``.  A non-zero
-    ``half_width`` under ``none`` is an error, as it would not be read."""
+    ``none``, or ``uniform`` on ``[-half_width, half_width]``.  ``none``
+    reads no ``half_width``, which must hold its default 0 there."""
 
     kind: str = "none"
     half_width: float = 0.0
 
     def __post_init__(self) -> None:
         require_kind("kind", self.kind, NOISE_KINDS)
+        if self.kind == "none":
+            require_unread(self, "noise", {"half_width": "half_width"})
+            return
         half_width = require_finite("half_width", self.half_width)
         object.__setattr__(self, "half_width", half_width)
         if not 0.0 <= half_width < 1.0:
             raise ValueError("half_width must lie in [0, 1)")
-        if self.kind == "none" and half_width != 0.0:
-            raise ValueError("half_width: not read by none noise")
 
 
 def paying_demand(

@@ -40,6 +40,7 @@ from .errors import (
     ConfigError,
     HotSimError,
     NonFiniteResultError,
+    require_finite,
     require_positive,
 )
 
@@ -53,22 +54,17 @@ MAX_GRID_POINTS = 10_000
 Outputs = tuple[dict[str, str], str | None]
 
 
-def _csv(header: tuple, rows, row_format: str = "") -> str:
-    """``header``, then one line per row through the %-format ``row_format``,
-    by default '%.9g' per column: 9 significant digits, nan included.  Each
-    row is a tuple."""
-    row_format = row_format or ",".join(["%.9g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(map(row_format.__mod__, rows))
-    return "\n".join(lines) + "\n"
+def _csv(header: tuple, values, row_format: str = "") -> str:
+    """``header``, then ``values``, flat and row-major, a line per row of
+    ``len(header)`` through the %-format ``row_format``, by default '%.9g' per
+    column (9 significant digits, nan included): the table is one %-format."""
+    row_format = (row_format or ",".join(["%.9g"] * len(header))) + "\n"
+    return ",".join(header) + "\n" + (row_format * (len(values) // len(header))) % tuple(values)
 
 
 def trajectory_csv(traj: engine.Trajectory) -> str:
-    """The CSV of ``traj``: its ``STATE_FIELDS`` header, then one line per
-    step, as ``_csv`` writes them; the whole table is one %-format over the
-    trajectory's flat list of values."""
-    row_format = ",".join(["%.9g"] * len(engine.STATE_FIELDS)) + "\n"
-    return ",".join(engine.STATE_FIELDS) + "\n" + (row_format * len(traj)) % tuple(traj.values())
+    """The CSV of ``traj``: its ``STATE_FIELDS`` header, then one line per step."""
+    return _csv(engine.STATE_FIELDS, traj.values())
 
 
 def _json_text(payload) -> str:
@@ -121,7 +117,7 @@ def _aggregate(summaries: list[dict]) -> dict:
 def cmd_simulate(args) -> Outputs:
     config = _load(args)
     csv_name = "trajectory.csv" if config.replications == 1 else "trajectory_rep{:03d}.csv"
-    # a trajectory's rows are large, so each one lives only until its summary
+    # a trajectory's values are many, so each one lives only until its summary
     # and, when it is written or printed, its CSV text are made
     summaries, files = [], {}
     for rep in range(config.replications):
@@ -223,12 +219,9 @@ def cmd_sweep(args) -> Outputs:
 
     files = {}
     if rows:
-        files["sweep.csv"] = _csv(
-            (args.param, "pattern", "ratio_estimate", "fit_r2_gaussian", "fit_r2_exponential"),
-            ((value, r.pattern, r.ratio_estimate, r.fit_r2_gaussian, r.fit_r2_exponential)
-             for value, r in rows),
-            "%.9g,%s,%.9g,%.9g,%.9g",
-        )
+        header = (args.param, "pattern", "ratio_estimate", "fit_r2_gaussian", "fit_r2_exponential")
+        values = [x for value, report in rows for x in (value, *dataclasses.astuple(report))]
+        files["sweep.csv"] = _csv(header, values, "%.9g,%s,%.9g,%.9g,%.9g")
     if args.bisect is not None:
         files["boundary.json"] = _json_text({
             "param": args.param, "model": args.model,
@@ -241,16 +234,18 @@ def cmd_sweep(args) -> Outputs:
 
 def cmd_analytic(args) -> Outputs:
     config = _load(args)
-    times = [k * config.dt for k in range(config.n_steps + 1)]
-    rows = ((t, analysis.analytic_optimal_price(t, config)) for t in times)
-    return {"analytic.csv": _csv(("t", "u_analytic"), rows)}, "analytic.csv"
+    values = []
+    for t in (k * config.dt for k in range(config.n_steps + 1)):
+        price = analysis.analytic_optimal_price(t, config)
+        values += (t, require_finite(f"u_analytic at t={t:g} min", price, NonFiniteResultError))
+    return {"analytic.csv": _csv(("t", "u_analytic"), values)}, "analytic.csv"
 
 
 def cmd_approx(args) -> Outputs:
     t, lam, zeta = (a.tolist() for a in analysis.approximate_from_config(_load(args)))
     ratio = (q / z if z else math.nan for q, z in zip(lam, zeta))
-    text = _csv(("t", "lambda1", "zeta", "ratio"), zip(t, lam, zeta, ratio))
-    return {"approx.csv": text}, "approx.csv"
+    values = [x for row in zip(t, lam, zeta, ratio) for x in row]
+    return {"approx.csv": _csv(("t", "lambda1", "zeta", "ratio"), values)}, "approx.csv"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,18 +25,19 @@ rejected with their dotted path.
                      measurement_var: 0.09, process_noise: 1.0e-6}
     approx:     {zeta0: null}
 
-``dt`` accepts a float or a fraction string like ``"1/60"``.  A demand key
-that the demand kind does not read (``samples`` for constant or Poisson
-demand, ``hov`` and ``sov`` for timeseries) is an error, and so is a
-non-zero ``noise.half_width`` under noise ``none``, which reads none.
-``NoiseSpec`` owns that rule, and ``DemandProfile`` the demand rule: a
-field whose key its kind does not read holds its default.
-``engine.UNREAD_DEMAND_KEYS`` is the one table of those keys; the parser
-reads it to reject such a key given in a file, even at its default and
-before the owner's rules read the section, and ``to_mapping`` to leave it
-out.  ``approx.zeta0``
-seeds the reduced model; when null, ``analysis.approx_initial_zeta`` derives
-it from the closed-loop state at t = 0.
+``dt`` accepts a float or a fraction string like ``"1/60"``.  A key that
+its section's kind does not read (``samples`` for constant or Poisson
+demand, ``hov`` and ``sov`` for timeseries, ``half_width`` for noise
+``none``) is an error unless it holds its default, which is stored:
+``DemandProfile`` and ``NoiseSpec`` own that rule, ``errors.require_unread``.
+``engine.UNREAD_DEMAND_KEYS`` is the one table of the demand keys; the
+parser reads it to reject such a key given in a file, even at its default
+and before the owner's rules read the section, and ``to_mapping`` to leave
+it out.  Noise has no such parser rule: ``to_mapping`` keeps
+``noise.half_width`` under ``none``, as every fingerprint holds it, and a
+mapping must parse back.  ``approx.zeta0`` seeds the reduced model; when
+null, ``analysis.approx_initial_zeta`` derives it from the closed-loop
+state at t = 0.
 
 The parser reads only the YAML structure and leaves every value to its
 owner: it reads ``dt``'s fraction string and passes any other value on as
@@ -263,7 +264,8 @@ def config_from_mapping(root: dict) -> ScenarioConfig:
     for part, (section, values) in parts.items():
         kind = values.get("kind", default.demand.kind) if part == "demand" else None
         if isinstance(kind, str) and kind in UNREAD_DEMAND_KEYS:  # else the owner's kind error
-            # a key given, even at the default the owner takes, before the owner's rules
+            # a key given, even at the default the owner takes, before the owner's
+            # rules; demand only, as a none noise's half_width is in every fingerprint
             for key in UNREAD_DEMAND_KEYS[kind]:
                 if f"demand.{key}" in given:
                     raise ConfigError(f"demand.{key}: not read by {kind} demand")

@@ -53,17 +53,17 @@ controller.  A run that draws nothing builds no stream, though its seed is
 still checked.
 
 A run builds only what is read.  The loop extends one flat, row-major list
-of floats by each step's values, and its ``Trajectory`` keeps that list as
-it is, so a kept run holds no object per step; the CSV formats those floats
-in one pass, ``column`` builds a fresh array from every 13th value on each
-read, and ``summarize`` builds only the columns it reduces over.
+of floats by each step's values, and ``Trajectory``, whose one constructor
+takes that list, keeps it as it is, so a kept run holds no object per step;
+the CSV formats those floats in one pass, ``column`` builds a fresh array
+from every 13th value on each read, and ``summarize`` builds only the
+columns it reduces over.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -71,20 +71,19 @@ from typing import TYPE_CHECKING
 
 from . import choice
 from .errors import (ConfigError, HotSimError, NonFiniteResultError, _float_array, brief_repr,
-                     require_finite, require_kind)
+                     require_finite, require_kind, require_unread)
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
     from .config import ScenarioConfig
 
-# each demand kind -> the keys of the demand section it does not read, which
-# DemandProfile, the scenario parser and ScenarioConfig.to_mapping all read
-UNREAD_DEMAND_KEYS = {"constant": ("samples",), "poisson": ("samples",),
-                      "timeseries": ("hov", "sov")}
+# each demand kind -> the keys of the demand section it does not read, each to
+# its DemandProfile field; DemandProfile, the scenario parser and
+# ScenarioConfig.to_mapping all read this table
+UNREAD_DEMAND_KEYS = {"constant": {"samples": "samples"}, "poisson": {"samples": "samples"},
+                      "timeseries": {"hov": "mean_hov", "sov": "mean_sov"}}
 DEMAND_KINDS = tuple(UNREAD_DEMAND_KEYS)
-# the DemandProfile field of each demand key
-_FIELDS = {"hov": "mean_hov", "sov": "mean_sov", "samples": "samples"}
 # numpy's largest Poisson mean, its POISSON_LAM_MAX, in plain Python
 POISSON_MEAN_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 ZERO_QUEUE_TOL = 1e-6
@@ -114,9 +113,9 @@ class DemandProfile:
         # each message begins with the scenario key it rejects
         require_kind("kind", self.kind, DEMAND_KINDS)
         if self.kind != "timeseries":
-            for key in ("hov", "sov"):
-                rate = require_finite(key, getattr(self, _FIELDS[key]))
-                object.__setattr__(self, _FIELDS[key], rate)
+            for key, name in (("hov", "mean_hov"), ("sov", "mean_sov")):
+                rate = require_finite(key, getattr(self, name))
+                object.__setattr__(self, name, rate)
                 if rate < 0:
                     raise ValueError(f"{key} cannot be negative")
                 if self.kind == "poisson" and rate > POISSON_MEAN_MAX:
@@ -134,12 +133,8 @@ class DemandProfile:
                 raise ValueError("samples: demand rates cannot be negative")
             if times[0] > 0.0:  # a run reads the demand from t = 0
                 raise ValueError("samples: first sample must start at t <= 0")
-        for key in UNREAD_DEMAND_KEYS[self.kind]:  # last, after the rules of what is read
-            default, value = getattr(DemandProfile, _FIELDS[key]), getattr(self, _FIELDS[key])
-            # the default as a number or the empty tuple; never an array, whose == is no bool
-            if not (isinstance(value, (tuple, numbers.Real)) and value == default):
-                raise ValueError(f"{key}: not read by {self.kind} demand")
-            object.__setattr__(self, _FIELDS[key], default)
+        # last, after the rules of what is read
+        require_unread(self, "demand", UNREAD_DEMAND_KEYS[self.kind])
 
     @cached_property
     def sample_times(self) -> tuple[float, ...]:
@@ -209,30 +204,17 @@ _WIDTH = len(STATE_FIELDS)
 class Trajectory:
     """Recorded steps of one run, kept as one flat, row-major list of floats.
 
-    Built from one row per step with a value for every ``STATE_FIELDS``
-    entry, in that order; the rows are checked for that width and their
-    values stored in one list, the form the step loop makes itself (and
-    hands over unchecked).  ``has_pi`` says whether the run's controller
-    keeps a VOT estimate: ``pi`` is that estimate, which may itself be nan,
-    and nan when the strategy has none.
+    ``values`` holds a value for every ``STATE_FIELDS`` entry per step, in
+    that order, the form the step loop makes; it is kept as it is, not
+    copied, and is a ValueError unless it holds whole rows.  ``has_pi`` says
+    whether the run's controller keeps a VOT estimate: ``pi`` is that
+    estimate, which may itself be nan, and nan when the strategy has none.
     """
 
-    def __init__(self, rows, *, has_pi: bool) -> None:
-        rows = tuple(rows)
-        widths = set(map(len, rows))
-        if widths - {_WIDTH}:
-            raise ValueError(f"a row needs {_WIDTH} numbers; "
-                             f"the rows hold {sorted(widths)}")
-        self._values = [value for row in rows for value in row]
-        self.has_pi = has_pi
-
-    @classmethod
-    def _from_values(cls, values: list, *, has_pi: bool) -> Trajectory:
-        """A trajectory that keeps ``values``, a flat row-major list of whole
-        rows, as it is: no copy and no check."""
-        traj = cls.__new__(cls)
-        traj._values, traj.has_pi = values, has_pi
-        return traj
+    def __init__(self, values: list, *, has_pi: bool) -> None:
+        if len(values) % _WIDTH:
+            raise ValueError(f"{len(values)} values are no whole number of rows of {_WIDTH}")
+        self._values, self.has_pi = values, has_pi
 
     def __len__(self) -> int:
         return len(self._values) // _WIDTH
@@ -242,10 +224,6 @@ class Trajectory:
         import numpy as np
 
         return np.fromiter(self._values[_INDEX[name]::_WIDTH], float, len(self))
-
-    def rows(self) -> tuple[tuple[float, ...], ...]:
-        """A tuple of ``STATE_FIELDS`` values per recorded step, built on each call."""
-        return tuple(zip(*[iter(self._values)] * _WIDTH))  # the values in whole rows
 
     def values(self) -> list:
         """The stored flat list, every step's ``STATE_FIELDS`` values in
@@ -383,7 +361,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
         except HotSimError as exc:
             raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
 
-    return Trajectory._from_values(values, has_pi=has_pi)
+    return Trajectory(values, has_pi=has_pi)
 
 
 def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:

@@ -1,11 +1,12 @@
 """Exception classes shared across the package, and the value rules that the
 objects owning scenario values share: a finite number, the one test of what
 is a number (``require_finite``: what ``math.isfinite`` takes, bools,
-numpy's too, aside), one of a tuple of kinds (``require_kind``), the step
-rule of a run (``require_steps``: a positive ``dt`` and horizon, at most
-``MAX_STEPS`` steps, a whole number of them), which the scenario and the
-reduced model both call, and an array's shape; and how an error shows the
-value it rejects (``brief_repr``).
+numpy's too, aside), one of a tuple of kinds (``require_kind``), the
+default in a field whose key its kind does not read (``require_unread``),
+the step rule of a run (``require_steps``: a positive ``dt`` and horizon, at
+most ``MAX_STEPS`` steps, a whole number of them), which the scenario and
+the reduced model both call, and an array's shape; and how an error shows
+the value it rejects (``brief_repr``).
 
 A number rule returns the number it checked as a float, and the owner
 stores that, so a number given as an int or as a numpy scalar is stored as
@@ -20,6 +21,7 @@ CLI gives an I/O failure, an ``OSError``, exit code 5.
 """
 
 import math
+import numbers
 import sys
 from collections.abc import Sequence
 
@@ -91,6 +93,19 @@ def require_kind(key: str, value, kinds: tuple[str, ...], error: type[Exception]
     if not (isinstance(value, str) and value in kinds):
         raise error(f"{key}: expected one of {', '.join(kinds)}, got {brief_repr(value)}")
     return value
+
+
+def require_unread(owner, section: str, fields: dict[str, str]) -> None:
+    """Store each field of ``owner`` that ``fields`` maps a key to as its class
+    default; raise a ValueError ``<key>: not read by <kind> <section>`` unless
+    it holds that default, as a number (bools aside) or the empty tuple: never
+    an array, whose ``==`` is no bool."""
+    for key, name in fields.items():
+        default, value = getattr(type(owner), name), getattr(owner, name)
+        if isinstance(value, bool) or not (isinstance(value, (tuple, numbers.Real))
+                                           and value == default):
+            raise ValueError(f"{key}: not read by {owner.kind} {section}")
+        object.__setattr__(owner, name, default)
 
 
 def brief_repr(value) -> str:

@@ -25,7 +25,6 @@ from hotsim.analysis import (
     loop_gain_rate,
     optimal_state,
     run_approximate,
-    step_approximate,
 )
 from hotsim.choice import BehaviorParams
 from hotsim.config import ScenarioConfig, VotControllerSpec, load_config
@@ -121,13 +120,21 @@ class TestLoopGainRate:
             assert loop_gain_rate(scen) > 0.0
 
 
+def euler_step(lambda1, zeta, t, queue_gain, residual_gain, gain_rate, dt):
+    """One Euler step of the reduced model, a one-step ``run_approximate``:
+    the next ``(lambda1, zeta, t)``."""
+    times, lams, zetas = run_approximate(lambda1, zeta, queue_gain, residual_gain, gain_rate,
+                                         horizon=dt, dt=dt, start_time=t)
+    return lams[1], zetas[1], times[1]
+
+
 class TestStepApproximate:
     def test_time_factor_freezes_residual_at_start(self):
-        _, zeta, _ = step_approximate(1.0, 0.11, 0.0, 0.1, 0.1, BETA0, 1 / 60)
+        _, zeta, _ = euler_step(1.0, 0.11, 0.0, 0.1, 0.1, BETA0, 1 / 60)
         assert zeta == 0.11
 
     def test_hand_computed_step(self):
-        lambda1, zeta, t = step_approximate(1.0, 0.11, 1.0, 0.1, 0.1, BETA0, 1 / 60)
+        lambda1, zeta, t = euler_step(1.0, 0.11, 1.0, 0.1, 0.1, BETA0, 1 / 60)
         dzeta = BETA0 * 1.0 * (0.1 * 1.0 - 0.1 * 0.11)
         assert dzeta == pytest.approx(0.39556, abs=1e-5)
         assert zeta == pytest.approx(0.11 + dzeta / 60.0, rel=1e-12)
@@ -137,11 +144,11 @@ class TestStepApproximate:
 
     def test_slow_manifold_is_stationary(self):
         # residual at (queue gain / residual gain) times the queue
-        _, zeta, _ = step_approximate(1.0, 0.5, 3.0, 0.1, 0.2, BETA0, 1 / 60)
+        _, zeta, _ = euler_step(1.0, 0.5, 3.0, 0.1, 0.2, BETA0, 1 / 60)
         assert zeta == 0.5
 
     def test_queue_clipped_at_zero(self):
-        lambda1, _, _ = step_approximate(0.001, 0.12, 2.0, 0.1, 0.1, BETA0, 1 / 60)
+        lambda1, _, _ = euler_step(0.001, 0.12, 2.0, 0.1, 0.1, BETA0, 1 / 60)
         assert lambda1 == 0.0
 
 

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from hotsim import pricing
-from hotsim.analysis import step_approximate
+from hotsim.analysis import _integrate
 from hotsim.choice import paying_demand
 from hotsim.pricing import SelfLearningController
 from hotsim.traffic import step_point_queues, throughputs
@@ -39,11 +39,16 @@ def reference_throughputs(lambda1, lambda2, zeta, q1, q2, caps, dt):
     return max(g1, 0.0), max(g2, 0.0)
 
 
-def reference_step_approximate(lambda1, zeta, t, queue_gain, residual_gain, gain_rate, dt):
+def euler_step(lambda1, zeta, t, queue_gain, residual_gain, gain_rate, dt):
+    # one step of the reduced model's kernel, which checks no input
+    lams, zetas = _integrate(lambda1, zeta, [t, t + dt], queue_gain, residual_gain, gain_rate, dt)
+    return lams[1], zetas[1]
+
+
+def reference_euler_step(lambda1, zeta, t, queue_gain, residual_gain, gain_rate, dt):
     return (
         max(lambda1 - zeta * dt, 0.0),
         zeta + dt * gain_rate * t * (queue_gain * lambda1 - residual_gain * zeta),
-        t + dt,
     )
 
 
@@ -77,8 +82,8 @@ CASES = {
                               lambda a, b, c, d: traffic_args(lambda1=a, zeta=b, dt=c, q1=d)),
     "step_point_queues-gp": (step_point_queues, reference_step_point_queues,
                              lambda a, b, c, d: traffic_args(lambda2=a, q2=b, zeta=c, gp=d)),
-    "step_approximate": (step_approximate, reference_step_approximate,
-                         lambda a, b, c, d: (a, b, 2.0, 0.1, 0.1, c, d)),
+    "euler_step": (euler_step, reference_euler_step,
+                   lambda a, b, c, d: (a, b, 2.0, 0.1, 0.1, c, d)),
 }
 
 

@@ -20,7 +20,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_config import NUMBER_ENTRIES, TIMESERIES_ONE, _positive, _scenarios
+from test_config import NUMBER_ENTRIES, READ_BY, _positive, _scenarios
 
 from hotsim import analysis, cli, engine
 from hotsim.cli import _json_text, main
@@ -190,6 +190,9 @@ USAGE_ERRORS = [
     (["simulate"], "demand: {kind: foo}",
      "error: demand.kind: expected one of constant, poisson, timeseries, got 'foo'"),
     (["simulate"], "noise: {half_width: 0.1}", "error: noise.half_width: not read by none noise"),
+    # the unread key first, before the range rule of a uniform half_width
+    (["simulate"], "noise: {kind: none, half_width: -1}",
+     "error: noise.half_width: not read by none noise"),
 ]
 
 
@@ -682,6 +685,24 @@ class TestAnalytic:
             tables.append(capsys.readouterr().out)
         assert tables[0] == tables[1]
 
+    # the slope overflows (0 · inf at t = 0 is nan), the intercept overflows,
+    # or the slope times t overflows later
+    @pytest.mark.parametrize("text, message", [
+        ("capacities: {gp: 5.0e-324}\n", "at t=0 min: expected a finite number, got nan"),
+        ("behavior: {scale: 5.0e-324}\n", "at t=0 min: expected a finite number, got inf"),
+        ("behavior: {vot: 1.0e+306}\nrun: {horizon: 1000, dt: 1}\n",
+         "at t=540 min: expected a finite number, got inf"),
+    ], ids=["capacities.gp", "behavior.scale", "behavior.vot"])
+    def test_non_finite_price_is_its_own_error(self, capsys, scenario_file, tmp_path, text,
+                                               message):
+        config, out = scenario_file(text), tmp_path / "out"
+        assert run_cli("analytic", "--config", config, "--out", str(out)) == 6
+        assert not out.exists()
+        assert run_cli("analytic", "--config", config) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: u_analytic {message}\n" * 2
+
     def test_timeseries_demand_has_no_mean_rates(self, capsys, scenario_file):
         config = scenario_file(
             "demand: {kind: timeseries, samples: [[0, 10, 60], [5, 12, 55]]}\n")
@@ -890,8 +911,9 @@ def _hostile_scenarios(draw):
 
 def _owned_keys(table=SCHEMA, path=""):
     """``(dotted key, key its owner names, owner, field)`` per scenario key:
-    the owner is the section object holding the value (a timeseries profile
-    for ``samples``) or the ScenarioConfig, which names a key of its own dotted."""
+    the owner is the section object holding the value (one whose kind reads
+    the key, ``READ_BY``, for a key the default kind does not read) or the
+    ScenarioConfig, which names a key of its own dotted."""
     for key, entry in table.items():
         where = f"{path}.{key}" if path else key
         if isinstance(entry, dict):
@@ -900,10 +922,8 @@ def _owned_keys(table=SCHEMA, path=""):
         part, _, name = entry.rpartition(".")
         if not part:
             yield where, where, ScenarioConfig(), name
-        elif key == "samples":
-            yield where, key, TIMESERIES_ONE, name
         else:
-            yield where, key, getattr(ScenarioConfig(), part), name
+            yield where, key, READ_BY.get(where, getattr(ScenarioConfig(), part)), name
 
 
 OWNED_KEYS = list(_owned_keys())

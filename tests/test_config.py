@@ -170,6 +170,8 @@ class TestValidation:
         ("demand: {samples: []}", "demand.samples: not read by constant demand"),
         ("noise: {half_width: 0.3}", "noise.half_width: not read by none noise"),
         ("noise: {kind: none, half_width: 1.0e-300}", "noise.half_width: not read by none noise"),
+        # the unread key first, before the number and range rules of a uniform one
+        ("noise: {kind: none, half_width: -1}", "noise.half_width: not read by none noise"),
     ])
     def test_key_the_kind_does_not_read(self, text, key):
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}$"):
@@ -357,6 +359,9 @@ NAN_RULES = [
 
 INF = math.inf
 TIMESERIES_ONE = DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),))
+# each key the default kind of its section does not read -> a section object
+# whose kind reads it
+READ_BY = {"demand.samples": TIMESERIES_ONE, "noise.half_width": NoiseSpec("uniform", 0.1)}
 VOT_ARGS = dict(hot_capacity=30.0, queue_gain=0.1, residual_gain=0.1, scale_guess=1.0,
                 initial_vot=0.25)
 LEARNER_ARGS = dict(hot_capacity=30.0, initial_theta=(0.25, 1.0, 0.1), initial_cov=0.1,
@@ -434,7 +439,8 @@ class TestBuiltInCode:
     # a setting its kind does not read is rejected by its owner, with the
     # parser's message for the same key, less its section
     @pytest.mark.parametrize("build, message", [
-        (lambda: NoiseSpec("none", 0.3), "half_width: not read by none noise"),
+        *[(lambda width=width: NoiseSpec("none", width), "half_width: not read by none noise")
+          for width in (0.3, -1, math.nan, "junk", False)],
         (lambda: DemandProfile(samples=((0.0, 10.0, 60.0),)),
          "samples: not read by constant demand"),
         (lambda: DemandProfile("poisson", samples=((0.0, 10.0, 60.0),)),
@@ -446,7 +452,8 @@ class TestBuiltInCode:
           for mean in ("junk", 12, math.nan, None, np.array([10.0]))],
         (lambda: DemandProfile("timeseries", mean_sov=60.5, samples=[[0, 10, 60]]),
          "sov: not read by timeseries demand"),
-    ], ids=["none-noise", "constant", "poisson", "constant-array", "timeseries-hov-'junk'",
+    ], ids=["none-noise", "none-noise--1", "none-noise-nan", "none-noise-'junk'",
+            "none-noise-False", "constant", "poisson", "constant-array", "timeseries-hov-'junk'",
             "timeseries-hov-12", "timeseries-hov-nan", "timeseries-hov-None",
             "timeseries-hov-array", "timeseries-sov-60.5"])
     def test_setting_the_kind_does_not_read_is_rejected(self, build, message):
@@ -622,7 +629,7 @@ class TestCodeAndFileAgree:
         assert hash(code) == hash(twin)
         assert config_fingerprint(code, 0) == config_fingerprint(twin, 0)
         traj = run_closed_loop(code)
-        assert {type(value) for row in traj.rows() for value in row} == {float}
+        assert {type(value) for value in traj.values()} == {float}
         assert trajectory_csv(traj) == trajectory_csv(run_closed_loop(twin))
 
 
@@ -709,14 +716,18 @@ class TestNumbers:
 
 def _nested(where: str, value) -> dict:
     """The scenario mapping that sets only the dotted key ``where`` to
-    ``value``, tuples written as lists."""
+    ``value``, tuples written as lists, and its section's kind to the one
+    that reads it when the default kind does not (``READ_BY``)."""
     def listed(v):
         return [listed(x) for x in v] if isinstance(v, tuple) else v
 
-    value = listed(value)
+    mapping = listed(value)
     for key in reversed(where.split(".")):
-        value = {key: value}
-    return value
+        mapping = {key: mapping}
+    if where in READ_BY:
+        section = where.partition(".")[0]
+        mapping[section]["kind"] = READ_BY[where].kind
+    return mapping
 
 
 def _number_entries(table=SCHEMA, path=""):
@@ -732,7 +743,7 @@ def _number_entries(table=SCHEMA, path=""):
             yield from _number_entries(entry, where)
             continue
         part, _, name = entry.rpartition(".")
-        owner = getattr(ScenarioConfig(), part) if part else ScenarioConfig()
+        owner = READ_BY.get(where, getattr(ScenarioConfig(), part) if part else ScenarioConfig())
         if type(getattr(owner, name)) in (str, int):  # a kind, the seed or the replication count
             continue
         if name == "samples":
@@ -760,8 +771,6 @@ class TestOneMessagePerNumber:
                              ids=[e[0] for e in NUMBER_ENTRIES])
     def test_file_and_code_agree(self, where, owner, name, wrap, bad):
         mapping = _nested(where, wrap(bad))
-        if name == "samples":
-            mapping["demand"]["kind"] = "timeseries"
         with pytest.raises(ConfigError) as parsed:
             parse_config_text(yaml.safe_dump(mapping))
         with pytest.raises((ValueError, ConfigError)) as built:
@@ -800,16 +809,14 @@ class TestOneMessagePerShape:
                                   for where, value in MISSHAPEN])
     def test_file_and_code_agree(self, where, value):
         mapping = _nested(where, value)
-        section, _, key = where.rpartition(".")
-        if key == "samples":
-            mapping["demand"]["kind"] = "timeseries"
+        key = where.rpartition(".")[2]
         with pytest.raises(ConfigError) as parsed:
             parse_config_text(yaml.safe_dump(mapping))
         part, _, name = functools.reduce(dict.get, where.split("."), SCHEMA).rpartition(".")
         if not part:  # a key the ScenarioConfig owns keeps its section in code too
             owner, key = ScenarioConfig(), where
         else:
-            owner = TIMESERIES_ONE if key == "samples" else getattr(ScenarioConfig(), part)
+            owner = READ_BY.get(where, getattr(ScenarioConfig(), part))
         with pytest.raises((ValueError, ConfigError)) as built:
             dataclasses.replace(owner, **{name: value})
         assert str(built.value).startswith(f"{key}: ")
@@ -843,8 +850,6 @@ class TestOneMessagePerType:
         assert type(built.value) is (ConfigError if own else ValueError)
         assert str(built.value) == f"{key}: expected a number, got {bad!r}"
         mapping = _nested(where, wrap(bad))
-        if name == "samples":
-            mapping["demand"]["kind"] = "timeseries"
         with pytest.raises(ConfigError) as parsed:
             parse_config_text(yaml.safe_dump(mapping))
         assert str(parsed.value) == where[:-len(key)] + str(built.value)

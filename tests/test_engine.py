@@ -51,6 +51,11 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 NEGATIVE_NAN_WITH_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000123))[0]
 
 
+def flat(rows) -> list:
+    """The values of ``rows``, row after row: the list a ``Trajectory`` keeps."""
+    return [value for row in rows for value in row]
+
+
 class TestDemandAt:
     def test_constant_profile(self):
         profile = DemandProfile(kind="constant", mean_hov=10.0, mean_sov=60.0)
@@ -215,7 +220,7 @@ class TestClosedLoop:
 
     def test_numpy_integer_seed_override_runs_as_the_int(self):
         runs = run_closed_loop(S0, seed=np.int64(3)), run_closed_loop(S0, seed=3)
-        assert runs[0].rows() == runs[1].rows()
+        assert runs[0].values() == runs[1].values()
 
     def test_long_timeseries_gives_the_recorded_trajectory(self):
         # 10,000 breakpoints every 0.002 min; the digest covers every column
@@ -386,7 +391,7 @@ def reference_run_closed_loop(config, seed=None):
         except HotSimError as exc:
             raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
 
-    return Trajectory(rows, has_pi=has_pi)
+    return Trajectory(flat(rows), has_pi=has_pi)
 
 
 def run_outcome(run, config):
@@ -573,7 +578,7 @@ class TestDemandReads:
         config = dataclasses.replace(S0, demand=demand)
         traj, reads, pricings = self.reads_and_pricings(monkeypatch, config)
         assert (reads, pricings) == ([0.0], [(10.0, 60.0)])
-        assert traj.rows() == run_closed_loop(S0).rows()
+        assert traj.values() == run_closed_loop(S0).values()
 
 
 class TestTrajectory:
@@ -585,21 +590,23 @@ class TestTrajectory:
             tuple(specials[(i * 5 + j) % len(specials)] for j in range(len(STATE_FIELDS)))
             for i in range(n_rows)
         ]
-        traj = Trajectory(rows, has_pi=True)
+        values = flat(rows)
+        traj = Trajectory(values, has_pi=True)
+        assert traj.values() is values  # kept, not copied
         # the table as built before it was read in one pass
         table = np.array(list(zip(*rows)), dtype=float).reshape(len(STATE_FIELDS), -1)
         # the table as built before the rows were packed with struct
-        flat = np.fromiter(itertools.chain.from_iterable(rows), float)
-        assert flat.reshape(-1, len(STATE_FIELDS)).T.tobytes() == table.tobytes()
+        packed = np.fromiter(itertools.chain.from_iterable(rows), float)
+        assert packed.reshape(-1, len(STATE_FIELDS)).T.tobytes() == table.tobytes()
         assert len(traj) == n_rows
         for name, expected in zip(STATE_FIELDS, table):
             column = traj.column(name)
             assert column.dtype == np.float64 and column.flags.c_contiguous
             assert column.tobytes() == expected.tobytes()
-        assert np.array(traj.rows(), dtype=float).tobytes() == table.T.tobytes()
+        assert np.array(traj.values(), dtype=float).tobytes() == table.T.tobytes()
         # the CSV formats the stored values as it would their floats
         csv = trajectory_csv(traj)
-        assert csv == _csv(STATE_FIELDS, [tuple(map(float, row)) for row in rows])
+        assert csv == _csv(STATE_FIELDS, [float(value) for value in values])
         # each read is a new array: writing into one changes neither a later
         # read nor the CSV
         for name in STATE_FIELDS:
@@ -608,12 +615,11 @@ class TestTrajectory:
             assert traj.column(name).tobytes() == expected.tobytes()
         assert trajectory_csv(traj) == csv
 
-    @pytest.mark.parametrize("width", [len(STATE_FIELDS) - 1, len(STATE_FIELDS) + 1])
-    def test_row_of_the_wrong_length_is_rejected(self, width):
-        # rows of 12 and 14 numbers, in either order, hold two rows' worth of values
-        rows = [(0.0,) * width, (0.0,) * (2 * len(STATE_FIELDS) - width)]
-        with pytest.raises(ValueError, match=f"{len(STATE_FIELDS)} numbers"):
-            Trajectory(rows, has_pi=True)
+    @pytest.mark.parametrize("n_values", [1, len(STATE_FIELDS) - 1, len(STATE_FIELDS) + 1])
+    def test_values_that_are_not_whole_rows_are_rejected(self, n_values):
+        with pytest.raises(ValueError, match=f"^{n_values} values are no whole number "
+                                             f"of rows of {len(STATE_FIELDS)}$"):
+            Trajectory([0.0] * n_values, has_pi=True)
 
     @pytest.mark.parametrize("horizon, n_rows", [(S0.horizon, 1201), (10 * S0.horizon, 12001)])
     def test_a_kept_run_hands_the_collector_no_object_per_step(self, horizon, n_rows):
@@ -641,12 +647,15 @@ class TestTrajectory:
         if one_step:
             config = dataclasses.replace(config, horizon=config.dt)
         traj = run_closed_loop(config)
-        rebuilt = Trajectory(traj.rows(), has_pi=traj.has_pi)
+        values, width = traj.values(), len(STATE_FIELDS)
+        rows = [values[at:at + width] for at in range(0, len(values), width)]
+        rebuilt = Trajectory(flat(rows), has_pi=traj.has_pi)
 
         def outcome(trajectory):
             columns = [trajectory.column(name).tobytes() for name in STATE_FIELDS]
             summary = summarize(trajectory, config.behavior.vot).as_dict()
-            return len(trajectory), trajectory.rows(), columns, trajectory_csv(trajectory), summary
+            return (len(trajectory), trajectory.values(), columns, trajectory_csv(trajectory),
+                    summary)
 
         assert len(traj) == (2 if one_step else config.n_steps + 1)
         assert outcome(rebuilt) == outcome(traj)
@@ -670,7 +679,7 @@ class TestSummaries:
     def test_all_zero_trajectory_gives_zero_metrics(self):
         # t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta
         rows = [(k * 0.1,) + (0.0,) * 12 for k in range(11)]
-        metrics = summarize(Trajectory(rows, has_pi=True), pi_star=0.0)
+        metrics = summarize(Trajectory(flat(rows), has_pi=True), pi_star=0.0)
         assert metrics.avg_g1 == 0.0
         assert metrics.final_u == 0.0
         assert metrics.final_pi == 0.0
@@ -723,4 +732,4 @@ class TestSummaries:
         # u (final_u) and lambda1 (max_lambda1, final_lambda1) are non-finite
         rows = [(0.0, math.inf, 0.0, 0.0, 0.0, 0.5, math.nan) + (0.0,) * 6]
         with pytest.raises(NonFiniteResultError, match="final_u is nan"):
-            summarize(Trajectory(rows, has_pi=True), pi_star=0.5)
+            summarize(Trajectory(flat(rows), has_pi=True), pi_star=0.5)
