@@ -20,7 +20,6 @@ from .choice import (
     BehaviorParams,
     NoiseSpec,
     clearing_log_odds,
-    induced_residual_capacity,
     paying_demand,
     sample_eta,
 )

@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .choice import clearing_log_odds, induced_residual_capacity
+from .choice import clearing_log_odds, paying_demand
 from .engine import run_closed_loop
 from .errors import (BoundaryNotBracketedError, ConfigError, NonFiniteResultError,
                      ScenarioAssumptionError, brief_repr, require_finite, require_kind,
                      require_positive, require_steps)
-from .traffic import queuing_times
+from .traffic import queuing_times, residual_capacity
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -63,15 +63,14 @@ def _congested_means(config: "ScenarioConfig") -> tuple[float, float, float, flo
     return q1, q2, c1, c2
 
 
-def analytic_optimal_price(t: float, config: "ScenarioConfig") -> float:
-    """Price that keeps the HOT lanes exactly full at time ``t``.
-
-    Affine in ``t``: the slope is the value of the GP queue's growth rate in
-    delay terms, the intercept the demand-split log term.
-    """
+def analytic_optimal_price(config: "ScenarioConfig") -> tuple[float, float]:
+    """``(slope, intercept)`` of the price that keeps the HOT lanes exactly
+    full, ``slope * t + intercept`` at time ``t``: the slope is the value of
+    the GP queue's growth rate in delay terms, the intercept the demand-split
+    log term."""
     q1, q2, c1, c2 = _congested_means(config)
     slope = (q1 + q2 - c1 - c2) / c2 * config.behavior.vot
-    return slope * t + clearing_log_odds(q1, q2, c1) / config.behavior.scale
+    return slope, clearing_log_odds(q1, q2, c1) / config.behavior.scale
 
 
 def loop_gain_rate(config: "ScenarioConfig") -> float:
@@ -297,7 +296,7 @@ def approx_initial_zeta(config: "ScenarioConfig") -> float:
     controller = config.vot_spec.build(config.capacities)
     controller.set_demand(q1, q2)
     u0 = controller.quote(w0)
-    return induced_residual_capacity(c1, q1, q2, u0, w0, 0.0, config.behavior)
+    return residual_capacity(c1, q1, paying_demand(q2, u0, w0, 0.0, config.behavior))
 
 
 def approximate_from_config(config: "ScenarioConfig") -> tuple[np.ndarray, ...]:

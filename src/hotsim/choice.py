@@ -7,9 +7,10 @@ noise; it perturbs only the drivers' decisions, never the operator's
 measurements.
 
 ``engine.run_closed_loop`` evaluates the logistic of ``paying_demand`` in
-its own step loop, with the same operations in the same order;
-``paying_demand`` is its bit-for-bit reference.  The loop still calls
-``sample_eta`` for each step's draw.
+its own step loop, with the same operations in the same order, and calls
+``sample_eta`` for each step's draw; ``paying_demand`` is its bit-for-bit
+reference, and ``analysis.approx_initial_zeta`` calls it to seed the
+reduced model with ``traffic.residual_capacity(c1, q1, paying_demand(...))``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import traffic
 from .errors import (ScenarioAssumptionError, require_finite, require_kind, require_positive,
                      require_unread)
 
@@ -87,19 +87,6 @@ def clearing_log_odds(q1: float, q2: float, c1: float) -> float:
         raise ScenarioAssumptionError(f"total demand {q1 + q2:g} veh/min does not exceed the HOT "
                                       f"capacity {c1:g} veh/min; the corridor is not congested")
     return math.log((q1 + q2 - c1) / (c1 - q1))
-
-
-def induced_residual_capacity(
-    c1: float,
-    q1: float,
-    q2: float,
-    u: float,
-    w: float,
-    eta: float,
-    params: BehaviorParams,
-) -> float:
-    """Residual HOT capacity left once drivers respond to the quoted price."""
-    return traffic.residual_capacity(c1, q1, paying_demand(q2, u, w, eta, params))
 
 
 def sample_eta(noise: NoiseSpec, draws: Draws | None) -> float:

@@ -22,7 +22,8 @@ makes the IEEE operations of ``traffic.queuing_times``,
 ``choice.paying_demand``, ``traffic.residual_capacity``,
 ``traffic.throughputs`` and ``traffic.step_point_queues`` in their order,
 comparison clamps included, so those kernels are its bit-for-bit reference
-(``tests/test_engine.py`` holds a run that calls them).  The only calls left
+(``tests/test_engine.py`` holds a run that calls them; ``analysis`` calls
+the first three to seed the reduced model).  The only calls left
 in a step are the controller's ``quote`` and ``observe``, and, at a step that
 reads them, ``demand_at`` with ``set_demand`` and ``choice.sample_eta``.  A
 ``timeseries`` step before the next breakpoint would read the sample the

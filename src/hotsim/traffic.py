@@ -7,8 +7,8 @@ return plain floats: ``lambda1`` and ``lambda2`` are the HOT and GP queues.
 
 ``engine.run_closed_loop`` does this arithmetic in its own step loop, with
 the same operations in the same order; these kernels are its bit-for-bit
-reference and the public form of the dynamics for the analysis and for
-library use.
+reference and the public form of the dynamics for library use.  The analysis
+calls ``queuing_times`` and ``residual_capacity`` to seed the reduced model.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from hotsim.analysis import (
     loop_gain_rate,
     run_approximate,
 )
-from hotsim.choice import BehaviorParams, NoiseSpec, induced_residual_capacity
+from hotsim.choice import BehaviorParams, NoiseSpec, paying_demand
 from hotsim.cli import trajectory_csv
 from hotsim.config import ScenarioConfig, VotControllerSpec
 from hotsim.engine import DemandProfile, run_closed_loop, summarize
@@ -60,8 +60,8 @@ def hold_time(t, values, target, tol):
 
 
 def test_criterion_01_analytic_price():
-    u0 = hotsim.analytic_optimal_price(0.0, S0)
-    u20 = hotsim.analytic_optimal_price(20.0, S0)
+    slope, intercept = hotsim.analytic_optimal_price(S0)
+    u0, u20 = slope * 0.0 + intercept, slope * 20.0 + intercept
     check("01 analytic price", {
         f"u(0)={u0:.6f} is log 2": abs(u0 - math.log(2.0)) < 1e-12,
         f"u(20)={u20:.6f} in 4.0265±1e-3": abs(u20 - 4.0265) < 1e-3,
@@ -304,7 +304,7 @@ def test_criterion_12c_fixed_point_identity():
         q1 = rng.uniform(0.0, 25.0)
         q2 = rng.uniform(35.0, 120.0)
         u = params.vot * w + math.log((q1 + q2 - 30.0) / (30.0 - q1)) / params.scale
-        zeta = induced_residual_capacity(30.0, q1, q2, u, w, 0.0, params)
+        zeta = residual_capacity(30.0, q1, paying_demand(q2, u, w, 0.0, params))
         worst = max(worst, abs(zeta))
     check("12c price-law fixed point over randomized delays", {
         f"worst |zeta|={worst:.2e} <= 1e-12": worst <= 1e-12,

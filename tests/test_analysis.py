@@ -50,9 +50,8 @@ def pattern_config(residual_gain):
 
 class TestAnalyticPrice:
     def test_intercept_is_log_two(self):
-        assert analytic_optimal_price(0.0, S0) == pytest.approx(
-            math.log(2.0), rel=1e-12
-        )
+        _, intercept = analytic_optimal_price(S0)
+        assert intercept == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_intercept_is_the_vot_quote_at_no_delay(self):
         # one demand term: a vot quote at w = 0 with no estimate and the drivers'
@@ -63,24 +62,22 @@ class TestAnalyticPrice:
         controller = spec.build(scen.capacities)
         controller.set_demand(9.1, 58.7)
         quote = controller.quote(0.0)
-        assert analytic_optimal_price(0.0, scen).hex() == quote.hex()
+        assert analytic_optimal_price(scen)[1].hex() == quote.hex()
 
     def test_value_at_twenty_minutes(self):
-        u = analytic_optimal_price(20.0, S0)
+        slope, intercept = analytic_optimal_price(S0)
+        u = slope * 20.0 + intercept
         assert u == pytest.approx(10.0 / 3.0 + math.log(2.0), rel=1e-12)
         assert u == pytest.approx(4.0265, abs=1e-3)
 
     def test_zero_vot_removes_time_dependence(self):
-        scen = dataclasses.replace(S0, behavior=BehaviorParams(1e-12, 1.0))
-        assert analytic_optimal_price(5.0, scen) == pytest.approx(
-            analytic_optimal_price(15.0, scen), rel=1e-9
-        )
+        slope, intercept = analytic_optimal_price(
+            dataclasses.replace(S0, behavior=BehaviorParams(1e-12, 1.0)))
+        assert slope * 5.0 + intercept == pytest.approx(slope * 15.0 + intercept, rel=1e-9)
 
     def test_affine_with_exact_slope(self):
-        slope = (10.0 + 60.0 - 60.0) / 30.0 * 0.5
-        u5 = analytic_optimal_price(5.0, S0)
-        u17 = analytic_optimal_price(17.0, S0)
-        assert (u17 - u5) / 12.0 == pytest.approx(slope, rel=1e-12)
+        slope, _ = analytic_optimal_price(S0)
+        assert slope == pytest.approx((10.0 + 60.0 - 60.0) / 30.0 * 0.5, rel=1e-12)
 
     def test_assumptions_validated(self):
         # HOV demand past the HOT capacity meets choice.clearing_log_odds's rule
@@ -88,7 +85,7 @@ class TestAnalyticPrice:
         saturated = dataclasses.replace(S0, demand=DemandProfile(mean_hov=35.0))
         timeseries = dataclasses.replace(
             S0, demand=DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)))
-        for law in (lambda cfg: analytic_optimal_price(0.0, cfg), loop_gain_rate):
+        for law in (analytic_optimal_price, loop_gain_rate):
             with pytest.raises(ScenarioAssumptionError,
                                match="^total demand 30 must exceed the total capacity 60$"):
                 law(uncongested)

@@ -10,12 +10,12 @@ import pytest
 from hotsim.choice import (
     BehaviorParams,
     NoiseSpec,
-    induced_residual_capacity,
     paying_demand,
     sample_eta,
 )
 from hotsim.config import load_config
 from hotsim.engine import DemandProfile, Draws, demand_at
+from hotsim.traffic import residual_capacity
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -96,18 +96,19 @@ class TestPayingDemand:
 
 
 class TestInducedResidualCapacity:
+    """Residual HOT capacity left once drivers respond to the quoted price:
+    ``residual_capacity(c1, q1, paying_demand(q2, u, w, eta, params))``."""
+
     def test_optimal_price_zeroes_residual(self):
-        zeta = induced_residual_capacity(
-            30.0, 10.0, 60.0, U_OPT, 20.0 / 3.0, 0.0, PARAMS
-        )
+        zeta = residual_capacity(30.0, 10.0, paying_demand(60.0, U_OPT, 20.0 / 3.0, 0.0, PARAMS))
         assert zeta == pytest.approx(0.0, abs=1e-12)
 
     def test_free_access_overloads(self):
-        zeta = induced_residual_capacity(30.0, 10.0, 60.0, 0.0, 0.0, 0.0, PARAMS)
+        zeta = residual_capacity(30.0, 10.0, paying_demand(60.0, 0.0, 0.0, 0.0, PARAMS))
         assert zeta == -10.0
 
     def test_prohibitive_price_limit(self):
-        zeta = induced_residual_capacity(30.0, 10.0, 60.0, 700.0, 0.0, 0.0, PARAMS)
+        zeta = residual_capacity(30.0, 10.0, paying_demand(60.0, 700.0, 0.0, 0.0, PARAMS))
         assert zeta == pytest.approx(20.0, abs=1e-9)
 
     def test_range_strictly_bounded(self):
@@ -115,7 +116,7 @@ class TestInducedResidualCapacity:
         for _ in range(300):
             u = rng.uniform(-20.0, 20.0)
             w = rng.uniform(-5.0, 10.0)
-            zeta = induced_residual_capacity(30.0, 10.0, 60.0, u, w, 0.0, PARAMS)
+            zeta = residual_capacity(30.0, 10.0, paying_demand(60.0, u, w, 0.0, PARAMS))
             assert -40.0 < zeta < 20.0
 
     def test_price_law_fixed_point_for_any_delay(self):
@@ -126,7 +127,7 @@ class TestInducedResidualCapacity:
             q1 = rng.uniform(0.0, 25.0)
             q2 = rng.uniform(35.0, 120.0)
             u = PARAMS.vot * w + math.log((q1 + q2 - 30.0) / (30.0 - q1)) / PARAMS.scale
-            zeta = induced_residual_capacity(30.0, q1, q2, u, w, 0.0, PARAMS)
+            zeta = residual_capacity(30.0, q1, paying_demand(q2, u, w, 0.0, PARAMS))
             assert zeta == pytest.approx(0.0, abs=1e-12)
 
 

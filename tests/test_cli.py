@@ -677,6 +677,19 @@ class TestAnalytic:
         assert float(last[0]) == pytest.approx(20.0, rel=1e-9)
         assert float(last[1]) == pytest.approx(10.0 / 3.0 + math.log(2.0), rel=1e-9)
 
+    def test_price_law_is_derived_once_per_table(self, capsys, monkeypatch):
+        # one slope and intercept for all 1201 rows of the default scenario
+        means, calls = analysis._congested_means, []
+
+        def counted(config):
+            calls.append(config)
+            return means(config)
+
+        monkeypatch.setattr(analysis, "_congested_means", counted)
+        assert run_cli("analytic") == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 1201
+        assert len(calls) == 1
+
     def test_poisson_demand_is_analysed_at_its_mean_rates(self, capsys, scenario_file):
         tables = []
         for kind in ("constant", "poisson"):
