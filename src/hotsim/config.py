@@ -39,31 +39,26 @@ mapping must parse back.  ``approx.zeta0`` seeds the reduced model; when
 null, ``analysis.approx_initial_zeta`` derives it from the closed-loop
 state at t = 0.
 
-The parser reads only the YAML structure and leaves every value to its
-owner: it reads ``dt``'s fraction string and passes any other value on as
-YAML gives it.  The owner stores the number it checked as a float and an
-array as nested tuples of floats, so a file and code that give equal
-numbers give one config, an int or a numpy scalar included.  Exponent
-floats such as ``1e6`` or ``2.5e-3`` read as numbers, although YAML 1.1
-(and so plain PyYAML) reads them as strings.  A run may take at most
-``MAX_STEPS`` steps of ``dt`` to cover the horizon: ``errors.require_steps``,
-the step rule the reduced model shares, owns that rule with the positive
-``dt`` and horizon and the whole number of steps.  The controller sections
-are the specs of ``pricing``: their keys are read off the spec fields, and
-each spec builds its controller from its fields by name.  Each controller's
-value rules live there (the covariance rule, ``COV_EIG_TOL`` and the array
-shapes too).
+The parser reads only the YAML structure and ``dt``'s fraction string, and
+passes every other value on as YAML gives it; a scalar that PyYAML cannot
+construct (a date past its month's end, an integer of more than 4300
+digits) makes the file malformed.  Exponent floats such as ``1e6`` or
+``2.5e-3`` read as numbers, although YAML 1.1 (and so plain PyYAML) reads
+them as strings.  The controller sections are the specs of ``pricing``:
+their keys are read off the spec fields, each spec builds its controller
+from its fields by name, and each controller's value rules live there.
 
 A ``ScenarioConfig`` checks itself when it is built, by the parser or in
-code, ``dataclasses.replace`` included: each section object checks its own
-values, and the config its own keys and the rules across sections, so no
-scenario exists unchecked.  Each owner checks a kind with
-``errors.require_kind`` and calls ``errors.require_finite``, the one rule of
-what a number is, before its range rule, and stores the float
-it returns, so a value that is not a finite number, a badly shaped array or
-a seed that is not an integer gives one message from code and, after its
-section, from a file.  Demand outside the congested regime parses:
-``choice.clearing_log_odds`` owns that rule.
+code, ``dataclasses.replace`` included, so no scenario exists unchecked:
+each section object checks its own values, and the config its own keys and
+the rules across sections, by the rules of ``errors``, so a bad value gives
+one message from code and, after its section, from a file.  Each owner
+stores the number it checked as a float and an array as nested tuples of
+floats, so a file and code that give equal numbers give one config.  What
+the rules derive is kept as plain attributes set then: ``n_steps``, the
+count of ``errors.require_steps`` (at most ``MAX_STEPS``), and
+``controller``, the selected ``<kind>_spec``.  Demand outside the congested
+regime parses: ``choice.clearing_log_odds`` owns that rule.
 """
 
 from __future__ import annotations
@@ -113,7 +108,8 @@ _ScenarioLoader.add_implicit_resolver(
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one simulation scenario, checked when built."""
+    """Complete description of one simulation scenario, checked when built;
+    ``n_steps`` and ``controller``, set then, are plain attributes, not fields."""
 
     capacities: Capacities = Capacities(30.0, 30.0)
     horizon: float = 20.0
@@ -134,7 +130,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         # the rules no section object owns; the ConfigError names the key
         require_kind("controller.kind", self.controller_kind, CONTROLLER_KINDS, ConfigError)
-        require_steps(self.horizon, self.dt, "run", ConfigError)
+        object.__setattr__(self, "n_steps", require_steps(self.horizon, self.dt, "run",
+                                                          ConfigError))
+        object.__setattr__(self, "controller", getattr(self, f"{self.controller_kind}_spec"))
         for key in ("horizon", "dt"):  # each a finite number: require_steps checked it
             object.__setattr__(self, key, float(getattr(self, key)))
         # replication i runs at seed + i; both are stored as Python ints
@@ -151,18 +149,6 @@ class ScenarioConfig:
         if self.approx_zeta0 is not None:
             zeta0 = require_finite("approx.zeta0", self.approx_zeta0, ConfigError)
             object.__setattr__(self, "approx_zeta0", zeta0)
-
-    @property
-    def controller(self):
-        """Spec of the selected pricing strategy: the ``<kind>_spec`` field."""
-        return getattr(self, f"{self.controller_kind}_spec")
-
-    @property
-    def n_steps(self) -> int:
-        """The steps of ``dt`` in the horizon, by ``errors.require_steps``.
-        It re-checks a rule ``__post_init__`` has passed, on purpose: the
-        rule is the one place that counts the steps."""
-        return require_steps(self.horizon, self.dt, "run", ConfigError)
 
     def to_mapping(self) -> dict:
         """Canonical plain-data form, used for fingerprints: every ``SCHEMA``
@@ -210,12 +196,8 @@ def _controller_keys(kind: str) -> dict:
 
 
 # YAML section -> key -> ScenarioConfig attribute path; a nested table is a
-# subsection.  Parsing and to_mapping walk this one table.  The parser reads
-# only ``run.dt``'s fraction string and passes every other value on as YAML
-# gives it.  Every value rule, the number rule and each kind, shape and
-# integer rule, lives in the object that owns the value, which also stores
-# the number it checked as a float; its message begins with the key, and the
-# parser adds the section.
+# subsection.  Parsing and to_mapping walk this one table; the owner's
+# message begins with the key, and the parser adds the section.
 SCHEMA = {
     "run": {"horizon": "horizon", "dt": "dt", "seed": "seed", "replications": "replications"},
     "capacities": {"hot": "capacities.hot", "gp": "capacities.gp"},
@@ -255,19 +237,18 @@ def _leaves(node, table: dict, path: str):
 
 def config_from_mapping(root: dict) -> ScenarioConfig:
     """Validate a plain mapping and build the scenario it describes."""
-    leaves, default = list(_leaves(root, SCHEMA, "")), ScenarioConfig()
-    parts = {}  # ScenarioConfig attribute ("" for its own fields) -> section, fields given
-    for where, attr, value in leaves:
+    default, parts = ScenarioConfig(), {}  # parts: attribute ("" for its own) -> section, fields
+    for where, attr, value in _leaves(root, SCHEMA, ""):
         part, _, name = attr.rpartition(".")
         parts.setdefault(part, (where.rpartition(".")[0], {}))[1][name] = value
-    fields, given = parts.pop("", ("", {}))[1], {where for where, _, _ in leaves}
+    fields = parts.pop("", ("", {}))[1]
     for part, (section, values) in parts.items():
         kind = values.get("kind", default.demand.kind) if part == "demand" else None
         if isinstance(kind, str) and kind in UNREAD_DEMAND_KEYS:  # else the owner's kind error
             # a key given, even at the default the owner takes, before the owner's
             # rules; demand only, as a none noise's half_width is in every fingerprint
-            for key in UNREAD_DEMAND_KEYS[kind]:
-                if f"demand.{key}" in given:
+            for key, name in UNREAD_DEMAND_KEYS[kind].items():
+                if name in values:
                     raise ConfigError(f"demand.{key}: not read by {kind} demand")
         try:
             fields[part] = dataclasses.replace(getattr(default, part), **values)
@@ -283,7 +264,7 @@ def parse_config_text(text: str | bytes) -> ScenarioConfig:
         if isinstance(text, bytes):  # the YAML reader would also take UTF-16/32
             text.decode("utf-8")
         data = yaml.load(text, Loader=_ScenarioLoader)
-    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+    except (ValueError, yaml.YAMLError) as exc:  # a scalar no constructor takes, bad UTF-8
         raise ConfigError(f"malformed scenario file: {exc}")
     except RecursionError:  # the YAML reader recurses once per level of a nested list
         raise ConfigError("malformed scenario file: nested too deeply") from None

@@ -50,8 +50,8 @@ choice noise) owns a single seeded random stream, one ``Draws`` on
 raw stream, bit for bit the ``uniform`` numpy's generator would return.  The
 per-step draw order (HOV demand, SOV demand, disturbance) never varies, so
 runs with the same seed see identical demand realizations regardless of the
-controller.  A run that draws nothing builds no stream, though its seed is
-still checked.
+controller.  A run that draws nothing builds no stream.  The config
+checks its seed when built, and ``run_closed_loop`` a ``seed`` override.
 
 A run builds only what is read.  The loop extends one flat, row-major list
 of floats by each step's values, and ``Trajectory``, whose one constructor
@@ -67,7 +67,6 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import choice
@@ -102,7 +101,8 @@ class DemandProfile:
     it would not be read: ``samples`` the empty tuple under ``constant`` or
     ``poisson``, and each mean its default number under ``timeseries``; it is
     stored as that default.  The means a kind reads are stored as floats, and
-    ``samples`` as a tuple of float triples.
+    ``samples`` as a tuple of float triples; ``sample_times``, the times in
+    order (``()`` unless ``timeseries``), is set then too, not a field.
     """
 
     kind: str = "constant"
@@ -113,6 +113,7 @@ class DemandProfile:
     def __post_init__(self) -> None:
         # each message begins with the scenario key it rejects
         require_kind("kind", self.kind, DEMAND_KINDS)
+        times = ()  # the breakpoint times, in order: a timeseries profile's only
         if self.kind != "timeseries":
             for key, name in (("hov", "mean_hov"), ("sov", "mean_sov")):
                 rate = require_finite(key, getattr(self, name))
@@ -127,7 +128,7 @@ class DemandProfile:
             if not samples:
                 raise ValueError("samples: timeseries demand needs at least one sample")
             object.__setattr__(self, "samples", tuple(map(tuple, samples)))
-            times = self.sample_times
+            times = tuple(s[0] for s in self.samples)
             if not all(a < b for a, b in zip(times, times[1:])):
                 raise ValueError("samples: timeseries sample times must be strictly increasing")
             if not all(s[1] >= 0 and s[2] >= 0 for s in self.samples):
@@ -136,11 +137,7 @@ class DemandProfile:
                 raise ValueError("samples: first sample must start at t <= 0")
         # last, after the rules of what is read
         require_unread(self, "demand", UNREAD_DEMAND_KEYS[self.kind])
-
-    @cached_property
-    def sample_times(self) -> tuple[float, ...]:
-        """Breakpoint times of a ``timeseries`` profile, in order."""
-        return tuple(s[0] for s in self.samples)
+        object.__setattr__(self, "sample_times", times)
 
 
 class Draws:
@@ -280,7 +277,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
 
     caps, dt, n_steps = config.capacities, config.dt, config.n_steps
     demand, noise, behavior = config.demand, config.noise, config.behavior
-    run_seed, _ = check_seeds(config.seed if seed is None else seed, 1)
+    run_seed = config.seed if seed is None else check_seeds(seed, 1)[0]
     noise_varies = noise.kind != "none"
     # only Poisson demand and choice noise draw; a run with neither builds no stream
     draws = Draws(run_seed, demand) if demand.kind == "poisson" or noise_varies else None

@@ -1,18 +1,16 @@
 """Exception classes shared across the package, and the value rules that the
-objects owning scenario values share: a finite number, the one test of what
-is a number (``require_finite``: what ``math.isfinite`` takes, bools,
-numpy's too, aside), one of a tuple of kinds (``require_kind``), the
-default in a field whose key its kind does not read (``require_unread``),
-the step rule of a run (``require_steps``: a positive ``dt`` and horizon, at
-most ``MAX_STEPS`` steps, a whole number of them), which the scenario and
-the reduced model both call, and an array's shape; and how an error shows
-the value it rejects (``brief_repr``).
+objects owning scenario values share: ``require_finite``, the one test of
+what is a number (what ``math.isfinite`` takes, bools, numpy's too, aside);
+``require_kind``, one of a tuple of kinds; ``require_unread``, the default
+in a field whose key its kind does not read; ``require_steps``, the step
+rule of a run, which the scenario and the reduced model both call; and an
+array's shape, read no further than one of its shapes takes it.  An error
+shows the value it rejects cut short (``brief_repr``).
 
 A number rule returns the number it checked as a float, and the owner
-stores that, so a number given as an int or as a numpy scalar is stored as
-the float a scenario file gives.  ``stored`` gives the one stored form of a
-value that may be None, a number or an array, which the controller specs
-keep.
+stores that, so an int or a numpy scalar is stored as the float a scenario
+file gives; ``stored`` is the one stored form of a value that may be None,
+a number or an array, which the controller specs keep.
 
 Each class maps to one CLI exit code, its ``exit_code``, so that callers can
 tell apart bad configuration, demand patterns outside the model's
@@ -20,6 +18,7 @@ assumptions, controller failures and runs whose results are not finite; the
 CLI gives an I/O failure, an ``OSError``, exit code 5.
 """
 
+import itertools
 import math
 import numbers
 import sys
@@ -158,27 +157,49 @@ def _float_array(key: str, value, what: str, *shapes: tuple):
     """``value`` as a float or as nested lists of floats, or a ValueError
     ``<key>: expected <what>, got …`` unless it has one of ``shapes``, where
     None stands for any length.  A sequence (not a string nor bytes) is read
-    entry by entry, a numpy array as its lists, each number by ``require_finite``;
-    a list of rows of an accepted length shows only its first bad row."""
-    floats = _read(key, value)
-    if any(_has_shape(floats, shape) for shape in shapes):
-        return floats
-    for shape in shapes:
-        if len(shape) == 2 and isinstance(floats, list) and shape[0] in (None, len(floats)):
-            i = next(i for i, row in enumerate(floats) if not _has_shape(row, shape[1:]))
-            raise ValueError(f"{key}: expected {what}, got {brief_repr(floats[i])} at row {i}")
-    raise ValueError(f"{key}: expected {what}, got {brief_repr(floats)}")
-
-
-def _read(key: str, value):
+    entry by entry, a numpy array as its lists, each number by ``require_finite``,
+    never past an entry no shape takes; a list of rows of an accepted length
+    is shown by its first bad row, and any value no deeper than a shape."""
     value = value.tolist() if hasattr(value, "tolist") else value
-    if isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray)):
-        return [_read(key, entry) for entry in value]
-    return require_finite(key, value)
+    for floats in (_fit(key, value, shape) for shape in shapes):
+        if floats is not None:
+            return floats
+    for shape in shapes:
+        if len(shape) == 2 and _is_sequence(value) and shape[0] in (None, len(value)):
+            i = next(i for i, row in enumerate(value) if _fit(key, row, shape[1:]) is None)
+            raise ValueError(f"{key}: expected {what}, got {_shown(value[i], 1)} at row {i}")
+    raise ValueError(f"{key}: expected {what}, got {_shown(value, max(map(len, shapes)))}")
 
 
-def _has_shape(value, shape: tuple) -> bool:
-    if not shape:
-        return isinstance(value, float)
-    return (isinstance(value, list) and shape[0] in (None, len(value))
-            and all(_has_shape(entry, shape[1:]) for entry in value))
+def _is_sequence(value) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray))
+
+
+def _fit(key: str, value, shape: tuple):
+    """``value`` read as ``shape``, or None at its first entry of another shape."""
+    value = value.tolist() if hasattr(value, "tolist") else value
+    if not _is_sequence(value):
+        return None if shape else require_finite(key, value)
+    if not shape or shape[0] not in (None, len(value)):
+        return None
+    floats = []
+    for entry in value:
+        floats.append(_fit(key, entry, shape[1:]))
+        if floats[-1] is None:
+            return None
+    return floats
+
+
+def _shown(value, levels: int) -> str:
+    """``value`` as ``brief_repr`` shows it, its finite numbers as floats, but
+    only ``levels`` deep: a deeper sequence shows as ``[...]``."""
+    value = value.tolist() if hasattr(value, "tolist") else value
+    if _is_sequence(value):
+        if not levels:
+            return "[...]" if len(value) else "[]"
+        entries = [_shown(entry, levels - 1) for entry in itertools.islice(value, 7)]
+        return f"[{', '.join(entries[:6] + ['...'] * (len(entries) > 6))}]"
+    try:
+        return repr(require_finite("", value))
+    except ValueError:  # no finite number: as it is
+        return brief_repr(value)

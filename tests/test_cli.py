@@ -502,6 +502,27 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", scenario_file(text)) == 2
         assert capsys.readouterr().err == "error: malformed scenario file: nested too deeply\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("run: {seed: 2001-02-30}\n",
+         "error: malformed scenario file: day is out of range for month"),
+        (f"run: {{seed: {'1' * 4301}}}\n",
+         "error: malformed scenario file: Exceeds the limit (4300 digits) for integer string "
+         "conversion: value has 4301 digits; use sys.set_int_max_str_digits() to increase "
+         "the limit"),
+        ("demand: {kind: timeseries, samples: &a [*a]}\n",
+         "error: demand.samples: expected rows of three numbers, got [[...]] at row 0"),
+        ("controller: {selflearning: {initial_theta: &a [1, *a, 3]}}\n",
+         "error: controller.selflearning.initial_theta: expected three numbers, "
+         "got [1.0, [...], 3.0]"),
+    ], ids=["date-past-month-end", "4301-digit-integer", "self-referential-samples",
+            "self-referential-theta"])
+    def test_value_the_reader_cannot_take_is_one_error_line(self, scenario_file, capsys,
+                                                            text, message):
+        # each ended in a traceback, exit 1: a ValueError or a RecursionError
+        assert run_cli("simulate", "--config", scenario_file(text)) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", message + "\n")
+
     def test_each_error_class_carries_its_documented_code(self):
         # the exit-code table of the cli docstring, one row per error class
         table = " ".join(cli.__doc__.split())

@@ -30,6 +30,7 @@ from hotsim.config import (
     parse_config_text,
 )
 from hotsim.engine import POISSON_MEAN_MAX, UNREAD_DEMAND_KEYS, DemandProfile, run_closed_loop
+from hotsim import errors
 from hotsim.errors import ConfigError, ScenarioAssumptionError
 from hotsim.pricing import IntegralTollController, SelfLearningController, VotFeedbackController
 from hotsim.traffic import Capacities
@@ -293,6 +294,17 @@ class TestValidation:
     def test_bad_yaml_reported(self):
         with pytest.raises(ConfigError, match="malformed"):
             parse_config_text("run: [unclosed")
+
+    @pytest.mark.parametrize("text, reason", [
+        ("run: {seed: 2001-02-30}", "day is out of range for month"),
+        ("run: {seed: " + "1" * 4301 + "}", "Exceeds the limit (4300 digits)"),
+    ], ids=["date-past-month-end", "4301-digit-integer"])
+    def test_scalar_the_yaml_reader_cannot_construct_is_malformed(self, text, reason):
+        # PyYAML raises a ValueError of its own for these, not a YAMLError
+        with pytest.raises(ConfigError) as error:
+            parse_config_text(text)
+        assert str(error.value).startswith(f"malformed scenario file: {reason}")
+        assert "\n" not in str(error.value)
 
     def test_scalar_document_rejected(self):
         with pytest.raises(ConfigError, match="mapping"):
@@ -853,6 +865,121 @@ class TestOneMessagePerType:
         with pytest.raises(ConfigError) as parsed:
             parse_config_text(yaml.safe_dump(mapping))
         assert str(parsed.value) == where[:-len(key)] + str(built.value)
+
+
+def _doubled_samples(depth: int) -> str:
+    """A timeseries whose samples nest ``depth`` lists deep through anchors,
+    each level listing the one below twice: 2**(depth - 1) rows of three
+    numbers from a file of about 20 bytes a level."""
+    text = "&l0 [0, 10, 60]"
+    for level in range(1, depth - 1):
+        text = f"&l{level} [{text}, *l{level - 1}]"
+    return f"demand: {{kind: timeseries, samples: [{text}, *l{depth - 2}]}}"
+
+
+class TestArraysReadOnlyTheirShape:
+    """An array value is read entry by entry only as far as one of its shapes
+    takes it, so a YAML alias that makes a short file a deep, wide or
+    self-referential value is rejected at once."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Every number the array rule reads, through ``errors.require_finite``."""
+        numbers, rule = [], errors.require_finite
+
+        def counted(key, value, error=ValueError):
+            numbers.append(value)
+            return rule(key, value, error)
+
+        monkeypatch.setattr(errors, "require_finite", counted)
+        return numbers
+
+    @pytest.mark.parametrize("text, message", [
+        ("demand: {kind: timeseries, samples: &a [*a]}",
+         "demand.samples: expected rows of three numbers, got [[...]] at row 0"),
+        ("controller: {selflearning: {initial_theta: &a [1, *a, 3]}}",
+         "controller.selflearning.initial_theta: expected three numbers, got [1.0, [...], 3.0]"),
+    ], ids=["samples", "initial_theta"])
+    def test_self_referential_value_is_a_shape_error(self, text, message):
+        with pytest.raises(ConfigError) as error:
+            parse_config_text(text)
+        assert str(error.value) == message
+
+    def test_deep_aliased_samples_are_read_to_their_first_bad_row(self, reads):
+        samples = yaml.safe_load(_doubled_samples(30))["demand"]["samples"]
+        with pytest.raises(ValueError) as error:
+            DemandProfile("timeseries", samples=samples)
+        assert str(error.value) == ("samples: expected rows of three numbers, "
+                                    "got [[...], [...]] at row 0")
+        # no row has three entries, and the message shows a row one level deep
+        assert reads == []
+
+    def test_one_wide_row_aliased_is_read_only_as_far_as_the_message_shows(self, reads):
+        row = [1] * 1000
+        with pytest.raises(ValueError) as error:
+            DemandProfile("timeseries", samples=[row] * 20_000)
+        assert str(error.value) == ("samples: expected rows of three numbers, "
+                                    "got [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, ...] at row 0")
+        # the six entries shown and the one that shows there are more
+        assert len(reads) == 7
+
+    @pytest.mark.parametrize("value, message", [
+        ([[0, 10, 60], [1, "x", 60], [2]], "samples: expected a number, got 'x'"),
+        ([[0, 10, 60], [1, 10], [2, "x", 60]],
+         "samples: expected rows of three numbers, got [1.0, 10.0] at row 1"),
+    ], ids=["number-error-in-a-fitting-row", "shape-error-before-a-later-number"])
+    def test_reading_stops_at_the_first_entry_no_shape_takes(self, value, message):
+        with pytest.raises(ValueError) as error:
+            DemandProfile("timeseries", samples=value)
+        assert str(error.value) == message
+
+
+class TestDerivedValuesFollowReplace:
+    """``n_steps``, ``controller`` and ``sample_times`` are set when the
+    object is built, ``dataclasses.replace`` included, and are no fields."""
+
+    @pytest.mark.parametrize("fields, n_steps", [
+        ({"horizon": 10.0}, 600), ({"dt": 0.1}, 200), ({"horizon": 5, "dt": 0.5}, 10),
+    ])
+    def test_n_steps_follows_horizon_and_dt(self, fields, n_steps):
+        config = dataclasses.replace(ScenarioConfig(), **fields)
+        assert config.n_steps == n_steps
+        assert dataclasses.replace(config, horizon=20.0, dt=1 / 60).n_steps == 1200
+
+    @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
+    def test_controller_follows_the_kind(self, kind):
+        config = dataclasses.replace(ScenarioConfig(), controller_kind=kind)
+        assert config.controller is getattr(config, f"{kind}_spec")
+
+    def test_controller_follows_its_spec_only(self):
+        config = dataclasses.replace(ScenarioConfig(controller_kind="integral"),
+                                     integral_spec=IntegralTollSpec(gain=0.02))
+        assert config.controller is config.integral_spec and config.controller.gain == 0.02
+        other = dataclasses.replace(config, vot_spec=VotControllerSpec(queue_gain=0.2))
+        assert other.controller is other.integral_spec
+
+    def test_sample_times_follow_the_samples(self):
+        demand = DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),))
+        replaced = dataclasses.replace(demand, samples=((-1, 10, 60), (5, 12, 55)))
+        assert (demand.sample_times, replaced.sample_times) == ((0.0,), (-1.0, 5.0))
+        config = dataclasses.replace(ScenarioConfig(), demand=replaced)
+        assert config.demand.sample_times == (-1.0, 5.0)
+
+    @pytest.mark.parametrize("kind", ["constant", "poisson"])
+    def test_sample_times_are_empty_for_a_kind_without_samples(self, kind):
+        timeseries = DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),))
+        assert dataclasses.replace(timeseries, kind=kind, samples=()).sample_times == ()
+        assert DemandProfile(kind).sample_times == ()
+
+    def test_derived_values_are_no_fields(self):
+        config = ScenarioConfig()
+        assert not {"n_steps", "controller"} & {f.name for f in dataclasses.fields(config)}
+        assert "sample_times" not in {f.name for f in dataclasses.fields(DemandProfile)}
+        assert "n_steps" not in repr(config) and "controller=" not in repr(config)
+        assert "sample_times" not in repr(config.demand)
+        copy = dataclasses.replace(config)
+        assert copy == config and hash(copy) == hash(config)
+        assert copy.to_mapping() == config.to_mapping()
 
 
 class TestStepCap:

@@ -29,6 +29,10 @@ def _leaves(table=SCHEMA, path=()):
 LEAVES = list(_leaves())
 KINDS = ("constant", "poisson", "timeseries", "none", "uniform", "vot", "integral",
          "selflearning")
+# a list that holds itself, and one row listed twice: yaml.safe_dump writes
+# both with an anchor and aliases, so the scenario reader meets its alias path
+SELF_LIST, ROW = [], [0, 10, 60]
+SELF_LIST.append(SELF_LIST)
 # edge values, a few plain ones so that some scenarios run, and the valid kinds;
 # no number here sets a horizon past 1200 steps or more than 3 replications
 # (test_pool_keeps_every_run_small), so an example stays cheap
@@ -38,7 +42,7 @@ POOL = (
     True, False, None, "", "x", "1/60", "1/0",
     10**400, -10**400, 2**64 + 1,
     [], [0.5], [1.0, 2.0, 0.5], [[0, 10, 60]], [[0, 10, 60], [5, 12, 55]],
-    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]], SELF_LIST, [ROW, ROW],
     *KINDS,
 )
 COMMANDS = (["simulate"], ["compare"], ["sweep", "--values", "0.1,0.2"], ["analytic"],
