@@ -315,11 +315,11 @@ def approximate_from_config(config: "ScenarioConfig") -> tuple[np.ndarray, ...]:
     t, lam, zeta = run_approximate(config.initial_hot_queue, zeta0, spec.queue_gain,
                                    spec.residual_gain, rate, config.horizon, config.dt)
     finite = np.isfinite(lam) & np.isfinite(zeta)
-    if not finite.all():
+    if not finite.all():  # the first step with a non-finite value, named by its column
         k = int(np.argmin(finite))
-        name, value = ("lambda1", lam[k]) if not np.isfinite(lam[k]) else ("zeta", zeta[k])
-        raise NonFiniteResultError(f"reduced model {name} is {float(value)!r} at step {k} "
-                                   f"(t={t[k]:g} min): outside the finite range")
+        for name, column in (("lambda1", lam), ("zeta", zeta)):
+            require_finite(f"reduced model {name} at step {k} (t={t[k]:g} min)", column[k],
+                           NonFiniteResultError)
     return t, lam, zeta
 
 

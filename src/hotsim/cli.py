@@ -17,9 +17,9 @@ alone, whose boundary goes to stderr; ``analytic`` analytic.csv; ``approx``
 approx.csv.  ``_emit`` is the one writer.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 scenario-assumption
-violation, 4 controller failure, 5 I/O failure, 6 non-finite result (a
-summary metric is infinite or NaN, so no JSON is written).  Each error class
-of ``errors`` carries its code as ``exit_code``; an ``OSError`` is 5.
+violation, 4 controller failure, 5 I/O failure, 6 non-finite result (a value
+``errors.require_finite`` names; no file is written).  Each error class of
+``errors`` carries its code as ``exit_code``; an ``OSError`` is 5.
 
 All CSV output uses 9 significant digits, '\\n' line endings, and a
 terminating newline, so identical runs produce byte-identical files.
@@ -101,16 +101,16 @@ def _aggregate(summaries: list[dict]) -> dict:
     """Mean and standard deviation of each metric across replications."""
     import numpy as np
 
-    aggregate = {"mean": {}, "std": {}}
-    # the squares in a spread of finite values can overflow; the check names it
+    aggregate = {}
+    # the squares in a spread of finite values can overflow; the rule names it
     with np.errstate(over="ignore", invalid="ignore"):
-        for key in summaries[0]:
-            values = [s[key] for s in summaries]
-            none = any(v is None for v in values)
-            aggregate["mean"][key] = None if none else float(np.mean(values))
-            aggregate["std"][key] = None if none else float(np.std(values))
-    engine.check_finite({f"aggregate.{block}.{key}": value for block, metrics in aggregate.items()
-                         for key, value in metrics.items()})
+        # every mean before any std, so the first bad entry in block order is named
+        for block, reduce in (("mean", np.mean), ("std", np.std)):
+            aggregate[block] = {}
+            for key in summaries[0]:
+                values = [s[key] for s in summaries]
+                aggregate[block][key] = None if None in values else require_finite(
+                    f"aggregate.{block}.{key}", reduce(values), NonFiniteResultError)
     return aggregate
 
 
@@ -126,7 +126,7 @@ def cmd_simulate(args) -> Outputs:
         if args.out or (rep == 0 and args.format == "csv"):
             files[csv_name.format(rep)] = trajectory_csv(traj)
     if config.replications == 1:
-        summary_payload = dict(summaries[0], fingerprint=config_fingerprint(config, config.seed))
+        summary_payload = dict(summaries[0], fingerprint=config_fingerprint(config))
     else:
         summary_payload = {
             "replications": summaries,
@@ -182,8 +182,8 @@ def cmd_sweep(args) -> Outputs:
     grid: tuple[float, ...] = ()
     if args.grid:  # an empty --grid, like an empty --values, is an empty grid
         span = _numbers(args.grid, "--grid", ":")
-        if not all(map(math.isfinite, span)):  # the point count below needs them finite
-            raise ConfigError(f"--grid: expected finite numbers, got {args.grid!r}")
+        for value in span:  # the point count below needs them finite
+            require_finite("--grid", value, ConfigError)
         if len(span) != 3 or span[2] <= 0:
             raise ConfigError("--grid expects START:STOP:STEP with a positive step")
         start, stop, step = span

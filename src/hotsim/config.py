@@ -167,12 +167,12 @@ class ScenarioConfig:
         return mapping
 
 
-def config_fingerprint(config: ScenarioConfig, seed: int) -> str:
-    """First 16 hex digits of the sha256 of ``config.to_mapping()`` and ``seed``."""
+def config_fingerprint(config: ScenarioConfig) -> str:
+    """First 16 hex digits of the sha256 of ``config.to_mapping()`` and its seed."""
     import hashlib
     import json
 
-    payload = json.dumps([config.to_mapping(), seed], sort_keys=True)
+    payload = json.dumps([config.to_mapping(), config.seed], sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

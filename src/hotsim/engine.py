@@ -231,7 +231,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SummaryMetrics:
-    """Scalar descriptors derived from one trajectory."""
+    """Scalar descriptors derived from one trajectory, each None or the float
+    ``require_finite`` returns, which names the first non-finite one."""
 
     avg_g1: float
     final_u: float
@@ -240,6 +241,12 @@ class SummaryMetrics:
     final_lambda1: float
     time_to_zero_queue: float | None
     pi_rmse_tail: float | None
+
+    def __post_init__(self) -> None:
+        for name, value in self.as_dict().items():
+            if value is not None:
+                object.__setattr__(self, name, require_finite(
+                    f"summary metric {name}", value, NonFiniteResultError))
 
     def as_dict(self) -> dict:
         """The metrics by field name, in field order."""
@@ -367,9 +374,9 @@ def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
 
     Builds the two columns it reduces over, ``lambda1`` and ``g1``, and the
     tail of ``pi``, and reads ``t`` and ``u`` at one step each, by their
-    offsets in the trajectory's flat list.  Raises NonFiniteResultError,
-    naming the first metric in ``as_dict`` order, when a metric is infinite
-    or NaN.
+    offsets in the trajectory's flat list.  ``SummaryMetrics`` raises
+    NonFiniteResultError, naming the first metric in ``as_dict`` order, when
+    a metric is infinite or NaN.
     """
     import numpy as np
 
@@ -379,38 +386,26 @@ def summarize(traj: Trajectory, pi_star: float) -> SummaryMetrics:
     lambda1 = traj.column("lambda1")
     g1 = traj.column("g1")
     last = (n - 1) * _WIDTH  # the offset of the last step
-    final_pi = float(values[last + _INDEX["pi"]])
 
     # first time after which the HOT queue stays (numerically) empty
     time_to_zero: float | None = None
     if lambda1[-1] < ZERO_QUEUE_TOL:
         above = np.flatnonzero(~(lambda1 < ZERO_QUEUE_TOL))  # nan counts as above
         step = int(above[-1]) + 1 if above.size else 0
-        time_to_zero = float(values[step * _WIDTH + _INDEX["t"]])
+        time_to_zero = values[step * _WIDTH + _INDEX["t"]]
 
     with np.errstate(over="ignore", invalid="ignore"):
         rmse = None
         if traj.has_pi:
             tail = 3 * n // 4  # the first step of the tail
             pi_tail = np.fromiter(values[tail * _WIDTH + _INDEX["pi"]::_WIDTH], float, n - tail)
-            rmse = float(np.sqrt(np.mean((pi_tail - pi_star) ** 2)))
-        metrics = SummaryMetrics(
-            avg_g1=float(g1.mean()),
-            final_u=float(values[last + _INDEX["u"]]),
-            final_pi=final_pi if traj.has_pi else None,
-            max_lambda1=float(lambda1.max()),
-            final_lambda1=float(lambda1[-1]),
+            rmse = np.sqrt(np.mean((pi_tail - pi_star) ** 2))
+        return SummaryMetrics(
+            avg_g1=g1.mean(),
+            final_u=values[last + _INDEX["u"]],
+            final_pi=values[last + _INDEX["pi"]] if traj.has_pi else None,
+            max_lambda1=lambda1.max(),
+            final_lambda1=lambda1[-1],
             time_to_zero_queue=time_to_zero,
             pi_rmse_tail=rmse,
         )
-    check_finite(metrics.as_dict())
-    return metrics
-
-
-def check_finite(metrics: dict) -> None:
-    """Raise NonFiniteResultError naming the first metric that is infinite or NaN."""
-    for name, value in metrics.items():
-        if value is not None and not math.isfinite(value):
-            raise NonFiniteResultError(
-                f"summary metric {name} is {value!r}: outside the finite range"
-            )

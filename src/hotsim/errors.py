@@ -1,6 +1,6 @@
 """Exception classes shared across the package, and the value rules that the
-objects owning scenario values share: ``require_finite``, the one test of
-what is a number (what ``math.isfinite`` takes, bools, numpy's too, aside);
+objects owning scenario values and results share: ``require_finite``, the one
+finite test (what ``math.isfinite`` takes, bools, numpy's too, aside);
 ``require_kind``, one of a tuple of kinds; ``require_unread``, the default
 in a field whose key its kind does not read; ``require_steps``, the step
 rule of a run, which the scenario and the reduced model both call; and an
@@ -62,7 +62,7 @@ class BoundaryNotBracketedError(HotSimError):
 
 
 class NonFiniteResultError(HotSimError):
-    """A run's summary metric is infinite or NaN: its state left the finite range."""
+    """A run's result is infinite or NaN: ``require_finite`` names it."""
 
     exit_code = 6
 
@@ -81,8 +81,8 @@ def require_finite(key: str, value: float, error: type[Exception] = ValueError) 
     except OverflowError:  # an int no float can hold; its repr may run to any length
         raise error(f"{key}: expected a finite number, got an integer "
                     f"too large for a float") from None
-    if not finite:
-        raise error(f"{key}: expected a finite number, got {brief_repr(value)}")
+    if not finite:  # shown as the float it is, numpy's too
+        raise error(f"{key}: expected a finite number, got {float(value)!r}")
     return float(value)
 
 
@@ -108,11 +108,14 @@ def require_unread(owner, section: str, fields: dict[str, str]) -> None:
 
 
 def brief_repr(value) -> str:
-    """``repr(value)`` cut short as ``reprlib`` cuts it: the first six entries
-    of a list, a long string's two ends, so that a message stays one short line."""
+    """``repr(value)`` cut short as ``reprlib`` cuts it, but one level deep:
+    the first six entries of a list, each nested list as ``[...]``, a long
+    string's two ends, so that a message stays one short line."""
     import reprlib
 
-    return reprlib.repr(value)
+    brief = reprlib.Repr()
+    brief.maxlevel = 1  # set, not passed: Repr takes keywords from Python 3.12
+    return brief.repr(value)
 
 
 def require_positive(key: str, value: float, error: type[Exception] = ValueError) -> float:

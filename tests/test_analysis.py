@@ -234,8 +234,8 @@ class TestReducedModel:
 
         monkeypatch.setattr(analysis, "run_approximate", broken)
         config = load_config(PERTURBED)
-        message = (f"reduced model {column} is inf at step {step} "
-                   f"(t={step * config.dt:g} min): outside the finite range")
+        message = (f"reduced model {column} at step {step} "
+                   f"(t={step * config.dt:g} min): expected a finite number, got inf")
         with pytest.raises(NonFiniteResultError, match=f"^{re.escape(message)}$"):
             approximate_from_config(config)
 

@@ -49,7 +49,7 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["final_u"] == pytest.approx(4.024, abs=0.05)
         assert summary["final_pi"] == pytest.approx(0.5, abs=0.01)
-        assert summary["fingerprint"] == config_fingerprint(ScenarioConfig(), ScenarioConfig().seed)
+        assert summary["fingerprint"] == config_fingerprint(ScenarioConfig())
 
     def test_csv_ends_with_newline(self, tmp_path):
         out = tmp_path / "run"
@@ -163,6 +163,8 @@ RESOLUTION_ERRORS = [
 
 # one input per usage or scenario error: (argv, scenario or None, stderr's start)
 USAGE_ERRORS = [
+    (["sweep", "--grid", "0:nan:0.1"], None, "error: --grid: expected a finite number, got nan\n"),
+    (["sweep", "--grid", "0:1:-inf"], None, "error: --grid: expected a finite number, got -inf\n"),
     (["sweep", "--grid", "1:2"], None,
      "error: --grid expects START:STOP:STEP with a positive step"),
     (["sweep", "--grid", "0.1:0.2:0"], None,
@@ -263,7 +265,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("samples, code, message", [
         ("[[0.0, 10.0, 0.0], [0.02, 10.0, 60.0]]", 4,
          "step 2 (t=0.0333333 min): price-utility estimate alpha2=0 is too close to zero"),
-        ("[[0.0, 10.0, 0.0]]", 6, "summary metric final_pi is inf: outside the finite range"),
+        ("[[0.0, 10.0, 0.0]]", 6, "summary metric final_pi: expected a finite number, got inf"),
     ], ids=["sov-demand-later", "no-sov-demand"])
     def test_undefined_estimate_on_unpriced_steps_leaks_no_warning(
         self, scenario_file, tmp_path, capsys, samples, code, message
@@ -315,7 +317,8 @@ class TestExitCodes:
             assert run_cli("simulate", "--config", scenario_file(text),
                            "--out", str(out)) == 6
         assert not out.exists()
-        assert f"summary metric {metric} is" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: summary metric {metric}: expected a finite number, got ")
 
     # the reduced model's loop-gain rate overflows, (q1+q2-c1-c2)·(q1+q2-c1) or the scale
     @pytest.mark.parametrize("text", ["behavior: {scale: 1.0e308}\n", "demand: {sov: 1.0e200}\n"],
@@ -345,8 +348,8 @@ class TestExitCodes:
         assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: reduced model zeta is inf at step 3 (t=0.05 min): "
-                                "outside the finite range\n")
+        assert captured.err == ("error: reduced model zeta at step 3 (t=0.05 min): "
+                                "expected a finite number, got inf\n")
 
     def test_json_holds_no_non_finite_token(self):
         with pytest.raises(NonFiniteResultError, match="JSON"):
@@ -1054,4 +1057,18 @@ class TestHostileFuzz:
         assert code == 2
         _one_clear_error(out, err)
         assert "..." in err
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("section, key", [("behavior", "vot"), ("run", "seed"),
+                                              ("controller", "kind"), ("demand", "kind")])
+    def test_deep_shared_list_is_a_short_error(self, section, key):
+        # six levels of seven entries, each level one list seven times:
+        # yaml.safe_dump writes it in a few hundred bytes through aliases
+        value = 0
+        for _ in range(6):
+            value = [value] * 7
+        code, out, err = _run_scenario({section: {key: value}}, ["simulate"])
+        assert code == 2
+        _one_clear_error(out, err)
+        assert err.endswith(" got [[...], [...], [...], [...], [...], [...], ...]\n")
         assert len(err.encode()) < 200

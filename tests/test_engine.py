@@ -30,6 +30,7 @@ from hotsim.engine import (
     STATE_FIELDS,
     DemandProfile,
     Draws,
+    SummaryMetrics,
     Trajectory,
     check_seeds,
     demand_at,
@@ -280,10 +281,10 @@ class TestClosedLoop:
         for name in STATE_FIELDS:
             assert first.column(name).tobytes() == second.column(name).tobytes()
         # a config built again from the same values has the same identity
-        assert config_fingerprint(cfg, 123) == config_fingerprint(dataclasses.replace(cfg), 123)
+        assert config_fingerprint(cfg) == config_fingerprint(dataclasses.replace(cfg))
 
     def test_seed_changes_fingerprint(self):
-        assert config_fingerprint(S0, 0) != config_fingerprint(dataclasses.replace(S0, seed=1), 1)
+        assert config_fingerprint(S0) != config_fingerprint(dataclasses.replace(S0, seed=1))
 
     def test_recorded_steps_conserve_flow(self):
         traj = run_closed_loop(S0)
@@ -666,6 +667,27 @@ class TestSummaries:
         with pytest.raises(ValueError, match="^cannot summarize an empty trajectory"):
             summarize(Trajectory([], has_pi=True), 0.5)
 
+    def test_summary_stores_python_floats(self):
+        metrics = SummaryMetrics(avg_g1=np.float64(30), final_u=np.float32(0.5), final_pi=None,
+                                 max_lambda1=np.int64(2), final_lambda1=0, time_to_zero_queue=1.5,
+                                 pi_rmse_tail=None)
+        assert metrics.as_dict() == dict(avg_g1=30.0, final_u=0.5, final_pi=None,
+                                         max_lambda1=2.0, final_lambda1=0.0,
+                                         time_to_zero_queue=1.5, pi_rmse_tail=None)
+        assert {type(v) for v in metrics.as_dict().values()} == {float, type(None)}
+        summary = summarize(run_closed_loop(S0), pi_star=0.5)
+        assert {type(v) for v in summary.as_dict().values()} <= {float, type(None)}
+
+    @pytest.mark.parametrize("name, value, shown", [
+        ("avg_g1", math.nan, "nan"), ("final_pi", np.float64("-inf"), "-inf"),
+        ("pi_rmse_tail", np.float64("inf"), "inf")])
+    def test_summary_built_with_a_non_finite_metric_names_it(self, name, value, shown):
+        fields = dict(avg_g1=1.0, final_u=1.0, final_pi=0.5, max_lambda1=1.0,
+                      final_lambda1=0.0, time_to_zero_queue=None, pi_rmse_tail=0.1)
+        with pytest.raises(NonFiniteResultError) as error:
+            SummaryMetrics(**dict(fields, **{name: value}))
+        assert str(error.value) == f"summary metric {name}: expected a finite number, got {shown}"
+
     def test_reference_run_metrics(self):
         metrics = summarize(run_closed_loop(S0), pi_star=0.5)
         assert metrics.avg_g1 == pytest.approx(29.96, abs=0.05)
@@ -725,11 +747,13 @@ class TestSummaries:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = run_closed_loop(cfg)
-            with pytest.raises(NonFiniteResultError, match=f"summary metric {metric} is"):
+            with pytest.raises(NonFiniteResultError,
+                               match=f"^summary metric {metric}: expected a finite number, got "):
                 summarize(traj, pi_star=0.5)
 
     def test_first_non_finite_metric_in_summary_order_is_named(self):
         # u (final_u) and lambda1 (max_lambda1, final_lambda1) are non-finite
         rows = [(0.0, math.inf, 0.0, 0.0, 0.0, 0.5, math.nan) + (0.0,) * 6]
-        with pytest.raises(NonFiniteResultError, match="final_u is nan"):
+        with pytest.raises(NonFiniteResultError,
+                           match="^summary metric final_u: expected a finite number, got nan$"):
             summarize(Trajectory(flat(rows), has_pi=True), pi_star=0.5)

@@ -1,7 +1,8 @@
 """Scenarios drawn from the leaves of ``config.SCHEMA``, each leaf given an
 edge value, end every command in a result or in an error with its own exit
-code: never in an escaped exception, and never in a non-finite number
-outside the CSV columns README documents as holding ``nan``."""
+code: never in an escaped exception, never in a non-finite number outside
+the CSV columns README documents as holding ``nan``, and never in more than
+one short error line."""
 
 import contextlib
 import io
@@ -29,10 +30,13 @@ def _leaves(table=SCHEMA, path=()):
 LEAVES = list(_leaves())
 KINDS = ("constant", "poisson", "timeseries", "none", "uniform", "vot", "integral",
          "selflearning")
-# a list that holds itself, and one row listed twice: yaml.safe_dump writes
-# both with an anchor and aliases, so the scenario reader meets its alias path
-SELF_LIST, ROW = [], [0, 10, 60]
+# a list that holds itself, one row listed twice, and six levels of one list
+# listed seven times: yaml.safe_dump writes each with anchors and aliases, so
+# the scenario reader meets its alias path
+SELF_LIST, ROW, SHARED = [], [0, 10, 60], 0
 SELF_LIST.append(SELF_LIST)
+for _ in range(6):
+    SHARED = [SHARED] * 7
 # edge values, a few plain ones so that some scenarios run, and the valid kinds;
 # no number here sets a horizon past 1200 steps or more than 3 replications
 # (test_pool_keeps_every_run_small), so an example stays cheap
@@ -42,12 +46,15 @@ POOL = (
     True, False, None, "", "x", "1/60", "1/0",
     10**400, -10**400, 2**64 + 1,
     [], [0.5], [1.0, 2.0, 0.5], [[0, 10, 60]], [[0, 10, 60], [5, 12, 55]],
-    [[1, 0, 0], [0, 1, 0], [0, 0, 1]], SELF_LIST, [ROW, ROW],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]], SELF_LIST, [ROW, ROW], SHARED,
     *KINDS,
 )
 COMMANDS = (["simulate"], ["compare"], ["sweep", "--values", "0.1,0.2"], ["analytic"],
             ["approx"])
 EXIT_CODES = (0, 2, 3, 4, 5, 6)
+# bytes the one stderr line of a failed command stays under; the longest seen
+# (385 in 1500 examples) shows the shared list two levels deep for a matrix key
+MAX_ERROR_BYTES = 400
 # the CSV columns that may hold nan on exit 0, by file (README, "Output files")
 NAN_COLUMNS = {"trajectory": {"pi"}, "approx.csv": {"ratio"}, "sweep.csv": {"ratio_estimate"}}
 
@@ -65,17 +72,18 @@ def _schema_scenarios(draw):
     return mapping
 
 
-def _outputs(mapping: dict, argv: list) -> tuple[int, dict[str, str]]:
+def _outputs(mapping: dict, argv: list) -> tuple[int, str, dict[str, str]]:
     """``main(argv)`` on ``mapping`` under ``--out``, warnings as errors: its
-    exit code and each file it wrote, name to text."""
+    exit code, its stderr and each file it wrote, name to text."""
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "scenario.yaml", Path(tmp) / "out"
+        path, out, err = Path(tmp) / "scenario.yaml", Path(tmp) / "out", io.StringIO()
         path.write_text(yaml.safe_dump(mapping))
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main([*argv, "--config", str(path), "--out", str(out)])
-        return code, {p.name: p.read_text() for p in out.iterdir()} if out.exists() else {}
+        files = {p.name: p.read_text() for p in out.iterdir()} if out.exists() else {}
+        return code, err.getvalue(), files
 
 
 def _finite_float(text: str) -> float:
@@ -108,12 +116,15 @@ def _check_numbers(name: str, text: str) -> None:
 @given(_schema_scenarios())
 def test_schema_scenario_ends_in_a_result_or_its_exit_code(mapping):
     for argv in COMMANDS:
-        code, files = _outputs(mapping, argv)
+        code, err, files = _outputs(mapping, argv)
         assert code in EXIT_CODES, (argv, code)
         if code == 0:
-            assert files, argv
+            assert files and not err, (argv, err)
             for name, text in files.items():
                 _check_numbers(name, text)
+        else:  # one line, cut short however long the value it shows
+            assert err.startswith("error: ") and err.index("\n") == len(err) - 1, err
+            assert len(err.encode()) < MAX_ERROR_BYTES, (argv, err)
 
 
 def test_pool_keeps_every_run_small():
