@@ -21,10 +21,16 @@ The loop does the plant's arithmetic of steps 1, 5, 6 and 8 itself.  It
 makes the IEEE operations of ``traffic.queuing_times``,
 ``choice.paying_demand``, ``traffic.residual_capacity``,
 ``traffic.throughputs`` and ``traffic.step_point_queues`` in their order,
-comparison clamps included, so those kernels are its bit-for-bit reference
-(``tests/test_engine.py`` holds a run that calls them; ``analysis`` calls
-the first three to seed the reduced model).  The only calls left
-in a step are the controller's ``quote`` and ``observe``, and, at a step that
+so those kernels are its bit-for-bit reference (``tests/test_engine.py``
+holds a run that calls them; ``analysis`` calls the first three to seed the
+reduced model).  Each clamp is a statement, such as ``if hot < g1: g1 =
+hot``, which picks the operand that the kernel's comparison expression
+picks, -0.0 and nan included, and stores only when it fires.  The loop has
+no floor for g1, the one clamp that cannot fire: q1, q3 and the HOT queue
+are never negative, so the residual capacity is at most the HOT capacity
+and g1 is at least +0.0, or nan, which the kernel's floor leaves as it is
+(``tests/test_traffic.py`` holds the property).  The only calls left in a
+step are the controller's ``quote`` and ``observe``, and, at a step that
 reads them, ``demand_at`` with ``set_demand`` and ``choice.sample_eta``.  A
 ``timeseries`` step before the next breakpoint would read the sample the
 last read got, so it reads none: the breakpoints reached, not the steps,
@@ -37,8 +43,10 @@ constant demand and noise ``none``): ``c1 - q1`` of
 ``q1 + q2 - c2 - c1`` of ``traffic.step_point_queues`` and
 ``(1 + eta) * vot`` of ``choice.paying_demand``.  Each is the left-most part
 of its kernel's expression, so every operation keeps its order and its
-bits.  The step time is a float counter times ``dt``, exact as ``k * dt``
-below 2**53 steps.
+bits.  The flag ``priced``, ``q2 > 0``, is set at each read too: it decides
+whether a step calls ``set_demand``, ``quote`` and the logistic, and
+``observe``.  The step time is a float counter times ``dt``, exact as
+``k * dt`` below 2**53 steps.
 
 The final state at ``t = horizon`` is computed and recorded without a
 further controller or queue update, so a run of ``horizon / dt`` steps
@@ -299,7 +307,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     # the few float operations it would run
     hot, gp = caps.hot, caps.gp
     scale, vot = behavior.scale, behavior.vot
-    exp = math.exp
+    exp, nan = math.exp, math.nan
     # step 0 reads the demand and the disturbance.  A later step reads the
     # demand again once t reaches ``change``, the time until which the last
     # read's rates hold, and the disturbance again only when noise varies,
@@ -319,20 +327,22 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                 w = lambda2 / gp - lambda1 / hot  # traffic.queuing_times
                 # each term below is the left-most part of its kernel's
                 # expression, so it is formed once per read and the
-                # operations keep their order
+                # operations keep their order; ``priced`` is set here too,
+                # as only q2 decides whether a step has SOVs to price
                 if t >= change:
                     q1, q2, change = demand_at(demand, t, draws)
+                    priced = q2 > 0.0
                     total = q1 + q2
                     spare = hot - q1  # traffic.residual_capacity
                     gp_inflow = total - hot  # traffic.throughputs
                     gp_excess = total - gp - hot  # traffic.step_point_queues
-                    if q2 > 0.0:  # the demand a quote prices
+                    if priced:
                         set_demand(q1, q2)
                 if read_eta:
                     eta = sample_eta(noise, draws)
                     weight = (1.0 + eta) * vot  # choice.paying_demand
                     read_eta = noise_varies
-                if q2 > 0.0:
+                if priced:
                     u = quote(w)
                     # choice.paying_demand: the sign-split logistic
                     x = scale * (u - weight * w)
@@ -345,24 +355,30 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                     # no SOVs to price this step
                     u, q3 = 0.0, 0.0
                 zeta = spare - q3  # traffic.residual_capacity
-                # traffic.throughputs
+                # traffic.throughputs, each clamp a statement that stores
+                # only when it fires; no floor for g1, as q1, q3 and lambda1
+                # are >= 0, so zeta <= hot and g1 is >= +0.0 or nan
                 g1 = hot - zeta + lambda1 / dt
-                g1 = hot if hot < g1 else g1
+                if hot < g1:
+                    g1 = hot
                 g2 = gp_inflow + zeta + lambda2 / dt
-                g2 = gp if gp < g2 else g2
-                g1 = 0.0 if 0.0 > g1 else g1
-                g2 = 0.0 if 0.0 > g2 else g2
-                pi = controller.vot_estimate if has_pi else math.nan
+                if gp < g2:
+                    g2 = gp
+                if 0.0 > g2:  # by rounding, when all SOVs pay and the GP queue is empty
+                    g2 = 0.0
+                pi = controller.vot_estimate if has_pi else nan
                 values += (t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta)
                 if k == n_steps:
                     break
-                if q2 > 0.0:
+                if priced:
                     observe(dt, lambda1, zeta, w, u, q1, q2, q3)
                 # traffic.step_point_queues
                 lambda1 = -zeta * dt + lambda1
+                if 0.0 > lambda1:
+                    lambda1 = 0.0
                 lambda2 = (gp_excess + zeta) * dt + lambda2
-                lambda1 = 0.0 if 0.0 > lambda1 else lambda1
-                lambda2 = 0.0 if 0.0 > lambda2 else lambda2
+                if 0.0 > lambda2:
+                    lambda2 = 0.0
         except HotSimError as exc:
             raise type(exc)(f"step {k} (t={t:.6g} min): {exc}") from exc
 

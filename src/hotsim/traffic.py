@@ -68,9 +68,12 @@ def throughputs(
 ) -> tuple[float, float]:
     """Discharge rates of the HOT and GP lanes over the current step.
 
-    Capped above by the capacities and below at zero; the lower clamp only
-    matters for unphysical inputs since nonnegative demands cannot push the
-    raw expressions negative.
+    Capped above by the capacities and below at zero.  Under the scenario
+    rules (q1, q3 and ``lambda1`` at least 0, so ``zeta <= hot``) raw g1 is
+    >= +0.0 or nan, so its floor cannot fire and the step loop has none; it
+    stays here for arbitrary floats.  Raw g2 is ``q2 - q3 + lambda2 / dt``
+    in exact arithmetic, but it rounds below zero when every SOV pays and
+    the GP queue is empty, so its floor does fire.
     """
     # comparison clamps pick the same operand as builtin min/max would
     hot, gp = caps.hot, caps.gp

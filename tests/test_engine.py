@@ -489,6 +489,16 @@ BRANCHES = {
         lambda c: (c["q3"] > 0.5 * c["q2"]).any()),
     "w-negative": (_default(initial_hot_queue=20.0, controller_kind="selflearning"),
                    lambda c: (c["w"] < 0.0).any()),
+    # zeta is +0.0 at step 0, so the HOT queue floor keeps -0.0 into row 1
+    "queues-at-negative-zero": (
+        _default(initial_hot_queue=-0.0, initial_gp_queue=-0.0),
+        lambda c: np.signbit(c["lambda1"][1]) and np.signbit(c["lambda2"][0])),
+    # a runaway HOT queue: every SOV pays, the GP queue stays empty and raw
+    # g2, in the kernel's order, rounds below zero
+    "g2-floored": (
+        _default(initial_hot_queue=80.0, demand=DemandProfile(mean_hov=11.1, mean_sov=71.4)),
+        lambda c: ((c["q1"] + c["q2"] - S0.capacities.hot + c["zeta"] + c["lambda2"] / S0.dt
+                    < 0.0) & (c["g2"] == 0.0)).any()),
 }
 
 
@@ -526,29 +536,30 @@ TIMESERIES = ("demand: {kind: timeseries, samples: [[-3, 10, 60], [5.005, 12, 58
 
 class TestDemandReads:
     """The loop reads the demand, and sets it on the controller, only at a
-    step where it may have changed, and sets it only when it has SOVs."""
+    step where it may have changed, and sets it only when it has SOVs; it
+    quotes and observes only at a step with SOVs to price."""
 
     @staticmethod
-    def reads_and_pricings(monkeypatch, config):
+    def logged(monkeypatch, owner, name):
+        """Replace ``owner.name`` by a wrapper that logs the arguments of
+        each call, and return the log."""
+        log, call = [], getattr(owner, name)
+
+        def logging_call(*args):
+            log.append(args)
+            return call(*args)
+
+        monkeypatch.setattr(owner, name, logging_call)
+        return log
+
+    def reads_and_pricings(self, monkeypatch, config):
         """The trajectory, the time of each ``demand_at`` call and the rates
         of each ``set_demand`` call of one run."""
-        reads, pricings = [], []
-        read = engine.demand_at
-
-        def counting_read(profile, t, draws):
-            reads.append(t)
-            return read(profile, t, draws)
-
         cls = type(config.controller.build(config.capacities))
-        set_demand = cls.set_demand
-
-        def counting_set_demand(self, q1, q2):
-            pricings.append((q1, q2))
-            set_demand(self, q1, q2)
-
-        monkeypatch.setattr(engine, "demand_at", counting_read)
-        monkeypatch.setattr(cls, "set_demand", counting_set_demand)
-        return run_closed_loop(config), reads, pricings
+        reads = self.logged(monkeypatch, engine, "demand_at")
+        pricings = self.logged(monkeypatch, cls, "set_demand")
+        traj = run_closed_loop(config)
+        return traj, [t for _, t, _ in reads], [(q1, q2) for _, q1, q2 in pricings]
 
     def test_constant_demand_is_read_and_priced_once(self, monkeypatch):
         config = load_config(SCENARIOS / "reference.yaml")
@@ -573,6 +584,25 @@ class TestDemandReads:
         # the sample of step 601 has no SOVs, so nothing is priced there
         assert pricings == [(10.0, 60.0), (12.0, 58.0), (11.0, 61.5), (10.0, 65.0)]
         assert [traj.column(name).tobytes() for name in STATE_FIELDS] == expected[0]
+
+    @pytest.mark.parametrize("kind", ["vot", "integral", "selflearning"])
+    def test_timeseries_quotes_and_observes_each_priced_step(self, monkeypatch, kind):
+        config = parse_config_text(f"{TIMESERIES}\ncontroller: {{kind: {kind}}}\n")
+        cls = type(config.controller.build(config.capacities))
+        quotes = self.logged(monkeypatch, cls, "quote")
+        observations = self.logged(monkeypatch, cls, "observe")
+        traj = run_closed_loop(config)
+        c = {name: traj.column(name).tolist() for name in STATE_FIELDS}
+        priced = [k for k, q2 in enumerate(c["q2"]) if q2 > 0.0]
+        # the sample of step 601 has no SOVs; the last row is priced
+        assert 601 not in priced and priced[-1] == len(traj) - 1
+        # a quote at every priced step, the last row's included, and an
+        # observation of every priced step but the last, which is recorded
+        # without a controller update
+        assert [w for _, w in quotes] == [c["w"][k] for k in priced]
+        observed = ("lambda1", "zeta", "w", "u", "q1", "q2", "q3")
+        assert [args[1:] for args in observations] == [
+            (config.dt, *(c[name][k] for name in observed)) for k in priced[:-1]]
 
     def test_one_sample_timeseries_runs_as_constant_demand(self, monkeypatch):
         demand = DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),))

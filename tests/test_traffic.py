@@ -1,7 +1,11 @@
 """Point-queue dynamics: frozen examples and conservation properties."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotsim.traffic import (
     Capacities,
@@ -62,6 +66,31 @@ class TestThroughputs:
     def test_congested_gp_discharges_at_capacity(self):
         _, g2 = throughputs(0.0, 100.0, 0.0, 10.0, 60.0, CAPS, DT)
         assert g2 == 30.0
+
+    def test_g2_floor_fires_when_every_sov_pays_on_an_empty_gp_queue(self):
+        hot, q1, q2 = 8.927490402631673, 7.489801987839704, 91.99493502458105
+        caps = Capacities(hot, 30.0)
+        zeta = residual_capacity(hot, q1, q2)  # q3 = q2
+        assert q1 + q2 - hot + zeta + 0.0 / DT == -1.4210854715202004e-14
+        g1, g2 = throughputs(0.0, 0.0, zeta, q1, q2, caps, DT)
+        assert (g1, g2) == (hot, 0.0) and math.copysign(1.0, g2) == 1.0
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_g1_floor_cannot_fire_under_the_scenario_rules(self, data):
+        # the states the scenario rules allow: q1 in [0, hot), q3 in [0, q2]
+        # with both ends among the cases, lambda1 >= 0 with -0.0 among them;
+        # q3 is nan after a nan price.  The engine's loop has no floor for
+        # g1, as raw g1 capped at hot is >= +0.0 or nan
+        hot = data.draw(st.floats(1e-3, 1e3))
+        q1 = data.draw(st.floats(0.0, hot, exclude_max=True))
+        q2 = data.draw(st.floats(0.0, 1e3))
+        q3 = data.draw(st.one_of(st.sampled_from([0.0, q2, math.nan]), st.floats(0.0, q2)))
+        lambda1 = data.draw(st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(0.0, 1e6)))
+        dt = data.draw(st.floats(1e-6, 1.0))
+        g1 = hot - ((hot - q1) - q3) + lambda1 / dt
+        g1 = hot if hot < g1 else g1
+        assert math.isnan(g1) or (g1 >= 0.0 and math.copysign(1.0, g1) > 0.0)
 
 
 class TestQueuingTimes:
