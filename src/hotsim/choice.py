@@ -6,11 +6,12 @@ disturbance on the value of time captures driver heterogeneity and detection
 noise; it perturbs only the drivers' decisions, never the operator's
 measurements.
 
-``engine.run_closed_loop`` evaluates the logistic of ``paying_demand`` in
-its own step loop, with the same operations in the same order, and calls
-``sample_eta`` for each step's draw; ``paying_demand`` is its bit-for-bit
-reference, and ``analysis.approx_initial_zeta`` calls it to seed the
-reduced model with ``traffic.residual_capacity(c1, q1, paying_demand(...))``.
+``engine.run_closed_loop`` evaluates the logistic of ``paying_demand`` and
+draws each step's disturbance in its own step loop, with the same
+operations in the same order; ``paying_demand`` and ``sample_eta`` are its
+bit-for-bit references, and ``analysis.approx_initial_zeta`` calls
+``paying_demand`` to seed the reduced model with
+``traffic.residual_capacity(c1, q1, paying_demand(...))``.
 """
 
 from __future__ import annotations

@@ -5,12 +5,15 @@ controller into one discrete feedback loop and records every step.  The
 per-step sequence is fixed:
 
 1. queuing times from the current queues;
-2. demand rates read from the profile, and handed to the controller's
-   ``set_demand``, only at a step where they may have changed: step 0, and
-   then the first step at or past the time until which the last read's
-   rates hold, which ``demand_at`` returns with them (every step for Poisson
-   demand, each later breakpoint reached for a timeseries);
-3. choice disturbance drawn (read once per run, as 0, without noise);
+2. demand rates read, and handed to the controller's ``set_demand``, only
+   at a step where they may have changed: step 0, and then the first step
+   at or past the time until which the last read's rates hold.  Poisson
+   demand is drawn anew at every step, by the loop itself, as
+   ``demand_at`` draws it; a constant or timeseries profile is read through
+   ``demand_at``, which returns that time with the rates (each later
+   breakpoint reached for a timeseries);
+3. choice disturbance drawn by the loop itself, as ``choice.sample_eta``
+   draws it (once per run, as 0, without noise);
 4. price quoted by the controller from its current state and the delay;
 5. paying demand and residual capacity from the lane-choice model;
 6. throughputs recorded;
@@ -23,18 +26,24 @@ makes the IEEE operations of ``traffic.queuing_times``,
 ``traffic.throughputs`` and ``traffic.step_point_queues`` in their order,
 so those kernels are its bit-for-bit reference (``tests/test_engine.py``
 holds a run that calls them; ``analysis`` calls the first three to seed the
-reduced model).  Each clamp is a statement, such as ``if hot < g1: g1 =
-hot``, which picks the operand that the kernel's comparison expression
-picks, -0.0 and nan included, and stores only when it fires.  The loop has
+reduced model).  It makes the draws of steps 2 and 3 itself too, the same
+calls on the run's ``Draws`` in the same order, so ``demand_at`` and
+``choice.sample_eta`` are their bit-for-bit references
+(``tests/test_engine.py::TestLoopDraws``).  Each clamp is a statement, such
+as ``if hot < g1: g1 = hot``, which picks the operand that the kernel's
+comparison expression picks, -0.0 and nan included, and stores only when it
+fires.  The loop has
 no floor for g1, the one clamp that cannot fire: q1, q3 and the HOT queue
 are never negative, so the residual capacity is at most the HOT capacity
 and g1 is at least +0.0, or nan, which the kernel's floor leaves as it is
-(``tests/test_traffic.py`` holds the property).  The only calls left in a
-step are the controller's ``quote`` and ``observe``, and, at a step that
-reads them, ``demand_at`` with ``set_demand`` and ``choice.sample_eta``.  A
-``timeseries`` step before the next breakpoint would read the sample the
-last read got, so it reads none: the breakpoints reached, not the steps,
-count a timeseries run's reads.
+(``tests/test_traffic.py`` holds the property).  The only Python calls
+left in a step are the controller's ``quote`` and ``observe``, and, at a
+step that reads the demand, ``set_demand``, with ``demand_at`` unless the
+demand is Poisson; a Poisson or noisy step calls only ``Draws.poisson`` and
+``Draws.raw``, numpy's own methods, for its draws.  A ``timeseries`` step
+before the next breakpoint would read the sample the last read got, so it
+reads none: the breakpoints reached, not the steps, count a timeseries run's
+reads.
 
 The terms that depend only on the demand and the disturbance are formed once
 per read, where ``q1``, ``q2`` and ``eta`` are read (once per run for
@@ -55,7 +64,8 @@ choice noise) owns a single seeded random stream, one ``Draws`` on
 ``np.random.default_rng(seed)``: PCG64 seeded through numpy's
 ``SeedSequence``.  The Poisson demand comes from that generator's
 ``poisson``; the disturbance is formed from one 64-bit integer of PCG64's
-raw stream, bit for bit the ``uniform`` numpy's generator would return.  The
+raw stream, bit for bit the ``uniform`` numpy's generator would return.
+The loop binds those two calls and the two means once per run.  The
 per-step draw order (HOV demand, SOV demand, disturbance) never varies, so
 runs with the same seed see identical demand realizations regardless of the
 controller.  A run that draws nothing builds no stream.  The config
@@ -77,7 +87,6 @@ import operator
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from . import choice
 from .errors import (ConfigError, HotSimError, NonFiniteResultError, _float_array, brief_repr,
                      require_finite, require_kind, require_unread)
 
@@ -158,8 +167,11 @@ class Draws:
     which ``choice.sample_eta`` forms a uniform draw.  ``mean_hov`` and
     ``mean_sov`` are ``demand``'s two means as float64 0-d arrays, which
     ``Generator.poisson`` takes without converting them on every call; only
-    ``demand_at`` on a ``poisson`` profile reads them, and only for the
-    profile ``demand``, which a ``Draws`` keeps, or one equal to it.
+    a read of a ``poisson`` profile uses them, and only for the profile
+    ``demand``, which a ``Draws`` keeps, or one equal to it.  ``demand_at``
+    and ``choice.sample_eta`` read these attributes at each call;
+    ``run_closed_loop`` reads ``poisson``, ``raw`` and the two means once
+    per run and makes the same calls in its step loop.
     """
 
     def __init__(self, seed: int, demand: DemandProfile) -> None:
@@ -293,27 +305,32 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     caps, dt, n_steps = config.capacities, config.dt, config.n_steps
     demand, noise, behavior = config.demand, config.noise, config.behavior
     run_seed = config.seed if seed is None else check_seeds(seed, 1)[0]
-    noise_varies = noise.kind != "none"
+    poisson_demand, noise_varies = demand.kind == "poisson", noise.kind != "none"
     # only Poisson demand and choice noise draw; a run with neither builds no stream
-    draws = Draws(run_seed, demand) if demand.kind == "poisson" or noise_varies else None
+    draws = Draws(run_seed, demand) if poisson_demand or noise_varies else None
     controller = config.controller.build(caps)
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
     has_pi = controller.vot_estimate is not None
-    # bound once per run, after any replacement of the module attributes
+    # bound once per run, after any replacement of the controller's methods
     set_demand, quote, observe = controller.set_demand, controller.quote, controller.observe
-    sample_eta = choice.sample_eta
-    # the plant's arithmetic is written out below, each line as its kernel
-    # in ``traffic`` or ``choice`` does it: a call costs about as much as
-    # the few float operations it would run
+    # the plant's arithmetic and the draws are written out below, each line
+    # as its reference does it (a kernel in ``traffic`` or ``choice``,
+    # ``demand_at`` or ``choice.sample_eta``): a call costs about as much as
+    # the few operations it would run
     hot, gp = caps.hot, caps.gp
     scale, vot = behavior.scale, behavior.vot
     exp, nan = math.exp, math.nan
-    # step 0 reads the demand and the disturbance.  A later step reads the
-    # demand again once t reaches ``change``, the time until which the last
-    # read's rates hold, and the disturbance again only when noise varies,
-    # so noise "none" is read once per run
+    if draws is not None:  # the calls and the means of demand_at and sample_eta
+        poisson, mean_hov, mean_sov, raw = draws.poisson, draws.mean_hov, draws.mean_sov, draws.raw
+    # choice.sample_eta: 0 without noise, so read once per run, here; with
+    # uniform noise, low + (high - low) * random() at every step
+    eta = 0.0
+    weight = (1.0 + eta) * vot  # choice.paying_demand
+    low = -noise.half_width
+    span = noise.half_width - low
+    # step 0 reads the demand; a later step reads it again once t reaches
+    # ``change``, the time until which the last read's rates hold
     change = 0.0
-    read_eta = True
 
     values = []  # each step's STATE_FIELDS values, row after row
     step = 0.0  # k as a float: exact below 2**53 steps, so t is k * dt
@@ -330,7 +347,12 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                 # operations keep their order; ``priced`` is set here too,
                 # as only q2 decides whether a step has SOVs to price
                 if t >= change:
-                    q1, q2, change = demand_at(demand, t, draws)
+                    if poisson_demand:  # demand_at: a draw at every read
+                        q1 = float(poisson(mean_hov))
+                        q2 = float(poisson(mean_sov))
+                        change = t
+                    else:
+                        q1, q2, change = demand_at(demand, t, draws)
                     priced = q2 > 0.0
                     total = q1 + q2
                     spare = hot - q1  # traffic.residual_capacity
@@ -338,10 +360,10 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                     gp_excess = total - gp - hot  # traffic.step_point_queues
                     if priced:
                         set_demand(q1, q2)
-                if read_eta:
-                    eta = sample_eta(noise, draws)
+                if noise_varies:
+                    # choice.sample_eta: PCG64's next double on the raw stream
+                    eta = low + span * ((raw() >> 11) * 2.0**-53)
                     weight = (1.0 + eta) * vot  # choice.paying_demand
-                    read_eta = noise_varies
                 if priced:
                     u = quote(w)
                     # choice.paying_demand: the sign-split logistic

@@ -9,7 +9,8 @@ shows the value it rejects cut short (``brief_repr``).
 
 A number rule returns the number it checked as a float, and the owner
 stores that, so an int or a numpy scalar is stored as the float a scenario
-file gives; ``stored`` is the one stored form of a value that may be None,
+file gives, and -0.0 as +0.0, so that a zero of either sign gives one config
+and one run; ``stored`` is the one stored form of a value that may be None,
 a number or an array, which the controller specs keep.
 
 Each class maps to one CLI exit code, its ``exit_code``, so that callers can
@@ -68,9 +69,9 @@ class NonFiniteResultError(HotSimError):
 
 
 def require_finite(key: str, value: float, error: type[Exception] = ValueError) -> float:
-    """``value`` as a float; raise ``error``, its message beginning with
-    ``key``, unless ``value`` is a number, bools (numpy's too) aside, and
-    finite: not NaN, infinite or an int beyond any float."""
+    """``value`` as a float, -0.0 as +0.0; raise ``error``, its message
+    beginning with ``key``, unless ``value`` is a number, bools (numpy's too)
+    aside, and finite: not NaN, infinite or an int beyond any float."""
     # numpy's bool exists only once numpy is imported, and a float is no bool
     numpy = sys.modules.get("numpy") if type(value) is not float else None
     bools = (bool, numpy.bool_) if numpy else bool
@@ -83,7 +84,7 @@ def require_finite(key: str, value: float, error: type[Exception] = ValueError) 
                     f"too large for a float") from None
     if not finite:  # shown as the float it is, numpy's too
         raise error(f"{key}: expected a finite number, got {float(value)!r}")
-    return float(value)
+    return float(value) + 0.0  # -0.0 + 0.0 is +0.0, and any other float is itself
 
 
 def require_kind(key: str, value, kinds: tuple[str, ...], error: type[Exception] = ValueError):
@@ -146,12 +147,13 @@ def require_steps(horizon: float, dt: float, section: str = "",
 
 def stored(value):
     """``value`` in the one form a checked scenario value is stored in: None
-    as it is, a number as a float, and an array (numpy's too) as nested
-    tuples of floats, so that equal values compare, hash and print equal."""
+    as it is, a number as a float, -0.0 as +0.0 (as ``require_finite``
+    returns it), and an array (numpy's too) as nested tuples of floats, so
+    that equal values compare, hash and print equal."""
     if value is None:
         return None
     try:
-        return float(value)
+        return float(value) + 0.0
     except TypeError:  # a sequence, numpy's arrays included
         return tuple(map(stored, value))
 

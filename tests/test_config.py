@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -605,6 +606,43 @@ class TestFingerprints:
         nested = ScenarioConfig(selflearning_spec=SelfLearningSpec(
             initial_cov=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))
         assert config_fingerprint(array) == config_fingerprint(nested)
+
+
+# each number key whose -0.0 once gave another config: a scenario line with
+# one %s, where -0.0 and its twin 0.0 go
+NEGATIVE_ZERO_KEYS = {
+    "initial.hot_queue": "initial: {hot_queue: %s}",
+    "initial.gp_queue": "initial: {gp_queue: %s}",
+    "demand.hov": "demand: {hov: %s}",
+    "demand.sov": "demand: {kind: poisson, sov: %s}",
+    "noise.half_width": "noise: {kind: uniform, half_width: %s}",
+    "controller.vot.initial_vot": "controller: {vot: {initial_vot: %s}}",
+    "controller.integral.initial_price": "controller: {integral: {initial_price: %s}}",
+    "approx.zeta0": "approx: {zeta0: %s}",
+    "initial_theta": "controller: {selflearning: {initial_theta: [%s, 1.0, 0.1]}}",
+    "initial_cov": "controller: {selflearning: {initial_cov: [[1, %s, 0], [0, 1, 0], [0, 0, 1]]}}",
+    "process_noise": "controller: {selflearning: {process_noise: %s}}",
+    "sample time": "demand: {kind: timeseries, samples: [[%s, 10, 60], [5, 12, 55]]}",
+    "sample rate": "demand: {kind: timeseries, samples: [[0, 10, 60], [5, 12, %s]]}",
+}
+
+
+class TestNegativeZero:
+    """A number rule stores -0.0 as +0.0, so a zero of either sign gives one
+    config, one fingerprint and one run."""
+
+    @pytest.mark.parametrize("key", NEGATIVE_ZERO_KEYS)
+    def test_negative_zero_gives_its_positive_twin(self, key):
+        negative, positive = (parse_config_text(NEGATIVE_ZERO_KEYS[key] % zero + "\n")
+                              for zero in ("-0.0", "0.0"))
+        assert negative == positive
+        assert config_fingerprint(negative) == config_fingerprint(positive)
+
+    def test_queues_at_negative_zero_run_as_the_reference(self):
+        config = parse_config_text("initial: {hot_queue: -0.0, gp_queue: -0.0}\n")
+        assert config_fingerprint(config) == "523864e2a15d2281"
+        csv = trajectory_csv(run_closed_loop(config))
+        assert hashlib.sha256(csv.encode()).hexdigest()[:16] == "d68490994502a419"
 
 
 # one demand given in code with ints and a list, and its twin in a file

@@ -489,10 +489,6 @@ BRANCHES = {
         lambda c: (c["q3"] > 0.5 * c["q2"]).any()),
     "w-negative": (_default(initial_hot_queue=20.0, controller_kind="selflearning"),
                    lambda c: (c["w"] < 0.0).any()),
-    # zeta is +0.0 at step 0, so the HOT queue floor keeps -0.0 into row 1
-    "queues-at-negative-zero": (
-        _default(initial_hot_queue=-0.0, initial_gp_queue=-0.0),
-        lambda c: np.signbit(c["lambda1"][1]) and np.signbit(c["lambda2"][0])),
     # a runaway HOT queue: every SOV pays, the GP queue stays empty and raw
     # g2, in the kernel's order, rounds below zero
     "g2-floored": (
@@ -525,6 +521,33 @@ class TestPlantArithmetic:
     def test_loop_matches_the_kernels_bit_for_bit(self, config):
         assert run_outcome(run_closed_loop, config) == run_outcome(
             reference_run_closed_loop, config)
+
+
+# the Poisson means of numpy's three paths: zero, the multiplication method
+# (below 10) and PTRS
+LOOP_DRAW_MEANS = (0.0, 3.5, 10.0, 60.0)
+
+
+class TestLoopDraws:
+    """The loop makes a run's draws itself; ``demand_at`` and
+    ``choice.sample_eta`` are its bit-for-bit references."""
+
+    @pytest.mark.parametrize("seed", [0, 1000, 2**63 + 5])
+    @pytest.mark.parametrize("half_width", [0.0, 0.1, 0.999])
+    @pytest.mark.parametrize("hov, sov", itertools.product(LOOP_DRAW_MEANS, repeat=2))
+    def test_loop_draws_what_demand_at_and_sample_eta_draw(self, hov, sov, half_width, seed):
+        demand, noise = DemandProfile("poisson", hov, sov), NoiseSpec("uniform", half_width)
+        # the integral controller prices any demand, so every step is recorded
+        config = _default(demand=demand, noise=noise, controller_kind="integral", seed=seed)
+        traj = run_closed_loop(config)
+        # the references on a fresh stream of the run's seed, in the loop's order
+        draws, expected = Draws(seed, demand), []
+        for k in range(len(traj)):
+            q1, q2, _ = demand_at(demand, k * config.dt, draws)
+            expected.append((q1, q2, choice.sample_eta(noise, draws)))
+        assert len(traj) == config.n_steps + 1
+        assert [traj.column(name).tobytes() for name in ("q1", "q2", "eta")] == [
+            np.array(column).tobytes() for column in zip(*expected)]
 
 
 # breakpoints before the run, between two steps, on a step time, two between
@@ -567,10 +590,36 @@ class TestDemandReads:
         assert (reads, pricings) == ([0.0], [(10.0, 60.0)])
 
     def test_poisson_demand_is_read_and_priced_every_step(self, monkeypatch):
+        # the loop makes a Poisson read's draws itself, so the run's stream logs them
         config = load_config(SCENARIOS / "stochastic.yaml")
-        traj, reads, pricings = self.reads_and_pricings(monkeypatch, config)
-        assert reads == list(traj.column("t")) and len(reads) == config.n_steps + 1
+        draws = []  # (mean, value) of each poisson call, ("raw", value) of each raw
+
+        class LoggedDraws(Draws):
+            def __init__(self, seed, demand):
+                super().__init__(seed, demand)
+                poisson, raw = self.poisson, self.raw
+
+                def logged_poisson(mean):
+                    draws.append((float(mean), poisson(mean)))
+                    return draws[-1][1]
+
+                def logged_raw():
+                    draws.append(("raw", raw()))
+                    return draws[-1][1]
+
+                self.poisson, self.raw = logged_poisson, logged_raw
+
+        monkeypatch.setattr(engine, "Draws", LoggedDraws)
+        cls = type(config.controller.build(config.capacities))
+        pricings = self.logged(monkeypatch, cls, "set_demand")
+        traj = run_closed_loop(config)
+        pricings = [(q1, q2) for _, q1, q2 in pricings]
+        # each read: the HOV mean's draw, then the SOV mean's, then the disturbance's
+        reads = [draws[i:i + 3] for i in range(0, len(draws), 3)]
+        assert len(reads) == config.n_steps + 1
+        assert [[mean for mean, _ in read] for read in reads] == [[10.0, 60.0, "raw"]] * len(reads)
         q1, q2 = traj.column("q1"), traj.column("q2")
+        assert [(hov, sov) for (_, hov), (_, sov), _ in reads] == list(zip(q1, q2))
         assert pricings == [(a, b) for a, b in zip(q1, q2) if b > 0.0]
 
     @pytest.mark.parametrize("kind", ["vot", "integral", "selflearning"])
