@@ -161,10 +161,10 @@ RESOLUTION_ERRORS = [
     (["--grid", "0.1:0.2:0.05", "--resolution", "0"], "error: --resolution must be positive\n"),
 ]
 
-# one input per usage or scenario error: (argv, scenario or None, stderr's start)
+# one input per usage or scenario error: (argv, scenario or None, the one stderr line)
 USAGE_ERRORS = [
-    (["sweep", "--grid", "0:nan:0.1"], None, "error: --grid: expected a finite number, got nan\n"),
-    (["sweep", "--grid", "0:1:-inf"], None, "error: --grid: expected a finite number, got -inf\n"),
+    (["sweep", "--grid", "0:nan:0.1"], None, "error: --grid: expected a finite number, got nan"),
+    (["sweep", "--grid", "0:1:-inf"], None, "error: --grid: expected a finite number, got -inf"),
     (["sweep", "--grid", "1:2"], None,
      "error: --grid expects START:STOP:STEP with a positive step"),
     (["sweep", "--grid", "0.1:0.2:0"], None,
@@ -173,11 +173,16 @@ USAGE_ERRORS = [
     (["sweep", "--bisect", "0.1:0.2", "--param", "k1"], None,
      "error: bisection is supported on the residual gain (k2) only"),
     # --seed beyond simulate is checked by the same seed range rule
-    (["compare", "--seed", "-1"], None, "error: run.seed"),
+    (["compare", "--seed", "-1"], None,
+     "error: run.seed: seeds -1 to -1 of 1 run(s) must be unsigned 64-bit integers"),
     # a kind given twice, like a key given twice in a scenario file
     (["compare", "--controllers", "vot,vot"], None, "error: --controllers: vot given twice"),
-    (["sweep", "--values", "0.1", "--seed", "-1"], None, "error: run.seed"),
+    (["sweep", "--values", "0.1", "--seed", "-1"], None,
+     "error: run.seed: seeds -1 to -1 of 1 run(s) must be unsigned 64-bit integers"),
     (["simulate"], "run: {horizon: 0}", "error: run.horizon must be positive"),
+    # a step too fine for the MAX_STEPS cap, its message from the one step rule
+    (["simulate"], "run: {dt: 1.0e-300}",
+     "error: run: horizon 20 / dt 1e-300 gives 2e+301 steps, more than the cap of 1000000"),
     (["simulate"], "capacities: {hot: '30'}",
      "error: capacities.hot: expected a number, got '30'"),
     (["simulate"], "behavior: {vot: true}", "error: behavior.vot: expected a number, got True"),
@@ -189,8 +194,19 @@ USAGE_ERRORS = [
     # a file's key the kind does not read is reported before the owner's rules
     (["simulate"], "demand: {kind: timeseries, hov: 12, samples: [[0, 10]]}",
      "error: demand.hov: not read by timeseries demand"),
+    # hov at its default 10 is unread too, by the parser's rule for a key
+    # given; that rule runs as the demand section is built, so it is
+    # reported before a later section's error
+    (["simulate"], "demand: {kind: timeseries, samples: [[0, 10, 60]], hov: 10}",
+     "error: demand.hov: not read by timeseries demand"),
+    (["simulate"], "demand: {kind: timeseries, samples: [[0, 10, 60]], hov: 10}\n"
+                   "capacities: {hot: -1}",
+     "error: demand.hov: not read by timeseries demand"),
     (["simulate"], "demand: {kind: foo}",
      "error: demand.kind: expected one of constant, poisson, timeseries, got 'foo'"),
+    # a Poisson mean above numpy's limit names its key
+    (["simulate"], "demand: {kind: poisson, sov: 1.0e19}",
+     "error: demand.sov: a Poisson mean must be at most 9.22337e+18 veh/min, got 1e+19"),
     (["simulate"], "noise: {half_width: 0.1}", "error: noise.half_width: not read by none noise"),
     # the unread key first, before the range rule of a uniform half_width
     (["simulate"], "noise: {kind: none, half_width: -1}",
@@ -206,7 +222,7 @@ class TestExitCodes:
                                                message):
         config = ["--config", scenario_file(scenario + "\n")] if scenario else []
         assert run_cli(*argv, *config) == 2
-        assert capsys.readouterr().err.startswith(message)
+        assert capsys.readouterr().err == message + "\n"
 
     def test_unknown_config_key(self, scenario_file):
         config = scenario_file("runn: {}\n")
@@ -297,19 +313,21 @@ class TestExitCodes:
         assert not (out / "summary.json").exists()
 
 
-    @pytest.mark.parametrize("text, metric", [
-        ("initial: {hot_queue: 1.0e300}\n", "final_u"),
-        ("controller: {vot: {initial_vot: 1.0e300}}\n", "pi_rmse_tail"),
+    @pytest.mark.parametrize("text, message", [
+        ("initial: {hot_queue: 1.0e300}\n", "final_u: expected a finite number, got -inf"),
+        ("controller: {vot: {initial_vot: 1.0e300}}\n",
+         "pi_rmse_tail: expected a finite number, got inf"),
         ("controller: {kind: selflearning, "
-         "selflearning: {initial_theta: [1.0e300, 1.0e-5, 0]}}\n", "pi_rmse_tail"),
+         "selflearning: {initial_theta: [1.0e300, 1.0e-5, 0]}}\n",
+         "pi_rmse_tail: expected a finite number, got inf"),
         # alpha1 = alpha2 = 0 and no SOV demand to quote: the estimate is 0/0
         ("controller: {kind: selflearning, selflearning: {initial_theta: [0.0, 0.0, 0.1]}}\n"
          "demand: {kind: timeseries, samples: [[0.0, 10.0, 0.0]]}\n"
-         "run: {horizon: 0.05}\n", "final_pi"),
+         "run: {horizon: 0.05}\n", "final_pi: expected a finite number, got nan"),
     ], ids=["initial.hot_queue", "controller.vot.initial_vot",
             "controller.selflearning.initial_theta", "nan-estimate"])
     def test_non_finite_summary_is_its_own_error(
-        self, scenario_file, tmp_path, capsys, text, metric
+        self, scenario_file, tmp_path, capsys, text, message
     ):
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -317,8 +335,7 @@ class TestExitCodes:
             assert run_cli("simulate", "--config", scenario_file(text),
                            "--out", str(out)) == 6
         assert not out.exists()
-        assert capsys.readouterr().err.startswith(
-            f"error: summary metric {metric}: expected a finite number, got ")
+        assert capsys.readouterr().err == f"error: summary metric {message}\n"
 
     # the reduced model's loop-gain rate overflows, (q1+q2-c1-c2)·(q1+q2-c1) or the scale
     @pytest.mark.parametrize("text", ["behavior: {scale: 1.0e308}\n", "demand: {sov: 1.0e200}\n"],
@@ -437,21 +454,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {step}HOV demand 35 veh/min saturates the HOT capacity 30 veh/min\n")
 
+    @pytest.mark.parametrize("start, step, final_u", [
+        ("10", "step 600 (t=10 min)", 10.435765729757584),
+        ("10.005", "step 601 (t=10.0167 min)", 10.430446344822911),
+    ], ids=["10", "10.005"])
     @pytest.mark.parametrize("controller", ["vot", "selflearning", "integral"])
-    def test_saturating_timeseries_shoulder(self, capsys, scenario_file, controller):
-        # HOV demand fills the HOT lanes from t=10 to t=20: the logit price
-        # laws stop at that step, and the integral controller prices no demand term
+    def test_saturating_timeseries_shoulder(self, capsys, scenario_file, controller, start,
+                                            step, final_u):
+        # HOV demand fills the HOT lanes from t=start to t=20: the logit price
+        # laws stop at the first step at or after start, as the loop reads a
+        # timeseries only at the breakpoints it reaches, and the integral
+        # controller prices no demand term
         config = scenario_file(
-            "demand: {kind: timeseries, samples: [[0, 10, 60], [10, 30, 60], [20, 10, 60]]}\n"
+            f"demand: {{kind: timeseries, samples: [[0, 10, 60], [{start}, 30, 60], "
+            "[20, 10, 60]]}\n"
             f"controller: {{kind: {controller}}}\n")
         code = run_cli("simulate", "--config", config, "--format", "json")
         out, err = capsys.readouterr()
         if controller == "integral":
             assert (code, err) == (0, "")
-            assert json.loads(out)["final_u"] == 10.435765729757584
+            assert json.loads(out)["final_u"] == final_u
         else:
             assert (code, out) == (3, "")
-            assert err == ("error: step 600 (t=10 min): HOV demand 30 veh/min saturates "
+            assert err == (f"error: {step}: HOV demand 30 veh/min saturates "
                            "the HOT capacity 30 veh/min\n")
 
     def test_reduced_model_seed_reads_no_unset_mean(self, capsys, scenario_file):
@@ -1059,9 +1084,13 @@ class TestHostileFuzz:
         assert "..." in err
         assert len(err.encode()) < 200
 
-    @pytest.mark.parametrize("section, key", [("behavior", "vot"), ("run", "seed"),
-                                              ("controller", "kind"), ("demand", "kind")])
-    def test_deep_shared_list_is_a_short_error(self, section, key):
+    @pytest.mark.parametrize("section, key, rule", [
+        ("behavior", "vot", "expected a number"),
+        ("run", "seed", "expected an integer"),
+        ("controller", "kind", "expected one of vot, integral, selflearning"),
+        ("demand", "kind", "expected one of constant, poisson, timeseries"),
+    ], ids=["behavior-vot", "run-seed", "controller-kind", "demand-kind"])
+    def test_deep_shared_list_is_a_short_error(self, section, key, rule):
         # six levels of seven entries, each level one list seven times:
         # yaml.safe_dump writes it in a few hundred bytes through aliases
         value = 0
@@ -1070,5 +1099,6 @@ class TestHostileFuzz:
         code, out, err = _run_scenario({section: {key: value}}, ["simulate"])
         assert code == 2
         _one_clear_error(out, err)
-        assert err.endswith(" got [[...], [...], [...], [...], [...], [...], ...]\n")
+        assert err == (f"error: {section}.{key}: {rule}, "
+                       "got [[...], [...], [...], [...], [...], [...], ...]\n")
         assert len(err.encode()) < 200
