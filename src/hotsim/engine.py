@@ -5,18 +5,18 @@ controller into one discrete feedback loop and records every step.  The
 per-step sequence is fixed:
 
 1. queuing times from the current queues;
-2. demand rates read, and handed to the controller's ``set_demand``, only
-   at a step where they may have changed: step 0, and then the first step
-   at or past the time until which the last read's rates hold.  Poisson
+2. demand rates read, and the price law's demand term formed from them,
+   only at a step where they may have changed: step 0, and then the first
+   step at or past the time until which the last read's rates hold.  Poisson
    demand is drawn anew at every step, by the loop itself, as
    ``demand_at`` draws it; a constant or timeseries profile is read through
    ``demand_at``, which returns that time with the rates (each later
    breakpoint reached for a timeseries);
 3. choice disturbance drawn by the loop itself, as ``choice.sample_eta``
    draws it (once per run, as 0, without noise);
-4. price quoted by the controller from its current state and the delay;
+4. price quoted from the controller's current state and the delay;
 5. paying demand and residual capacity from the lane-choice model;
-6. throughputs recorded;
+6. throughputs recorded, with the controller's current VOT estimate;
 7. controller updated with the same-step observation;
 8. queues advanced.
 
@@ -32,18 +32,30 @@ calls on the run's ``Draws`` in the same order, so ``demand_at`` and
 (``tests/test_engine.py::TestLoopDraws``).  Each clamp is a statement, such
 as ``if hot < g1: g1 = hot``, which picks the operand that the kernel's
 comparison expression picks, -0.0 and nan included, and stores only when it
-fires.  The loop has
-no floor for g1, the one clamp that cannot fire: q1, q3 and the HOT queue
-are never negative, so the residual capacity is at most the HOT capacity
-and g1 is at least +0.0, or nan, which the kernel's floor leaves as it is
-(``tests/test_traffic.py`` holds the property).  The only Python calls
-left in a step are the controller's ``quote`` and ``observe``, and, at a
-step that reads the demand, ``set_demand``, with ``demand_at`` unless the
-demand is Poisson; a Poisson or noisy step calls only ``Draws.poisson`` and
-``Draws.raw``, numpy's own methods, for its draws.  A ``timeseries`` step
-before the next breakpoint would read the sample the last read got, so it
-reads none: the breakpoints reached, not the steps, count a timeseries run's
-reads.
+fires.  The loop has no floor for g1, the one clamp that cannot fire: q1,
+q3 and the HOT queue are never negative, so the residual capacity is at
+most the HOT capacity and g1 is at least +0.0, or nan, which the kernel's
+floor leaves as it is (``tests/test_traffic.py`` holds the property).
+
+A run whose controller is exactly a ``pricing.VotFeedbackController``, the
+paper's controller, does that controller's arithmetic of steps 2, 4 and 7
+itself as well, its estimate kept in the local ``pi``: at a priced read
+the demand term ``choice.clearing_log_odds(q1, q2, c1) / scale_guess``,
+at each priced step the quote ``pi * w + split`` and then the Euler step
+``pi += dt * (queue_gain * lambda1 - residual_gain * zeta)``.  These are
+the operations of its ``set_demand``, ``quote`` and ``observe`` in their
+order, so those methods are its bit-for-bit reference, and
+``clearing_log_odds`` still alone decides the congested regime.  The loop
+chooses this once per run, from the built controller's type.  Any other
+controller, a subclass of that one included, is called: ``set_demand`` at
+a priced read, ``quote`` and ``observe`` at each priced step, and its
+estimate is read into ``pi`` after each ``observe``.  So a vot step makes
+no Python call but, at a read, ``demand_at`` unless the demand is Poisson,
+and ``clearing_log_odds`` when it prices; a Poisson or noisy step calls
+only ``Draws.poisson`` and ``Draws.raw``, numpy's own methods, for its
+draws.  A ``timeseries`` step before the next breakpoint would read the
+sample the last read got, so it reads none: the breakpoints reached, not the
+steps, count a timeseries run's reads.
 
 The terms that depend only on the demand and the disturbance are formed once
 per read, where ``q1``, ``q2`` and ``eta`` are read (once per run for
@@ -53,9 +65,9 @@ constant demand and noise ``none``): ``c1 - q1`` of
 ``(1 + eta) * vot`` of ``choice.paying_demand``.  Each is the left-most part
 of its kernel's expression, so every operation keeps its order and its
 bits.  The flag ``priced``, ``q2 > 0``, is set at each read too: it decides
-whether a step calls ``set_demand``, ``quote`` and the logistic, and
-``observe``.  The step time is a float counter times ``dt``, exact as
-``k * dt`` below 2**53 steps.
+whether a step forms the demand term, quotes, runs the logistic and
+updates the controller.  The step time is a float counter times ``dt``,
+exact as ``k * dt`` below 2**53 steps.
 
 The final state at ``t = horizon`` is computed and recorded without a
 further controller or queue update, so a run of ``horizon / dt`` steps
@@ -87,8 +99,10 @@ import operator
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
+from .choice import clearing_log_odds
 from .errors import (ConfigError, HotSimError, NonFiniteResultError, _float_array, brief_repr,
                      require_finite, require_kind, require_unread)
+from .pricing import VotFeedbackController
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -311,15 +325,25 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     controller = config.controller.build(caps)
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
     has_pi = controller.vot_estimate is not None
-    # bound once per run, after any replacement of the controller's methods
-    set_demand, quote, observe = controller.set_demand, controller.quote, controller.observe
-    # the plant's arithmetic and the draws are written out below, each line
-    # as its reference does it (a kernel in ``traffic`` or ``choice``,
-    # ``demand_at`` or ``choice.sample_eta``): a call costs about as much as
-    # the few operations it would run
+    # the recorded estimate: a local, read again after each controller update
+    pi = controller.vot_estimate if has_pi else math.nan
+    # the plant's arithmetic, the draws and the vot price law are written out
+    # below, each line as its reference does it (a kernel in ``traffic`` or
+    # ``choice``, ``demand_at``, ``choice.sample_eta`` or the
+    # ``set_demand``, ``quote`` and ``observe`` of VotFeedbackController):
+    # a call costs about as much as the few operations it would run
     hot, gp = caps.hot, caps.gp
     scale, vot = behavior.scale, behavior.vot
     exp, nan = math.exp, math.nan
+    # only that exact class runs inline; any other controller, a subclass of
+    # it included, is called through methods bound once per run, after any
+    # replacement of them
+    vot_law = type(controller) is VotFeedbackController
+    if vot_law:
+        queue_gain, residual_gain = controller.queue_gain, controller.residual_gain
+        scale_guess = controller.scale_guess
+        split = nan  # the demand term, nan until the first priced read sets it
+    set_demand, quote, observe = controller.set_demand, controller.quote, controller.observe
     if draws is not None:  # the calls and the means of demand_at and sample_eta
         poisson, mean_hov, mean_sov, raw = draws.poisson, draws.mean_hov, draws.mean_sov, draws.raw
     # choice.sample_eta: 0 without noise, so read once per run, here; with
@@ -359,13 +383,19 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                     gp_inflow = total - hot  # traffic.throughputs
                     gp_excess = total - gp - hot  # traffic.step_point_queues
                     if priced:
-                        set_demand(q1, q2)
+                        if vot_law:  # VotFeedbackController.set_demand
+                            split = clearing_log_odds(q1, q2, hot) / scale_guess
+                        else:
+                            set_demand(q1, q2)
                 if noise_varies:
                     # choice.sample_eta: PCG64's next double on the raw stream
                     eta = low + span * ((raw() >> 11) * 2.0**-53)
                     weight = (1.0 + eta) * vot  # choice.paying_demand
                 if priced:
-                    u = quote(w)
+                    if vot_law:  # VotFeedbackController.quote
+                        u = pi * w + split
+                    else:
+                        u = quote(w)
                     # choice.paying_demand: the sign-split logistic
                     x = scale * (u - weight * w)
                     if x >= 0.0:
@@ -388,12 +418,16 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
                     g2 = gp
                 if 0.0 > g2:  # by rounding, when all SOVs pay and the GP queue is empty
                     g2 = 0.0
-                pi = controller.vot_estimate if has_pi else nan
                 values += (t, lambda1, lambda2, zeta, w, pi, u, g1, g2, q1, q2, q3, eta)
                 if k == n_steps:
                     break
                 if priced:
-                    observe(dt, lambda1, zeta, w, u, q1, q2, q3)
+                    if vot_law:  # VotFeedbackController.observe: one Euler step
+                        pi += dt * (queue_gain * lambda1 - residual_gain * zeta)
+                    else:
+                        observe(dt, lambda1, zeta, w, u, q1, q2, q3)
+                        if has_pi:
+                            pi = controller.vot_estimate
                 # traffic.step_point_queues
                 lambda1 = -zeta * dt + lambda1
                 if 0.0 > lambda1:

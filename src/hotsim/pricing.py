@@ -4,11 +4,15 @@ Three controllers share one interface: ``set_demand(q1, q2)`` takes the
 demand rates a quote prices, ``quote(w)`` returns the toll for the current
 step from the current internal state, the last demand set and the delay
 difference ``w``, and ``observe(dt, lambda1, zeta, w, u, q1, q2, q3)`` feeds
-the realized step back into the controller.  The engine calls ``set_demand``
-only at a step whose demand may have changed and has SOVs to price, so the
-demand term of a price law is formed once per demand read, there; it calls
-``quote`` and then ``observe`` at every step with SOVs, so a quote never
-sees same-step outcomes.  Each controller also has ``vot_estimate``, its
+the realized step back into the controller.  For the integral and
+self-learning controllers, and any subclass of these three, the engine calls
+``set_demand`` only at a step whose demand may have changed and has SOVs to
+price, so the demand term of a price law is formed once per demand read,
+there; it calls ``quote`` and then ``observe`` at every step with SOVs, so a
+quote never sees same-step outcomes.  A ``VotFeedbackController`` itself it
+calls not at all: ``engine.run_closed_loop`` does the same arithmetic at the
+same points of its step loop, so these three methods are the loop's
+bit-for-bit reference.  Each controller also has ``vot_estimate``, its
 current estimate of the average value of time, or None for a strategy that
 keeps none.
 

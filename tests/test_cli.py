@@ -22,14 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_config import NUMBER_ENTRIES, READ_BY, _positive, _scenarios
 
+import hotsim
 from hotsim import analysis, cli, engine
 from hotsim.cli import _json_text, main
 from hotsim.config import SCHEMA, ScenarioConfig, config_fingerprint
 from hotsim.errors import (BoundaryNotBracketedError, ConfigError, HotSimError,
                            NonFiniteResultError, PriceUndefinedError, ScenarioAssumptionError)
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-SCENARIOS = SRC.parent / "scenarios"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SCENARIO_NAMES = ("reference.yaml", "stochastic.yaml", "perturbed.yaml")
 
 COLUMNS = "t,lambda1,lambda2,zeta,w,pi,u,g1,g2,q1,q2,q3,eta"
@@ -639,7 +639,7 @@ class TestSweep:
         assert payload["boundary"] == pytest.approx(0.14, abs=0.01)
 
     def test_bisection_below_float_spacing_ends(self, capsys):
-        assert run_cli("sweep", "--config", str(SRC.parent / "scenarios" / "perturbed.yaml"),
+        assert run_cli("sweep", "--config", str(SCENARIOS / "perturbed.yaml"),
                        "--model", "approx", "--bisect", "0.1:0.2", "--resolution", "1e-300") == 0
         assert capsys.readouterr().err.startswith("boundary k2=0.14")
 
@@ -797,19 +797,30 @@ class TestApprox:
         assert ratio[-1] == pytest.approx(2.0, abs=0.1)
 
 
+# the directory that holds the hotsim this process imported: the checkout's
+# src, or the site-packages of an installed copy
+IMPORTED_FROM = Path(hotsim.__file__).resolve().parents[1]
+
+
 def run_python(*args):
-    """``python args...`` with this checkout's sources on the path."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    """``python args...`` with the directory of the hotsim this process
+    imported first on the path, so that the child imports the same copy."""
+    path = os.pathsep.join(filter(None, [str(IMPORTED_FROM), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
 
 
 def run_module(*argv):
-    """``python -m argv...`` with this checkout's sources on the path."""
+    """``python -m argv...`` with the hotsim this process imported on the path."""
     return run_python("-m", *argv)
 
 
 class TestModuleEntryPoints:
+    def test_child_imports_the_hotsim_this_process_imported(self):
+        done = run_python("-c", "import hotsim; print(hotsim.__file__)")
+        assert done.returncode == 0, done.stderr
+        assert Path(done.stdout.strip()).resolve() == Path(hotsim.__file__).resolve()
+
     def test_cli_module_exits_with_the_usage_code(self):
         done = run_module("hotsim.cli", "sweep", "--bisect", "0.1:0.2", "--resolution", "nan")
         assert done.returncode == 2

@@ -44,6 +44,7 @@ from hotsim.errors import (
     PriceUndefinedError,
     ScenarioAssumptionError,
 )
+from hotsim.pricing import VotFeedbackController
 from hotsim.traffic import Capacities
 
 S0 = ScenarioConfig()
@@ -342,11 +343,12 @@ class TestClosedLoop:
 
 def reference_run_closed_loop(config, seed=None):
     """``run_closed_loop`` as it ran when each step read the demand and set it
-    on the controller, called the plant kernels of ``traffic`` and ``choice``
-    and drew from a plain numpy ``Generator``: the loop now reads the demand
-    only where it may change, does the kernels' arithmetic itself and draws
-    from a ``Draws``, and must give the same bits, and the same error, as
-    this run."""
+    on the controller, called the controller's ``quote`` and ``observe`` and
+    the plant kernels of ``traffic`` and ``choice``, and drew from a plain
+    numpy ``Generator``: the loop now reads the demand only where it may
+    change, does the kernels' arithmetic and a vot controller's itself and
+    draws from a ``Draws``, and must give the same bits, and the same error,
+    as this run."""
     caps, dt, n_steps = config.capacities, config.dt, config.n_steps
     demand, noise, behavior = config.demand, config.noise, config.behavior
     run_seed, _ = check_seeds(config.seed if seed is None else seed, 1)
@@ -436,9 +438,10 @@ def _breakpoints(draw, n_steps, dt):
 def _loop_scenarios(draw):
     """A closed-loop scenario of at most 120 steps, built in code.
 
-    Capacities, rates and the step are arbitrary floats, so that a sum taken
-    in another order rounds differently; HOV demand stays below the HOT
-    capacity, as a config requires, and may leave the corridor uncongested.
+    Capacities, rates, the step and the vot controller's gains are
+    arbitrary floats, so that a sum taken in another order rounds
+    differently; HOV demand stays below the HOT capacity, as a config
+    requires, and may leave the corridor uncongested.
     """
     hot, gp = draw(st.floats(10.0, 60.0)), draw(st.floats(10.0, 60.0))
     dt = draw(st.floats(1e-3, 0.2))
@@ -460,7 +463,9 @@ def _loop_scenarios(draw):
         behavior=BehaviorParams(draw(st.floats(0.05, 2.0)), draw(st.floats(0.2, 5.0))),
         noise=noise,
         controller_kind=controller,
-        vot_spec=VotControllerSpec(initial_vot=draw(st.floats(-1.0, 2.0))),
+        vot_spec=VotControllerSpec(
+            queue_gain=draw(st.floats(0.01, 1.0)), residual_gain=draw(st.floats(0.01, 1.0)),
+            scale_guess=draw(st.floats(0.2, 5.0)), initial_vot=draw(st.floats(-1.0, 2.0))),
         integral_spec=IntegralTollSpec(initial_price=draw(st.floats(-2.0, 6.0))),
         # a queue on the HOT lanes longer than on the GP lanes gives w < 0
         initial_hot_queue=draw(st.floats(0.0, 40.0)),
@@ -489,6 +494,9 @@ BRANCHES = {
         lambda c: (c["q3"] > 0.5 * c["q2"]).any()),
     "w-negative": (_default(initial_hot_queue=20.0, controller_kind="selflearning"),
                    lambda c: (c["w"] < 0.0).any()),
+    # the vot law's quote and estimator step on w < 0: a long HOT queue, the
+    # start of the runaway of ROADMAP direction 8
+    "w-negative-vot": (_default(initial_hot_queue=20.0), lambda c: (c["w"] < 0.0).any()),
     # a runaway HOT queue: every SOV pays, the GP queue stays empty and raw
     # g2, in the kernel's order, rounds below zero
     "g2-floored": (
@@ -550,6 +558,8 @@ class TestLoopDraws:
             np.array(column).tobytes() for column in zip(*expected)]
 
 
+# the arguments of observe after dt, each a recorded column
+OBSERVED = ("lambda1", "zeta", "w", "u", "q1", "q2", "q3")
 # breakpoints before the run, between two steps, on a step time, two between
 # the next two steps (the second leaves no SOVs to price), on a step time
 # again and past the horizon; tests/test_golden.py holds this run's CSVs
@@ -558,9 +568,11 @@ TIMESERIES = ("demand: {kind: timeseries, samples: [[-3, 10, 60], [5.005, 12, 58
 
 
 class TestDemandReads:
-    """The loop reads the demand, and sets it on the controller, only at a
-    step where it may have changed, and sets it only when it has SOVs; it
-    quotes and observes only at a step with SOVs to price."""
+    """The loop reads the demand, and forms the price law's demand term, only
+    at a step where it may have changed, and forms it only when it has SOVs;
+    it quotes and observes only at a step with SOVs to price.  A vot run
+    forms the term itself, through the ``clearing_log_odds`` that ``engine``
+    imports; any other run calls its controller's ``set_demand``."""
 
     @staticmethod
     def logged(monkeypatch, owner, name):
@@ -575,14 +587,23 @@ class TestDemandReads:
         monkeypatch.setattr(owner, name, logging_call)
         return log
 
+    @classmethod
+    def logged_pricings(cls, monkeypatch, config):
+        """A log that takes the rates of each demand-term read of a run of
+        ``config``, as ``(q1, q2)``, once that run is made."""
+        if config.controller_kind == "vot":  # the loop's own read: (q1, q2, c1)
+            return cls.logged(monkeypatch, engine, "clearing_log_odds"), slice(0, 2)
+        # a controller's set_demand, patched on its class: (self, q1, q2)
+        controller = type(config.controller.build(config.capacities))
+        return cls.logged(monkeypatch, controller, "set_demand"), slice(1, 3)
+
     def reads_and_pricings(self, monkeypatch, config):
         """The trajectory, the time of each ``demand_at`` call and the rates
-        of each ``set_demand`` call of one run."""
-        cls = type(config.controller.build(config.capacities))
+        of each demand-term read of one run."""
         reads = self.logged(monkeypatch, engine, "demand_at")
-        pricings = self.logged(monkeypatch, cls, "set_demand")
+        pricings, rates = self.logged_pricings(monkeypatch, config)
         traj = run_closed_loop(config)
-        return traj, [t for _, t, _ in reads], [(q1, q2) for _, q1, q2 in pricings]
+        return traj, [t for _, t, _ in reads], [args[rates] for args in pricings]
 
     def test_constant_demand_is_read_and_priced_once(self, monkeypatch):
         config = load_config(SCENARIOS / "reference.yaml")
@@ -610,10 +631,9 @@ class TestDemandReads:
                 self.poisson, self.raw = logged_poisson, logged_raw
 
         monkeypatch.setattr(engine, "Draws", LoggedDraws)
-        cls = type(config.controller.build(config.capacities))
-        pricings = self.logged(monkeypatch, cls, "set_demand")
+        pricings, rates = self.logged_pricings(monkeypatch, config)
         traj = run_closed_loop(config)
-        pricings = [(q1, q2) for _, q1, q2 in pricings]
+        pricings = [args[rates] for args in pricings]
         # each read: the HOV mean's draw, then the SOV mean's, then the disturbance's
         reads = [draws[i:i + 3] for i in range(0, len(draws), 3)]
         assert len(reads) == config.n_steps + 1
@@ -634,6 +654,28 @@ class TestDemandReads:
         assert pricings == [(10.0, 60.0), (12.0, 58.0), (11.0, 61.5), (10.0, 65.0)]
         assert [traj.column(name).tobytes() for name in STATE_FIELDS] == expected[0]
 
+    @staticmethod
+    def replayed(config, c, priced):
+        """The quotes and observations a vot run made itself, replayed on a
+        fresh controller from the recorded rows: ``set_demand`` and ``quote``
+        at each step of ``priced``, then ``observe`` but at the last row.
+        Each recorded ``u`` and ``pi`` must be what the replay gives, so the
+        loop quoted and updated at those steps and at no other."""
+        controller, last = config.controller.build(config.capacities), len(c["t"]) - 1
+        quotes, observations = [], []
+        for k in range(last + 1):
+            assert c["pi"][k] == controller.vot_estimate
+            if k not in priced:
+                assert c["u"][k] == 0.0
+                continue
+            controller.set_demand(c["q1"][k], c["q2"][k])
+            quotes.append((controller, c["w"][k]))
+            assert controller.quote(c["w"][k]) == c["u"][k]
+            if k < last:
+                observations.append((controller, config.dt, *(c[name][k] for name in OBSERVED)))
+                controller.observe(*observations[-1][1:])
+        return quotes, observations
+
     @pytest.mark.parametrize("kind", ["vot", "integral", "selflearning"])
     def test_timeseries_quotes_and_observes_each_priced_step(self, monkeypatch, kind):
         config = parse_config_text(f"{TIMESERIES}\ncontroller: {{kind: {kind}}}\n")
@@ -645,13 +687,42 @@ class TestDemandReads:
         priced = [k for k, q2 in enumerate(c["q2"]) if q2 > 0.0]
         # the sample of step 601 has no SOVs; the last row is priced
         assert 601 not in priced and priced[-1] == len(traj) - 1
+        if kind == "vot":  # the loop quoted and observed itself: no call to log
+            assert (quotes, observations) == ([], [])
+            quotes, observations = self.replayed(config, c, set(priced))
         # a quote at every priced step, the last row's included, and an
         # observation of every priced step but the last, which is recorded
         # without a controller update
         assert [w for _, w in quotes] == [c["w"][k] for k in priced]
-        observed = ("lambda1", "zeta", "w", "u", "q1", "q2", "q3")
         assert [args[1:] for args in observations] == [
-            (config.dt, *(c[name][k] for name in observed)) for k in priced[:-1]]
+            (config.dt, *(c[name][k] for name in OBSERVED)) for k in priced[:-1]]
+
+    @pytest.mark.parametrize("kind", ["vot", "integral", "selflearning"])
+    def test_only_the_vot_controller_is_priced_by_the_loop(self, monkeypatch, kind):
+        config = parse_config_text(f"{TIMESERIES}\ncontroller: {{kind: {kind}}}\n")
+        cls = type(config.controller.build(config.capacities))
+        calls = {name: self.logged(monkeypatch, cls, name)
+                 for name in ("set_demand", "quote", "observe")}
+        traj = run_closed_loop(config)
+        priced = int((traj.column("q2") > 0.0).sum())
+        counts = {name: len(log) for name, log in calls.items()}
+        if kind == "vot":
+            assert counts == {"set_demand": 0, "quote": 0, "observe": 0}
+        else:  # four priced reads; the last row is quoted but not observed
+            assert counts == {"set_demand": 4, "quote": priced, "observe": priced - 1}
+
+    def test_a_vot_subclass_is_called_and_runs_the_same_bits(self, monkeypatch):
+        class Subclass(VotFeedbackController):
+            pass
+
+        config = parse_config_text(f"{TIMESERIES}\n")
+        inline = run_outcome(run_closed_loop, config)
+        # the spec builds its controller class, which is now the subclass
+        monkeypatch.setattr(VotControllerSpec, "controller", Subclass)
+        quotes = self.logged(monkeypatch, Subclass, "quote")
+        traj = run_closed_loop(config)
+        assert len(quotes) == int((traj.column("q2") > 0.0).sum())
+        assert run_outcome(run_closed_loop, config) == inline
 
     def test_one_sample_timeseries_runs_as_constant_demand(self, monkeypatch):
         demand = DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),))
