@@ -77,7 +77,9 @@ choice noise) owns a single seeded random stream, one ``Draws`` on
 ``SeedSequence``.  The Poisson demand comes from that generator's
 ``poisson``; the disturbance is formed from one 64-bit integer of PCG64's
 raw stream, bit for bit the ``uniform`` numpy's generator would return.
-The loop binds those two calls and the two means once per run.  The
+The loop binds those two calls once per run and, for Poisson demand only,
+forms the profile's two means once as float64 0-d arrays, which
+``Generator.poisson`` takes without converting them at each call.  The
 per-step draw order (HOV demand, SOV demand, disturbance) never varies, so
 runs with the same seed see identical demand realizations regardless of the
 controller.  A run that draws nothing builds no stream.  The config
@@ -178,25 +180,17 @@ class Draws:
     numpy's ``SeedSequence`` to a PCG64 bit generator.  ``poisson`` is the
     generator's bound ``Generator.poisson``; ``raw`` is its bit generator's
     bound ``random_raw``, one 64-bit integer of PCG64's stream per call, from
-    which ``choice.sample_eta`` forms a uniform draw.  ``mean_hov`` and
-    ``mean_sov`` are ``demand``'s two means as float64 0-d arrays, which
-    ``Generator.poisson`` takes without converting them on every call; only
-    a read of a ``poisson`` profile uses them, and only for the profile
-    ``demand``, which a ``Draws`` keeps, or one equal to it.  ``demand_at``
-    and ``choice.sample_eta`` read these attributes at each call;
-    ``run_closed_loop`` reads ``poisson``, ``raw`` and the two means once
-    per run and makes the same calls in its step loop.
+    which ``choice.sample_eta`` forms a uniform draw.  It holds no mean:
+    ``demand_at`` draws at its profile's own.  ``run_closed_loop`` reads the
+    two calls once per run and makes them in its step loop.
     """
 
-    def __init__(self, seed: int, demand: DemandProfile) -> None:
+    def __init__(self, seed: int) -> None:
         import numpy as np
 
         rng = np.random.default_rng(seed)
         self.poisson = rng.poisson
         self.raw = rng.bit_generator.random_raw
-        self.demand = demand
-        self.mean_hov = np.array(demand.mean_hov, dtype=np.float64)
-        self.mean_sov = np.array(demand.mean_sov, dtype=np.float64)
 
 
 def demand_at(profile: DemandProfile, t: float,
@@ -205,13 +199,13 @@ def demand_at(profile: DemandProfile, t: float,
     the time from which a read may give other rates: never (inf) for
     ``constant``; ``t`` itself for ``poisson``, which draws anew at every
     read; for ``timeseries`` the first sample time after ``t``, or inf past
-    the last.  Only ``poisson`` demand draws, from ``draws``, which must be
-    built with ``profile`` (or an equal one): a ValueError otherwise."""
+    the last.  Only ``poisson`` demand draws, at the profile's means from the
+    run's stream ``draws``, which it needs: a ValueError otherwise."""
     if profile.kind == "poisson":  # first: the one kind a run reads at every step
-        # identity first, so a run's every read skips the field-wise compare
-        if draws is None or (draws.demand is not profile and draws.demand != profile):
-            raise ValueError("demand_at: a poisson profile needs the Draws built with it")
-        return float(draws.poisson(draws.mean_hov)), float(draws.poisson(draws.mean_sov)), t
+        if not isinstance(draws, Draws):
+            raise ValueError("demand_at: poisson demand needs the run's Draws, "
+                             f"got {type(draws).__name__}")
+        return float(draws.poisson(profile.mean_hov)), float(draws.poisson(profile.mean_sov)), t
     if profile.kind == "constant":
         return profile.mean_hov, profile.mean_sov, math.inf
     times = profile.sample_times
@@ -321,7 +315,7 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
     run_seed = config.seed if seed is None else check_seeds(seed, 1)[0]
     poisson_demand, noise_varies = demand.kind == "poisson", noise.kind != "none"
     # only Poisson demand and choice noise draw; a run with neither builds no stream
-    draws = Draws(run_seed, demand) if poisson_demand or noise_varies else None
+    draws = Draws(run_seed) if poisson_demand or noise_varies else None
     controller = config.controller.build(caps)
     lambda1, lambda2 = config.initial_hot_queue, config.initial_gp_queue
     has_pi = controller.vot_estimate is not None
@@ -344,8 +338,11 @@ def run_closed_loop(config: "ScenarioConfig", seed: int | None = None) -> Trajec
         scale_guess = controller.scale_guess
         split = nan  # the demand term, nan until the first priced read sets it
     set_demand, quote, observe = controller.set_demand, controller.quote, controller.observe
-    if draws is not None:  # the calls and the means of demand_at and sample_eta
-        poisson, mean_hov, mean_sov, raw = draws.poisson, draws.mean_hov, draws.mean_sov, draws.raw
+    if draws is not None:  # the calls of demand_at and sample_eta
+        poisson, raw = draws.poisson, draws.raw
+    if poisson_demand:  # demand_at's means, as Generator.poisson takes them unconverted
+        mean_hov = np.array(demand.mean_hov, dtype=np.float64)
+        mean_sov = np.array(demand.mean_sov, dtype=np.float64)
     # choice.sample_eta: 0 without noise, so read once per run, here; with
     # uniform noise, low + (high - low) * random() at every step
     eta = 0.0

@@ -133,16 +133,16 @@ class TestInducedResidualCapacity:
 
 class TestSampleEta:
     def test_disabled_noise_is_exactly_zero(self):
-        assert sample_eta(NoiseSpec("none", 0.0), Draws(0, DemandProfile())) == 0.0
+        assert sample_eta(NoiseSpec("none", 0.0), Draws(0)) == 0.0
 
     def test_uniform_draws_stay_in_bounds(self):
-        source = Draws(1, DemandProfile())
+        source = Draws(1)
         spec = NoiseSpec("uniform", 0.1)
         draws = np.array([sample_eta(spec, source) for _ in range(10_000)])
         assert draws.min() >= -0.1 and draws.max() <= 0.1
 
     def test_uniform_mean_is_centered(self):
-        source = Draws(2, DemandProfile())
+        source = Draws(2)
         spec = NoiseSpec("uniform", 0.1)
         draws = np.array([sample_eta(spec, source) for _ in range(1_000_000)])
         assert abs(draws.mean()) < 1e-3
@@ -172,7 +172,7 @@ def test_scalar_draws_are_numpys_uniform():
         for half_width in (0.0, 1e-3, 0.1, 0.5, 0.999):
             spec = NoiseSpec("uniform", half_width)
             for seed in (0, 77, 2**63 + 5):
-                draws, twin = Draws(seed, profile), np.random.default_rng(seed)
+                draws, twin = Draws(seed), np.random.default_rng(seed)
                 ours, theirs = [], []
                 for k in range(2000):
                     ours += [*demand_at(profile, k / 60, draws)[:2], sample_eta(spec, draws)]
@@ -196,7 +196,7 @@ STOCHASTIC_DRAWS = {
 def test_draw_source_output_is_pinned(seed):
     config = load_config(str(SCENARIOS / "stochastic.yaml"))
     profile, noise = config.demand, config.noise
-    draws = Draws(seed, profile)
+    draws = Draws(seed)
     values = []
     for k in range(10_000):
         values += [*demand_at(profile, k * config.dt, draws)[:2], sample_eta(noise, draws)]

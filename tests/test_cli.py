@@ -606,6 +606,50 @@ class TestCompare:
         assert payloads[0]["controllers"] != payloads[1]["controllers"]
 
 
+# a scenario with every number key set, each written as ``1#``: a YAML integer
+# with ``#`` dropped, its float twin with ``#`` as ``.0``
+NUMBERS_SCENARIO = """\
+run: {horizon: 20#, dt: 1#, seed: 3}
+capacities: {hot: 30#, gp: 31#}
+demand: DEMAND
+behavior: {vot: 1#, scale: 2#}
+noise: {kind: none, half_width: 0#}
+initial: {hot_queue: 2#, gp_queue: 1#}
+controller:
+  vot: {queue_gain: 1#, residual_gain: 1#, scale_guess: 1#, initial_vot: 0#}
+  integral: {gain: 1#, initial_price: 1#, target_demand: 25#}
+  selflearning: {initial_theta: [1#, 2#, 0#], initial_cov: [[1#, 0#, 0#], [0#, 1#, 0#], \
+[0#, 0#, 1#]], measurement_var: 1#, process_noise: 0#}
+approx: {zeta0: 1#}
+"""
+
+
+@pytest.mark.parametrize("demand", [
+    "{hov: 10#, sov: 60#}",
+    "{kind: timeseries, samples: [[0#, 10#, 60#], [10#, 12#, 55#]]}",
+], ids=["constant", "timeseries"])
+def test_integer_numbers_give_the_outputs_of_their_float_twin(tmp_path, capsys, demand):
+    # each owner stores a float, so both give one config, one simulate summary
+    # (its fingerprint included) and one compare tree
+    configs, summaries, trees = [], [], []
+    for suffix in ("", ".0"):
+        path = tmp_path / f"numbers{suffix}.yaml"
+        path.write_text(NUMBERS_SCENARIO.replace("DEMAND", demand).replace("#", suffix))
+        configs.append(hotsim.load_config(path))
+        assert run_cli("simulate", "--config", str(path), "--format", "json") == 0
+        summaries.append(capsys.readouterr().out)
+        out = tmp_path / f"compare{suffix}"
+        assert run_cli("compare", "--config", str(path), "--out", str(out)) == 0
+        trees.append({f.relative_to(out): f.read_bytes() for f in out.rglob("*")})
+        capsys.readouterr()  # the lines compare writes to stdout name its directory
+    integers, floats = configs
+    assert type(yaml.safe_load((tmp_path / "numbers.yaml").read_text())["run"]["dt"]) is int
+    assert integers == floats and hash(integers) == hash(floats)
+    assert config_fingerprint(integers) == config_fingerprint(floats)
+    assert summaries[0] == summaries[1] and json.loads(summaries[0])["fingerprint"]
+    assert trees[0] == trees[1] and trees[0]
+
+
 @pytest.fixture
 def pattern_file(scenario_file):
     return scenario_file(

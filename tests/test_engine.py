@@ -61,35 +61,44 @@ def flat(rows) -> list:
 class TestDemandAt:
     def test_constant_profile(self):
         profile = DemandProfile(kind="constant", mean_hov=10.0, mean_sov=60.0)
-        assert demand_at(profile, 3.0, Draws(0, profile))[:2] == (10.0, 60.0)
+        assert demand_at(profile, 3.0, Draws(0))[:2] == (10.0, 60.0)
 
     def test_zero_demand(self):
         profile = DemandProfile(kind="constant", mean_hov=0.0, mean_sov=0.0)
-        assert demand_at(profile, 0.0, Draws(0, profile))[:2] == (0.0, 0.0)
+        assert demand_at(profile, 0.0, Draws(0))[:2] == (0.0, 0.0)
 
     def test_poisson_sample_mean(self):
         profile = DemandProfile(kind="poisson", mean_hov=10.0, mean_sov=60.0)
-        source = Draws(42, profile)
+        source = Draws(42)
         draws = [demand_at(profile, k / 60, source) for k in range(1200)]
         hov = np.array([d[0] for d in draws])
         assert abs(hov.mean() - 10.0) < 1.5
 
-    def test_poisson_read_needs_the_draws_of_its_profile(self):
-        profile = DemandProfile("poisson", 1.0, 2.0)
-        # a Draws of other means would draw at those means without a word
-        for draws in (Draws(0, DemandProfile("poisson", 50.0, 50.0)), None):
-            with pytest.raises(ValueError, match="demand_at"):
-                demand_at(profile, 0.0, draws)
-        # an equal profile is served as the one the Draws was built with
-        equal = DemandProfile("poisson", 1.0, 2.0)
-        assert demand_at(profile, 0.0, Draws(0, equal)) == demand_at(equal, 0.0, Draws(0, equal))
+    @pytest.mark.parametrize("draws", [None, np.random.default_rng(0), "draws"],
+                             ids=["none", "generator", "str"])
+    def test_poisson_read_without_the_runs_draws_is_a_value_error(self, draws):
+        name = type(draws).__name__
+        with pytest.raises(ValueError, match=f"^demand_at: poisson demand needs the "
+                                             f"run's Draws, got {name}$"):
+            demand_at(DemandProfile("poisson", 10.0, 60.0), 0.0, draws)
+
+    def test_one_draws_serves_profiles_of_any_means(self):
+        # a Draws is only the stream: each read draws at its own profile's means
+        draws, twin = Draws(0), np.random.default_rng(0)
+        assert sorted(vars(draws)) == ["poisson", "raw"]
+        low, high = DemandProfile("poisson", 1.0, 2.0), DemandProfile("poisson", 50.0, 300.0)
+        reads, means = [], []
+        for profile in (low, high, high, low):
+            reads += demand_at(profile, 0.0, draws)[:2]
+            means += [profile.mean_hov, profile.mean_sov]
+        assert reads == [float(twin.poisson(mean)) for mean in means]
 
     def test_timeseries_is_a_step_function(self):
         profile = DemandProfile(
             kind="timeseries",
             samples=((0.0, 10.0, 60.0), (5.0, 12.0, 55.0)),
         )
-        draws = Draws(0, profile)
+        draws = Draws(0)
         assert demand_at(profile, 4.99, draws)[:2] == (10.0, 60.0)
         assert demand_at(profile, 5.0, draws)[:2] == (12.0, 55.0)
         assert demand_at(profile, 19.0, draws)[:2] == (12.0, 55.0)
@@ -97,7 +106,7 @@ class TestDemandAt:
     def test_until_of_each_kind(self):
         constant, poisson = DemandProfile("constant"), DemandProfile("poisson")
         assert demand_at(constant, 3.0, None)[2] == math.inf
-        assert demand_at(poisson, 3.0, Draws(0, poisson))[2] == 3.0
+        assert demand_at(poisson, 3.0, Draws(0))[2] == 3.0
         profile = DemandProfile("timeseries", samples=(
             (-1.0, 10.0, 60.0), (5.0, 12.0, 55.0), (5.5, 11.0, 58.0)))
         # the first sample time after t, as demand_at picks the sample at or before t
@@ -132,7 +141,7 @@ class TestDemandAt:
         # a profile starts at t <= 0, so only a negative time is before it
         profile = DemandProfile(kind="timeseries", samples=((0.0, 10.0, 60.0),))
         with pytest.raises(ConfigError):
-            demand_at(profile, -0.5, Draws(0, profile))
+            demand_at(profile, -0.5, Draws(0))
 
 
 class TestClosedLoop:
@@ -549,7 +558,7 @@ class TestLoopDraws:
         config = _default(demand=demand, noise=noise, controller_kind="integral", seed=seed)
         traj = run_closed_loop(config)
         # the references on a fresh stream of the run's seed, in the loop's order
-        draws, expected = Draws(seed, demand), []
+        draws, expected = Draws(seed), []
         for k in range(len(traj)):
             q1, q2, _ = demand_at(demand, k * config.dt, draws)
             expected.append((q1, q2, choice.sample_eta(noise, draws)))
@@ -614,13 +623,17 @@ class TestDemandReads:
         # the loop makes a Poisson read's draws itself, so the run's stream logs them
         config = load_config(SCENARIOS / "stochastic.yaml")
         draws = []  # (mean, value) of each poisson call, ("raw", value) of each raw
+        operands = set()  # the id of each mean a poisson call got
 
         class LoggedDraws(Draws):
-            def __init__(self, seed, demand):
-                super().__init__(seed, demand)
+            def __init__(self, seed):
+                super().__init__(seed)
                 poisson, raw = self.poisson, self.raw
 
                 def logged_poisson(mean):
+                    # the loop's operand: a float64 0-d array, formed once per run
+                    assert (type(mean), mean.dtype, mean.shape) == (np.ndarray, np.float64, ())
+                    operands.add(id(mean))
                     draws.append((float(mean), poisson(mean)))
                     return draws[-1][1]
 
@@ -636,7 +649,7 @@ class TestDemandReads:
         pricings = [args[rates] for args in pricings]
         # each read: the HOV mean's draw, then the SOV mean's, then the disturbance's
         reads = [draws[i:i + 3] for i in range(0, len(draws), 3)]
-        assert len(reads) == config.n_steps + 1
+        assert len(reads) == config.n_steps + 1 and len(operands) == 2
         assert [[mean for mean, _ in read] for read in reads] == [[10.0, 60.0, "raw"]] * len(reads)
         q1, q2 = traj.column("q1"), traj.column("q2")
         assert [(hov, sov) for (_, hov), (_, sov), _ in reads] == list(zip(q1, q2))
