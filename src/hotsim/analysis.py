@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 from .choice import clearing_log_odds, paying_demand
 from .engine import run_closed_loop
 from .errors import (BoundaryNotBracketedError, ConfigError, NonFiniteResultError,
-                     ScenarioAssumptionError, brief_repr, require_finite, require_kind,
-                     require_positive, require_steps)
+                     ScenarioAssumptionError, require_finite, require_kind, require_positive,
+                     require_steps)
 from .traffic import queuing_times, residual_capacity
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -127,17 +127,18 @@ def run_approximate(
     k*dt``, the clock of the closed loop; ``start_time`` matters because the
     reduced dynamics are time-variant.  ``dt`` and ``horizon`` meet a
     scenario's step rule, ``errors.require_steps``, and every other input is
-    a finite number; otherwise it is a ValueError naming the key.
+    a finite number; otherwise it is a ValueError naming the key.  It runs
+    the floats those rules return: an int, float32 or -0.0 as its float twin.
     """
     import numpy as np
 
-    for key, value in (("initial_queue", initial_queue), ("initial_zeta", initial_zeta),
-                       ("queue_gain", queue_gain), ("residual_gain", residual_gain),
-                       ("gain_rate", gain_rate), ("start_time", start_time)):
-        require_finite(key, value)
-    times = start_time + np.arange(require_steps(horizon, dt) + 1) * dt
-    lams, zetas = _integrate(initial_queue, initial_zeta, times.tolist(),
-                             queue_gain, residual_gain, gain_rate, dt)
+    lam, zeta, queue_gain, residual_gain, gain_rate, start_time = map(
+        require_finite, ("initial_queue", "initial_zeta", "queue_gain", "residual_gain",
+                         "gain_rate", "start_time"),
+        (initial_queue, initial_zeta, queue_gain, residual_gain, gain_rate, start_time))
+    n, _, dt = require_steps(horizon, dt)
+    times = start_time + np.arange(n + 1) * dt
+    lams, zetas = _integrate(lam, zeta, times.tolist(), queue_gain, residual_gain, gain_rate, dt)
     return times, np.array(lams, dtype=float), np.array(zetas, dtype=float)
 
 
@@ -257,10 +258,13 @@ def classify_convergence(
     undetermined.  The report's R² fits of the two laws over the window,
     log ζ against t² and log λ1 against t, do not enter the pattern; each
     is the squared sample correlation of the window's ``(x, log y)``, with
-    no least-squares solve and no BLAS call (``_fit_r2``).
+    no least-squares solve and no BLAS call (``_fit_r2``).  A gain that is
+    not positive (``errors.require_positive``) is a ValueError naming it.
     """
     import numpy as np
 
+    queue_gain = require_positive("queue_gain", queue_gain)
+    residual_gain = require_positive("residual_gain", residual_gain)
     t_win, lam_win, zeta_win = _tail_window(
         np.asarray(t, dtype=float), np.asarray(lambda1, dtype=float),
         np.asarray(zeta, dtype=float),
@@ -359,13 +363,14 @@ def gain_spec(config: "ScenarioConfig", param: str, value: float) -> "VotControl
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def check_bracket(config: "ScenarioConfig", low: float, high: float) -> None:
-    """Reject a bisection bracket of residual gains with an end the vot
-    controller of ``config`` rejects, or with low not below high."""
-    for end in (low, high):
-        gain_spec(config, "k2", end)
+def check_bracket(config: "ScenarioConfig", low: float, high: float) -> tuple[float, float]:
+    """``(low, high)`` as the floats the vot spec of ``config`` stores; reject
+    a bisection bracket of residual gains with an end its controller
+    rejects, or with low not below high."""
+    low, high = (gain_spec(config, "k2", end).residual_gain for end in (low, high))
     if not low < high:
         raise ConfigError(f"bracket [{low!r}, {high!r}] needs low below high")
+    return low, high
 
 
 def find_phase_boundary(
@@ -378,11 +383,12 @@ def find_phase_boundary(
     """Bisect the residual gain for the switch between convergence patterns.
 
     Re-runs the simulation (closed loop or reduced model) at every midpoint
-    and keeps the half-bracket whose endpoints classify differently, until
-    the bracket is narrower than ``resolution`` or no float lies strictly
-    between its ends.  Returns the midpoint of the final bracket.  Each run
-    is classified as ``classify_at`` would, but only its pattern is
-    computed: the R² fits of a report are not.
+    of the ends as ``check_bracket`` returns them, floats, and keeps the
+    half-bracket whose endpoints classify differently, until the bracket is
+    narrower than ``resolution`` or no float lies strictly between its ends.
+    Returns the midpoint of the final bracket.  Each run is classified as
+    ``classify_at`` would, but only its pattern is computed: the R² fits of
+    a report are not.
     """
 
     def pattern_at(k2: float) -> str:
@@ -390,15 +396,12 @@ def find_phase_boundary(
         _, lam_win, zeta_win = _tail_window(*run)
         return _pattern(lam_win, zeta_win, spec.queue_gain, spec.residual_gain)[0]
 
-    require_positive("resolution", resolution, ConfigError)
-    check_bracket(config, k2_low, k2_high)
-    low_pattern = pattern_at(k2_low)
-    high_pattern = pattern_at(k2_high)
-    if low_pattern == high_pattern:  # :g for floats only: a Fraction, say, cannot take it
-        ends = ", ".join(f"{end:g}" if isinstance(end, float) else brief_repr(end)
-                         for end in (k2_low, k2_high))
-        raise BoundaryNotBracketedError(f"both ends of [{ends}] classify as {low_pattern}")
-    low, high = k2_low, k2_high
+    resolution = require_positive("resolution", resolution, ConfigError)
+    low, high = check_bracket(config, k2_low, k2_high)
+    low_pattern = pattern_at(low)
+    if low_pattern == pattern_at(high):
+        raise BoundaryNotBracketedError(
+            f"both ends of [{low:g}, {high:g}] classify as {low_pattern}")
     while high - low > resolution:
         mid = 0.5 * (low + high)
         if not low < mid < high:  # no float left between the ends

@@ -56,9 +56,9 @@ one message from code and, after its section, from a file.  Each owner
 stores the number it checked as a float and an array as nested tuples of
 floats, so a file and code that give equal numbers give one config.  What
 the rules derive is kept as plain attributes set then: ``n_steps``, the
-count of ``errors.require_steps`` (at most ``MAX_STEPS``), and
-``controller``, the selected ``<kind>_spec``.  Demand outside the congested
-regime parses: ``choice.clearing_log_odds`` owns that rule.
+count ``errors.require_steps`` returns with the horizon and dt it checked,
+and ``controller``, the selected ``<kind>_spec``.  Demand outside the
+congested regime parses: ``choice.clearing_log_odds`` owns that rule.
 """
 
 from __future__ import annotations
@@ -130,16 +130,13 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         # the rules no section object owns; the ConfigError names the key
         require_kind("controller.kind", self.controller_kind, CONTROLLER_KINDS, ConfigError)
-        object.__setattr__(self, "n_steps", require_steps(self.horizon, self.dt, "run",
-                                                          ConfigError))
+        # the step count and grid as floats; replication i runs at seed + i, as ints
+        checked = (require_steps(self.horizon, self.dt, "run", ConfigError)
+                   + check_seeds(self.seed, self.replications))
+        for key, value in zip(("n_steps", "horizon", "dt", "seed", "replications"), checked):
+            object.__setattr__(self, key, value)
         object.__setattr__(self, "controller", getattr(self, f"{self.controller_kind}_spec"))
-        for key in ("horizon", "dt"):  # each a finite number: require_steps checked it
-            object.__setattr__(self, key, float(getattr(self, key)))
-        # replication i runs at seed + i; both are stored as Python ints
-        seed, replications = check_seeds(self.seed, self.replications)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "replications", replications)
-        if replications < 1:
+        if self.replications < 1:
             raise ConfigError("run.replications must be at least 1")
         for key in ("hot_queue", "gp_queue"):
             queue = require_finite(f"initial.{key}", getattr(self, f"initial_{key}"), ConfigError)

@@ -128,11 +128,11 @@ def require_positive(key: str, value: float, error: type[Exception] = ValueError
 
 
 def require_steps(horizon: float, dt: float, section: str = "",
-                  error: type[Exception] = ValueError) -> int:
-    """The number of steps of ``dt`` in ``horizon``; raise ``error``, its
-    message beginning with ``section``, unless both are positive, the count
-    is at most ``MAX_STEPS`` and it is at least one and a whole number to
-    within a millionth of itself."""
+                  error: type[Exception] = ValueError) -> tuple[int, float, float]:
+    """``(n_steps, horizon, dt)``, the steps of ``dt`` in ``horizon`` and both
+    as floats; raise ``error``, its message beginning with ``section``, unless
+    both are positive, the count is at most ``MAX_STEPS`` and it is at least
+    one and a whole number to within a millionth of itself."""
     where, key = (f"{section}: ", f"{section}.") if section else ("", "")
     dt = require_positive(f"{key}dt", dt, error)
     horizon = require_positive(f"{key}horizon", horizon, error)
@@ -142,7 +142,7 @@ def require_steps(horizon: float, dt: float, section: str = "",
                     f"more than the cap of {MAX_STEPS}")
     if abs(n - round(n)) > 1e-6 * max(1.0, n) or round(n) < 1:
         raise error(f"{key}dt: step size {dt:g} does not divide the horizon {horizon:g} evenly")
-    return round(n)
+    return round(n), horizon, dt
 
 
 def stored(value):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,13 +217,29 @@ class TestReducedModel:
                                        start_time=start)
         clock = start + np.arange(n + 1) * dt
         assert t.tobytes() == clock.tobytes()
-        # a reference Euler loop, step k from clock[k]
-        lams, zetas = [lam0], [zeta0]
+        # a reference Euler loop, step k from clock[k], from the floats
+        # require_finite returns: -0.0 + 0.0 is +0.0
+        lams, zetas = [lam0 + 0.0], [zeta0 + 0.0]
         for tk in clock[:-1].tolist():
             lams.append(max(lams[-1] - zetas[-1] * dt, 0.0))
             zetas.append(zetas[-1] + dt * rate * tk * (k1 * lams[-2] - k2 * zetas[-1]))
         assert lam.tobytes() == np.array(lams).tobytes()
         assert zeta.tobytes() == np.array(zetas).tobytes()
+
+    # (initial_queue, initial_zeta, queue_gain, residual_gain, gain_rate,
+    # horizon, dt, start_time): each runs as the float its rule returns
+    @pytest.mark.parametrize("inputs", [
+        tuple(map(np.float32, (1.0, 0.11, 0.1, 0.2, BETA0, 20.0, 1 / 60, 0.5))),
+        (1, 0, 1, 2, 1, 3, 1, 2),
+        (-0.0, -0.0, 0.1, 0.2, BETA0, 1.0, 0.5, -0.0),
+    ], ids=["float32", "int", "negative-zero"])
+    def test_each_input_runs_as_its_float_twin(self, inputs):
+        *args, start = inputs
+        run = run_approximate(*args, start_time=start)
+        twin = run_approximate(*(float(x) + 0.0 for x in args), start_time=float(start) + 0.0)
+        for column, expected in zip(run, twin):
+            assert column.dtype == np.float64
+            assert column.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("column, step", [("lambda1", 7), ("zeta", 0), ("zeta", 1200)])
     def test_a_non_finite_step_of_the_run_is_named(self, monkeypatch, column, step):
@@ -289,6 +306,20 @@ class TestClassification:
         zeros = np.zeros_like(t)
         report = classify_convergence(t, zeros, zeros, 0.1, 0.1)
         assert report.pattern == "undetermined"
+
+    # on an exponential tail, whose ratio test divides by the queue gain
+    @pytest.mark.parametrize("queue_gain, residual_gain, message", [
+        (0.0, 0.5, "queue_gain must be positive"),
+        ("0.1", 0.5, "queue_gain: expected a number, got '0.1'"),
+        (0.1, -0.5, "residual_gain must be positive"),
+        (0.1, math.nan, "residual_gain: expected a finite number, got nan"),
+    ])
+    def test_each_gain_is_a_positive_number(self, queue_gain, residual_gain, message):
+        t = np.linspace(0.0, 10.0, 601)
+        lam = np.exp(-t)
+        assert classify_convergence(t, lam, 0.5 * lam, 0.1, 0.2).pattern == "exponential"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify_convergence(t, lam, 0.5 * lam, queue_gain, residual_gain)
 
 
 def reference_fit_r2(x, y):
@@ -512,15 +543,27 @@ class TestPhaseBoundary:
             find_phase_boundary(pattern_config(0.1), 0.05, 0.09,
                                 resolution=0.005, model="closed")
 
-    # a float end is shown with :g, an end of any other type without it
+    # each end is shown with :g, as the float the vot spec stores
     @pytest.mark.parametrize("low, high, ends", [
         (0.05, 0.09, "0.05, 0.09"),
-        (Fraction(1, 20), Fraction(9, 100), "Fraction(1, 20), Fraction(9, 100)"),
+        (Fraction(1, 20), Fraction(9, 100), "0.05, 0.09"),
     ], ids=["float", "fraction"])
     def test_unbracketed_interval_names_its_ends(self, low, high, ends):
         with pytest.raises(BoundaryNotBracketedError) as error:
             find_phase_boundary(load_config(PERTURBED), low, high)
         assert str(error.value) == f"both ends of [{ends}] classify as gaussian"
+
+    # the ends are bisected as the floats the vot spec stores, whatever their type
+    @pytest.mark.parametrize("low, high, expected", [
+        (np.float32(0.1), np.float32(0.2), 0.14218750211875886),
+        (Decimal("0.1"), Decimal("0.2"), 0.14218750000000002),
+        (Fraction(1, 10), Fraction(1, 5), 0.14218750000000002),
+    ], ids=["float32", "decimal", "fraction"])
+    def test_ends_are_bisected_as_their_floats(self, low, high, expected):
+        config = load_config(PERTURBED)
+        boundary = find_phase_boundary(config, low, high, 0.005, "approx")
+        assert type(boundary) is float and boundary == expected
+        assert boundary == find_phase_boundary(config, float(low), float(high), 0.005, "approx")
 
     # the controller rejects a non-finite end, naming the gain; the bracket
     # keeps only its order rule
