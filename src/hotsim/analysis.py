@@ -10,8 +10,10 @@ for a run having reached the optimal state.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -145,14 +147,21 @@ def run_approximate(
 def gaussian_tail(
     zeta0: float, t: float, gain_rate: float, residual_gain: float
 ) -> float:
-    """Residual-capacity decay law once the HOT queue is empty."""
+    """Residual-capacity decay law once the HOT queue is empty.  A gain that
+    is not positive (``errors.require_positive``) is a ValueError naming it."""
+    gain_rate = require_positive("gain_rate", gain_rate)
+    residual_gain = require_positive("residual_gain", residual_gain)
     return zeta0 * math.exp(-0.5 * gain_rate * residual_gain * t * t)
 
 
 def exponential_tail(
     lambda10: float, t: float, queue_gain: float, residual_gain: float
 ) -> tuple[float, float]:
-    """Joint decay law when a HOT queue persists; returns (lambda1, zeta)."""
+    """Joint decay law when a HOT queue persists; returns (lambda1, zeta).  A
+    gain that is not positive (``errors.require_positive``) is a ValueError
+    naming it."""
+    queue_gain = require_positive("queue_gain", queue_gain)
+    residual_gain = require_positive("residual_gain", residual_gain)
     lam = lambda10 * math.exp(-(queue_gain / residual_gain) * t)
     return lam, (queue_gain / residual_gain) * lam
 
@@ -355,11 +364,16 @@ def classify_at(
 
 def gain_spec(config: "ScenarioConfig", param: str, value: float) -> "VotControllerSpec":
     """The vot spec of ``config`` with gain ``param`` set to ``value``; a gain the
-    controller rejects is a ConfigError naming ``param``, and its value if a float."""
+    controller rejects is a ConfigError naming ``param``, and ``value`` as the
+    float it is if it is a real number other than a bool."""
     try:
         return dataclasses.replace(config.vot_spec, **{GAINS[param]: value})
     except ValueError as exc:  # the controller's message shows a value that is no number
-        name = f"{param}={value:g}" if isinstance(value, float) else param
+        name = param
+        # numpy's bool is no Real, and an int may be one no float can hold
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            with contextlib.suppress(OverflowError):
+                name = f"{param}={float(value):g}"
         raise ConfigError(f"{name}: {exc}") from None
 
 

@@ -178,6 +178,20 @@ class TestTailLaws:
             lam, zeta = exponential_tail(1.0, t, 0.1, 0.2)
             assert lam / zeta == pytest.approx(2.0, rel=1e-12)
 
+    # a zero gain divided by, a string, a nan, and gains whose sign makes the law grow
+    @pytest.mark.parametrize("law, gains, message", [
+        (exponential_tail, (0.1, 0.0), "residual_gain must be positive"),
+        (exponential_tail, ("0.1", 0.2), "queue_gain: expected a number, got '0.1'"),
+        (exponential_tail, (-0.1, 0.2), "queue_gain must be positive"),
+        (gaussian_tail, (BETA0, -0.1), "residual_gain must be positive"),
+        (gaussian_tail, (0.0, 0.1), "gain_rate must be positive"),
+        (gaussian_tail, (BETA0, math.nan), "residual_gain: expected a finite number, got nan"),
+    ], ids=["exponential-zero", "exponential-string", "exponential-negative",
+            "gaussian-negative", "gaussian-zero", "gaussian-nan"])
+    def test_each_gain_is_a_positive_number(self, law, gains, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            law(1.0, 2.0, *gains)
+
 
 class TestReducedModel:
     def test_empty_queue_pattern_peaks_at_reference(self):
@@ -616,11 +630,15 @@ class TestClassifyAt:
         report = classify_at(pattern_config(0.1), "k1", 0.1, "approx")
         assert report == classify_at(pattern_config(0.1), "k2", 0.1, "approx")
 
+    # a real number is shown as its float, whatever its type
     @pytest.mark.parametrize("param, value", [("k2", 0.0), ("k2", -0.1), ("k1", 0.0),
-                                              ("k2", math.nan)])
+                                              ("k2", math.nan), ("k2", 0), ("k1", -1),
+                                              ("k2", np.float32(0)), ("k2", Fraction(0))],
+                             ids=["k2-0.0", "k2--0.1", "k1-0.0", "k2-nan", "k2-0", "k1--1",
+                                  "k2-float32-0", "k2-Fraction-0"])
     def test_invalid_gain_is_config_error(self, param, value):
         rule = ": expected a finite number" if math.isnan(value) else " must be positive"
-        with pytest.raises(ConfigError, match=f"{param}={value:g}: .*_gain{rule}"):
+        with pytest.raises(ConfigError, match=f"^{param}={float(value):g}: .*_gain{rule}"):
             classify_at(pattern_config(0.1), param, value, "closed")
 
     @pytest.mark.parametrize("param, model", [("k3", "closed"), ("k2", "exact")])

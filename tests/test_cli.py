@@ -20,7 +20,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_config import NUMBER_ENTRIES, READ_BY, _positive, _scenarios
+from test_config import NUMBER_ENTRIES, OWNED_KEYS, _positive, _scenarios
 
 import hotsim
 from hotsim import analysis, cli, engine
@@ -958,24 +958,6 @@ def _hostile_scenarios(draw):
     return mapping
 
 
-def _owned_keys(table=SCHEMA, path=""):
-    """``(dotted key, key its owner names, owner, field)`` per scenario key:
-    the owner is the section object holding the value (one whose kind reads
-    the key, ``READ_BY``, for a key the default kind does not read) or the
-    ScenarioConfig, which names a key of its own dotted."""
-    for key, entry in table.items():
-        where = f"{path}.{key}" if path else key
-        if isinstance(entry, dict):
-            yield from _owned_keys(entry, where)
-            continue
-        part, _, name = entry.rpartition(".")
-        if not part:
-            yield where, where, ScenarioConfig(), name
-        else:
-            yield where, key, READ_BY.get(where, getattr(ScenarioConfig(), part)), name
-
-
-OWNED_KEYS = list(_owned_keys())
 # the scenario keys that hold no number
 NOT_NUMBER_KEYS = ("run.seed", "run.replications", "demand.kind", "noise.kind", "controller.kind")
 

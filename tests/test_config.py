@@ -1,7 +1,6 @@
 """Scenario parsing: defaults, validation, and error paths."""
 
 import dataclasses
-import functools
 import hashlib
 import math
 import re
@@ -33,7 +32,7 @@ from hotsim.config import (
 from hotsim.engine import POISSON_MEAN_MAX, UNREAD_DEMAND_KEYS, DemandProfile, run_closed_loop
 from hotsim import errors
 from hotsim.errors import ConfigError, ScenarioAssumptionError
-from hotsim.pricing import IntegralTollController, SelfLearningController, VotFeedbackController
+from hotsim.pricing import SelfLearningController
 from hotsim.traffic import Capacities
 
 
@@ -326,119 +325,10 @@ UNPARSED = [
     ({"initial_gp_queue": -1.0}, ConfigError, "initial.gp_queue"),
 ]
 
-NAN = math.nan
-# one nan per range rule, and one badly shaped sample per shape case, set
-# without the parser: (object, fields, error, key); the samples entries share
-# a message, so each names its case by id
-NAN_RULES = [
-    (Capacities(30.0, 30.0), {"hot": NAN}, ValueError, "hot"),
-    (Capacities(30.0, 30.0), {"gp": NAN}, ValueError, "gp"),
-    (DemandProfile(), {"mean_hov": NAN}, ValueError, "hov"),
-    (DemandProfile(), {"mean_sov": NAN}, ValueError, "sov"),
-    pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
-                 {"samples": ((0.0, 10.0, 60.0), (NAN, 10.0, 60.0))}, ValueError,
-                 "samples: expected a finite number", id="samples: timeseries"),
-    pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
-                 {"samples": ((0.0, 10.0, NAN),)}, ValueError,
-                 "samples: expected a finite number", id="samples: demand rates"),
-    pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
-                 {"samples": ((NAN, 10.0, 60.0),)}, ValueError,
-                 "samples: expected a finite number", id="demand.samples"),
-    pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
-                 {"samples": ((0.0, 10.0),)}, ValueError,
-                 "samples: expected rows of three numbers", id="samples: two entries"),
-    pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
-                 {"samples": (5.0,)}, ValueError,
-                 "samples: expected rows of three numbers", id="samples: a bare number"),
-    pytest.param(DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),)),
-                 {"samples": ((0.0, 10.0, 60.0, 1.0),)}, ValueError,
-                 "samples: expected rows of three numbers", id="samples: four entries"),
-    (BehaviorParams(0.5, 1.0), {"vot": NAN}, ValueError, "vot"),
-    (BehaviorParams(0.5, 1.0), {"scale": NAN}, ValueError, "scale"),
-    (ScenarioConfig(), {"initial_hot_queue": NAN}, ConfigError, "initial.hot_queue"),
-    (ScenarioConfig(), {"initial_gp_queue": NAN}, ConfigError, "initial.gp_queue"),
-    (IntegralTollSpec(), {"gain": NAN}, ValueError, "gain"),
-    (SelfLearningSpec(), {"measurement_var": NAN}, ValueError, "measurement_var"),
-    (SelfLearningSpec(), {"initial_cov": NAN}, ValueError, "initial_cov"),
-    (SelfLearningSpec(), {"process_noise": ((1.0, 0.0, 0.0), (0.0, NAN, 0.0), (0.0, 0.0, 1.0))},
-     ValueError, "process_noise"),
-    # an initial state with no range rule, the reduced model's included, is finite
-    (VotControllerSpec(), {"initial_vot": NAN}, ValueError, "initial_vot"),
-    (IntegralTollSpec(), {"initial_price": NAN}, ValueError, "initial_price"),
-    (IntegralTollSpec(), {"target_demand": NAN}, ValueError, "target_demand"),
-    (SelfLearningSpec(), {"initial_theta": (NAN, 1.0, 0.1)}, ValueError, "initial_theta"),
-    (ScenarioConfig(), {"approx_zeta0": NAN}, ConfigError, "approx.zeta0"),
-]
-
-INF = math.inf
 TIMESERIES_ONE = DemandProfile("timeseries", samples=((0.0, 10.0, 60.0),))
 # each key the default kind of its section does not read -> a section object
 # whose kind reads it
 READ_BY = {"demand.samples": TIMESERIES_ONE, "noise.half_width": NoiseSpec("uniform", 0.1)}
-VOT_ARGS = dict(hot_capacity=30.0, queue_gain=0.1, residual_gain=0.1, scale_guess=1.0,
-                initial_vot=0.25)
-LEARNER_ARGS = dict(hot_capacity=30.0, initial_theta=(0.25, 1.0, 0.1), initial_cov=0.1,
-                    measurement_var=0.09, process_noise=1e-6)
-# +inf at each range rule with only a lower bound, and in each of the
-# self-learning controller's arrays: (object, fields, error, key,
-# constructor); the constructor takes the fields as keywords and builds the
-# object, or for a controller spec the controller, directly
-INF_RULES = [
-    (ScenarioConfig(), {"horizon": INF}, ConfigError, "run.horizon", ScenarioConfig),
-    (ScenarioConfig(), {"dt": INF}, ConfigError, "run.dt", ScenarioConfig),
-    (ScenarioConfig(), {"initial_hot_queue": INF}, ConfigError, "initial.hot_queue",
-     ScenarioConfig),
-    (ScenarioConfig(), {"initial_gp_queue": INF}, ConfigError, "initial.gp_queue",
-     ScenarioConfig),
-    (DemandProfile(), {"mean_hov": INF}, ValueError, "hov", DemandProfile),
-    (DemandProfile(), {"mean_sov": INF}, ValueError, "sov", DemandProfile),
-    (TIMESERIES_ONE, {"samples": ((0.0, INF, 60.0),)}, ValueError, "samples",
-     functools.partial(DemandProfile, "timeseries")),
-    (TIMESERIES_ONE, {"samples": ((0.0, 10.0, 60.0), (5.0, 10.0, INF))}, ValueError, "samples",
-     functools.partial(DemandProfile, "timeseries")),
-    (BehaviorParams(0.5, 1.0), {"vot": INF}, ValueError, "vot",
-     functools.partial(BehaviorParams, scale=1.0)),
-    (BehaviorParams(0.5, 1.0), {"scale": INF}, ValueError, "scale",
-     functools.partial(BehaviorParams, 0.5)),
-    (VotControllerSpec(), {"queue_gain": INF}, ValueError, "queue_gain",
-     functools.partial(VotFeedbackController, **VOT_ARGS)),
-    (VotControllerSpec(), {"residual_gain": INF}, ValueError, "residual_gain",
-     functools.partial(VotFeedbackController, **VOT_ARGS)),
-    (VotControllerSpec(), {"scale_guess": INF}, ValueError, "scale_guess",
-     functools.partial(VotFeedbackController, **VOT_ARGS)),
-    (IntegralTollSpec(), {"gain": INF}, ValueError, "gain",
-     functools.partial(IntegralTollController, 30.0, initial_price=0.5, target_demand=30.0)),
-    (SelfLearningSpec(), {"measurement_var": INF}, ValueError, "measurement_var",
-     functools.partial(SelfLearningController, **LEARNER_ARGS)),
-    (SelfLearningSpec(), {"initial_theta": (INF, 1.0, 0.1)}, ValueError, "initial_theta",
-     functools.partial(SelfLearningController, **LEARNER_ARGS)),
-    (SelfLearningSpec(), {"initial_cov": INF}, ValueError, "initial_cov",
-     functools.partial(SelfLearningController, **LEARNER_ARGS)),
-    (SelfLearningSpec(), {"process_noise": INF}, ValueError, "process_noise",
-     functools.partial(SelfLearningController, **LEARNER_ARGS)),
-]
-# how the object is built, a value beyond the finite floats, and how the
-# message names it: an int beyond the float range is not printed, as its
-# repr would run to 401 digits
-TOO_LARGE = "an integer too large for a float"
-BEYOND_FINITE = [
-    pytest.param("replace", INF, "inf", id="replace"),
-    pytest.param("construct", INF, "inf", id="construct"),
-    pytest.param("replace", 10**400, TOO_LARGE, id="replace-int-10**400"),
-    pytest.param("construct", 10**400, TOO_LARGE, id="construct-int-10**400"),
-]
-
-
-def _replace_inf(value, big):
-    """``value`` with every inf in it, in nested tuples too, replaced by ``big``."""
-    if isinstance(value, tuple):
-        return tuple(_replace_inf(v, big) for v in value)
-    return big if value == INF else value
-
-
-INF_IDS = ["run.horizon", "run.dt", "initial.hot_queue", "initial.gp_queue", "hov", "sov", "samples-hov", "samples-sov",
-           "vot", "scale", "queue_gain", "residual_gain", "scale_guess", "gain",
-           "measurement_var", "initial_theta", "initial_cov", "process_noise"]
 
 
 class TestBuiltInCode:
@@ -534,31 +424,6 @@ class TestBuiltInCode:
         cfg, plain = ScenarioConfig(**{key: value}), ScenarioConfig(**{key: int(value)})
         assert type(getattr(cfg, key)) is int and cfg == plain
         assert config_fingerprint(cfg) == config_fingerprint(plain)
-
-    @pytest.mark.parametrize("section, fields, error, key", NAN_RULES,
-                             ids=[getattr(rule, "id", None) or rule[3] for rule in NAN_RULES])
-    def test_nan_fails_each_range_rule(self, section, fields, error, key):
-        with pytest.raises(error, match=f"^{re.escape(key)}"):
-            dataclasses.replace(section, **fields)
-
-    @pytest.mark.parametrize("how, big, got", BEYOND_FINITE)
-    @pytest.mark.parametrize("section, fields, error, key, construct", INF_RULES, ids=INF_IDS)
-    def test_inf_fails_each_lower_bound_rule(self, section, fields, error, key, construct, how,
-                                             big, got):
-        # for inf the message is the parser's for the same key, less its section
-        fields = {name: _replace_inf(value, big) for name, value in fields.items()}
-        with pytest.raises(error, match=f"^{re.escape(key)}: expected a finite number, "
-                                        f"got {re.escape(got)}$"):
-            if how == "replace":
-                dataclasses.replace(section, **fields)
-            else:
-                construct(**fields)
-
-    @pytest.mark.parametrize("key", ["hot", "gp"])
-    def test_capacity_beyond_the_float_range_fails_by_key(self, key):
-        # 10**400 passes 0 < rate < inf, and a run would stop on an OverflowError
-        with pytest.raises(ValueError, match=f"^{key}: expected a finite number, got {TOO_LARGE}$"):
-            Capacities(**{"hot": 30.0, "gp": 30.0, key: 10**400})
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -734,32 +599,7 @@ class TestMapping:
         ]
 
 
-# one non-finite value per section that used to slip through
-NON_FINITE = [
-    ("capacities: {hot: .nan}", "capacities.hot"),
-    ("behavior: {vot: .nan}", "behavior.vot"),
-    ("controller: {vot: {queue_gain: .nan}}", "controller.vot.queue_gain"),
-    ("initial: {hot_queue: .nan}", "initial.hot_queue"),
-    ("run: {horizon: .inf}", "run.horizon"),
-]
-
-
 class TestNumbers:
-    @pytest.mark.parametrize("text, key", NON_FINITE, ids=[key for _, key in NON_FINITE])
-    def test_non_finite_number_names_its_key(self, text, key):
-        with pytest.raises(ConfigError, match=re.escape(key) + ": expected a finite number"):
-            parse_config_text(text)
-
-    def test_non_finite_matrix_entry_rejected(self):
-        with pytest.raises(ConfigError, match="controller.selflearning.initial_cov"):
-            parse_config_text(
-                "controller: {selflearning: {initial_cov: [[1, 0, 0], [0, .nan, 0], [0, 0, 1]]}}"
-            )
-
-    def test_integer_beyond_float_range_rejected(self):
-        with pytest.raises(ConfigError, match="capacities.gp: expected a finite number"):
-            parse_config_text(f"capacities: {{gp: {10 ** 400}}}")
-
     def test_exponent_floats_are_numbers(self):
         cfg = parse_config_text(
             "run: {horizon: 2e1}\ncapacities: {hot: 1e6}\n"
@@ -792,55 +632,93 @@ def _nested(where: str, value) -> dict:
     return mapping
 
 
-def _number_entries(table=SCHEMA, path=""):
-    """``(test id, dotted key, owner, field, wrap)`` per number a scenario
-    sets: each number key of the schema but the seed and the replication
-    count, ``initial_theta`` at its first entry, and a sample's first time,
-    later time and rate.  ``owner`` is the object whose ``field`` holds the
-    number, the ScenarioConfig itself for a key it owns; ``wrap(x)`` is the
-    field's value with ``x`` at the number."""
+def _owned_keys(table=SCHEMA, path=""):
+    """``(dotted key, key its owner names, owner, field)`` per scenario key:
+    the owner is the section object holding the value (one whose kind reads
+    the key, ``READ_BY``, for a key the default kind does not read) or the
+    ScenarioConfig, which names a key of its own dotted."""
     for key, entry in table.items():
         where = f"{path}.{key}" if path else key
         if isinstance(entry, dict):
-            yield from _number_entries(entry, where)
+            yield from _owned_keys(entry, where)
             continue
         part, _, name = entry.rpartition(".")
-        owner = READ_BY.get(where, getattr(ScenarioConfig(), part) if part else ScenarioConfig())
-        if type(getattr(owner, name)) in (str, int):  # a kind, the seed or the replication count
-            continue
-        if name == "samples":
-            yield f"{where}-first-time", where, TIMESERIES_ONE, name, lambda x: ((x, 10.0, 60.0),)
-            yield (f"{where}-later-time", where, TIMESERIES_ONE, name,
-                   lambda x: ((0.0, 10.0, 60.0), (x, 10.0, 60.0)))
-            yield f"{where}-rate", where, TIMESERIES_ONE, name, lambda x: ((0.0, 10.0, x),)
-        elif name == "initial_theta":
-            yield where, where, owner, name, lambda x: (x, 1.0, 0.1)
+        if not part:
+            yield where, where, ScenarioConfig(), name
         else:
-            yield where, where, owner, name, lambda x: x
+            yield where, key, READ_BY.get(where, getattr(ScenarioConfig(), part)), name
+
+
+# the one walk of the schema to the owners of its keys: the number, shape and
+# type tables below read it, and so does tests/test_cli.py, which checks that
+# it keeps every key
+OWNED_KEYS = list(_owned_keys())
+OWNED = {where: (key, owner, name) for where, key, owner, name in OWNED_KEYS}
+
+
+def _identity_with(x):
+    return (1.0, 0.0, 0.0), (0.0, x, 0.0), (0.0, 0.0, 1.0)
+
+
+# a field of more than one number: test id suffix -> its value with x at one of them
+SPOTS = {
+    "samples": {"-first-time": lambda x: ((x, 10.0, 60.0),),
+                "-later-time": lambda x: ((0.0, 10.0, 60.0), (x, 10.0, 60.0)),
+                "-hov-rate": lambda x: ((0.0, x, 60.0),),
+                "-rate": lambda x: ((0.0, 10.0, x),)},
+    "initial_theta": {"": lambda x: (x, 1.0, 0.1)},
+    "initial_cov": {"": lambda x: x, "-entry": _identity_with},
+    "process_noise": {"": lambda x: x, "-entry": _identity_with},
+}
+
+
+def _number_entries():
+    """``(test id, dotted key, key its owner names, owner, field, wrap)`` per
+    number a scenario sets, read from ``OWNED_KEYS``, the walk that
+    tests/test_cli.py reads too: each number key but the seed and the
+    replication count, once per spot of ``SPOTS`` for a field of more than
+    one number; ``wrap(x)`` is the field's value with ``x`` at the number."""
+    for where, key, owner, name in OWNED_KEYS:
+        if type(getattr(owner, name)) not in (str, int):  # a kind, the seed or the count
+            for suffix, wrap in SPOTS.get(name, {"": lambda x: x}).items():
+                yield where + suffix, where, key, owner, name, wrap
 
 
 NUMBER_ENTRIES = list(_number_entries())
-BAD_NUMBERS = [pytest.param(math.nan, id="nan"), pytest.param(math.inf, id="inf"),
-               pytest.param(-math.inf, id="-inf"), pytest.param(10**400, id="int-10**400")]
+CONTROLLER_ENTRIES = [entry for entry in NUMBER_ENTRIES if entry[1].startswith("controller.")]
+# a value that is no finite number, and how a message shows it: an int beyond
+# the float range is not printed, as its repr would run to 401 digits
+BAD_NUMBERS = [pytest.param(math.nan, "nan", id="nan"), pytest.param(math.inf, "inf", id="inf"),
+               pytest.param(-math.inf, "-inf", id="-inf"),
+               pytest.param(10**400, "an integer too large for a float", id="int-10**400")]
 
 
 class TestOneMessagePerNumber:
     """A number that is not finite gives one message from a file and from
-    code: its owner checks that it is finite before any range rule."""
+    code: its owner checks that it is finite before any range rule, and a
+    controller built without its spec checks it as the spec does."""
 
-    @pytest.mark.parametrize("bad", BAD_NUMBERS)
-    @pytest.mark.parametrize("where, owner, name, wrap", [e[1:] for e in NUMBER_ENTRIES],
+    @pytest.mark.parametrize("bad, shown", BAD_NUMBERS)
+    @pytest.mark.parametrize("where, key, owner, name, wrap", [e[1:] for e in NUMBER_ENTRIES],
                              ids=[e[0] for e in NUMBER_ENTRIES])
-    def test_file_and_code_agree(self, where, owner, name, wrap, bad):
-        mapping = _nested(where, wrap(bad))
+    def test_file_and_code_agree(self, where, key, owner, name, wrap, bad, shown):
         with pytest.raises(ConfigError) as parsed:
-            parse_config_text(yaml.safe_dump(mapping))
+            parse_config_text(yaml.safe_dump(_nested(where, wrap(bad))))
         with pytest.raises((ValueError, ConfigError)) as built:
             dataclasses.replace(owner, **{name: wrap(bad)})
-        # a key the ScenarioConfig owns keeps its section in code too
-        key = where if isinstance(owner, ScenarioConfig) else where.rpartition(".")[2]
-        assert str(built.value).startswith(f"{key}: expected a finite number, got ")
+        # a key the ScenarioConfig owns keeps its section and its error in code too
+        assert type(built.value) is (ConfigError if isinstance(owner, ScenarioConfig)
+                                     else ValueError)
+        assert str(built.value) == f"{key}: expected a finite number, got {shown}"
         assert str(parsed.value) == where[:-len(key)] + str(built.value)
+
+    @pytest.mark.parametrize("bad, shown", BAD_NUMBERS)
+    @pytest.mark.parametrize("spec, name, wrap", [e[3:] for e in CONTROLLER_ENTRIES],
+                             ids=[e[0] for e in CONTROLLER_ENTRIES])
+    def test_controller_built_without_its_spec_agrees(self, spec, name, wrap, bad, shown):
+        with pytest.raises(ValueError) as built:
+            spec.controller(30.0, **{**vars(spec), name: wrap(bad)})
+        assert str(built.value) == f"{name}: expected a finite number, got {shown}"
 
 
 # one value per shape rule and integer rule, and a timeseries that starts
@@ -852,6 +730,7 @@ MISSHAPEN = [
     ("controller.selflearning.initial_cov", [[1, 0, 0], [0, 1], [0, 0, 1]]),
     ("demand.samples", 5),
     ("demand.samples", [[0, 10]]),
+    ("demand.samples", [[0, 10, 60, 1]]),
     ("demand.samples", [[0, 10, [60]]]),
     ("demand.samples", [[5, 10, 60]]),
     ("run.seed", 1.5),
@@ -870,15 +749,9 @@ class TestOneMessagePerShape:
                              ids=[f"{where.rpartition('.')[2]}: {value}"
                                   for where, value in MISSHAPEN])
     def test_file_and_code_agree(self, where, value):
-        mapping = _nested(where, value)
-        key = where.rpartition(".")[2]
+        key, owner, name = OWNED[where]
         with pytest.raises(ConfigError) as parsed:
-            parse_config_text(yaml.safe_dump(mapping))
-        part, _, name = functools.reduce(dict.get, where.split("."), SCHEMA).rpartition(".")
-        if not part:  # a key the ScenarioConfig owns keeps its section in code too
-            owner, key = ScenarioConfig(), where
-        else:
-            owner = READ_BY.get(where, getattr(ScenarioConfig(), part))
+            parse_config_text(yaml.safe_dump(_nested(where, value)))
         with pytest.raises((ValueError, ConfigError)) as built:
             dataclasses.replace(owner, **{name: value})
         assert str(built.value).startswith(f"{key}: ")
@@ -889,8 +762,8 @@ class TestOneMessagePerShape:
 # the key does not take null, and no string for dt, whose string the parser
 # reads as a fraction (``cannot parse`` when it is none)
 NOT_NUMBERS = [
-    pytest.param(where, owner, name, wrap, bad, id=f"{test_id}-{bad!r}")
-    for test_id, where, owner, name, wrap in NUMBER_ENTRIES
+    pytest.param(where, key, owner, name, wrap, bad, id=f"{test_id}-{bad!r}")
+    for test_id, where, key, owner, name, wrap in NUMBER_ENTRIES
     for bad in (True, "ten", None)
     if not (bad is None and getattr(owner, name) is None
             or bad == "ten" and where == "run.dt")
@@ -902,18 +775,16 @@ class TestOneMessagePerType:
     file and from code: the parser passes it on as it is, and its owner's
     number rule (``errors.require_finite``) raises the owner's own error."""
 
-    @pytest.mark.parametrize("where, owner, name, wrap, bad", NOT_NUMBERS)
-    def test_file_and_code_agree(self, where, owner, name, wrap, bad):
+    @pytest.mark.parametrize("where, key, owner, name, wrap, bad", NOT_NUMBERS)
+    def test_file_and_code_agree(self, where, key, owner, name, wrap, bad):
         with pytest.raises((ValueError, ConfigError)) as built:
             dataclasses.replace(owner, **{name: wrap(bad)})
-        # a key the ScenarioConfig owns keeps its section in code too
-        own = isinstance(owner, ScenarioConfig)
-        key = where if own else where.rpartition(".")[2]
-        assert type(built.value) is (ConfigError if own else ValueError)
+        # a key the ScenarioConfig owns keeps its section and its error in code too
+        assert type(built.value) is (ConfigError if isinstance(owner, ScenarioConfig)
+                                     else ValueError)
         assert str(built.value) == f"{key}: expected a number, got {bad!r}"
-        mapping = _nested(where, wrap(bad))
         with pytest.raises(ConfigError) as parsed:
-            parse_config_text(yaml.safe_dump(mapping))
+            parse_config_text(yaml.safe_dump(_nested(where, wrap(bad))))
         assert str(parsed.value) == where[:-len(key)] + str(built.value)
 
 

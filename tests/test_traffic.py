@@ -19,14 +19,6 @@ CAPS = Capacities(30.0, 30.0)
 DT = 1.0 / 60.0
 
 
-class TestCapacities:
-    # an infinite HOT capacity would be the integral controller's default target
-    @pytest.mark.parametrize("key", ["hot", "gp"])
-    def test_infinite_rate_rejected(self, key):
-        with pytest.raises(ValueError, match=f"^{key}: expected a finite number"):
-            Capacities(**{"hot": 30.0, "gp": 30.0, key: np.inf})
-
-
 class TestResidualCapacity:
     def test_reference_demand_split(self):
         assert residual_capacity(30.0, 10.0, 20.0) == 0.0
