@@ -768,12 +768,16 @@ NOT_NUMBERS = [
     if not (bad is None and getattr(owner, name) is None
             or bad == "ten" and where == "run.dt")
 ]
+# the same values per controller number, for a controller built without its spec
+CONTROLLER_NOT_NUMBERS = [param for param in NOT_NUMBERS
+                          if param.values[0].startswith("controller.")]
 
 
 class TestOneMessagePerType:
     """A value that is not a number, a bool included, gives one message from a
     file and from code: the parser passes it on as it is, and its owner's
-    number rule (``errors.require_finite``) raises the owner's own error."""
+    number rule (``errors.require_finite``) raises the owner's own error; a
+    controller built without its spec checks it as the spec does."""
 
     @pytest.mark.parametrize("where, key, owner, name, wrap, bad", NOT_NUMBERS)
     def test_file_and_code_agree(self, where, key, owner, name, wrap, bad):
@@ -786,6 +790,12 @@ class TestOneMessagePerType:
         with pytest.raises(ConfigError) as parsed:
             parse_config_text(yaml.safe_dump(_nested(where, wrap(bad))))
         assert str(parsed.value) == where[:-len(key)] + str(built.value)
+
+    @pytest.mark.parametrize("where, key, spec, name, wrap, bad", CONTROLLER_NOT_NUMBERS)
+    def test_controller_built_without_its_spec_agrees(self, where, key, spec, name, wrap, bad):
+        with pytest.raises(ValueError) as built:
+            spec.controller(30.0, **{**vars(spec), name: wrap(bad)})
+        assert str(built.value) == f"{name}: expected a number, got {bad!r}"
 
 
 def _doubled_samples(depth: int) -> str:
