@@ -365,14 +365,15 @@ def classify_at(
 def gain_spec(config: "ScenarioConfig", param: str, value: float) -> "VotControllerSpec":
     """The vot spec of ``config`` with gain ``param`` set to ``value``; a gain the
     controller rejects is a ConfigError naming ``param``, and ``value`` as the
-    float it is if it is a real number other than a bool."""
+    float it is if it is a number other than a bool that has one."""
     try:
         return dataclasses.replace(config.vot_spec, **{GAINS[param]: value})
     except ValueError as exc:  # the controller's message shows a value that is no number
         name = param
-        # numpy's bool is no Real, and an int may be one no float can hold
-        if isinstance(value, numbers.Real) and not isinstance(value, bool):
-            with contextlib.suppress(OverflowError):
+        # numpy's bool is no Number, a Decimal is one but no Real, an int may
+        # be one no float can hold, and a complex has no float
+        if isinstance(value, numbers.Number) and not isinstance(value, bool):
+            with contextlib.suppress(OverflowError, TypeError, ValueError):
                 name = f"{param}={float(value):g}"
         raise ConfigError(f"{name}: {exc}") from None
 

@@ -42,11 +42,13 @@ state at t = 0.
 The parser reads only the YAML structure and ``dt``'s fraction string, and
 passes every other value on as YAML gives it; a scalar that PyYAML cannot
 construct (a date past its month's end, an integer of more than 4300
-digits) makes the file malformed.  Exponent floats such as ``1e6`` or
-``2.5e-3`` read as numbers, although YAML 1.1 (and so plain PyYAML) reads
-them as strings.  The controller sections are the specs of ``pricing``:
-their keys are read off the spec fields, each spec builds its controller
-from its fields by name, and each controller's value rules live there.
+digits) makes the file malformed.  A malformed file is one error line:
+PyYAML's problem with its line and column, not its echoed source.
+Exponent floats such as ``1e6`` or ``2.5e-3`` read as numbers, although
+YAML 1.1 (and so plain PyYAML) reads them as strings.  The controller
+sections are the specs of ``pricing``: their keys are read off the spec
+fields, each spec builds its controller from its fields by name, and each
+controller's value rules live there.
 
 A ``ScenarioConfig`` checks itself when it is built, by the parser or in
 code, ``dataclasses.replace`` included, so no scenario exists unchecked:
@@ -254,6 +256,19 @@ def config_from_mapping(root: dict) -> ScenarioConfig:
     return dataclasses.replace(default, **fields)
 
 
+def _one_line(exc: Exception) -> str:
+    """The reader's error in one line: a marked YAML error as its context and
+    problem, then its line and column, not PyYAML's echoed source and caret;
+    a reader error as its first line and position; a ValueError as it is."""
+    if isinstance(exc, yaml.MarkedYAMLError):
+        mark = exc.problem_mark or exc.context_mark
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        return ", ".join(filter(None, (exc.context, exc.problem))) + where
+    if isinstance(exc, yaml.reader.ReaderError):
+        return f"{str(exc).splitlines()[0]} at position {exc.position}"
+    return str(exc)
+
+
 def parse_config_text(text: str | bytes) -> ScenarioConfig:
     """Parse an inline YAML scenario document; bytes must be UTF-8, a byte
     order mark allowed, and any other bytes are a malformed document."""
@@ -262,7 +277,7 @@ def parse_config_text(text: str | bytes) -> ScenarioConfig:
             text.decode("utf-8")
         data = yaml.load(text, Loader=_ScenarioLoader)
     except (ValueError, yaml.YAMLError) as exc:  # a scalar no constructor takes, bad UTF-8
-        raise ConfigError(f"malformed scenario file: {exc}")
+        raise ConfigError(f"malformed scenario file: {_one_line(exc)}")
     except RecursionError:  # the YAML reader recurses once per level of a nested list
         raise ConfigError("malformed scenario file: nested too deeply") from None
     return config_from_mapping(data if data is not None else {})

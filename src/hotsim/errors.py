@@ -162,10 +162,10 @@ def _float_array(key: str, value, what: str, *shapes: tuple):
     """``value`` as a float or as nested lists of floats, or a ValueError
     ``<key>: expected <what>, got …`` unless it has one of ``shapes``, where
     None stands for any length.  A sequence (not a string nor bytes) is read
-    entry by entry, a numpy array as its lists, each number by ``require_finite``,
+    entry by entry, a numpy array as its entries, each number by ``require_finite``,
     never past an entry no shape takes; a list of rows of an accepted length
     is shown by its first bad row, and any value no deeper than a shape."""
-    value = value.tolist() if hasattr(value, "tolist") else value
+    value = _entries(value)
     for floats in (_fit(key, value, shape) for shape in shapes):
         if floats is not None:
             return floats
@@ -176,13 +176,23 @@ def _float_array(key: str, value, what: str, *shapes: tuple):
     raise ValueError(f"{key}: expected {what}, got {_shown(value, max(map(len, shapes)))}")
 
 
+def _entries(value):
+    """A numpy array as the list of its entries, numpy scalars or rows, so
+    that a message shows each as the tuple path does (``np.True_``, not
+    ``True``), a 0-d array as its numpy scalar, and any other value as it is."""
+    ndim = getattr(value, "ndim", None)
+    if ndim is None:
+        return value
+    return list(value) if ndim else value[()]
+
+
 def _is_sequence(value) -> bool:
     return isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray))
 
 
 def _fit(key: str, value, shape: tuple):
     """``value`` read as ``shape``, or None at its first entry of another shape."""
-    value = value.tolist() if hasattr(value, "tolist") else value
+    value = _entries(value)
     if not _is_sequence(value):
         return None if shape else require_finite(key, value)
     if not shape or shape[0] not in (None, len(value)):
@@ -198,7 +208,7 @@ def _fit(key: str, value, shape: tuple):
 def _shown(value, levels: int) -> str:
     """``value`` as ``brief_repr`` shows it, its finite numbers as floats, but
     only ``levels`` deep: a deeper sequence shows as ``[...]``."""
-    value = value.tolist() if hasattr(value, "tolist") else value
+    value = _entries(value)
     if _is_sequence(value):
         if not levels:
             return "[...]" if len(value) else "[]"

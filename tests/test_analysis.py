@@ -585,9 +585,10 @@ class TestPhaseBoundary:
         (math.nan, 0.2, "k2=nan: residual_gain: expected a finite number, got nan"),
         (0.1, math.inf, "k2=inf: residual_gain: expected a finite number, got inf"),
         (-math.inf, 0.2, "k2=-inf: residual_gain: expected a finite number, got -inf"),
+        (Decimal(0), 0.2, "k2=0: residual_gain must be positive"),
         (0.2, 0.1, "bracket [0.2, 0.1] needs low below high"),
         (0.1, 0.1, "bracket [0.1, 0.1] needs low below high"),
-    ], ids=["nan-0.2", "0.1-inf", "-inf-0.2", "0.2-0.1", "0.1-0.1"])
+    ], ids=["nan-0.2", "0.1-inf", "-inf-0.2", "Decimal-0-0.2", "0.2-0.1", "0.1-0.1"])
     def test_bracket_needs_finite_ordered_ends(self, low, high, message):
         with pytest.raises(ConfigError) as error:
             find_phase_boundary(pattern_config(0.1), low, high, resolution=0.005)
@@ -630,12 +631,15 @@ class TestClassifyAt:
         report = classify_at(pattern_config(0.1), "k1", 0.1, "approx")
         assert report == classify_at(pattern_config(0.1), "k2", 0.1, "approx")
 
-    # a real number is shown as its float, whatever its type
+    # a number is shown as its float, whatever its type, a Decimal included
     @pytest.mark.parametrize("param, value", [("k2", 0.0), ("k2", -0.1), ("k1", 0.0),
                                               ("k2", math.nan), ("k2", 0), ("k1", -1),
-                                              ("k2", np.float32(0)), ("k2", Fraction(0))],
+                                              ("k2", np.float32(0)), ("k2", Fraction(0)),
+                                              ("k2", Decimal(0)), ("k1", Decimal("-1")),
+                                              ("k2", Decimal("NaN"))],
                              ids=["k2-0.0", "k2--0.1", "k1-0.0", "k2-nan", "k2-0", "k1--1",
-                                  "k2-float32-0", "k2-Fraction-0"])
+                                  "k2-float32-0", "k2-Fraction-0", "k2-Decimal-0",
+                                  "k1-Decimal--1", "k2-Decimal-NaN"])
     def test_invalid_gain_is_config_error(self, param, value):
         rule = ": expected a finite number" if math.isnan(value) else " must be positive"
         with pytest.raises(ConfigError, match=f"^{param}={float(value):g}: .*_gain{rule}"):

@@ -797,6 +797,19 @@ class TestOneMessagePerType:
             spec.controller(30.0, **{**vars(spec), name: wrap(bad)})
         assert str(built.value) == f"{name}: expected a number, got {bad!r}"
 
+    # numpy's bool, which no scenario file gives, at every number spot: an
+    # entry of an array reads as the scalar, not as Python's True
+    @pytest.mark.parametrize("where, key, owner, name, wrap", [e[1:] for e in NUMBER_ENTRIES],
+                             ids=[e[0] for e in NUMBER_ENTRIES])
+    def test_numpy_bool_in_code_is_no_number(self, where, key, owner, name, wrap):
+        builds = {key: lambda: dataclasses.replace(owner, **{name: wrap(np.True_)})}
+        if where.startswith("controller."):  # and the controller built without its spec
+            builds[name] = lambda: owner.controller(30.0, **{**vars(owner), name: wrap(np.True_)})
+        for shown, build in builds.items():
+            with pytest.raises((ValueError, ConfigError)) as built:
+                build()
+            assert str(built.value) == f"{shown}: expected a number, got np.True_"
+
 
 def _doubled_samples(depth: int) -> str:
     """A timeseries whose samples nest ``depth`` lists deep through anchors,

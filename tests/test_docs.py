@@ -1,4 +1,5 @@
-"""The README's library example and the CI workflow's test node ids, against the code."""
+"""The README's library example, and the test node ids that the README and
+the CI workflow name, against the code."""
 
 import ast
 import re
@@ -22,17 +23,27 @@ def _defines(body, names) -> bool:
     return False
 
 
-def test_every_node_the_workflow_names_exists():
-    # a renamed test would otherwise fail only in CI, as a node pytest cannot find
-    # or, under --deselect, as a deselect that no longer deselects anything
-    workflow = yaml.safe_load(WORKFLOW.read_text())
-    nodes = {node for job in workflow["jobs"].values() for step in job["steps"]
-             for node in NODE_ID.findall(step.get("run", ""))}
+def _check_nodes(text: str) -> None:
+    """Every test node ``text`` names, and at least one, exists."""
+    nodes = set(NODE_ID.findall(text))
     assert nodes
     for node in sorted(nodes):
         path, *names = node.split("::")
         assert (ROOT / path).is_file(), node
         assert _defines(ast.parse((ROOT / path).read_text()).body, names), node
+
+
+def test_every_node_the_workflow_names_exists():
+    # a renamed test would otherwise fail only in CI, as a node pytest cannot find
+    # or, under --deselect, as a deselect that no longer deselects anything
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    _check_nodes("\n".join(step.get("run", "") for job in workflow["jobs"].values()
+                           for step in job["steps"]))
+
+
+def test_every_node_the_readme_names_exists():
+    # a moved or deleted test file would otherwise leave the README pointing at nothing
+    _check_nodes((ROOT / "README.md").read_text())
 
 
 def test_readme_library_example_runs():
