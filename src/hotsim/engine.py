@@ -24,12 +24,12 @@ The loop does the plant's arithmetic of steps 1, 5, 6 and 8 itself.  It
 makes the IEEE operations of ``traffic.queuing_times``,
 ``choice.paying_demand``, ``traffic.residual_capacity``,
 ``traffic.throughputs`` and ``traffic.step_point_queues`` in their order,
-so those kernels are its bit-for-bit reference (``tests/test_engine.py``
-holds a run that calls them; ``analysis`` calls the first three to seed the
-reduced model).  It makes the draws of steps 2 and 3 itself too, the same
-calls on the run's ``Draws`` in the same order, so ``demand_at`` and
-``choice.sample_eta`` are their bit-for-bit references
-(``tests/test_engine.py::TestLoopDraws``).  Each clamp is a statement, such
+so those kernels are its bit-for-bit reference (``analysis`` calls the
+first three to seed the reduced model).  It makes the draws of steps 2 and
+3 itself too, the same calls on the run's ``Draws`` in the same order, so
+``demand_at`` and ``choice.sample_eta`` are their bit-for-bit references.
+``tests/test_engine.py::reference_run_closed_loop`` is the run that calls
+every reference the loop mirrors.  Each clamp is a statement, such
 as ``if hot < g1: g1 = hot``, which picks the operand that the kernel's
 comparison expression picks, -0.0 and nan included, and stores only when it
 fires.  The loop has no floor for g1, the one clamp that cannot fire: q1,

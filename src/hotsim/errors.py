@@ -72,19 +72,27 @@ def require_finite(key: str, value: float, error: type[Exception] = ValueError) 
     """``value`` as a float, -0.0 as +0.0; raise ``error``, its message
     beginning with ``key``, unless ``value`` is a number, bools (numpy's too)
     aside, and finite: not NaN, infinite or an int beyond any float."""
-    # numpy's bool exists only once numpy is imported, and a float is no bool
-    numpy = sys.modules.get("numpy") if type(value) is not float else None
-    bools = (bool, numpy.bool_) if numpy else bool
-    try:  # a bool is no number: math.isfinite rejects None
-        finite = math.isfinite(None if isinstance(value, bools) else value)
+    try:
+        finite = _isfinite(value)
     except TypeError:
         raise error(f"{key}: expected a number, got {brief_repr(value)}") from None
     except OverflowError:  # an int no float can hold; its repr may run to any length
         raise error(f"{key}: expected a finite number, got an integer "
                     f"too large for a float") from None
+    except ValueError:  # a signaling NaN, which no float holds
+        raise error(f"{key}: expected a finite number, got {brief_repr(value)}") from None
     if not finite:  # shown as the float it is, numpy's too
         raise error(f"{key}: expected a finite number, got {float(value)!r}")
     return float(value) + 0.0  # -0.0 + 0.0 is +0.0, and any other float is itself
+
+
+def _isfinite(value) -> bool:
+    """``math.isfinite(value)``, but a bool, numpy's too, is no number: a
+    TypeError, as for any other value that is no number."""
+    # numpy's bool exists only once numpy is imported, and a float is no bool
+    numpy = sys.modules.get("numpy") if type(value) is not float else None
+    bools = (bool, numpy.bool_) if numpy else bool
+    return math.isfinite(None if isinstance(value, bools) else value)
 
 
 def require_kind(key: str, value, kinds: tuple[str, ...], error: type[Exception] = ValueError):
@@ -206,8 +214,9 @@ def _fit(key: str, value, shape: tuple):
 
 
 def _shown(value, levels: int) -> str:
-    """``value`` as ``brief_repr`` shows it, its finite numbers as floats, but
-    only ``levels`` deep: a deeper sequence shows as ``[...]``."""
+    """``value`` as ``brief_repr`` shows it, its numbers as floats, as
+    ``require_finite`` shows them, but only ``levels`` deep: a deeper
+    sequence shows as ``[...]``."""
     value = _entries(value)
     if _is_sequence(value):
         if not levels:
@@ -215,6 +224,7 @@ def _shown(value, levels: int) -> str:
         entries = [_shown(entry, levels - 1) for entry in itertools.islice(value, 7)]
         return f"[{', '.join(entries[:6] + ['...'] * (len(entries) > 6))}]"
     try:
-        return repr(require_finite("", value))
-    except ValueError:  # no finite number: as it is
+        _isfinite(value)
+    except (TypeError, OverflowError, ValueError):  # no number, or none a float holds
         return brief_repr(value)
+    return repr(float(value) + 0.0)  # -0.0 as +0.0, and nan or an infinity as itself

@@ -4,6 +4,12 @@ import os
 
 import numpy
 import pytest
+from hypothesis import settings
+
+# every property test runs the same examples on every run, with no time limit
+# and no example database: each @settings gives only its max_examples
+settings.register_profile("hotsim", deadline=None, derandomize=True, database=None)
+settings.load_profile("hotsim")
 
 
 def _openblas_core() -> str:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_clamps import reference_euler_step
 
 from hotsim import analysis
 from hotsim.analysis import (
@@ -218,7 +219,7 @@ class TestReducedModel:
         rel = np.abs(zeta - reference) / reference
         assert rel.max() < 0.01
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(st.floats(0.0, 10.0),
            # a step that is no multiple of 2**-30, so that a summed clock would round
            st.floats(1e-3, 0.2, exclude_min=True, exclude_max=True).filter(
@@ -231,12 +232,13 @@ class TestReducedModel:
                                        start_time=start)
         clock = start + np.arange(n + 1) * dt
         assert t.tobytes() == clock.tobytes()
-        # a reference Euler loop, step k from clock[k], from the floats
+        # the reference Euler step, step k from clock[k], from the floats
         # require_finite returns: -0.0 + 0.0 is +0.0
         lams, zetas = [lam0 + 0.0], [zeta0 + 0.0]
         for tk in clock[:-1].tolist():
-            lams.append(max(lams[-1] - zetas[-1] * dt, 0.0))
-            zetas.append(zetas[-1] + dt * rate * tk * (k1 * lams[-2] - k2 * zetas[-1]))
+            lam_k, zeta_k = reference_euler_step(lams[-1], zetas[-1], tk, k1, k2, rate, dt)
+            lams.append(lam_k)
+            zetas.append(zeta_k)
         assert lam.tobytes() == np.array(lams).tobytes()
         assert zeta.tobytes() == np.array(zetas).tobytes()
 
@@ -419,7 +421,7 @@ def _comparable(values):
 
 
 class TestPatternRule:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(_tails())
     def test_pattern_and_ratio_are_the_reports(self, tail):
         t, lam, zeta, queue_gain, residual_gain = tail
@@ -447,7 +449,7 @@ def _fit_tolerance(y):
 
 
 class TestFitR2:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(_tails())
     def test_both_fits_are_the_least_squares_ones(self, tail):
         t, lam, zeta, queue_gain, residual_gain = tail
@@ -594,7 +596,7 @@ class TestPhaseBoundary:
             find_phase_boundary(pattern_config(0.1), low, high, resolution=0.005)
         assert str(error.value) == message
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(st.sampled_from(["gain_spec", "check_bracket", "classify_at", "find_phase_boundary"]),
            st.sampled_from(["k1", "k2"]), st.booleans(), st.sampled_from(HOSTILE_GAINS))
     def test_hostile_gain_is_one_short_config_error(self, entry, param, low_end, value):

@@ -887,7 +887,7 @@ class TestSimulateFuzz:
     def test_valid_scenario_exits_cleanly(self, command):
         argv_strategy, codes, examples = COMMANDS[command]
 
-        @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+        @settings(max_examples=examples)
         @given(_scenarios(max_steps=60, max_replications=2), argv_strategy)
         def exits_cleanly(mapping, argv):
             _check_outcome(mapping, argv, codes)
@@ -961,14 +961,14 @@ class TestHostileFuzz:
         ["sweep", "--values", "0.1"], ["sweep", "--model", "approx", "--values", "0.1"],
     ], ids=" ".join)
     def test_hostile_value_ends_in_one_clear_error(self, argv):
-        @settings(max_examples=17, deadline=None, derandomize=True, database=None)
+        @settings(max_examples=17)
         @given(_hostile_scenarios())
         def ends_cleanly(mapping):
             _check_outcome(mapping, argv, (2, 3, 4, 6))
 
         ends_cleanly()
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(st.sampled_from(OWNED_KEYS), _WRONG_TYPE)
     def test_hostile_value_in_code_names_its_key(self, owned, value):
         # a section object or config built in code with one hostile value is
@@ -1022,7 +1022,7 @@ class TestSchemaFuzz:
     README documents as holding ``nan``, and never in more than one short
     error line."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(_schema_scenarios())
     def test_schema_scenario_ends_in_a_result_or_its_exit_code(self, mapping):
         for argv in (["simulate"], ["compare"], ["sweep", "--values", "0.1,0.2"], ["analytic"],

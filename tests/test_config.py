@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from hotsim.config import (
     parse_config_text,
 )
 from hotsim.engine import POISSON_MEAN_MAX, UNREAD_DEMAND_KEYS, DemandProfile, run_closed_loop
-from hotsim import errors
+from hotsim import analysis, errors
 from hotsim.errors import ConfigError, ScenarioAssumptionError
 from hotsim.pricing import SelfLearningController
 from hotsim.traffic import Capacities
@@ -411,13 +412,38 @@ class TestBuiltInCode:
                                                     (np.float32("-inf"), "-.inf", "-inf"),
                                                     (np.float16("nan"), ".nan", "nan")])
     def test_non_finite_numpy_number_reads_as_its_file_twin(self, value, text, shown):
-        # shown as the float it is, as the number a scenario file gives
-        with pytest.raises(ValueError) as error:
-            Capacities(value, 30)
-        assert str(error.value) == f"hot: expected a finite number, got {shown}"
-        with pytest.raises(ConfigError) as error:
-            parse_config_text(f"capacities: {{hot: {text}}}")
-        assert str(error.value) == f"capacities.hot: expected a finite number, got {shown}"
+        # shown as the float it is, as the number a scenario file gives, and
+        # so inside an array of another shape, numpy's or a tuple
+        cases = [
+            (lambda: Capacities(value, 30), "capacities: {hot: %s}",
+             "capacities.", f"hot: expected a finite number, got {shown}"),
+            (lambda: DemandProfile("timeseries", samples=np.array([[value, 10.0]])),
+             "demand: {kind: timeseries, samples: [[%s, 10]]}",
+             "demand.", f"samples: expected rows of three numbers, got [{shown}, 10.0] at row 0"),
+            (lambda: SelfLearningController(30.0, (value, 1.0), 0.1, 0.09, 1e-6),
+             "controller: {kind: selflearning, selflearning: {initial_theta: [%s, 1]}}",
+             "controller.selflearning.",
+             f"initial_theta: expected three numbers, got [{shown}, 1.0]"),
+        ]
+        for build, file, section, message in cases:
+            with pytest.raises(ValueError) as error:
+                build()
+            assert str(error.value) == message
+            with pytest.raises(ConfigError) as error:
+                parse_config_text(file % text)
+            assert str(error.value) == section + message
+
+    @pytest.mark.parametrize("build, error_class, key", [
+        (lambda: BehaviorParams(vot=Decimal("sNaN"), scale=1.0), ValueError, "vot"),
+        (lambda: analysis.gain_spec(ScenarioConfig(), "k2", Decimal("sNaN")), ConfigError,
+         "k2: residual_gain"),
+    ], ids=["behavior", "gain_spec"])
+    def test_signaling_nan_is_no_finite_number(self, build, error_class, key):
+        # no float holds it, so math.isfinite raises a ValueError of its own;
+        # the caller's error names the key instead
+        with pytest.raises(error_class) as error:
+            build()
+        assert str(error.value) == f"{key}: expected a finite number, got Decimal('sNaN')"
 
     @pytest.mark.parametrize("key, value", [("seed", np.uint64(3)), ("replications", np.int64(2))])
     def test_numpy_seed_and_count_are_stored_as_ints(self, key, value):
@@ -828,14 +854,15 @@ class TestArraysReadOnlyTheirShape:
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        """Every number the array rule reads, through ``errors.require_finite``."""
-        numbers, rule = [], errors.require_finite
+        """Every number the array rule reads, through ``errors._isfinite``,
+        where ``require_finite`` and a message's ``_shown`` read it."""
+        numbers, rule = [], errors._isfinite
 
-        def counted(key, value, error=ValueError):
+        def counted(value):
             numbers.append(value)
-            return rule(key, value, error)
+            return rule(value)
 
-        monkeypatch.setattr(errors, "require_finite", counted)
+        monkeypatch.setattr(errors, "_isfinite", counted)
         return numbers
 
     @pytest.mark.parametrize("text, message", [
@@ -1081,7 +1108,7 @@ def _scenarios(draw, max_steps=5000, max_replications=50):
 
 
 class TestRoundTrip:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(_scenarios())
     def test_parse_to_mapping_parse_is_identity(self, mapping):
         cfg = config_from_mapping(mapping)

@@ -67,7 +67,7 @@ class TestThroughputs:
         g1, g2 = throughputs(0.0, 0.0, zeta, q1, q2, caps, DT)
         assert (g1, g2) == (hot, 0.0) and math.copysign(1.0, g2) == 1.0
 
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500)
     @given(st.data())
     def test_g1_floor_cannot_fire_under_the_scenario_rules(self, data):
         # the states the scenario rules allow: q1 in [0, hot), q3 in [0, q2]
