@@ -552,6 +552,23 @@ class TestPlantArithmetic:
         assert isinstance(outcome[0], list)
         assert outcome == run_outcome(reference_run_closed_loop, config)
 
+    @pytest.mark.parametrize("one_step", [False, True], ids=["horizon", "one-step"])
+    @pytest.mark.parametrize("kind", ["vot", "integral", "selflearning"])
+    @pytest.mark.parametrize("scenario", ["reference", "perturbed", "stochastic"])
+    def test_shipped_scenario_writes_what_the_reference_writes(self, scenario, kind, one_step):
+        config = dataclasses.replace(load_config(SCENARIOS / f"{scenario}.yaml"),
+                                     seed=1000, controller_kind=kind)
+        if one_step:
+            config = dataclasses.replace(config, horizon=config.dt)
+
+        def written(trajectory):
+            summary = summarize(trajectory, config.behavior.vot).as_dict()
+            return len(trajectory), trajectory.values(), trajectory_csv(trajectory), summary
+
+        traj = run_closed_loop(config)
+        assert len(traj) == (2 if one_step else config.n_steps + 1)
+        assert written(traj) == written(reference_run_closed_loop(config))
+
 
 # the arguments of observe after dt, each a recorded column
 OBSERVED = ("lambda1", "zeta", "w", "u", "q1", "q2", "q3")
