@@ -22,7 +22,9 @@ violation, 4 controller failure, 5 I/O failure, 6 non-finite result (a value
 ``errors`` carries its code as ``exit_code``; an ``OSError`` is 5.
 
 All CSV output uses 9 significant digits, '\\n' line endings, and a
-terminating newline, so identical runs produce byte-identical files.
+terminating newline, so identical runs produce byte-identical files.  ``_csv``
+is the one CSV writer: it builds a table's ASCII text as one ``bytes``
+%-format, which formats each number as a ``str`` %-format does.
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ Outputs = tuple[dict[str, str], str | None]
 def _csv(header: tuple, values, row_format: str = "") -> str:
     """``header``, then ``values``, flat and row-major, a line per row of
     ``len(header)`` through the %-format ``row_format``, by default '%.9g' per
-    column (9 significant digits, nan included): the table is one %-format."""
+    column (9 significant digits, nan included).  The table is one ``bytes``
+    %-format, decoded once: its text is ASCII, a number formats as it would in
+    a ``str`` %-format, and a ``%s`` column takes ASCII bytes."""
     row_format = (row_format or ",".join(["%.9g"] * len(header))) + "\n"
-    return ",".join(header) + "\n" + (row_format * (len(values) // len(header))) % tuple(values)
+    table = (row_format * (len(values) // len(header))).encode() % tuple(values)
+    return ",".join(header) + "\n" + table.decode()
 
 
 def trajectory_csv(traj: engine.Trajectory) -> str:
@@ -220,7 +225,9 @@ def cmd_sweep(args) -> Outputs:
     files = {}
     if rows:
         header = (args.param, "pattern", "ratio_estimate", "fit_r2_gaussian", "fit_r2_exponential")
-        values = [x for value, report in rows for x in (value, *dataclasses.astuple(report))]
+        values = [x for value, report in rows
+                  for x in (value, report.pattern.encode(), report.ratio_estimate,
+                            report.fit_r2_gaussian, report.fit_r2_exponential)]
         files["sweep.csv"] = _csv(header, values, "%.9g,%s,%.9g,%.9g,%.9g")
     if args.bisect is not None:
         files["boundary.json"] = _json_text({

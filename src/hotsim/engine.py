@@ -88,9 +88,9 @@ checks its seed when built, and ``run_closed_loop`` a ``seed`` override.
 A run builds only what is read.  The loop extends one flat, row-major list
 of floats by each step's values, and ``Trajectory``, whose one constructor
 takes that list, keeps it as it is, so a kept run holds no object per step;
-the CSV formats those floats in one pass, ``column`` builds a fresh array
-from every 13th value on each read, and ``summarize`` builds only the
-columns it reduces over.
+the CSV formats those floats in one ``bytes`` %-format, ``column`` builds a
+fresh array from every 13th value on each read, and ``summarize`` builds
+only the columns it reduces over.
 """
 
 from __future__ import annotations
@@ -246,10 +246,14 @@ class Trajectory:
         return len(self._values) // _WIDTH
 
     def column(self, name: str) -> np.ndarray:
-        """One entry per recorded step, as a new float64 array on each call."""
+        """One entry per recorded step, as a new float64 array on each call;
+        a ValueError that lists the ``STATE_FIELDS`` unless ``name`` is one."""
         import numpy as np
 
-        return np.fromiter(self._values[_INDEX[name]::_WIDTH], float, len(self))
+        start = _INDEX.get(name) if isinstance(name, str) else None
+        if start is None:
+            require_kind("column", name, STATE_FIELDS)
+        return np.fromiter(self._values[start::_WIDTH], float, len(self))
 
     def values(self) -> list:
         """The stored flat list, every step's ``STATE_FIELDS`` values in

@@ -58,6 +58,39 @@ def flat(rows) -> list:
     return [value for row in rows for value in row]
 
 
+def str_csv(header: tuple, values, row_format: str = "") -> str:
+    """The CSV ``cli._csv`` writes, built as one ``str`` %-format: its reference,
+    where a ``%s`` column takes ``str``."""
+    row_format = (row_format or ",".join(["%.9g"] * len(header))) + "\n"
+    return ",".join(header) + "\n" + (row_format * (len(values) // len(header))) % tuple(values)
+
+
+def _bits_to_float(sign: bool, exponent: int, mantissa: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | exponent << 52 | mantissa))[0]
+
+
+# every double: each exponent, the all-zero and all-one ones (±0, subnormals,
+# ±inf, nan of either sign and any payload) drawn often
+_DOUBLES = st.builds(
+    _bits_to_float, st.booleans(),
+    st.sampled_from([0, 1, 0x3FF, 0x7FE, 0x7FF]) | st.integers(0, 0x7FF),
+    st.sampled_from([0, 1, 2**51, 2**52 - 1]) | st.integers(0, 2**52 - 1),
+)
+_FLOAT32S = st.integers(0, 2**32 - 1).map(
+    lambda bits: np.frombuffer(struct.pack("<I", bits), np.float32)[0])
+_CELLS = (_DOUBLES | st.integers(-(2**200), 2**200) | st.booleans()
+          | _DOUBLES.map(np.float64) | _FLOAT32S)
+
+
+@st.composite
+def _tables(draw):
+    """A header of 1 to 13 columns and the flat values of 0 to 7 rows."""
+    width, n_rows = draw(st.integers(1, 13)), draw(st.integers(0, 7))
+    n_values = width * n_rows
+    values = draw(st.lists(_CELLS, min_size=n_values, max_size=n_values))
+    return tuple(f"c{i}" for i in range(width)), values
+
+
 class TestDemandAt:
     def test_constant_profile(self):
         profile = DemandProfile(kind="constant", mean_hov=10.0, mean_sov=60.0)
@@ -736,9 +769,9 @@ class TestTrajectory:
             assert column.dtype == np.float64 and column.flags.c_contiguous
             assert column.tobytes() == expected.tobytes()
         assert np.array(traj.values(), dtype=float).tobytes() == table.T.tobytes()
-        # the CSV formats the stored values as it would their floats
+        # the CSV formats the stored values as a str %-format would their floats
         csv = trajectory_csv(traj)
-        assert csv == _csv(STATE_FIELDS, [float(value) for value in values])
+        assert csv == str_csv(STATE_FIELDS, [float(value) for value in values])
         # each read is a new array: writing into one changes neither a later
         # read nor the CSV
         for name in STATE_FIELDS:
@@ -746,6 +779,29 @@ class TestTrajectory:
         for name, expected in zip(STATE_FIELDS, table):
             assert traj.column(name).tobytes() == expected.tobytes()
         assert trajectory_csv(traj) == csv
+
+    @settings(max_examples=500)
+    @given(_tables())
+    def test_csv_is_the_str_format_of_its_values(self, table):
+        header, values = table
+        assert _csv(header, values) == str_csv(header, values)
+
+    @pytest.mark.parametrize("pattern", ["gaussian", "exponential", "undetermined"])
+    def test_csv_takes_a_text_column_as_ascii_bytes(self, pattern):
+        # the row format of sweep.csv, whose pattern column cmd_sweep encodes
+        header, row_format = ("k2", "pattern", "a", "b", "c"), "%.9g,%s,%.9g,%.9g,%.9g"
+        values = [0.1, pattern, 1 / 3, math.nan, -0.0, 0.12, pattern, 2.5e-310, 1, -math.inf]
+        encoded = [value.encode() if isinstance(value, str) else value for value in values]
+        assert _csv(header, encoded, row_format) == str_csv(header, values, row_format)
+
+    @pytest.mark.parametrize("name", ["nope", "T", "", 1, None, ["t"]],
+                             ids=["nope", "T", "empty", "int", "none", "list"])
+    def test_unknown_column_is_a_value_error_naming_the_fields(self, name):
+        traj = Trajectory([0.0] * len(STATE_FIELDS), has_pi=True)
+        with pytest.raises(ValueError) as caught:
+            traj.column(name)
+        assert str(caught.value) == (f"column: expected one of {', '.join(STATE_FIELDS)}, "
+                                     f"got {name!r}")
 
     @pytest.mark.parametrize("n_values", [1, len(STATE_FIELDS) - 1, len(STATE_FIELDS) + 1])
     def test_values_that_are_not_whole_rows_are_rejected(self, n_values):
